@@ -396,11 +396,3 @@ def build_algebra(spec: AlgebraSpec, length_cap: int = DEFAULT_LENGTH_CAP) -> Pa
             break
 
     return PathAlgebra(spec, quiver, p, tuple(relations), tuple(basis), basis_index, reduce_maps, nil_degree)
-
-
-def loewy_length(algebra: PathAlgebra) -> int:
-    return algebra.loewy_length()
-
-
-def opposite(algebra: PathAlgebra) -> PathAlgebra:
-    return algebra.opposite()

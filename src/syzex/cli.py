@@ -128,13 +128,11 @@ def cmd_mod(args, report):
         report["results"] = {"module": args.module, "violations": violations}
         return 2
     if args.action == "decompose":
-        dec = decompose(m)
-        report["warnings"].extend(dec.warnings)
         report["results"] = {
             "module": args.module,
             "factors": [
                 {"multiplicity": mult, "dim": f.dim_map(), "module": module_doc(f, args.spec)}
-                for f, mult in dec.factors
+                for f, mult in decompose(m).factors
             ],
         }
         return 0
@@ -187,7 +185,6 @@ def cmd_bullet(args, report):
                 "saturation sweep: %d new members at mult bound %d"
                 % (len(wider - got), args.mult_bound + 1)
             )
-    report["warnings"].extend(uni.warnings)
     if uni.is_clipped:
         report["warnings"].append("universe clipped at dim bound %d" % args.dim_bound)
     report["results"] = {
@@ -207,7 +204,6 @@ def cmd_layer(args, report):
     uni = generate_universe(algebra, args.dim_bound, _universe_params(args))
     gens = _member_set(uni, args.gen)
     got = layer(uni, gens, args.n, args.mult_bound)
-    report["warnings"].extend(uni.warnings)
     if uni.is_clipped:
         report["warnings"].append("universe clipped at dim bound %d" % args.dim_bound)
     results = {
@@ -234,7 +230,6 @@ def cmd_syzcat(args, report):
     entry, spec = _resolve_spec(args.spec, args.field)
     algebra = build_algebra(spec)
     cat = syzygy_category(algebra, args.n, args.dim_bound, _universe_params(args))
-    report["warnings"].extend(cat.universe.warnings)
     if cat.universe.is_clipped:
         report["warnings"].append("universe clipped at dim bound %d" % args.dim_bound)
     report["results"] = {
@@ -342,7 +337,7 @@ def _add_global_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
     d = (lambda v: argparse.SUPPRESS) if suppress else (lambda v: v)
     parser.add_argument("--field", type=int, default=d(None), help="override the prime field")
     parser.add_argument("--format", choices=("text", "json"), default=d("text"))
-    parser.add_argument("--seed", type=int, default=d(0), help="seed for randomized search fallbacks")
+    parser.add_argument("--seed", type=int, default=d(0), help="seed for the random split probes used when p^k > 256")
     parser.add_argument("--budget", type=int, default=d(_default_budget()), help="enumeration budget")
     parser.add_argument("--member-cap", type=int, default=d(5000))
     parser.add_argument("--timings", action="store_true", default=d(False), help="include wall-clock timings")

@@ -75,7 +75,6 @@ class ClassRegistry:
     def __init__(self):
         self.by_fp = {}
         self.by_key = {}
-        self.warnings = []
 
     def intern(self, rep: Representation):
         """(class, is_new).
@@ -90,14 +89,9 @@ class ClassRegistry:
         fp = _fingerprint(rep)
         bucket = self.by_fp.setdefault(fp, [])
         for cls in bucket:
-            verdict = is_iso(rep, cls.rep)
-            if verdict is True:
+            if is_iso(rep, cls.rep):
                 self.by_key[key] = cls
                 return cls, False
-            if verdict is None:
-                self.warnings.append(
-                    "iso search exhausted budget on dim %s; classes kept distinct" % (rep.dim,)
-                )
         cls = IndecClass(rep, fp)
         bucket.append(cls)
         self.by_key[key] = cls
@@ -111,16 +105,12 @@ class Universe:
         self.registry = ClassRegistry()
         self.members = []
         self.member_set = set()
-        self.closure_log = []
         self.clipped = []
         self.saturated = {rule: False for rule in params.rules}
-        self.warnings = []
         self._atom_cache = {}
         self._atom_options = {}
         self._bullet_cache = {}
         self._layer_cache = {}
-        self._middle_buckets = {}
-        self._middle_by_key = {}
 
     @property
     def dim_bound(self):
@@ -180,27 +170,8 @@ class Universe:
         return atom
 
     def _middle_summands(self, rep: Representation):
-        """Indecomposable summands of a middle term, deduplicated by iso class."""
-        key = rep.key()
-        got = self._middle_by_key.get(key)
-        if got is not None:
-            return got
-        fp = (rep.dim, tuple(m.rank() for m in rep.action), hom_space(rep, rep).dimension)
-        bucket = self._middle_buckets.setdefault(fp, [])
-        for seen_rep, summands in bucket:
-            if is_iso(rep, seen_rep) is True:
-                self._middle_by_key[key] = summands
-                return summands
-        dec = decompose(rep)
-        self.warnings.extend(dec.warnings)
-        out = []
-        for f, mult in dec.factors:
-            cls, _ = self.registry.intern(f)
-            out.append((cls, mult))
-        out = tuple(out)
-        bucket.append((rep, out))
-        self._middle_by_key[key] = out
-        return out
+        """Indecomposable summands of a middle term as interned classes."""
+        return tuple((self.registry.intern(f)[0], mult) for f, mult in decompose(rep).factors)
 
 
 def _multisets(classes, max_parts, max_mult, max_dim):
@@ -264,16 +235,13 @@ def generate_universe(algebra, dim_bound, params: UniverseParams = None, seeds=N
                 raise BudgetExceeded("universe member cap %d reached" % params.member_cap)
             uni.members.append(cls)
             uni.member_set.add(cls)
-            uni.closure_log.append({"rule": rule, "dim": cls.rep.dim_map(), "source": source})
             heapq.heappush(heap, (cls.sort_key(), next(seq), cls))
         return cls
 
     for rep in seeds:
         if rep.total_dim == 0:
             continue
-        dec = decompose(rep)
-        uni.warnings.extend(dec.warnings)
-        for f, _ in dec.factors:
+        for f, _ in decompose(rep).factors:
             add(f, "seed")
 
     processed = []
@@ -316,7 +284,6 @@ def generate_universe(algebra, dim_bound, params: UniverseParams = None, seeds=N
         processed.append(cls)
     for rule in params.rules:
         uni.saturated[rule] = True
-    uni.warnings.extend(uni.registry.warnings)
     return uni
 
 
@@ -374,7 +341,7 @@ def _atom_option_blocks(uni: Universe, x: IndecClass, y: IndecClass) -> _AtomOpt
     return out
 
 
-def _local_blocks(uni: Universe, sub_ms, quot_ms, params):
+def _local_blocks(uni: Universe, sub_ms, quot_ms):
     """Per (sub slot, quot slot): list of all local cocycle-block choices."""
     ylist = []
     for cls, mult in sub_ms:
@@ -517,7 +484,7 @@ def _block_matrices(p, blocks):
         yield flat
 
 
-def _choice_matrices(uni, sub_ms, quot_ms, params):
+def _choice_matrices(uni, sub_ms, quot_ms):
     """Yield choice matrices (rows per sub slot, cols per quot slot)."""
     p = uni.algebra.p
     j = sum(m for _, m in sub_ms)
@@ -556,7 +523,7 @@ def _choice_matrices(uni, sub_ms, quot_ms, params):
 def _pair_middles(uni: Universe, sub_ms, quot_ms, params):
     """All indecomposable summands of middles for one (sub, quot) multiset pair."""
     algebra = uni.algebra
-    ylist, xlist, slot_options, total_exp = _local_blocks(uni, sub_ms, quot_ms, params)
+    ylist, xlist, slot_options, total_exp = _local_blocks(uni, sub_ms, quot_ms)
     if total_exp == 0:
         return []
     _, _, effective = _orbit_plan(uni, sub_ms, quot_ms)
@@ -566,7 +533,7 @@ def _pair_middles(uni: Universe, sub_ms, quot_ms, params):
             % (effective, params.ext_budget)
         )
     out = {}
-    for choice in _choice_matrices(uni, sub_ms, quot_ms, params):
+    for choice in _choice_matrices(uni, sub_ms, quot_ms):
         middle = _assemble_middle(algebra, ylist, xlist, slot_options, choice)
         for cls, mult in uni._middle_summands(middle):
             out.setdefault(id(cls), (cls, mult))
@@ -739,7 +706,7 @@ def syzygy_finiteness_probe(algebra, n: int, dim_bound: int, params: UniversePar
     bigger = syzygy_category(algebra, n, dim_bound + 1, params)
     closed2, clipped2 = _omega_closure(bigger.universe, bigger.members)
     stable = len(closed) == len(closed2) and all(
-        any(a.dim == b.dim and is_iso(a.rep, b.rep) is True for b in closed2) for a in closed
+        any(is_iso(a.rep, b.rep) for b in closed2) for a in closed
     )
     if stable and not clipped2:
         return SyzygyFinitenessProbe(

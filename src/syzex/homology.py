@@ -21,6 +21,7 @@ from .rep import (
     decompose,
     direct_sum,
     hom_space,
+    is_iso,
     quotient_rep,
     sub_rep,
     zero_rep,
@@ -390,15 +391,9 @@ def in_add(m: Representation, t_factors) -> bool:
     if m.total_dim == 0:
         return True
     for f, _ in decompose(m).factors:
-        if not any(is_iso_cached(f, g) for g, _ in t_factors):
+        if not any(is_iso(f, g) for g, _ in t_factors):
             return False
     return True
-
-
-def is_iso_cached(a, b):
-    from .rep import is_iso
-
-    return is_iso(a, b) is True
 
 
 def tilting_check(t: Representation, bound: int = None) -> TiltingVerdict:

@@ -8,8 +8,6 @@ rows are tuples of residues. All public operations accept either layout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 
 def is_prime(n: int) -> bool:
     if n < 2:
@@ -31,41 +29,6 @@ def inv_mod(a: int, p: int) -> int:
     if a == 0:
         raise ZeroDivisionError("0 has no inverse in GF(%d)" % p)
     return pow(a, p - 2, p)
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """Residue in [0, p) with mod-p arithmetic."""
-
-    value: int
-    p: int
-
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError("characteristic must be prime, got %d" % self.p)
-        object.__setattr__(self, "value", self.value % self.p)
-
-    def _check(self, other: "FieldElement") -> None:
-        if self.p != other.p:
-            raise ValueError("mixed characteristics %d and %d" % (self.p, other.p))
-
-    def __add__(self, other):
-        self._check(other)
-        return FieldElement(self.value + other.value, self.p)
-
-    def __sub__(self, other):
-        self._check(other)
-        return FieldElement(self.value - other.value, self.p)
-
-    def __mul__(self, other):
-        self._check(other)
-        return FieldElement(self.value * other.value, self.p)
-
-    def __neg__(self):
-        return FieldElement(-self.value, self.p)
-
-    def inv(self) -> "FieldElement":
-        return FieldElement(inv_mod(self.value, self.p), self.p)
 
 
 class Matrix:

@@ -2,23 +2,23 @@
 
 A representation stores one matrix per arrow, of shape
 dim[target] x dim[source]; a path acts by composing its arrow matrices in
-traversal order.  Hom spaces come from the intertwining linear system,
-isomorphism testing searches the hom space for an invertible element, and
-decomposition peels direct summands with Fitting's lemma.
+traversal order.  Hom spaces come from the intertwining linear system, and
+decomposition peels direct summands with Fitting's lemma, trying every
+endomorphism when End(M) has at most 256 elements and seeded random ones
+above that.  Isomorphism is decided exactly: an indecomposable M has a
+local endomorphism ring, so M ~ N exactly when some basis element of
+Hom(M, N) is invertible; sums are compared by their Krull-Schmidt factors.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import linalg
 from .errors import AlgebraMismatch
 from .linalg import Matrix
 
-ISO_SEARCH_BUDGET = 2 ** 16
-ISO_RANDOM_CAP = 20_000
-ISO_RANDOM_FIRST = 24
 SPLIT_ENUM_BUDGET = 256
 SPLIT_RANDOM_CAP = 64
 
@@ -26,7 +26,7 @@ _DEFAULT_SEED = 0
 
 
 def set_default_seed(seed: int) -> None:
-    """Seed for the randomized fallbacks (iso search, split probes)."""
+    """Seed for the random split probes used when p^k > 256."""
     global _DEFAULT_SEED
     _DEFAULT_SEED = seed
 
@@ -121,7 +121,6 @@ class HomBasis:
 @dataclass
 class Decomposition:
     factors: list  # [(Representation, multiplicity)]
-    warnings: list = field(default_factory=list)
 
     @property
     def total_dim(self):
@@ -325,68 +324,40 @@ def _combo_iter(p, k):
             return
 
 
-def is_iso(m: Representation, n: Representation, budget: int = ISO_SEARCH_BUDGET, seed: int = None):
-    """True / False / None (= unknown above the search budget)."""
+def is_iso(m: Representation, n: Representation) -> bool:
+    """Exact isomorphism test.
+
+    A composite g.f of basis elements f of Hom(M, N) and g of Hom(N, M) is
+    invertible only if f is (the dimension vectors agree), so it suffices to
+    look for an invertible basis element of Hom(M, N).  For indecomposable M
+    one exists whenever M ~ N: Hom(M, N) ~ End(M) is local (Fitting's
+    lemma), and its non-units form a subspace that holds no basis.  A
+    non-local End(M) can have a basis of non-units (matrix units on S + S),
+    so decomposable M is compared factor by factor (Krull-Schmidt).
+    """
     if m.algebra is not n.algebra:
         raise AlgebraMismatch("iso test over different algebras")
     if m.dim != n.dim:
         return False
-    if m.total_dim == 0:
-        return True
-    if m.key() == n.key():
+    if m.total_dim == 0 or m.key() == n.key():
         return True
     hb = hom_space(m, n)
-    k = hb.dimension
-    if k == 0:
+    if hb.dimension == 0:
         return False
-    if hom_space(n, m).dimension != k:
-        return False
-    p = m.algebra.p
-
-    def invertible(mats):
-        return all(mat.nrows == mat.ncols and mat.rank() == mat.nrows for mat in mats)
-
-    rng = random.Random(_DEFAULT_SEED if seed is None else seed)
-
-    def random_search(tries):
-        for _ in range(tries):
-            coeffs = [rng.randrange(p) for _ in range(k)]
-            if not any(coeffs):
-                continue
-            mats = None
-            for c, h in zip(coeffs, hb.basis):
-                if not c:
-                    continue
-                scaled = [mm.scale(c) for mm in h.mats]
-                mats = scaled if mats is None else [a.add(b) for a, b in zip(mats, scaled)]
-            if invertible(mats):
-                return True
-        return False
-
-    # isomorphisms, when they exist, are dense in the hom space
-    if random_search(ISO_RANDOM_FIRST):
+    if any(h.is_invertible() for h in hb.basis):
         return True
-    if p ** k <= budget:
-        if p == 2:
-            # binary-reflected Gray code: each nonzero combination exactly once
-            current = [Matrix.zero(p, n.dim[v], m.dim[v]) for v in range(len(m.dim))]
-            for step in range(1, 2 ** k):
-                flip = (step & -step).bit_length() - 1
-                bas = hb.basis[flip].mats
-                current = [c.add(b) for c, b in zip(current, bas)]
-                if invertible(current):
-                    return True
+    mine = _indec_factors(m)
+    if len(mine) == 1:
+        return False
+    theirs = _indec_factors(n)
+    if len(theirs) != len(mine):
+        return False
+    for f in mine:
+        match = next((i for i, g in enumerate(theirs) if is_iso(f, g)), None)
+        if match is None:
             return False
-        current = [Matrix.zero(p, n.dim[v], m.dim[v]) for v in range(len(m.dim))]
-        for idx, _ in _combo_iter(p, k):
-            bas = hb.basis[idx].mats
-            current = [c.add(b) for c, b in zip(current, bas)]
-            if invertible(current):
-                return True
-        return False
-    if random_search(ISO_RANDOM_CAP):
-        return True
-    return None
+        del theirs[match]
+    return True
 
 
 def sub_rep(m: Representation, spans) -> tuple:
@@ -491,7 +462,7 @@ def _split_candidates(end: HomBasis, p: int):
             current = [c.add(b) for c, b in zip(current, basis[idx].mats)]
             yield Hom(end.source, end.target, tuple(current))
     else:
-        rng = random.Random(1)
+        rng = random.Random(_DEFAULT_SEED)
         for _ in range(SPLIT_RANDOM_CAP):
             coeffs = [rng.randrange(p) for _ in range(k)]
             if not any(coeffs):
@@ -531,30 +502,16 @@ def _indec_factors(m: Representation) -> list:
 
 def decompose(m: Representation) -> Decomposition:
     """Indecomposable factors with multiplicities, canonically ordered."""
-    factors = _indec_factors(m)
     groups = []
-    warnings = []
-    for f in factors:
-        placed = False
+    for f in _indec_factors(m):
         for g in groups:
-            if f.key() == g[0].key():
+            if is_iso(f, g[0]):
                 g[1] += 1
-                placed = True
                 break
-        if not placed:
-            for g in groups:
-                if f.dim == g[0].dim:
-                    verdict = is_iso(f, g[0])
-                    if verdict is True:
-                        g[1] += 1
-                        placed = True
-                        break
-                    if verdict is None:
-                        warnings.append("iso test exhausted budget; factors treated as distinct")
-            if not placed:
-                groups.append([f, 1])
+        else:
+            groups.append([f, 1])
     groups.sort(key=lambda g: (g[0].total_dim, g[0].dim, g[0].key()))
-    return Decomposition([(g[0], g[1]) for g in groups], warnings)
+    return Decomposition([(g[0], g[1]) for g in groups])
 
 
 def parse_module_doc(doc: dict, algebra) -> Representation:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from syzex.algebra import AlgebraSpec, build_algebra
@@ -16,7 +18,8 @@ from syzex.extdim import (
     tits_classification,
 )
 from syzex.homology import is_projective
-from syzex.rep import is_iso
+from syzex.linalg import Matrix, solve_matrix
+from syzex.rep import Representation, hom_space, is_iso
 
 
 FIVEVERTEX_AR_COUNT = 14  # vertices of the AR quiver of this algebra, counted by hand before coding
@@ -249,7 +252,7 @@ def test_orbit_reduction_matches_full_enumeration(kron_universe, five_universe):
                 for j, k in ((1, 2), (2, 1), (2, 2)):
                     sub_ms = ((sub, j),)
                     quot_ms = ((quot, k),)
-                    ylist, xlist, slots, total_exp = _local_blocks(uni, sub_ms, quot_ms, uni.params)
+                    ylist, xlist, slots, total_exp = _local_blocks(uni, sub_ms, quot_ms)
                     if total_exp == 0 or 2 ** total_exp > 256:
                         continue
                     full = set()
@@ -277,6 +280,54 @@ def test_orbit_reduction_matches_full_enumeration(kron_universe, five_universe):
                     assert reduced <= full
                     checked += 1
     assert checked >= 20
+
+
+def _invertible_combination_exists(m, n):
+    """Oracle: scan all nonzero GF(2)-combinations of the Hom(m, n) basis."""
+    basis = hom_space(m, n).basis
+    for bits in range(1, 2 ** len(basis)):
+        mats = None
+        for t, h in enumerate(basis):
+            if bits >> t & 1:
+                mats = h.mats if mats is None else tuple(a.add(b) for a, b in zip(mats, h.mats))
+        if all(mt.rank() == mt.nrows for mt in mats):
+            return True
+    return False
+
+
+def _conjugate(rep, rng):
+    """rep transported along random invertible per-vertex base changes."""
+    p = rep.algebra.p
+    q = rep.algebra.quiver
+    changes = []
+    for d in rep.dim:
+        g = Matrix.zero(p, 0, 0)
+        while g.nrows != d or g.rank() != d:
+            g = Matrix.from_rows(p, [[rng.randrange(p) for _ in range(d)] for _ in range(d)])
+        changes.append((g, solve_matrix(g, Matrix.identity(p, d))))
+    action = tuple(
+        changes[q.arrow_target(ai)][0].mul(rep.action[ai]).mul(changes[q.arrow_source(ai)][1])
+        for ai in range(len(q.arrows))
+    )
+    return Representation(rep.algebra, rep.dim, action)
+
+
+def test_is_iso_matches_exhaustive_hom_scan(kron_universe, five_universe):
+    rng = random.Random(7)
+    compared = 0
+    for uni in (kron_universe, five_universe):
+        members = uni.sorted_members()
+        for a in members:
+            for b in members:
+                if a.dim != b.dim or hom_space(a.rep, b.rep).dimension > 12:
+                    continue
+                assert is_iso(a.rep, b.rep) is _invertible_combination_exists(a.rep, b.rep)
+                compared += 1
+            twin = _conjugate(a.rep, rng)
+            assert twin.validate() == []
+            assert is_iso(a.rep, twin) is True
+            assert is_iso(twin, a.rep) is True
+    assert compared >= 60
 
 
 def test_rep_type_euclidean_b_infinite():

@@ -2,6 +2,8 @@ import itertools
 
 import pytest
 
+from conftest import kron2_spec
+from syzex.algebra import build_algebra
 from syzex.errors import AlgebraMismatch
 from syzex.linalg import Matrix
 from syzex.rep import (
@@ -138,6 +140,33 @@ def test_is_iso_same_class_after_base_change(kron2):
     a = kron_rep(kron2, 1, 2, [[1], [0]], [[0], [1]])
     b = kron_rep(kron2, 1, 2, [[1], [1]], [[0], [1]])  # column operations on vertex 1
     assert is_iso(a, b) is True
+
+
+def test_is_iso_exact_over_gf257():
+    # M is the Jordan-block regular module, N = R(1) + R(1); both hom spaces
+    # are 2-dimensional, far beyond what a search over GF(257)^2 can settle
+    algebra = build_algebra(kron2_spec(257))
+    ident = Matrix.identity(257, 2)
+    m = Representation(algebra, (2, 2), (ident, Matrix.from_rows(257, [[1, 1], [0, 1]])))
+    n = Representation(algebra, (2, 2), (ident, ident))
+    assert dim_hom(m, n) == dim_hom(n, m) == 2
+    assert is_iso(m, n) is False
+    assert is_iso(n, m) is False
+
+
+def test_is_iso_decomposable_without_invertible_basis_element(kron2):
+    # R(0) + R(1) in two orders: every Hom basis element and every composite
+    # of two is singular, so only the Krull-Schmidt comparison can say True
+    m = kron_rep(kron2, 2, 2, [[1, 0], [0, 1]], [[0, 0], [0, 1]])
+    n = kron_rep(kron2, 2, 2, [[1, 0], [0, 1]], [[1, 0], [0, 0]])
+    f_basis = hom_space(m, n).basis
+    g_basis = hom_space(n, m).basis
+    assert not any(f.then(g).is_invertible() for f in f_basis for g in g_basis)
+    assert is_iso(m, n) is True
+    assert is_iso(n, m) is True
+    zero = kron_rep(kron2, 2, 2, [[1, 0], [0, 1]], None)
+    assert is_iso(m, zero) is False
+    assert is_iso(zero, m) is False
 
 
 def test_is_iso_algebra_mismatch(kron2, fivevertex):
