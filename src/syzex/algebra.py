@@ -280,11 +280,13 @@ def _relation_signature(quiver: Quiver, terms) -> Relation:
 
 
 def build_algebra(spec: AlgebraSpec, length_cap: int = DEFAULT_LENGTH_CAP) -> PathAlgebra:
+    p = spec.field_p
+    if not isinstance(p, int) or not linalg.is_prime(p):
+        raise SpecError("field must be a prime integer, got %r" % (p,))
     quiver = Quiver(
         spec.vertices,
         [Arrow(a["name"], a["from"], a["to"]) for a in spec.arrows],
     )
-    p = spec.field_p
     relations = []
     for rel in spec.relations:
         sig = _relation_signature(quiver, rel)

@@ -1,5 +1,11 @@
 """Projective covers, syzygies, Ext^1 spaces and middle terms, tilting test.
 
+A projective cover takes one summand P(v) per top generator g of M at v.
+The epi column of the basis path q of P(v) is q applied to g, built one
+arrow matrix at a time from the image of q's prefix (memoized per
+generator), so a column costs one matrix-vector product.  The syzygy is
+the kernel of that epi.
+
 Ext^1(X, Y) is realized on a minimal presentation 0 -> OX -> P -> X -> 0 as
 Hom(OX, Y) modulo homs that extend to P; a class builds its middle term as
 the pushout of P <- OX -> Y.  A faster block construction of the same
@@ -60,11 +66,10 @@ def projective_cover(m: Representation) -> ProjectivePresentation:
         lifts.append(lf)
 
     slots = []
-    gens = []  # (vertex, generator column vector in M_v)
+    gens = []  # (vertex, generator column of M_v in row layout)
     for v in range(q.n_vertices):
-        for i in range(projs[v].nrows):
-            slots.append(v)
-            gens.append((v, lifts[v].col(i)))
+        slots.extend([v] * projs[v].nrows)
+        gens.extend((v, gen) for gen in lifts[v].transpose().rows)
     if not slots:
         zero = zero_rep(algebra)
         pres = ProjectivePresentation(
@@ -76,29 +81,24 @@ def projective_cover(m: Representation) -> ProjectivePresentation:
 
     cover = direct_sum([algebra.projective(v) for v in slots])
 
-    # epi columns: slot basis path q (v -> w) maps to action(q) applied to the generator
+    # epi columns: slot basis path q (v -> w) maps to q applied to the generator
     epi_cols = [[] for _ in range(q.n_vertices)]
     for v, gen in gens:
-        paths = [[] for _ in range(q.n_vertices)]
-        for (s, arrows, t) in ((s, a, t) for (s, a, t) in algebra.basis if s == v):
-            paths[t].append(arrows)
-        gen_mat = Matrix.from_columns(p, [gen], m.dim[v])
-        for w in range(q.n_vertices):
-            for arrows in paths[w]:
-                col = m.path_action(v, arrows).mul(gen_mat)
-                epi_cols[w].append(col.col(0))
+        images = {(): gen}
+        for (s, arrows, t) in algebra.basis:
+            if s == v:
+                epi_cols[t].append(_path_image(m, images, arrows))
     epi_mats = tuple(
-        Matrix.from_columns(p, epi_cols[w], m.dim[w]) if epi_cols[w] else Matrix.zero(p, m.dim[w], 0)
+        Matrix(p, len(epi_cols[w]), m.dim[w], tuple(epi_cols[w])).transpose()
         for w in range(q.n_vertices)
     )
     epi = Hom(cover, m, epi_mats)
-    for w in range(q.n_vertices):
-        if epi_mats[w].rank() != m.dim[w]:
-            raise AssertionError("projective cover is not surjective")
 
     kspans = []
     for w in range(q.n_vertices):
         ker = linalg.kernel_basis(epi_mats[w])
+        if len(ker) != cover.dim[w] - m.dim[w]:
+            raise AssertionError("projective cover is not surjective")
         kspans.append(Matrix.from_columns(p, ker, cover.dim[w]) if ker else Matrix.zero(p, cover.dim[w], 0))
     kernel, incl = sub_rep(cover, kspans)
 
@@ -116,13 +116,21 @@ def projective_cover(m: Representation) -> ProjectivePresentation:
             run[w] += counts[w]
     for w in range(q.n_vertices):
         for j in trivial_slots[w]:
-            for c in range(incl.mats[w].ncols):
-                if incl.mats[w].entry(j, c):
-                    raise AssertionError("cover kernel escapes the radical")
+            if any(incl.mats[w].row(j)):
+                raise AssertionError("cover kernel escapes the radical")
 
     pres = ProjectivePresentation(m, cover, tuple(slots), epi, kernel, incl)
     algebra._cover_cache[m.key()] = pres
     return pres
+
+
+def _path_image(m: Representation, images: dict, arrows: tuple):
+    """Image of a generator under a path, one arrow applied to the memoized prefix image."""
+    got = images.get(arrows)
+    if got is None:
+        got = m.action[arrows[-1]].apply(_path_image(m, images, arrows[:-1]))
+        images[arrows] = got
+    return got
 
 
 def is_projective(m: Representation) -> bool:

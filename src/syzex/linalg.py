@@ -100,9 +100,15 @@ class Matrix:
         return tuple(self.row(i) for i in range(self.nrows))
 
     def key(self) -> bytes:
+        """Entries in row order, one byte each, or fixed-width big-endian when p > 256."""
+        width = ((self.p - 1).bit_length() + 7) // 8
         out = bytearray()
         for i in range(self.nrows):
-            out.extend(self.row(i))
+            if width == 1:
+                out.extend(self.row(i))
+            else:
+                for x in self.rows[i]:
+                    out.extend(x.to_bytes(width, "big"))
         return bytes(out)
 
     def is_zero(self) -> bool:
@@ -192,17 +198,33 @@ class Matrix:
     def mul_vec(self, v) -> tuple:
         return tuple(self.mul(Matrix.from_columns(self.p, [v], self.ncols)).col(0))
 
+    def apply(self, vec):
+        """self . vec for a column vector in row layout: a bit mask when p == 2, else a tuple."""
+        if self.p == 2:
+            out = 0
+            for i, r in enumerate(self.rows):
+                if (r & vec).bit_count() & 1:
+                    out |= 1 << i
+            return out
+        out = [0] * self.nrows
+        for k, x in enumerate(vec):
+            if x:
+                out = [a + x * r[k] for a, r in zip(out, self.rows)]
+        p = self.p
+        return tuple(a % p for a in out)
+
     def transpose(self) -> "Matrix":
         if self.p == 2:
-            rows = []
-            for j in range(self.ncols):
-                m = 0
-                for i in range(self.nrows):
-                    if (self.rows[i] >> j) & 1:
-                        m |= 1 << i
-                rows.append(m)
+            rows = [0] * self.ncols
+            for i, m in enumerate(self.rows):
+                bit = 1 << i
+                while m:
+                    low = m & -m
+                    rows[low.bit_length() - 1] |= bit
+                    m ^= low
             return Matrix(2, self.ncols, self.nrows, tuple(rows))
-        return Matrix(self.p, self.ncols, self.nrows, tuple(tuple(r[j] for r in self.rows) for j in range(self.ncols)))
+        rows = tuple(zip(*self.rows)) if self.rows else ((),) * self.ncols
+        return Matrix(self.p, self.ncols, self.nrows, rows)
 
     def _shape_check(self, other: "Matrix") -> None:
         if self.nrows != other.nrows or self.ncols != other.ncols or self.p != other.p:
@@ -338,13 +360,7 @@ def rref(m: Matrix) -> tuple:
 def _pivot_cols(red: Matrix, rank: int) -> list:
     if red.p == 2:
         return [(red.rows[r] & -red.rows[r]).bit_length() - 1 for r in range(rank)]
-    pivots = []
-    for r in range(rank):
-        for j in range(red.ncols):
-            if red.entry(r, j):
-                pivots.append(j)
-                break
-    return pivots
+    return [next(j for j, x in enumerate(red.rows[r]) if x) for r in range(rank)]
 
 
 def kernel_basis(m: Matrix) -> list:
@@ -383,62 +399,65 @@ def solve(m: Matrix, b) -> tuple | None:
 
 
 def solve_matrix(A: Matrix, B: Matrix) -> Matrix | None:
-    """X with A X = B (free variables zero), or None if inconsistent."""
+    """X with A X = B (free variables zero), or None if inconsistent.
+
+    Row r of the reduced augmented matrix [A | B] carries the value of the
+    r-th pivot variable in its B block, so X is read off without unpacking.
+    """
     if A.nrows != B.nrows:
         raise ValueError("shape mismatch")
-    aug = hstack([A, B])
-    red, rank = rref(aug)
+    red, rank = rref(hstack([A, B]))
     pivots = _pivot_cols(red, rank)
-    for pc in pivots:
-        if pc >= A.ncols:
-            return None
-    p = A.p
-    cols = []
-    for j in range(B.ncols):
-        x = [0] * A.ncols
+    n = A.ncols
+    if pivots and pivots[-1] >= n:
+        return None
+    if A.p == 2:
+        rows = [0] * n
         for r, pc in enumerate(pivots):
-            x[pc] = red.entry(r, A.ncols + j)
-        cols.append(tuple(x))
-    return Matrix.from_columns(p, cols, A.ncols)
+            rows[pc] = red.rows[r] >> n
+    else:
+        rows = [(0,) * B.ncols] * n
+        for r, pc in enumerate(pivots):
+            rows[pc] = red.rows[r][n:]
+    return Matrix(A.p, n, B.ncols, tuple(rows))
 
 
 def column_space_basis(m: Matrix) -> Matrix:
     """Canonical basis of the column space, returned as matrix columns."""
     red, rank = rref(m.transpose())
-    rows = [red.row(i) for i in range(rank)]
-    return Matrix.from_rows(m.p, rows).transpose() if rows else Matrix.zero(m.p, m.nrows, 0)
+    return Matrix(m.p, rank, m.nrows, red.rows[:rank]).transpose()
 
 
 def quotient_maps(sub: Matrix) -> tuple:
     """Projection/lift pair for k^n -> k^n / colspace(sub).
 
     Returns (proj, lift) with proj of shape q x n, lift of shape n x q,
-    proj . lift = I and ker(proj) = colspace(sub).
+    proj . lift = I and ker(proj) = colspace(sub).  The quotient is
+    coordinatized by the non-pivot coordinates f_1 < ... < f_q of
+    rref(sub^T): lift column i is e_{f_i}, and proj row i is e_{f_i} minus
+    red[r][f_i] e_{pivot r} summed over the reduced rows r, which is the
+    only projection with that kernel and that lift.
     """
     p = sub.p
     n = sub.nrows
-    basis = column_space_basis(sub)
-    r = basis.ncols
-    red, rank = rref(basis.transpose())
-    pivots = set(_pivot_cols(red, rank))
-    free = [j for j in range(n) if j not in pivots]
-    # rows: subspace basis then unit vectors on free coordinates
-    rows = [red.row(i) for i in range(rank)]
-    for j in free:
-        e = [0] * n
-        e[j] = 1
-        rows.append(tuple(e))
-    M = Matrix.from_rows(p, rows) if rows else Matrix.zero(p, 0, n)
-    # coords(x) = (M^T)^{-1} x; quotient coordinates are the trailing block
-    inv = solve_matrix(M.transpose(), Matrix.identity(p, n))
-    if inv is None:
-        raise ValueError("degenerate subspace basis")
-    proj_rows = [inv.row(i) for i in range(r, n)]
-    proj = Matrix.from_rows(p, proj_rows) if proj_rows else Matrix.zero(p, 0, n)
-    lift_cols = []
-    for j in free:
-        e = [0] * n
-        e[j] = 1
-        lift_cols.append(tuple(e))
-    lift = Matrix.from_columns(p, lift_cols, n) if lift_cols else Matrix.zero(p, n, 0)
-    return proj, lift
+    red, rank = rref(sub.transpose())
+    pivots = _pivot_cols(red, rank)
+    pivot_set = set(pivots)
+    free = [j for j in range(n) if j not in pivot_set]
+    proj_rows = []
+    if p == 2:
+        units = [1 << f for f in free]
+        for f, row in zip(free, units):
+            for r, pc in enumerate(pivots):
+                if (red.rows[r] >> f) & 1:
+                    row |= 1 << pc
+            proj_rows.append(row)
+    else:
+        units = [tuple(int(j == f) for j in range(n)) for f in free]
+        for f, unit in zip(free, units):
+            row = list(unit)
+            for r, pc in enumerate(pivots):
+                row[pc] = -red.rows[r][f] % p
+            proj_rows.append(tuple(row))
+    lift = Matrix(p, len(free), n, tuple(units)).transpose()
+    return Matrix(p, len(free), n, tuple(proj_rows)), lift

@@ -51,7 +51,8 @@ class Representation:
     def key(self) -> bytes:
         if self._key is None:
             out = bytearray()
-            out.extend(x % 256 for x in self.dim)
+            for x in self.dim:
+                out.extend(x.to_bytes(4, "big"))
             for m in self.action:
                 out.extend(m.key())
             self._key = bytes(out)
@@ -76,7 +77,6 @@ class Representation:
 
     def path_action(self, source: int, arrows: tuple) -> Matrix:
         m = Matrix.identity(self.algebra.p, self.dim[source])
-        q = self.algebra.quiver
         for k in arrows:
             m = self.action[k].mul(m)
         return m

@@ -42,6 +42,11 @@ def _flat(value, indent=0):
             else:
                 lines.append("%s%s: %s" % (pad, k, _scalar(v)))
     elif isinstance(value, list):
+        if value and not any(isinstance(v, (dict, list)) and v for v in value):
+            # a list of scalars (a matrix row) is one chunk, not one string per entry
+            item = pad + "- "
+            lines.append(item + ("\n" + item).join(map(_scalar, value)))
+            return lines
         for v in value:
             if isinstance(v, (dict, list)) and v:
                 lines.append("%s-" % pad)

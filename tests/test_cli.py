@@ -5,6 +5,7 @@ import jsonschema
 import pytest
 
 from syzex.cli import run
+from syzex.reports import _scalar, new_report, render_text
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "src" / "syzex" / "data" / "report.schema.json").read_text()
@@ -163,6 +164,80 @@ def test_bad_spec_exit_2():
     code, report, _ = run_json(["algebra", "info", "no-such-thing"])
     assert code == 2
     assert report["results"]["kind"] == "validation"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--field", "4", "algebra", "info", "kron2"],
+    ["--field", "4", "ext", "kron2", "S0", "S1", "--enumerate"],
+])
+def test_non_prime_field_exit_2(argv):
+    code, report, _ = run_json(argv)
+    assert code == 2
+    assert report["results"]["kind"] == "validation"
+    assert "prime" in report["results"]["error"]
+
+
+def test_deep_odd_prime_syzygy_total_dimension():
+    # xiB is monomial, so Omega^n(S2p) has the same dimensions over every field
+    code, report, _ = run(["--field", "3", "mod", "syzygy", "xiB", "S2p", "--n", "13"])
+    assert code == 0
+    assert sum(report["results"]["dim"].values()) == 538
+
+
+def flat_per_line(value, indent=0):
+    """Text layout with one string per line, for comparison with render_text."""
+    pad = "  " * indent
+    lines = []
+    if isinstance(value, dict):
+        for k in value:
+            v = value[k]
+            if isinstance(v, (dict, list)) and v:
+                lines.append("%s%s:" % (pad, k))
+                lines.extend(flat_per_line(v, indent + 1))
+            else:
+                lines.append("%s%s: %s" % (pad, k, _scalar(v)))
+    elif isinstance(value, list):
+        for v in value:
+            if isinstance(v, (dict, list)) and v:
+                lines.append("%s-" % pad)
+                lines.extend(flat_per_line(v, indent + 1))
+            else:
+                lines.append("%s- %s" % (pad, _scalar(v)))
+    else:
+        lines.append("%s%s" % (pad, _scalar(value)))
+    return lines
+
+
+def render_text_per_line(report):
+    lines = ["command: %s" % " ".join(report["command"])]
+    lines.append("inputs digest: %s" % report["inputs"]["digest"])
+    lines.append("results:")
+    lines.extend(flat_per_line(report["results"], 1))
+    for section in ("warnings", "timings"):
+        if report.get(section):
+            lines.append("%s:" % section)
+            lines.extend(flat_per_line(report[section], 1))
+    return "\n".join(lines) + "\n"
+
+
+def test_render_text_matches_per_line_layout():
+    report = new_report(["syzex", "x"], {"spec": "x"})
+    report["results"] = {
+        "empty_list": [],
+        "empty_dict": {},
+        "scalars": [1, "a", None, 2.5],
+        "matrix": [[1, 0], [], [0, 1, 1]],
+        "mixed": [1, [], {}, [2, [3, []]], {"k": [4, {}]}, "end"],
+        "nested": {"a": {"b": {"c": [[[]]]}}, "d": None},
+    }
+    report["warnings"] = ["w1", ["w2", "w3"]]
+    report["timings"] = {"wall_seconds": 0.5, "stages": {"cover": [0.1, 0.2]}}
+    assert render_text(report) == render_text_per_line(report)
+    report["results"] = {}
+    report["warnings"] = []
+    assert render_text(report) == render_text_per_line(report)
+    _, report, text = run(["mod", "syzygy", "xiB", "S2p", "--n", "6"])
+    assert text == render_text(report) == render_text_per_line(report)
 
 
 def test_reports_deterministic():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from syzex.errors import BudgetExceeded
@@ -15,9 +17,12 @@ from syzex.homology import (
     syzygy,
     tilting_check,
 )
-from syzex.rep import decompose, direct_sum, is_iso, simple_rep, zero_rep
+from syzex.rep import Representation, decompose, direct_sum, is_iso, simple_rep, zero_rep
 from conftest import kron2_spec
-from syzex.algebra import build_algebra
+from syzex import linalg
+from syzex.algebra import AlgebraSpec, build_algebra
+from syzex.corpus import load_corpus, named_module
+from syzex.linalg import Matrix
 
 
 def test_cover_of_projective_is_iso(kron2, fivevertex):
@@ -231,3 +236,64 @@ def test_duality_preserves_dimensions_corpus_wide():
         for v in range(algebra.n_vertices):
             for m in (algebra.simple(v), algebra.projective(v), algebra.injective(v)):
                 assert duality(m).total_dim == m.total_dim
+
+
+def epi_by_path_action(m):
+    """Cover epi with each column the full path matrix applied to a generator."""
+    algebra = m.algebra
+    q = algebra.quiver
+    p = algebra.p
+    cols = [[] for _ in range(q.n_vertices)]
+    for v in range(q.n_vertices):
+        into = [m.action[ai] for ai in range(len(q.arrows)) if q.arrow_target(ai) == v]
+        span = linalg.hstack(into) if into else Matrix.zero(p, m.dim[v], 0)
+        _, lift = linalg.quotient_maps(span)
+        for i in range(lift.ncols):
+            gen = Matrix.from_columns(p, [lift.col(i)], m.dim[v])
+            for (s, arrows, t) in algebra.basis:
+                if s == v:
+                    cols[t].append(m.path_action(v, arrows).mul(gen).col(0))
+    return tuple(
+        Matrix.from_columns(p, cols[w], m.dim[w]) if cols[w] else Matrix.zero(p, m.dim[w], 0)
+        for w in range(q.n_vertices)
+    )
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_cover_epi_matches_path_action_on_deep_syzygies(p):
+    entry = load_corpus("xiB", p)
+    algebra = build_algebra(entry.spec)
+    m = named_module(entry, algebra, "S2p")
+    for _ in range(6):
+        pres = projective_cover(m)
+        assert pres.epi.mats == epi_by_path_action(m)
+        m = pres.kernel
+        assert m.total_dim
+
+
+def test_cover_epi_matches_path_action_on_simples(kron2, beilinson2):
+    for algebra in (kron2, beilinson2):
+        for v in range(algebra.n_vertices):
+            m = algebra.simple(v)
+            assert projective_cover(m).epi.mats == epi_by_path_action(m)
+
+
+@pytest.mark.parametrize("p", [2, 5])
+def test_cover_epi_matches_path_action_on_random_modules(p):
+    # linear quiver 0 -> 1 -> 2 -> 3 without relations: paths of length 3
+    # carry generators through vectors with arbitrary coefficients
+    spec = AlgebraSpec(
+        p, ["0", "1", "2", "3"],
+        [{"name": "a%d" % i, "from": str(i), "to": str(i + 1)} for i in range(3)], [],
+    )
+    algebra = build_algebra(spec)
+    rng = random.Random(17 + p)
+    for _ in range(10):
+        dim = tuple(rng.randint(0, 3) for _ in range(4))
+        action = tuple(
+            Matrix.from_rows(p, [[rng.randrange(p) for _ in range(dim[i])] for _ in range(dim[i + 1])])
+            if dim[i] and dim[i + 1] else Matrix.zero(p, dim[i + 1], dim[i])
+            for i in range(3)
+        )
+        m = Representation(algebra, dim, action, check=True)
+        assert projective_cover(m).epi.mats == epi_by_path_action(m)

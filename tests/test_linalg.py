@@ -5,6 +5,7 @@ import pytest
 
 from syzex.linalg import (
     Matrix,
+    column_space_basis,
     hstack,
     inv_mod,
     kernel_basis,
@@ -161,3 +162,125 @@ def test_quotient_maps_gf2_and_gf3():
         assert proj.nrows == 2 and lift.ncols == 2
         assert proj.mul(lift) == Matrix.identity(p, 2)
         assert proj.mul(sub).is_zero()
+
+
+def random_matrix(rng, p, nrows, ncols, rank):
+    """A nrows x ncols matrix of rank at most `rank`, as a product of random factors."""
+    if 0 in (nrows, ncols, rank):
+        return Matrix.zero(p, nrows, ncols)
+    left = Matrix.from_rows(p, [[rng.randrange(p) for _ in range(rank)] for _ in range(nrows)])
+    right = Matrix.from_rows(p, [[rng.randrange(p) for _ in range(ncols)] for _ in range(rank)])
+    return left.mul(right)
+
+
+def oracle_shapes(rng, p):
+    """Empty, zero, identity and random low-rank matrices over GF(p)."""
+    mats = [Matrix.zero(p, 0, 0), Matrix.zero(p, 0, 3), Matrix.zero(p, 3, 0), Matrix.zero(p, 3, 4)]
+    mats += [Matrix.identity(p, n) for n in (1, 4)]
+    for _ in range(30):
+        nr, nc = rng.randint(1, 6), rng.randint(1, 6)
+        mats.append(random_matrix(rng, p, nr, nc, rng.randint(0, min(nr, nc))))
+    return mats
+
+
+def pivot_columns(m):
+    red, rank = rref(m)
+    return [next(j for j in range(m.ncols) if red.entry(r, j)) for r in range(rank)]
+
+
+def inverse_by_elimination(rows, p):
+    """Gauss-Jordan inverse of a square list-of-lists matrix over GF(p)."""
+    n = len(rows)
+    aug = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(rows)]
+    for c in range(n):
+        piv = next(i for i in range(c, n) if aug[i][c] % p)
+        aug[c], aug[piv] = aug[piv], aug[c]
+        inv = pow(aug[c][c], p - 2, p)
+        aug[c] = [x * inv % p for x in aug[c]]
+        for i in range(n):
+            if i != c and aug[i][c]:
+                f = aug[i][c]
+                aug[i] = [(x - f * y) % p for x, y in zip(aug[i], aug[c])]
+    return [r[n:] for r in aug]
+
+
+def quotient_maps_by_inversion(sub):
+    """The inverse-based construction: coordinates in (subspace basis, free unit vectors)."""
+    p, n = sub.p, sub.nrows
+    red, rank = rref(sub.transpose())
+    pivots = pivot_columns(sub.transpose())
+    free = [j for j in range(n) if j not in pivots]
+    basis = [list(red.row(i)) for i in range(rank)] + [[int(i == j) for i in range(n)] for j in free]
+    # coords(x) = (basis^T)^{-1} x; the quotient coordinates are the trailing block
+    transposed = [[basis[i][j] for i in range(n)] for j in range(n)]
+    inv = inverse_by_elimination(transposed, p) if n else []
+    proj = Matrix.from_rows(p, inv[rank:]) if free else Matrix.zero(p, 0, n)
+    lift = Matrix.from_columns(p, [tuple(int(i == j) for i in range(n)) for j in free], n)
+    return proj, lift
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_quotient_maps_oracle(p):
+    rng = random.Random(101 + p)
+    for sub in oracle_shapes(rng, p):
+        n = sub.nrows
+        proj, lift = quotient_maps(sub)
+        q = n - sub.rank()
+        assert (proj.nrows, proj.ncols, lift.nrows, lift.ncols) == (q, n, n, q)
+        assert proj.mul(lift) == Matrix.identity(p, q)
+        assert proj.mul(sub).is_zero()
+        assert (proj, lift) == quotient_maps_by_inversion(sub)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_solve_matrix_oracle(p):
+    rng = random.Random(211 + p)
+    for a in oracle_shapes(rng, p):
+        k = rng.randint(0, 3)
+        x0 = random_matrix(rng, p, a.ncols, k, min(a.ncols, k))
+        b = a.mul(x0)
+        x = solve_matrix(a, b)
+        assert (x.nrows, x.ncols) == (a.ncols, k)
+        assert a.mul(x) == b
+        pivots = pivot_columns(a)
+        for j in range(a.ncols):
+            if j not in pivots:
+                assert not any(x.row(j))
+        if a.nrows:
+            # a right-hand side outside the column space has no solution
+            extra = Matrix.from_rows(p, [[rng.randrange(p)] for _ in range(a.nrows)])
+            if hstack([a, extra]).rank() > a.rank():
+                assert solve_matrix(a, extra) is None
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_column_space_basis_oracle(p):
+    rng = random.Random(307 + p)
+    for m in oracle_shapes(rng, p):
+        got = column_space_basis(m)
+        red, rank = rref(m.transpose())
+        want = Matrix.from_rows(p, [red.row(i) for i in range(rank)]) if rank else Matrix.zero(p, 0, m.nrows)
+        assert (got.nrows, got.ncols) == (m.nrows, rank)
+        assert got.transpose() == want
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_transpose_and_apply_match_entries(p):
+    rng = random.Random(401 + p)
+    for m in oracle_shapes(rng, p):
+        t = m.transpose()
+        assert (t.nrows, t.ncols) == (m.ncols, m.nrows)
+        assert all(t.entry(j, i) == m.entry(i, j) for i in range(m.nrows) for j in range(m.ncols))
+        assert t.transpose() == m
+        v = tuple(rng.randrange(p) for _ in range(m.ncols))
+        packed = Matrix.from_rows(p, [v]).rows[0] if m.ncols else (0 if p == 2 else ())
+        got = Matrix(p, 1, m.nrows, (m.apply(packed),))
+        assert got.row(0) == m.mul_vec(v)
+
+
+def test_key_is_injective_above_255():
+    a = Matrix.from_rows(257, [[1, 256]])
+    b = Matrix.from_rows(257, [[1, 0]])
+    assert a.key() != b.key()
+    assert a.key() == bytes([0, 1, 1, 0])
+    assert Matrix.from_rows(251, [[1, 250]]).key() == bytes([1, 250])

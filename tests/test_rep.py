@@ -154,6 +154,19 @@ def test_is_iso_exact_over_gf257():
     assert is_iso(n, m) is False
 
 
+def test_decompose_with_entry_256_over_gf257():
+    # Matrix.key must keep 256 apart from 0: the module is R(1) with x1 = 256
+    algebra = build_algebra(kron2_spec(257))
+    one = Matrix.from_rows(257, [[1]])
+    m = Representation(algebra, (1, 1), (one, Matrix.from_rows(257, [[256]])))
+    n = Representation(algebra, (1, 1), (one, Matrix.zero(257, 1, 1)))
+    assert m.key() != n.key()
+    dec = decompose(m)
+    assert len(dec.factors) == 1
+    factor, mult = dec.factors[0]
+    assert mult == 1 and is_iso(factor, m) and not is_iso(factor, n)
+
+
 def test_is_iso_decomposable_without_invertible_basis_element(kron2):
     # R(0) + R(1) in two orders: every Hom basis element and every composite
     # of two is singular, so only the Krull-Schmidt comparison can say True
