@@ -47,7 +47,7 @@ def main() -> int:
     for argv in jobs:
         print("=" * 72)
         print("$ syzex", " ".join(argv))
-        code, _, rendered = run(["--format", fmt, "--timings"] + argv)
+        code, _, rendered = run(["--format", fmt] + argv)
         print(rendered, end="")
         worst = max(worst, code)
     return worst

@@ -157,7 +157,7 @@ def cmd_ext(args, report):
         classes = enumerate_ext_classes(x, y, budget=args.budget)
         listing = []
         for cls in classes:
-            middle, _, _ = extension_middle(cls)
+            middle = extension_middle((cls.Y,), (cls.X,), ((cls.corners(),),))
             dec = decompose(middle)
             listing.append(
                 {

@@ -17,28 +17,20 @@ import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from . import linalg
 from .errors import BudgetExceeded, ContradictoryFacts
-from .homology import ext1_space, gldim_bounded, section_data, syzygy
+from .homology import cosyzygy, ext1_space, extension_middle, gldim_bounded, syzygy
 from .linalg import Matrix
 from .rep import Representation, decompose, hom_space, is_iso
 
 HEURISTIC_INFINITE_THRESHOLD = 20
-ALL_RULES = ("summands", "syzygy", "cosyzygy", "ext")
 
 
 @dataclass
 class UniverseParams:
     dim_bound: int
     mult_bound: int = 2
-    parts_cap: int = 2
-    rules: tuple = ALL_RULES
     member_cap: int = 5000
     ext_budget: int = 2 ** 20
-    middle_cap: int = None  # max middle-term dimension during closure; 2*dim_bound
-
-    def resolved_middle_cap(self) -> int:
-        return self.middle_cap if self.middle_cap is not None else 2 * self.dim_bound
 
 
 class IndecClass:
@@ -106,7 +98,6 @@ class Universe:
         self.members = []
         self.member_set = set()
         self.clipped = []
-        self.saturated = {rule: False for rule in params.rules}
         self._atom_cache = {}
         self._atom_options = {}
         self._bullet_cache = {}
@@ -119,10 +110,6 @@ class Universe:
     @property
     def is_clipped(self):
         return bool(self.clipped)
-
-    @property
-    def is_saturated(self):
-        return all(self.saturated.values())
 
     def sorted_members(self):
         return sorted(self.members, key=lambda c: c.sort_key())
@@ -153,19 +140,8 @@ class Universe:
         got = self._atom_cache.get(key)
         if got is not None:
             return got
-        algebra = self.algebra
         space = ext1_space(quot.rep, sub.rep)
-        blocks = []
-        if space.dimension:
-            data = section_data(quot.rep)
-            q = algebra.quiver
-            for cls in space.basis:
-                per_arrow = []
-                for ai in range(len(q.arrows)):
-                    w = q.arrow_target(ai)
-                    per_arrow.append(cls.cocycle.mats[w].mul(data.d_arrows[ai]))
-                blocks.append(tuple(per_arrow))
-        atom = (space.dimension, tuple(blocks))
+        atom = (space.dimension, tuple(cls.corners() for cls in space.basis))
         self._atom_cache[key] = atom
         return atom
 
@@ -200,8 +176,9 @@ def _multisets(classes, max_parts, max_mult, max_dim):
     return out
 
 
-def generate_universe(algebra, dim_bound, params: UniverseParams = None, seeds=None) -> Universe:
-    """Worklist closure of seed modules under the configured rules."""
+def generate_universe(algebra, dim_bound, params: UniverseParams = None) -> Universe:
+    """Worklist closure of the simples, projectives and injectives under
+    summands, syzygies, cosyzygies and extension middle terms."""
     if params is None:
         params = UniverseParams(dim_bound)
     else:
@@ -209,13 +186,6 @@ def generate_universe(algebra, dim_bound, params: UniverseParams = None, seeds=N
     if dim_bound < 1:
         raise ValueError("dim bound must cover the simple modules")
     uni = Universe(algebra, params)
-    if seeds is None:
-        seeds = []
-        for v in range(algebra.n_vertices):
-            seeds.append(algebra.simple(v))
-            seeds.append(algebra.projective(v))
-            seeds.append(algebra.injective(v))
-
     heap = []
     seq = itertools.count()
     noted = set()
@@ -238,52 +208,45 @@ def generate_universe(algebra, dim_bound, params: UniverseParams = None, seeds=N
             heapq.heappush(heap, (cls.sort_key(), next(seq), cls))
         return cls
 
-    for rep in seeds:
-        if rep.total_dim == 0:
-            continue
-        for f, _ in decompose(rep).factors:
-            add(f, "seed")
+    for v in range(algebra.n_vertices):
+        for rep in (algebra.simple(v), algebra.projective(v), algebra.injective(v)):
+            if rep.total_dim:
+                for f, _ in decompose(rep).factors:
+                    add(f, "seed")
 
+    mid_cap = 2 * params.dim_bound  # max middle-term dimension during closure
     processed = []
     while heap:
         _, _, cls = heapq.heappop(heap)
-        if "syzygy" in params.rules:
-            om = syzygy(cls.rep, 1)
-            if om.total_dim:
-                for f, _ in decompose(om).factors:
-                    add(f, "syzygy", source=str(cls.dim))
-        if "cosyzygy" in params.rules:
-            from .homology import cosyzygy
-
-            co = cosyzygy(cls.rep, 1)
-            if co.total_dim:
-                for f, _ in decompose(co).factors:
-                    add(f, "cosyzygy", source=str(cls.dim))
-        if "ext" in params.rules:
-            mid_cap = params.resolved_middle_cap()
-            partners = processed + [cls]
-            for other in partners:
-                for sub, quot in ((cls, other), (other, cls)):
-                    for j in range(1, params.mult_bound + 1):
-                        if sub.total_dim * j + quot.total_dim > mid_cap:
-                            # truncated extension window is honest clipping
-                            if uni._atom(quot, sub)[0]:
-                                mark = ("ext-window", sub.dim, quot.dim)
-                                if mark not in noted:
-                                    noted.add(mark)
-                                    uni.clipped.append(
-                                        {
-                                            "rule": "ext-window",
-                                            "dim": {"sub": str(sub.dim), "quot": str(quot.dim)},
-                                            "source": "middle above cap %d not expanded" % mid_cap,
-                                        }
-                                    )
-                            break
-                        for summand_cls, _ in _pair_middles(uni, ((sub, j),), ((quot, 1),), params):
-                            add(summand_cls.rep, "ext", source="%s by %s^%d" % (quot.dim, sub.dim, j))
+        om = syzygy(cls.rep, 1)
+        if om.total_dim:
+            for f, _ in decompose(om).factors:
+                add(f, "syzygy", source=str(cls.dim))
+        co = cosyzygy(cls.rep, 1)
+        if co.total_dim:
+            for f, _ in decompose(co).factors:
+                add(f, "cosyzygy", source=str(cls.dim))
+        partners = processed + [cls]
+        for other in partners:
+            for sub, quot in ((cls, other), (other, cls)):
+                for j in range(1, params.mult_bound + 1):
+                    if sub.total_dim * j + quot.total_dim > mid_cap:
+                        # truncated extension window is honest clipping
+                        if uni._atom(quot, sub)[0]:
+                            mark = ("ext-window", sub.dim, quot.dim)
+                            if mark not in noted:
+                                noted.add(mark)
+                                uni.clipped.append(
+                                    {
+                                        "rule": "ext-window",
+                                        "dim": {"sub": str(sub.dim), "quot": str(quot.dim)},
+                                        "source": "middle above cap %d not expanded" % mid_cap,
+                                    }
+                                )
+                        break
+                    for summand_cls, _ in _pair_middles(uni, ((sub, j),), ((quot, 1),), params):
+                        add(summand_cls.rep, "ext", source="%s by %s^%d" % (quot.dim, sub.dim, j))
         processed.append(cls)
-    for rule in params.rules:
-        uni.saturated[rule] = True
     return uni
 
 
@@ -302,9 +265,6 @@ class _AtomOptions:
         self.blocks = blocks
         self.zero = zero
         self.cache = {0: zero}
-
-    def __len__(self):
-        return self.p ** self.dim
 
     def get(self, idx: int):
         got = self.cache.get(idx)
@@ -359,30 +319,6 @@ def _local_blocks(uni: Universe, sub_ms, quot_ms):
             row_options.append(options)
         slot_options.append(row_options)
     return ylist, xlist, slot_options, total_exp
-
-
-def _assemble_middle(algebra, ylist, xlist, slot_options, choice):
-    """Block-triangular extension for one choice of local cocycle blocks."""
-    p = algebra.p
-    q = algebra.quiver
-    n_arrows = len(q.arrows)
-    dims = tuple(
-        sum(y.dim[v] for y in ylist) + sum(x.dim[v] for x in xlist)
-        for v in range(q.n_vertices)
-    )
-    action = []
-    for ai in range(n_arrows):
-        yblk = linalg.block_diag(p, [y.rep.action[ai] for y in ylist]) if ylist else Matrix.zero(p, 0, 0)
-        xblk = linalg.block_diag(p, [x.rep.action[ai] for x in xlist]) if xlist else Matrix.zero(p, 0, 0)
-        crows = []
-        for yi in range(len(ylist)):
-            crow = [slot_options[yi][xi].get(choice[yi][xi])[ai] for xi in range(len(xlist))]
-            crows.append(linalg.hstack(crow) if crow else Matrix.zero(p, ylist[yi].dim[q.arrow_target(ai)], 0))
-        c = linalg.vstack(crows) if crows else Matrix.zero(p, 0, xblk.ncols)
-        top = linalg.hstack([yblk, c])
-        bottom = linalg.hstack([Matrix.zero(p, xblk.nrows, yblk.ncols), xblk])
-        action.append(linalg.vstack([top, bottom]))
-    return Representation(algebra, dims, tuple(action))
 
 
 def _gaussian_count(p: int, n: int, k: int) -> int:
@@ -522,7 +458,6 @@ def _choice_matrices(uni, sub_ms, quot_ms):
 
 def _pair_middles(uni: Universe, sub_ms, quot_ms, params):
     """All indecomposable summands of middles for one (sub, quot) multiset pair."""
-    algebra = uni.algebra
     ylist, xlist, slot_options, total_exp = _local_blocks(uni, sub_ms, quot_ms)
     if total_exp == 0:
         return []
@@ -532,15 +467,18 @@ def _pair_middles(uni: Universe, sub_ms, quot_ms, params):
             "%d extension-class representatives for one pair exceed budget %d"
             % (effective, params.ext_budget)
         )
+    ys = [y.rep for y in ylist]
+    xs = [x.rep for x in xlist]
     out = {}
     for choice in _choice_matrices(uni, sub_ms, quot_ms):
-        middle = _assemble_middle(algebra, ylist, xlist, slot_options, choice)
+        corners = [[opts.get(c) for opts, c in zip(row, picks)] for row, picks in zip(slot_options, choice)]
+        middle = extension_middle(ys, xs, corners)
         for cls, mult in uni._middle_summands(middle):
             out.setdefault(id(cls), (cls, mult))
     return list(out.values())
 
 
-def bullet(uni: Universe, left, right, mult_bound=None, parts_cap=None) -> frozenset:
+def bullet(uni: Universe, left, right, mult_bound=None, parts_cap=2) -> frozenset:
     """Indecomposables of the bullet of add(left) with add(right).
 
     Sequences run 0 -> L -> E -> R -> 0 with the sub L a bounded sum from
@@ -549,19 +487,18 @@ def bullet(uni: Universe, left, right, mult_bound=None, parts_cap=None) -> froze
     """
     params = uni.params
     mb = params.mult_bound if mult_bound is None else mult_bound
-    pc = params.parts_cap if parts_cap is None else parts_cap
     left = frozenset(left)
     right = frozenset(right)
-    cache_key = (left, right, mb, pc)
+    cache_key = (left, right, mb, parts_cap)
     got = uni._bullet_cache.get(cache_key)
     if got is not None:
         return got
     result = set(left | right)
     if left and right:
         d = params.dim_bound
-        sub_sums = _multisets(left, pc, mb, d - 1)
+        sub_sums = _multisets(left, parts_cap, mb, d - 1)
         quot_sums = sorted(
-            _multisets(right, pc, max(d, mb), d - 1),
+            _multisets(right, parts_cap, max(d, mb), d - 1),
             key=lambda ms: sum(c.total_dim * m for c, m in ms),
         )
         quot_dims = [sum(c.total_dim * m for c, m in ms) for ms in quot_sums]
@@ -584,7 +521,7 @@ def bullet(uni: Universe, left, right, mult_bound=None, parts_cap=None) -> froze
     return out
 
 
-def layer(uni: Universe, gens, n: int, mult_bound=None, parts_cap=None) -> frozenset:
+def layer(uni: Universe, gens, n: int, mult_bound=None, parts_cap=2) -> frozenset:
     """[T]_n inside the universe window: layer 1 is add(T), then bullet with T."""
     gens = frozenset(gens)
     if n < 0:
@@ -592,15 +529,14 @@ def layer(uni: Universe, gens, n: int, mult_bound=None, parts_cap=None) -> froze
     if n == 0 or not gens:
         return frozenset()
     mb = uni.params.mult_bound if mult_bound is None else mult_bound
-    pc = uni.params.parts_cap if parts_cap is None else parts_cap
-    key = (gens, n, mb, pc)
+    key = (gens, n, mb, parts_cap)
     got = uni._layer_cache.get(key)
     if got is not None:
         return got
     if n == 1:
         out = gens
     else:
-        out = bullet(uni, gens, layer(uni, gens, n - 1, mb, pc), mb, pc)
+        out = bullet(uni, gens, layer(uni, gens, n - 1, mb, parts_cap), mb, parts_cap)
     uni._layer_cache[key] = out
     return out
 
@@ -681,7 +617,9 @@ def _omega_closure(universe: Universe, base_members):
     return sorted(seen.values(), key=lambda c: c.sort_key()), clipped
 
 
-def syzygy_finiteness_probe(algebra, n: int, dim_bound: int, params: UniverseParams = None) -> SyzygyFinitenessProbe:
+def syzygy_finiteness_probe(
+    algebra, n: int, dim_bound: int, params: UniverseParams = None, universe: Universe = None
+) -> SyzygyFinitenessProbe:
     """Certificate hunt for "the n-th syzygy category is representation-finite".
 
     Tier 1: the whole window saturates unclipped (representation-finite
@@ -689,9 +627,9 @@ def syzygy_finiteness_probe(algebra, n: int, dim_bound: int, params: UniversePar
     syzygies strictly inside the bound, and the closed list is unchanged
     when the window grows by one.
     """
-    cat = syzygy_category(algebra, n, dim_bound, params)
+    cat = syzygy_category(algebra, n, dim_bound, params, universe)
     uni = cat.universe
-    if uni.is_saturated and not uni.is_clipped and all(
+    if not uni.is_clipped and all(
         c.total_dim < dim_bound for c in uni.members
     ):
         return SyzygyFinitenessProbe(
@@ -774,7 +712,7 @@ def rep_type_certificate(algebra, dim_bound: int, params: UniverseParams = None,
     if universe is None:
         universe = generate_universe(algebra, dim_bound, params)
     strict = all(c.total_dim < dim_bound for c in universe.members)
-    if universe.is_saturated and not universe.is_clipped and strict:
+    if not universe.is_clipped and strict:
         method = "tits_form" if tits == "Dynkin" else "enumeration"
         return RepTypeCertificate(
             "finite", method, True, tuple(universe.sorted_members()),
@@ -841,9 +779,7 @@ class EdInterval:
 @dataclass
 class EdReportOptions:
     dim_bound: int = 6
-    rep_probe: bool = True
     syzygy_probes: tuple = ()
-    gldim_cap: int = None
     params: UniverseParams = None
 
 
@@ -868,22 +804,15 @@ def ed_report(algebra, indices, external_facts=(), options: EdReportOptions = No
         raise ValueError("syzygy indices are nonnegative")
     ll = algebra.loewy_length()
     semisimple = algebra.is_semisimple()
-    gcap = options.gldim_cap if options.gldim_cap is not None else 2 * max(algebra.dim, 1)
-    gdim = gldim_bounded(algebra, gcap)
+    gdim = gldim_bounded(algebra)
     notes = []
 
-    universe = None
-    rep_cert = None
-    if options.rep_probe:
-        universe = generate_universe(algebra, options.dim_bound, options.params)
-        rep_cert = rep_type_certificate(algebra, options.dim_bound, options.params, universe)
-    else:
-        rep_cert = rep_type_certificate(algebra, options.dim_bound, options.params, None) \
-            if tits_classification(algebra) in ("Euclidean", "wild-indefinite") else None
-
+    # one window at the dim bound serves the certificate and every probe
+    universe = generate_universe(algebra, options.dim_bound, options.params)
+    rep_cert = rep_type_certificate(algebra, options.dim_bound, options.params, universe)
     probes = {}
     for n in options.syzygy_probes:
-        probes[n] = syzygy_finiteness_probe(algebra, n, options.dim_bound, options.params)
+        probes[n] = syzygy_finiteness_probe(algebra, n, options.dim_bound, options.params, universe)
 
     external_facts = list(external_facts)
     imax = max(
@@ -918,16 +847,15 @@ def ed_report(algebra, indices, external_facts=(), options: EdReportOptions = No
     if not semisimple:
         for i in range(1, imax + 1):
             push(EdFact(i, "upper", ll - 2, "R4", "nonsemisimple: ed of syzygy categories <= loewy_length - 2"))
-    if rep_cert is not None:
-        if rep_cert.verdict == "finite" and rep_cert.certified:
-            push(EdFact(0, "upper", 0, "R1", "representation-finite (%s): ed = 0" % rep_cert.method))
-        elif rep_cert.verdict == "infinite" and rep_cert.certified:
-            push(EdFact(0, "lower", 1, "R1", "representation-infinite (%s)" % rep_cert.witness))
-        elif rep_cert.verdict == "infinite" and not rep_cert.certified:
-            notes.append(
-                "heuristic only (not certified, not propagated): %s suggests ed >= 1 at i=0"
-                % rep_cert.witness
-            )
+    if rep_cert.verdict == "finite" and rep_cert.certified:
+        push(EdFact(0, "upper", 0, "R1", "representation-finite (%s): ed = 0" % rep_cert.method))
+    elif rep_cert.verdict == "infinite" and rep_cert.certified:
+        push(EdFact(0, "lower", 1, "R1", "representation-infinite (%s)" % rep_cert.witness))
+    elif rep_cert.verdict == "infinite" and not rep_cert.certified:
+        notes.append(
+            "heuristic only (not certified, not propagated): %s suggests ed >= 1 at i=0"
+            % rep_cert.witness
+        )
     for n, probe in probes.items():
         if probe.certified:
             push(EdFact(n, "upper", 0, "R8", "syzygy category %d certified finite (%s)" % (n, probe.tier)))

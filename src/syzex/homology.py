@@ -7,10 +7,11 @@ generator), so a column costs one matrix-vector product.  The syzygy is
 the kernel of that epi.
 
 Ext^1(X, Y) is realized on a minimal presentation 0 -> OX -> P -> X -> 0 as
-Hom(OX, Y) modulo homs that extend to P; a class builds its middle term as
-the pushout of P <- OX -> Y.  A faster block construction of the same
-extension (cached section data per X) backs the closure searches and is
-cross-checked against the pushout in the property suite.
+Hom(OX, Y) modulo homs that extend to P.  A section of P -> X (cached per X)
+turns a cocycle theta into arrow-level corner blocks theta_{t(a)} d_a, and
+extension_middle, the one middle-term builder, places them in the block
+matrices [[Y_a, C_a], [0, X_a]].  The pushout of P <- OX -> Y survives only
+as the independent reference the tests compare these middles against.
 """
 
 from __future__ import annotations
@@ -188,6 +189,12 @@ class ExtClass:
     cocycle: Hom  # OX -> Y
     presentation: ProjectivePresentation
 
+    def corners(self) -> tuple:
+        """Per-arrow corner blocks theta_{t(a)} d_a of this class's middle term."""
+        q = self.X.algebra.quiver
+        d_arrows = section_data(self.X).d_arrows
+        return tuple(self.cocycle.mats[q.arrow_target(ai)].mul(d) for ai, d in enumerate(d_arrows))
+
 
 @dataclass
 class Ext1Space:
@@ -196,8 +203,6 @@ class Ext1Space:
     presentation: ProjectivePresentation
     dimension: int
     basis: tuple  # ExtClass per basis element
-    _image: Matrix = None  # restriction image in Hom(OX, Y) coordinates
-    _h1: object = None
 
     def class_from_coords(self, coords) -> ExtClass:
         p = self.X.algebra.p
@@ -211,19 +216,6 @@ class Ext1Space:
             omega = self.presentation.kernel
             mats = [Matrix.zero(p, self.Y.dim[v], omega.dim[v]) for v in range(len(self.Y.dim))]
         return ExtClass(self.X, self.Y, Hom(self.presentation.kernel, self.Y, tuple(mats)), self.presentation)
-
-    def same_class(self, c1: ExtClass, c2: ExtClass) -> bool:
-        """Cocycles are identified iff their difference extends along the cover."""
-        diff = tuple(a.sub(b) for a, b in zip(c1.cocycle.mats, c2.cocycle.mats))
-        vec = _flatten_mats(diff)
-        if self._h1 is None:
-            return all(x == 0 for x in vec)
-        coords = linalg.solve(self._h1, vec)
-        if coords is None:
-            return False
-        if self._image.ncols == 0:
-            return all(x == 0 for x in coords)
-        return linalg.solve(self._image, coords) is not None
 
 
 def _flatten_mats(mats) -> tuple:
@@ -268,7 +260,7 @@ def ext1_space(x: Representation, y: Representation) -> Ext1Space:
                 break
     complement = [j for j in range(h1.dimension) if j not in pivot]
     classes = tuple(ExtClass(x, y, h1.basis[j], pres) for j in complement)
-    return Ext1Space(x, y, pres, len(complement), classes, image, h1_mat)
+    return Ext1Space(x, y, pres, len(complement), classes)
 
 
 def enumerate_ext_classes(x, y, budget: int = EXT_ENUM_BUDGET) -> list:
@@ -282,49 +274,6 @@ def enumerate_ext_classes(x, y, budget: int = EXT_ENUM_BUDGET) -> list:
     for coords in itertools.product(range(p), repeat=space.dimension):
         out.append(space.class_from_coords(coords))
     return out
-
-
-def extension_middle(cls: ExtClass):
-    """Pushout middle term; returns (E, mono Y->E, epi E->X), rank-verified."""
-    algebra = cls.X.algebra
-    p = algebra.p
-    q = algebra.quiver
-    pres = cls.presentation
-    x, y = cls.X, cls.Y
-    omega = pres.kernel
-    theta = cls.cocycle
-    projs, lifts = [], []
-    for v in range(q.n_vertices):
-        span = linalg.vstack([theta.mats[v], pres.inclusion.mats[v].neg()])
-        pr, lf = linalg.quotient_maps(span)
-        projs.append(pr)
-        lifts.append(lf)
-    dims = tuple(pr.nrows for pr in projs)
-    for v in range(q.n_vertices):
-        if dims[v] != y.dim[v] + x.dim[v]:
-            raise AssertionError("pushout dimension mismatch")
-    action = []
-    for ai in range(len(q.arrows)):
-        u, w = q.arrow_source(ai), q.arrow_target(ai)
-        big = linalg.block_diag(p, [y.action[ai], pres.cover.action[ai]])
-        action.append(projs[w].mul(big).mul(lifts[u]))
-    middle = Representation(algebra, dims, tuple(action))
-    mono_mats, epi_mats = [], []
-    for v in range(q.n_vertices):
-        inc_y = linalg.vstack([Matrix.identity(p, y.dim[v]), Matrix.zero(p, pres.cover.dim[v], y.dim[v])])
-        mono_mats.append(projs[v].mul(inc_y))
-        bottom = Matrix.from_rows(
-            p, [lifts[v].row(i) for i in range(y.dim[v], y.dim[v] + pres.cover.dim[v])]
-        ) if pres.cover.dim[v] else Matrix.zero(p, 0, dims[v])
-        epi_mats.append(pres.epi.mats[v].mul(bottom))
-    mono = Hom(y, middle, tuple(mono_mats))
-    epi = Hom(middle, x, tuple(epi_mats))
-    for v in range(q.n_vertices):
-        if mono_mats[v].rank() != y.dim[v] or epi_mats[v].rank() != x.dim[v]:
-            raise AssertionError("middle term maps are not exact")
-        if not epi_mats[v].mul(mono_mats[v]).is_zero():
-            raise AssertionError("middle term composition is nonzero")
-    return middle, mono, epi
 
 
 @dataclass
@@ -364,24 +313,28 @@ def section_data(x: Representation) -> SectionData:
     return data
 
 
-def middle_from_blocks(x, y, theta_mats, data: SectionData = None) -> Representation:
-    """Extension of x by y with cocycle theta, built as block matrices.
+def extension_middle(ys, xs, corners) -> Representation:
+    """Middle term of an extension of (+)xs by (+)ys, as block matrices.
 
-    Same iso class as extension_middle on the corresponding class; Y
-    coordinates come first at every vertex.
+    Arrow a acts by [[(+)Y_a, C_a], [0, (+)X_a]], Y coordinates first at
+    every vertex; the (i, j) block of the corner C_a is corners[i][j][a],
+    the ExtClass.corners of a class in Ext^1(xs[j], ys[i]).  Both lists
+    are nonempty.
     """
-    algebra = x.algebra
+    algebra = ys[0].algebra
     p = algebra.p
     q = algebra.quiver
-    if data is None:
-        data = section_data(x)
-    dims = tuple(a + b for a, b in zip(y.dim, x.dim))
+    dims = tuple(
+        sum(y.dim[v] for y in ys) + sum(x.dim[v] for x in xs)
+        for v in range(q.n_vertices)
+    )
     action = []
     for ai in range(len(q.arrows)):
-        u, w = q.arrow_source(ai), q.arrow_target(ai)
-        c = theta_mats[w].mul(data.d_arrows[ai])
-        top = linalg.hstack([y.action[ai], c])
-        bottom = linalg.hstack([Matrix.zero(p, x.dim[w], y.dim[u]), x.action[ai]])
+        yblk = linalg.block_diag(p, [y.action[ai] for y in ys])
+        xblk = linalg.block_diag(p, [x.action[ai] for x in xs])
+        c = linalg.vstack([linalg.hstack([blocks[ai] for blocks in row]) for row in corners])
+        top = linalg.hstack([yblk, c])
+        bottom = linalg.hstack([Matrix.zero(p, xblk.nrows, yblk.ncols), xblk])
         action.append(linalg.vstack([top, bottom]))
     return Representation(algebra, dims, tuple(action))
 

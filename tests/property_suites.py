@@ -23,37 +23,66 @@ from syzex.extdim import (
     layer,
     syzygy_category,
 )
+from syzex import linalg
 from syzex.homology import (
     cosyzygy,
     enumerate_ext_classes,
     ext1_space,
     extension_middle,
     is_projective,
-    middle_from_blocks,
     pd_bounded,
     projective_cover,
     syzygy,
 )
-from syzex.rep import decompose, direct_sum, is_iso
+from syzex.rep import Representation, decompose, direct_sum, is_iso
+
+
+def class_middle(cls):
+    """Middle term of one extension class through the library's block builder."""
+    return extension_middle((cls.Y,), (cls.X,), ((cls.corners(),),))
+
+
+def pushout_middle(cls):
+    """Reference middle term: the pushout of P <- OX -> Y, independent of the
+    section data and block layout that extension_middle uses."""
+    algebra = cls.X.algebra
+    p = algebra.p
+    q = algebra.quiver
+    pres = cls.presentation
+    projs, lifts = [], []
+    for v in range(q.n_vertices):
+        span = linalg.vstack([cls.cocycle.mats[v], pres.inclusion.mats[v].neg()])
+        pr, lf = linalg.quotient_maps(span)
+        projs.append(pr)
+        lifts.append(lf)
+    dims = tuple(pr.nrows for pr in projs)
+    assert dims == tuple(a + b for a, b in zip(cls.Y.dim, cls.X.dim)), "pushout dimension mismatch"
+    action = []
+    for ai in range(len(q.arrows)):
+        u, w = q.arrow_source(ai), q.arrow_target(ai)
+        big = linalg.block_diag(p, [cls.Y.action[ai], pres.cover.action[ai]])
+        action.append(projs[w].mul(big).mul(lifts[u]))
+    return Representation(algebra, dims, tuple(action))
 
 
 class Bench:
     """Shared universes over the default property-suite roster."""
 
-    ROSTER = (
-        ("kron2", 6),
-        ("fivevertex", 8),
-        ("euclideanB", 5),
-        ("dualnumbers", 4),
-        ("nodeB", 6),
+    ROSTER = (  # (corpus id, window dim bound, field)
+        ("kron2", 6, 2),
+        ("fivevertex", 8, 2),
+        ("euclideanB", 5, 2),
+        ("dualnumbers", 4, 2),
+        ("nodeB", 6, 2),
+        ("kron2", 4, 3),
     )
 
     def __init__(self):
         from syzex.algebra import AlgebraSpec
 
         self.universes = []
-        for cid, d in self.ROSTER:
-            algebra = corpus_algebra(cid)
+        for cid, d, p in self.ROSTER:
+            algebra = corpus_algebra(cid, p)
             self.universes.append((cid, generate_universe(algebra, d)))
         semisimple = build_algebra(AlgebraSpec(2, ["a", "b", "c"], [], []))
         self.universes.append(("semisimple3", generate_universe(semisimple, 3)))
@@ -83,7 +112,7 @@ def _caps_for(parts_with_mult):
     return max(2, mult), max(2, parts)
 
 
-def suite_bullet_split_inclusion(bench, n=100):
+def suite_bullet_split_inclusion(bench, n=125):
     ran = 0
     for seed in range(n):
         rng = random.Random(11_000 + seed)
@@ -96,7 +125,7 @@ def suite_bullet_split_inclusion(bench, n=100):
     return ran
 
 
-def suite_sum_lemma(bench, n=100):
+def suite_sum_lemma(bench, n=125):
     # [T1]_1 bullet [T2]_k lies in [T1 + T2]_{k+1}
     ran = 0
     for seed in range(n):
@@ -112,7 +141,7 @@ def suite_sum_lemma(bench, n=100):
     return ran
 
 
-def suite_max_lemma(bench, n=100):
+def suite_max_lemma(bench, n=125):
     # members of [T1]_m and [T2]_k lie in [T1 + T2]_{max(m, k)}
     ran = 0
     for seed in range(n):
@@ -194,10 +223,10 @@ def suite_syzygy_of_layer(bench):
             if sub_cls.total_dim + quot_cls.total_dim > d:
                 continue
             space = ext1_space(quot_cls.rep, sub_cls.rep)
-            if space.dimension == 0 or 2 ** space.dimension > 64:
+            if space.dimension == 0 or uni.algebra.p ** space.dimension > 64:
                 continue
             for cls_idx, ext_cls in enumerate(enumerate_ext_classes(quot_cls.rep, sub_cls.rep, budget=64)):
-                middle, _, _ = extension_middle(ext_cls)
+                middle = class_middle(ext_cls)
                 for m in (1, 2):
                     om_mid = syzygy(middle, m)
                     if om_mid.total_dim == 0:
@@ -226,7 +255,7 @@ def suite_syzygy_of_layer(bench):
     return ran
 
 
-def suite_bullet_inequality(bench, n=100):
+def suite_bullet_inequality(bench, n=125):
     # witnesses C inside [TC]_1, D inside [TD]_{k+1} give
     # bullet(C, D) inside [TC + TD]_{k+2}
     ran = 0
@@ -246,7 +275,7 @@ def suite_bullet_inequality(bench, n=100):
     return ran
 
 
-def suite_layer_monotone(bench, n=100):
+def suite_layer_monotone(bench, n=125):
     ran = 0
     for seed in range(n):
         rng = random.Random(17_000 + seed)
@@ -283,17 +312,17 @@ def suite_syzcat_nesting(bench):
     return ran
 
 
-def suite_duality_layer(bench, n=100):
+def suite_duality_layer(bench, n=125):
     from syzex.homology import duality
 
     ran = 0
     caches = {}
     for seed in range(n):
         rng = random.Random(18_000 + seed)
-        cid, uni = bench.pick(rng)
-        if cid not in caches:
-            caches[cid] = generate_universe(uni.algebra.opposite(), uni.dim_bound)
-        opp_uni = caches[cid]
+        _, uni = bench.pick(rng)
+        if id(uni) not in caches:
+            caches[id(uni)] = generate_universe(uni.algebra.opposite(), uni.dim_bound)
+        opp_uni = caches[id(uni)]
         t = bench.subset(rng, uni, 1, 2)
         d = uni.dim_bound
         lay = layer(uni, t, 2, mult_bound=d, parts_cap=2)
@@ -306,7 +335,7 @@ def suite_duality_layer(bench, n=100):
     return ran
 
 
-def suite_krull_schmidt(bench, n=100):
+def suite_krull_schmidt(bench, n=125):
     ran = 0
     for seed in range(n):
         rng = random.Random(19_000 + seed)
@@ -328,7 +357,7 @@ def suite_krull_schmidt(bench, n=100):
     return ran
 
 
-def suite_ext_cardinality(bench, n=100):
+def suite_ext_cardinality(bench, n=125):
     ran = 0
     budget_hits = 0
     for seed in range(n):
@@ -338,18 +367,19 @@ def suite_ext_cardinality(bench, n=100):
         x = rng.choice(members).rep
         y = rng.choice(members).rep
         dim = ext1_space(x, y).dimension
-        if 2 ** dim > 128:
+        p = uni.algebra.p
+        if p ** dim > 128:
             budget_hits += 1
             classes = None
         else:
             classes = enumerate_ext_classes(x, y, budget=128)
-            assert len(classes) == 2 ** dim
+            assert len(classes) == p ** dim
         ran += 1
     assert budget_hits < ran
     return ran
 
 
-def suite_middle_additivity(bench, n=100):
+def suite_middle_additivity(bench, n=125):
     ran = 0
     for seed in range(n):
         rng = random.Random(21_000 + seed)
@@ -358,17 +388,18 @@ def suite_middle_additivity(bench, n=100):
         x = rng.choice(members).rep
         y = rng.choice(members).rep
         space = ext1_space(x, y)
-        if space.dimension == 0 or 2 ** space.dimension > 32:
+        p = uni.algebra.p
+        if space.dimension == 0 or p ** space.dimension > 32:
             coords = ()
         else:
-            coords = tuple(rng.randrange(2) for _ in range(space.dimension))
+            coords = tuple(rng.randrange(p) for _ in range(space.dimension))
         cls = space.class_from_coords(coords) if space.dimension else None
         if cls is None:
             ran += 1
             continue
-        middle, mono, epi = extension_middle(cls)
+        middle = pushout_middle(cls)
         assert middle.dim == tuple(a + b for a, b in zip(x.dim, y.dim))
-        blocks = middle_from_blocks(x, y, cls.cocycle.mats)
+        blocks = class_middle(cls)
         assert blocks.validate() == []
         assert is_iso(middle, blocks) is True
         ran += 1

@@ -80,10 +80,20 @@ def test_mod_decompose():
 
 
 def test_ext_enumerate_gf3():
+    # kron2 has two arrows between its vertices, so Ext^1(S0, S1) = GF(3)^2;
+    # every nonzero class has an indecomposable middle term, the zero class splits
     code, report, _ = run_json(["--field", "3", "ext", "kron2", "S0", "S1", "--enumerate"])
     assert code == 0
     assert report["results"]["dimension"] == 2
     assert report["results"]["class_count"] == 9
+    classes = report["results"]["classes"]
+    assert len(classes) == 9
+    split = [c for c in classes if len(c["summands"]) > 1]
+    assert len(split) == 1
+    assert sorted(sorted(s["dim"].values()) for s in split[0]["summands"]) == [[0, 1], [0, 1]]
+    for c in classes:
+        if c is not split[0]:
+            assert c["summands"] == [{"dim": c["middle_dim"], "multiplicity": 1}]
 
 
 def test_ext_budget_exceeded():

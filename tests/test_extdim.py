@@ -52,13 +52,13 @@ def euclidean_b_algebra():
 
 def test_universe_semisimple_saturates(semisimple3):
     uni = generate_universe(semisimple3, 4)
-    assert uni.is_saturated and not uni.is_clipped
+    assert not uni.is_clipped
     assert len(uni.members) == 3
     assert all(c.total_dim == 1 for c in uni.members)
 
 
 def test_universe_fivevertex_matches_ar_quiver(five_universe):
-    assert five_universe.is_saturated and not five_universe.is_clipped
+    assert not five_universe.is_clipped
     assert len(five_universe.members) == FIVEVERTEX_AR_COUNT
 
 
@@ -237,12 +237,32 @@ def test_probe_gldim_one_certified():
     assert probe.certified
 
 
+def test_ed_report_builds_one_window_per_bound(monkeypatch):
+    """The certificate and the probe share the window at d; only the
+    probe's stability check builds a second one, at d + 1."""
+    import syzex.extdim as extdim
+    from syzex.corpus import corpus_algebra
+
+    bounds = []
+    real = extdim.generate_universe
+
+    def counted(algebra, dim_bound, params=None):
+        bounds.append(dim_bound)
+        return real(algebra, dim_bound, params)
+
+    monkeypatch.setattr(extdim, "generate_universe", counted)
+    intervals = ed_report(corpus_algebra("nodeA"), [1], options=EdReportOptions(dim_bound=6, syzygy_probes=(1,)))
+    assert intervals[0].exact and "R8" in intervals[0].upper_fact.describe()
+    assert bounds == [6, 7]
+
+
 def test_orbit_reduction_matches_full_enumeration(kron_universe, five_universe):
     """The per-block RREF representatives must reach exactly the summand
     classes that enumerating every extension class reaches."""
     import itertools
 
-    from syzex.extdim import _local_blocks, _assemble_middle, _pair_middles
+    from syzex.extdim import _local_blocks, _pair_middles
+    from syzex.homology import extension_middle
 
     checked = 0
     for uni in (kron_universe, five_universe):
@@ -255,11 +275,12 @@ def test_orbit_reduction_matches_full_enumeration(kron_universe, five_universe):
                     ylist, xlist, slots, total_exp = _local_blocks(uni, sub_ms, quot_ms)
                     if total_exp == 0 or 2 ** total_exp > 256:
                         continue
+                    p = uni.algebra.p
                     full = set()
-                    spaces = [range(len(slots[yi][xi])) for yi in range(j) for xi in range(k)]
+                    spaces = [range(p ** slots[yi][xi].dim) for yi in range(j) for xi in range(k)]
                     for flat in itertools.product(*spaces):
-                        choice = tuple(tuple(flat[yi * k + xi] for xi in range(k)) for yi in range(j))
-                        middle = _assemble_middle(uni.algebra, ylist, xlist, slots, choice)
+                        corners = [[slots[yi][xi].get(flat[yi * k + xi]) for xi in range(k)] for yi in range(j)]
+                        middle = extension_middle([y.rep for y in ylist], [x.rep for x in xlist], corners)
                         for cls, _ in uni._middle_summands(middle):
                             full.add(id(cls))
                     reduced = {id(cls) for cls, _ in _pair_middles(uni, sub_ms, quot_ms, uni.params)}

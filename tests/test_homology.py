@@ -8,10 +8,8 @@ from syzex.homology import (
     duality,
     enumerate_ext_classes,
     ext1_space,
-    extension_middle,
     gldim_bounded,
     is_projective,
-    middle_from_blocks,
     pd_bounded,
     projective_cover,
     syzygy,
@@ -19,6 +17,7 @@ from syzex.homology import (
 )
 from syzex.rep import Representation, decompose, direct_sum, is_iso, simple_rep, zero_rep
 from conftest import kron2_spec
+from property_suites import class_middle, pushout_middle
 from syzex import linalg
 from syzex.algebra import AlgebraSpec, build_algebra
 from syzex.corpus import load_corpus, named_module
@@ -145,7 +144,7 @@ def test_middle_zero_class_splits(kron2):
     s0, s1 = kron2.simple(0), kron2.simple(1)
     space = ext1_space(s0, s1)
     zero_cls = space.class_from_coords((0, 0))
-    middle, mono, epi = extension_middle(zero_cls)
+    middle = class_middle(zero_cls)
     assert middle.dim == (1, 1)
     dec = decompose(middle)
     assert sorted(f.dim for f, _ in dec.factors) == [(0, 1), (1, 0)]
@@ -154,7 +153,7 @@ def test_middle_zero_class_splits(kron2):
 def test_middle_nonzero_class_indecomposable(kron2):
     s0, s1 = kron2.simple(0), kron2.simple(1)
     space = ext1_space(s0, s1)
-    middle, mono, epi = extension_middle(space.basis[0])
+    middle = class_middle(space.basis[0])
     assert middle.dim == (1, 1)
     dec = decompose(middle)
     assert len(dec.factors) == 1 and dec.factors[0][1] == 1
@@ -163,7 +162,7 @@ def test_middle_nonzero_class_indecomposable(kron2):
 def test_middle_dim_additivity(kron2):
     s0, s1 = kron2.simple(0), kron2.simple(1)
     for cls in enumerate_ext_classes(s0, s1):
-        middle, _, _ = extension_middle(cls)
+        middle = class_middle(cls)
         assert middle.dim == tuple(a + b for a, b in zip(s0.dim, s1.dim))
 
 
@@ -176,8 +175,8 @@ def test_block_route_matches_pushout(kron2, fivevertex):
     for x, y in cases:
         space = ext1_space(x, y)
         for cls in enumerate_ext_classes(x, y, budget=64):
-            via_pushout, _, _ = extension_middle(cls)
-            via_blocks = middle_from_blocks(x, y, cls.cocycle.mats)
+            via_pushout = pushout_middle(cls)
+            via_blocks = class_middle(cls)
             assert via_blocks.validate() == []
             assert is_iso(via_pushout, via_blocks) is True
 
@@ -221,7 +220,7 @@ def test_tilting_fails_for_simple(kron2):
 def test_enumerate_dimension_zero_is_single_zero_class(kron2):
     classes = enumerate_ext_classes(kron2.projective(0), kron2.simple(0))
     assert len(classes) == 1
-    middle, _, _ = extension_middle(classes[0])
+    middle = class_middle(classes[0])
     dec = decompose(middle)
     assert sum(m for _, m in dec.factors) == 2  # split: both pieces survive
 
