@@ -132,7 +132,6 @@ class PathAlgebra:
         self.reduce_maps = reduce_maps  # (arrow tuple) -> {basis idx: coeff}, all enumerated paths
         self.nil_degree = nil_degree
         self.dim = len(basis)
-        self._mult_cache = {}
         self._opposite = None
         self._proj_cache = {}
         self._inj_cache = {}
@@ -150,15 +149,6 @@ class PathAlgebra:
     def vertex_label(self, i):
         return self.quiver.vertices[i]
 
-    def trivial_path_index(self, v: int) -> int:
-        return self.basis_index[(v, ())]
-
-    def basis_by_source_target(self):
-        table = {}
-        for i, (s, arrows, t) in enumerate(self.basis):
-            table.setdefault((s, t), []).append(i)
-        return table
-
     def reduce_path(self, source: int, arrows: tuple) -> dict:
         """Expand an arbitrary composable path in the residue basis."""
         if len(arrows) >= self.nil_degree:
@@ -167,21 +157,6 @@ class PathAlgebra:
         if got is None:
             raise ValueError("path not enumerated: %r" % (arrows,))
         return got
-
-    def product(self, i: int, j: int) -> dict:
-        """Structure constants: basis[i] * basis[j] expanded in the basis."""
-        key = (i, j)
-        got = self._mult_cache.get(key)
-        if got is not None:
-            return got
-        s1, a1, t1 = self.basis[i]
-        s2, a2, t2 = self.basis[j]
-        if t1 != s2:
-            out = {}
-        else:
-            out = self.reduce_path(s1, a1 + a2)
-        self._mult_cache[key] = out
-        return out
 
     def loewy_length(self) -> int:
         return self.nil_degree
@@ -366,12 +341,7 @@ def build_algebra(spec: AlgebraSpec, length_cap: int = DEFAULT_LENGTH_CAP) -> Pa
             if rows:
                 mat = linalg.Matrix.from_rows(p, rows)
                 red, rank = linalg.rref(mat)
-                pivots = []
-                for ri in range(rank):
-                    for j in range(len(plist)):
-                        if red.entry(ri, j):
-                            pivots.append(j)
-                            break
+                pivots = linalg._pivot_cols(red, rank)
             else:
                 red, rank, pivots = None, 0, []
             pivot_set = set(pivots)

@@ -4,10 +4,13 @@ representation-type certificates, and the extension-dimension bound engine.
 A Universe is a finite, iso-deduplicated window onto A-mod: a worklist
 closure of seed modules under summands, syzygies, cosyzygies and extension
 middle terms, bounded by total dimension.  The bullet of two member sets
-enumerates extension classes between bounded direct sums, realizes every
-middle term through cached arrow-level cocycle blocks, and collects the
-indecomposable summands.  The interval engine propagates certified lower
-and upper bounds for ed of the syzygy categories with full provenance.
+enumerates extension classes between bounded direct sums: one orbit plan per
+(sub, quot) pair yields, per representative, a grid of coefficient tuples,
+one per (sub slot, quot slot), in the Ext^1 basis of that slot pair.  The
+middle term takes, per slot, the memoized corner blocks of that linear
+combination of basis classes, and its indecomposable summands are collected.
+The interval engine propagates certified lower and upper bounds for ed of
+the syzygy categories with full provenance.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
+from . import linalg
 from .errors import BudgetExceeded, ContradictoryFacts
 from .homology import cosyzygy, ext1_space, extension_middle, gldim_bounded, syzygy
 from .linalg import Matrix
@@ -99,7 +103,7 @@ class Universe:
         self.member_set = set()
         self.clipped = []
         self._atom_cache = {}
-        self._atom_options = {}
+        self._corner_cache = {}
         self._bullet_cache = {}
         self._layer_cache = {}
 
@@ -144,6 +148,22 @@ class Universe:
         atom = (space.dimension, tuple(cls.corners() for cls in space.basis))
         self._atom_cache[key] = atom
         return atom
+
+    def _corner(self, quot: IndecClass, sub: IndecClass, coeffs: tuple):
+        """Corner blocks of the class sum_t coeffs[t] * (basis class t) of Ext^1(quot, sub)."""
+        key = (id(quot), id(sub), coeffs)
+        got = self._corner_cache.get(key)
+        if got is not None:
+            return got
+        acc = linalg.combine(coeffs, self._atom(quot, sub)[1])
+        if acc is None:
+            q = self.algebra.quiver
+            acc = tuple(
+                Matrix.zero(self.algebra.p, sub.dim[q.arrow_target(ai)], quot.dim[q.arrow_source(ai)])
+                for ai in range(len(q.arrows))
+            )
+        self._corner_cache[key] = acc
+        return acc
 
     def _middle_summands(self, rep: Representation):
         """Indecomposable summands of a middle term as interned classes."""
@@ -250,77 +270,6 @@ def generate_universe(algebra, dim_bound, params: UniverseParams = None) -> Univ
     return uni
 
 
-class _AtomOptions:
-    """GF(p)-combinations of the cocycle blocks for one Ext^1 atom.
-
-    Blocks are combined on demand and memoized per index, so only the
-    representatives actually enumerated are ever materialized.
-    """
-
-    __slots__ = ("p", "dim", "blocks", "zero", "cache")
-
-    def __init__(self, p, dim, blocks, zero):
-        self.p = p
-        self.dim = dim
-        self.blocks = blocks
-        self.zero = zero
-        self.cache = {0: zero}
-
-    def get(self, idx: int):
-        got = self.cache.get(idx)
-        if got is not None:
-            return got
-        acc = None
-        rem = idx
-        for t in range(self.dim - 1, -1, -1):
-            rem, c = divmod(rem, self.p)
-            if not c:
-                continue
-            scaled = tuple(b.scale(c) for b in self.blocks[t])
-            acc = scaled if acc is None else tuple(a.add(b) for a, b in zip(acc, scaled))
-        got = self.zero if acc is None else acc
-        self.cache[idx] = got
-        return got
-
-
-def _atom_option_blocks(uni: Universe, x: IndecClass, y: IndecClass) -> _AtomOptions:
-    key = (id(x), id(y))
-    got = uni._atom_options.get(key)
-    if got is not None:
-        return got
-    algebra = uni.algebra
-    p = algebra.p
-    q = algebra.quiver
-    dim, blocks = uni._atom(x, y)
-    zero = tuple(
-        Matrix.zero(p, y.dim[q.arrow_target(ai)], x.dim[q.arrow_source(ai)])
-        for ai in range(len(q.arrows))
-    )
-    out = _AtomOptions(p, dim, blocks, zero)
-    uni._atom_options[key] = out
-    return out
-
-
-def _local_blocks(uni: Universe, sub_ms, quot_ms):
-    """Per (sub slot, quot slot): list of all local cocycle-block choices."""
-    ylist = []
-    for cls, mult in sub_ms:
-        ylist.extend([cls] * mult)
-    xlist = []
-    for cls, mult in quot_ms:
-        xlist.extend([cls] * mult)
-    slot_options = []
-    total_exp = 0
-    for y in ylist:
-        row_options = []
-        for x in xlist:
-            options = _atom_option_blocks(uni, x, y)
-            total_exp += options.dim
-            row_options.append(options)
-        slot_options.append(row_options)
-    return ylist, xlist, slot_options, total_exp
-
-
 def _gaussian_count(p: int, n: int, k: int) -> int:
     """Number of k-dimensional subspaces of GF(p)^n."""
     if k < 0 or k > n:
@@ -353,22 +302,6 @@ def _rref_rows(p: int, nrows: int, ncols: int):
             yield tuple(tuple(r) for r in rows)
 
 
-def _coeffs_to_option(coeffs, p: int) -> int:
-    """Index into the itertools.product(range(p), repeat=dim) option list."""
-    idx = 0
-    for c in coeffs:
-        idx = idx * p + c
-    return idx
-
-
-def _pair_ext_dim(uni, sub_ms, quot_ms) -> int:
-    total = 0
-    for ycls, jm in sub_ms:
-        for xcls, km in quot_ms:
-            total += jm * km * uni._atom(xcls, ycls)[0]
-    return total
-
-
 def _orbit_plan(uni, sub_ms, quot_ms):
     """Representative plan for cocycle matrices modulo copy automorphisms.
 
@@ -378,7 +311,8 @@ def _orbit_plan(uni, sub_ms, quot_ms):
     a copy already covered by a smaller multiset.  It therefore suffices to
     enumerate, on the cheaper side, full-rank RREF coefficient matrices per
     block.  Returns (mode, blocks, count): mode "rows"/"cols", blocks a list
-    of (mult, space_dim, chunk_dims), count the representative total.
+    of (mult, space_dim, chunk_dims), count the representative total, which
+    is 0 when there is none (in particular when Ext^1 between the sums is 0).
     """
     p = uni.algebra.p
     row_blocks = []
@@ -420,58 +354,39 @@ def _block_matrices(p, blocks):
         yield flat
 
 
-def _choice_matrices(uni, sub_ms, quot_ms):
-    """Yield choice matrices (rows per sub slot, cols per quot slot)."""
-    p = uni.algebra.p
-    j = sum(m for _, m in sub_ms)
-    k = sum(m for _, m in quot_ms)
-    mode, blocks, _ = _orbit_plan(uni, sub_ms, quot_ms)
-    if mode == "rows":
-        for flat in _block_matrices(p, blocks):
-            choice = []
-            row_at = 0
-            for (mult, _, chunks) in blocks:
-                for _ in range(mult):
-                    row = flat[row_at]
-                    row_at += 1
-                    opts = []
-                    pos = 0
-                    for m in chunks:
-                        opts.append(_coeffs_to_option(row[pos:pos + m], p))
-                        pos += m
-                    choice.append(tuple(opts))
-            yield tuple(choice)
-    else:
-        for flat in _block_matrices(p, blocks):
-            grid = [[0] * k for _ in range(j)]
-            col_at = 0
-            for (mult, _, chunks) in blocks:
-                for _ in range(mult):
-                    col = flat[col_at]
-                    pos = 0
-                    for yi, m in enumerate(chunks):
-                        grid[yi][col_at] = _coeffs_to_option(col[pos:pos + m], p)
-                        pos += m
-                    col_at += 1
-            yield tuple(tuple(r) for r in grid)
+def _choice_matrices(p, mode, blocks):
+    """Yield, per representative of the plan, a grid of coefficient tuples:
+    row i, column j holds the Ext^1 coordinates for sub slot i, quot slot j."""
+    line_chunks = [chunks for mult, _, chunks in blocks for _ in range(mult)]
+    for flat in _block_matrices(p, blocks):
+        lines = []
+        for line, chunks in zip(flat, line_chunks):
+            cut = []
+            pos = 0
+            for m in chunks:
+                cut.append(line[pos:pos + m])
+                pos += m
+            lines.append(tuple(cut))
+        yield tuple(lines) if mode == "rows" else tuple(zip(*lines))
 
 
 def _pair_middles(uni: Universe, sub_ms, quot_ms, params):
     """All indecomposable summands of middles for one (sub, quot) multiset pair."""
-    ylist, xlist, slot_options, total_exp = _local_blocks(uni, sub_ms, quot_ms)
-    if total_exp == 0:
+    mode, blocks, count = _orbit_plan(uni, sub_ms, quot_ms)
+    if count == 0:
         return []
-    _, _, effective = _orbit_plan(uni, sub_ms, quot_ms)
-    if effective > params.ext_budget:
+    if count > params.ext_budget:
         raise BudgetExceeded(
             "%d extension-class representatives for one pair exceed budget %d"
-            % (effective, params.ext_budget)
+            % (count, params.ext_budget)
         )
+    ylist = [cls for cls, mult in sub_ms for _ in range(mult)]
+    xlist = [cls for cls, mult in quot_ms for _ in range(mult)]
     ys = [y.rep for y in ylist]
     xs = [x.rep for x in xlist]
     out = {}
-    for choice in _choice_matrices(uni, sub_ms, quot_ms):
-        corners = [[opts.get(c) for opts, c in zip(row, picks)] for row, picks in zip(slot_options, choice)]
+    for grid in _choice_matrices(uni.algebra.p, mode, blocks):
+        corners = [[uni._corner(x, y, c) for x, c in zip(xlist, row)] for y, row in zip(ylist, grid)]
         middle = extension_middle(ys, xs, corners)
         for cls, mult in uni._middle_summands(middle):
             out.setdefault(id(cls), (cls, mult))
@@ -507,8 +422,6 @@ def bullet(uni: Universe, left, right, mult_bound=None, parts_cap=2) -> frozense
             for quot_ms, quot_dim in zip(quot_sums, quot_dims):
                 if sub_dim + quot_dim > d:
                     break
-                if _pair_ext_dim(uni, sub_ms, quot_ms) == 0:
-                    continue
                 for cls, _ in _pair_middles(uni, sub_ms, quot_ms, params):
                     if cls.total_dim <= d:
                         result.add(cls)

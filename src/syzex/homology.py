@@ -206,12 +206,7 @@ class Ext1Space:
 
     def class_from_coords(self, coords) -> ExtClass:
         p = self.X.algebra.p
-        mats = None
-        for c, cls in zip(coords, self.basis):
-            if not c:
-                continue
-            scaled = [mm.scale(c) for mm in cls.cocycle.mats]
-            mats = scaled if mats is None else [a.add(b) for a, b in zip(mats, scaled)]
+        mats = linalg.combine(coords, [cls.cocycle.mats for cls in self.basis])
         if mats is None:
             omega = self.presentation.kernel
             mats = [Matrix.zero(p, self.Y.dim[v], omega.dim[v]) for v in range(len(self.Y.dim))]
@@ -240,24 +235,13 @@ def ext1_space(x: Representation, y: Representation) -> Ext1Space:
     basis_cols = [_flatten_mats(h.mats) for h in h1.basis]
     n = len(basis_cols[0])
     h1_mat = Matrix.from_columns(p, basis_cols, n)
-    image_cols = []
-    for h in h0.basis:
-        restricted = pres.inclusion.then(h)
-        vec = _flatten_mats(restricted.mats)
-        coords = linalg.solve(h1_mat, vec)
-        image_cols.append(coords)
-    image = (
-        Matrix.from_columns(p, image_cols, h1.dimension)
-        if image_cols
-        else Matrix.zero(p, h1.dimension, 0)
-    )
+    restricted = [_flatten_mats(pres.inclusion.then(h).mats) for h in h0.basis]
+    # coordinates in the Hom(OX, Y) basis of every hom that extends to P
+    image = linalg.solve_matrix(h1_mat, Matrix.from_columns(p, restricted, n))
+    if image is None:
+        raise AssertionError("restricted hom outside Hom(OX, Y)")
     red, rank = linalg.rref(image.transpose())
-    pivot = set()
-    for r in range(rank):
-        for j in range(h1.dimension):
-            if red.entry(r, j):
-                pivot.add(j)
-                break
+    pivot = set(linalg._pivot_cols(red, rank))
     complement = [j for j in range(h1.dimension) if j not in pivot]
     classes = tuple(ExtClass(x, y, h1.basis[j], pres) for j in complement)
     return Ext1Space(x, y, pres, len(complement), classes)

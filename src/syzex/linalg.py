@@ -282,6 +282,17 @@ def vstack(mats: list) -> Matrix:
     return Matrix(p, sum(m.nrows for m in mats), ncols, tuple(rows))
 
 
+def combine(coeffs, terms) -> tuple | None:
+    """sum_t coeffs[t] * terms[t] for terms that are equal-shape tuples of
+    matrices; None when every coefficient is 0."""
+    acc = None
+    for c, mats in zip(coeffs, terms):
+        if c:
+            scaled = tuple(m.scale(c) for m in mats)
+            acc = scaled if acc is None else tuple(a.add(b) for a, b in zip(acc, scaled))
+    return acc
+
+
 def block_diag(p: int, mats: list) -> Matrix:
     nr = sum(m.nrows for m in mats)
     nc = sum(m.ncols for m in mats)

@@ -3,11 +3,12 @@
 A representation stores one matrix per arrow, of shape
 dim[target] x dim[source]; a path acts by composing its arrow matrices in
 traversal order.  Hom spaces come from the intertwining linear system, and
-decomposition peels direct summands with Fitting's lemma, trying every
-endomorphism when End(M) has at most 256 elements and seeded random ones
-above that.  Isomorphism is decided exactly: an indecomposable M has a
-local endomorphism ring, so M ~ N exactly when some basis element of
-Hom(M, N) is invertible; sums are compared by their Krull-Schmidt factors.
+decomposition peels direct summands with Fitting's lemma, trying each
+nonzero endomorphism once when End(M) has at most 256 elements (none when
+End(M) = k) and seeded random ones above that.  Isomorphism is decided
+exactly: an indecomposable M has a local endomorphism ring, so M ~ N
+exactly when some basis element of Hom(M, N) is invertible; sums are
+compared by their Krull-Schmidt factors.
 """
 
 from __future__ import annotations
@@ -309,21 +310,6 @@ def dim_hom(m, n) -> int:
     return hom_space(m, n).dimension
 
 
-def _combo_iter(p, k):
-    """Mixed-radix odometer over GF(p)^k minus zero; yields changed index per step."""
-    coeffs = [0] * k
-    while True:
-        i = 0
-        while i < k:
-            coeffs[i] = (coeffs[i] + 1) % p
-            yield i, tuple(coeffs)
-            if coeffs[i] != 0:
-                break
-            i += 1
-        if i == k:
-            return
-
-
 def is_iso(m: Representation, n: Representation) -> bool:
     """Exact isomorphism test.
 
@@ -369,13 +355,16 @@ def sub_rep(m: Representation, spans) -> tuple:
     q = algebra.quiver
     p = algebra.p
     bases = [linalg.column_space_basis(s) for s in spans]
+    # basis column r is 1 at its pivot row and 0 at the other pivot rows, so
+    # a vector of the span has its coordinates at the pivot rows
+    pivots = [linalg._pivot_cols(b.transpose(), b.ncols) for b in bases]
     dim = tuple(b.ncols for b in bases)
     action = []
     for ai in range(len(q.arrows)):
         u, w = q.arrow_source(ai), q.arrow_target(ai)
         image = m.action[ai].mul(bases[u])
-        sol = linalg.solve_matrix(bases[w], image)
-        if sol is None:
+        sol = Matrix(p, dim[w], dim[u], tuple(image.rows[i] for i in pivots[w]))
+        if bases[w].mul(sol) != image:
             raise ValueError("spans are not arrow-invariant")
         action.append(sol)
     rep = Representation(algebra, dim, tuple(action))
@@ -416,32 +405,29 @@ def top_and_radical(m: Representation) -> tuple:
     return top, rad, proj, incl
 
 
-def _stable_power(hom: Hom, max_dim: int) -> Hom:
-    f = hom
-    prev = [mt.rank() for mt in f.mats]
-    for _ in range(max_dim + 1):
-        f2 = f.then(f)
-        ranks = [mt.rank() for mt in f2.mats]
-        if ranks == prev:
-            return f2
-        prev = ranks
-        f = f2
-    return f
-
-
 def _split_with(m: Representation, e: Hom):
-    """Fitting split along a stable endomorphism; None if it gives no splitting."""
-    f = _stable_power(e, m.total_dim)
-    total_rank = sum(mt.rank() for mt in f.mats)
-    if total_rank == 0 or total_rank == m.total_dim:
+    """Fitting split along the stable power of e; None if it gives no splitting.
+
+    Squaring until the ranks stop falling reaches a power past
+    stabilization; a power of zero or full total rank stays so, and gives
+    no splitting.
+    """
+    f = e
+    ranks = [mt.rank() for mt in f.mats]
+    while 0 < sum(ranks) < m.total_dim:
+        f2 = f.then(f)
+        ranks2 = [mt.rank() for mt in f2.mats]
+        if ranks2 == ranks:
+            break
+        f, ranks = f2, ranks2
+    else:
         return None
     p = m.algebra.p
-    im_spans = [mt for mt in f.mats]
     ker_spans = []
     for v, mt in enumerate(f.mats):
         ker = linalg.kernel_basis(mt)
         ker_spans.append(Matrix.from_columns(p, ker, m.dim[v]) if ker else Matrix.zero(p, m.dim[v], 0))
-    im_rep, _ = sub_rep(m, im_spans)
+    im_rep, _ = sub_rep(m, f.mats)
     ker_rep, _ = sub_rep(m, ker_spans)
     if im_rep.total_dim + ker_rep.total_dim != m.total_dim:
         return None
@@ -457,23 +443,26 @@ def _split_candidates(end: HomBasis, p: int):
         for j in range(i + 1, k):
             yield Hom(end.source, end.target, tuple(a.add(b) for a, b in zip(basis[i].mats, basis[j].mats)))
     if p ** k <= SPLIT_ENUM_BUDGET:
+        # odometer over GF(p)^k minus zero, first coordinate fastest; the
+        # tuples with at most two nonzero coefficients, all 1, came above
         current = [Matrix.zero(p, d, d) for d in end.source.dim]
-        for idx, _ in _combo_iter(p, k):
-            current = [c.add(b) for c, b in zip(current, basis[idx].mats)]
-            yield Hom(end.source, end.target, tuple(current))
+        coeffs = [0] * k
+        for _ in range(p ** k - 1):
+            i = 0
+            while True:
+                current = [c.add(b) for c, b in zip(current, basis[i].mats)]
+                coeffs[i] = (coeffs[i] + 1) % p
+                if coeffs[i]:
+                    break
+                i += 1
+            if max(coeffs) > 1 or sum(coeffs) > 2:
+                yield Hom(end.source, end.target, tuple(current))
     else:
         rng = random.Random(_DEFAULT_SEED)
         for _ in range(SPLIT_RANDOM_CAP):
             coeffs = [rng.randrange(p) for _ in range(k)]
-            if not any(coeffs):
-                continue
-            mats = None
-            for c, h in zip(coeffs, basis):
-                if not c:
-                    continue
-                scaled = [mm.scale(c) for mm in h.mats]
-                mats = scaled if mats is None else [a.add(b) for a, b in zip(mats, scaled)]
-            yield Hom(end.source, end.target, tuple(mats))
+            if any(coeffs):
+                yield Hom(end.source, end.target, linalg.combine(coeffs, [h.mats for h in basis]))
 
 
 def _indec_factors(m: Representation) -> list:
@@ -485,17 +474,14 @@ def _indec_factors(m: Representation) -> list:
     if cached is not None:
         return list(cached)
     end = hom_space(m, m)
-    result = None
-    for cand in _split_candidates(end, algebra.p):
-        if cand.is_zero():
-            continue
-        split = _split_with(m, cand)
-        if split is not None:
-            a, b = split
-            result = _indec_factors(a) + _indec_factors(b)
-            break
-    if result is None:
-        result = [m]
+    result = [m]  # dim End(M) = 1 means End(M) = k: M is indecomposable
+    if end.dimension > 1:
+        for cand in _split_candidates(end, algebra.p):
+            split = _split_with(m, cand)
+            if split is not None:
+                a, b = split
+                result = _indec_factors(a) + _indec_factors(b)
+                break
     algebra._decomp_cache[m.key()] = tuple(result)
     return result
 

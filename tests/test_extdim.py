@@ -261,26 +261,33 @@ def test_orbit_reduction_matches_full_enumeration(kron_universe, five_universe):
     classes that enumerating every extension class reaches."""
     import itertools
 
-    from syzex.extdim import _local_blocks, _pair_middles
+    from syzex.extdim import _pair_middles
     from syzex.homology import extension_middle
 
     checked = 0
     for uni in (kron_universe, five_universe):
+        p = uni.algebra.p
         members = uni.sorted_members()
         for sub in members[:6]:
             for quot in members[:6]:
+                dim, basis = uni._atom(quot, sub)
+                corner_of = {}
+                for coeffs in itertools.product(range(p), repeat=dim):
+                    # sum_t coeffs[t] * (basis corners t), built here from the basis blocks
+                    acc = [b.scale(0) for b in basis[0]] if basis else []
+                    for c, blocks in zip(coeffs, basis):
+                        acc = [a.add(b.scale(c)) for a, b in zip(acc, blocks)]
+                    corner_of[coeffs] = acc
                 for j, k in ((1, 2), (2, 1), (2, 2)):
                     sub_ms = ((sub, j),)
                     quot_ms = ((quot, k),)
-                    ylist, xlist, slots, total_exp = _local_blocks(uni, sub_ms, quot_ms)
+                    total_exp = j * k * dim
                     if total_exp == 0 or 2 ** total_exp > 256:
                         continue
-                    p = uni.algebra.p
                     full = set()
-                    spaces = [range(p ** slots[yi][xi].dim) for yi in range(j) for xi in range(k)]
-                    for flat in itertools.product(*spaces):
-                        corners = [[slots[yi][xi].get(flat[yi * k + xi]) for xi in range(k)] for yi in range(j)]
-                        middle = extension_middle([y.rep for y in ylist], [x.rep for x in xlist], corners)
+                    for flat in itertools.product(corner_of, repeat=j * k):
+                        corners = [[corner_of[flat[yi * k + xi]] for xi in range(k)] for yi in range(j)]
+                        middle = extension_middle([sub.rep] * j, [quot.rep] * k, corners)
                         for cls, _ in uni._middle_summands(middle):
                             full.add(id(cls))
                     reduced = {id(cls) for cls, _ in _pair_middles(uni, sub_ms, quot_ms, uni.params)}
@@ -301,6 +308,49 @@ def test_orbit_reduction_matches_full_enumeration(kron_universe, five_universe):
                     assert reduced <= full
                     checked += 1
     assert checked >= 20
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("algebra_id", ["kron2", "beilinson2"])
+def test_corner_is_linear_in_coefficients(algebra_id, p):
+    """The memoized corner of a coefficient tuple is the corner of the class
+    with those coordinates in the Ext^1 basis, for every tuple."""
+    import itertools
+
+    from syzex.corpus import corpus_algebra
+    from syzex.extdim import Universe
+    from syzex.homology import ext1_space
+
+    algebra = corpus_algebra(algebra_id, field_p=p)
+    uni = Universe(algebra, UniverseParams(4))
+    s0, s1 = uni.member_named("S0"), uni.member_named("S1")
+    checked = 0
+    for quot, sub in ((s0, s1), (s1, s0)):
+        space = ext1_space(quot.rep, sub.rep)
+        for coeffs in itertools.product(range(p), repeat=space.dimension):
+            assert uni._corner(quot, sub, coeffs) == space.class_from_coords(coeffs).corners()
+            checked += 1
+    assert checked == 1 + {"kron2": p ** 2, "beilinson2": p ** 3}[algebra_id]
+
+
+def test_pair_middles_plans_once(kron_universe, monkeypatch):
+    from syzex import extdim
+
+    calls = []
+    real = extdim._orbit_plan
+
+    def counted(uni, sub_ms, quot_ms):
+        calls.append(1)
+        return real(uni, sub_ms, quot_ms)
+
+    monkeypatch.setattr(extdim, "_orbit_plan", counted)
+    s0, s1 = kron_universe.member_named("S0"), kron_universe.member_named("S1")
+    params = kron_universe.params
+    # Ext^1(S0, S1) = k^2 realizes P0; Ext^1(S1, S0) = 0 has no representative
+    middles = extdim._pair_middles(kron_universe, ((s1, 2),), ((s0, 1),), params)
+    assert [c.dim for c, _ in middles] == [(1, 2)] and len(calls) == 1
+    assert extdim._pair_middles(kron_universe, ((s0, 1),), ((s1, 1),), params) == []
+    assert len(calls) == 2
 
 
 def _invertible_combination_exists(m, n):

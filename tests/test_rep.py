@@ -215,6 +215,32 @@ def test_decompose_nonsplit_middle_local(kron2):
             assert power.is_zero()
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_decompose_tries_each_endomorphism_once(monkeypatch, k):
+    """k[x]/x^k is local with End = k[x]/x^k of dimension k: the split search
+    is skipped when k = 1 and tries each nonzero GF(2)-combination once."""
+    from syzex import rep as rep_mod
+    from syzex.algebra import AlgebraSpec
+
+    calls = []
+    real = rep_mod._split_with
+
+    def counted(m, e):
+        calls.append(e)
+        return real(m, e)
+
+    monkeypatch.setattr(rep_mod, "_split_with", counted)
+    spec = AlgebraSpec(2, ["1"], [{"name": "x", "from": "1", "to": "1"}], [[{"coeff": 1, "path": ["x"] * max(k, 2)}]])
+    algebra = build_algebra(spec)
+    m = algebra.projective(0) if k > 1 else algebra.simple(0)
+    assert hom_space(m, m).dimension == k
+    dec = decompose(m)
+    assert [(f.dim, mult) for f, mult in dec.factors] == [((k,), 1)]
+    assert len(calls) == (2 ** k - 1 if k > 1 else 0)
+    tried = {tuple(mt.rows for mt in e.mats) for e in calls}
+    assert len(tried) == len(calls)
+
+
 def test_decompose_mixed_sum(kron2):
     p0 = kron2.projective(0)
     s1 = kron2.simple(1)
