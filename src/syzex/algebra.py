@@ -121,14 +121,13 @@ def parse_algebra_spec(text: str) -> AlgebraSpec:
 class PathAlgebra:
     """Finite-dimensional kQ/I over GF(p); immutable once built."""
 
-    def __init__(self, spec, quiver, p, relations, basis, basis_index, reduce_maps, nil_degree):
+    def __init__(self, spec, quiver, p, relations, basis, reduce_maps, nil_degree):
         self.spec = spec
         self.quiver = quiver
         self.p = p
         self.relations = relations
         # basis entries: (source_idx, arrow_idx_tuple, target_idx), residue paths only
         self.basis = basis
-        self.basis_index = basis_index
         self.reduce_maps = reduce_maps  # (arrow tuple) -> {basis idx: coeff}, all enumerated paths
         self.nil_degree = nil_degree
         self.dim = len(basis)
@@ -279,13 +278,11 @@ def build_algebra(spec: AlgebraSpec, length_cap: int = DEFAULT_LENGTH_CAP) -> Pa
         paths_at[0].setdefault((v, v), []).append(())
 
     basis = []
-    basis_index = {}
     reduce_maps = {}
 
     def add_residue(s, arrows, t):
         idx = len(basis)
         basis.append((s, arrows, t))
-        basis_index[(s, arrows)] = idx
         return idx
 
     for v in range(quiver.n_vertices):
@@ -367,4 +364,4 @@ def build_algebra(spec: AlgebraSpec, length_cap: int = DEFAULT_LENGTH_CAP) -> Pa
             nil_degree = length
             break
 
-    return PathAlgebra(spec, quiver, p, tuple(relations), tuple(basis), basis_index, reduce_maps, nil_degree)
+    return PathAlgebra(spec, quiver, p, tuple(relations), tuple(basis), reduce_maps, nil_degree)

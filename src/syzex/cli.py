@@ -7,6 +7,7 @@ Reports are deterministic for fixed flags; timings appear only on request.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -155,16 +156,20 @@ def cmd_ext(args, report):
     results = {"x": args.x, "y": args.y, "dimension": space.dimension}
     if args.enumerate:
         classes = enumerate_ext_classes(x, y, budget=args.budget)
+        p = algebra.p
+        # one decomposition per line: diag(lambda I_Y, I_X) maps middle(c) onto middle(lambda c)
+        by_line = {}
         listing = []
-        for cls in classes:
-            middle = extension_middle((cls.Y,), (cls.X,), ((cls.corners(),),))
-            dec = decompose(middle)
-            listing.append(
-                {
+        for coords, cls in zip(itertools.product(range(p), repeat=space.dimension), classes):
+            lead = pow(next((c for c in coords if c), 1), -1, p)
+            line = tuple(c * lead % p for c in coords)
+            if line not in by_line:
+                middle = extension_middle((cls.Y,), (cls.X,), ((cls.corners(),),))
+                by_line[line] = {
                     "middle_dim": middle.dim_map(),
-                    "summands": [{"dim": f.dim_map(), "multiplicity": mult} for f, mult in dec.factors],
+                    "summands": [{"dim": f.dim_map(), "multiplicity": mult} for f, mult in decompose(middle).factors],
                 }
-            )
+            listing.append(by_line[line])
         results["class_count"] = len(classes)
         results["classes"] = listing
     report["results"] = results

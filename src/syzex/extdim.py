@@ -9,6 +9,8 @@ enumerates extension classes between bounded direct sums: one orbit plan per
 one per (sub slot, quot slot), in the Ext^1 basis of that slot pair.  The
 middle term takes, per slot, the memoized corner blocks of that linear
 combination of basis classes, and its indecomposable summands are collected.
+Syzygies are taken one interned indecomposable at a time through the
+memoized homology.syzygy_summands, never by decomposing a whole Omega^n(M).
 The interval engine propagates certified lower and upper bounds for ed of
 the syzygy categories with full provenance.
 """
@@ -22,7 +24,7 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import BudgetExceeded, ContradictoryFacts
-from .homology import cosyzygy, ext1_space, extension_middle, gldim_bounded, syzygy
+from .homology import cosyzygy, ext1_space, extension_middle, gldim_bounded, syzygy_summands
 from .linalg import Matrix
 from .rep import Representation, decompose, hom_space, is_iso
 
@@ -169,6 +171,11 @@ class Universe:
         """Indecomposable summands of a middle term as interned classes."""
         return tuple((self.registry.intern(f)[0], mult) for f, mult in decompose(rep).factors)
 
+    def _omega_step(self, classes) -> dict:
+        """Interned summands of the syzygies of classes, keyed by id in first-found order."""
+        step = [self.registry.intern(f)[0] for cls in classes for f, _ in syzygy_summands(cls.rep)]
+        return {id(c): c for c in step}
+
 
 def _multisets(classes, max_parts, max_mult, max_dim):
     """All multisets from sorted classes: ((cls, mult), ...) with bounds."""
@@ -238,14 +245,10 @@ def generate_universe(algebra, dim_bound, params: UniverseParams = None) -> Univ
     processed = []
     while heap:
         _, _, cls = heapq.heappop(heap)
-        om = syzygy(cls.rep, 1)
-        if om.total_dim:
-            for f, _ in decompose(om).factors:
-                add(f, "syzygy", source=str(cls.dim))
-        co = cosyzygy(cls.rep, 1)
-        if co.total_dim:
-            for f, _ in decompose(co).factors:
-                add(f, "cosyzygy", source=str(cls.dim))
+        for f, _ in syzygy_summands(cls.rep):
+            add(f, "syzygy", source=str(cls.dim))
+        for f, _ in decompose(cosyzygy(cls.rep, 1)).factors:
+            add(f, "cosyzygy", source=str(cls.dim))
         partners = processed + [cls]
         for other in partners:
             for sub, quot in ((cls, other), (other, cls)):
@@ -480,11 +483,10 @@ def syzygy_category(algebra, n: int, dim_bound: int, params: UniverseParams = No
     found = {}
     oversized = []
     for cls in universe.sorted_members():
-        om = syzygy(cls.rep, n)
-        if om.total_dim == 0:
-            continue
-        for f, _ in decompose(om).factors:
-            c, _ = universe.registry.intern(f)
+        walk = {id(cls): cls}
+        for _ in range(n):
+            walk = universe._omega_step(walk.values())
+        for c in walk.values():
             if c.total_dim > universe.dim_bound:
                 oversized.append(c)
             found[id(c)] = c
@@ -507,7 +509,6 @@ class SyzygyFinitenessProbe:
 
 def _omega_closure(universe: Universe, base_members):
     """Close a member list under syzygies and summands; (members, clipped)."""
-    algebra = universe.algebra
     work = list(base_members)
     seen = {id(c): c for c in work}
     clipped = False
@@ -517,11 +518,7 @@ def _omega_closure(universe: Universe, base_members):
         idx += 1
         if cls.total_dim >= universe.dim_bound:
             clipped = True
-        om = syzygy(cls.rep, 1)
-        if om.total_dim == 0:
-            continue
-        for f, _ in decompose(om).factors:
-            c, _ = universe.registry.intern(f)
+        for c in universe._omega_step([cls]).values():
             if id(c) not in seen:
                 seen[id(c)] = c
                 work.append(c)
@@ -720,8 +717,9 @@ def ed_report(algebra, indices, external_facts=(), options: EdReportOptions = No
     gdim = gldim_bounded(algebra)
     notes = []
 
-    # one window at the dim bound serves the certificate and every probe
-    universe = generate_universe(algebra, options.dim_bound, options.params)
+    # one window at d serves the certificate and every probe; without probes
+    # the certificate builds it only when the Tits form leaves the type open
+    universe = generate_universe(algebra, options.dim_bound, options.params) if options.syzygy_probes else None
     rep_cert = rep_type_certificate(algebra, options.dim_bound, options.params, universe)
     probes = {}
     for n in options.syzygy_probes:

@@ -4,7 +4,9 @@ A projective cover takes one summand P(v) per top generator g of M at v.
 The epi column of the basis path q of P(v) is q applied to g, built one
 arrow matrix at a time from the image of q's prefix (memoized per
 generator), so a column costs one matrix-vector product.  The syzygy is
-the kernel of that epi.
+the kernel of that epi.  Syzygies are taken one indecomposable at a time
+(minimal syzygies are additive): syzygy_summands memoizes the factors of
+Omega(M), and pd_bounded never decomposes a whole Omega^n(M).
 
 Ext^1(X, Y) is realized on a minimal presentation 0 -> OX -> P -> X -> 0 as
 Hom(OX, Y) modulo homs that extend to P.  A section of P -> X (cached per X)
@@ -160,13 +162,25 @@ def cosyzygy(m: Representation, n: int = 1) -> Representation:
     return duality(syzygy(duality(m), n))
 
 
+def syzygy_summands(m: Representation) -> tuple:
+    """(indecomposable, multiplicity) factors of Omega(m); () when m is projective."""
+    algebra = m.algebra
+    key = ("omega", m.key())
+    got = algebra._cover_cache.get(key)
+    if got is None:
+        got = tuple(decompose(projective_cover(m).kernel).factors)
+        algebra._cover_cache[key] = got
+    return got
+
+
 def pd_bounded(m: Representation, bound: int):
-    """Least n <= bound with syzygy(m, n) projective, else None."""
-    cur = m
+    """Least n <= bound with syzygy(m, n) projective, else None; the layer
+    holds the distinct summands of syzygy(m, n)."""
+    layer = {m.key(): m}
     for n in range(bound + 1):
-        if is_projective(cur):
+        layer = {f.key(): f for rep in layer.values() for f, _ in syzygy_summands(rep)}
+        if not layer:
             return n
-        cur = syzygy(cur, 1)
     return None
 
 
@@ -248,6 +262,7 @@ def ext1_space(x: Representation, y: Representation) -> Ext1Space:
 
 
 def enumerate_ext_classes(x, y, budget: int = EXT_ENUM_BUDGET) -> list:
+    """Every class of Ext^1(x, y), its coordinates in itertools.product order."""
     space = ext1_space(x, y)
     p = x.algebra.p
     if p ** space.dimension > budget:

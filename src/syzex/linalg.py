@@ -153,12 +153,6 @@ class Matrix:
             tuple(tuple((a - b) % p for a, b in zip(r, s)) for r, s in zip(self.rows, other.rows)),
         )
 
-    def neg(self) -> "Matrix":
-        if self.p == 2:
-            return self
-        p = self.p
-        return Matrix(p, self.nrows, self.ncols, tuple(tuple((-a) % p for a in r) for r in self.rows))
-
     def scale(self, c: int) -> "Matrix":
         c %= self.p
         if self.p == 2:
@@ -194,9 +188,6 @@ class Matrix:
                         row[j] += a * orow[j]
             out.append(tuple(x % p for x in row))
         return Matrix(p, self.nrows, ocols, tuple(out))
-
-    def mul_vec(self, v) -> tuple:
-        return tuple(self.mul(Matrix.from_columns(self.p, [v], self.ncols)).col(0))
 
     def apply(self, vec):
         """self . vec for a column vector in row layout: a bit mask when p == 2, else a tuple."""
@@ -401,12 +392,6 @@ def kernel_basis(m: Matrix) -> list:
             v[pc] = (-red.entry(r, free)) % p
         basis.append(tuple(v))
     return basis
-
-
-def solve(m: Matrix, b) -> tuple | None:
-    """Some x with m x = b, free variables set to 0; None if inconsistent."""
-    X = solve_matrix(m, Matrix.from_columns(m.p, [tuple(b)], m.nrows))
-    return None if X is None else X.col(0)
 
 
 def solve_matrix(A: Matrix, B: Matrix) -> Matrix | None:

@@ -306,10 +306,6 @@ def hom_space(m: Representation, n: Representation) -> HomBasis:
     return result
 
 
-def dim_hom(m, n) -> int:
-    return hom_space(m, n).dimension
-
-
 def is_iso(m: Representation, n: Representation) -> bool:
     """Exact isomorphism test.
 

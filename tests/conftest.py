@@ -1,6 +1,18 @@
 import pytest
 
 from syzex.algebra import AlgebraSpec, build_algebra
+from syzex.linalg import Matrix, solve_matrix
+
+
+def mat_vec(m, v):
+    """m v over GF(p), entry by entry."""
+    return tuple(sum(m.entry(i, j) * v[j] for j in range(m.ncols)) % m.p for i in range(m.nrows))
+
+
+def solve_vec(m, b):
+    """Some x with m x = b (free variables zero) through solve_matrix, or None."""
+    x = solve_matrix(m, Matrix.from_columns(m.p, [b], m.nrows))
+    return None if x is None else x.col(0)
 
 
 def kron2_spec(p=2):

@@ -51,7 +51,7 @@ def pushout_middle(cls):
     pres = cls.presentation
     projs, lifts = [], []
     for v in range(q.n_vertices):
-        span = linalg.vstack([cls.cocycle.mats[v], pres.inclusion.mats[v].neg()])
+        span = linalg.vstack([cls.cocycle.mats[v], pres.inclusion.mats[v].scale(p - 1)])
         pr, lf = linalg.quotient_maps(span)
         projs.append(pr)
         lifts.append(lf)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -94,6 +97,24 @@ def test_ext_enumerate_gf3():
     for c in classes:
         if c is not split[0]:
             assert c["summands"] == [{"dim": c["middle_dim"], "multiplicity": 1}]
+
+
+def test_ext_enumerate_decomposes_once_per_scalar_line(monkeypatch):
+    # Ext^1(S0, S1) = GF(5)^3: the zero class and (125 - 1) / 4 = 31 lines
+    import syzex.cli as cli
+
+    calls = []
+    real = cli.decompose
+
+    def counted(m):
+        calls.append(m.dim)
+        return real(m)
+
+    monkeypatch.setattr(cli, "decompose", counted)
+    code, report, _ = run_json(["--field", "5", "ext", "beilinson2", "S0", "S1", "--enumerate"])
+    assert code == 0
+    assert report["results"]["class_count"] == 125
+    assert len(calls) == 32
 
 
 def test_ext_budget_exceeded():
@@ -292,3 +313,16 @@ def test_bm23_info_cli():
     assert code == 0
     assert report["results"]["dimension"] == 60
     assert report["results"]["loewy_length"] == 3
+
+
+@pytest.mark.parametrize("entry", ["xiB", "xiA"])
+def test_ed_xi_probe_returns(entry):
+    # syzygies are walked one summand at a time, so gldim and the probe return
+    # although the whole Omega^n(S2p) of xiB grows fast
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "syzex.cli", "ed", entry, "--i", "0,1,2", "--dim-bound", "4", "--syzygy-probe", "2"],
+        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "syzygy-finiteness probe at i=2 not certified" in proc.stdout

@@ -254,6 +254,37 @@ def test_ed_report_builds_one_window_per_bound(monkeypatch):
     intervals = ed_report(corpus_algebra("nodeA"), [1], options=EdReportOptions(dim_bound=6, syzygy_probes=(1,)))
     assert intervals[0].exact and "R8" in intervals[0].upper_fact.describe()
     assert bounds == [6, 7]
+    # without a probe the window is built only when the Tits form leaves the type open
+    bounds.clear()
+    ed_report(corpus_algebra("kron2"), [0, 1, 2], options=EdReportOptions(dim_bound=6))
+    assert bounds == []
+    ed_report(corpus_algebra("fivevertex"), [0, 1, 2], options=EdReportOptions(dim_bound=8))
+    assert bounds == [8]
+
+
+@pytest.mark.parametrize("entry, p, d", [("nodeA", 2, 6), ("beilinson2", 2, 2), ("kron2", 3, 4)])
+def test_syzygy_category_walk_matches_whole_module_decomposition(entry, p, d):
+    """The summand walk reaches the classes that decomposing each whole
+    Omega^n of a member reaches, with the same oversized dims."""
+    from syzex.corpus import corpus_algebra
+    from syzex.homology import syzygy
+    from syzex.rep import decompose
+
+    algebra = corpus_algebra(entry, p)
+    uni = generate_universe(algebra, d)
+    for n in (1, 2, 3):
+        cat = syzygy_category(algebra, n, d, universe=uni)
+        found = {id(uni.registry.intern(algebra.projective(v))[0]) for v in range(algebra.n_vertices)}
+        oversized = []
+        for cls in uni.sorted_members():
+            for f, _ in decompose(syzygy(cls.rep, n)).factors:
+                c = uni.registry.intern(f)[0]
+                found.add(id(c))
+                if c.total_dim > d:
+                    oversized.append(c.dim)
+        assert {id(c) for c in cat.members} == found
+        assert len(cat.members) == len(found)
+        assert sorted(c.dim for c in cat.oversized) == sorted(oversized)
 
 
 def test_orbit_reduction_matches_full_enumeration(kron_universe, five_universe):

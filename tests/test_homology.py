@@ -110,6 +110,30 @@ def test_pd_examples(kron2, dualnumbers):
     assert pd_bounded(dualnumbers.simple(0), 10) is None
 
 
+def whole_module_pd(m, bound):
+    """Reference: resolve the whole module Omega^n(m) until it is projective."""
+    cur = m
+    for n in range(bound + 1):
+        if is_projective(cur):
+            return n
+        cur = syzygy(cur, 1)
+    return None
+
+
+@pytest.mark.parametrize(
+    "entry, p",
+    [("kron2", 2), ("beilinson2", 2), ("fivevertex", 2), ("nodeA", 2), ("dualnumbers", 2), ("xiB", 2), ("kron2", 3)],
+)
+def test_pd_summand_walk_matches_whole_module_loop(entry, p):
+    from syzex.corpus import corpus_algebra
+
+    algebra = corpus_algebra(entry, p)
+    for v in range(algebra.n_vertices):
+        for m in (algebra.simple(v), algebra.projective(v), algebra.injective(v)):
+            for bound in range(7):
+                assert pd_bounded(m, bound) == whole_module_pd(m, bound), (entry, p, m.dim, bound)
+
+
 def test_gldim_examples(kron2, beilinson2, semisimple3, fivevertex):
     assert gldim_bounded(semisimple3) == 0
     assert gldim_bounded(kron2) == 1

@@ -3,10 +3,11 @@
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+from conftest import mat_vec, solve_vec
 from syzex.algebra import AlgebraSpec, build_algebra
 from syzex.homology import gldim_bounded, is_projective, syzygy
-from syzex.linalg import Matrix, kernel_basis, rref, solve
-from syzex.rep import dim_hom, direct_sum, is_iso
+from syzex.linalg import Matrix, kernel_basis, rref
+from syzex.rep import direct_sum, hom_space, is_iso
 
 
 def matrices(p, max_dim=4):
@@ -36,16 +37,16 @@ def test_rank_nullity_and_transpose(m):
     ker = kernel_basis(m)
     assert len(ker) + m.rank() == m.ncols
     for v in ker:
-        assert all(x == 0 for x in m.mul_vec(v))
+        assert all(x == 0 for x in mat_vec(m, v))
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([2, 3]).flatmap(matrices), st.data())
 def test_solve_exactness(m, data):
     x = tuple(data.draw(st.integers(0, m.p - 1)) for _ in range(m.ncols))
-    b = m.mul_vec(x)
-    got = solve(m, b)
-    assert got is not None and m.mul_vec(got) == b
+    b = mat_vec(m, x)
+    got = solve_vec(m, b)
+    assert got is not None and mat_vec(m, got) == b
 
 
 def kron_reps():
@@ -73,10 +74,10 @@ def kron_reps():
 def test_hom_additivity(m, n):
     # same session-level algebra object is required for hom computations
     n = type(n)(m.algebra, n.dim, n.action)
-    lhs = dim_hom(direct_sum([m, n]), m)
-    assert lhs == dim_hom(m, m) + dim_hom(n, m)
-    rhs = dim_hom(m, direct_sum([m, n]))
-    assert rhs == dim_hom(m, m) + dim_hom(m, n)
+    lhs = hom_space(direct_sum([m, n]), m).dimension
+    assert lhs == hom_space(m, m).dimension + hom_space(n, m).dimension
+    rhs = hom_space(m, direct_sum([m, n])).dimension
+    assert rhs == hom_space(m, m).dimension + hom_space(m, n).dimension
 
 
 @settings(max_examples=30, deadline=None)
