@@ -155,7 +155,7 @@ def cmd_ext(args, report):
     space = ext1_space(x, y)
     results = {"x": args.x, "y": args.y, "dimension": space.dimension}
     if args.enumerate:
-        classes = enumerate_ext_classes(x, y, budget=args.budget)
+        classes = enumerate_ext_classes(space, budget=args.budget)
         p = algebra.p
         # one decomposition per line: diag(lambda I_Y, I_X) maps middle(c) onto middle(lambda c)
         by_line = {}

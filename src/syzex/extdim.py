@@ -9,7 +9,10 @@ enumerates extension classes between bounded direct sums: one orbit plan per
 one per (sub slot, quot slot), in the Ext^1 basis of that slot pair.  The
 middle term takes, per slot, the memoized corner blocks of that linear
 combination of basis classes, and its indecomposable summands are collected.
-Syzygies are taken one interned indecomposable at a time through the
+Only summands of total dimension within the bound are interned (iso-tested
+against the registry); a larger summand stays an unregistered class, which
+the closure and the bullet record as clipped without comparing it to any
+other.  Syzygies are taken one interned indecomposable at a time through the
 memoized homology.syzygy_summands, never by decomposing a whole Omega^n(M).
 The interval engine propagates certified lower and upper bounds for ed of
 the syzygy categories with full provenance.
@@ -40,14 +43,17 @@ class UniverseParams:
 
 
 class IndecClass:
-    """Interned isomorphism class; identity is object identity."""
+    """Isomorphism class; identity is object identity for interned classes.
 
-    __slots__ = ("rep", "key", "fingerprint")
+    A middle summand above the window bound is a class the registry never
+    sees: only its rep and dims are read, before it is clipped.
+    """
 
-    def __init__(self, rep, fingerprint):
+    __slots__ = ("rep", "key")
+
+    def __init__(self, rep):
         self.rep = rep
         self.key = rep.key()
-        self.fingerprint = fingerprint
 
     @property
     def dim(self):
@@ -90,7 +96,7 @@ class ClassRegistry:
             if is_iso(rep, cls.rep):
                 self.by_key[key] = cls
                 return cls, False
-        cls = IndecClass(rep, fp)
+        cls = IndecClass(rep)
         bucket.append(cls)
         self.by_key[key] = cls
         return cls, True
@@ -103,7 +109,7 @@ class Universe:
         self.registry = ClassRegistry()
         self.members = []
         self.member_set = set()
-        self.clipped = []
+        self.clipped = {}  # (rule, dim items) -> first record of that clip
         self._atom_cache = {}
         self._corner_cache = {}
         self._bullet_cache = {}
@@ -168,8 +174,17 @@ class Universe:
         return acc
 
     def _middle_summands(self, rep: Representation):
-        """Indecomposable summands of a middle term as interned classes."""
-        return tuple((self.registry.intern(f)[0], mult) for f, mult in decompose(rep).factors)
+        """Indecomposable summands of a middle term; only those inside the
+        window are interned, the rest are unregistered classes to be clipped."""
+        d = self.params.dim_bound
+        return tuple(
+            (self.registry.intern(f)[0] if f.total_dim <= d else IndecClass(f), mult)
+            for f, mult in decompose(rep).factors
+        )
+
+    def clip(self, rule: str, dim: dict, source: str):
+        """Record what a rule left outside the window, once per (rule, dim)."""
+        self.clipped.setdefault((rule, tuple(dim.items())), {"rule": rule, "dim": dim, "source": source})
 
     def _omega_step(self, classes) -> dict:
         """Interned summands of the syzygies of classes, keyed by id in first-found order."""
@@ -215,16 +230,12 @@ def generate_universe(algebra, dim_bound, params: UniverseParams = None) -> Univ
     uni = Universe(algebra, params)
     heap = []
     seq = itertools.count()
-    noted = set()
 
     def add(rep, rule, source=""):
         if rep.total_dim == 0:
             return None
         if rep.total_dim > params.dim_bound:
-            mark = (rule, rep.dim)
-            if mark not in noted:
-                noted.add(mark)
-                uni.clipped.append({"rule": rule, "dim": rep.dim_map(), "source": source})
+            uni.clip(rule, rep.dim_map(), source)
             return None
         cls, new = uni.registry.intern(rep)
         if new or cls not in uni.member_set:
@@ -256,16 +267,11 @@ def generate_universe(algebra, dim_bound, params: UniverseParams = None) -> Univ
                     if sub.total_dim * j + quot.total_dim > mid_cap:
                         # truncated extension window is honest clipping
                         if uni._atom(quot, sub)[0]:
-                            mark = ("ext-window", sub.dim, quot.dim)
-                            if mark not in noted:
-                                noted.add(mark)
-                                uni.clipped.append(
-                                    {
-                                        "rule": "ext-window",
-                                        "dim": {"sub": str(sub.dim), "quot": str(quot.dim)},
-                                        "source": "middle above cap %d not expanded" % mid_cap,
-                                    }
-                                )
+                            uni.clip(
+                                "ext-window",
+                                {"sub": str(sub.dim), "quot": str(quot.dim)},
+                                "middle above cap %d not expanded" % mid_cap,
+                            )
                         break
                     for summand_cls, _ in _pair_middles(uni, ((sub, j),), ((quot, 1),), params):
                         add(summand_cls.rep, "ext", source="%s by %s^%d" % (quot.dim, sub.dim, j))
@@ -429,9 +435,7 @@ def bullet(uni: Universe, left, right, mult_bound=None, parts_cap=2) -> frozense
                     if cls.total_dim <= d:
                         result.add(cls)
                     else:
-                        uni.clipped.append(
-                            {"rule": "bullet", "dim": cls.rep.dim_map(), "source": "middle summand"}
-                        )
+                        uni.clip("bullet", cls.rep.dim_map(), "middle summand")
     out = frozenset(result)
     uni._bullet_cache[cache_key] = out
     return out

@@ -12,8 +12,9 @@ Ext^1(X, Y) is realized on a minimal presentation 0 -> OX -> P -> X -> 0 as
 Hom(OX, Y) modulo homs that extend to P.  A section of P -> X (cached per X)
 turns a cocycle theta into arrow-level corner blocks theta_{t(a)} d_a, and
 extension_middle, the one middle-term builder, places them in the block
-matrices [[Y_a, C_a], [0, X_a]].  The pushout of P <- OX -> Y survives only
-as the independent reference the tests compare these middles against.
+matrices [[Y_a, C_a], [0, X_a]], writing each row directly.  The pushout of
+P <- OX -> Y survives only as the independent reference the tests compare
+these middles against.
 """
 
 from __future__ import annotations
@@ -261,10 +262,9 @@ def ext1_space(x: Representation, y: Representation) -> Ext1Space:
     return Ext1Space(x, y, pres, len(complement), classes)
 
 
-def enumerate_ext_classes(x, y, budget: int = EXT_ENUM_BUDGET) -> list:
-    """Every class of Ext^1(x, y), its coordinates in itertools.product order."""
-    space = ext1_space(x, y)
-    p = x.algebra.p
+def enumerate_ext_classes(space: Ext1Space, budget: int = EXT_ENUM_BUDGET) -> list:
+    """Every class of the space, its coordinates in itertools.product order."""
+    p = space.X.algebra.p
     if p ** space.dimension > budget:
         raise BudgetExceeded(
             "%d^%d extension classes exceed budget %d" % (p, space.dimension, budget)
@@ -318,24 +318,45 @@ def extension_middle(ys, xs, corners) -> Representation:
     Arrow a acts by [[(+)Y_a, C_a], [0, (+)X_a]], Y coordinates first at
     every vertex; the (i, j) block of the corner C_a is corners[i][j][a],
     the ExtClass.corners of a class in Ext^1(xs[j], ys[i]).  Both lists
-    are nonempty.
+    are nonempty.  Each row of an arrow matrix is built directly from the
+    rows of its blocks: one shifted OR of bit masks over GF(2), one
+    zero-padded tuple concatenation over odd p.
     """
     algebra = ys[0].algebra
     p = algebra.p
     q = algebra.quiver
-    dims = tuple(
-        sum(y.dim[v] for y in ys) + sum(x.dim[v] for x in xs)
-        for v in range(q.n_vertices)
-    )
+    mods = list(ys) + list(xs)
+    dims = tuple(sum(m.dim[v] for m in mods) for v in range(q.n_vertices))
     action = []
     for ai in range(len(q.arrows)):
-        yblk = linalg.block_diag(p, [y.action[ai] for y in ys])
-        xblk = linalg.block_diag(p, [x.action[ai] for x in xs])
-        c = linalg.vstack([linalg.hstack([blocks[ai] for blocks in row]) for row in corners])
-        top = linalg.hstack([yblk, c])
-        bottom = linalg.hstack([Matrix.zero(p, xblk.nrows, yblk.ncols), xblk])
-        action.append(linalg.vstack([top, bottom]))
+        s = q.arrow_source(ai)
+        offs = list(itertools.accumulate((m.dim[s] for m in mods), initial=0))
+        xoffs = offs[len(ys):]
+        rows = []
+        for y, yoff, blocks in zip(ys, offs, corners):
+            rows += _stripe(p, dims[s], [(y.action[ai], yoff)] + [(b[ai], off) for b, off in zip(blocks, xoffs)])
+        for x, xoff in zip(xs, xoffs):
+            rows += _stripe(p, dims[s], [(x.action[ai], xoff)])
+        action.append(Matrix(p, dims[q.arrow_target(ai)], dims[s], tuple(rows)))
     return Representation(algebra, dims, tuple(action))
+
+
+def _stripe(p: int, ncols: int, pieces) -> list:
+    """Rows of equal-height blocks placed side by side: pieces are
+    (matrix, column offset) in increasing offset order, zeros elsewhere."""
+    out = []
+    for r in range(pieces[0][0].nrows):
+        if p == 2:
+            row = 0
+            for m, off in pieces:
+                row |= m.rows[r] << off
+        else:
+            row = ()
+            for m, off in pieces:
+                row += (0,) * (off - len(row)) + m.rows[r]
+            row += (0,) * (ncols - len(row))
+        out.append(row)
+    return out
 
 
 @dataclass

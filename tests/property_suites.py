@@ -225,7 +225,7 @@ def suite_syzygy_of_layer(bench):
             space = ext1_space(quot_cls.rep, sub_cls.rep)
             if space.dimension == 0 or uni.algebra.p ** space.dimension > 64:
                 continue
-            for cls_idx, ext_cls in enumerate(enumerate_ext_classes(quot_cls.rep, sub_cls.rep, budget=64)):
+            for cls_idx, ext_cls in enumerate(enumerate_ext_classes(space, budget=64)):
                 middle = class_middle(ext_cls)
                 for m in (1, 2):
                     om_mid = syzygy(middle, m)
@@ -366,13 +366,14 @@ def suite_ext_cardinality(bench, n=125):
         members = uni.sorted_members()
         x = rng.choice(members).rep
         y = rng.choice(members).rep
-        dim = ext1_space(x, y).dimension
+        space = ext1_space(x, y)
+        dim = space.dimension
         p = uni.algebra.p
         if p ** dim > 128:
             budget_hits += 1
             classes = None
         else:
-            classes = enumerate_ext_classes(x, y, budget=128)
+            classes = enumerate_ext_classes(space, budget=128)
             assert len(classes) == p ** dim
         ran += 1
     assert budget_hits < ran

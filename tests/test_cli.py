@@ -117,6 +117,26 @@ def test_ext_enumerate_decomposes_once_per_scalar_line(monkeypatch):
     assert len(calls) == 32
 
 
+def test_ext_enumerate_solves_ext_once(monkeypatch):
+    # the space cmd_ext solves for the dimension is the one it enumerates
+    import syzex.cli as cli
+    import syzex.homology as homology
+
+    calls = []
+    real = homology.ext1_space
+
+    def counted(x, y):
+        calls.append((x.dim, y.dim))
+        return real(x, y)
+
+    monkeypatch.setattr(cli, "ext1_space", counted)
+    monkeypatch.setattr(homology, "ext1_space", counted)
+    code, report, _ = run_json(["--field", "3", "ext", "kron2", "S0", "S1", "--enumerate"])
+    assert code == 0
+    assert report["results"]["class_count"] == 9
+    assert len(calls) == 1
+
+
 def test_ext_budget_exceeded():
     code, report, _ = run_json(["--budget", "2", "ext", "kron2", "S0", "S1", "--enumerate"])
     assert code == 1

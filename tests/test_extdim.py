@@ -292,12 +292,18 @@ def test_orbit_reduction_matches_full_enumeration(kron_universe, five_universe):
     classes that enumerating every extension class reaches."""
     import itertools
 
-    from syzex.extdim import _pair_middles
+    from syzex.extdim import ClassRegistry, _pair_middles
     from syzex.homology import extension_middle
 
     checked = 0
     for uni in (kron_universe, five_universe):
         p = uni.algebra.p
+        # summands above the window are unregistered; identify them up to iso here
+        above = ClassRegistry()
+
+        def canon(cls):
+            return id(cls) if cls.total_dim <= uni.dim_bound else id(above.intern(cls.rep)[0])
+
         members = uni.sorted_members()
         for sub in members[:6]:
             for quot in members[:6]:
@@ -320,8 +326,8 @@ def test_orbit_reduction_matches_full_enumeration(kron_universe, five_universe):
                         corners = [[corner_of[flat[yi * k + xi]] for xi in range(k)] for yi in range(j)]
                         middle = extension_middle([sub.rep] * j, [quot.rep] * k, corners)
                         for cls, _ in uni._middle_summands(middle):
-                            full.add(id(cls))
-                    reduced = {id(cls) for cls, _ in _pair_middles(uni, sub_ms, quot_ms, uni.params)}
+                            full.add(canon(cls))
+                    reduced = {canon(cls) for cls, _ in _pair_middles(uni, sub_ms, quot_ms, uni.params)}
                     # the full run also contains split pieces from degenerate
                     # classes; those are exactly the sides and smaller pairs
                     smaller = set()
@@ -333,12 +339,45 @@ def test_orbit_reduction_matches_full_enumeration(kron_universe, five_universe):
                                 smaller |= {id(sub), id(quot)}
                                 continue
                             smaller |= {
-                                id(cls) for cls, _ in _pair_middles(uni, ((sub, jj),), ((quot, kk),), uni.params)
+                                canon(cls) for cls, _ in _pair_middles(uni, ((sub, jj),), ((quot, kk),), uni.params)
                             }
                     assert full <= reduced | smaller | {id(sub), id(quot)}
                     assert reduced <= full
                     checked += 1
     assert checked >= 20
+
+
+def test_closure_interns_only_window_summands():
+    """Middle summands above the bound are clipped without being interned."""
+    from syzex.corpus import corpus_algebra
+
+    uni = generate_universe(corpus_algebra("beilinson2", 3), 2)
+    classes = [c for bucket in uni.registry.by_fp.values() for c in bucket]
+    assert classes and all(c.total_dim <= 2 for c in classes)
+    assert uni.is_clipped
+
+
+@pytest.mark.parametrize(
+    "entry, p, d", [("beilinson2", 3, 2), ("kron2", 3, 4), ("nodeA", 2, 6), ("fivevertex", 2, 8)]
+)
+def test_window_only_intern_matches_intern_everything(monkeypatch, entry, p, d):
+    """Interning every middle summand, as the closure once did, yields the
+    same members in the same order with the same representatives."""
+    from syzex.corpus import corpus_algebra
+    from syzex.extdim import Universe
+    from syzex.rep import decompose
+
+    algebra = corpus_algebra(entry, p)
+    uni = generate_universe(algebra, d)
+
+    def intern_everything(self, rep):
+        return tuple((self.registry.intern(f)[0], mult) for f, mult in decompose(rep).factors)
+
+    monkeypatch.setattr(Universe, "_middle_summands", intern_everything)
+    ref = generate_universe(algebra, d)
+    assert [c.key for c in uni.members] == [c.key for c in ref.members]
+    assert uni.is_clipped == ref.is_clipped
+    assert uni.clipped == ref.clipped
 
 
 @pytest.mark.parametrize("p", [2, 3])

@@ -8,6 +8,7 @@ from syzex.homology import (
     duality,
     enumerate_ext_classes,
     ext1_space,
+    extension_middle,
     gldim_bounded,
     is_projective,
     pd_bounded,
@@ -16,7 +17,7 @@ from syzex.homology import (
     tilting_check,
 )
 from syzex.rep import Representation, decompose, direct_sum, is_iso, simple_rep, zero_rep
-from conftest import kron2_spec
+from conftest import beilinson2_spec, fivevertex_spec, kron2_spec
 from property_suites import class_middle, pushout_middle
 from syzex import linalg
 from syzex.algebra import AlgebraSpec, build_algebra
@@ -154,14 +155,14 @@ def test_ext_s0_s1_dimension_two(kron2):
 def test_ext_enumeration_counts():
     for p, expected in ((2, 4), (3, 9)):
         algebra = build_algebra(kron2_spec(p))
-        classes = enumerate_ext_classes(algebra.simple(0), algebra.simple(1))
+        classes = enumerate_ext_classes(ext1_space(algebra.simple(0), algebra.simple(1)))
         assert len(classes) == expected
 
 
 def test_ext_enumeration_budget():
     algebra = build_algebra(kron2_spec(2))
     with pytest.raises(BudgetExceeded):
-        enumerate_ext_classes(algebra.simple(0), algebra.simple(1), budget=2)
+        enumerate_ext_classes(ext1_space(algebra.simple(0), algebra.simple(1)), budget=2)
 
 
 def test_middle_zero_class_splits(kron2):
@@ -185,7 +186,7 @@ def test_middle_nonzero_class_indecomposable(kron2):
 
 def test_middle_dim_additivity(kron2):
     s0, s1 = kron2.simple(0), kron2.simple(1)
-    for cls in enumerate_ext_classes(s0, s1):
+    for cls in enumerate_ext_classes(ext1_space(s0, s1)):
         middle = class_middle(cls)
         assert middle.dim == tuple(a + b for a, b in zip(s0.dim, s1.dim))
 
@@ -197,8 +198,7 @@ def test_block_route_matches_pushout(kron2, fivevertex):
         (fivevertex.simple(3), fivevertex.projective(4)),
     ]
     for x, y in cases:
-        space = ext1_space(x, y)
-        for cls in enumerate_ext_classes(x, y, budget=64):
+        for cls in enumerate_ext_classes(ext1_space(x, y), budget=64):
             via_pushout = pushout_middle(cls)
             via_blocks = class_middle(cls)
             assert via_blocks.validate() == []
@@ -242,7 +242,7 @@ def test_tilting_fails_for_simple(kron2):
 
 
 def test_enumerate_dimension_zero_is_single_zero_class(kron2):
-    classes = enumerate_ext_classes(kron2.projective(0), kron2.simple(0))
+    classes = enumerate_ext_classes(ext1_space(kron2.projective(0), kron2.simple(0)))
     assert len(classes) == 1
     middle = class_middle(classes[0])
     dec = decompose(middle)
@@ -320,3 +320,62 @@ def test_cover_epi_matches_path_action_on_random_modules(p):
         )
         m = Representation(algebra, dim, action, check=True)
         assert projective_cover(m).epi.mats == epi_by_path_action(m)
+
+
+def block_middle(ys, xs, corners):
+    """Reference: [[(+)Y_a, C_a], [0, (+)X_a]] assembled from whole blocks."""
+    algebra = ys[0].algebra
+    p = algebra.p
+    q = algebra.quiver
+    dims = tuple(sum(m.dim[v] for m in list(ys) + list(xs)) for v in range(q.n_vertices))
+    action = []
+    for ai in range(len(q.arrows)):
+        yblk = linalg.block_diag(p, [y.action[ai] for y in ys])
+        xblk = linalg.block_diag(p, [x.action[ai] for x in xs])
+        c = linalg.vstack([linalg.hstack([blocks[ai] for blocks in row]) for row in corners])
+        top = linalg.hstack([yblk, c])
+        bottom = linalg.hstack([Matrix.zero(p, xblk.nrows, yblk.ncols), xblk])
+        action.append(linalg.vstack([top, bottom]))
+    return Representation(algebra, dims, tuple(action))
+
+
+def _random_matrix(rng, p, nrows, ncols):
+    if not nrows:
+        return Matrix.zero(p, 0, ncols)
+    return Matrix.from_rows(p, [[rng.randrange(p) for _ in range(ncols)] for _ in range(nrows)])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_extension_middle_matches_block_assembly(p):
+    # the builder only places blocks, so random matrices (relations not
+    # imposed) and modules that vanish at some vertices exercise every offset
+    rng = random.Random(40 + p)
+    checked = zero_vertices = 0
+    for spec in (beilinson2_spec(p), fivevertex_spec(p)):
+        algebra = build_algebra(spec)
+        q = algebra.quiver
+        arrows = range(len(q.arrows))
+
+        def random_module():
+            dim = tuple(rng.choice((0, 1, 2, 3)) for _ in range(q.n_vertices))
+            mats = (_random_matrix(rng, p, dim[q.arrow_target(ai)], dim[q.arrow_source(ai)]) for ai in arrows)
+            return Representation(algebra, dim, tuple(mats))
+
+        for _ in range(25):
+            ys = [random_module() for _ in range(rng.randint(1, 3))]
+            xs = [random_module() for _ in range(rng.randint(1, 3))]
+            corners = [
+                [
+                    tuple(_random_matrix(rng, p, y.dim[q.arrow_target(ai)], x.dim[q.arrow_source(ai)]) for ai in arrows)
+                    for x in xs
+                ]
+                for y in ys
+            ]
+            built = extension_middle(ys, xs, corners)
+            ref = block_middle(ys, xs, corners)
+            assert built.dim == ref.dim
+            assert built.action == ref.action
+            assert [m.entries() for m in built.action] == [m.entries() for m in ref.action]
+            zero_vertices += sum(d == 0 for m in ys + xs for d in m.dim)
+            checked += 1
+    assert checked == 50 and zero_vertices
