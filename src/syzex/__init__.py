@@ -44,6 +44,6 @@ from .homology import (
     syzygy,
     tilting_check,
 )
-from .rep import Representation, decompose, direct_sum, hom_space, is_iso, top_and_radical
+from .rep import Representation, decompose, direct_sum, hom_space, is_iso
 
 __version__ = "0.1.0"

@@ -337,10 +337,9 @@ def build_algebra(spec: AlgebraSpec, length_cap: int = DEFAULT_LENGTH_CAP) -> Pa
                                     rows.append(row)
             if rows:
                 mat = linalg.Matrix.from_rows(p, rows)
-                red, rank = linalg.rref(mat)
-                pivots = linalg._pivot_cols(red, rank)
+                red, pivots = linalg.rref(mat)
             else:
-                red, rank, pivots = None, 0, []
+                red, pivots = None, []
             pivot_set = set(pivots)
             local_res = {}
             for j, arrows in enumerate(plist):

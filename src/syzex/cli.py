@@ -1,6 +1,8 @@
 """Command-line surface.
 
-Exit codes: 0 success, 1 budget exhaustion, 2 parse/validation errors.
+Exit codes: 0 success, 1 budget exhaustion, 2 parse/validation errors,
+3 internal faults (a failed consistency check or any other unexpected
+exception; the report still renders, with the error under results).
 Reports are deterministic for fixed flags; timings appear only on request.
 """
 
@@ -471,6 +473,9 @@ def run(argv) -> tuple:
     except SyzexError as exc:
         report["results"] = {"error": str(exc), "kind": "error"}
         code = 2
+    except Exception as exc:
+        report["results"] = {"error": "%s: %s" % (type(exc).__name__, exc), "kind": "internal"}
+        code = 3
     if args.timings:
         report["timings"] = {"wall_seconds": round(time.perf_counter() - start, 3)}
     rendered = render_json(report) if args.format == "json" else render_text(report)

@@ -11,9 +11,11 @@ middle term takes, per slot, the memoized corner blocks of that linear
 combination of basis classes, and its indecomposable summands are collected.
 Only summands of total dimension within the bound are interned (iso-tested
 against the registry); a larger summand stays an unregistered class, which
-the closure and the bullet record as clipped without comparing it to any
-other.  Syzygies are taken one interned indecomposable at a time through the
-memoized homology.syzygy_summands, never by decomposing a whole Omega^n(M).
+the closure records as clipped without comparing it to any other; the
+bullet pairs only sums whose dimensions add up to at most the bound, so it
+never meets one.  Syzygies are taken one interned indecomposable at a time
+through the memoized homology.syzygy_summands, never by decomposing a whole
+Omega^n(M).
 The interval engine propagates certified lower and upper bounds for ed of
 the syzygy categories with full provenance.
 """
@@ -431,11 +433,7 @@ def bullet(uni: Universe, left, right, mult_bound=None, parts_cap=2) -> frozense
             for quot_ms, quot_dim in zip(quot_sums, quot_dims):
                 if sub_dim + quot_dim > d:
                     break
-                for cls, _ in _pair_middles(uni, sub_ms, quot_ms, params):
-                    if cls.total_dim <= d:
-                        result.add(cls)
-                    else:
-                        uni.clip("bullet", cls.rep.dim_map(), "middle summand")
+                result.update(cls for cls, _ in _pair_middles(uni, sub_ms, quot_ms, params))
     out = frozenset(result)
     uni._bullet_cache[cache_key] = out
     return out

@@ -4,9 +4,11 @@ A projective cover takes one summand P(v) per top generator g of M at v.
 The epi column of the basis path q of P(v) is q applied to g, built one
 arrow matrix at a time from the image of q's prefix (memoized per
 generator), so a column costs one matrix-vector product.  The syzygy is
-the kernel of that epi.  Syzygies are taken one indecomposable at a time
-(minimal syzygies are additive): syzygy_summands memoizes the factors of
-Omega(M), and pd_bounded never decomposes a whole Omega^n(M).
+the kernel of that epi, its canonical basis per vertex read off one row
+reduction (linalg.null_space), which sub_rep restricts without another.
+Syzygies are taken one indecomposable at a time (minimal syzygies are
+additive): syzygy_summands memoizes the factors of Omega(M), and
+pd_bounded never decomposes a whole Omega^n(M).
 
 Ext^1(X, Y) is realized on a minimal presentation 0 -> OX -> P -> X -> 0 as
 Hom(OX, Y) modulo homs that extend to P.  A section of P -> X (cached per X)
@@ -98,13 +100,10 @@ def projective_cover(m: Representation) -> ProjectivePresentation:
     )
     epi = Hom(cover, m, epi_mats)
 
-    kspans = []
-    for w in range(q.n_vertices):
-        ker = linalg.kernel_basis(epi_mats[w])
-        if len(ker) != cover.dim[w] - m.dim[w]:
-            raise AssertionError("projective cover is not surjective")
-        kspans.append(Matrix.from_columns(p, ker, cover.dim[w]) if ker else Matrix.zero(p, cover.dim[w], 0))
-    kernel, incl = sub_rep(cover, kspans)
+    kbases = [linalg.null_space(mat) for mat in epi_mats]
+    if any(b.ncols != cover.dim[w] - m.dim[w] for w, b in enumerate(kbases)):
+        raise AssertionError("projective cover is not surjective")
+    kernel, incl = sub_rep(cover, kbases)
 
     # minimality: kernel must avoid the trivial-path coordinates of the cover
     trivial_slots = {w: [] for w in range(q.n_vertices)}
@@ -255,8 +254,7 @@ def ext1_space(x: Representation, y: Representation) -> Ext1Space:
     image = linalg.solve_matrix(h1_mat, Matrix.from_columns(p, restricted, n))
     if image is None:
         raise AssertionError("restricted hom outside Hom(OX, Y)")
-    red, rank = linalg.rref(image.transpose())
-    pivot = set(linalg._pivot_cols(red, rank))
+    pivot = set(linalg.rref(image.transpose())[1])
     complement = [j for j in range(h1.dimension) if j not in pivot]
     classes = tuple(ExtClass(x, y, h1.basis[j], pres) for j in complement)
     return Ext1Space(x, y, pres, len(complement), classes)

@@ -4,6 +4,9 @@ Matrices are immutable. Row reduction uses deterministic pivoting (first
 nonzero entry in column order) so every derived basis is canonical.
 For p == 2 rows are stored as bit masks (python ints); for other primes
 rows are tuples of residues. All public operations accept either layout.
+rref returns the pivot columns with the reduced matrix.  kernel_basis is a
+Matrix in the system's row layout, one kernel vector per row; null_space is
+the canonical kernel basis as columns, like column_space_basis for images.
 """
 
 from __future__ import annotations
@@ -222,7 +225,7 @@ class Matrix:
             raise ValueError("shape/field mismatch")
 
     def rank(self) -> int:
-        return rref(self)[1]
+        return len(rref(self)[1])
 
 
 def _pack(values) -> int:
@@ -238,7 +241,6 @@ def _unpack(mask: int, n: int) -> tuple:
 
 
 def hstack(mats: list) -> Matrix:
-    mats = [m for m in mats if m.ncols >= 0]
     p = mats[0].p
     nrows = mats[0].nrows
     if any(m.nrows != nrows for m in mats):
@@ -305,7 +307,7 @@ def block_diag(p: int, mats: list) -> Matrix:
 
 
 def rref(m: Matrix) -> tuple:
-    """Reduced row echelon form with its rank.
+    """Reduced row echelon form with its pivot columns, one per nonzero row.
 
     Pivots are the first nonzero entry in column order, giving a unique
     canonical form.
@@ -333,7 +335,7 @@ def rref(m: Matrix) -> tuple:
             r += 1
             if r == m.nrows:
                 break
-        return Matrix(2, m.nrows, m.ncols, tuple(rows)), len(pivots)
+        return Matrix(2, m.nrows, m.ncols, tuple(rows)), pivots
     rows = [list(r) for r in m.rows]
     pivots = []
     r = 0
@@ -356,42 +358,56 @@ def rref(m: Matrix) -> tuple:
         r += 1
         if r == m.nrows:
             break
-    return Matrix(p, m.nrows, m.ncols, tuple(tuple(r) for r in rows)), len(pivots)
+    return Matrix(p, m.nrows, m.ncols, tuple(tuple(r) for r in rows)), pivots
 
 
-def _pivot_cols(red: Matrix, rank: int) -> list:
-    if red.p == 2:
-        return [(red.rows[r] & -red.rows[r]).bit_length() - 1 for r in range(rank)]
-    return [next(j for j, x in enumerate(red.rows[r]) if x) for r in range(rank)]
+def kernel_basis(m: Matrix) -> Matrix:
+    """Canonical basis of {v : m v = 0}, one vector per row in m's row layout.
 
-
-def kernel_basis(m: Matrix) -> list:
-    """Canonical basis of {v : m v = 0}, as column vectors (tuples)."""
-    red, rank = rref(m)
-    pivots = _pivot_cols(red, rank)
+    Row k is 1 at the k-th free column f, 0 at the other free columns, and
+    minus the reduced entry in column f at each pivot column.
+    """
+    red, pivots = rref(m)
     pivot_set = set(pivots)
+    free = [f for f in range(m.ncols) if f not in pivot_set]
     p = m.p
-    basis = []
+    rows = []
     if p == 2:
-        rows = red.rows
-        for free in range(m.ncols):
-            if free in pivot_set:
-                continue
-            v = [0] * m.ncols
-            v[free] = 1
+        for f in free:
+            v = 1 << f
             for r, pc in enumerate(pivots):
-                v[pc] = (rows[r] >> free) & 1
-            basis.append(tuple(v))
-        return basis
-    for free in range(m.ncols):
-        if free in pivot_set:
-            continue
-        v = [0] * m.ncols
-        v[free] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = (-red.entry(r, free)) % p
-        basis.append(tuple(v))
-    return basis
+                if (red.rows[r] >> f) & 1:
+                    v |= 1 << pc
+            rows.append(v)
+    else:
+        for f in free:
+            v = [0] * m.ncols
+            v[f] = 1
+            for r, pc in enumerate(pivots):
+                v[pc] = -red.rows[r][f] % p
+            rows.append(tuple(v))
+    return Matrix(p, len(rows), m.ncols, tuple(rows))
+
+
+def _reverse_cols(m: Matrix) -> Matrix:
+    n = m.ncols
+    if m.p == 2:
+        rows = tuple(int(format(r, "0%db" % n)[::-1], 2) for r in m.rows) if n else m.rows
+    else:
+        rows = tuple(r[::-1] for r in m.rows)
+    return Matrix(m.p, m.nrows, n, rows)
+
+
+def null_space(m: Matrix) -> Matrix:
+    """Canonical basis of {v : m v = 0} as matrix columns, from one reduction.
+
+    A kernel_basis row ends in its 1 at a free column, with 0 at the other
+    free columns.  On the column-reversed matrix that 1 is the row's first
+    nonzero entry once reversed back, so the rows, read in reverse order,
+    are the reduced echelon basis that column_space_basis would give.
+    """
+    ker = _reverse_cols(kernel_basis(_reverse_cols(m)))
+    return Matrix(m.p, ker.nrows, m.ncols, ker.rows[::-1]).transpose()
 
 
 def solve_matrix(A: Matrix, B: Matrix) -> Matrix | None:
@@ -402,8 +418,7 @@ def solve_matrix(A: Matrix, B: Matrix) -> Matrix | None:
     """
     if A.nrows != B.nrows:
         raise ValueError("shape mismatch")
-    red, rank = rref(hstack([A, B]))
-    pivots = _pivot_cols(red, rank)
+    red, pivots = rref(hstack([A, B]))
     n = A.ncols
     if pivots and pivots[-1] >= n:
         return None
@@ -420,8 +435,8 @@ def solve_matrix(A: Matrix, B: Matrix) -> Matrix | None:
 
 def column_space_basis(m: Matrix) -> Matrix:
     """Canonical basis of the column space, returned as matrix columns."""
-    red, rank = rref(m.transpose())
-    return Matrix(m.p, rank, m.nrows, red.rows[:rank]).transpose()
+    red, pivots = rref(m.transpose())
+    return Matrix(m.p, len(pivots), m.nrows, red.rows[:len(pivots)]).transpose()
 
 
 def quotient_maps(sub: Matrix) -> tuple:
@@ -436,8 +451,7 @@ def quotient_maps(sub: Matrix) -> tuple:
     """
     p = sub.p
     n = sub.nrows
-    red, rank = rref(sub.transpose())
-    pivots = _pivot_cols(red, rank)
+    red, pivots = rref(sub.transpose())
     pivot_set = set(pivots)
     free = [j for j in range(n) if j not in pivot_set]
     proj_rows = []

@@ -264,11 +264,7 @@ def hom_space(m: Representation, n: Representation) -> HomBasis:
                         rl ^= low
                     if row:
                         masks.append(row)
-        if masks:
-            system = Matrix(2, len(masks), total, tuple(masks))
-            kernel = linalg.kernel_basis(system)
-        else:
-            kernel = [tuple(1 if i == k else 0 for i in range(total)) for k in range(total)]
+        kernel = linalg.kernel_basis(Matrix(2, len(masks), total, tuple(masks)))
     else:
         rows = []
         for ai in range(len(q.arrows)):
@@ -286,20 +282,20 @@ def hom_space(m: Representation, n: Representation) -> HomBasis:
                         if c:
                             row[unknown(u, l, j)] = (row[unknown(u, l, j)] - c) % p
                     if any(row):
-                        rows.append(row)
-        if rows:
-            system = Matrix.from_rows(p, rows)
-            kernel = linalg.kernel_basis(system)
-        else:
-            kernel = [tuple(1 if i == k else 0 for i in range(total)) for k in range(total)]
+                        rows.append(tuple(row))
+        kernel = linalg.kernel_basis(Matrix(p, len(rows), total, tuple(rows)))
+    # f_v is the block of a kernel row at off[v], n.dim[v] rows of m.dim[v] entries
     basis = []
-    for vec in kernel:
+    for vec in kernel.rows:
         mats = []
         for v in range(q.n_vertices):
-            rowsv = [
-                [vec[unknown(v, i, j)] for j in range(m.dim[v])] for i in range(n.dim[v])
-            ]
-            mats.append(Matrix.from_rows(p, rowsv) if rowsv and m.dim[v] else Matrix.zero(p, n.dim[v], m.dim[v]))
+            dm, o = m.dim[v], off[v]
+            if p == 2:
+                mask = (1 << dm) - 1
+                block = tuple((vec >> (o + i * dm)) & mask for i in range(n.dim[v]))
+            else:
+                block = tuple(vec[o + i * dm:o + (i + 1) * dm] for i in range(n.dim[v]))
+            mats.append(Matrix(p, n.dim[v], dm, block))
         basis.append(Hom(m, n, tuple(mats)))
     result = HomBasis(m, n, tuple(basis))
     cache[ck] = result
@@ -342,18 +338,26 @@ def is_iso(m: Representation, n: Representation) -> bool:
     return True
 
 
-def sub_rep(m: Representation, spans) -> tuple:
-    """Subrepresentation on given per-vertex column spans (must be invariant).
+def sub_rep(m: Representation, bases) -> tuple:
+    """Subrepresentation on canonical per-vertex bases (must be invariant).
 
-    Returns (rep, inclusion hom); the basis is canonical per vertex.
+    Each basis is the reduced echelon form of its span as columns, as
+    linalg.column_space_basis and linalg.null_space give it.  Returns (rep,
+    inclusion hom) with the bases as the inclusion.
     """
     algebra = m.algebra
     q = algebra.quiver
     p = algebra.p
-    bases = [linalg.column_space_basis(s) for s in spans]
     # basis column r is 1 at its pivot row and 0 at the other pivot rows, so
-    # a vector of the span has its coordinates at the pivot rows
-    pivots = [linalg._pivot_cols(b.transpose(), b.ncols) for b in bases]
+    # a vector of the span has its coordinates at the pivot rows; column r's
+    # pivot is the first row past column r-1's with a nonzero entry in column r
+    pivots = []
+    for b in bases:
+        rows = []
+        for i in range(b.nrows):
+            if len(rows) < b.ncols and b.entry(i, len(rows)):
+                rows.append(i)
+        pivots.append(rows)
     dim = tuple(b.ncols for b in bases)
     action = []
     for ai in range(len(q.arrows)):
@@ -387,20 +391,6 @@ def quotient_rep(m: Representation, spans) -> tuple:
     return rep, Hom(m, rep, tuple(projs))
 
 
-def top_and_radical(m: Representation) -> tuple:
-    """(top, rad, projection M->top, inclusion rad->M); rad = sum of arrow images."""
-    algebra = m.algebra
-    q = algebra.quiver
-    p = algebra.p
-    spans = []
-    for v in range(q.n_vertices):
-        into = [m.action[ai] for ai in range(len(q.arrows)) if q.arrow_target(ai) == v]
-        spans.append(linalg.hstack(into) if into else Matrix.zero(p, m.dim[v], 0))
-    rad, incl = sub_rep(m, spans)
-    top, proj = quotient_rep(m, spans)
-    return top, rad, proj, incl
-
-
 def _split_with(m: Representation, e: Hom):
     """Fitting split along the stable power of e; None if it gives no splitting.
 
@@ -418,13 +408,8 @@ def _split_with(m: Representation, e: Hom):
         f, ranks = f2, ranks2
     else:
         return None
-    p = m.algebra.p
-    ker_spans = []
-    for v, mt in enumerate(f.mats):
-        ker = linalg.kernel_basis(mt)
-        ker_spans.append(Matrix.from_columns(p, ker, m.dim[v]) if ker else Matrix.zero(p, m.dim[v], 0))
-    im_rep, _ = sub_rep(m, f.mats)
-    ker_rep, _ = sub_rep(m, ker_spans)
+    im_rep, _ = sub_rep(m, [linalg.column_space_basis(mt) for mt in f.mats])
+    ker_rep, _ = sub_rep(m, [linalg.null_space(mt) for mt in f.mats])
     if im_rep.total_dim + ker_rep.total_dim != m.total_dim:
         return None
     return im_rep, ker_rep

@@ -53,6 +53,21 @@ def test_algebra_info_from_file(tmp_path):
     assert report["results"]["dimension"] == 9
 
 
+@pytest.mark.parametrize("fault", [AssertionError("projective cover is not surjective"), RuntimeError("boom")])
+def test_internal_fault_exits_3(monkeypatch, fault):
+    from syzex import homology
+
+    def broken(m):
+        raise fault
+
+    monkeypatch.setattr(homology, "projective_cover", broken)
+    code, report, _ = run_json(["mod", "syzygy", "kron2", "S0"])
+    assert code == 3
+    assert report["results"] == {"error": "%s: %s" % (type(fault).__name__, fault), "kind": "internal"}
+    code, _, text = run(["mod", "syzygy", "kron2", "S0"])
+    assert code == 3 and str(fault) in text
+
+
 def test_mod_syzygy_s0():
     code, report, _ = run_json(["mod", "syzygy", "--n", "1", "kron2", "S0"])
     assert code == 0

@@ -294,6 +294,27 @@ def test_cover_epi_matches_path_action_on_deep_syzygies(p):
         assert m.total_dim
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_projective_cover_reduces_each_vertex_twice(p, monkeypatch):
+    """One rref per vertex for the top (quotient_maps), one for the syzygy (null_space)."""
+    entry = load_corpus("xiB", p)
+    algebra = build_algebra(entry.spec)
+    m = syzygy(named_module(entry, algebra, "S2p"), 2)
+    for v in range(algebra.n_vertices):
+        algebra.projective(v)
+    calls = []
+    rref = linalg.rref
+
+    def counting(mat):
+        calls.append(mat)
+        return rref(mat)
+
+    monkeypatch.setattr(linalg, "rref", counting)
+    pres = projective_cover(m)
+    assert pres.kernel.total_dim
+    assert len(calls) == 2 * algebra.n_vertices
+
+
 def test_cover_epi_matches_path_action_on_simples(kron2, beilinson2):
     for algebra in (kron2, beilinson2):
         for v in range(algebra.n_vertices):

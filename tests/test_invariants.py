@@ -25,9 +25,9 @@ def matrices(p, max_dim=4):
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([2, 3, 5]).flatmap(matrices))
 def test_rref_idempotent(m):
-    red, rank = rref(m)
-    red2, rank2 = rref(red)
-    assert red2 == red and rank2 == rank
+    red, pivots = rref(m)
+    red2, pivots2 = rref(red)
+    assert red2 == red and pivots2 == pivots
 
 
 @settings(max_examples=60, deadline=None)
@@ -35,8 +35,8 @@ def test_rref_idempotent(m):
 def test_rank_nullity_and_transpose(m):
     assert m.rank() == m.transpose().rank()
     ker = kernel_basis(m)
-    assert len(ker) + m.rank() == m.ncols
-    for v in ker:
+    assert ker.nrows + m.rank() == m.ncols
+    for v in ker.entries():
         assert all(x == 0 for x in mat_vec(m, v))
 
 

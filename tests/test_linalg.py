@@ -10,6 +10,7 @@ from syzex.linalg import (
     hstack,
     inv_mod,
     kernel_basis,
+    null_space,
     quotient_maps,
     rref,
     solve_matrix,
@@ -35,7 +36,7 @@ def brute_solve(m, b):
 
 def hand_rref_2x2_ones():
     # [[1,1],[1,1]] over GF(2): subtract row 0 from row 1
-    return [[1, 1], [0, 0]], 1
+    return [[1, 1], [0, 0]], [0]
 
 
 def test_inv_mod_gf5():
@@ -48,37 +49,37 @@ def test_inv_mod_gf5():
 
 def test_rref_identity_gf2():
     m = Matrix.identity(2, 2)
-    red, rank = rref(m)
-    assert red == m and rank == 2
+    red, pivots = rref(m)
+    assert red == m and pivots == [0, 1]
 
 
 def test_rref_zero():
     m = Matrix.zero(2, 3, 4)
-    red, rank = rref(m)
-    assert red.is_zero() and rank == 0
+    red, pivots = rref(m)
+    assert red.is_zero() and pivots == []
 
 
 def test_rref_all_ones_gf2():
-    expected, expected_rank = hand_rref_2x2_ones()
-    red, rank = rref(Matrix.from_rows(2, [[1, 1], [1, 1]]))
+    expected, expected_pivots = hand_rref_2x2_ones()
+    red, pivots = rref(Matrix.from_rows(2, [[1, 1], [1, 1]]))
     assert red.entries() == tuple(tuple(r) for r in expected)
-    assert rank == expected_rank
+    assert pivots == expected_pivots
 
 
 def test_kernel_identity_empty():
-    assert kernel_basis(Matrix.identity(2, 3)) == []
+    assert kernel_basis(Matrix.identity(2, 3)) == Matrix.zero(2, 0, 3)
 
 
 def test_kernel_zero_matrix_standard_basis():
     ker = kernel_basis(Matrix.zero(2, 2, 3))
-    assert sorted(ker) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
+    assert sorted(ker.entries()) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
 
 
 def test_kernel_one_one_gf2_oracle():
     m = Matrix.from_rows(2, [[1, 1]])
     expected = [v for v in brute_kernel(m) if any(v)]
     assert expected == [(1, 1)]
-    assert kernel_basis(m) == [(1, 1)]
+    assert kernel_basis(m).entries() == ((1, 1),)
 
 
 def test_solve_identity():
@@ -103,9 +104,9 @@ def test_rref_idempotent_random(p):
     for _ in range(40):
         nr, nc = rng.randint(0, 5), rng.randint(1, 5)
         m = Matrix.from_rows(p, [[rng.randrange(p) for _ in range(nc)] for _ in range(nr)]) if nr else Matrix.zero(p, 0, nc)
-        red, rank = rref(m)
-        red2, rank2 = rref(red)
-        assert red2 == red and rank2 == rank
+        red, pivots = rref(m)
+        red2, pivots2 = rref(red)
+        assert red2 == red and pivots2 == pivots
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -115,8 +116,8 @@ def test_rank_transpose_and_kernel_dim(p):
         nr, nc = rng.randint(1, 5), rng.randint(1, 5)
         m = Matrix.from_rows(p, [[rng.randrange(p) for _ in range(nc)] for _ in range(nr)])
         assert m.rank() == m.transpose().rank()
-        assert len(kernel_basis(m)) + m.rank() == nc
-        for v in kernel_basis(m):
+        assert kernel_basis(m).nrows + m.rank() == nc
+        for v in kernel_basis(m).entries():
             assert all(x == 0 for x in mat_vec(m, v))
 
 
@@ -184,8 +185,8 @@ def oracle_shapes(rng, p):
 
 
 def pivot_columns(m):
-    red, rank = rref(m)
-    return [next(j for j in range(m.ncols) if red.entry(r, j)) for r in range(rank)]
+    red, pivots = rref(m)
+    return [next(j for j in range(m.ncols) if red.entry(r, j)) for r in range(len(pivots))]
 
 
 def inverse_by_elimination(rows, p):
@@ -207,7 +208,8 @@ def inverse_by_elimination(rows, p):
 def quotient_maps_by_inversion(sub):
     """The inverse-based construction: coordinates in (subspace basis, free unit vectors)."""
     p, n = sub.p, sub.nrows
-    red, rank = rref(sub.transpose())
+    red, pivots = rref(sub.transpose())
+    rank = len(pivots)
     pivots = pivot_columns(sub.transpose())
     free = [j for j in range(n) if j not in pivots]
     basis = [list(red.row(i)) for i in range(rank)] + [[int(i == j) for i in range(n)] for j in free]
@@ -258,10 +260,23 @@ def test_column_space_basis_oracle(p):
     rng = random.Random(307 + p)
     for m in oracle_shapes(rng, p):
         got = column_space_basis(m)
-        red, rank = rref(m.transpose())
+        red, pivots = rref(m.transpose())
+        rank = len(pivots)
         want = Matrix.from_rows(p, [red.row(i) for i in range(rank)]) if rank else Matrix.zero(p, 0, m.nrows)
         assert (got.nrows, got.ncols) == (m.nrows, rank)
         assert got.transpose() == want
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 257])
+def test_null_space_oracle(p):
+    """null_space is the column_space_basis of the kernel vectors stacked as columns."""
+    rng = random.Random(503 + p)
+    for m in oracle_shapes(rng, p):
+        vecs = kernel_basis(m).entries()
+        cols = Matrix.from_columns(p, vecs, m.ncols) if vecs else Matrix.zero(p, m.ncols, 0)
+        got = null_space(m)
+        assert got == column_space_basis(cols)
+        assert m.mul(got).is_zero()
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

@@ -1,11 +1,13 @@
 import itertools
+import random
 
 import pytest
 
-from conftest import kron2_spec, solve_vec
-from syzex.algebra import build_algebra
+from conftest import beilinson2_spec, kron2_spec, solve_vec
+from syzex.algebra import AlgebraSpec, build_algebra
 from syzex.errors import AlgebraMismatch
-from syzex.linalg import Matrix
+from syzex.homology import projective_cover, syzygy
+from syzex.linalg import Matrix, kernel_basis
 from syzex.rep import (
     Representation,
     decompose,
@@ -15,7 +17,6 @@ from syzex.rep import (
     module_doc,
     parse_module_doc,
     simple_rep,
-    top_and_radical,
     validate,
     zero_rep,
 )
@@ -256,18 +257,27 @@ def test_decompose_preserves_dimension(kron2, fivevertex):
             assert sum(f.dim[v] * mult for f, mult in dec.factors) == m.dim[v]
 
 
+def top_dim(m):
+    """Dimension vector of the top of m: one projective cover slot per top generator."""
+    slots = projective_cover(m).slots
+    return tuple(slots.count(v) for v in range(m.algebra.n_vertices))
+
+
 def test_top_and_radical_semisimple(semisimple3):
     m = direct_sum([semisimple3.simple(v) for v in range(3)])
-    top, rad, proj, incl = top_and_radical(m)
-    assert rad.total_dim == 0
-    assert top.dim == m.dim
+    # the radical is the kernel of M -> top M, zero when the cover is M itself
+    assert projective_cover(m).kernel.total_dim == 0
+    assert top_dim(m) == m.dim
 
 
 def test_top_and_radical_p0(kron2):
     p0 = kron2.projective(0)
-    top, rad, proj, incl = top_and_radical(p0)
+    assert top_dim(p0) == (1, 0)
+    # rad P0 is the kernel of the cover P0 -> S0 of its top
+    pres = projective_cover(kron2.simple(0))
+    assert pres.cover.dim == p0.dim
+    rad = pres.kernel
     assert rad.dim == (0, 2)
-    assert top.dim == (1, 0)
     dec = decompose(rad)
     assert dec.factors[0][0].dim == (0, 1) and dec.factors[0][1] == 2
 
@@ -275,9 +285,82 @@ def test_top_and_radical_p0(kron2):
 def test_projective_tops_are_simple(kron2, beilinson2, fivevertex):
     for algebra in (kron2, beilinson2, fivevertex):
         for v in range(algebra.n_vertices):
-            top, _, _, _ = top_and_radical(algebra.projective(v))
             expected = tuple(1 if w == v else 0 for w in range(algebra.n_vertices))
-            assert top.dim == expected
+            assert top_dim(algebra.projective(v)) == expected
+
+
+def hom_basis_by_entries(m, n):
+    """Hom(m, n) basis the per-entry way: one equation per arrow entry, kernel
+    vectors as tuples, each block repacked entry by entry with from_rows."""
+    algebra = m.algebra
+    q, p = algebra.quiver, algebra.p
+    off, total = [], 0
+    for v in range(q.n_vertices):
+        off.append(total)
+        total += m.dim[v] * n.dim[v]
+
+    def unknown(v, i, j):
+        return off[v] + i * m.dim[v] + j
+
+    rows = []
+    for ai in range(len(q.arrows)):
+        u, w = q.arrow_source(ai), q.arrow_target(ai)
+        for i in range(n.dim[w]):
+            for j in range(m.dim[u]):
+                row = [0] * total
+                for k in range(m.dim[w]):
+                    row[unknown(w, i, k)] += m.action[ai].entry(k, j)
+                for l in range(n.dim[u]):
+                    row[unknown(u, l, j)] -= n.action[ai].entry(i, l)
+                rows.append(row)
+    system = Matrix.from_rows(p, rows) if rows else Matrix.zero(p, 0, total)
+    basis = []
+    for vec in kernel_basis(system).entries():
+        mats = []
+        for v in range(q.n_vertices):
+            block = [[vec[unknown(v, i, j)] for j in range(m.dim[v])] for i in range(n.dim[v])]
+            mats.append(Matrix.from_rows(p, block) if block and m.dim[v] else Matrix.zero(p, n.dim[v], m.dim[v]))
+        basis.append(tuple(mats))
+    return basis
+
+
+def random_hom_modules(rng, p):
+    """Random modules over a linear quiver and kron2 (no relations), and sums of
+    projectives, injectives, simples and syzygies over beilinson2 (relations)."""
+    linear = build_algebra(AlgebraSpec(
+        p, ["0", "1", "2"], [{"name": "a%d" % i, "from": str(i), "to": str(i + 1)} for i in range(2)], [],
+    ))
+    kron = build_algebra(kron2_spec(p))
+    groups = []
+    for algebra in (linear, kron):
+        mods = []
+        q = algebra.quiver
+        for _ in range(6):
+            dim = tuple(rng.randint(0, 3) for _ in range(q.n_vertices))
+            action = tuple(
+                Matrix.from_rows(p, [[rng.randrange(p) for _ in range(dim[q.arrow_source(ai)])]
+                                     for _ in range(dim[q.arrow_target(ai)])])
+                if dim[q.arrow_source(ai)] and dim[q.arrow_target(ai)]
+                else Matrix.zero(p, dim[q.arrow_target(ai)], dim[q.arrow_source(ai)])
+                for ai in range(len(q.arrows))
+            )
+            mods.append(Representation(algebra, dim, action, check=True))
+        groups.append(mods)
+    beil = build_algebra(beilinson2_spec(p))
+    pool = [f(v) for v in range(beil.n_vertices) for f in (beil.simple, beil.projective, beil.injective)]
+    pool += [syzygy(beil.injective(v)) for v in range(beil.n_vertices)]
+    groups.append([direct_sum(rng.sample(pool, rng.randint(1, 2))) for _ in range(6)])
+    return groups
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_hom_space_matches_per_entry_oracle(p):
+    rng = random.Random(601 + p)
+    for mods in random_hom_modules(rng, p):
+        for m in mods:
+            for n in mods:
+                got = [h.mats for h in hom_space(m, n).basis]
+                assert got == hom_basis_by_entries(m, n)
 
 
 def test_module_doc_roundtrip(kron2):
