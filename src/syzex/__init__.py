@@ -38,7 +38,6 @@ from .homology import (
     ext1_space,
     extension_middle,
     gldim_bounded,
-    is_projective,
     pd_bounded,
     projective_cover,
     syzygy,

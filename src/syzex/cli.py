@@ -17,7 +17,6 @@ import time
 from pathlib import Path
 
 from . import corpus as corpus_mod
-from . import rep as rep_mod
 from .algebra import build_algebra, parse_algebra_spec
 from .errors import BudgetExceeded, SpecError, SyzexError
 from .extdim import (
@@ -344,7 +343,7 @@ def _add_global_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
     d = (lambda v: argparse.SUPPRESS) if suppress else (lambda v: v)
     parser.add_argument("--field", type=int, default=d(None), help="override the prime field")
     parser.add_argument("--format", choices=("text", "json"), default=d("text"))
-    parser.add_argument("--seed", type=int, default=d(0), help="seed for the random split probes used when p^k > 256")
+    parser.add_argument("--seed", type=int, default=d(0), help="accepted and ignored (every computation is deterministic)")
     parser.add_argument("--budget", type=int, default=d(_default_budget()), help="enumeration budget")
     parser.add_argument("--member-cap", type=int, default=d(5000))
     parser.add_argument("--timings", action="store_true", default=d(False), help="include wall-clock timings")
@@ -458,7 +457,6 @@ def run(argv) -> tuple:
     """(exit code, report dict, rendered text)."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    rep_mod.set_default_seed(args.seed)
     inputs = {k: v for k, v in vars(args).items() if k != "func" and v is not None}
     report = new_report(["syzex"] + list(argv), inputs)
     start = time.perf_counter()

@@ -36,6 +36,7 @@ from .rep import (
     is_iso,
     quotient_rep,
     sub_rep,
+    top_maps,
     zero_rep,
 )
 
@@ -60,22 +61,11 @@ def projective_cover(m: Representation) -> ProjectivePresentation:
     q = algebra.quiver
     p = algebra.p
 
-    # radical spans and top projections with explicit lifts
-    spans = []
-    for v in range(q.n_vertices):
-        into = [m.action[ai] for ai in range(len(q.arrows)) if q.arrow_target(ai) == v]
-        spans.append(linalg.hstack(into) if into else Matrix.zero(p, m.dim[v], 0))
-    projs, lifts = [], []
-    for v in range(q.n_vertices):
-        pr, lf = linalg.quotient_maps(spans[v])
-        projs.append(pr)
-        lifts.append(lf)
-
     slots = []
     gens = []  # (vertex, generator column of M_v in row layout)
-    for v in range(q.n_vertices):
-        slots.extend([v] * projs[v].nrows)
-        gens.extend((v, gen) for gen in lifts[v].transpose().rows)
+    for v, (pr, lf) in enumerate(top_maps(m)):
+        slots.extend([v] * pr.nrows)
+        gens.extend((v, gen) for gen in lf.transpose().rows)
     if not slots:
         zero = zero_rep(algebra)
         pres = ProjectivePresentation(
@@ -134,12 +124,6 @@ def _path_image(m: Representation, images: dict, arrows: tuple):
         got = m.action[arrows[-1]].apply(_path_image(m, images, arrows[:-1]))
         images[arrows] = got
     return got
-
-
-def is_projective(m: Representation) -> bool:
-    if m.total_dim == 0:
-        return True
-    return projective_cover(m).kernel.total_dim == 0
 
 
 def syzygy(m: Representation, n: int = 1) -> Representation:

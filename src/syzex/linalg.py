@@ -362,15 +362,19 @@ def rref(m: Matrix) -> tuple:
 
 
 def kernel_basis(m: Matrix) -> Matrix:
-    """Canonical basis of {v : m v = 0}, one vector per row in m's row layout.
+    """Canonical basis of {v : m v = 0}, one vector per row in m's row layout."""
+    return _kernel_rows(*rref(m), m.ncols)
+
+
+def _kernel_rows(red: Matrix, pivots: list, ncols: int) -> Matrix:
+    """The kernel of a reduced matrix with these pivot columns, as rows.
 
     Row k is 1 at the k-th free column f, 0 at the other free columns, and
     minus the reduced entry in column f at each pivot column.
     """
-    red, pivots = rref(m)
     pivot_set = set(pivots)
-    free = [f for f in range(m.ncols) if f not in pivot_set]
-    p = m.p
+    free = [f for f in range(ncols) if f not in pivot_set]
+    p = red.p
     rows = []
     if p == 2:
         for f in free:
@@ -381,12 +385,12 @@ def kernel_basis(m: Matrix) -> Matrix:
             rows.append(v)
     else:
         for f in free:
-            v = [0] * m.ncols
+            v = [0] * ncols
             v[f] = 1
             for r, pc in enumerate(pivots):
                 v[pc] = -red.rows[r][f] % p
             rows.append(tuple(v))
-    return Matrix(p, len(rows), m.ncols, tuple(rows))
+    return Matrix(p, len(rows), ncols, tuple(rows))
 
 
 def _reverse_cols(m: Matrix) -> Matrix:
@@ -445,29 +449,14 @@ def quotient_maps(sub: Matrix) -> tuple:
     Returns (proj, lift) with proj of shape q x n, lift of shape n x q,
     proj . lift = I and ker(proj) = colspace(sub).  The quotient is
     coordinatized by the non-pivot coordinates f_1 < ... < f_q of
-    rref(sub^T): lift column i is e_{f_i}, and proj row i is e_{f_i} minus
-    red[r][f_i] e_{pivot r} summed over the reduced rows r, which is the
-    only projection with that kernel and that lift.
+    rref(sub^T): lift column i is e_{f_i}, and proj is the canonical kernel
+    basis of sub^T (row i is e_{f_i} minus red[r][f_i] e_{pivot r} summed
+    over the reduced rows r), the only projection with that kernel and that
+    lift.
     """
-    p = sub.p
     n = sub.nrows
     red, pivots = rref(sub.transpose())
+    proj = _kernel_rows(red, pivots, n)
     pivot_set = set(pivots)
-    free = [j for j in range(n) if j not in pivot_set]
-    proj_rows = []
-    if p == 2:
-        units = [1 << f for f in free]
-        for f, row in zip(free, units):
-            for r, pc in enumerate(pivots):
-                if (red.rows[r] >> f) & 1:
-                    row |= 1 << pc
-            proj_rows.append(row)
-    else:
-        units = [tuple(int(j == f) for j in range(n)) for f in free]
-        for f, unit in zip(free, units):
-            row = list(unit)
-            for r, pc in enumerate(pivots):
-                row[pc] = -red.rows[r][f] % p
-            proj_rows.append(tuple(row))
-    lift = Matrix(p, len(free), n, tuple(units)).transpose()
-    return Matrix(p, len(free), n, tuple(proj_rows)), lift
+    units = tuple(1 << f if sub.p == 2 else tuple(int(j == f) for j in range(n)) for f in range(n) if f not in pivot_set)
+    return proj, Matrix(sub.p, len(units), n, units).transpose()

@@ -2,34 +2,26 @@
 
 A representation stores one matrix per arrow, of shape
 dim[target] x dim[source]; a path acts by composing its arrow matrices in
-traversal order.  Hom spaces come from the intertwining linear system, and
-decomposition peels direct summands with Fitting's lemma, trying each
-nonzero endomorphism once when End(M) has at most 256 elements (none when
-End(M) = k) and seeded random ones above that.  Isomorphism is decided
-exactly: an indecomposable M has a local endomorphism ring, so M ~ N
-exactly when some basis element of Hom(M, N) is invertible; sums are
+traversal order.  Hom spaces come from the intertwining linear system.
+Decomposition peels direct summands with Fitting's lemma, and is exact for
+every p: an endomorphism splits M exactly when its action on top(M) is
+neither nilpotent nor invertible, so testing each line of End(M)'s image
+on top(M) either finds a split or proves M indecomposable.  Isomorphism
+is decided exactly: an indecomposable M has a local endomorphism ring, so
+M ~ N exactly when some basis element of Hom(M, N) is invertible; sums are
 compared by their Krull-Schmidt factors.
 """
 
 from __future__ import annotations
 
-import random
+import itertools
 from dataclasses import dataclass
 
 from . import linalg
-from .errors import AlgebraMismatch
+from .errors import AlgebraMismatch, BudgetExceeded
 from .linalg import Matrix
 
 SPLIT_ENUM_BUDGET = 256
-SPLIT_RANDOM_CAP = 64
-
-_DEFAULT_SEED = 0
-
-
-def set_default_seed(seed: int) -> None:
-    """Seed for the random split probes used when p^k > 256."""
-    global _DEFAULT_SEED
-    _DEFAULT_SEED = seed
 
 
 class Representation:
@@ -365,11 +357,25 @@ def sub_rep(m: Representation, bases) -> tuple:
         image = m.action[ai].mul(bases[u])
         sol = Matrix(p, dim[w], dim[u], tuple(image.rows[i] for i in pivots[w]))
         if bases[w].mul(sol) != image:
-            raise ValueError("spans are not arrow-invariant")
+            raise AssertionError("spans are not arrow-invariant")
         action.append(sol)
     rep = Representation(algebra, dim, tuple(action))
     incl = Hom(rep, m, tuple(bases))
     return rep, incl
+
+
+def top_maps(m: Representation) -> list:
+    """Per vertex v, the (projection, lift) pair of M_v -> top(M)_v.
+
+    rad M at v is spanned by the images of the arrows into v, and
+    linalg.quotient_maps coordinatizes M_v / rad M_v.
+    """
+    q = m.algebra.quiver
+    maps = []
+    for v in range(q.n_vertices):
+        into = [m.action[ai] for ai in range(len(q.arrows)) if q.arrow_target(ai) == v]
+        maps.append(linalg.quotient_maps(linalg.hstack(into) if into else Matrix.zero(m.algebra.p, m.dim[v], 0)))
+    return maps
 
 
 def quotient_rep(m: Representation, spans) -> tuple:
@@ -415,35 +421,53 @@ def _split_with(m: Representation, e: Hom):
     return im_rep, ker_rep
 
 
-def _split_candidates(end: HomBasis, p: int):
-    k = end.dimension
-    basis = end.basis
-    for h in basis:
-        yield h
-    for i in range(k):
-        for j in range(i + 1, k):
-            yield Hom(end.source, end.target, tuple(a.add(b) for a, b in zip(basis[i].mats, basis[j].mats)))
-    if p ** k <= SPLIT_ENUM_BUDGET:
-        # odometer over GF(p)^k minus zero, first coordinate fastest; the
-        # tuples with at most two nonzero coefficients, all 1, came above
-        current = [Matrix.zero(p, d, d) for d in end.source.dim]
-        coeffs = [0] * k
-        for _ in range(p ** k - 1):
-            i = 0
-            while True:
-                current = [c.add(b) for c, b in zip(current, basis[i].mats)]
-                coeffs[i] = (coeffs[i] + 1) % p
-                if coeffs[i]:
-                    break
-                i += 1
-            if max(coeffs) > 1 or sum(coeffs) > 2:
-                yield Hom(end.source, end.target, tuple(current))
-    else:
-        rng = random.Random(_DEFAULT_SEED)
-        for _ in range(SPLIT_RANDOM_CAP):
-            coeffs = [rng.randrange(p) for _ in range(k)]
-            if any(coeffs):
-                yield Hom(end.source, end.target, linalg.combine(coeffs, [h.mats for h in basis]))
+def _split_candidates(m: Representation, end: HomBasis):
+    """Endomorphisms of m that include a splitting one whenever m decomposes.
+
+    pi sends f in End(M) to its action on top(M).  Its kernel is nilpotent
+    (f(M) in rad M gives f^L = 0), so by Fitting's lemma and Nakayama e
+    splits M exactly when pi(e) is neither nilpotent nor invertible, which
+    holds for the whole line of pi(e).  So after the basis, the lines of
+    pi(End M) cover every split: the combinations, with first nonzero
+    coefficient 1, of the basis elements whose top images are independent,
+    minus the single elements already tried.  Each is tested on the top,
+    and only a splitting one is lifted.  Raises BudgetExceeded when there
+    are more than SPLIT_ENUM_BUDGET such lines.
+    """
+    yield from end.basis
+    p = m.algebra.p
+    tops = top_maps(m)
+    images = [tuple(pr.mul(f).mul(lf) for (pr, lf), f in zip(tops, h.mats)) for h in end.basis]
+    flat = [[x for t in ts for row in t.entries() for x in row] for ts in images]
+    _, independent = linalg.rref(Matrix.from_columns(p, flat, len(flat[0])))
+    r = len(independent)
+    count = (p ** r - 1) // (p - 1) - r
+    if count > SPLIT_ENUM_BUDGET:
+        raise BudgetExceeded(
+            "split search: End(M) of a module of dimension %d has %d lines on top(M) over GF(%d) beyond its basis,"
+            " more than %d"
+            % (m.total_dim, count, p, SPLIT_ENUM_BUDGET)
+        )
+    for lead in range(r):
+        rest = independent[lead:]
+        for tail in itertools.product(range(p), repeat=len(rest) - 1):
+            if any(tail) and _splits_top(linalg.combine((1,) + tail, [images[i] for i in rest])):
+                yield Hom(m, m, linalg.combine((1,) + tail, [end.basis[i].mats for i in rest]))
+
+
+def _splits_top(ts) -> bool:
+    """Whether an action on top(M), one matrix per vertex, is neither
+    nilpotent nor invertible; a q x q block is nilpotent when its
+    2^j-th power, 2^j >= q, is zero."""
+    if all(t.rank() == t.nrows for t in ts):
+        return False
+    for t in ts:
+        e = 1
+        while e < t.nrows:
+            t, e = t.mul(t), 2 * e
+        if not t.is_zero():
+            return True
+    return False
 
 
 def _indec_factors(m: Representation) -> list:
@@ -457,7 +481,7 @@ def _indec_factors(m: Representation) -> list:
     end = hom_space(m, m)
     result = [m]  # dim End(M) = 1 means End(M) = k: M is indecomposable
     if end.dimension > 1:
-        for cand in _split_candidates(end, algebra.p):
+        for cand in _split_candidates(m, end):
             split = _split_with(m, cand)
             if split is not None:
                 a, b = split

@@ -2,6 +2,7 @@ import pytest
 
 from syzex.algebra import AlgebraSpec, build_algebra
 from syzex.linalg import Matrix, solve_matrix
+from syzex.rep import Representation
 
 
 def mat_vec(m, v):
@@ -13,6 +14,23 @@ def solve_vec(m, b):
     """Some x with m x = b (free variables zero) through solve_matrix, or None."""
     x = solve_matrix(m, Matrix.from_columns(m.p, [b], m.nrows))
     return None if x is None else x.col(0)
+
+
+def conjugate(rep, rng):
+    """rep transported along random invertible per-vertex base changes."""
+    p = rep.algebra.p
+    q = rep.algebra.quiver
+    changes = []
+    for d in rep.dim:
+        g = Matrix.zero(p, 0, 0)
+        while g.nrows != d or g.rank() != d:
+            g = Matrix.from_rows(p, [[rng.randrange(p) for _ in range(d)] for _ in range(d)])
+        changes.append((g, solve_matrix(g, Matrix.identity(p, d))))
+    action = tuple(
+        changes[q.arrow_target(ai)][0].mul(rep.action[ai]).mul(changes[q.arrow_source(ai)][1])
+        for ai in range(len(q.arrows))
+    )
+    return Representation(rep.algebra, rep.dim, action)
 
 
 def kron2_spec(p=2):

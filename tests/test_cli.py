@@ -68,6 +68,22 @@ def test_internal_fault_exits_3(monkeypatch, fault):
     assert code == 3 and str(fault) in text
 
 
+def test_sub_rep_invariance_fault_exits_3(monkeypatch):
+    # hand sub_rep a span that is not arrow-invariant: all of P0 at vertex 0
+    # but one line at vertex 1, which misses x1 applied to the generator
+    from syzex import homology, rep
+    from syzex.linalg import Matrix
+
+    def skewed(m, bases):
+        p = m.algebra.p
+        return rep.sub_rep(m, [Matrix.identity(p, m.dim[0]), Matrix.from_columns(p, [(1, 0)], m.dim[1])])
+
+    monkeypatch.setattr(homology, "sub_rep", skewed)
+    code, report, _ = run_json(["mod", "syzygy", "kron2", "S0"])
+    assert code == 3
+    assert report["results"] == {"error": "AssertionError: spans are not arrow-invariant", "kind": "internal"}
+
+
 def test_mod_syzygy_s0():
     code, report, _ = run_json(["mod", "syzygy", "--n", "1", "kron2", "S0"])
     assert code == 0
@@ -154,6 +170,21 @@ def test_ext_enumerate_solves_ext_once(monkeypatch):
 
 def test_ext_budget_exceeded():
     code, report, _ = run_json(["--budget", "2", "ext", "kron2", "S0", "S1", "--enumerate"])
+    assert code == 1
+    assert report["results"]["kind"] == "budget"
+
+
+def test_decompose_split_budget_exits_1(tmp_path):
+    # x0 = I, x1 = J_3: local, proved so over GF(2); over GF(257) its top has
+    # 66,307 lines, past the split budget
+    module = tmp_path / "jordan.json"
+    module.write_text(json.dumps({
+        "algebra": "kron2", "dim": {"0": 3, "1": 3},
+        "action": {"x0": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "x1": [[0, 1, 0], [0, 0, 1], [0, 0, 0]]},
+    }))
+    code, report, _ = run_json(["mod", "decompose", "kron2", str(module)])
+    assert code == 0 and len(report["results"]["factors"]) == 1
+    code, report, _ = run_json(["--field", "257", "mod", "decompose", "kron2", str(module)])
     assert code == 1
     assert report["results"]["kind"] == "budget"
 

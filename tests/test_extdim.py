@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from conftest import conjugate
 from syzex.algebra import AlgebraSpec, build_algebra
 from syzex.errors import ContradictoryFacts
 from syzex.extdim import (
@@ -17,8 +18,7 @@ from syzex.extdim import (
     syzygy_finiteness_probe,
     tits_classification,
 )
-from syzex.homology import is_projective
-from syzex.linalg import Matrix, solve_matrix
+from syzex.homology import projective_cover
 from syzex.rep import Representation, hom_space, is_iso
 
 
@@ -125,7 +125,7 @@ def test_syzygy_category_gldim_one():
     projectives = {tuple(b.projective(v).dim) for v in range(b.n_vertices)}
     assert {c.dim for c in cat.members} == projectives
     for c in cat.members:
-        assert is_projective(c.rep)
+        assert projective_cover(c.rep).kernel.total_dim == 0
 
 
 def test_syzygy_category_zero_is_window(kron_universe, kron2):
@@ -136,7 +136,7 @@ def test_syzygy_category_zero_is_window(kron_universe, kron2):
 def test_syzygy_category_beilinson_second(beilinson2):
     cat = syzygy_category(beilinson2, 2, 2)
     for c in cat.members:
-        assert is_projective(c.rep)
+        assert projective_cover(c.rep).kernel.total_dim == 0
 
 
 def test_tits_classification_examples(kron2, beilinson2):
@@ -436,23 +436,6 @@ def _invertible_combination_exists(m, n):
     return False
 
 
-def _conjugate(rep, rng):
-    """rep transported along random invertible per-vertex base changes."""
-    p = rep.algebra.p
-    q = rep.algebra.quiver
-    changes = []
-    for d in rep.dim:
-        g = Matrix.zero(p, 0, 0)
-        while g.nrows != d or g.rank() != d:
-            g = Matrix.from_rows(p, [[rng.randrange(p) for _ in range(d)] for _ in range(d)])
-        changes.append((g, solve_matrix(g, Matrix.identity(p, d))))
-    action = tuple(
-        changes[q.arrow_target(ai)][0].mul(rep.action[ai]).mul(changes[q.arrow_source(ai)][1])
-        for ai in range(len(q.arrows))
-    )
-    return Representation(rep.algebra, rep.dim, action)
-
-
 def test_is_iso_matches_exhaustive_hom_scan(kron_universe, five_universe):
     rng = random.Random(7)
     compared = 0
@@ -464,7 +447,7 @@ def test_is_iso_matches_exhaustive_hom_scan(kron_universe, five_universe):
                     continue
                 assert is_iso(a.rep, b.rep) is _invertible_combination_exists(a.rep, b.rep)
                 compared += 1
-            twin = _conjugate(a.rep, rng)
+            twin = conjugate(a.rep, rng)
             assert twin.validate() == []
             assert is_iso(a.rep, twin) is True
             assert is_iso(twin, a.rep) is True

@@ -10,7 +10,6 @@ from syzex.homology import (
     ext1_space,
     extension_middle,
     gldim_bounded,
-    is_projective,
     pd_bounded,
     projective_cover,
     syzygy,
@@ -115,7 +114,7 @@ def whole_module_pd(m, bound):
     """Reference: resolve the whole module Omega^n(m) until it is projective."""
     cur = m
     for n in range(bound + 1):
-        if is_projective(cur):
+        if projective_cover(cur).kernel.total_dim == 0:
             return n
         cur = syzygy(cur, 1)
     return None

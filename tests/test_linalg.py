@@ -221,7 +221,7 @@ def quotient_maps_by_inversion(sub):
     return proj, lift
 
 
-@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("p", [2, 3, 5, 257])
 def test_quotient_maps_oracle(p):
     rng = random.Random(101 + p)
     for sub in oracle_shapes(rng, p):
@@ -232,6 +232,7 @@ def test_quotient_maps_oracle(p):
         assert proj.mul(lift) == Matrix.identity(p, q)
         assert proj.mul(sub).is_zero()
         assert (proj, lift) == quotient_maps_by_inversion(sub)
+        assert proj == kernel_basis(sub.transpose())
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

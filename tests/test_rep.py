@@ -3,13 +3,19 @@ import random
 
 import pytest
 
-from conftest import beilinson2_spec, kron2_spec, solve_vec
+from conftest import beilinson2_spec, conjugate, kron2_spec, solve_vec
 from syzex.algebra import AlgebraSpec, build_algebra
-from syzex.errors import AlgebraMismatch
+from syzex.corpus import load_corpus
+from syzex.errors import AlgebraMismatch, BudgetExceeded
 from syzex.homology import projective_cover, syzygy
-from syzex.linalg import Matrix, kernel_basis
+from syzex.linalg import Matrix, combine, kernel_basis
 from syzex.rep import (
+    Hom,
+    HomBasis,
     Representation,
+    _indec_factors,
+    _split_candidates,
+    _split_with,
     decompose,
     direct_sum,
     hom_space,
@@ -215,12 +221,9 @@ def test_decompose_nonsplit_middle_local(kron2):
             assert power.is_zero()
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4])
-def test_decompose_tries_each_endomorphism_once(monkeypatch, k):
-    """k[x]/x^k is local with End = k[x]/x^k of dimension k: the split search
-    is skipped when k = 1 and tries each nonzero GF(2)-combination once."""
+def counted_splits(monkeypatch):
+    """Record every endomorphism decompose tries to split along."""
     from syzex import rep as rep_mod
-    from syzex.algebra import AlgebraSpec
 
     calls = []
     real = rep_mod._split_with
@@ -230,15 +233,178 @@ def test_decompose_tries_each_endomorphism_once(monkeypatch, k):
         return real(m, e)
 
     monkeypatch.setattr(rep_mod, "_split_with", counted)
-    spec = AlgebraSpec(2, ["1"], [{"name": "x", "from": "1", "to": "1"}], [[{"coeff": 1, "path": ["x"] * max(k, 2)}]])
-    algebra = build_algebra(spec)
+    return calls
+
+
+def truncated_polynomials(p, k):
+    """k[x]/x^k as the projective of the one-loop quiver modulo x^k (k >= 2)."""
+    spec = AlgebraSpec(p, ["1"], [{"name": "x", "from": "1", "to": "1"}], [[{"coeff": 1, "path": ["x"] * k}]])
+    return build_algebra(spec)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_decompose_tries_each_endomorphism_once(monkeypatch, k):
+    """k[x]/x^k is local with End = k[x]/x^k of dimension k: the split search
+    is skipped when k = 1, and otherwise tries the k basis elements and no
+    more, since the top is simple and pi(End) is a single line."""
+    calls = counted_splits(monkeypatch)
+    algebra = truncated_polynomials(2, max(k, 2))
     m = algebra.projective(0) if k > 1 else algebra.simple(0)
     assert hom_space(m, m).dimension == k
     dec = decompose(m)
     assert [(f.dim, mult) for f, mult in dec.factors] == [((k,), 1)]
-    assert len(calls) == (2 ** k - 1 if k > 1 else 0)
+    assert len(calls) == (k if k > 1 else 0)
     tried = {tuple(mt.rows for mt in e.mats) for e in calls}
     assert len(tried) == len(calls)
+
+
+def splits_by_scan(m):
+    """Oracle: scan all of End(M) for an element neither nilpotent nor invertible."""
+    end = hom_space(m, m)
+    for coeffs in itertools.product(range(m.algebra.p), repeat=end.dimension):
+        mats = combine(coeffs, [h.mats for h in end.basis])
+        if mats is None:
+            continue
+        h = Hom(m, m, mats)
+        if h.is_invertible():
+            continue
+        power = h
+        for _ in range(m.total_dim):
+            power = power.then(h)
+        if not power.is_zero():
+            return True
+    return False
+
+
+def random_small_modules(rng, algebra, n):
+    """n nonzero modules with dimension at most 2 per vertex and random arrow
+    matrices, over an algebra without relations."""
+    q, p = algebra.quiver, algebra.p
+    mods = []
+    while len(mods) < n:
+        dim = tuple(rng.randint(0, 2) for _ in range(q.n_vertices))
+        if any(dim):
+            shapes = [(dim[q.arrow_target(ai)], dim[q.arrow_source(ai)]) for ai in range(len(q.arrows))]
+            action = tuple(
+                Matrix.from_rows(p, [[rng.randrange(p) for _ in range(c)] for _ in range(r)]) if r and c
+                else Matrix.zero(p, r, c)
+                for r, c in shapes
+            )
+            mods.append(Representation(algebra, dim, action, check=True))
+    return mods
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_decompose_matches_exhaustive_end_scan(p):
+    """Random modules over A3 and kron2, base-changed sums of pairs of them,
+    and base-changed sums of two k[x]/x^3-modules: decompose splits M exactly
+    when some element of End(M) is neither nilpotent nor invertible, and
+    every factor it returns has no such element."""
+    rng = random.Random(811 + p)
+    linear = build_algebra(AlgebraSpec(
+        p, ["0", "1", "2"], [{"name": "a%d" % i, "from": str(i), "to": str(i + 1)} for i in range(2)], [],
+    ))
+    mods = []
+    for algebra in (linear, build_algebra(kron2_spec(p))):
+        small = random_small_modules(rng, algebra, 40)
+        mods += small + [conjugate(direct_sum([a, b]), rng) for a, b in zip(small, small[1:])]
+    loop = truncated_polynomials(p, 3)
+    blocks = [loop.simple(0), syzygy(loop.simple(0)), loop.projective(0)]
+    mods += [conjugate(direct_sum([rng.choice(blocks), rng.choice(blocks)]), rng) for _ in range(40)]
+    seen = {True: 0, False: 0}
+    for m in mods:
+        if p ** hom_space(m, m).dimension > 3 ** 7:
+            continue
+        factors = _indec_factors(m)
+        split = splits_by_scan(m)
+        assert (len(factors) > 1) == split
+        assert sum(f.total_dim for f in factors) == m.total_dim
+        for f in factors:
+            assert not splits_by_scan(f)
+        seen[split] += 1
+    assert seen[True] >= 40 and seen[False] >= 20
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_split_search_splits_when_no_basis_element_does(p):
+    """A basis of units still leads to a split, and only lifts of lines on
+    the top that split M are yielded: over GF(2), four invertible matrices
+    spanning End(S0 + S0) = M_2, over GF(3), the units (1, 1) and (1, 2)
+    spanning End(S0 + S1) = k x k."""
+    kron = build_algebra(kron2_spec(p))
+    if p == 2:
+        m = direct_sum([kron.simple(0), kron.simple(0)])
+        units = ([[1, 0], [0, 1]], [[1, 1], [0, 1]], [[1, 0], [1, 1]], [[1, 1], [1, 0]])
+        basis = [Hom(m, m, (Matrix.from_rows(2, u), Matrix.zero(2, 0, 0))) for u in units]
+    else:
+        m = direct_sum([kron.simple(0), kron.simple(1)])
+        basis = [Hom(m, m, (Matrix.from_rows(3, [[1]]), Matrix.from_rows(3, [[c]]))) for c in (1, 2)]
+    tried = list(_split_candidates(m, HomBasis(m, m, tuple(basis))))
+    assert tried[:len(basis)] == basis
+    assert all(_split_with(m, h) is None for h in basis)
+    lifts = tried[len(basis):]
+    assert lifts and all(_split_with(m, h) is not None for h in lifts)
+
+
+def test_decompose_proves_local_over_gf257(monkeypatch):
+    """End(k[x]/x^3) has 257^3 elements but a simple top: its three basis
+    elements are the whole search."""
+    calls = counted_splits(monkeypatch)
+    m = truncated_polynomials(257, 3).projective(0)
+    assert hom_space(m, m).dimension == 3
+    assert [(f.dim, mult) for f, mult in decompose(m).factors] == [((3,), 1)]
+    assert len(calls) == 3
+
+
+def test_decompose_proves_xia_module_with_large_end(monkeypatch):
+    """An xiA module from `ed xiA --i 0,1,2 --dim-bound 4 --syzygy-probe 2`
+    with dim End = 12 (2^12 elements): no basis element splits it, and the
+    image of End on its top has dimension 3, so the 4 lines beyond the basis
+    are tested on the top; that proves it indecomposable, as a scan of all
+    of End agrees."""
+    from syzex import rep as rep_mod
+
+    algebra = build_algebra(load_corpus("xiA").spec)
+    doc = {
+        "dim": {"2": 2, "3": 6},
+        "action": {
+            "delta": [[0, 0], [1, 0], [0, 0], [0, 0], [0, 1], [0, 0]],
+            "alpha": [[0, 0, 1, 0, 0, 0], [0, 0, 0, 0, 0, 1]],
+            "eps": [[0, 0, 1, 0, 0, 0], [0, 0, 0, 0, 0, 1], [0, 0, 0, 0, 0, 0],
+                    [0, 0, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 0, 0]],
+        },
+    }
+    m = parse_module_doc(doc, algebra)
+    assert m.validate() == []
+    assert hom_space(m, m).dimension == 12
+    calls = counted_splits(monkeypatch)
+    lines = []
+    real = rep_mod._splits_top
+
+    def counted(ts):
+        lines.append(ts)
+        return real(ts)
+
+    monkeypatch.setattr(rep_mod, "_splits_top", counted)
+    assert [(f.dim, mult) for f, mult in decompose(m).factors] == [(m.dim, 1)]
+    assert len(calls) == 12 and len(lines) == 4
+    assert not splits_by_scan(m)
+
+
+def kron_jordan(p):
+    """Kronecker module (3, 3) with x0 = I and x1 = J_3, local with End = k[J]/J^3."""
+    kron = build_algebra(kron2_spec(p))
+    jordan = Matrix.from_rows(p, [[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+    return Representation(kron, (3, 3), (Matrix.identity(p, 3), jordan), check=True)
+
+
+def test_decompose_over_split_budget_raises():
+    # over GF(2) the 7 lines on the top leave 4 lifts beyond the basis;
+    # over GF(257) there are 66,307 lines, far past SPLIT_ENUM_BUDGET
+    m = kron_jordan(2)
+    assert [(f.dim, mult) for f, mult in decompose(m).factors] == [((3, 3), 1)]
+    with pytest.raises(BudgetExceeded):
+        decompose(kron_jordan(257))
 
 
 def test_decompose_mixed_sum(kron2):
