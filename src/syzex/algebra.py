@@ -98,21 +98,26 @@ def parse_algebra_spec(text: str) -> AlgebraSpec:
     for key in ("field", "vertices", "arrows", "relations"):
         if key not in doc:
             raise SpecError("algebra spec missing %r" % key)
+    for key in ("vertices", "arrows", "relations", "comments"):
+        if not isinstance(doc.get(key, []), list):
+            raise SpecError("algebra spec %r must be a list" % key)
     p = doc["field"]
     if not isinstance(p, int) or not linalg.is_prime(p):
         raise SpecError("field must be a prime integer, got %r" % p)
     arrows = []
     for a in doc["arrows"]:
-        if not isinstance(a, dict) or set(a) - {"name", "from", "to"}:
+        if not isinstance(a, dict) or set(a) != {"name", "from", "to"} or not all(isinstance(x, str) for x in a.values()):
             raise SpecError("bad arrow entry %r" % (a,))
         arrows.append({"name": a["name"], "from": a["from"], "to": a["to"]})
     relations = []
     for rel in doc["relations"]:
+        if not isinstance(rel, list):
+            raise SpecError("bad relation %r" % (rel,))
         terms = []
         for t in rel:
-            if not isinstance(t, dict) or "coeff" not in t or "path" not in t:
+            if not isinstance(t, dict) or not isinstance(t.get("coeff"), int) or not isinstance(t.get("path"), list):
                 raise SpecError("bad relation term %r" % (t,))
-            terms.append({"coeff": int(t["coeff"]), "path": [str(x) for x in t["path"]]})
+            terms.append({"coeff": t["coeff"], "path": [str(x) for x in t["path"]]})
         relations.append(terms)
     comments = [str(c) for c in doc.get("comments", [])]
     return AlgebraSpec(p, [str(v) for v in doc["vertices"]], arrows, relations, comments)

@@ -1,8 +1,10 @@
 """Command-line surface.
 
-Exit codes: 0 success, 1 budget exhaustion, 2 parse/validation errors,
-3 internal faults (a failed consistency check or any other unexpected
-exception; the report still renders, with the error under results).
+Exit codes: 0 success, 1 budget exhaustion, 2 bad input (a SpecError,
+raised where the input enters: files, flags and SYZEX_BUDGET), 3 internal
+faults (a failed consistency check or any other unexpected exception,
+ValueError and KeyError included; the report still renders, with the error
+under results).
 Reports are deterministic for fixed flags; timings appear only on request.
 """
 
@@ -43,9 +45,63 @@ from .rep import decompose, module_doc, parse_module_doc
 from .reports import new_report, render_json, render_text
 
 
-def _default_budget() -> int:
+def _default_budget():
+    """SYZEX_BUDGET, or 2^20 when it is unset; None when it is not an integer,
+    which run() reports as bad input unless --budget overrides it."""
     env = os.environ.get("SYZEX_BUDGET")
-    return int(env) if env else 2 ** 20
+    if not env:
+        return 2 ** 20
+    try:
+        return int(env)
+    except ValueError:
+        return None
+
+
+def _read_json(path: Path, what: str):
+    """The JSON document in a user-supplied file; SpecError when it cannot be read or parsed."""
+    try:
+        return json.loads(path.read_text())
+    except (OSError, ValueError) as exc:
+        raise SpecError("%s %s is not a readable JSON file: %s" % (what, path, exc)) from None
+
+
+def _int_list(text: str, flag: str) -> list:
+    try:
+        return [int(x) for x in text.split(",") if x.strip()]
+    except ValueError:
+        raise SpecError("%s takes a comma list of integers, got %r" % (flag, text)) from None
+
+
+def _natural(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+
+
+def _facts(path: str, algebra_id: str) -> list:
+    """The facts file's entries about this algebra; SpecError on a malformed entry."""
+    doc = _read_json(Path(path), "facts file")
+    if not isinstance(doc, list):
+        raise SpecError("facts file %s must hold a JSON list" % path)
+    facts = []
+    for item in doc:
+        subject = item.get("subject", {}) if isinstance(item, dict) else None
+        if not isinstance(subject, dict):
+            raise SpecError("facts entry %r is not an object with an object subject" % (item,))
+        if subject.get("algebra") not in (None, algebra_id):
+            continue
+        if "kind" not in item or "value" not in item:
+            raise SpecError("facts entry %r lacks a kind or a value" % (item,))
+        fact = {
+            "i": subject.get("i", item.get("i", 0)),
+            "kind": item["kind"],
+            "value": item["value"],
+            "citation": item.get("citation", "unsourced"),
+        }
+        if fact["kind"] not in ("lower", "upper", "exact") or not (_natural(fact["i"]) and _natural(fact["value"])):
+            raise SpecError(
+                "facts entry %r: kind must be lower, upper or exact, i and value nonnegative integers" % (item,)
+            )
+        facts.append(fact)
+    return facts
 
 
 def _resolve_spec(ref: str, field_p):
@@ -72,8 +128,17 @@ def _resolve_module(ref: str, entry, algebra):
     path = Path(ref)
     if not path.exists():
         raise SpecError("not a known module name or readable file: %r" % ref)
-    doc = json.loads(path.read_text())
-    return parse_module_doc(doc, algebra)
+    return parse_module_doc(_read_json(path, "module file"), algebra)
+
+
+def _valid_module(ref: str, entry, algebra):
+    """_resolve_module for commands that compute with the module: a shape or
+    relation violation is bad input, not an internal fault further on."""
+    m = _resolve_module(ref, entry, algebra)
+    violations = m.validate()
+    if violations:
+        raise SpecError("module %s is not a representation: %s" % (ref, "; ".join(violations)))
+    return m
 
 
 def _universe_params(args) -> UniverseParams:
@@ -151,8 +216,8 @@ def cmd_mod(args, report):
 def cmd_ext(args, report):
     entry, spec = _resolve_spec(args.spec, args.field)
     algebra = build_algebra(spec)
-    x = _resolve_module(args.x, entry, algebra)
-    y = _resolve_module(args.y, entry, algebra)
+    x = _valid_module(args.x, entry, algebra)
+    y = _valid_module(args.y, entry, algebra)
     space = ext1_space(x, y)
     results = {"x": args.x, "y": args.y, "dimension": space.dimension}
     if args.enumerate:
@@ -251,25 +316,11 @@ def cmd_syzcat(args, report):
 def cmd_ed(args, report):
     entry, spec = _resolve_spec(args.spec, args.field)
     algebra = build_algebra(spec)
-    indices = [int(x) for x in args.i.split(",") if x.strip()]
-    facts = []
-    if args.facts:
-        doc = json.loads(Path(args.facts).read_text())
-        for item in doc:
-            subject = item.get("subject", {})
-            if subject.get("algebra") not in (None, args.spec):
-                continue
-            facts.append(
-                {
-                    "i": int(subject.get("i", item.get("i", 0))),
-                    "kind": item["kind"],
-                    "value": int(item["value"]),
-                    "citation": item.get("citation", "unsourced"),
-                }
-            )
+    indices = _int_list(args.i, "--i")
+    facts = _facts(args.facts, args.spec) if args.facts else []
     options = EdReportOptions(
         dim_bound=args.dim_bound,
-        syzygy_probes=tuple(int(x) for x in args.syzygy_probe.split(",") if x.strip()) if args.syzygy_probe else (),
+        syzygy_probes=tuple(_int_list(args.syzygy_probe, "--syzygy-probe")) if args.syzygy_probe else (),
         params=_universe_params(args),
     )
     intervals = ed_report(algebra, indices, facts, options, algebra_id=args.spec)
@@ -289,7 +340,7 @@ def cmd_ed(args, report):
 def cmd_tilting(args, report):
     entry, spec = _resolve_spec(args.spec, args.field)
     algebra = build_algebra(spec)
-    t = _resolve_module(args.module, entry, algebra)
+    t = _valid_module(args.module, entry, algebra)
     verdict = tilting_check(t, args.bound)
     report["results"] = {
         "module": args.module,
@@ -461,11 +512,13 @@ def run(argv) -> tuple:
     report = new_report(["syzex"] + list(argv), inputs)
     start = time.perf_counter()
     try:
+        if args.budget is None:
+            raise SpecError("SYZEX_BUDGET must be an integer, got %r" % os.environ.get("SYZEX_BUDGET"))
         code = args.func(args, report)
     except BudgetExceeded as exc:
         report["results"] = {"error": str(exc), "kind": "budget"}
         code = 1
-    except (SpecError, ValueError, KeyError) as exc:
+    except SpecError as exc:
         report["results"] = {"error": str(exc), "kind": "validation"}
         code = 2
     except SyzexError as exc:

@@ -309,7 +309,10 @@ def load_corpus(entry_id: str, field_p: int = None) -> CorpusEntry:
     base, _, param = entry_id.partition(":")
     if base not in _BUILDERS:
         raise UnknownCorpusId("unknown corpus id %r (known: %s)" % (entry_id, ", ".join(corpus_ids())))
-    n = int(param) if param else None
+    try:
+        n = int(param) if param else None
+    except ValueError:
+        raise UnknownCorpusId("corpus id %r: the size after ':' must be an integer" % entry_id) from None
     entry = _BUILDERS[base](n, field_p if field_p else 2)
     entry.entry_id = entry_id
     return entry

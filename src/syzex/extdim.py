@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from . import linalg
-from .errors import BudgetExceeded, ContradictoryFacts
+from .errors import BudgetExceeded, ContradictoryFacts, SpecError
 from .homology import cosyzygy, ext1_space, extension_middle, gldim_bounded, syzygy_summands
 from .linalg import Matrix
 from .rep import Representation, decompose, hom_space, is_iso
@@ -42,6 +42,10 @@ class UniverseParams:
     mult_bound: int = 2
     member_cap: int = 5000
     ext_budget: int = 2 ** 20
+
+    def __post_init__(self):
+        if self.dim_bound < 1:
+            raise SpecError("dim bound must cover the simple modules, got %d" % self.dim_bound)
 
 
 class IndecClass:
@@ -133,7 +137,7 @@ class Universe:
         algebra = self.algebra
         kind, label = name[:1], name[1:]
         if label not in algebra.quiver.vindex:
-            raise KeyError("unknown vertex label %r in member name %r" % (label, name))
+            raise SpecError("unknown vertex label %r in member name %r" % (label, name))
         v = algebra.quiver.vindex[label]
         if kind == "S":
             rep = algebra.simple(v)
@@ -142,7 +146,7 @@ class Universe:
         elif kind == "I":
             rep = algebra.injective(v)
         else:
-            raise KeyError("member names start with S, P or I: %r" % name)
+            raise SpecError("member names start with S, P or I: %r" % name)
         cls, _ = self.registry.intern(rep)
         return cls
 
@@ -227,8 +231,6 @@ def generate_universe(algebra, dim_bound, params: UniverseParams = None) -> Univ
         params = UniverseParams(dim_bound)
     else:
         params = replace(params, dim_bound=dim_bound)
-    if dim_bound < 1:
-        raise ValueError("dim bound must cover the simple modules")
     uni = Universe(algebra, params)
     heap = []
     seq = itertools.count()
@@ -443,7 +445,7 @@ def layer(uni: Universe, gens, n: int, mult_bound=None, parts_cap=2) -> frozense
     """[T]_n inside the universe window: layer 1 is add(T), then bullet with T."""
     gens = frozenset(gens)
     if n < 0:
-        raise ValueError("layer index must be nonnegative")
+        raise SpecError("layer index must be nonnegative")
     if n == 0 or not gens:
         return frozenset()
     mb = uni.params.mult_bound if mult_bound is None else mult_bound
@@ -478,6 +480,8 @@ class SyzygyCategory:
 
 def syzygy_category(algebra, n: int, dim_bound: int, params: UniverseParams = None, universe=None) -> SyzygyCategory:
     """Indecomposables of the n-th syzygy category seen through the window."""
+    if n < 0:
+        raise SpecError("syzygy index must be nonnegative")
     if universe is None:
         universe = generate_universe(algebra, dim_bound, params)
     if n == 0:
@@ -712,8 +716,8 @@ def ed_report(algebra, indices, external_facts=(), options: EdReportOptions = No
     if options is None:
         options = EdReportOptions()
     indices = sorted(set(indices))
-    if any(i < 0 for i in indices):
-        raise ValueError("syzygy indices are nonnegative")
+    if any(i < 0 for i in indices) or any(n < 0 for n in options.syzygy_probes):
+        raise SpecError("syzygy indices and probes are nonnegative")
     ll = algebra.loewy_length()
     semisimple = algebra.is_semisimple()
     gdim = gldim_bounded(algebra)

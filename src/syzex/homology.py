@@ -1,9 +1,10 @@
 """Projective covers, syzygies, Ext^1 spaces and middle terms, tilting test.
 
 A projective cover takes one summand P(v) per top generator g of M at v.
-The epi column of the basis path q of P(v) is q applied to g, built one
-arrow matrix at a time from the image of q's prefix (memoized per
-generator), so a column costs one matrix-vector product.  The syzygy is
+The epi column of the basis path q of P(v) is q applied to g.  The images
+of all generators at v are the rows of one matrix per path, the memoized
+image of q's prefix times the transpose of q's last arrow, so a path costs
+one sparse product for all of them.  The syzygy is
 the kernel of that epi, its canonical basis per vertex read off one row
 reduction (linalg.null_space), which sub_rep restricts without another.
 Syzygies are taken one indecomposable at a time (minimal syzygies are
@@ -25,7 +26,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from . import linalg
-from .errors import AlgebraMismatch, BudgetExceeded
+from .errors import AlgebraMismatch, BudgetExceeded, SpecError
 from .linalg import Matrix
 from .rep import (
     Hom,
@@ -62,10 +63,10 @@ def projective_cover(m: Representation) -> ProjectivePresentation:
     p = algebra.p
 
     slots = []
-    gens = []  # (vertex, generator column of M_v in row layout)
+    gens = []  # per vertex, the generators of M_v as the rows of a matrix
     for v, (pr, lf) in enumerate(top_maps(m)):
         slots.extend([v] * pr.nrows)
-        gens.extend((v, gen) for gen in lf.transpose().rows)
+        gens.append(lf.transpose())
     if not slots:
         zero = zero_rep(algebra)
         pres = ProjectivePresentation(
@@ -79,11 +80,16 @@ def projective_cover(m: Representation) -> ProjectivePresentation:
 
     # epi columns: slot basis path q (v -> w) maps to q applied to the generator
     epi_cols = [[] for _ in range(q.n_vertices)]
-    for v, gen in gens:
-        images = {(): gen}
-        for (s, arrows, t) in algebra.basis:
-            if s == v:
-                epi_cols[t].append(_path_image(m, images, arrows))
+    transposed = [a.transpose() for a in m.action]
+    for v, g in enumerate(gens):
+        if not g.nrows:
+            continue
+        images = {(): g}
+        paths = [(arrows, t) for (s, arrows, t) in algebra.basis if s == v]
+        rows = [_path_image(transposed, images, arrows).rows for arrows, _ in paths]
+        for i in range(g.nrows):
+            for (_, t), image in zip(paths, rows):
+                epi_cols[t].append(image[i])
     epi_mats = tuple(
         Matrix(p, len(epi_cols[w]), m.dim[w], tuple(epi_cols[w])).transpose()
         for w in range(q.n_vertices)
@@ -117,16 +123,19 @@ def projective_cover(m: Representation) -> ProjectivePresentation:
     return pres
 
 
-def _path_image(m: Representation, images: dict, arrows: tuple):
-    """Image of a generator under a path, one arrow applied to the memoized prefix image."""
+def _path_image(transposed: list, images: dict, arrows: tuple) -> Matrix:
+    """Images of the generators under a path, as rows: the memoized prefix
+    image times the transpose of the path's last arrow."""
     got = images.get(arrows)
     if got is None:
-        got = m.action[arrows[-1]].apply(_path_image(m, images, arrows[:-1]))
+        got = _path_image(transposed, images, arrows[:-1]).mul(transposed[arrows[-1]])
         images[arrows] = got
     return got
 
 
 def syzygy(m: Representation, n: int = 1) -> Representation:
+    if n < 0:
+        raise SpecError("syzygy index must be nonnegative")
     cur = m
     for _ in range(n):
         if cur.total_dim == 0:

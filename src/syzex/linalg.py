@@ -7,6 +7,12 @@ rows are tuples of residues. All public operations accept either layout.
 rref returns the pivot columns with the reduced matrix.  kernel_basis is a
 Matrix in the system's row layout, one kernel vector per row; null_space is
 the canonical kernel basis as columns, like column_space_basis for images.
+
+Matrices met on the syzygy path are large and sparse, so the kernel rows and
+odd-p products do work in proportion to the nonzero entries of each row, not
+to its length.  Matrix.key packs GF(2) entries one bit each; keys of equal
+shape compare as the one-byte-per-entry keys did, so every order built on
+them is unchanged.
 """
 
 from __future__ import annotations
@@ -103,14 +109,29 @@ class Matrix:
         return tuple(self.row(i) for i in range(self.nrows))
 
     def key(self) -> bytes:
-        """Entries in row order, one byte each, or fixed-width big-endian when p > 256."""
+        """Entries in row order as bytes.
+
+        GF(2) packs one entry per bit, most significant bit first, and
+        zero-pads the last byte; other p <= 256 take one byte per entry, and
+        larger p fixed-width big-endian.  Keys of equal-shape matrices compare
+        and test equal as their entry sequences do, under every encoding.
+        """
+        if self.p == 2:
+            n = self.nrows * self.ncols
+            if not n:
+                return b""
+            # bit i * ncols + j of the int is entry (i, j); little-endian bytes
+            # with each byte's bits reversed put entry 0 first, padding last
+            fmt = "0%db" % self.ncols
+            bits = int("".join([format(r, fmt) for r in reversed(self.rows)]), 2)
+            return bits.to_bytes((n + 7) // 8, "little").translate(_BIT_REVERSED)
         width = ((self.p - 1).bit_length() + 7) // 8
         out = bytearray()
-        for i in range(self.nrows):
+        for r in self.rows:
             if width == 1:
-                out.extend(self.row(i))
+                out.extend(r)
             else:
-                for x in self.rows[i]:
+                for x in r:
                     out.extend(x.to_bytes(width, "big"))
         return bytes(out)
 
@@ -181,31 +202,27 @@ class Matrix:
             return Matrix(2, self.nrows, other.ncols, tuple(out))
         p = self.p
         ocols = other.ncols
+        orows = other.rows
+        zero = (0,) * ocols
         out = []
         for r in self.rows:
-            row = [0] * ocols
-            for k, a in enumerate(r):
-                if a:
-                    orow = other.rows[k]
-                    for j in range(ocols):
-                        row[j] += a * orow[j]
-            out.append(tuple(x % p for x in row))
+            # rows are sparse: a zero row or a single entry needs no sum
+            nonzero = len(r) - r.count(0)
+            if not nonzero:
+                out.append(zero)
+            elif nonzero == 1:
+                a = next(filter(None, r))
+                orow = orows[r.index(a)]
+                out.append(orow if a == 1 else tuple([a * x % p for x in orow]))
+            else:
+                row = [0] * ocols
+                for k, a in enumerate(r):
+                    if a:
+                        orow = orows[k]
+                        for j in range(ocols):
+                            row[j] += a * orow[j]
+                out.append(tuple([x % p for x in row]))
         return Matrix(p, self.nrows, ocols, tuple(out))
-
-    def apply(self, vec):
-        """self . vec for a column vector in row layout: a bit mask when p == 2, else a tuple."""
-        if self.p == 2:
-            out = 0
-            for i, r in enumerate(self.rows):
-                if (r & vec).bit_count() & 1:
-                    out |= 1 << i
-            return out
-        out = [0] * self.nrows
-        for k, x in enumerate(vec):
-            if x:
-                out = [a + x * r[k] for a, r in zip(out, self.rows)]
-        p = self.p
-        return tuple(a % p for a in out)
 
     def transpose(self) -> "Matrix":
         if self.p == 2:
@@ -237,7 +254,10 @@ def _pack(values) -> int:
 
 
 def _unpack(mask: int, n: int) -> tuple:
-    return tuple((mask >> j) & 1 for j in range(n))
+    return tuple([(mask >> j) & 1 for j in range(n)])
+
+
+_BIT_REVERSED = bytes(int(format(b, "08b")[::-1], 2) for b in range(256))
 
 
 def hstack(mats: list) -> Matrix:
@@ -377,12 +397,16 @@ def _kernel_rows(red: Matrix, pivots: list, ncols: int) -> Matrix:
     p = red.p
     rows = []
     if p == 2:
-        for f in free:
-            v = 1 << f
-            for r, pc in enumerate(pivots):
-                if (red.rows[r] >> f) & 1:
-                    v |= 1 << pc
-            rows.append(v)
+        # scatter each reduced row's free bits into per-column pivot masks
+        at_free = [0] * ncols
+        for r, pc in enumerate(pivots):
+            bit = 1 << pc
+            m = red.rows[r] ^ bit
+            while m:
+                low = m & -m
+                at_free[low.bit_length() - 1] |= bit
+                m ^= low
+        rows = [at_free[f] | 1 << f for f in free]
     else:
         for f in free:
             v = [0] * ncols

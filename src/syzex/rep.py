@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import linalg
-from .errors import AlgebraMismatch, BudgetExceeded
+from .errors import AlgebraMismatch, BudgetExceeded, SpecError
 from .linalg import Matrix
 
 SPLIT_ENUM_BUDGET = 256
@@ -416,8 +416,6 @@ def _split_with(m: Representation, e: Hom):
         return None
     im_rep, _ = sub_rep(m, [linalg.column_space_basis(mt) for mt in f.mats])
     ker_rep, _ = sub_rep(m, [linalg.null_space(mt) for mt in f.mats])
-    if im_rep.total_dim + ker_rep.total_dim != m.total_dim:
-        return None
     return im_rep, ker_rep
 
 
@@ -505,16 +503,40 @@ def decompose(m: Representation) -> Decomposition:
     return Decomposition([(g[0], g[1]) for g in groups])
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def parse_module_doc(doc: dict, algebra) -> Representation:
-    """Build a representation from the ModuleSpec JSON structure."""
+    """Build a representation from the ModuleSpec JSON structure.
+
+    Raises SpecError on a malformed document: an unknown vertex or arrow, a
+    dimension that is not a nonnegative integer, or an action that is not a
+    rectangular list of integer rows.  Matrix shapes and relations are left
+    to Representation.validate, which reports them as violations.
+    """
     q = algebra.quiver
+    dims = doc.get("dim", {}) if isinstance(doc, dict) else None
+    acts = doc.get("action", {}) if isinstance(doc, dict) else None
+    if not isinstance(dims, dict) or not isinstance(acts, dict):
+        raise SpecError("a module file is a JSON object whose 'dim' and 'action' are objects")
     dim = [0] * q.n_vertices
-    for label, d in doc.get("dim", {}).items():
+    for label, d in dims.items():
         if label not in q.vindex:
-            raise ValueError("unknown vertex %r" % label)
-        dim[q.vindex[label]] = int(d)
+            raise SpecError("unknown vertex %r" % label)
+        if not _is_int(d) or d < 0:
+            raise SpecError("dimension at vertex %r is not a nonnegative integer: %r" % (label, d))
+        dim[q.vindex[label]] = d
+    for name, rows in acts.items():
+        if name not in q.aindex:
+            raise SpecError("unknown arrow %r" % name)
+        if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+            raise SpecError("action of arrow %r is not a list of rows" % name)
+        if any(len(r) != len(rows[0]) for r in rows):
+            raise SpecError("action of arrow %r has ragged rows" % name)
+        if not all(_is_int(x) for r in rows for x in r):
+            raise SpecError("action of arrow %r has a non-integer entry" % name)
     action = []
-    acts = doc.get("action", {})
     for ai, a in enumerate(q.arrows):
         want = (dim[q.arrow_target(ai)], dim[q.arrow_source(ai)])
         if a.name in acts:

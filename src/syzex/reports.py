@@ -5,6 +5,10 @@ command echo, input digest, structured results, warnings, and optional
 timings.  Text and JSON renderings carry the same numeric content; default
 reports contain nothing run-dependent, so identical invocations produce
 byte-identical output.
+
+The text rendering writes each value with str(), which already spells an
+empty dict or list as {} or [].  A list holding no dict or list, such as a
+matrix row, is written as one join, which keeps MB-sized module files cheap.
 """
 
 from __future__ import annotations
@@ -40,28 +44,23 @@ def _flat(value, indent=0):
                 lines.append("%s%s:" % (pad, k))
                 lines.extend(_flat(v, indent + 1))
             else:
-                lines.append("%s%s: %s" % (pad, k, _scalar(v)))
+                lines.append("%s%s: %s" % (pad, k, v))
     elif isinstance(value, list):
-        if value and not any(isinstance(v, (dict, list)) and v for v in value):
+        if not any(issubclass(t, (dict, list)) for t in set(map(type, value))):
             # a list of scalars (a matrix row) is one chunk, not one string per entry
-            item = pad + "- "
-            lines.append(item + ("\n" + item).join(map(_scalar, value)))
+            if value:
+                item = pad + "- "
+                lines.append(item + ("\n" + item).join(map(str, value)))
             return lines
         for v in value:
             if isinstance(v, (dict, list)) and v:
                 lines.append("%s-" % pad)
                 lines.extend(_flat(v, indent + 1))
             else:
-                lines.append("%s- %s" % (pad, _scalar(v)))
+                lines.append("%s- %s" % (pad, v))
     else:
-        lines.append("%s%s" % (pad, _scalar(value)))
+        lines.append("%s%s" % (pad, value))
     return lines
-
-
-def _scalar(v):
-    if isinstance(v, (dict, list)) and not v:
-        return "{}" if isinstance(v, dict) else "[]"
-    return str(v)
 
 
 def render_text(report: dict) -> str:

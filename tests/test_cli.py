@@ -2,13 +2,16 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
+import hypothesis.strategies as st
 import jsonschema
 import pytest
+from hypothesis import given, settings
 
 from syzex.cli import run
-from syzex.reports import _scalar, new_report, render_text
+from syzex.reports import _flat, new_report, render_text
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "src" / "syzex" / "data" / "report.schema.json").read_text()
@@ -257,6 +260,142 @@ def test_reptype_cli():
     assert report["results"]["tits"] == "Euclidean"
 
 
+BAD_FILES = {
+    "bad.json": "[1, 2",
+    "unknown_vertex.json": json.dumps({"dim": {"7": 1}, "action": {}}),
+    "ragged.json": json.dumps({"dim": {"0": 2, "1": 2}, "action": {"x0": [[1, 0], [1]]}}),
+    "dim_not_int.json": json.dumps({"dim": {"0": "two"}, "action": {}}),
+    "dim_float.json": json.dumps({"dim": {"0": 1.5}, "action": {}}),
+    "entry_not_int.json": json.dumps({"dim": {"0": 1, "1": 1}, "action": {"x0": [["a"]]}}),
+    "entry_float.json": json.dumps({"dim": {"0": 1, "1": 1}, "action": {"x0": [[0.5]]}}),
+    "wrong_shape.json": json.dumps({"dim": {"0": 1, "1": 1}, "action": {"x0": [[1, 1]]}}),
+    "facts_missing.json": json.dumps([{"subject": {"algebra": "kron2", "i": 0}, "kind": "exact"}]),
+    "facts_kind.json": json.dumps([{"subject": {"i": 0}, "kind": "most", "value": 1}]),
+    "facts_negative.json": json.dumps([{"subject": {"i": -1}, "kind": "exact", "value": 0}]),
+    "spec_vertices.json": json.dumps({"field": 2, "vertices": 5, "arrows": [], "relations": []}),
+    "spec_arrow.json": json.dumps({"field": 2, "vertices": ["a"], "arrows": [{"name": "x", "from": "a"}], "relations": []}),
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["mod", "syzygy", "kron2", "@bad.json"],
+    ["mod", "decompose", "kron2", "@unknown_vertex.json"],
+    ["mod", "syzygy", "kron2", "@ragged.json"],
+    ["mod", "syzygy", "kron2", "@dim_not_int.json"],
+    ["mod", "validate", "kron2", "@dim_float.json"],
+    ["mod", "syzygy", "kron2", "@entry_not_int.json"],
+    ["mod", "syzygy", "kron2", "@entry_float.json"],
+    ["ext", "kron2", "@wrong_shape.json", "S1"],
+    ["tilting", "kron2", "@wrong_shape.json"],
+    ["ed", "kron2", "--i", "0", "--facts", "@bad.json"],
+    ["ed", "kron2", "--i", "0", "--facts", "@facts_missing.json"],
+    ["ed", "kron2", "--i", "0", "--facts", "@facts_kind.json"],
+    ["ed", "kron2", "--i", "0", "--facts", "@facts_negative.json"],
+    ["algebra", "info", "@spec_vertices.json"],
+    ["algebra", "info", "@spec_arrow.json"],
+    ["ed", "kron2", "--i", "0,one"],
+    ["ed", "kron2", "--i", "0", "--syzygy-probe", "1.5"],
+    ["ed", "kron2", "--i", "0,-1"],
+    ["ed", "kron2", "--i", "0", "--syzygy-probe", "-1"],
+    ["ed", "kron2", "--i", "0", "--dim-bound", "0"],
+    ["reptype", "kron2", "--dim-bound", "-2"],
+    ["bullet", "kron2", "--left", "S0", "--right", "Q1"],
+    ["bullet", "kron2", "--left", "S9", "--right", "S1"],
+    ["layer", "kron2", "--gen", "S0", "--n", "-1"],
+    ["syzcat", "kron2", "--n", "-1"],
+    ["mod", "syzygy", "kron2", "S0", "--n", "-1"],
+    ["algebra", "info", "nodeA:six"],
+])
+def test_bad_input_exits_2(tmp_path, argv):
+    for name, text in BAD_FILES.items():
+        (tmp_path / name).write_text(text)
+    code, report, _ = run_json([str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv])
+    assert code == 2
+    assert report["results"]["kind"] == "validation"
+
+
+def test_bad_budget_env_exits_2(monkeypatch):
+    monkeypatch.setenv("SYZEX_BUDGET", "lots")
+    code, report, _ = run_json(["algebra", "info", "kron2"])
+    assert code == 2
+    assert report["results"] == {"error": "SYZEX_BUDGET must be an integer, got 'lots'", "kind": "validation"}
+    code, report, _ = run_json(["--budget", "5", "algebra", "info", "kron2"])
+    assert code == 0
+
+
+def test_internal_value_error_exits_3(monkeypatch):
+    # a shape mismatch deep inside is a fault of the program, not of its input
+    from syzex import homology
+    from syzex.linalg import Matrix
+
+    def broken(m, bases):
+        return Matrix.identity(2, 2).mul(Matrix.identity(2, 3))
+
+    monkeypatch.setattr(homology, "sub_rep", broken)
+    code, report, _ = run_json(["mod", "syzygy", "kron2", "S0"])
+    assert code == 3
+    assert report["results"] == {"error": "ValueError: shape mismatch 2x2 * 3x3", "kind": "internal"}
+
+
+JUNK = st.none() | st.booleans() | st.integers(-1, 2) | st.floats(0, 2) | st.text("ab", max_size=2)
+MODULE_ROWS = st.lists(st.lists(JUNK | st.integers(0, 1), max_size=3), max_size=3)
+MODULE_DOCS = st.fixed_dictionaries({}, optional={
+    "dim": st.dictionaries(st.sampled_from(["0", "1", "2"]), JUNK | st.integers(0, 2)) | JUNK,
+    "action": st.dictionaries(st.sampled_from(["x0", "x1", "y"]), MODULE_ROWS | JUNK) | JUNK,
+}) | JUNK | MODULE_ROWS
+LABELS = st.sampled_from(["a", "b", 0]) | JUNK
+ARROWS = st.fixed_dictionaries({}, optional={"name": st.sampled_from(["x", "y"]) | JUNK, "from": LABELS, "to": LABELS}) | JUNK
+TERMS = st.fixed_dictionaries({}, optional={
+    "coeff": st.integers(-1, 2) | JUNK, "path": st.lists(st.sampled_from(["x", "y", "z"]), max_size=3) | JUNK,
+}) | JUNK
+SPEC_DOCS = st.fixed_dictionaries({}, optional={
+    "field": st.sampled_from([2, 3, 4]) | JUNK,
+    "vertices": st.lists(LABELS, max_size=3) | JUNK,
+    "arrows": st.lists(ARROWS, max_size=2) | JUNK,
+    "relations": st.lists(st.lists(TERMS, max_size=2) | JUNK, max_size=2) | JUNK,
+    "comments": st.lists(st.text("ab", max_size=2), max_size=1) | JUNK,
+}) | JUNK
+FACT_DOCS = st.lists(st.fixed_dictionaries({}, optional={
+    "subject": st.fixed_dictionaries({}, optional={"algebra": st.sampled_from(["kron2", "xiB"]) | JUNK, "i": JUNK}) | JUNK,
+    "i": JUNK,
+    "kind": st.sampled_from(["lower", "upper", "exact"]) | JUNK,
+    "value": JUNK,
+    "citation": JUNK,
+}) | JUNK, max_size=3) | JUNK
+
+
+def run_file_argv(doc, argv):
+    """(exit code, report) of argv with FILE replaced by a file holding doc."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.json"
+        path.write_text(json.dumps(doc))
+        code, report, _ = run_json([str(path) if a == "FILE" else a for a in argv])
+    return code, report
+
+
+@settings(max_examples=150, deadline=None)
+@given(MODULE_DOCS)
+def test_module_file_fuzz_exits_0_or_2(doc):
+    # whatever a module file holds, it is accepted or refused as input
+    for argv in (["mod", "validate", "kron2", "FILE"], ["ext", "kron2", "FILE", "S1"]):
+        code, report = run_file_argv(doc, argv)
+        assert code in (0, 2), report["results"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(SPEC_DOCS)
+def test_algebra_file_fuzz_exits_0_or_2(doc):
+    code, report = run_file_argv(doc, ["algebra", "info", "FILE"])
+    assert code in (0, 2), report["results"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(FACT_DOCS)
+def test_facts_file_fuzz_exits_0_or_2(doc):
+    code, report = run_file_argv(doc, ["ed", "kron2", "--i", "0,1", "--facts", "FILE"])
+    assert code in (0, 2), report["results"]
+
+
 def test_bad_spec_exit_2():
     code, report, _ = run_json(["algebra", "info", "no-such-thing"])
     assert code == 2
@@ -279,6 +418,12 @@ def test_deep_odd_prime_syzygy_total_dimension():
     code, report, _ = run(["--field", "3", "mod", "syzygy", "xiB", "S2p", "--n", "13"])
     assert code == 0
     assert sum(report["results"]["dim"].values()) == 538
+
+
+def _scalar(v):
+    if isinstance(v, (dict, list)) and not v:
+        return "{}" if isinstance(v, dict) else "[]"
+    return str(v)
 
 
 def flat_per_line(value, indent=0):
@@ -335,6 +480,20 @@ def test_render_text_matches_per_line_layout():
     assert render_text(report) == render_text_per_line(report)
     _, report, text = run(["mod", "syzygy", "xiB", "S2p", "--n", "6"])
     assert text == render_text(report) == render_text_per_line(report)
+
+
+REPORT_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 300) | st.text("ab- :", max_size=3) | st.just([]) | st.just({}),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text("xyz", min_size=1, max_size=2), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(REPORT_VALUES, st.integers(0, 2))
+def test_flat_matches_per_scalar_renderer(value, indent):
+    # lists mixing ints, bools, strings, None, empty and nested containers
+    assert "\n".join(_flat(value, indent)) == "\n".join(flat_per_line(value, indent))
 
 
 def test_reports_deterministic():

@@ -490,3 +490,19 @@ def test_universe_over_gf3():
     assert counts[(1, 1)] == 4
     assert counts[(2, 2)] == 7
     assert counts[(1, 2)] == 1 and counts[(2, 1)] == 1
+
+
+@pytest.mark.parametrize("entry", ["kron2", "nodeA"])
+def test_window_order_unchanged_under_byte_per_entry_keys(monkeypatch, entry):
+    # GF(2) keys pack entries as bits; members of equal dimension vector must
+    # sort as they did when each entry took one byte
+    from syzex.corpus import corpus_algebra
+    from syzex.linalg import Matrix
+
+    def members():
+        uni = generate_universe(corpus_algebra(entry), 6)
+        return [(c.rep.dim, c.rep.action) for c in uni.sorted_members()]
+
+    packed = members()
+    monkeypatch.setattr(Matrix, "key", lambda m: bytes(x for i in range(m.nrows) for x in m.row(i)))
+    assert members() == packed

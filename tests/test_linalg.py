@@ -6,6 +6,7 @@ import pytest
 from conftest import mat_vec, solve_vec
 from syzex.linalg import (
     Matrix,
+    _kernel_rows,
     column_space_basis,
     hstack,
     inv_mod,
@@ -288,10 +289,10 @@ def test_transpose_and_apply_match_entries(p):
         assert (t.nrows, t.ncols) == (m.ncols, m.nrows)
         assert all(t.entry(j, i) == m.entry(i, j) for i in range(m.nrows) for j in range(m.ncols))
         assert t.transpose() == m
+        # m applied to v as projective_cover applies arrows: v as a row times m^T
         v = tuple(rng.randrange(p) for _ in range(m.ncols))
-        packed = Matrix.from_rows(p, [v]).rows[0] if m.ncols else (0 if p == 2 else ())
-        got = Matrix(p, 1, m.nrows, (m.apply(packed),))
-        assert got.row(0) == mat_vec(m, v)
+        row = Matrix.from_rows(p, [v]) if m.ncols else Matrix.zero(p, 1, 0)
+        assert row.mul(t).row(0) == mat_vec(m, v)
 
 
 def test_key_is_injective_above_255():
@@ -300,3 +301,79 @@ def test_key_is_injective_above_255():
     assert a.key() != b.key()
     assert a.key() == bytes([0, 1, 1, 0])
     assert Matrix.from_rows(251, [[1, 250]]).key() == bytes([1, 250])
+
+
+def kernel_rows_per_pivot(red, pivots, ncols):
+    """Oracle: GF(2) kernel rows built by testing every pivot row at each free column."""
+    rows = []
+    for f in (f for f in range(ncols) if f not in pivots):
+        v = 1 << f
+        for r, pc in enumerate(pivots):
+            if (red.rows[r] >> f) & 1:
+                v |= 1 << pc
+        rows.append(v)
+    return Matrix(2, len(rows), ncols, tuple(rows))
+
+
+def test_gf2_kernel_rows_match_per_pivot_loop():
+    rng = random.Random(611)
+    mats = [Matrix.zero(2, 0, 0), Matrix.zero(2, 0, 5), Matrix.zero(2, 4, 0), Matrix.zero(2, 3, 3), Matrix.identity(2, 5)]
+    for _ in range(200):
+        nr, nc = rng.randint(1, 12), rng.randint(1, 70)
+        mats.append(random_matrix(rng, 2, nr, nc, rng.randint(0, min(nr, nc))))
+    for m in mats:
+        red, pivots = rref(m)
+        assert _kernel_rows(red, pivots, m.ncols) == kernel_rows_per_pivot(red, pivots, m.ncols)
+
+
+def byte_per_entry_key(m):
+    """The one-byte-per-entry encoding, in row order."""
+    return bytes(x for i in range(m.nrows) for x in m.row(i))
+
+
+def test_gf2_key_orders_like_byte_per_entry_key():
+    rng = random.Random(613)
+    shapes = [(0, 0), (0, 3), (3, 0), (1, 1), (1, 7), (3, 3), (2, 9), (5, 13), (8, 8)]
+    for nr, nc in shapes:
+        for _ in range(40):
+            # a few dense bits, so that many pairs share long prefixes or are equal
+            a, b = (
+                Matrix.from_rows(2, [[int(rng.random() < 0.2) for _ in range(nc)] for _ in range(nr)])
+                for _ in range(2)
+            )
+            ka, kb, oa, ob = a.key(), b.key(), byte_per_entry_key(a), byte_per_entry_key(b)
+            assert len(ka) == (nr * nc + 7) // 8
+            assert (ka == kb) == (oa == ob) == (a == b)
+            assert (ka < kb) == (oa < ob)
+    assert Matrix.from_rows(2, [[1, 0, 0], [0, 0, 1]]).key() == bytes([0b10000100])
+
+
+def mul_entrywise(a, b):
+    return [
+        [sum(a.entry(i, k) * b.entry(k, j) for k in range(a.ncols)) % a.p for j in range(b.ncols)]
+        for i in range(a.nrows)
+    ]
+
+
+@pytest.mark.parametrize("p", [3, 5, 257])
+def test_odd_mul_matches_entrywise_product(p):
+    rng = random.Random(617 + p)
+    shapes = [(0, 0, 0), (2, 0, 3), (0, 3, 2), (3, 4, 0)]
+    pairs = [(Matrix.zero(p, n, k), Matrix.zero(p, k, m)) for n, k, m in shapes]
+    for _ in range(60):
+        n, k, m = rng.randint(1, 6), rng.randint(1, 6), rng.randint(0, 6)
+        rows = []
+        for _ in range(n):
+            row = [0] * k
+            kind = rng.randrange(4)  # zero row, single 1, single p - 1 or other, dense
+            if kind in (1, 2):
+                row[rng.randrange(k)] = 1 if kind == 1 else rng.choice([p - 1, rng.randrange(1, p)])
+            elif kind == 3:
+                row = [rng.randrange(p) for _ in range(k)]
+            rows.append(row)
+        b = Matrix.from_rows(p, [[rng.randrange(p) for _ in range(m)] for _ in range(k)]) if m else Matrix.zero(p, k, 0)
+        pairs.append((Matrix.from_rows(p, rows), b))
+    for a, b in pairs:
+        c = a.mul(b)
+        assert (c.nrows, c.ncols) == (a.nrows, b.ncols)
+        assert [list(c.row(i)) for i in range(c.nrows)] == mul_entrywise(a, b)
