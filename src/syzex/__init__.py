@@ -19,7 +19,6 @@ from .errors import (
     UnknownCorpusId,
 )
 from .extdim import (
-    EdReportOptions,
     UniverseParams,
     bounded_containment,
     bullet,

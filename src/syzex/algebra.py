@@ -225,6 +225,8 @@ class PathAlgebra:
 
 def _relation_signature(quiver: Quiver, terms) -> Relation:
     """Validate one relation: composable, parallel, homogeneous paths."""
+    if not terms:
+        raise SpecError("empty relation: a relation needs at least one path")
     cooked = []
     sig = None
     for t in terms:

@@ -3,8 +3,8 @@
 Exit codes: 0 success, 1 budget exhaustion, 2 bad input (a SpecError,
 raised where the input enters: files, flags and SYZEX_BUDGET), 3 internal
 faults (a failed consistency check or any other unexpected exception,
-ValueError and KeyError included; the report still renders, with the error
-under results).
+AlgebraMismatch, ValueError and KeyError included; the report still renders,
+with the error under results).
 Reports are deterministic for fixed flags; timings appear only on request.
 """
 
@@ -20,9 +20,8 @@ from pathlib import Path
 
 from . import corpus as corpus_mod
 from .algebra import build_algebra, parse_algebra_spec
-from .errors import BudgetExceeded, SpecError, SyzexError
+from .errors import BudgetExceeded, SpecError
 from .extdim import (
-    EdReportOptions,
     UniverseParams,
     bounded_containment,
     bullet,
@@ -245,12 +244,12 @@ def cmd_ext(args, report):
 def cmd_bullet(args, report):
     entry, spec = _resolve_spec(args.spec, args.field)
     algebra = build_algebra(spec)
-    uni = generate_universe(algebra, args.dim_bound, _universe_params(args))
+    uni = generate_universe(algebra, _universe_params(args))
     left = _member_set(uni, args.left)
     right = _member_set(uni, args.right)
-    got = bullet(uni, left, right, args.mult_bound)
+    got = bullet(uni, left, right)
     if args.sweep:
-        wider = bullet(uni, left, right, args.mult_bound + 1)
+        wider = bullet(uni.with_bullet_bounds(args.mult_bound + 1), left, right)
         if wider != got:
             report["warnings"].append(
                 "saturation sweep: %d new members at mult bound %d"
@@ -272,9 +271,9 @@ def cmd_bullet(args, report):
 def cmd_layer(args, report):
     entry, spec = _resolve_spec(args.spec, args.field)
     algebra = build_algebra(spec)
-    uni = generate_universe(algebra, args.dim_bound, _universe_params(args))
+    uni = generate_universe(algebra, _universe_params(args))
     gens = _member_set(uni, args.gen)
-    got = layer(uni, gens, args.n, args.mult_bound)
+    got = layer(uni, gens, args.n)
     if uni.is_clipped:
         report["warnings"].append("universe clipped at dim bound %d" % args.dim_bound)
     results = {
@@ -300,7 +299,9 @@ def cmd_layer(args, report):
 def cmd_syzcat(args, report):
     entry, spec = _resolve_spec(args.spec, args.field)
     algebra = build_algebra(spec)
-    cat = syzygy_category(algebra, args.n, args.dim_bound, _universe_params(args))
+    if args.n < 0:  # refused before the window is built
+        raise SpecError("syzygy index must be nonnegative")
+    cat = syzygy_category(generate_universe(algebra, _universe_params(args)), args.n)
     if cat.universe.is_clipped:
         report["warnings"].append("universe clipped at dim bound %d" % args.dim_bound)
     report["results"] = {
@@ -318,12 +319,8 @@ def cmd_ed(args, report):
     algebra = build_algebra(spec)
     indices = _int_list(args.i, "--i")
     facts = _facts(args.facts, args.spec) if args.facts else []
-    options = EdReportOptions(
-        dim_bound=args.dim_bound,
-        syzygy_probes=tuple(_int_list(args.syzygy_probe, "--syzygy-probe")) if args.syzygy_probe else (),
-        params=_universe_params(args),
-    )
-    intervals = ed_report(algebra, indices, facts, options, algebra_id=args.spec)
+    probes = _int_list(args.syzygy_probe, "--syzygy-probe") if args.syzygy_probe else ()
+    intervals = ed_report(algebra, indices, _universe_params(args), facts, probes, algebra_id=args.spec)
     report["results"] = {
         "indices": indices,
         "dim_bound": args.dim_bound,
@@ -355,7 +352,7 @@ def cmd_tilting(args, report):
 def cmd_reptype(args, report):
     entry, spec = _resolve_spec(args.spec, args.field)
     algebra = build_algebra(spec)
-    cert = rep_type_certificate(algebra, args.dim_bound, _universe_params(args))
+    cert = rep_type_certificate(algebra, _universe_params(args))
     report["results"] = {
         "dim_bound": args.dim_bound,
         "verdict": cert.verdict,
@@ -404,6 +401,10 @@ def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="syzex", description="exact path-algebra workbench")
     _add_global_flags(top, suppress=False)
     sub = top.add_subparsers(dest="cmd", required=True)
+    # the window bounds of every command that builds a Universe
+    window = argparse.ArgumentParser(add_help=False)
+    window.add_argument("--dim-bound", type=int, default=6)
+    window.add_argument("--mult-bound", type=int, default=2)
 
     p = sub.add_parser("algebra", help="inspect an algebra")
     psub = p.add_subparsers(dest="action", required=True)
@@ -428,36 +429,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--enumerate", action="store_true")
     p.set_defaults(func=cmd_ext)
 
-    p = sub.add_parser("bullet", help="bullet of two add-categories")
+    p = sub.add_parser("bullet", help="bullet of two add-categories", parents=[window])
     p.add_argument("spec")
     p.add_argument("--left", required=True, help="comma list of member names (sub side)")
     p.add_argument("--right", required=True, help="comma list of member names (quotient side)")
-    p.add_argument("--dim-bound", type=int, default=6)
-    p.add_argument("--mult-bound", type=int, default=2)
     p.add_argument("--sweep", action="store_true", help="recheck at mult bound + 1 and warn on growth")
     p.set_defaults(func=cmd_bullet)
 
-    p = sub.add_parser("layer", help="[T]_n layers")
+    p = sub.add_parser("layer", help="[T]_n layers", parents=[window])
     p.add_argument("spec")
     p.add_argument("--gen", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--dim-bound", type=int, default=6)
-    p.add_argument("--mult-bound", type=int, default=2)
     p.add_argument("--contains", default=None, help="member names to test for layer membership")
     p.set_defaults(func=cmd_layer)
 
-    p = sub.add_parser("syzcat", help="syzygy category through the window")
+    p = sub.add_parser("syzcat", help="syzygy category through the window", parents=[window])
     p.add_argument("spec")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--dim-bound", type=int, default=6)
-    p.add_argument("--mult-bound", type=int, default=2)
     p.set_defaults(func=cmd_syzcat)
 
-    p = sub.add_parser("ed", help="extension-dimension intervals")
+    p = sub.add_parser("ed", help="extension-dimension intervals", parents=[window])
     p.add_argument("spec")
     p.add_argument("--i", required=True, help="comma list of syzygy indices")
-    p.add_argument("--dim-bound", type=int, default=6)
-    p.add_argument("--mult-bound", type=int, default=2)
     p.add_argument("--facts", default=None, help="external facts JSON file")
     p.add_argument("--syzygy-probe", default=None, help="indices for finiteness probes")
     p.set_defaults(func=cmd_ed)
@@ -468,10 +461,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", type=int, default=None)
     p.set_defaults(func=cmd_tilting)
 
-    p = sub.add_parser("reptype", help="representation-type certificate")
+    p = sub.add_parser("reptype", help="representation-type certificate", parents=[window])
     p.add_argument("spec")
-    p.add_argument("--dim-bound", type=int, default=6)
-    p.add_argument("--mult-bound", type=int, default=2)
     p.set_defaults(func=cmd_reptype)
 
     p = sub.add_parser("corpus", help="packaged example algebras")
@@ -520,9 +511,6 @@ def run(argv) -> tuple:
         code = 1
     except SpecError as exc:
         report["results"] = {"error": str(exc), "kind": "validation"}
-        code = 2
-    except SyzexError as exc:
-        report["results"] = {"error": str(exc), "kind": "error"}
         code = 2
     except Exception as exc:
         report["results"] = {"error": "%s: %s" % (type(exc).__name__, exc), "kind": "internal"}

@@ -21,7 +21,6 @@ class CorpusEntry:
     spec: AlgebraSpec
     notes: str
     module_builders: dict = field(default_factory=dict)
-    default_tests: bool = True
 
 
 def _kron2(p=2):
@@ -206,7 +205,6 @@ def _bm23(p=2):
         "infinite-syzygy category consists exactly of the projectives (not computed here); "
         "every finite syzygy category has infinite representation type. Excluded from "
         "default test runs (16 arrows make closures heavy).",
-        default_tests=False,
     )
 
 
@@ -322,17 +320,17 @@ def corpus_algebra(entry_id: str, field_p: int = None) -> PathAlgebra:
     return build_algebra(load_corpus(entry_id, field_p).spec)
 
 
+def vertex_module(algebra: PathAlgebra, name: str) -> Representation:
+    """The simple, projective or injective module named S<v>, P<v> or I<v>."""
+    build = {"S": algebra.simple, "P": algebra.projective, "I": algebra.injective}.get(name[:1])
+    v = algebra.quiver.vindex.get(name[1:])
+    if build is None or v is None:
+        raise UnknownCorpusId("unknown module name %r (S, P or I followed by a vertex label)" % name)
+    return build(v)
+
+
 def named_module(entry: CorpusEntry, algebra: PathAlgebra, name: str) -> Representation:
     """Resolve S<v>/P<v>/I<v> or an entry-specific named module like T."""
     if name in entry.module_builders:
         return entry.module_builders[name](algebra)
-    kind, label = name[:1], name[1:]
-    if label in algebra.quiver.vindex:
-        v = algebra.quiver.vindex[label]
-        if kind == "S":
-            return algebra.simple(v)
-        if kind == "P":
-            return algebra.projective(v)
-        if kind == "I":
-            return algebra.injective(v)
-    raise UnknownCorpusId("unknown module name %r for corpus entry %s" % (name, entry.entry_id))
+    return vertex_module(algebra, name)

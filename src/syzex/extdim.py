@@ -3,7 +3,9 @@ representation-type certificates, and the extension-dimension bound engine.
 
 A Universe is a finite, iso-deduplicated window onto A-mod: a worklist
 closure of seed modules under summands, syzygies, cosyzygies and extension
-middle terms, bounded by total dimension.  The bullet of two member sets
+middle terms, bounded by total dimension.  Each window consumer reads its
+bounds from the Universe it is given (its UniverseParams), and the probes of
+one Universe share one window at d + 1.  The bullet of two member sets
 enumerates extension classes between bounded direct sums: one orbit plan per
 (sub, quot) pair yields, per representative, a grid of coefficient tuples,
 one per (sub slot, quot slot), in the Ext^1 basis of that slot pair.  The
@@ -22,12 +24,14 @@ the syzygy categories with full provenance.
 
 from __future__ import annotations
 
+import copy
 import heapq
 import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from . import linalg
+from .corpus import vertex_module
 from .errors import BudgetExceeded, ContradictoryFacts, SpecError
 from .homology import cosyzygy, ext1_space, extension_middle, gldim_bounded, syzygy_summands
 from .linalg import Matrix
@@ -42,6 +46,7 @@ class UniverseParams:
     mult_bound: int = 2
     member_cap: int = 5000
     ext_budget: int = 2 ** 20
+    parts_cap: int = 2  # distinct classes in one summand of a bullet
 
     def __post_init__(self):
         if self.dim_bound < 1:
@@ -120,6 +125,7 @@ class Universe:
         self._corner_cache = {}
         self._bullet_cache = {}
         self._layer_cache = {}
+        self._grown = None
 
     @property
     def dim_bound(self):
@@ -134,21 +140,20 @@ class Universe:
 
     def member_named(self, name: str) -> IndecClass:
         """Resolve S<v>, P<v>, I<v> against the members (interning if absent)."""
-        algebra = self.algebra
-        kind, label = name[:1], name[1:]
-        if label not in algebra.quiver.vindex:
-            raise SpecError("unknown vertex label %r in member name %r" % (label, name))
-        v = algebra.quiver.vindex[label]
-        if kind == "S":
-            rep = algebra.simple(v)
-        elif kind == "P":
-            rep = algebra.projective(v)
-        elif kind == "I":
-            rep = algebra.injective(v)
-        else:
-            raise SpecError("member names start with S, P or I: %r" % name)
-        cls, _ = self.registry.intern(rep)
-        return cls
+        return self.registry.intern(vertex_module(self.algebra, name))[0]
+
+    def grown(self) -> "Universe":
+        """The window at dim bound d + 1, built once and shared by every probe."""
+        if self._grown is None:
+            self._grown = generate_universe(self.algebra, replace(self.params, dim_bound=self.dim_bound + 1))
+        return self._grown
+
+    def with_bullet_bounds(self, mult_bound: int, parts_cap: int = None) -> "Universe":
+        """This window, sharing its classes and caches, with the bullet's
+        multiplicity bound and parts cap replaced; the closure is not redone."""
+        view = copy.copy(self)
+        view.params = replace(self.params, mult_bound=mult_bound, parts_cap=parts_cap or self.params.parts_cap)
+        return view
 
     # -- extension atoms and middles ---------------------------------
 
@@ -224,13 +229,9 @@ def _multisets(classes, max_parts, max_mult, max_dim):
     return out
 
 
-def generate_universe(algebra, dim_bound, params: UniverseParams = None) -> Universe:
+def generate_universe(algebra, params: UniverseParams) -> Universe:
     """Worklist closure of the simples, projectives and injectives under
     summands, syzygies, cosyzygies and extension middle terms."""
-    if params is None:
-        params = UniverseParams(dim_bound)
-    else:
-        params = replace(params, dim_bound=dim_bound)
     uni = Universe(algebra, params)
     heap = []
     seq = itertools.count()
@@ -277,7 +278,7 @@ def generate_universe(algebra, dim_bound, params: UniverseParams = None) -> Univ
                                 "middle above cap %d not expanded" % mid_cap,
                             )
                         break
-                    for summand_cls, _ in _pair_middles(uni, ((sub, j),), ((quot, 1),), params):
+                    for summand_cls, _ in _pair_middles(uni, ((sub, j),), ((quot, 1),)):
                         add(summand_cls.rep, "ext", source="%s by %s^%d" % (quot.dim, sub.dim, j))
         processed.append(cls)
     return uni
@@ -383,15 +384,15 @@ def _choice_matrices(p, mode, blocks):
         yield tuple(lines) if mode == "rows" else tuple(zip(*lines))
 
 
-def _pair_middles(uni: Universe, sub_ms, quot_ms, params):
+def _pair_middles(uni: Universe, sub_ms, quot_ms):
     """All indecomposable summands of middles for one (sub, quot) multiset pair."""
     mode, blocks, count = _orbit_plan(uni, sub_ms, quot_ms)
     if count == 0:
         return []
-    if count > params.ext_budget:
+    budget = uni.params.ext_budget
+    if count > budget:
         raise BudgetExceeded(
-            "%d extension-class representatives for one pair exceed budget %d"
-            % (count, params.ext_budget)
+            "%d extension-class representatives for one pair exceed budget %d" % (count, budget)
         )
     ylist = [cls for cls, mult in sub_ms for _ in range(mult)]
     xlist = [cls for cls, mult in quot_ms for _ in range(mult)]
@@ -406,15 +407,16 @@ def _pair_middles(uni: Universe, sub_ms, quot_ms, params):
     return list(out.values())
 
 
-def bullet(uni: Universe, left, right, mult_bound=None, parts_cap=2) -> frozenset:
+def bullet(uni: Universe, left, right) -> frozenset:
     """Indecomposables of the bullet of add(left) with add(right).
 
     Sequences run 0 -> L -> E -> R -> 0 with the sub L a bounded sum from
     `left` and the quotient R a bounded sum from `right`; the zero class
-    keeps left | right inside the result.
+    keeps left | right inside the result.  The sums' bounds are the
+    universe's mult_bound and parts_cap.
     """
     params = uni.params
-    mb = params.mult_bound if mult_bound is None else mult_bound
+    mb, parts_cap = params.mult_bound, params.parts_cap
     left = frozenset(left)
     right = frozenset(right)
     cache_key = (left, right, mb, parts_cap)
@@ -435,28 +437,27 @@ def bullet(uni: Universe, left, right, mult_bound=None, parts_cap=2) -> frozense
             for quot_ms, quot_dim in zip(quot_sums, quot_dims):
                 if sub_dim + quot_dim > d:
                     break
-                result.update(cls for cls, _ in _pair_middles(uni, sub_ms, quot_ms, params))
+                result.update(cls for cls, _ in _pair_middles(uni, sub_ms, quot_ms))
     out = frozenset(result)
     uni._bullet_cache[cache_key] = out
     return out
 
 
-def layer(uni: Universe, gens, n: int, mult_bound=None, parts_cap=2) -> frozenset:
+def layer(uni: Universe, gens, n: int) -> frozenset:
     """[T]_n inside the universe window: layer 1 is add(T), then bullet with T."""
     gens = frozenset(gens)
     if n < 0:
         raise SpecError("layer index must be nonnegative")
     if n == 0 or not gens:
         return frozenset()
-    mb = uni.params.mult_bound if mult_bound is None else mult_bound
-    key = (gens, n, mb, parts_cap)
+    key = (gens, n, uni.params.mult_bound, uni.params.parts_cap)
     got = uni._layer_cache.get(key)
     if got is not None:
         return got
     if n == 1:
         out = gens
     else:
-        out = bullet(uni, gens, layer(uni, gens, n - 1, mb, parts_cap), mb, parts_cap)
+        out = bullet(uni, gens, layer(uni, gens, n - 1))
     uni._layer_cache[key] = out
     return out
 
@@ -478,12 +479,11 @@ class SyzygyCategory:
     oversized: tuple = ()  # syzygy summands beyond the window bound
 
 
-def syzygy_category(algebra, n: int, dim_bound: int, params: UniverseParams = None, universe=None) -> SyzygyCategory:
+def syzygy_category(universe: Universe, n: int) -> SyzygyCategory:
     """Indecomposables of the n-th syzygy category seen through the window."""
     if n < 0:
         raise SpecError("syzygy index must be nonnegative")
-    if universe is None:
-        universe = generate_universe(algebra, dim_bound, params)
+    algebra = universe.algebra
     if n == 0:
         return SyzygyCategory(0, tuple(universe.sorted_members()), universe)
     found = {}
@@ -533,31 +533,27 @@ def _omega_closure(universe: Universe, base_members):
     return sorted(seen.values(), key=lambda c: c.sort_key()), clipped
 
 
-def syzygy_finiteness_probe(
-    algebra, n: int, dim_bound: int, params: UniverseParams = None, universe: Universe = None
-) -> SyzygyFinitenessProbe:
+def syzygy_finiteness_probe(universe: Universe, n: int) -> SyzygyFinitenessProbe:
     """Certificate hunt for "the n-th syzygy category is representation-finite".
 
     Tier 1: the whole window saturates unclipped (representation-finite
     algebra).  Tier 2: the window's n-th syzygies close under further
     syzygies strictly inside the bound, and the closed list is unchanged
-    when the window grows by one.
+    when the window grows by one (universe.grown(), shared by every probe).
     """
-    cat = syzygy_category(algebra, n, dim_bound, params, universe)
-    uni = cat.universe
-    if not uni.is_clipped and all(
-        c.total_dim < dim_bound for c in uni.members
-    ):
+    cat = syzygy_category(universe, n)
+    dim_bound = universe.dim_bound
+    if not universe.is_clipped and all(c.total_dim < dim_bound for c in universe.members):
         return SyzygyFinitenessProbe(
             n, dim_bound, True, "rep-finite-window", cat.members,
             "universe saturated strictly below the bound",
         )
-    closed, clipped = _omega_closure(uni, cat.members)
+    closed, clipped = _omega_closure(universe, cat.members)
     if clipped or cat.oversized:
         return SyzygyFinitenessProbe(
             n, dim_bound, False, "window", tuple(closed), "syzygy closure touches the window bound"
         )
-    bigger = syzygy_category(algebra, n, dim_bound + 1, params)
+    bigger = syzygy_category(universe.grown(), n)
     closed2, clipped2 = _omega_closure(bigger.universe, bigger.members)
     stable = len(closed) == len(closed2) and all(
         any(is_iso(a.rep, b.rep) for b in closed2) for a in closed
@@ -618,7 +614,8 @@ def tits_classification(algebra) -> str:
     return "Dynkin" if definite else "Euclidean"
 
 
-def rep_type_certificate(algebra, dim_bound: int, params: UniverseParams = None, universe: Universe = None) -> RepTypeCertificate:
+def rep_type_certificate(algebra, params: UniverseParams, universe: Universe = None) -> RepTypeCertificate:
+    """The window is built from params only when the Tits form leaves the type open."""
     tits = tits_classification(algebra)
     if tits in ("Euclidean", "wild-indefinite"):
         return RepTypeCertificate(
@@ -626,7 +623,8 @@ def rep_type_certificate(algebra, dim_bound: int, params: UniverseParams = None,
             witness="underlying graph is %s (Euler form not positive definite)" % tits,
         )
     if universe is None:
-        universe = generate_universe(algebra, dim_bound, params)
+        universe = generate_universe(algebra, params)
+    dim_bound = universe.dim_bound
     strict = all(c.total_dim < dim_bound for c in universe.members)
     if not universe.is_clipped and strict:
         method = "tits_form" if tits == "Dynkin" else "enumeration"
@@ -692,14 +690,9 @@ class EdInterval:
         }
 
 
-@dataclass
-class EdReportOptions:
-    dim_bound: int = 6
-    syzygy_probes: tuple = ()
-    params: UniverseParams = None
-
-
-def ed_report(algebra, indices, external_facts=(), options: EdReportOptions = None, algebra_id="algebra") -> list:
+def ed_report(
+    algebra, indices, params: UniverseParams, external_facts=(), syzygy_probes=(), algebra_id="algebra"
+) -> list:
     """Certified [lower, upper] intervals for ed of the i-th syzygy categories.
 
     Bound rules, each tagged in the provenance chain:
@@ -713,10 +706,8 @@ def ed_report(algebra, indices, external_facts=(), options: EdReportOptions = No
       R8  certified syzygy-finiteness probe => exact 0 at i=n
     External facts enter as axioms with their citation.
     """
-    if options is None:
-        options = EdReportOptions()
     indices = sorted(set(indices))
-    if any(i < 0 for i in indices) or any(n < 0 for n in options.syzygy_probes):
+    if any(i < 0 for i in indices) or any(n < 0 for n in syzygy_probes):
         raise SpecError("syzygy indices and probes are nonnegative")
     ll = algebra.loewy_length()
     semisimple = algebra.is_semisimple()
@@ -725,11 +716,9 @@ def ed_report(algebra, indices, external_facts=(), options: EdReportOptions = No
 
     # one window at d serves the certificate and every probe; without probes
     # the certificate builds it only when the Tits form leaves the type open
-    universe = generate_universe(algebra, options.dim_bound, options.params) if options.syzygy_probes else None
-    rep_cert = rep_type_certificate(algebra, options.dim_bound, options.params, universe)
-    probes = {}
-    for n in options.syzygy_probes:
-        probes[n] = syzygy_finiteness_probe(algebra, n, options.dim_bound, options.params, universe)
+    universe = generate_universe(algebra, params) if syzygy_probes else None
+    rep_cert = rep_type_certificate(algebra, params, universe)
+    probes = {n: syzygy_finiteness_probe(universe, n) for n in syzygy_probes}
 
     external_facts = list(external_facts)
     imax = max(

@@ -17,19 +17,37 @@ them is unchanged.
 
 from __future__ import annotations
 
+from .errors import SpecError
+
+# Miller-Rabin with the first 13 prime bases decides every n below this bound
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2015)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
 
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; SpecError at or above _MR_BOUND."""
+    if n >= _MR_BOUND:
+        raise SpecError("%d is too large to certify as a prime (the bound is %d)" % (n, _MR_BOUND))
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

@@ -15,7 +15,6 @@ from syzex.algebra import build_algebra
 from syzex.corpus import corpus_algebra, load_corpus
 from syzex.errors import BudgetExceeded
 from syzex.extdim import (
-    EdReportOptions,
     UniverseParams,
     bullet,
     ed_report,
@@ -82,9 +81,9 @@ class Bench:
         self.universes = []
         for cid, d, p in self.ROSTER:
             algebra = corpus_algebra(cid, p)
-            self.universes.append((cid, generate_universe(algebra, d)))
+            self.universes.append((cid, generate_universe(algebra, UniverseParams(d))))
         semisimple = build_algebra(AlgebraSpec(2, ["a", "b", "c"], [], []))
-        self.universes.append(("semisimple3", generate_universe(semisimple, 3)))
+        self.universes.append(("semisimple3", generate_universe(semisimple, UniverseParams(3))))
 
     def pick(self, rng):
         return self.universes[rng.randrange(len(self.universes))]
@@ -197,7 +196,7 @@ def suite_resolution_membership(bench):
                     if chain is None:
                         chain = members
                     else:
-                        chain = bullet(uni, members, chain, mult_bound=mb + extra, parts_cap=max(pc, 3))
+                        chain = bullet(uni.with_bullet_bounds(mb + extra, max(pc, 3)), members, chain)
                 assert chain is not None and cls in chain, (
                     "resolution membership failed for %s dim %s" % (cid, cls.dim)
                 )
@@ -245,7 +244,7 @@ def suite_syzygy_of_layer(bench):
                         continue
                     mb = max(3, max((m2 for _, m2 in left_mult + right_mult), default=1))
                     pc = max(3, len(left), len(right))
-                    got = bullet(uni, left, right, mult_bound=mb, parts_cap=pc)
+                    got = bullet(uni.with_bullet_bounds(mb, pc), left, right)
                     assert target <= got, (
                         "syzygy-of-layer failed for %s: %s not inside" % (cid, [c.dim for c in target - got])
                     )
@@ -289,12 +288,12 @@ def suite_layer_monotone(bench, n=125):
 def suite_syzcat_nesting(bench):
     ran = 0
     extra = [
-        ("nodeA", generate_universe(corpus_algebra("nodeA"), 6)),
-        ("beilinson2", generate_universe(corpus_algebra("beilinson2"), 2)),
+        ("nodeA", generate_universe(corpus_algebra("nodeA"), UniverseParams(6))),
+        ("beilinson2", generate_universe(corpus_algebra("beilinson2"), UniverseParams(2))),
     ]
     for cid, uni in list(bench.universes) + extra:
         algebra = uni.algebra
-        cats = {i: syzygy_category(algebra, i, uni.dim_bound, universe=uni) for i in (1, 2, 3, 4)}
+        cats = {i: syzygy_category(uni, i) for i in (1, 2, 3, 4)}
         for i in (1, 2, 3):
             bigger = cats[i]
             smaller = cats[i + 1]
@@ -320,13 +319,13 @@ def suite_duality_layer(bench, n=125):
         rng = random.Random(18_000 + seed)
         _, uni = bench.pick(rng)
         if id(uni) not in caches:
-            caches[id(uni)] = generate_universe(uni.algebra.opposite(), uni.dim_bound)
+            caches[id(uni)] = generate_universe(uni.algebra.opposite(), UniverseParams(uni.dim_bound))
         opp_uni = caches[id(uni)]
         t = bench.subset(rng, uni, 1, 2)
         d = uni.dim_bound
-        lay = layer(uni, t, 2, mult_bound=d, parts_cap=2)
+        lay = layer(uni.with_bullet_bounds(d, 2), t, 2)
         dual_t = frozenset(opp_uni.registry.intern(duality(c.rep))[0] for c in t)
-        dual_lay = layer(opp_uni, dual_t, 2, mult_bound=d, parts_cap=2)
+        dual_lay = layer(opp_uni.with_bullet_bounds(d, 2), dual_t, 2)
         for c in lay:
             dc, _ = opp_uni.registry.intern(duality(c.rep))
             assert dc in dual_lay, "duality image escaped the dual layer"
@@ -415,7 +414,7 @@ def suite_engine_monotone(bench, n=100):
         cid = ids[seed % len(ids)]
         if cid not in base_cache:
             algebra = corpus_algebra(cid)
-            base = ed_report(algebra, [0, 1, 2, 3], options=EdReportOptions(dim_bound=4))
+            base = ed_report(algebra, [0, 1, 2, 3], UniverseParams(4))
             base_cache[cid] = (algebra, base)
         algebra, base = base_cache[cid]
         uppers = [iv.upper for iv in base]
@@ -427,7 +426,7 @@ def suite_engine_monotone(bench, n=100):
             value = rng.randint(pick.lower, pick.upper)
         fact = {"i": pick.i, "kind": kind, "value": value, "citation": "suite"}
         refined = ed_report(
-            algebra, [0, 1, 2, 3], external_facts=[fact], options=EdReportOptions(dim_bound=4)
+            algebra, [0, 1, 2, 3], UniverseParams(4), external_facts=[fact]
         )
         for old, new in zip(base, refined):
             assert new.lower >= old.lower

@@ -10,7 +10,7 @@ import property_suites as ps
 from syzex.cli import run
 from syzex.corpus import corpus_algebra, load_corpus
 from syzex.extdim import (
-    EdReportOptions,
+    UniverseParams,
     bullet,
     ed_report,
     generate_universe,
@@ -52,23 +52,23 @@ def test_criterion_1_kron_ed_exact():
 def test_criterion_2_kron_bullet_orders():
     with criterion(2, "kron2 bullet orders at d=6", 30):
         algebra = corpus_algebra("kron2")
-        uni = generate_universe(algebra, 6)
+        uni = generate_universe(algebra, UniverseParams(6))
         s0 = uni.member_named("S0")
         s1 = uni.member_named("S1")
-        full = bullet(uni, frozenset([s1]), frozenset([s0]), mult_bound=3)
+        full = bullet(uni.with_bullet_bounds(3), frozenset([s1]), frozenset([s0]))
         for cls in uni.members:
             assert cls in full, "window member %s missing from the full order" % (cls.dim,)
-        split = bullet(uni, frozenset([s0]), frozenset([s1]), mult_bound=3)
+        split = bullet(uni.with_bullet_bounds(3), frozenset([s0]), frozenset([s1]))
         assert split == frozenset([s0, s1])
 
 
 def test_criterion_3_fivevertex_finite_and_ed_zero():
     with criterion(3, "fivevertex representation-finite with %d members, ed = 0" % FIVEVERTEX_AR_COUNT, 60):
         algebra = corpus_algebra("fivevertex")
-        cert = rep_type_certificate(algebra, 8)
+        cert = rep_type_certificate(algebra, UniverseParams(8))
         assert cert.verdict == "finite" and cert.certified
         assert len(cert.members) == FIVEVERTEX_AR_COUNT
-        intervals = ed_report(algebra, [0, 1, 2, 4], options=EdReportOptions(dim_bound=8))
+        intervals = ed_report(algebra, [0, 1, 2, 4], UniverseParams(8))
         for iv in intervals:
             assert iv.exact and iv.upper == 0
 
@@ -87,7 +87,7 @@ def test_criterion_5_euclidean_b():
     with criterion(5, "euclideanB Euclidean graph, ed exact 1 then 0", 10):
         algebra = corpus_algebra("euclideanB")
         assert tits_classification(algebra) == "Euclidean"
-        intervals = ed_report(algebra, [0, 1, 2], options=EdReportOptions(dim_bound=5), algebra_id="euclideanB")
+        intervals = ed_report(algebra, [0, 1, 2], UniverseParams(5), algebra_id="euclideanB")
         by_i = {iv.i: iv for iv in intervals}
         assert by_i[0].exact and by_i[0].lower == 1
         assert by_i[1].exact and by_i[1].upper == 0
@@ -100,11 +100,11 @@ def test_criterion_6_beilinson():
         assert gldim_bounded(algebra) == 2
         fact = [{"i": 0, "kind": "exact", "value": 2, "citation": "known extension dimension"}]
         with_fact = ed_report(
-            algebra, [0, 1, 2], external_facts=fact, options=EdReportOptions(dim_bound=2)
+            algebra, [0, 1, 2], UniverseParams(2), external_facts=fact
         )
         for iv in with_fact:
             assert iv.exact and iv.lower == 2 - iv.i
-        without = ed_report(algebra, [0], options=EdReportOptions(dim_bound=2))[0]
+        without = ed_report(algebra, [0], UniverseParams(2))[0]
         assert (without.lower, without.upper) == (0, 2)
         assert not without.exact
         assert "R2" in without.upper_fact.rule or "R3" in without.upper_fact.rule
@@ -123,11 +123,11 @@ def test_criterion_7_property_suites():
 def test_criterion_8_node_syzygy_finiteness():
     with criterion(8, "nodeA first syzygy category saturates; upper bound 0 at i>=1 via R8", 300):
         algebra = corpus_algebra("nodeA")
-        probe = syzygy_finiteness_probe(algebra, 1, 8)
+        probe = syzygy_finiteness_probe(generate_universe(algebra, UniverseParams(8)), 1)
         assert probe.certified, probe.details
         assert 0 < len(probe.members) <= 12
         intervals = ed_report(
-            algebra, [1, 2, 3], options=EdReportOptions(dim_bound=8, syzygy_probes=(1,)), algebra_id="nodeA"
+            algebra, [1, 2, 3], UniverseParams(8), syzygy_probes=(1,), algebra_id="nodeA"
         )
         for iv in intervals:
             assert iv.exact and iv.upper == 0

@@ -8,9 +8,10 @@ from pathlib import Path
 import hypothesis.strategies as st
 import jsonschema
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from syzex.cli import run
+from syzex.errors import AlgebraMismatch
 from syzex.reports import _flat, new_report, render_text
 
 SCHEMA = json.loads(
@@ -56,7 +57,11 @@ def test_algebra_info_from_file(tmp_path):
     assert report["results"]["dimension"] == 9
 
 
-@pytest.mark.parametrize("fault", [AssertionError("projective cover is not surjective"), RuntimeError("boom")])
+@pytest.mark.parametrize("fault", [
+    AssertionError("projective cover is not surjective"),
+    RuntimeError("boom"),
+    AlgebraMismatch("ext over different algebras"),
+])
 def test_internal_fault_exits_3(monkeypatch, fault):
     from syzex import homology
 
@@ -384,6 +389,7 @@ def test_module_file_fuzz_exits_0_or_2(doc):
 
 @settings(max_examples=150, deadline=None)
 @given(SPEC_DOCS)
+@example({"field": 2, "vertices": ["a", "b"], "arrows": [{"name": "x", "from": "a", "to": "b"}], "relations": [[]]})
 def test_algebra_file_fuzz_exits_0_or_2(doc):
     code, report = run_file_argv(doc, ["algebra", "info", "FILE"])
     assert code in (0, 2), report["results"]
@@ -405,12 +411,18 @@ def test_bad_spec_exit_2():
 @pytest.mark.parametrize("argv", [
     ["--field", "4", "algebra", "info", "kron2"],
     ["--field", "4", "ext", "kron2", "S0", "S1", "--enumerate"],
+    ["--field", str(2 ** 89 - 1), "algebra", "info", "kron2"],
 ])
 def test_non_prime_field_exit_2(argv):
     code, report, _ = run_json(argv)
     assert code == 2
     assert report["results"]["kind"] == "validation"
     assert "prime" in report["results"]["error"]
+
+
+def test_mersenne_61_field():
+    code, report, _ = run_json(["--field", str(2 ** 61 - 1), "algebra", "info", "kron2"])
+    assert code == 0 and report["results"]["field"] == 2 ** 61 - 1
 
 
 def test_deep_odd_prime_syzygy_total_dimension():

@@ -6,7 +6,6 @@ from conftest import conjugate
 from syzex.algebra import AlgebraSpec, build_algebra
 from syzex.errors import ContradictoryFacts
 from syzex.extdim import (
-    EdReportOptions,
     UniverseParams,
     bounded_containment,
     bullet,
@@ -27,12 +26,12 @@ FIVEVERTEX_AR_COUNT = 14  # vertices of the AR quiver of this algebra, counted b
 
 @pytest.fixture(scope="module")
 def kron_universe(kron2):
-    return generate_universe(kron2, 6)
+    return generate_universe(kron2, UniverseParams(6))
 
 
 @pytest.fixture(scope="module")
 def five_universe(fivevertex):
-    return generate_universe(fivevertex, 8)
+    return generate_universe(fivevertex, UniverseParams(8))
 
 
 def linear_an_algebra(n=4):
@@ -51,7 +50,7 @@ def euclidean_b_algebra():
 
 
 def test_universe_semisimple_saturates(semisimple3):
-    uni = generate_universe(semisimple3, 4)
+    uni = generate_universe(semisimple3, UniverseParams(4))
     assert not uni.is_clipped
     assert len(uni.members) == 3
     assert all(c.total_dim == 1 for c in uni.members)
@@ -86,7 +85,7 @@ def test_bullet_kron_projective_then_injective_order(kron_universe, kron2):
 def test_bullet_kron_covers_window(kron_universe):
     s0 = kron_universe.member_named("S0")
     s1 = kron_universe.member_named("S1")
-    got = bullet(kron_universe, frozenset([s1]), frozenset([s0]), mult_bound=3)
+    got = bullet(kron_universe.with_bullet_bounds(3), frozenset([s1]), frozenset([s0]))
     for cls in kron_universe.members:
         assert cls in got
 
@@ -103,7 +102,7 @@ def test_layer_examples(kron_universe):
     both = frozenset([s0, s1])
     assert layer(kron_universe, both, 1) == both
     assert layer(kron_universe, frozenset(), 3) == frozenset()
-    full = layer(kron_universe, both, 2, mult_bound=3)
+    full = layer(kron_universe.with_bullet_bounds(3), both, 2)
     for cls in kron_universe.members:
         assert cls in full
 
@@ -121,7 +120,7 @@ def test_bounded_containment(kron_universe):
 
 def test_syzygy_category_gldim_one():
     b = euclidean_b_algebra()
-    cat = syzygy_category(b, 1, 6)
+    cat = syzygy_category(generate_universe(b, UniverseParams(6)), 1)
     projectives = {tuple(b.projective(v).dim) for v in range(b.n_vertices)}
     assert {c.dim for c in cat.members} == projectives
     for c in cat.members:
@@ -129,12 +128,12 @@ def test_syzygy_category_gldim_one():
 
 
 def test_syzygy_category_zero_is_window(kron_universe, kron2):
-    cat = syzygy_category(kron2, 0, 6, universe=kron_universe)
+    cat = syzygy_category(kron_universe, 0)
     assert set(cat.members) == set(kron_universe.members)
 
 
 def test_syzygy_category_beilinson_second(beilinson2):
-    cat = syzygy_category(beilinson2, 2, 2)
+    cat = syzygy_category(generate_universe(beilinson2, UniverseParams(2)), 2)
     for c in cat.members:
         assert projective_cover(c.rep).kernel.total_dim == 0
 
@@ -161,25 +160,25 @@ def test_tits_wild():
 
 
 def test_rep_type_kron_infinite(kron2):
-    cert = rep_type_certificate(kron2, 6)
+    cert = rep_type_certificate(kron2, UniverseParams(6))
     assert cert.verdict == "infinite" and cert.method == "tits_form" and cert.certified
 
 
 def test_rep_type_fivevertex_finite(fivevertex, five_universe):
-    cert = rep_type_certificate(fivevertex, 8, universe=five_universe)
+    cert = rep_type_certificate(fivevertex, UniverseParams(8), five_universe)
     assert cert.verdict == "finite" and cert.certified
     assert len(cert.members) == FIVEVERTEX_AR_COUNT
 
 
 def test_rep_type_dynkin_finite():
     a4 = linear_an_algebra()
-    cert = rep_type_certificate(a4, 8)
+    cert = rep_type_certificate(a4, UniverseParams(8))
     assert cert.verdict == "finite" and cert.method == "tits_form" and cert.certified
     assert len(cert.members) == 10  # positive roots of A4
 
 
 def test_ed_kron(kron2):
-    intervals = ed_report(kron2, [0, 1, 2], options=EdReportOptions(dim_bound=6), algebra_id="kron2")
+    intervals = ed_report(kron2, [0, 1, 2], UniverseParams(6), algebra_id="kron2")
     by_i = {iv.i: iv for iv in intervals}
     assert by_i[0].exact and by_i[0].lower == 1
     assert by_i[1].exact and by_i[1].upper == 0
@@ -187,19 +186,19 @@ def test_ed_kron(kron2):
 
 
 def test_ed_fivevertex(fivevertex):
-    intervals = ed_report(fivevertex, [0, 1, 3], options=EdReportOptions(dim_bound=8))
+    intervals = ed_report(fivevertex, [0, 1, 3], UniverseParams(8))
     for iv in intervals:
         assert iv.exact and iv.upper == 0
 
 
 def test_ed_semisimple(semisimple3):
-    intervals = ed_report(semisimple3, [0, 1], options=EdReportOptions(dim_bound=3))
+    intervals = ed_report(semisimple3, [0, 1], UniverseParams(3))
     for iv in intervals:
         assert iv.exact and iv.upper == 0
 
 
 def test_ed_beilinson_without_facts(beilinson2):
-    intervals = ed_report(beilinson2, [0], options=EdReportOptions(dim_bound=2), algebra_id="beilinson2")
+    intervals = ed_report(beilinson2, [0], UniverseParams(2), algebra_id="beilinson2")
     iv = intervals[0]
     assert (iv.lower, iv.upper) == (0, 2)
     assert not iv.exact
@@ -208,7 +207,7 @@ def test_ed_beilinson_without_facts(beilinson2):
 def test_ed_beilinson_with_external_fact(beilinson2):
     facts = [{"i": 0, "kind": "exact", "value": 2, "citation": "known value"}]
     intervals = ed_report(
-        beilinson2, [0, 1, 2], external_facts=facts, options=EdReportOptions(dim_bound=2)
+        beilinson2, [0, 1, 2], UniverseParams(2), external_facts=facts
     )
     by_i = {iv.i: iv for iv in intervals}
     for i in (0, 1, 2):
@@ -219,12 +218,12 @@ def test_ed_beilinson_with_external_fact(beilinson2):
 def test_ed_contradictory_facts(kron2):
     facts = [{"i": 0, "kind": "upper", "value": 0, "citation": "bogus"}]
     with pytest.raises(ContradictoryFacts):
-        ed_report(kron2, [0], external_facts=facts, options=EdReportOptions(dim_bound=6))
+        ed_report(kron2, [0], UniverseParams(6), external_facts=facts)
 
 
 def test_ed_euclidean_b():
     b = euclidean_b_algebra()
-    intervals = ed_report(b, [0, 1, 2], options=EdReportOptions(dim_bound=6))
+    intervals = ed_report(b, [0, 1, 2], UniverseParams(6))
     by_i = {iv.i: iv for iv in intervals}
     assert by_i[0].exact and by_i[0].lower == 1
     assert by_i[1].exact and by_i[1].upper == 0
@@ -233,33 +232,59 @@ def test_ed_euclidean_b():
 
 def test_probe_gldim_one_certified():
     b = euclidean_b_algebra()
-    probe = syzygy_finiteness_probe(b, 1, 6)
+    probe = syzygy_finiteness_probe(generate_universe(b, UniverseParams(6)), 1)
     assert probe.certified
 
 
-def test_ed_report_builds_one_window_per_bound(monkeypatch):
-    """The certificate and the probe share the window at d; only the
-    probe's stability check builds a second one, at d + 1."""
+@pytest.fixture
+def window_bounds(monkeypatch):
+    """The dim bound of every window generate_universe builds, in order."""
     import syzex.extdim as extdim
-    from syzex.corpus import corpus_algebra
 
     bounds = []
     real = extdim.generate_universe
 
-    def counted(algebra, dim_bound, params=None):
-        bounds.append(dim_bound)
-        return real(algebra, dim_bound, params)
+    def counted(algebra, params):
+        bounds.append(params.dim_bound)
+        return real(algebra, params)
 
     monkeypatch.setattr(extdim, "generate_universe", counted)
-    intervals = ed_report(corpus_algebra("nodeA"), [1], options=EdReportOptions(dim_bound=6, syzygy_probes=(1,)))
+    return bounds
+
+
+def test_ed_report_builds_one_window_per_bound(window_bounds):
+    """The certificate and the probe share the window at d; only the
+    probe's stability check builds a second one, at d + 1."""
+    from syzex.corpus import corpus_algebra
+
+    bounds = window_bounds
+    intervals = ed_report(corpus_algebra("nodeA"), [1], UniverseParams(6), syzygy_probes=(1,))
     assert intervals[0].exact and "R8" in intervals[0].upper_fact.describe()
     assert bounds == [6, 7]
     # without a probe the window is built only when the Tits form leaves the type open
     bounds.clear()
-    ed_report(corpus_algebra("kron2"), [0, 1, 2], options=EdReportOptions(dim_bound=6))
+    ed_report(corpus_algebra("kron2"), [0, 1, 2], UniverseParams(6))
     assert bounds == []
-    ed_report(corpus_algebra("fivevertex"), [0, 1, 2], options=EdReportOptions(dim_bound=8))
+    ed_report(corpus_algebra("fivevertex"), [0, 1, 2], UniverseParams(8))
     assert bounds == [8]
+
+
+def test_probes_share_one_grown_window(window_bounds):
+    """Two probes build the window at d and at d + 1 once each, and report
+    what two runs with one probe each report together."""
+    from syzex.corpus import corpus_algebra
+
+    algebra = corpus_algebra("nodeA")
+    params = UniverseParams(6)
+    singles = [ed_report(algebra, [0, 1, 2, 3], params, syzygy_probes=(n,)) for n in (1, 2)]
+    window_bounds.clear()
+    both = ed_report(algebra, [0, 1, 2, 3], params, syzygy_probes=(1, 2))
+    assert window_bounds == [6, 7]
+    # every rule derives from one premise, so the bounds of the union of two
+    # probes' facts are the best bounds of the two single-probe runs
+    for iv, one, two in zip(both, *singles):
+        assert (iv.i, iv.lower, iv.upper) == (one.i, max(one.lower, two.lower), min(one.upper, two.upper))
+    assert [(iv.lower, iv.upper) for iv in singles[0]] != [(iv.lower, iv.upper) for iv in singles[1]]
 
 
 @pytest.mark.parametrize("entry, p, d", [("nodeA", 2, 6), ("beilinson2", 2, 2), ("kron2", 3, 4)])
@@ -271,9 +296,9 @@ def test_syzygy_category_walk_matches_whole_module_decomposition(entry, p, d):
     from syzex.rep import decompose
 
     algebra = corpus_algebra(entry, p)
-    uni = generate_universe(algebra, d)
+    uni = generate_universe(algebra, UniverseParams(d))
     for n in (1, 2, 3):
-        cat = syzygy_category(algebra, n, d, universe=uni)
+        cat = syzygy_category(uni, n)
         found = {id(uni.registry.intern(algebra.projective(v))[0]) for v in range(algebra.n_vertices)}
         oversized = []
         for cls in uni.sorted_members():
@@ -327,7 +352,7 @@ def test_orbit_reduction_matches_full_enumeration(kron_universe, five_universe):
                         middle = extension_middle([sub.rep] * j, [quot.rep] * k, corners)
                         for cls, _ in uni._middle_summands(middle):
                             full.add(canon(cls))
-                    reduced = {canon(cls) for cls, _ in _pair_middles(uni, sub_ms, quot_ms, uni.params)}
+                    reduced = {canon(cls) for cls, _ in _pair_middles(uni, sub_ms, quot_ms)}
                     # the full run also contains split pieces from degenerate
                     # classes; those are exactly the sides and smaller pairs
                     smaller = set()
@@ -339,7 +364,7 @@ def test_orbit_reduction_matches_full_enumeration(kron_universe, five_universe):
                                 smaller |= {id(sub), id(quot)}
                                 continue
                             smaller |= {
-                                canon(cls) for cls, _ in _pair_middles(uni, ((sub, jj),), ((quot, kk),), uni.params)
+                                canon(cls) for cls, _ in _pair_middles(uni, ((sub, jj),), ((quot, kk),))
                             }
                     assert full <= reduced | smaller | {id(sub), id(quot)}
                     assert reduced <= full
@@ -351,7 +376,7 @@ def test_closure_interns_only_window_summands():
     """Middle summands above the bound are clipped without being interned."""
     from syzex.corpus import corpus_algebra
 
-    uni = generate_universe(corpus_algebra("beilinson2", 3), 2)
+    uni = generate_universe(corpus_algebra("beilinson2", 3), UniverseParams(2))
     classes = [c for bucket in uni.registry.by_fp.values() for c in bucket]
     assert classes and all(c.total_dim <= 2 for c in classes)
     assert uni.is_clipped
@@ -368,13 +393,13 @@ def test_window_only_intern_matches_intern_everything(monkeypatch, entry, p, d):
     from syzex.rep import decompose
 
     algebra = corpus_algebra(entry, p)
-    uni = generate_universe(algebra, d)
+    uni = generate_universe(algebra, UniverseParams(d))
 
     def intern_everything(self, rep):
         return tuple((self.registry.intern(f)[0], mult) for f, mult in decompose(rep).factors)
 
     monkeypatch.setattr(Universe, "_middle_summands", intern_everything)
-    ref = generate_universe(algebra, d)
+    ref = generate_universe(algebra, UniverseParams(d))
     assert [c.key for c in uni.members] == [c.key for c in ref.members]
     assert uni.is_clipped == ref.is_clipped
     assert uni.clipped == ref.clipped
@@ -415,11 +440,10 @@ def test_pair_middles_plans_once(kron_universe, monkeypatch):
 
     monkeypatch.setattr(extdim, "_orbit_plan", counted)
     s0, s1 = kron_universe.member_named("S0"), kron_universe.member_named("S1")
-    params = kron_universe.params
     # Ext^1(S0, S1) = k^2 realizes P0; Ext^1(S1, S0) = 0 has no representative
-    middles = extdim._pair_middles(kron_universe, ((s1, 2),), ((s0, 1),), params)
+    middles = extdim._pair_middles(kron_universe, ((s1, 2),), ((s0, 1),))
     assert [c.dim for c, _ in middles] == [(1, 2)] and len(calls) == 1
-    assert extdim._pair_middles(kron_universe, ((s0, 1),), ((s1, 1),), params) == []
+    assert extdim._pair_middles(kron_universe, ((s0, 1),), ((s1, 1),)) == []
     assert len(calls) == 2
 
 
@@ -455,7 +479,7 @@ def test_is_iso_matches_exhaustive_hom_scan(kron_universe, five_universe):
 
 
 def test_rep_type_euclidean_b_infinite():
-    cert = rep_type_certificate(euclidean_b_algebra(), 5)
+    cert = rep_type_certificate(euclidean_b_algebra(), UniverseParams(5))
     assert cert.verdict == "infinite" and cert.certified and cert.method == "tits_form"
 
 
@@ -481,7 +505,7 @@ def test_universe_over_gf3():
     from syzex.corpus import corpus_algebra
 
     algebra = corpus_algebra("kron2", field_p=3)
-    uni = generate_universe(algebra, 4)
+    uni = generate_universe(algebra, UniverseParams(4))
     # same shape over GF(3): P^1(F_3) has four rational points and three
     # quadratic ones, so (1,1) has multiplicity 4 and (2,2) has 4 + 3
     counts = {}
@@ -500,7 +524,7 @@ def test_window_order_unchanged_under_byte_per_entry_keys(monkeypatch, entry):
     from syzex.linalg import Matrix
 
     def members():
-        uni = generate_universe(corpus_algebra(entry), 6)
+        uni = generate_universe(corpus_algebra(entry), UniverseParams(6))
         return [(c.rep.dim, c.rep.action) for c in uni.sorted_members()]
 
     packed = members()

@@ -4,12 +4,14 @@ import random
 import pytest
 
 from conftest import mat_vec, solve_vec
+from syzex.errors import SpecError
 from syzex.linalg import (
     Matrix,
     _kernel_rows,
     column_space_basis,
     hstack,
     inv_mod,
+    is_prime,
     kernel_basis,
     null_space,
     quotient_maps,
@@ -377,3 +379,19 @@ def test_odd_mul_matches_entrywise_product(p):
         c = a.mul(b)
         assert (c.nrows, c.ncols) == (a.nrows, b.ncols)
         assert [list(c.row(i)) for i in range(c.nrows)] == mul_entrywise(a, b)
+
+
+def test_is_prime_agrees_with_trial_division_below_1e5():
+    def trial(n):
+        return n >= 2 and all(n % f for f in range(2, int(n ** 0.5) + 1))
+
+    assert [n for n in range(10 ** 5) if is_prime(n)] == [n for n in range(10 ** 5) if trial(n)]
+
+
+def test_is_prime_large():
+    # 3215031751 = 151 * 751 * 28351 is a strong pseudoprime to bases 2, 3, 5 and 7
+    assert not is_prime(3215031751)
+    assert is_prime(2 ** 61 - 1)
+    # the 13 bases are proven only below 3.317e24; above it the field is refused
+    with pytest.raises(SpecError):
+        is_prime(3317044064679887385961981)
