@@ -149,8 +149,13 @@ def _universe_params(args) -> UniverseParams:
     )
 
 
-def _member_set(uni, names: str):
-    return frozenset(uni.member_named(x.strip()) for x in names.split(",") if x.strip())
+def _vertex_modules(algebra, names: str) -> list:
+    """The S<v>/P<v>/I<v> modules of a comma list, built before the window."""
+    return [corpus_mod.vertex_module(algebra, x.strip()) for x in names.split(",") if x.strip()]
+
+
+def _member_set(uni, modules) -> frozenset:
+    return frozenset(uni.registry.intern(m)[0] for m in modules)
 
 
 def _dims(classes):
@@ -244,9 +249,10 @@ def cmd_ext(args, report):
 def cmd_bullet(args, report):
     entry, spec = _resolve_spec(args.spec, args.field)
     algebra = build_algebra(spec)
+    left_mods, right_mods = _vertex_modules(algebra, args.left), _vertex_modules(algebra, args.right)
     uni = generate_universe(algebra, _universe_params(args))
-    left = _member_set(uni, args.left)
-    right = _member_set(uni, args.right)
+    left = _member_set(uni, left_mods)
+    right = _member_set(uni, right_mods)
     got = bullet(uni, left, right)
     if args.sweep:
         wider = bullet(uni.with_bullet_bounds(args.mult_bound + 1), left, right)
@@ -271,8 +277,12 @@ def cmd_bullet(args, report):
 def cmd_layer(args, report):
     entry, spec = _resolve_spec(args.spec, args.field)
     algebra = build_algebra(spec)
+    if args.n < 0:  # refused before the window is built
+        raise SpecError("layer index must be nonnegative")
+    gen_mods = _vertex_modules(algebra, args.gen)
+    target_mods = _vertex_modules(algebra, args.contains or "")
     uni = generate_universe(algebra, _universe_params(args))
-    gens = _member_set(uni, args.gen)
+    gens = _member_set(uni, gen_mods)
     got = layer(uni, gens, args.n)
     if uni.is_clipped:
         report["warnings"].append("universe clipped at dim bound %d" % args.dim_bound)
@@ -285,7 +295,7 @@ def cmd_layer(args, report):
         "members": _dims(got),
     }
     if args.contains:
-        target = _member_set(uni, args.contains)
+        target = _member_set(uni, target_mods)
         missing = bounded_containment(uni, target, gens, args.n)
         results["contains"] = {
             "query": sorted(x.strip() for x in args.contains.split(",")),

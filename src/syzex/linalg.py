@@ -8,11 +8,12 @@ rref returns the pivot columns with the reduced matrix.  kernel_basis is a
 Matrix in the system's row layout, one kernel vector per row; null_space is
 the canonical kernel basis as columns, like column_space_basis for images.
 
-Matrices met on the syzygy path are large and sparse, so the kernel rows and
-odd-p products do work in proportion to the nonzero entries of each row, not
-to its length.  Matrix.key packs GF(2) entries one bit each; keys of equal
-shape compare as the one-byte-per-entry keys did, so every order built on
-them is unchanged.
+Matrices met on the syzygy path are large and sparse, so the kernel rows,
+odd-p products and GF(2) rref and rank do work in proportion to the nonzero
+entries of each row, not to its length: GF(2) elimination is one pass that
+reduces each row by the pivot at its lowest set bit.  Matrix.key packs GF(2)
+entries one bit each; keys of equal shape compare as the one-byte-per-entry
+keys did, so every order built on them is unchanged.
 """
 
 from __future__ import annotations
@@ -260,6 +261,8 @@ class Matrix:
             raise ValueError("shape/field mismatch")
 
     def rank(self) -> int:
+        if self.p == 2:
+            return len(_echelon(self.rows))
         return len(rref(self)[1])
 
 
@@ -272,9 +275,11 @@ def _pack(values) -> int:
 
 
 def _unpack(mask: int, n: int) -> tuple:
-    return tuple([(mask >> j) & 1 for j in range(n)])
+    # bit n is a sentinel that keeps the leading zeros
+    return tuple(bin(mask | 1 << n)[:2:-1].encode().translate(_BIT_DIGITS))
 
 
+_BIT_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 _BIT_REVERSED = bytes(int(format(b, "08b")[::-1], 2) for b in range(256))
 
 
@@ -344,6 +349,21 @@ def block_diag(p: int, mats: list) -> Matrix:
     return Matrix(p, nr, nc, tuple(tuple(r) for r in rows))
 
 
+def _echelon(rows) -> dict:
+    """GF(2) forward pass: lowest set bit -> pivot row.  Each row is reduced
+    by the pivot at its lowest bit until that bit is new or the row is 0."""
+    piv = {}
+    for r in rows:
+        while r:
+            low = r & -r
+            q = piv.get(low)
+            if q is None:
+                piv[low] = r
+                break
+            r ^= q
+    return piv
+
+
 def rref(m: Matrix) -> tuple:
     """Reduced row echelon form with its pivot columns, one per nonzero row.
 
@@ -352,28 +372,21 @@ def rref(m: Matrix) -> tuple:
     """
     p = m.p
     if p == 2:
-        rows = list(m.rows)
-        pivots = []
-        r = 0
-        for c in range(m.ncols):
-            bit = 1 << c
-            pivot = -1
-            for i in range(r, m.nrows):
-                if rows[i] & bit:
-                    pivot = i
-                    break
-            if pivot < 0:
-                continue
-            rows[r], rows[pivot] = rows[pivot], rows[r]
-            pr = rows[r]
-            for i in range(m.nrows):
-                if i != r and rows[i] & bit:
-                    rows[i] ^= pr
-            pivots.append(c)
-            r += 1
-            if r == m.nrows:
-                break
-        return Matrix(2, m.nrows, m.ncols, tuple(rows)), pivots
+        piv = _echelon(m.rows)
+        lows = sorted(piv)
+        # back-substitute from the last pivot, with rows already reduced
+        done = 0
+        for low in reversed(lows):
+            r = piv[low]
+            later = r & done
+            while later:
+                b = later & -later
+                r ^= piv[b]
+                later ^= b
+            piv[low] = r
+            done |= low
+        rows = [piv[low] for low in lows] + [0] * (m.nrows - len(lows))
+        return Matrix(2, m.nrows, m.ncols, tuple(rows)), [low.bit_length() - 1 for low in lows]
     rows = [list(r) for r in m.rows]
     pivots = []
     r = 0

@@ -319,6 +319,24 @@ def test_bad_input_exits_2(tmp_path, argv):
     assert report["results"]["kind"] == "validation"
 
 
+@pytest.mark.parametrize("argv", [
+    ["layer", "kron2", "--gen", "S0", "--n", "-1"],
+    ["layer", "kron2", "--gen", "Q9", "--n", "1"],
+    ["layer", "kron2", "--gen", "S0", "--n", "1", "--contains", "Q9"],
+    ["bullet", "kron2", "--left", "Q9", "--right", "S0"],
+])
+def test_window_input_refused_before_the_closure(monkeypatch, argv):
+    from syzex import cli
+
+    def closure(*args, **kwargs):
+        raise AssertionError("the window was built before the input was checked")
+
+    monkeypatch.setattr(cli, "generate_universe", closure)
+    code, report, _ = run_json(argv)
+    assert code == 2
+    assert report["results"]["kind"] == "validation"
+
+
 def test_bad_budget_env_exits_2(monkeypatch):
     monkeypatch.setenv("SYZEX_BUDGET", "lots")
     code, report, _ = run_json(["algebra", "info", "kron2"])

@@ -1,13 +1,16 @@
 import itertools
 import random
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from conftest import mat_vec, solve_vec
 from syzex.errors import SpecError
 from syzex.linalg import (
     Matrix,
     _kernel_rows,
+    _unpack,
     column_space_basis,
     hstack,
     inv_mod,
@@ -395,3 +398,68 @@ def test_is_prime_large():
     # the 13 bases are proven only below 3.317e24; above it the field is refused
     with pytest.raises(SpecError):
         is_prime(3317044064679887385961981)
+
+
+def rref_column_scan(m):
+    """Oracle: GF(2) reduction that tests every remaining row at every column."""
+    rows = list(m.rows)
+    pivots = []
+    r = 0
+    for c in range(m.ncols):
+        bit = 1 << c
+        pivot = -1
+        for i in range(r, m.nrows):
+            if rows[i] & bit:
+                pivot = i
+                break
+        if pivot < 0:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        pr = rows[r]
+        for i in range(m.nrows):
+            if i != r and rows[i] & bit:
+                rows[i] ^= pr
+        pivots.append(c)
+        r += 1
+        if r == m.nrows:
+            break
+    return tuple(rows), pivots
+
+
+@st.composite
+def gf2_matrices(draw, rows, cols):
+    """Random GF(2) matrices of a given density, with zero and repeated rows mixed in."""
+    nr, nc = draw(rows), draw(cols)
+    density = draw(st.floats(0.02, 0.9))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    out = [sum(1 << j for j in range(nc) if rng.random() < density) for _ in range(nr)]
+    for extra in draw(st.lists(st.sampled_from(["zero", "repeat"]), max_size=4)):
+        out.append(rng.choice(out) if extra == "repeat" and out else 0)
+    rng.shuffle(out)
+    return Matrix(2, len(out), nc, tuple(out))
+
+
+def check_against_column_scan(m):
+    red, pivots = rref(m)
+    assert (red.nrows, red.ncols) == (m.nrows, m.ncols)
+    assert (red.rows, pivots) == rref_column_scan(m)
+    assert m.rank() == len(pivots)
+
+
+@settings(max_examples=300, deadline=None)
+@given(gf2_matrices(st.integers(0, 40), st.integers(0, 40)))
+def test_gf2_rref_matches_column_scan(m):
+    check_against_column_scan(m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(gf2_matrices(st.integers(0, 30), st.just(800)))
+def test_gf2_rref_matches_column_scan_wide(m):
+    check_against_column_scan(m)
+
+
+def test_unpack_matches_shift_loop():
+    rng = random.Random(619)
+    for n in range(1001):
+        for mask in (0, (1 << n) - 1, rng.getrandbits(n)):
+            assert _unpack(mask, n) == tuple((mask >> j) & 1 for j in range(n))
