@@ -33,7 +33,6 @@ from .extdim import (
 from .homology import (
     cosyzygy,
     duality,
-    enumerate_ext_classes,
     ext1_space,
     extension_middle,
     gldim_bounded,

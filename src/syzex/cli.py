@@ -32,14 +32,7 @@ from .extdim import (
     syzygy_category,
     tits_classification,
 )
-from .homology import (
-    cosyzygy,
-    enumerate_ext_classes,
-    ext1_space,
-    extension_middle,
-    syzygy,
-    tilting_check,
-)
+from .homology import cosyzygy, ext1_space, extension_middle, syzygy, tilting_check
 from .rep import decompose, module_doc, parse_module_doc
 from .reports import new_report, render_json, render_text
 
@@ -225,22 +218,25 @@ def cmd_ext(args, report):
     space = ext1_space(x, y)
     results = {"x": args.x, "y": args.y, "dimension": space.dimension}
     if args.enumerate:
-        classes = enumerate_ext_classes(space, budget=args.budget)
         p = algebra.p
+        if p ** space.dimension > args.budget:
+            raise BudgetExceeded(
+                "%d^%d extension classes exceed budget %d" % (p, space.dimension, args.budget)
+            )
         # one decomposition per line: diag(lambda I_Y, I_X) maps middle(c) onto middle(lambda c)
         by_line = {}
         listing = []
-        for coords, cls in zip(itertools.product(range(p), repeat=space.dimension), classes):
+        for coords in itertools.product(range(p), repeat=space.dimension):
             lead = pow(next((c for c in coords if c), 1), -1, p)
             line = tuple(c * lead % p for c in coords)
             if line not in by_line:
-                middle = extension_middle((cls.Y,), (cls.X,), ((cls.corners(),),))
+                middle = extension_middle((y,), (x,), ((space.corners(coords),),))
                 by_line[line] = {
                     "middle_dim": middle.dim_map(),
                     "summands": [{"dim": f.dim_map(), "multiplicity": mult} for f, mult in decompose(middle).factors],
                 }
             listing.append(by_line[line])
-        results["class_count"] = len(classes)
+        results["class_count"] = len(listing)
         results["classes"] = listing
     report["results"] = results
     return 0
@@ -410,29 +406,31 @@ def _add_global_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="syzex", description="exact path-algebra workbench")
     _add_global_flags(top, suppress=False)
+    common = argparse.ArgumentParser(add_help=False)  # the parent of every leaf
+    _add_global_flags(common, suppress=True)
     sub = top.add_subparsers(dest="cmd", required=True)
     # the window bounds of every command that builds a Universe
-    window = argparse.ArgumentParser(add_help=False)
+    window = argparse.ArgumentParser(add_help=False, parents=[common])
     window.add_argument("--dim-bound", type=int, default=6)
     window.add_argument("--mult-bound", type=int, default=2)
 
     p = sub.add_parser("algebra", help="inspect an algebra")
     psub = p.add_subparsers(dest="action", required=True)
-    info = psub.add_parser("info")
+    info = psub.add_parser("info", parents=[common])
     info.add_argument("spec")
     info.set_defaults(func=cmd_algebra)
 
     p = sub.add_parser("mod", help="module operations")
     psub = p.add_subparsers(dest="action", required=True)
     for action in ("validate", "decompose", "syzygy", "cosyzygy"):
-        q = psub.add_parser(action)
+        q = psub.add_parser(action, parents=[common])
         q.add_argument("spec")
         q.add_argument("module")
         if action in ("syzygy", "cosyzygy"):
             q.add_argument("--n", type=int, default=1)
         q.set_defaults(func=cmd_mod)
 
-    p = sub.add_parser("ext", help="Ext^1 dimension and classes")
+    p = sub.add_parser("ext", help="Ext^1 dimension and classes", parents=[common])
     p.add_argument("spec")
     p.add_argument("x")
     p.add_argument("y")
@@ -465,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--syzygy-probe", default=None, help="indices for finiteness probes")
     p.set_defaults(func=cmd_ed)
 
-    p = sub.add_parser("tilting", help="tilting-module check")
+    p = sub.add_parser("tilting", help="tilting-module check", parents=[common])
     p.add_argument("spec")
     p.add_argument("module")
     p.add_argument("--bound", type=int, default=None)
@@ -477,32 +475,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("corpus", help="packaged example algebras")
     psub = p.add_subparsers(dest="action", required=True)
-    lst = psub.add_parser("list")
+    lst = psub.add_parser("list", parents=[common])
     lst.set_defaults(func=cmd_corpus)
-    show = psub.add_parser("show")
+    show = psub.add_parser("show", parents=[common])
     show.add_argument("id")
     show.set_defaults(func=cmd_corpus)
 
-    for leaf in _leaf_parsers(top):
-        if leaf is not top:
-            _add_global_flags(leaf, suppress=True)
     return top
-
-
-def _leaf_parsers(parser):
-    leaves = []
-    stack = [parser]
-    while stack:
-        cur = stack.pop()
-        subs = [
-            a for a in cur._actions if isinstance(a, argparse._SubParsersAction)
-        ]
-        if not subs:
-            leaves.append(cur)
-            continue
-        for action in subs:
-            stack.extend(action.choices.values())
-    return leaves
 
 
 def run(argv) -> tuple:

@@ -9,15 +9,17 @@ one Universe share one window at d + 1.  The bullet of two member sets
 enumerates extension classes between bounded direct sums: one orbit plan per
 (sub, quot) pair yields, per representative, a grid of coefficient tuples,
 one per (sub slot, quot slot), in the Ext^1 basis of that slot pair.  The
-middle term takes, per slot, the memoized corner blocks of that linear
-combination of basis classes, and its indecomposable summands are collected.
+universe keeps each solved Ext1Space, and the middle term takes, per slot,
+the memoized Ext1Space.corners of that tuple, the corner blocks of that
+linear combination of basis classes; its indecomposable summands are
+collected.
 Only summands of total dimension within the bound are interned (iso-tested
 against the registry); a larger summand stays an unregistered class, which
 the closure records as clipped without comparing it to any other; the
 bullet pairs only sums whose dimensions add up to at most the bound, so it
 never meets one.  Syzygies are taken one interned indecomposable at a time
-through the memoized homology.syzygy_summands, never by decomposing a whole
-Omega^n(M).
+through homology.syzygy_summands, memoized on the cached presentation,
+never by decomposing a whole Omega^n(M).
 The interval engine propagates certified lower and upper bounds for ed of
 the syzygy categories with full provenance.
 """
@@ -30,11 +32,9 @@ import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from . import linalg
 from .corpus import vertex_module
 from .errors import BudgetExceeded, ContradictoryFacts, SpecError
 from .homology import cosyzygy, ext1_space, extension_middle, gldim_bounded, syzygy_summands
-from .linalg import Matrix
 from .rep import Representation, decompose, hom_space, is_iso
 
 HEURISTIC_INFINITE_THRESHOLD = 20
@@ -51,6 +51,11 @@ class UniverseParams:
     def __post_init__(self):
         if self.dim_bound < 1:
             raise SpecError("dim bound must cover the simple modules, got %d" % self.dim_bound)
+        # a bound below 1 would turn the extension rule off and fake saturation
+        if self.mult_bound < 1 or self.parts_cap < 1:
+            raise SpecError(
+                "mult bound and parts cap must be at least 1, got %d and %d" % (self.mult_bound, self.parts_cap)
+            )
 
 
 class IndecClass:
@@ -158,31 +163,20 @@ class Universe:
     # -- extension atoms and middles ---------------------------------
 
     def _atom(self, quot: IndecClass, sub: IndecClass):
-        """Arrow-level cocycle blocks for Ext^1(quot, sub)."""
+        """The solved space Ext^1(quot, sub)."""
         key = (id(quot), id(sub))
         got = self._atom_cache.get(key)
-        if got is not None:
-            return got
-        space = ext1_space(quot.rep, sub.rep)
-        atom = (space.dimension, tuple(cls.corners() for cls in space.basis))
-        self._atom_cache[key] = atom
-        return atom
+        if got is None:
+            got = self._atom_cache[key] = ext1_space(quot.rep, sub.rep)
+        return got
 
     def _corner(self, quot: IndecClass, sub: IndecClass, coeffs: tuple):
         """Corner blocks of the class sum_t coeffs[t] * (basis class t) of Ext^1(quot, sub)."""
         key = (id(quot), id(sub), coeffs)
         got = self._corner_cache.get(key)
-        if got is not None:
-            return got
-        acc = linalg.combine(coeffs, self._atom(quot, sub)[1])
-        if acc is None:
-            q = self.algebra.quiver
-            acc = tuple(
-                Matrix.zero(self.algebra.p, sub.dim[q.arrow_target(ai)], quot.dim[q.arrow_source(ai)])
-                for ai in range(len(q.arrows))
-            )
-        self._corner_cache[key] = acc
-        return acc
+        if got is None:
+            got = self._corner_cache[key] = self._atom(quot, sub).corners(coeffs)
+        return got
 
     def _middle_summands(self, rep: Representation):
         """Indecomposable summands of a middle term; only those inside the
@@ -271,7 +265,7 @@ def generate_universe(algebra, params: UniverseParams) -> Universe:
                 for j in range(1, params.mult_bound + 1):
                     if sub.total_dim * j + quot.total_dim > mid_cap:
                         # truncated extension window is honest clipping
-                        if uni._atom(quot, sub)[0]:
+                        if uni._atom(quot, sub).dimension:
                             uni.clip(
                                 "ext-window",
                                 {"sub": str(sub.dim), "quot": str(quot.dim)},
@@ -334,7 +328,7 @@ def _orbit_plan(uni, sub_ms, quot_ms):
     for ycls, jmult in sub_ms:
         chunks = []
         for xcls, kmult in quot_ms:
-            m = uni._atom(xcls, ycls)[0]
+            m = uni._atom(xcls, ycls).dimension
             chunks.extend([m] * kmult)
         space = sum(chunks)
         rows_count *= _gaussian_count(p, space, jmult)
@@ -344,7 +338,7 @@ def _orbit_plan(uni, sub_ms, quot_ms):
     for xcls, kmult in quot_ms:
         chunks = []
         for ycls, jmult in sub_ms:
-            m = uni._atom(xcls, ycls)[0]
+            m = uni._atom(xcls, ycls).dimension
             chunks.extend([m] * jmult)
         space = sum(chunks)
         cols_count *= _gaussian_count(p, space, kmult)

@@ -7,26 +7,32 @@ image of q's prefix times the transpose of q's last arrow, so a path costs
 one sparse product for all of them.  The syzygy is
 the kernel of that epi, its canonical basis per vertex read off one row
 reduction (linalg.null_space), which sub_rep restricts without another.
-Syzygies are taken one indecomposable at a time (minimal syzygies are
-additive): syzygy_summands memoizes the factors of Omega(M), and
-pd_bounded never decomposes a whole Omega^n(M).
+The presentation of M is cached per M, and keeps two values it computes on
+first read: summands, the indecomposable factors of Omega(M), and d_arrows,
+the arrow-level defects of a section of P -> M.  Syzygies are taken one
+indecomposable at a time (minimal syzygies are additive): syzygy_summands
+reads the presentation's summands, and pd_bounded never decomposes a whole
+Omega^n(M).
 
 Ext^1(X, Y) is realized on a minimal presentation 0 -> OX -> P -> X -> 0 as
-Hom(OX, Y) modulo homs that extend to P.  A section of P -> X (cached per X)
-turns a cocycle theta into arrow-level corner blocks theta_{t(a)} d_a, and
-extension_middle, the one middle-term builder, places them in the block
-matrices [[Y_a, C_a], [0, X_a]], writing each row directly.  The pushout of
-P <- OX -> Y survives only as the independent reference the tests compare
-these middles against.
+Hom(OX, Y) modulo homs that extend to P.  An Ext1Space keeps its basis
+cocycles theta and, computed on first read, their corner blocks
+theta_{t(a)} d_a; Ext1Space.corners maps a coefficient tuple to the corner
+blocks of that class, the only route from Ext^1 coordinates to a middle
+term.  extension_middle, the one middle-term builder, places the blocks in
+the matrices [[Y_a, C_a], [0, X_a]], each row built by linalg's block-row
+assembler.  The pushout of P <- OX -> Y survives only as the independent
+reference the tests compare these middles against.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import linalg
-from .errors import AlgebraMismatch, BudgetExceeded, SpecError
+from .errors import AlgebraMismatch, SpecError
 from .linalg import Matrix
 from .rep import (
     Hom,
@@ -41,8 +47,6 @@ from .rep import (
     zero_rep,
 )
 
-EXT_ENUM_BUDGET = 2 ** 20
-
 
 @dataclass
 class ProjectivePresentation:
@@ -52,6 +56,34 @@ class ProjectivePresentation:
     epi: Hom
     kernel: Representation  # the syzygy
     inclusion: Hom  # kernel -> cover
+
+    @cached_property
+    def summands(self) -> tuple:
+        """(indecomposable, multiplicity) factors of the syzygy."""
+        return tuple(decompose(self.kernel).factors)
+
+    @cached_property
+    def d_arrows(self) -> tuple:
+        """Per arrow a: u -> w, the defect d_a: X_u -> OmegaX_w of a section s
+        of the epi, inclusion_w d_a = P_a s_u - s_w X_a."""
+        x = self.module
+        q = x.algebra.quiver
+        p = x.algebra.p
+        sections = []
+        for v in range(q.n_vertices):
+            s = linalg.solve_matrix(self.epi.mats[v], Matrix.identity(p, x.dim[v]))
+            if s is None:
+                raise AssertionError("cover epi admits no section")
+            sections.append(s)
+        d_arrows = []
+        for ai in range(len(q.arrows)):
+            u, w = q.arrow_source(ai), q.arrow_target(ai)
+            delta = self.cover.action[ai].mul(sections[u]).sub(sections[w].mul(x.action[ai]))
+            d = linalg.solve_matrix(self.inclusion.mats[w], delta)
+            if d is None:
+                raise AssertionError("section defect not in the kernel")
+            d_arrows.append(d)
+        return tuple(d_arrows)
 
 
 def projective_cover(m: Representation) -> ProjectivePresentation:
@@ -157,13 +189,7 @@ def cosyzygy(m: Representation, n: int = 1) -> Representation:
 
 def syzygy_summands(m: Representation) -> tuple:
     """(indecomposable, multiplicity) factors of Omega(m); () when m is projective."""
-    algebra = m.algebra
-    key = ("omega", m.key())
-    got = algebra._cover_cache.get(key)
-    if got is None:
-        got = tuple(decompose(projective_cover(m).kernel).factors)
-        algebra._cover_cache[key] = got
-    return got
+    return projective_cover(m).summands
 
 
 def pd_bounded(m: Representation, bound: int):
@@ -190,34 +216,34 @@ def gldim_bounded(algebra, bound: int = None):
 
 
 @dataclass
-class ExtClass:
-    X: Representation
-    Y: Representation
-    cocycle: Hom  # OX -> Y
-    presentation: ProjectivePresentation
-
-    def corners(self) -> tuple:
-        """Per-arrow corner blocks theta_{t(a)} d_a of this class's middle term."""
-        q = self.X.algebra.quiver
-        d_arrows = section_data(self.X).d_arrows
-        return tuple(self.cocycle.mats[q.arrow_target(ai)].mul(d) for ai, d in enumerate(d_arrows))
-
-
-@dataclass
 class Ext1Space:
     X: Representation
     Y: Representation
     presentation: ProjectivePresentation
     dimension: int
-    basis: tuple  # ExtClass per basis element
+    basis: tuple  # cocycle Hom(OX, Y) per basis element
 
-    def class_from_coords(self, coords) -> ExtClass:
-        p = self.X.algebra.p
-        mats = linalg.combine(coords, [cls.cocycle.mats for cls in self.basis])
-        if mats is None:
-            omega = self.presentation.kernel
-            mats = [Matrix.zero(p, self.Y.dim[v], omega.dim[v]) for v in range(len(self.Y.dim))]
-        return ExtClass(self.X, self.Y, Hom(self.presentation.kernel, self.Y, tuple(mats)), self.presentation)
+    @cached_property
+    def basis_corners(self) -> tuple:
+        """Per basis cocycle theta, the arrow-level corner blocks theta_{t(a)} d_a."""
+        q = self.X.algebra.quiver
+        return tuple(
+            tuple(theta.mats[q.arrow_target(ai)].mul(d) for ai, d in enumerate(self.presentation.d_arrows))
+            for theta in self.basis
+        )
+
+    def corners(self, coeffs) -> tuple:
+        """Corner blocks of the class sum_t coeffs[t] * (basis class t), zero
+        blocks when every coefficient is 0."""
+        got = linalg.combine(coeffs, self.basis_corners)
+        if got is None:
+            algebra = self.X.algebra
+            q = algebra.quiver
+            got = tuple(
+                Matrix.zero(algebra.p, self.Y.dim[q.arrow_target(ai)], self.X.dim[q.arrow_source(ai)])
+                for ai in range(len(q.arrows))
+            )
+        return got
 
 
 def _flatten_mats(mats) -> tuple:
@@ -249,58 +275,7 @@ def ext1_space(x: Representation, y: Representation) -> Ext1Space:
         raise AssertionError("restricted hom outside Hom(OX, Y)")
     pivot = set(linalg.rref(image.transpose())[1])
     complement = [j for j in range(h1.dimension) if j not in pivot]
-    classes = tuple(ExtClass(x, y, h1.basis[j], pres) for j in complement)
-    return Ext1Space(x, y, pres, len(complement), classes)
-
-
-def enumerate_ext_classes(space: Ext1Space, budget: int = EXT_ENUM_BUDGET) -> list:
-    """Every class of the space, its coordinates in itertools.product order."""
-    p = space.X.algebra.p
-    if p ** space.dimension > budget:
-        raise BudgetExceeded(
-            "%d^%d extension classes exceed budget %d" % (p, space.dimension, budget)
-        )
-    out = []
-    for coords in itertools.product(range(p), repeat=space.dimension):
-        out.append(space.class_from_coords(coords))
-    return out
-
-
-@dataclass
-class SectionData:
-    """Comparison data turning cocycles into arrow-level extension blocks."""
-
-    x: Representation
-    presentation: ProjectivePresentation
-    d_arrows: tuple  # per arrow a: X_{s(a)} -> OmegaX_{t(a)}
-
-
-def section_data(x: Representation) -> SectionData:
-    algebra = x.algebra
-    key = ("section", x.key())
-    got = algebra._cover_cache.get(key)
-    if got is not None:
-        return got
-    q = algebra.quiver
-    p = algebra.p
-    pres = projective_cover(x)
-    sections = []
-    for v in range(q.n_vertices):
-        s = linalg.solve_matrix(pres.epi.mats[v], Matrix.identity(p, x.dim[v]))
-        if s is None:
-            raise AssertionError("cover epi admits no section")
-        sections.append(s)
-    d_arrows = []
-    for ai in range(len(q.arrows)):
-        u, w = q.arrow_source(ai), q.arrow_target(ai)
-        delta = pres.cover.action[ai].mul(sections[u]).sub(sections[w].mul(x.action[ai]))
-        d = linalg.solve_matrix(pres.inclusion.mats[w], delta)
-        if d is None:
-            raise AssertionError("section defect not in the kernel")
-        d_arrows.append(d)
-    data = SectionData(x, pres, tuple(d_arrows))
-    algebra._cover_cache[key] = data
-    return data
+    return Ext1Space(x, y, pres, len(complement), tuple(h1.basis[j] for j in complement))
 
 
 def extension_middle(ys, xs, corners) -> Representation:
@@ -308,10 +283,8 @@ def extension_middle(ys, xs, corners) -> Representation:
 
     Arrow a acts by [[(+)Y_a, C_a], [0, (+)X_a]], Y coordinates first at
     every vertex; the (i, j) block of the corner C_a is corners[i][j][a],
-    the ExtClass.corners of a class in Ext^1(xs[j], ys[i]).  Both lists
-    are nonempty.  Each row of an arrow matrix is built directly from the
-    rows of its blocks: one shifted OR of bit masks over GF(2), one
-    zero-padded tuple concatenation over odd p.
+    the Ext1Space.corners of a class in Ext^1(xs[j], ys[i]).  Both lists
+    are nonempty.  Each block row is built by linalg's row assembler.
     """
     algebra = ys[0].algebra
     p = algebra.p
@@ -325,29 +298,11 @@ def extension_middle(ys, xs, corners) -> Representation:
         xoffs = offs[len(ys):]
         rows = []
         for y, yoff, blocks in zip(ys, offs, corners):
-            rows += _stripe(p, dims[s], [(y.action[ai], yoff)] + [(b[ai], off) for b, off in zip(blocks, xoffs)])
+            rows += linalg._stripe(p, dims[s], [(y.action[ai], yoff)] + [(b[ai], off) for b, off in zip(blocks, xoffs)])
         for x, xoff in zip(xs, xoffs):
-            rows += _stripe(p, dims[s], [(x.action[ai], xoff)])
+            rows += linalg._stripe(p, dims[s], [(x.action[ai], xoff)])
         action.append(Matrix(p, dims[q.arrow_target(ai)], dims[s], tuple(rows)))
     return Representation(algebra, dims, tuple(action))
-
-
-def _stripe(p: int, ncols: int, pieces) -> list:
-    """Rows of equal-height blocks placed side by side: pieces are
-    (matrix, column offset) in increasing offset order, zeros elsewhere."""
-    out = []
-    for r in range(pieces[0][0].nrows):
-        if p == 2:
-            row = 0
-            for m, off in pieces:
-                row |= m.rows[r] << off
-        else:
-            row = ()
-            for m, off in pieces:
-                row += (0,) * (off - len(row)) + m.rows[r]
-            row += (0,) * (ncols - len(row))
-        out.append(row)
-    return out
 
 
 @dataclass

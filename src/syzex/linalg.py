@@ -14,6 +14,11 @@ entries of each row, not to its length: GF(2) elimination is one pass that
 reduces each row by the pivot at its lowest set bit.  Matrix.key packs GF(2)
 entries one bit each; keys of equal shape compare as the one-byte-per-entry
 keys did, so every order built on them is unchanged.
+
+Every block matrix is assembled one row at a time by _stripe, which places
+equal-height blocks side by side at their column offsets: hstack,
+rep.direct_sum and homology.extension_middle all build their rows with it,
+so block assembly branches on the row layout in this one place.
 """
 
 from __future__ import annotations
@@ -288,23 +293,34 @@ def hstack(mats: list) -> Matrix:
     nrows = mats[0].nrows
     if any(m.nrows != nrows for m in mats):
         raise ValueError("row count mismatch")
+    pieces = []
+    ncols = 0
+    for m in mats:
+        pieces.append((m, ncols))
+        ncols += m.ncols
+    return Matrix(p, nrows, ncols, tuple(_stripe(p, ncols, pieces)))
+
+
+def _stripe(p: int, ncols: int, pieces) -> list:
+    """The one block-row assembler: rows of equal-height blocks placed side by
+    side, pieces being (matrix, column offset) in increasing offset order,
+    zeros elsewhere.  A row is one shifted OR of bit masks over GF(2), one
+    zero-padded tuple concatenation over odd p."""
+    rows = range(pieces[0][0].nrows)
+    out = []
     if p == 2:
-        rows = []
-        for i in range(nrows):
-            acc = 0
-            off = 0
-            for m in mats:
-                acc |= m.rows[i] << off
-                off += m.ncols
-            rows.append(acc)
-        return Matrix(2, nrows, sum(m.ncols for m in mats), tuple(rows))
-    rows = []
-    for i in range(nrows):
-        row = []
-        for m in mats:
-            row.extend(m.rows[i])
-        rows.append(tuple(row))
-    return Matrix(p, nrows, sum(m.ncols for m in mats), tuple(rows))
+        for r in rows:
+            row = 0
+            for m, off in pieces:
+                row |= m.rows[r] << off
+            out.append(row)
+        return out
+    for r in rows:
+        row = ()
+        for m, off in pieces:
+            row += (0,) * (off - len(row)) + m.rows[r]
+        out.append(row + (0,) * (ncols - len(row)))
+    return out
 
 
 def vstack(mats: list) -> Matrix:
@@ -327,26 +343,6 @@ def combine(coeffs, terms) -> tuple | None:
             scaled = tuple(m.scale(c) for m in mats)
             acc = scaled if acc is None else tuple(a.add(b) for a, b in zip(acc, scaled))
     return acc
-
-
-def block_diag(p: int, mats: list) -> Matrix:
-    nr = sum(m.nrows for m in mats)
-    nc = sum(m.ncols for m in mats)
-    out = Matrix.zero(p, nr, nc)
-    rows = list(out.rows) if p == 2 else [list(r) for r in out.rows]
-    ro = co = 0
-    for m in mats:
-        for i in range(m.nrows):
-            if p == 2:
-                rows[ro + i] |= m.rows[i] << co
-            else:
-                for j in range(m.ncols):
-                    rows[ro + i][co + j] = m.rows[i][j]
-        ro += m.nrows
-        co += m.ncols
-    if p == 2:
-        return Matrix(2, nr, nc, tuple(rows))
-    return Matrix(p, nr, nc, tuple(tuple(r) for r in rows))
 
 
 def _echelon(rows) -> dict:
@@ -451,7 +447,10 @@ def _kernel_rows(red: Matrix, pivots: list, ncols: int) -> Matrix:
 def _reverse_cols(m: Matrix) -> Matrix:
     n = m.ncols
     if m.p == 2:
-        rows = tuple(int(format(r, "0%db" % n)[::-1], 2) for r in m.rows) if n else m.rows
+        # reverse the bits of each byte and the byte order, then drop the padding
+        nb = (n + 7) // 8
+        pad = 8 * nb - n
+        rows = tuple(int.from_bytes(r.to_bytes(nb, "little").translate(_BIT_REVERSED), "big") >> pad for r in m.rows)
     else:
         rows = tuple(r[::-1] for r in m.rows)
     return Matrix(m.p, m.nrows, n, rows)

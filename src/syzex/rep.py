@@ -196,11 +196,16 @@ def direct_sum(reps) -> Representation:
     if any(r.algebra is not algebra for r in reps):
         raise AlgebraMismatch("direct sum over mixed algebras")
     q = algebra.quiver
+    p = algebra.p
     dim = tuple(sum(r.dim[v] for r in reps) for v in range(q.n_vertices))
-    action = tuple(
-        linalg.block_diag(algebra.p, [r.action[i] for r in reps]) for i in range(len(q.arrows))
-    )
-    return Representation(algebra, dim, action)
+    action = []
+    for ai in range(len(q.arrows)):
+        s = q.arrow_source(ai)
+        rows = []
+        for r, off in zip(reps, itertools.accumulate((r.dim[s] for r in reps), initial=0)):
+            rows += linalg._stripe(p, dim[s], [(r.action[ai], off)])
+        action.append(Matrix(p, dim[q.arrow_target(ai)], dim[s], tuple(rows)))
+    return Representation(algebra, dim, tuple(action))
 
 
 def hom_space(m: Representation, n: Representation) -> HomBasis:

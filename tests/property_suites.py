@@ -9,6 +9,7 @@ filters keep witnesses below the window bound, never the other way around.
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from syzex.algebra import build_algebra
@@ -25,40 +26,70 @@ from syzex.extdim import (
 from syzex import linalg
 from syzex.homology import (
     cosyzygy,
-    enumerate_ext_classes,
     ext1_space,
     extension_middle,
     pd_bounded,
     projective_cover,
     syzygy,
 )
+from syzex.linalg import Matrix
 from syzex.rep import Representation, decompose, direct_sum, is_iso
 
 
-def class_middle(cls):
-    """Middle term of one extension class through the library's block builder."""
-    return extension_middle((cls.Y,), (cls.X,), ((cls.corners(),),))
+def class_coords(space) -> list:
+    """Every coordinate tuple of an Ext^1 space, in itertools.product order."""
+    return list(itertools.product(range(space.X.algebra.p), repeat=space.dimension))
 
 
-def pushout_middle(cls):
+def class_middle(space, coords):
+    """Middle term of the class with these coordinates through the library's
+    corner blocks and block builder."""
+    return extension_middle((space.Y,), (space.X,), ((space.corners(coords),),))
+
+
+def cocycle(space, coords) -> tuple:
+    """The class's cocycle OX -> Y per vertex: the basis cocycles combined."""
+    mats = linalg.combine(coords, [h.mats for h in space.basis])
+    if mats is None:
+        p = space.X.algebra.p
+        mats = tuple(Matrix.zero(p, y, o) for y, o in zip(space.Y.dim, space.presentation.kernel.dim))
+    return mats
+
+
+def entry_grid(p, grid) -> Matrix:
+    """Reference block matrix written entry by entry: grid[i][j] is the block
+    in block row i and block column j."""
+    rows = [[x for m in block_row for x in m.row(r)] for block_row in grid for r in range(block_row[0].nrows)]
+    return Matrix.from_rows(p, rows) if rows else Matrix.zero(p, 0, sum(m.ncols for m in grid[0]))
+
+
+def block_diag(p, mats) -> Matrix:
+    """Reference block-diagonal matrix, written entry by entry."""
+    return entry_grid(
+        p, [[m if i == j else Matrix.zero(p, m.nrows, n.ncols) for j, n in enumerate(mats)] for i, m in enumerate(mats)]
+    )
+
+
+def pushout_middle(space, coords):
     """Reference middle term: the pushout of P <- OX -> Y, independent of the
     section data and block layout that extension_middle uses."""
-    algebra = cls.X.algebra
+    algebra = space.X.algebra
     p = algebra.p
     q = algebra.quiver
-    pres = cls.presentation
+    pres = space.presentation
+    theta = cocycle(space, coords)
     projs, lifts = [], []
     for v in range(q.n_vertices):
-        span = linalg.vstack([cls.cocycle.mats[v], pres.inclusion.mats[v].scale(p - 1)])
+        span = linalg.vstack([theta[v], pres.inclusion.mats[v].scale(p - 1)])
         pr, lf = linalg.quotient_maps(span)
         projs.append(pr)
         lifts.append(lf)
     dims = tuple(pr.nrows for pr in projs)
-    assert dims == tuple(a + b for a, b in zip(cls.Y.dim, cls.X.dim)), "pushout dimension mismatch"
+    assert dims == tuple(a + b for a, b in zip(space.Y.dim, space.X.dim)), "pushout dimension mismatch"
     action = []
     for ai in range(len(q.arrows)):
         u, w = q.arrow_source(ai), q.arrow_target(ai)
-        big = linalg.block_diag(p, [cls.Y.action[ai], pres.cover.action[ai]])
+        big = block_diag(p, [space.Y.action[ai], pres.cover.action[ai]])
         action.append(projs[w].mul(big).mul(lifts[u]))
     return Representation(algebra, dims, tuple(action))
 
@@ -223,8 +254,8 @@ def suite_syzygy_of_layer(bench):
             space = ext1_space(quot_cls.rep, sub_cls.rep)
             if space.dimension == 0 or uni.algebra.p ** space.dimension > 64:
                 continue
-            for cls_idx, ext_cls in enumerate(enumerate_ext_classes(space, budget=64)):
-                middle = class_middle(ext_cls)
+            for coords in class_coords(space):
+                middle = class_middle(space, coords)
                 for m in (1, 2):
                     om_mid = syzygy(middle, m)
                     if om_mid.total_dim == 0:
@@ -369,10 +400,9 @@ def suite_ext_cardinality(bench, n=125):
         p = uni.algebra.p
         if p ** dim > 128:
             budget_hits += 1
-            classes = None
         else:
-            classes = enumerate_ext_classes(space, budget=128)
-            assert len(classes) == p ** dim
+            # distinct coordinates are distinct classes: their corners differ
+            assert len({space.corners(coords) for coords in class_coords(space)}) == p ** dim
         ran += 1
     assert budget_hits < ran
     return ran
@@ -392,13 +422,12 @@ def suite_middle_additivity(bench, n=125):
             coords = ()
         else:
             coords = tuple(rng.randrange(p) for _ in range(space.dimension))
-        cls = space.class_from_coords(coords) if space.dimension else None
-        if cls is None:
+        if not space.dimension:
             ran += 1
             continue
-        middle = pushout_middle(cls)
+        middle = pushout_middle(space, coords)
         assert middle.dim == tuple(a + b for a, b in zip(x.dim, y.dim))
-        blocks = class_middle(cls)
+        blocks = class_middle(space, coords)
         assert blocks.validate() == []
         assert is_iso(middle, blocks) is True
         ran += 1

@@ -310,6 +310,9 @@ BAD_FILES = {
     ["syzcat", "kron2", "--n", "-1"],
     ["mod", "syzygy", "kron2", "S0", "--n", "-1"],
     ["algebra", "info", "nodeA:six"],
+    ["reptype", "nodeA", "--dim-bound", "8", "--mult-bound", "0"],
+    ["ed", "nodeA", "--i", "0", "--mult-bound", "-1"],
+    ["bullet", "kron2", "--left", "S0", "--right", "S1", "--mult-bound", "0"],
 ])
 def test_bad_input_exits_2(tmp_path, argv):
     for name, text in BAD_FILES.items():
@@ -324,6 +327,7 @@ def test_bad_input_exits_2(tmp_path, argv):
     ["layer", "kron2", "--gen", "Q9", "--n", "1"],
     ["layer", "kron2", "--gen", "S0", "--n", "1", "--contains", "Q9"],
     ["bullet", "kron2", "--left", "Q9", "--right", "S0"],
+    ["bullet", "kron2", "--left", "S0", "--right", "S1", "--mult-bound", "0"],
 ])
 def test_window_input_refused_before_the_closure(monkeypatch, argv):
     from syzex import cli

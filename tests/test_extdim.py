@@ -332,7 +332,8 @@ def test_orbit_reduction_matches_full_enumeration(kron_universe, five_universe):
         members = uni.sorted_members()
         for sub in members[:6]:
             for quot in members[:6]:
-                dim, basis = uni._atom(quot, sub)
+                space = uni._atom(quot, sub)
+                dim, basis = space.dimension, space.basis_corners
                 corner_of = {}
                 for coeffs in itertools.product(range(p), repeat=dim):
                     # sum_t coeffs[t] * (basis corners t), built here from the basis blocks
@@ -409,21 +410,27 @@ def test_window_only_intern_matches_intern_everything(monkeypatch, entry, p, d):
 @pytest.mark.parametrize("algebra_id", ["kron2", "beilinson2"])
 def test_corner_is_linear_in_coefficients(algebra_id, p):
     """The memoized corner of a coefficient tuple is the corner of the class
-    with those coordinates in the Ext^1 basis, for every tuple."""
+    with those coordinates in the Ext^1 basis, for every tuple: the basis
+    cocycles combined, then multiplied by the section defects."""
     import itertools
 
+    from property_suites import cocycle
     from syzex.corpus import corpus_algebra
     from syzex.extdim import Universe
     from syzex.homology import ext1_space
 
     algebra = corpus_algebra(algebra_id, field_p=p)
+    q = algebra.quiver
     uni = Universe(algebra, UniverseParams(4))
     s0, s1 = uni.member_named("S0"), uni.member_named("S1")
     checked = 0
     for quot, sub in ((s0, s1), (s1, s0)):
         space = ext1_space(quot.rep, sub.rep)
+        d_arrows = space.presentation.d_arrows
         for coeffs in itertools.product(range(p), repeat=space.dimension):
-            assert uni._corner(quot, sub, coeffs) == space.class_from_coords(coeffs).corners()
+            theta = cocycle(space, coeffs)
+            oracle = tuple(theta[q.arrow_target(ai)].mul(d) for ai, d in enumerate(d_arrows))
+            assert uni._corner(quot, sub, coeffs) == oracle
             checked += 1
     assert checked == 1 + {"kron2": p ** 2, "beilinson2": p ** 3}[algebra_id]
 

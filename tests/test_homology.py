@@ -2,11 +2,10 @@ import random
 
 import pytest
 
-from syzex.errors import BudgetExceeded
+from syzex.cli import run
 from syzex.homology import (
     cosyzygy,
     duality,
-    enumerate_ext_classes,
     ext1_space,
     extension_middle,
     gldim_bounded,
@@ -16,8 +15,8 @@ from syzex.homology import (
     tilting_check,
 )
 from syzex.rep import Representation, decompose, direct_sum, is_iso, simple_rep, zero_rep
-from conftest import beilinson2_spec, fivevertex_spec, kron2_spec
-from property_suites import class_middle, pushout_middle
+from conftest import beilinson2_spec, fivevertex_spec
+from property_suites import block_diag, class_coords, class_middle, entry_grid, pushout_middle
 from syzex import linalg
 from syzex.algebra import AlgebraSpec, build_algebra
 from syzex.corpus import load_corpus, named_module
@@ -153,22 +152,22 @@ def test_ext_s0_s1_dimension_two(kron2):
 
 def test_ext_enumeration_counts():
     for p, expected in ((2, 4), (3, 9)):
-        algebra = build_algebra(kron2_spec(p))
-        classes = enumerate_ext_classes(ext1_space(algebra.simple(0), algebra.simple(1)))
-        assert len(classes) == expected
+        code, report, _ = run(["--field", str(p), "ext", "kron2", "S0", "S1", "--enumerate"])
+        assert code == 0
+        assert report["results"]["class_count"] == expected
+        assert len(report["results"]["classes"]) == expected
 
 
 def test_ext_enumeration_budget():
-    algebra = build_algebra(kron2_spec(2))
-    with pytest.raises(BudgetExceeded):
-        enumerate_ext_classes(ext1_space(algebra.simple(0), algebra.simple(1)), budget=2)
+    code, report, _ = run(["--budget", "2", "ext", "kron2", "S0", "S1", "--enumerate"])
+    assert code == 1
+    assert report["results"] == {"error": "2^2 extension classes exceed budget 2", "kind": "budget"}
 
 
 def test_middle_zero_class_splits(kron2):
     s0, s1 = kron2.simple(0), kron2.simple(1)
     space = ext1_space(s0, s1)
-    zero_cls = space.class_from_coords((0, 0))
-    middle = class_middle(zero_cls)
+    middle = class_middle(space, (0, 0))
     assert middle.dim == (1, 1)
     dec = decompose(middle)
     assert sorted(f.dim for f, _ in dec.factors) == [(0, 1), (1, 0)]
@@ -177,7 +176,7 @@ def test_middle_zero_class_splits(kron2):
 def test_middle_nonzero_class_indecomposable(kron2):
     s0, s1 = kron2.simple(0), kron2.simple(1)
     space = ext1_space(s0, s1)
-    middle = class_middle(space.basis[0])
+    middle = class_middle(space, (1, 0))
     assert middle.dim == (1, 1)
     dec = decompose(middle)
     assert len(dec.factors) == 1 and dec.factors[0][1] == 1
@@ -185,8 +184,9 @@ def test_middle_nonzero_class_indecomposable(kron2):
 
 def test_middle_dim_additivity(kron2):
     s0, s1 = kron2.simple(0), kron2.simple(1)
-    for cls in enumerate_ext_classes(ext1_space(s0, s1)):
-        middle = class_middle(cls)
+    space = ext1_space(s0, s1)
+    for coords in class_coords(space):
+        middle = class_middle(space, coords)
         assert middle.dim == tuple(a + b for a, b in zip(s0.dim, s1.dim))
 
 
@@ -197,9 +197,11 @@ def test_block_route_matches_pushout(kron2, fivevertex):
         (fivevertex.simple(3), fivevertex.projective(4)),
     ]
     for x, y in cases:
-        for cls in enumerate_ext_classes(ext1_space(x, y), budget=64):
-            via_pushout = pushout_middle(cls)
-            via_blocks = class_middle(cls)
+        space = ext1_space(x, y)
+        assert x.algebra.p ** space.dimension <= 64
+        for coords in class_coords(space):
+            via_pushout = pushout_middle(space, coords)
+            via_blocks = class_middle(space, coords)
             assert via_blocks.validate() == []
             assert is_iso(via_pushout, via_blocks) is True
 
@@ -241,9 +243,10 @@ def test_tilting_fails_for_simple(kron2):
 
 
 def test_enumerate_dimension_zero_is_single_zero_class(kron2):
-    classes = enumerate_ext_classes(ext1_space(kron2.projective(0), kron2.simple(0)))
+    space = ext1_space(kron2.projective(0), kron2.simple(0))
+    classes = class_coords(space)
     assert len(classes) == 1
-    middle = class_middle(classes[0])
+    middle = class_middle(space, classes[0])
     dec = decompose(middle)
     assert sum(m for _, m in dec.factors) == 2  # split: both pieces survive
 
@@ -342,21 +345,30 @@ def test_cover_epi_matches_path_action_on_random_modules(p):
         assert projective_cover(m).epi.mats == epi_by_path_action(m)
 
 
+def middle_grid(ys, xs, corners, ai):
+    """The blocks of [[(+)Y_a, C_a], [0, (+)X_a]], one block row and one
+    block column per module, zero blocks spelled out."""
+    q = ys[0].algebra.quiver
+    p = ys[0].algebra.p
+    mods = list(ys) + list(xs)
+    s, t = q.arrow_source(ai), q.arrow_target(ai)
+    grid = []
+    for i, m in enumerate(mods):
+        row = [Matrix.zero(p, m.dim[t], n.dim[s]) for n in mods]
+        row[i] = m.action[ai]
+        if i < len(ys):
+            row[len(ys):] = [blocks[ai] for blocks in corners[i]]
+        grid.append(row)
+    return grid
+
+
 def block_middle(ys, xs, corners):
-    """Reference: [[(+)Y_a, C_a], [0, (+)X_a]] assembled from whole blocks."""
+    """Reference: the middle's arrow matrices written entry by entry."""
     algebra = ys[0].algebra
-    p = algebra.p
     q = algebra.quiver
     dims = tuple(sum(m.dim[v] for m in list(ys) + list(xs)) for v in range(q.n_vertices))
-    action = []
-    for ai in range(len(q.arrows)):
-        yblk = linalg.block_diag(p, [y.action[ai] for y in ys])
-        xblk = linalg.block_diag(p, [x.action[ai] for x in xs])
-        c = linalg.vstack([linalg.hstack([blocks[ai] for blocks in row]) for row in corners])
-        top = linalg.hstack([yblk, c])
-        bottom = linalg.hstack([Matrix.zero(p, xblk.nrows, yblk.ncols), xblk])
-        action.append(linalg.vstack([top, bottom]))
-    return Representation(algebra, dims, tuple(action))
+    action = tuple(entry_grid(algebra.p, middle_grid(ys, xs, corners, ai)) for ai in range(len(q.arrows)))
+    return Representation(algebra, dims, action)
 
 
 def _random_matrix(rng, p, nrows, ncols):
@@ -396,6 +408,13 @@ def test_extension_middle_matches_block_assembly(p):
             assert built.dim == ref.dim
             assert built.action == ref.action
             assert [m.entries() for m in built.action] == [m.entries() for m in ref.action]
+            # direct_sum and hstack share the row assembler with extension_middle
+            for mods in (ys, xs, ys + xs):
+                summed = direct_sum(mods)
+                assert summed.action == tuple(block_diag(p, [m.action[ai] for m in mods]) for ai in arrows)
+            for ai in arrows:
+                for block_row in middle_grid(ys, xs, corners, ai):
+                    assert linalg.hstack(block_row) == entry_grid(p, [block_row])
             zero_vertices += sum(d == 0 for m in ys + xs for d in m.dim)
             checked += 1
     assert checked == 50 and zero_vertices
