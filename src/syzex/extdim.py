@@ -140,6 +140,11 @@ class Universe:
     def is_clipped(self):
         return bool(self.clipped)
 
+    @property
+    def is_saturated(self):
+        """Nothing clipped and every member strictly below the bound."""
+        return not self.clipped and all(c.total_dim < self.dim_bound for c in self.members)
+
     def sorted_members(self):
         return sorted(self.members, key=lambda c: c.sort_key())
 
@@ -480,21 +485,16 @@ def syzygy_category(universe: Universe, n: int) -> SyzygyCategory:
     algebra = universe.algebra
     if n == 0:
         return SyzygyCategory(0, tuple(universe.sorted_members()), universe)
-    found = {}
-    oversized = []
-    for cls in universe.sorted_members():
-        walk = {id(cls): cls}
-        for _ in range(n):
-            walk = universe._omega_step(walk.values())
-        for c in walk.values():
-            if c.total_dim > universe.dim_bound:
-                oversized.append(c)
-            found[id(c)] = c
+    # Omega is additive, so one walk of the whole layer reaches each class once
+    found = {id(c): c for c in universe.sorted_members()}
+    for _ in range(n):
+        found = universe._omega_step(found.values())
+    oversized = tuple(c for c in found.values() if c.total_dim > universe.dim_bound)
     for v in range(algebra.n_vertices):
         c, _ = universe.registry.intern(algebra.projective(v))
         found[id(c)] = c
     members = tuple(sorted(found.values(), key=lambda c: c.sort_key()))
-    return SyzygyCategory(n, members, universe, tuple(oversized))
+    return SyzygyCategory(n, members, universe, oversized)
 
 
 @dataclass
@@ -537,7 +537,7 @@ def syzygy_finiteness_probe(universe: Universe, n: int) -> SyzygyFinitenessProbe
     """
     cat = syzygy_category(universe, n)
     dim_bound = universe.dim_bound
-    if not universe.is_clipped and all(c.total_dim < dim_bound for c in universe.members):
+    if universe.is_saturated:
         return SyzygyFinitenessProbe(
             n, dim_bound, True, "rep-finite-window", cat.members,
             "universe saturated strictly below the bound",
@@ -618,13 +618,11 @@ def rep_type_certificate(algebra, params: UniverseParams, universe: Universe = N
         )
     if universe is None:
         universe = generate_universe(algebra, params)
-    dim_bound = universe.dim_bound
-    strict = all(c.total_dim < dim_bound for c in universe.members)
-    if not universe.is_clipped and strict:
+    if universe.is_saturated:
         method = "tits_form" if tits == "Dynkin" else "enumeration"
         return RepTypeCertificate(
             "finite", method, True, tuple(universe.sorted_members()),
-            witness="closure saturated strictly below dim bound %d" % dim_bound,
+            witness="closure saturated strictly below dim bound %d" % universe.dim_bound,
         )
     by_dim = {}
     for cls in universe.members:

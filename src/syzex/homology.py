@@ -15,7 +15,8 @@ reads the presentation's summands, and pd_bounded never decomposes a whole
 Omega^n(M).
 
 Ext^1(X, Y) is realized on a minimal presentation 0 -> OX -> P -> X -> 0 as
-Hom(OX, Y) modulo homs that extend to P.  An Ext1Space keeps its basis
+Hom(OX, Y) modulo homs that extend to P, both read as vectors in the Hom
+coordinate layout that linalg.flat decides.  An Ext1Space keeps its basis
 cocycles theta and, computed on first read, their corner blocks
 theta_{t(a)} d_a; Ext1Space.corners maps a coefficient tuple to the corner
 blocks of that class, the only route from Ext^1 coordinates to a middle
@@ -246,14 +247,6 @@ class Ext1Space:
         return got
 
 
-def _flatten_mats(mats) -> tuple:
-    out = []
-    for m in mats:
-        for i in range(m.nrows):
-            out.extend(m.row(i))
-    return tuple(out)
-
-
 def ext1_space(x: Representation, y: Representation) -> Ext1Space:
     if x.algebra is not y.algebra:
         raise AlgebraMismatch("ext over different algebras")
@@ -265,12 +258,14 @@ def ext1_space(x: Representation, y: Representation) -> Ext1Space:
     if h1.dimension == 0:
         return Ext1Space(x, y, pres, 0, ())
     h0 = hom_space(pres.cover, y)
-    basis_cols = [_flatten_mats(h.mats) for h in h1.basis]
-    n = len(basis_cols[0])
-    h1_mat = Matrix.from_columns(p, basis_cols, n)
-    restricted = [_flatten_mats(pres.inclusion.then(h).mats) for h in h0.basis]
+    size = sum(a * b for a, b in zip(omega.dim, y.dim))
+
+    def columns(homs):
+        rows = tuple(linalg.flat(p, h.mats) for h in homs)
+        return Matrix(p, len(rows), size, rows).transpose()
+
     # coordinates in the Hom(OX, Y) basis of every hom that extends to P
-    image = linalg.solve_matrix(h1_mat, Matrix.from_columns(p, restricted, n))
+    image = linalg.solve_matrix(columns(h1.basis), columns(pres.inclusion.then(h) for h in h0.basis))
     if image is None:
         raise AssertionError("restricted hom outside Hom(OX, Y)")
     pivot = set(linalg.rref(image.transpose())[1])

@@ -11,9 +11,12 @@ the canonical kernel basis as columns, like column_space_basis for images.
 Matrices met on the syzygy path are large and sparse, so the kernel rows,
 odd-p products and GF(2) rref and rank do work in proportion to the nonzero
 entries of each row, not to its length: GF(2) elimination is one pass that
-reduces each row by the pivot at its lowest set bit.  Matrix.key packs GF(2)
-entries one bit each; keys of equal shape compare as the one-byte-per-entry
-keys did, so every order built on them is unchanged.
+reduces each row by the pivot at its lowest set bit.
+
+The Hom coordinate layout is decided here: flat lays a tuple of matrices
+out as one row, row-major and concatenated, and unflat cuts a block back
+out.  Matrix.key packs flat's row, one bit per entry over GF(2); keys of
+equal shape compare as one-byte-per-entry keys would.
 
 Every block matrix is assembled one row at a time by _stripe, which places
 equal-height blocks side by side at their column offsets: hstack,
@@ -107,12 +110,7 @@ class Matrix:
     @staticmethod
     def from_columns(p: int, cols, nrows: int) -> "Matrix":
         cols = [tuple(c) for c in cols]
-        if not cols:
-            return Matrix.zero(p, nrows, 0)
-        if nrows == 0:
-            return Matrix(p, 0, len(cols), ())
-        data = [[c[i] for c in cols] for i in range(nrows)]
-        return Matrix.from_rows(p, data)
+        return Matrix.from_rows(p, cols).transpose() if cols else Matrix.zero(p, nrows, 0)
 
     # -- access ------------------------------------------------------
 
@@ -133,31 +131,18 @@ class Matrix:
         return tuple(self.row(i) for i in range(self.nrows))
 
     def key(self) -> bytes:
-        """Entries in row order as bytes.
-
-        GF(2) packs one entry per bit, most significant bit first, and
-        zero-pads the last byte; other p <= 256 take one byte per entry, and
-        larger p fixed-width big-endian.  Keys of equal-shape matrices compare
-        and test equal as their entry sequences do, under every encoding.
-        """
+        """flat's row as bytes: over GF(2) one bit per entry, most significant
+        bit first, the last byte zero-padded; one byte per entry for other
+        p <= 256, fixed-width big-endian above.  Keys of equal-shape matrices
+        compare and test equal as their entry sequences do."""
+        row = flat(self.p, (self,))
         if self.p == 2:
-            n = self.nrows * self.ncols
-            if not n:
-                return b""
-            # bit i * ncols + j of the int is entry (i, j); little-endian bytes
-            # with each byte's bits reversed put entry 0 first, padding last
-            fmt = "0%db" % self.ncols
-            bits = int("".join([format(r, fmt) for r in reversed(self.rows)]), 2)
-            return bits.to_bytes((n + 7) // 8, "little").translate(_BIT_REVERSED)
+            # little-endian bytes, each byte's bits reversed, put bit 0 first
+            return row.to_bytes((self.nrows * self.ncols + 7) // 8, "little").translate(_BIT_REVERSED)
+        if self.p <= 256:
+            return bytes(row)
         width = ((self.p - 1).bit_length() + 7) // 8
-        out = bytearray()
-        for r in self.rows:
-            if width == 1:
-                out.extend(r)
-            else:
-                for x in r:
-                    out.extend(x.to_bytes(width, "big"))
-        return bytes(out)
+        return b"".join([x.to_bytes(width, "big") for x in row])
 
     def is_zero(self) -> bool:
         if self.p == 2:
@@ -286,6 +271,33 @@ def _unpack(mask: int, n: int) -> tuple:
 
 _BIT_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 _BIT_REVERSED = bytes(int(format(b, "08b")[::-1], 2) for b in range(256))
+
+
+def flat(p: int, mats):
+    """The entries of mats, each row-major, concatenated into one row: over
+    GF(2) a bit mask, entry (i, j) of a block at offset off being bit
+    off + i * ncols + j, over odd p a tuple."""
+    if p == 2:
+        out = off = 0
+        for m in mats:
+            for r in m.rows:
+                out |= r << off
+                off += m.ncols
+        return out
+    out = []
+    for m in mats:
+        for r in m.rows:
+            out += r
+    return tuple(out)
+
+
+def unflat(p: int, row, off: int, nrows: int, ncols: int) -> Matrix:
+    """The nrows x ncols block of a flat row that starts at entry off."""
+    if p == 2:
+        mask = (1 << ncols) - 1
+        row >>= off
+        return Matrix(2, nrows, ncols, tuple([(row >> (i * ncols)) & mask for i in range(nrows)]))
+    return Matrix(p, nrows, ncols, tuple([row[off + i * ncols:off + (i + 1) * ncols] for i in range(nrows)]))
 
 
 def hstack(mats: list) -> Matrix:

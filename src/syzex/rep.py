@@ -2,7 +2,8 @@
 
 A representation stores one matrix per arrow, of shape
 dim[target] x dim[source]; a path acts by composing its arrow matrices in
-traversal order.  Hom spaces come from the intertwining linear system.
+traversal order.  Hom spaces come from the intertwining linear system, its
+unknowns laid out as linalg.flat, which decides the Hom coordinate layout.
 Decomposition peels direct summands with Fitting's lemma, and is exact for
 every p: an endomorphism splits M exactly when its action on top(M) is
 neither nilpotent nor invertible, so testing each line of End(M)'s image
@@ -281,20 +282,12 @@ def hom_space(m: Representation, n: Representation) -> HomBasis:
                     if any(row):
                         rows.append(tuple(row))
         kernel = linalg.kernel_basis(Matrix(p, len(rows), total, tuple(rows)))
-    # f_v is the block of a kernel row at off[v], n.dim[v] rows of m.dim[v] entries
-    basis = []
-    for vec in kernel.rows:
-        mats = []
-        for v in range(q.n_vertices):
-            dm, o = m.dim[v], off[v]
-            if p == 2:
-                mask = (1 << dm) - 1
-                block = tuple((vec >> (o + i * dm)) & mask for i in range(n.dim[v]))
-            else:
-                block = tuple(vec[o + i * dm:o + (i + 1) * dm] for i in range(n.dim[v]))
-            mats.append(Matrix(p, n.dim[v], dm, block))
-        basis.append(Hom(m, n, tuple(mats)))
-    result = HomBasis(m, n, tuple(basis))
+    # the unknowns are linalg.flat's layout of (f_v), so unflat cuts each f_v out
+    basis = tuple(
+        Hom(m, n, tuple(linalg.unflat(p, vec, off[v], n.dim[v], m.dim[v]) for v in range(q.n_vertices)))
+        for vec in kernel.rows
+    )
+    result = HomBasis(m, n, basis)
     cache[ck] = result
     return result
 
@@ -441,8 +434,9 @@ def _split_candidates(m: Representation, end: HomBasis):
     p = m.algebra.p
     tops = top_maps(m)
     images = [tuple(pr.mul(f).mul(lf) for (pr, lf), f in zip(tops, h.mats)) for h in end.basis]
-    flat = [[x for t in ts for row in t.entries() for x in row] for ts in images]
-    _, independent = linalg.rref(Matrix.from_columns(p, flat, len(flat[0])))
+    size = sum(t.nrows * t.ncols for t in images[0])
+    vectors = Matrix(p, len(images), size, tuple(linalg.flat(p, ts) for ts in images))
+    _, independent = linalg.rref(vectors.transpose())
     r = len(independent)
     count = (p ** r - 1) // (p - 1) - r
     if count > SPLIT_ENUM_BUDGET:

@@ -290,7 +290,7 @@ def test_probes_share_one_grown_window(window_bounds):
 @pytest.mark.parametrize("entry, p, d", [("nodeA", 2, 6), ("beilinson2", 2, 2), ("kron2", 3, 4)])
 def test_syzygy_category_walk_matches_whole_module_decomposition(entry, p, d):
     """The summand walk reaches the classes that decomposing each whole
-    Omega^n of a member reaches, with the same oversized dims."""
+    Omega^n of a member reaches, with the same oversized classes, each once."""
     from syzex.corpus import corpus_algebra
     from syzex.homology import syzygy
     from syzex.rep import decompose
@@ -300,16 +300,26 @@ def test_syzygy_category_walk_matches_whole_module_decomposition(entry, p, d):
     for n in (1, 2, 3):
         cat = syzygy_category(uni, n)
         found = {id(uni.registry.intern(algebra.projective(v))[0]) for v in range(algebra.n_vertices)}
-        oversized = []
+        oversized = set()
         for cls in uni.sorted_members():
             for f, _ in decompose(syzygy(cls.rep, n)).factors:
                 c = uni.registry.intern(f)[0]
                 found.add(id(c))
                 if c.total_dim > d:
-                    oversized.append(c.dim)
+                    oversized.add(id(c))
         assert {id(c) for c in cat.members} == found
         assert len(cat.members) == len(found)
-        assert sorted(c.dim for c in cat.oversized) == sorted(oversized)
+        assert {id(c) for c in cat.oversized} == oversized
+        assert len(cat.oversized) == len(oversized)
+
+
+def test_syzygy_category_lists_each_oversized_class_once():
+    """Over xiA at d = 3, two members reach the oversized class (2,1,1,0)
+    through Omega; the category lists it once."""
+    from syzex.corpus import corpus_algebra
+
+    cat = syzygy_category(generate_universe(corpus_algebra("xiA", 2), UniverseParams(3)), 1)
+    assert sorted(c.dim for c in cat.oversized) == [(2, 1, 1, 0), (2, 1, 2, 0)]
 
 
 def test_orbit_reduction_matches_full_enumeration(kron_universe, five_universe):

@@ -12,6 +12,7 @@ from syzex.linalg import (
     _kernel_rows,
     _unpack,
     column_space_basis,
+    flat,
     hstack,
     inv_mod,
     is_prime,
@@ -20,6 +21,7 @@ from syzex.linalg import (
     quotient_maps,
     rref,
     solve_matrix,
+    unflat,
     vstack,
 )
 
@@ -351,6 +353,36 @@ def test_gf2_key_orders_like_byte_per_entry_key():
             assert (ka == kb) == (oa == ob) == (a == b)
             assert (ka < kb) == (oa < ob)
     assert Matrix.from_rows(2, [[1, 0, 0], [0, 0, 1]]).key() == bytes([0b10000100])
+
+
+def packed_entries(p, entries):
+    """Oracle: key bytes built entry by entry; GF(2) bits most significant first."""
+    if p == 2:
+        bits = "".join(map(str, entries)) + "0" * (-len(entries) % 8)
+        return bytes(int(bits[k:k + 8], 2) for k in range(0, len(bits), 8))
+    width = ((p - 1).bit_length() + 7) // 8
+    return b"".join(x.to_bytes(width, "big") for x in entries)
+
+
+@pytest.mark.parametrize("p", [2, 3, 257])
+def test_flat_unflat_and_key(p):
+    """flat lays blocks out row-major and concatenated, unflat cuts each back
+    out, and Matrix.key packs flat's row, on shapes 0x0, 0xk and kx0 too."""
+    rng = random.Random(617 + p)
+    mats = oracle_shapes(rng, p)
+    assert flat(p, ()) == (0 if p == 2 else ())
+    for _ in range(40):
+        blocks = tuple(rng.choice(mats) for _ in range(rng.randint(1, 4)))
+        row = flat(p, blocks)
+        entries = [m.entry(i, j) for m in blocks for i in range(m.nrows) for j in range(m.ncols)]
+        assert row == (sum(x << k for k, x in enumerate(entries)) if p == 2 else tuple(entries))
+        off = 0
+        for m in blocks:
+            assert unflat(p, row, off, m.nrows, m.ncols) == m
+            off += m.nrows * m.ncols
+    for m in mats:
+        row, n = flat(p, (m,)), m.nrows * m.ncols
+        assert m.key() == packed_entries(p, [(row >> k) & 1 for k in range(n)] if p == 2 else row)
 
 
 def mul_entrywise(a, b):

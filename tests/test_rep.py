@@ -492,7 +492,9 @@ def hom_basis_by_entries(m, n):
 
 def random_hom_modules(rng, p):
     """Random modules over a linear quiver and kron2 (no relations), and sums of
-    projectives, injectives, simples and syzygies over beilinson2 (relations)."""
+    projectives, injectives, simples and syzygies over beilinson2 (relations)
+    and nodeA (a loop gamma with gamma^2 = 0, so both halves of an equation
+    land in one block), the nodeA ones in random bases."""
     linear = build_algebra(AlgebraSpec(
         p, ["0", "1", "2"], [{"name": "a%d" % i, "from": str(i), "to": str(i + 1)} for i in range(2)], [],
     ))
@@ -512,10 +514,15 @@ def random_hom_modules(rng, p):
             )
             mods.append(Representation(algebra, dim, action, check=True))
         groups.append(mods)
-    beil = build_algebra(beilinson2_spec(p))
-    pool = [f(v) for v in range(beil.n_vertices) for f in (beil.simple, beil.projective, beil.injective)]
-    pool += [syzygy(beil.injective(v)) for v in range(beil.n_vertices)]
-    groups.append([direct_sum(rng.sample(pool, rng.randint(1, 2))) for _ in range(6)])
+    node = build_algebra(load_corpus("nodeA", p).spec)
+    for algebra in (build_algebra(beilinson2_spec(p)), node):
+        pool = [f(v) for v in range(algebra.n_vertices) for f in (algebra.simple, algebra.projective, algebra.injective)]
+        pool += [syzygy(algebra.injective(v)) for v in range(algebra.n_vertices)]
+        groups.append([direct_sum(rng.sample(pool, rng.randint(1, 2))) for _ in range(6)])
+    # in random bases gamma has nonzero diagonal entries, so some equation of
+    # the loop meets one unknown from both sides; P1 (+) I1 has gamma nonzero
+    extra = direct_sum([node.projective(0), node.injective(0)])
+    groups[-1] = [conjugate(m, rng) for m in groups[-1] + [extra]]
     return groups
 
 
