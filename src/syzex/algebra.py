@@ -140,6 +140,7 @@ class PathAlgebra:
         self._proj_cache = {}
         self._inj_cache = {}
         self._hom_cache = {}
+        self._ext_cache = {}
         self._cover_cache = {}
         self._decomp_cache = {}
         self._simple_cache = {}

@@ -494,6 +494,8 @@ def run(argv) -> tuple:
     try:
         if args.budget is None:
             raise SpecError("SYZEX_BUDGET must be an integer, got %r" % os.environ.get("SYZEX_BUDGET"))
+        if args.budget < 1 or args.member_cap < 1:
+            raise SpecError("budget and member cap must be at least 1, got %d and %d" % (args.budget, args.member_cap))
         code = args.func(args, report)
     except BudgetExceeded as exc:
         report["results"] = {"error": str(exc), "kind": "budget"}

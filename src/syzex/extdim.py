@@ -9,10 +9,11 @@ one Universe share one window at d + 1.  The bullet of two member sets
 enumerates extension classes between bounded direct sums: one orbit plan per
 (sub, quot) pair yields, per representative, a grid of coefficient tuples,
 one per (sub slot, quot slot), in the Ext^1 basis of that slot pair.  The
-universe keeps each solved Ext1Space, and the middle term takes, per slot,
-the memoized Ext1Space.corners of that tuple, the corner blocks of that
-linear combination of basis classes; its indecomposable summands are
-collected.
+window keeps no Ext^1 state: ext1_space memoizes each space on the algebra,
+so the windows at d and d + 1 share every solve, and the middle term takes,
+per slot, the memoized Ext1Space.corners of that tuple, the corner blocks
+of that linear combination of basis classes; its indecomposable summands
+are collected.
 Only summands of total dimension within the bound are interned (iso-tested
 against the registry); a larger summand stays an unregistered class, which
 the closure records as clipped without comparing it to any other; the
@@ -51,10 +52,11 @@ class UniverseParams:
     def __post_init__(self):
         if self.dim_bound < 1:
             raise SpecError("dim bound must cover the simple modules, got %d" % self.dim_bound)
-        # a bound below 1 would turn the extension rule off and fake saturation
-        if self.mult_bound < 1 or self.parts_cap < 1:
+        # a bound below 1 would turn a rule off and fake saturation, or stop the window at once
+        bounds = (self.mult_bound, self.parts_cap, self.member_cap, self.ext_budget)
+        if min(bounds) < 1:
             raise SpecError(
-                "mult bound and parts cap must be at least 1, got %d and %d" % (self.mult_bound, self.parts_cap)
+                "mult bound, parts cap, member cap and ext budget must be at least 1, got %d, %d, %d and %d" % bounds
             )
 
 
@@ -126,8 +128,6 @@ class Universe:
         self.members = []
         self.member_set = set()
         self.clipped = {}  # (rule, dim items) -> first record of that clip
-        self._atom_cache = {}
-        self._corner_cache = {}
         self._bullet_cache = {}
         self._layer_cache = {}
         self._grown = None
@@ -162,26 +162,10 @@ class Universe:
         """This window, sharing its classes and caches, with the bullet's
         multiplicity bound and parts cap replaced; the closure is not redone."""
         view = copy.copy(self)
-        view.params = replace(self.params, mult_bound=mult_bound, parts_cap=parts_cap or self.params.parts_cap)
+        if parts_cap is None:
+            parts_cap = self.params.parts_cap
+        view.params = replace(self.params, mult_bound=mult_bound, parts_cap=parts_cap)
         return view
-
-    # -- extension atoms and middles ---------------------------------
-
-    def _atom(self, quot: IndecClass, sub: IndecClass):
-        """The solved space Ext^1(quot, sub)."""
-        key = (id(quot), id(sub))
-        got = self._atom_cache.get(key)
-        if got is None:
-            got = self._atom_cache[key] = ext1_space(quot.rep, sub.rep)
-        return got
-
-    def _corner(self, quot: IndecClass, sub: IndecClass, coeffs: tuple):
-        """Corner blocks of the class sum_t coeffs[t] * (basis class t) of Ext^1(quot, sub)."""
-        key = (id(quot), id(sub), coeffs)
-        got = self._corner_cache.get(key)
-        if got is None:
-            got = self._corner_cache[key] = self._atom(quot, sub).corners(coeffs)
-        return got
 
     def _middle_summands(self, rep: Representation):
         """Indecomposable summands of a middle term; only those inside the
@@ -267,15 +251,13 @@ def generate_universe(algebra, params: UniverseParams) -> Universe:
         partners = processed + [cls]
         for other in partners:
             for sub, quot in ((cls, other), (other, cls)):
+                if not ext1_space(quot.rep, sub.rep).dimension:
+                    continue
                 for j in range(1, params.mult_bound + 1):
                     if sub.total_dim * j + quot.total_dim > mid_cap:
                         # truncated extension window is honest clipping
-                        if uni._atom(quot, sub).dimension:
-                            uni.clip(
-                                "ext-window",
-                                {"sub": str(sub.dim), "quot": str(quot.dim)},
-                                "middle above cap %d not expanded" % mid_cap,
-                            )
+                        where = {"sub": str(sub.dim), "quot": str(quot.dim)}
+                        uni.clip("ext-window", where, "middle above cap %d not expanded" % mid_cap)
                         break
                     for summand_cls, _ in _pair_middles(uni, ((sub, j),), ((quot, 1),)):
                         add(summand_cls.rep, "ext", source="%s by %s^%d" % (quot.dim, sub.dim, j))
@@ -315,77 +297,55 @@ def _rref_rows(p: int, nrows: int, ncols: int):
             yield tuple(tuple(r) for r in rows)
 
 
-def _orbit_plan(uni, sub_ms, quot_ms):
+def _plan_side(p, line_ms, other_ms, dims):
+    """One side of the orbit plan: line block i holds line_ms[i]'s mult lines,
+    each cut into chunks dims[i][j], repeated other_ms[j]'s mult times.
+    Returns the blocks (mult, space_dim, chunk_dims) and their count."""
+    blocks = []
+    count = 1
+    for (_, mult), row in zip(line_ms, dims):
+        chunks = tuple(m for m, (_, k) in zip(row, other_ms) for _ in range(k))
+        count *= _gaussian_count(p, sum(chunks), mult)
+        blocks.append((mult, sum(chunks), chunks))
+    return blocks, count
+
+
+def _orbit_plan(p, sub_ms, quot_ms, dims):
     """Representative plan for cocycle matrices modulo copy automorphisms.
 
-    Row operations inside one block of identical sub copies and column
+    dims[i][j] is the dimension of Ext^1(quot class j, sub class i).  Row
+    operations inside one block of identical sub copies and column
     operations inside one block of identical quotient copies change the
     middle term by an isomorphism, and a block of deficient rank splits off
     a copy already covered by a smaller multiset.  It therefore suffices to
     enumerate, on the cheaper side, full-rank RREF coefficient matrices per
-    block.  Returns (mode, blocks, count): mode "rows"/"cols", blocks a list
-    of (mult, space_dim, chunk_dims), count the representative total, which
-    is 0 when there is none (in particular when Ext^1 between the sums is 0).
+    block.  Returns (mode, blocks, count): mode "rows"/"cols", blocks as
+    _plan_side gives them, count the representative total, which is 0 when
+    there is none (in particular when Ext^1 between the sums is 0).
     """
-    p = uni.algebra.p
-    row_blocks = []
-    rows_count = 1
-    for ycls, jmult in sub_ms:
-        chunks = []
-        for xcls, kmult in quot_ms:
-            m = uni._atom(xcls, ycls).dimension
-            chunks.extend([m] * kmult)
-        space = sum(chunks)
-        rows_count *= _gaussian_count(p, space, jmult)
-        row_blocks.append((jmult, space, tuple(chunks)))
-    col_blocks = []
-    cols_count = 1
-    for xcls, kmult in quot_ms:
-        chunks = []
-        for ycls, jmult in sub_ms:
-            m = uni._atom(xcls, ycls).dimension
-            chunks.extend([m] * jmult)
-        space = sum(chunks)
-        cols_count *= _gaussian_count(p, space, kmult)
-        col_blocks.append((kmult, space, tuple(chunks)))
+    rows, rows_count = _plan_side(p, sub_ms, quot_ms, dims)
+    cols, cols_count = _plan_side(p, quot_ms, sub_ms, list(zip(*dims)))
     if rows_count <= cols_count:
-        return "rows", row_blocks, rows_count
-    return "cols", col_blocks, cols_count
+        return "rows", rows, rows_count
+    return "cols", cols, cols_count
 
 
-def _block_matrices(p, blocks):
-    """Product of per-block full-rank RREFs; yields flat row lists."""
-    pools = []
-    for mult, space, _ in blocks:
-        pools.append(list(_rref_rows(p, mult, space)))
-        if not pools[-1]:
-            return
+def _coefficient_grids(p, mode, blocks):
+    """Yield, per representative of the plan (one full-rank RREF per block),
+    a grid of coefficient tuples: row i, column j holds the Ext^1
+    coordinates for sub slot i, quot slot j."""
+    pools = [list(_rref_rows(p, mult, space)) for mult, space, _ in blocks]
+    cuts = [list(itertools.pairwise(itertools.accumulate(chunks, initial=0))) for _, _, chunks in blocks]
     for combo in itertools.product(*pools):
-        flat = []
-        for block_rows in combo:
-            flat.extend(block_rows)
-        yield flat
-
-
-def _choice_matrices(p, mode, blocks):
-    """Yield, per representative of the plan, a grid of coefficient tuples:
-    row i, column j holds the Ext^1 coordinates for sub slot i, quot slot j."""
-    line_chunks = [chunks for mult, _, chunks in blocks for _ in range(mult)]
-    for flat in _block_matrices(p, blocks):
-        lines = []
-        for line, chunks in zip(flat, line_chunks):
-            cut = []
-            pos = 0
-            for m in chunks:
-                cut.append(line[pos:pos + m])
-                pos += m
-            lines.append(tuple(cut))
-        yield tuple(lines) if mode == "rows" else tuple(zip(*lines))
+        lines = tuple(tuple(line[a:b] for a, b in cut) for rref, cut in zip(combo, cuts) for line in rref)
+        yield lines if mode == "rows" else tuple(zip(*lines))
 
 
 def _pair_middles(uni: Universe, sub_ms, quot_ms):
     """All indecomposable summands of middles for one (sub, quot) multiset pair."""
-    mode, blocks, count = _orbit_plan(uni, sub_ms, quot_ms)
+    spaces = [[ext1_space(x.rep, y.rep) for x, _ in quot_ms] for y, _ in sub_ms]
+    p = uni.algebra.p
+    mode, blocks, count = _orbit_plan(p, sub_ms, quot_ms, [[s.dimension for s in row] for row in spaces])
     if count == 0:
         return []
     budget = uni.params.ext_budget
@@ -393,13 +353,13 @@ def _pair_middles(uni: Universe, sub_ms, quot_ms):
         raise BudgetExceeded(
             "%d extension-class representatives for one pair exceed budget %d" % (count, budget)
         )
-    ylist = [cls for cls, mult in sub_ms for _ in range(mult)]
-    xlist = [cls for cls, mult in quot_ms for _ in range(mult)]
-    ys = [y.rep for y in ylist]
-    xs = [x.rep for x in xlist]
+    yi = [i for i, (_, j) in enumerate(sub_ms) for _ in range(j)]  # the class of each sub slot
+    xi = [i for i, (_, k) in enumerate(quot_ms) for _ in range(k)]
+    ys = [sub_ms[i][0].rep for i in yi]
+    xs = [quot_ms[i][0].rep for i in xi]
     out = {}
-    for grid in _choice_matrices(uni.algebra.p, mode, blocks):
-        corners = [[uni._corner(x, y, c) for x, c in zip(xlist, row)] for y, row in zip(ylist, grid)]
+    for grid in _coefficient_grids(p, mode, blocks):
+        corners = [[spaces[a][b].corners(c) for b, c in zip(xi, row)] for a, row in zip(yi, grid)]
         middle = extension_middle(ys, xs, corners)
         for cls, mult in uni._middle_summands(middle):
             out.setdefault(id(cls), (cls, mult))

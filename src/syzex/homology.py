@@ -16,14 +16,16 @@ Omega^n(M).
 
 Ext^1(X, Y) is realized on a minimal presentation 0 -> OX -> P -> X -> 0 as
 Hom(OX, Y) modulo homs that extend to P, both read as vectors in the Hom
-coordinate layout that linalg.flat decides.  An Ext1Space keeps its basis
-cocycles theta and, computed on first read, their corner blocks
-theta_{t(a)} d_a; Ext1Space.corners maps a coefficient tuple to the corner
-blocks of that class, the only route from Ext^1 coordinates to a middle
-term.  extension_middle, the one middle-term builder, places the blocks in
-the matrices [[Y_a, C_a], [0, X_a]], each row built by linalg's block-row
-assembler.  The pushout of P <- OX -> Y survives only as the independent
-reference the tests compare these middles against.
+coordinate layout that linalg.flat decides.  ext1_space memoizes each
+space on the algebra by the keys of X and Y, as hom_space memoizes Hom.  An
+Ext1Space keeps its basis cocycles theta and, computed on first read, their
+corner blocks theta_{t(a)} d_a; Ext1Space.corners maps a coefficient tuple
+to the corner blocks of that class, memoized per tuple, the only route from
+Ext^1 coordinates to a middle term.  extension_middle, the one middle-term
+builder, places the blocks in the matrices [[Y_a, C_a], [0, X_a]], each row
+built by linalg's block-row assembler.  The pushout of P <- OX -> Y
+survives only as the independent reference the tests compare these middles
+against.
 """
 
 from __future__ import annotations
@@ -113,6 +115,7 @@ def projective_cover(m: Representation) -> ProjectivePresentation:
 
     # epi columns: slot basis path q (v -> w) maps to q applied to the generator
     epi_cols = [[] for _ in range(q.n_vertices)]
+    trivial = [[] for _ in range(q.n_vertices)]  # cover coordinates of the trivial paths
     transposed = [a.transpose() for a in m.action]
     for v, g in enumerate(gens):
         if not g.nrows:
@@ -121,7 +124,9 @@ def projective_cover(m: Representation) -> ProjectivePresentation:
         paths = [(arrows, t) for (s, arrows, t) in algebra.basis if s == v]
         rows = [_path_image(transposed, images, arrows).rows for arrows, _ in paths]
         for i in range(g.nrows):
-            for (_, t), image in zip(paths, rows):
+            for (arrows, t), image in zip(paths, rows):
+                if not arrows:
+                    trivial[t].append(len(epi_cols[t]))
                 epi_cols[t].append(image[i])
     epi_mats = tuple(
         Matrix(p, len(epi_cols[w]), m.dim[w], tuple(epi_cols[w])).transpose()
@@ -135,21 +140,9 @@ def projective_cover(m: Representation) -> ProjectivePresentation:
     kernel, incl = sub_rep(cover, kbases)
 
     # minimality: kernel must avoid the trivial-path coordinates of the cover
-    trivial_slots = {w: [] for w in range(q.n_vertices)}
-    run = [0] * q.n_vertices
-    for v in slots:
-        counts = [0] * q.n_vertices
-        for (s, arrows, t) in algebra.basis:
-            if s == v:
-                if not arrows:
-                    trivial_slots[t].append(run[t] + counts[t])
-                counts[t] += 1
-        for w in range(q.n_vertices):
-            run[w] += counts[w]
-    for w in range(q.n_vertices):
-        for j in trivial_slots[w]:
-            if any(incl.mats[w].row(j)):
-                raise AssertionError("cover kernel escapes the radical")
+    for w, coords in enumerate(trivial):
+        if any(any(incl.mats[w].row(j)) for j in coords):
+            raise AssertionError("cover kernel escapes the radical")
 
     pres = ProjectivePresentation(m, cover, tuple(slots), epi, kernel, incl)
     algebra._cover_cache[m.key()] = pres
@@ -221,8 +214,12 @@ class Ext1Space:
     X: Representation
     Y: Representation
     presentation: ProjectivePresentation
-    dimension: int
     basis: tuple  # cocycle Hom(OX, Y) per basis element
+    _corners: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @property
+    def dimension(self) -> int:
+        return len(self.basis)
 
     @cached_property
     def basis_corners(self) -> tuple:
@@ -235,42 +232,47 @@ class Ext1Space:
 
     def corners(self, coeffs) -> tuple:
         """Corner blocks of the class sum_t coeffs[t] * (basis class t), zero
-        blocks when every coefficient is 0."""
-        got = linalg.combine(coeffs, self.basis_corners)
+        blocks when every coefficient is 0; memoized per tuple."""
+        got = self._corners.get(coeffs)
         if got is None:
-            algebra = self.X.algebra
-            q = algebra.quiver
-            got = tuple(
-                Matrix.zero(algebra.p, self.Y.dim[q.arrow_target(ai)], self.X.dim[q.arrow_source(ai)])
+            q = self.X.algebra.quiver
+            got = self._corners[coeffs] = linalg.combine(coeffs, self.basis_corners) or tuple(
+                Matrix.zero(self.X.algebra.p, self.Y.dim[q.arrow_target(ai)], self.X.dim[q.arrow_source(ai)])
                 for ai in range(len(q.arrows))
             )
         return got
 
 
 def ext1_space(x: Representation, y: Representation) -> Ext1Space:
+    """Ext^1(x, y), memoized on the algebra by the modules' keys."""
     if x.algebra is not y.algebra:
         raise AlgebraMismatch("ext over different algebras")
     algebra = x.algebra
+    cache = algebra._ext_cache
+    ck = (x.key(), y.key())
+    got = cache.get(ck)
+    if got is not None:
+        return got
     p = algebra.p
     pres = projective_cover(x)
     omega = pres.kernel
-    h1 = hom_space(omega, y)
-    if h1.dimension == 0:
-        return Ext1Space(x, y, pres, 0, ())
-    h0 = hom_space(pres.cover, y)
-    size = sum(a * b for a, b in zip(omega.dim, y.dim))
+    basis = hom_space(omega, y).basis
+    if basis:
+        size = sum(a * b for a, b in zip(omega.dim, y.dim))
 
-    def columns(homs):
-        rows = tuple(linalg.flat(p, h.mats) for h in homs)
-        return Matrix(p, len(rows), size, rows).transpose()
+        def columns(homs):
+            rows = tuple(linalg.flat(p, h.mats) for h in homs)
+            return Matrix(p, len(rows), size, rows).transpose()
 
-    # coordinates in the Hom(OX, Y) basis of every hom that extends to P
-    image = linalg.solve_matrix(columns(h1.basis), columns(pres.inclusion.then(h) for h in h0.basis))
-    if image is None:
-        raise AssertionError("restricted hom outside Hom(OX, Y)")
-    pivot = set(linalg.rref(image.transpose())[1])
-    complement = [j for j in range(h1.dimension) if j not in pivot]
-    return Ext1Space(x, y, pres, len(complement), tuple(h1.basis[j] for j in complement))
+        # coordinates in the Hom(OX, Y) basis of every hom that extends to P
+        extended = (pres.inclusion.then(h) for h in hom_space(pres.cover, y).basis)
+        image = linalg.solve_matrix(columns(basis), columns(extended))
+        if image is None:
+            raise AssertionError("restricted hom outside Hom(OX, Y)")
+        pivot = set(linalg.rref(image.transpose())[1])
+        basis = tuple(h for j, h in enumerate(basis) if j not in pivot)
+    got = cache[ck] = Ext1Space(x, y, pres, basis)
+    return got
 
 
 def extension_middle(ys, xs, corners) -> Representation:

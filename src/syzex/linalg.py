@@ -135,14 +135,15 @@ class Matrix:
         bit first, the last byte zero-padded; one byte per entry for other
         p <= 256, fixed-width big-endian above.  Keys of equal-shape matrices
         compare and test equal as their entry sequences do."""
-        row = flat(self.p, (self,))
         if self.p == 2:
             # little-endian bytes, each byte's bits reversed, put bit 0 first
+            row = flat(2, (self,))
             return row.to_bytes((self.nrows * self.ncols + 7) // 8, "little").translate(_BIT_REVERSED)
+        # flat's row-major order, written row by row
         if self.p <= 256:
-            return bytes(row)
+            return b"".join(map(bytes, self.rows))
         width = ((self.p - 1).bit_length() + 7) // 8
-        return b"".join([x.to_bytes(width, "big") for x in row])
+        return b"".join([x.to_bytes(width, "big") for r in self.rows for x in r])
 
     def is_zero(self) -> bool:
         if self.p == 2:

@@ -313,6 +313,10 @@ BAD_FILES = {
     ["reptype", "nodeA", "--dim-bound", "8", "--mult-bound", "0"],
     ["ed", "nodeA", "--i", "0", "--mult-bound", "-1"],
     ["bullet", "kron2", "--left", "S0", "--right", "S1", "--mult-bound", "0"],
+    ["--budget", "-3", "ext", "kron2", "S0", "S1", "--enumerate"],
+    ["ext", "kron2", "S0", "S1", "--budget", "0"],
+    ["syzcat", "kron2", "--n", "0", "--member-cap", "0"],
+    ["--member-cap", "-1", "algebra", "info", "kron2"],
 ])
 def test_bad_input_exits_2(tmp_path, argv):
     for name, text in BAD_FILES.items():
@@ -328,6 +332,8 @@ def test_bad_input_exits_2(tmp_path, argv):
     ["layer", "kron2", "--gen", "S0", "--n", "1", "--contains", "Q9"],
     ["bullet", "kron2", "--left", "Q9", "--right", "S0"],
     ["bullet", "kron2", "--left", "S0", "--right", "S1", "--mult-bound", "0"],
+    ["ed", "nodeA", "--i", "0", "--syzygy-probe", "1", "--member-cap", "0"],
+    ["--budget", "-3", "reptype", "nodeA"],
 ])
 def test_window_input_refused_before_the_closure(monkeypatch, argv):
     from syzex import cli
@@ -348,6 +354,13 @@ def test_bad_budget_env_exits_2(monkeypatch):
     assert report["results"] == {"error": "SYZEX_BUDGET must be an integer, got 'lots'", "kind": "validation"}
     code, report, _ = run_json(["--budget", "5", "algebra", "info", "kron2"])
     assert code == 0
+
+
+def test_budget_env_below_one_exits_2(monkeypatch):
+    monkeypatch.setenv("SYZEX_BUDGET", "-3")
+    code, report, _ = run_json(["ext", "kron2", "S0", "S1", "--enumerate"])
+    assert code == 2
+    assert report["results"] == {"error": "budget and member cap must be at least 1, got -3 and 5000", "kind": "validation"}
 
 
 def test_internal_value_error_exits_3(monkeypatch):

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import conjugate
 from syzex.algebra import AlgebraSpec, build_algebra
-from syzex.errors import ContradictoryFacts
+from syzex.errors import ContradictoryFacts, SpecError
 from syzex.extdim import (
     UniverseParams,
     bounded_containment,
@@ -287,6 +287,40 @@ def test_probes_share_one_grown_window(window_bounds):
     assert [(iv.lower, iv.upper) for iv in singles[0]] != [(iv.lower, iv.upper) for iv in singles[1]]
 
 
+def test_grown_window_shares_every_ext1_solve(monkeypatch):
+    """Ext^1 is solved once per (X, Y) key pair over the windows at d and
+    d + 1 together: the grown window reuses what the first one solved."""
+    from syzex import extdim, homology
+    from syzex.corpus import corpus_algebra
+
+    solved = []
+    asked = set()
+    real = homology.ext1_space
+
+    class Counted(homology.Ext1Space):
+        def __init__(self, *args, **kwargs):
+            solved.append(1)
+            super().__init__(*args, **kwargs)
+
+    def recorded(x, y):
+        asked.add((x.key(), y.key()))
+        return real(x, y)
+
+    monkeypatch.setattr(homology, "Ext1Space", Counted)
+    monkeypatch.setattr(homology, "ext1_space", recorded)
+    monkeypatch.setattr(extdim, "ext1_space", recorded)
+    ed_report(corpus_algebra("nodeA"), [0, 1, 2], UniverseParams(6), syzygy_probes=(1,))
+    assert len(solved) == len(asked) == 2025
+
+
+def test_window_bounds_below_one_are_refused(kron_universe):
+    with pytest.raises(SpecError):
+        kron_universe.with_bullet_bounds(2, 0)
+    for name in ("mult_bound", "parts_cap", "member_cap", "ext_budget"):
+        with pytest.raises(SpecError):
+            UniverseParams(3, **{name: 0})
+
+
 @pytest.mark.parametrize("entry, p, d", [("nodeA", 2, 6), ("beilinson2", 2, 2), ("kron2", 3, 4)])
 def test_syzygy_category_walk_matches_whole_module_decomposition(entry, p, d):
     """The summand walk reaches the classes that decomposing each whole
@@ -328,7 +362,7 @@ def test_orbit_reduction_matches_full_enumeration(kron_universe, five_universe):
     import itertools
 
     from syzex.extdim import ClassRegistry, _pair_middles
-    from syzex.homology import extension_middle
+    from syzex.homology import ext1_space, extension_middle
 
     checked = 0
     for uni in (kron_universe, five_universe):
@@ -342,7 +376,7 @@ def test_orbit_reduction_matches_full_enumeration(kron_universe, five_universe):
         members = uni.sorted_members()
         for sub in members[:6]:
             for quot in members[:6]:
-                space = uni._atom(quot, sub)
+                space = ext1_space(quot.rep, sub.rep)
                 dim, basis = space.dimension, space.basis_corners
                 corner_of = {}
                 for coeffs in itertools.product(range(p), repeat=dim):
@@ -440,7 +474,8 @@ def test_corner_is_linear_in_coefficients(algebra_id, p):
         for coeffs in itertools.product(range(p), repeat=space.dimension):
             theta = cocycle(space, coeffs)
             oracle = tuple(theta[q.arrow_target(ai)].mul(d) for ai, d in enumerate(d_arrows))
-            assert uni._corner(quot, sub, coeffs) == oracle
+            assert space.corners(coeffs) == oracle
+            assert space.corners(coeffs) is space.corners(coeffs)
             checked += 1
     assert checked == 1 + {"kron2": p ** 2, "beilinson2": p ** 3}[algebra_id]
 
@@ -451,9 +486,9 @@ def test_pair_middles_plans_once(kron_universe, monkeypatch):
     calls = []
     real = extdim._orbit_plan
 
-    def counted(uni, sub_ms, quot_ms):
+    def counted(*args):
         calls.append(1)
-        return real(uni, sub_ms, quot_ms)
+        return real(*args)
 
     monkeypatch.setattr(extdim, "_orbit_plan", counted)
     s0, s1 = kron_universe.member_named("S0"), kron_universe.member_named("S1")

@@ -418,3 +418,18 @@ def test_extension_middle_matches_block_assembly(p):
             zero_vertices += sum(d == 0 for m in ys + xs for d in m.dim)
             checked += 1
     assert checked == 50 and zero_vertices
+
+
+@pytest.mark.parametrize("entry, p, name", [("kron2", 2, "P0"), ("nodeA", 3, "I1")])
+def test_non_minimal_cover_is_refused(monkeypatch, entry, p, name):
+    # every basis vector taken as a top generator: the cover is not minimal
+    # whenever the module has a radical, and the kernel reaches a trivial path
+    from syzex import homology
+    from syzex.corpus import corpus_algebra, vertex_module
+
+    algebra = corpus_algebra(entry, p)
+    m = vertex_module(algebra, name)
+    identity = [(Matrix.identity(p, d), Matrix.identity(p, d)) for d in m.dim]
+    monkeypatch.setattr(homology, "top_maps", lambda rep: identity)
+    with pytest.raises(AssertionError, match="cover kernel escapes the radical"):
+        projective_cover(m)
