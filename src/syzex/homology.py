@@ -197,7 +197,28 @@ def pd_bounded(m: Representation, bound: int):
     return None
 
 
+def cartan_determinant(algebra) -> int:
+    """det C, C_uv the number of basis paths from u to v, by Bareiss elimination."""
+    n = algebra.n_vertices
+    c = [[0] * n for _ in range(n)]
+    for s, _, t in algebra.basis:
+        c[s][t] += 1
+    det, prev = 1, 1
+    while c:
+        k = next((i for i, r in enumerate(c) if r[0]), None)
+        if k is None:
+            return 0
+        top = c.pop(k)
+        c = [[(x * top[0] - r[0] * y) // prev for x, y in zip(r[1:], top[1:])] for r in c]
+        det, prev = det * (-1) ** k, top[0]
+    return det * prev
+
+
 def gldim_bounded(algebra, bound: int = None):
+    # a finite global dimension forces det C = +-1 (Eilenberg, Comment. Math.
+    # Helv. 28, 1954): any other determinant is infinite without a walk
+    if abs(cartan_determinant(algebra)) != 1:
+        return None
     if bound is None:
         bound = 2 * max(algebra.dim, 1)
     worst = 0

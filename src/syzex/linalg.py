@@ -9,9 +9,9 @@ Matrix in the system's row layout, one kernel vector per row; null_space is
 the canonical kernel basis as columns, like column_space_basis for images.
 
 Matrices met on the syzygy path are large and sparse, so the kernel rows,
-odd-p products and GF(2) rref and rank do work in proportion to the nonzero
-entries of each row, not to its length: GF(2) elimination is one pass that
-reduces each row by the pivot at its lowest set bit.
+odd-p products and GF(2) elimination do work in proportion to the nonzero
+entries of each row, not to its length.  Both row layouts share one forward
+pass, _echelon: rank counts its pivots, rref back-substitutes over them.
 
 The Hom coordinate layout is decided here: flat lays a tuple of matrices
 out as one row, row-major and concatenated, and unflat cuts a block back
@@ -107,11 +107,6 @@ class Matrix:
             return Matrix(p, n, n, tuple(1 << i for i in range(n)))
         return Matrix(p, n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
-    @staticmethod
-    def from_columns(p: int, cols, nrows: int) -> "Matrix":
-        cols = [tuple(c) for c in cols]
-        return Matrix.from_rows(p, cols).transpose() if cols else Matrix.zero(p, nrows, 0)
-
     # -- access ------------------------------------------------------
 
     def entry(self, i: int, j: int) -> int:
@@ -123,12 +118,6 @@ class Matrix:
         if self.p == 2:
             return _unpack(self.rows[i], self.ncols)
         return self.rows[i]
-
-    def col(self, j: int) -> tuple:
-        return tuple(self.entry(i, j) for i in range(self.nrows))
-
-    def entries(self) -> tuple:
-        return tuple(self.row(i) for i in range(self.nrows))
 
     def key(self) -> bytes:
         """flat's row as bytes: over GF(2) one bit per entry, most significant
@@ -174,7 +163,7 @@ class Matrix:
         p = self.p
         return Matrix(
             p, self.nrows, self.ncols,
-            tuple(tuple((a + b) % p for a, b in zip(r, s)) for r, s in zip(self.rows, other.rows)),
+            tuple([tuple([(a + b) % p for a, b in zip(r, s)]) for r, s in zip(self.rows, other.rows)]),
         )
 
     def sub(self, other: "Matrix") -> "Matrix":
@@ -188,11 +177,11 @@ class Matrix:
         )
 
     def scale(self, c: int) -> "Matrix":
-        c %= self.p
-        if self.p == 2:
-            return self if c else Matrix.zero(2, self.nrows, self.ncols)
         p = self.p
-        return Matrix(p, self.nrows, self.ncols, tuple(tuple((c * a) % p for a in r) for r in self.rows))
+        c %= p
+        if c == 1 or p == 2:
+            return self if c else Matrix.zero(2, self.nrows, self.ncols)
+        return Matrix(p, self.nrows, self.ncols, tuple([tuple([c * a % p for a in r]) for r in self.rows]))
 
     def mul(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
@@ -252,9 +241,7 @@ class Matrix:
             raise ValueError("shape/field mismatch")
 
     def rank(self) -> int:
-        if self.p == 2:
-            return len(_echelon(self.rows))
-        return len(rref(self)[1])
+        return len(_echelon(self.p, self.rows))
 
 
 def _pack(values) -> int:
@@ -358,18 +345,29 @@ def combine(coeffs, terms) -> tuple | None:
     return acc
 
 
-def _echelon(rows) -> dict:
-    """GF(2) forward pass: lowest set bit -> pivot row.  Each row is reduced
-    by the pivot at its lowest bit until that bit is new or the row is 0."""
+def _echelon(p: int, rows) -> dict:
+    """Forward pass: lead -> pivot row, each row reduced by the pivot at its
+    lead until the lead is new or the row is 0.  The lead is the lowest set
+    bit over GF(2), else the first nonzero column, scaled to 1."""
     piv = {}
+    if p == 2:
+        for r in rows:
+            while r:
+                low = r & -r
+                q = piv.get(low)
+                if q is None:
+                    piv[low] = r
+                    break
+                r ^= q
+        return piv
     for r in rows:
-        while r:
-            low = r & -r
-            q = piv.get(low)
-            if q is None:
-                piv[low] = r
-                break
-            r ^= q
+        a = next(filter(None, r), 0)
+        while a and r.index(a) in piv:
+            r = tuple([(x - a * y) % p for x, y in zip(r, piv[r.index(a)])])
+            a = next(filter(None, r), 0)
+        if a:
+            inv = inv_mod(a, p)
+            piv[r.index(a)] = r if inv == 1 else tuple([x * inv % p for x in r])
     return piv
 
 
@@ -377,15 +375,14 @@ def rref(m: Matrix) -> tuple:
     """Reduced row echelon form with its pivot columns, one per nonzero row.
 
     Pivots are the first nonzero entry in column order, giving a unique
-    canonical form.
+    canonical form: _echelon's rows back-substituted from the last pivot.
     """
     p = m.p
+    piv = _echelon(p, m.rows)
+    leads = sorted(piv)
     if p == 2:
-        piv = _echelon(m.rows)
-        lows = sorted(piv)
-        # back-substitute from the last pivot, with rows already reduced
         done = 0
-        for low in reversed(lows):
+        for low in reversed(leads):
             r = piv[low]
             later = r & done
             while later:
@@ -394,31 +391,17 @@ def rref(m: Matrix) -> tuple:
                 later ^= b
             piv[low] = r
             done |= low
-        rows = [piv[low] for low in lows] + [0] * (m.nrows - len(lows))
-        return Matrix(2, m.nrows, m.ncols, tuple(rows)), [low.bit_length() - 1 for low in lows]
-    rows = [list(r) for r in m.rows]
-    pivots = []
-    r = 0
-    for c in range(m.ncols):
-        pivot = -1
-        for i in range(r, m.nrows):
-            if rows[i][c]:
-                pivot = i
-                break
-        if pivot < 0:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = inv_mod(rows[r][c], p)
-        rows[r] = [(x * inv) % p for x in rows[r]]
-        for i in range(m.nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == m.nrows:
-            break
-    return Matrix(p, m.nrows, m.ncols, tuple(tuple(r) for r in rows)), pivots
+        rows = [piv[low] for low in leads] + [0] * (m.nrows - len(leads))
+        return Matrix(2, m.nrows, m.ncols, tuple(rows)), [low.bit_length() - 1 for low in leads]
+    for k in reversed(range(len(leads))):
+        r = piv[leads[k]]
+        for d in leads[k + 1:]:
+            f = r[d]
+            if f:
+                r = tuple([(x - f * y) % p for x, y in zip(r, piv[d])])
+        piv[leads[k]] = r
+    rows = [piv[c] for c in leads] + [(0,) * m.ncols] * (m.nrows - len(leads))
+    return Matrix(p, m.nrows, m.ncols, tuple(rows)), leads
 
 
 def kernel_basis(m: Matrix) -> Matrix:

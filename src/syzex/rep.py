@@ -227,10 +227,8 @@ def hom_space(m: Representation, n: Representation) -> HomBasis:
         off.append(total)
         total += m.dim[v] * n.dim[v]
 
-    def unknown(v, i, j):
-        # entry f_v[i][j], i < n.dim[v], j < m.dim[v]
-        return off[v] + i * m.dim[v] + j
-
+    # row (a: u -> w, i, j) of f_w M_a - N_a f_u: column j of M_a at f_w's row
+    # i, -N_a[i][l] at f_u[l][j], summed where a loop meets one unknown twice
     if p == 2:
         masks = []
         for ai in range(len(q.arrows)):
@@ -267,18 +265,16 @@ def hom_space(m: Representation, n: Representation) -> HomBasis:
         rows = []
         for ai in range(len(q.arrows)):
             u, w = q.arrow_source(ai), q.arrow_target(ai)
-            Ma, Na = m.action[ai], n.action[ai]
-            for i in range(n.dim[w]):
-                for j in range(m.dim[u]):
+            ma_cols = m.action[ai].transpose().rows
+            dmu, dmw = m.dim[u], m.dim[w]
+            for i, na_row in enumerate(n.action[ai].rows):
+                base_w = off[w] + i * dmw
+                negs = [(off[u] + l * dmu, p - c) for l, c in enumerate(na_row) if c]
+                for j in range(dmu):
                     row = [0] * total
-                    for k in range(m.dim[w]):
-                        c = Ma.entry(k, j)
-                        if c:
-                            row[unknown(w, i, k)] = (row[unknown(w, i, k)] + c) % p
-                    for l in range(n.dim[u]):
-                        c = Na.entry(i, l)
-                        if c:
-                            row[unknown(u, l, j)] = (row[unknown(u, l, j)] - c) % p
+                    row[base_w:base_w + dmw] = ma_cols[j]
+                    for at, c in negs:
+                        row[at + j] = (row[at + j] + c) % p
                     if any(row):
                         rows.append(tuple(row))
         kernel = linalg.kernel_basis(Matrix(p, len(rows), total, tuple(rows)))

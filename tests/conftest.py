@@ -5,6 +5,21 @@ from syzex.linalg import Matrix, solve_matrix
 from syzex.rep import Representation
 
 
+def from_columns(p, cols, nrows):
+    """The matrix with these columns; nrows x 0 when there are none."""
+    cols = [tuple(c) for c in cols]
+    return Matrix.from_rows(p, cols).transpose() if cols else Matrix.zero(p, nrows, 0)
+
+
+def col(m, j):
+    return tuple(m.entry(i, j) for i in range(m.nrows))
+
+
+def entries(m):
+    """The rows of m as tuples of ints, in either row layout."""
+    return tuple(m.row(i) for i in range(m.nrows))
+
+
 def mat_vec(m, v):
     """m v over GF(p), entry by entry."""
     return tuple(sum(m.entry(i, j) * v[j] for j in range(m.ncols)) % m.p for i in range(m.nrows))
@@ -12,8 +27,8 @@ def mat_vec(m, v):
 
 def solve_vec(m, b):
     """Some x with m x = b (free variables zero) through solve_matrix, or None."""
-    x = solve_matrix(m, Matrix.from_columns(m.p, [b], m.nrows))
-    return None if x is None else x.col(0)
+    x = solve_matrix(m, from_columns(m.p, [b], m.nrows))
+    return None if x is None else col(x, 0)
 
 
 def conjugate(rep, rng):

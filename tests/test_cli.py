@@ -79,12 +79,13 @@ def test_internal_fault_exits_3(monkeypatch, fault):
 def test_sub_rep_invariance_fault_exits_3(monkeypatch):
     # hand sub_rep a span that is not arrow-invariant: all of P0 at vertex 0
     # but one line at vertex 1, which misses x1 applied to the generator
+    from conftest import from_columns
     from syzex import homology, rep
     from syzex.linalg import Matrix
 
     def skewed(m, bases):
         p = m.algebra.p
-        return rep.sub_rep(m, [Matrix.identity(p, m.dim[0]), Matrix.from_columns(p, [(1, 0)], m.dim[1])])
+        return rep.sub_rep(m, [Matrix.identity(p, m.dim[0]), from_columns(p, [(1, 0)], m.dim[1])])
 
     monkeypatch.setattr(homology, "sub_rep", skewed)
     code, report, _ = run_json(["mod", "syzygy", "kron2", "S0"])

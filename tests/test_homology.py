@@ -1,9 +1,13 @@
+import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from syzex.cli import run
+from syzex import homology
 from syzex.homology import (
+    cartan_determinant,
     cosyzygy,
     duality,
     ext1_space,
@@ -15,7 +19,7 @@ from syzex.homology import (
     tilting_check,
 )
 from syzex.rep import Representation, decompose, direct_sum, is_iso, simple_rep, zero_rep
-from conftest import beilinson2_spec, fivevertex_spec
+from conftest import beilinson2_spec, col, entries, fivevertex_spec, from_columns
 from property_suites import block_diag, class_coords, class_middle, entry_grid, pushout_middle
 from syzex import linalg
 from syzex.algebra import AlgebraSpec, build_algebra
@@ -138,6 +142,52 @@ def test_gldim_examples(kron2, beilinson2, semisimple3, fivevertex):
     assert gldim_bounded(kron2) == 1
     assert gldim_bounded(beilinson2) == 2
     assert gldim_bounded(fivevertex) == 2
+
+
+CARTAN_DETERMINANTS = {
+    "beilinson2": 1, "euclideanB": 1, "fivevertex": 1, "kron2": 1, "nodeB": 1,
+    "dualnumbers": 2, "nodeA": 2, "xiA": 5, "xiB": 5, "bm23": 10185,
+}
+
+
+def test_cartan_determinants_of_corpus():
+    from syzex.corpus import corpus_algebra
+
+    assert {e: cartan_determinant(corpus_algebra(e)) for e in CARTAN_DETERMINANTS} == CARTAN_DETERMINANTS
+
+
+def leibniz_det(c):
+    n = len(c)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = -1 if inversions % 2 else 1
+        for i in range(n):
+            term *= c[i][perm[i]]
+        total += term
+    return total
+
+
+def test_cartan_determinant_matches_leibniz():
+    """Bareiss elimination against the permutation expansion, on path counts
+    with zero leading entries, so that rows must be swapped."""
+    rng = random.Random(41)
+    for _ in range(300):
+        n = rng.randint(0, 5)
+        c = [[rng.choice([0, 0, 1, 2, 3, 7]) for _ in range(n)] for _ in range(n)]
+        basis = [(u, (), v) for u in range(n) for v in range(n) for _ in range(c[u][v])]
+        assert cartan_determinant(SimpleNamespace(n_vertices=n, basis=basis)) == leibniz_det(c)
+
+
+@pytest.mark.parametrize("entry", ["bm23", "dualnumbers", "nodeA", "xiA", "xiB"])
+def test_gldim_infinite_by_cartan_determinant_walks_nothing(entry, monkeypatch):
+    from syzex.corpus import corpus_algebra
+
+    def no_walk(m):
+        raise AssertionError("syzygy_summands called")
+
+    monkeypatch.setattr(homology, "syzygy_summands", no_walk)
+    assert gldim_bounded(corpus_algebra(entry)) is None
 
 
 def test_ext_projective_vanishes(kron2):
@@ -274,12 +324,12 @@ def epi_by_path_action(m):
         span = linalg.hstack(into) if into else Matrix.zero(p, m.dim[v], 0)
         _, lift = linalg.quotient_maps(span)
         for i in range(lift.ncols):
-            gen = Matrix.from_columns(p, [lift.col(i)], m.dim[v])
+            gen = from_columns(p, [col(lift, i)], m.dim[v])
             for (s, arrows, t) in algebra.basis:
                 if s == v:
-                    cols[t].append(m.path_action(v, arrows).mul(gen).col(0))
+                    cols[t].append(col(m.path_action(v, arrows).mul(gen), 0))
     return tuple(
-        Matrix.from_columns(p, cols[w], m.dim[w]) if cols[w] else Matrix.zero(p, m.dim[w], 0)
+        from_columns(p, cols[w], m.dim[w]) if cols[w] else Matrix.zero(p, m.dim[w], 0)
         for w in range(q.n_vertices)
     )
 
@@ -407,7 +457,7 @@ def test_extension_middle_matches_block_assembly(p):
             ref = block_middle(ys, xs, corners)
             assert built.dim == ref.dim
             assert built.action == ref.action
-            assert [m.entries() for m in built.action] == [m.entries() for m in ref.action]
+            assert [entries(m) for m in built.action] == [entries(m) for m in ref.action]
             # direct_sum and hstack share the row assembler with extension_middle
             for mods in (ys, xs, ys + xs):
                 summed = direct_sum(mods)

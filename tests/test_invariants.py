@@ -3,7 +3,7 @@
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from conftest import mat_vec, solve_vec
+from conftest import entries, mat_vec, solve_vec
 from syzex.algebra import AlgebraSpec, build_algebra
 from syzex.homology import gldim_bounded, projective_cover, syzygy
 from syzex.linalg import Matrix, kernel_basis, rref
@@ -36,7 +36,7 @@ def test_rank_nullity_and_transpose(m):
     assert m.rank() == m.transpose().rank()
     ker = kernel_basis(m)
     assert ker.nrows + m.rank() == m.ncols
-    for v in ker.entries():
+    for v in entries(ker):
         assert all(x == 0 for x in mat_vec(m, v))
 
 

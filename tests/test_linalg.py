@@ -5,13 +5,14 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from conftest import mat_vec, solve_vec
+from conftest import entries, from_columns, mat_vec, solve_vec
 from syzex.errors import SpecError
 from syzex.linalg import (
     Matrix,
     _kernel_rows,
     _unpack,
     column_space_basis,
+    combine,
     flat,
     hstack,
     inv_mod,
@@ -70,7 +71,7 @@ def test_rref_zero():
 def test_rref_all_ones_gf2():
     expected, expected_pivots = hand_rref_2x2_ones()
     red, pivots = rref(Matrix.from_rows(2, [[1, 1], [1, 1]]))
-    assert red.entries() == tuple(tuple(r) for r in expected)
+    assert entries(red) == tuple(tuple(r) for r in expected)
     assert pivots == expected_pivots
 
 
@@ -80,14 +81,14 @@ def test_kernel_identity_empty():
 
 def test_kernel_zero_matrix_standard_basis():
     ker = kernel_basis(Matrix.zero(2, 2, 3))
-    assert sorted(ker.entries()) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
+    assert sorted(entries(ker)) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
 
 
 def test_kernel_one_one_gf2_oracle():
     m = Matrix.from_rows(2, [[1, 1]])
     expected = [v for v in brute_kernel(m) if any(v)]
     assert expected == [(1, 1)]
-    assert kernel_basis(m).entries() == ((1, 1),)
+    assert entries(kernel_basis(m)) == ((1, 1),)
 
 
 def test_solve_identity():
@@ -125,7 +126,7 @@ def test_rank_transpose_and_kernel_dim(p):
         m = Matrix.from_rows(p, [[rng.randrange(p) for _ in range(nc)] for _ in range(nr)])
         assert m.rank() == m.transpose().rank()
         assert kernel_basis(m).nrows + m.rank() == nc
-        for v in kernel_basis(m).entries():
+        for v in entries(kernel_basis(m)):
             assert all(x == 0 for x in mat_vec(m, v))
 
 
@@ -166,7 +167,7 @@ def test_stacking_and_solve_matrix():
 
 def test_quotient_maps_gf2_and_gf3():
     for p in (2, 3):
-        sub = Matrix.from_columns(p, [(1, 1, 0)], 3)
+        sub = from_columns(p, [(1, 1, 0)], 3)
         proj, lift = quotient_maps(sub)
         assert proj.nrows == 2 and lift.ncols == 2
         assert proj.mul(lift) == Matrix.identity(p, 2)
@@ -225,7 +226,7 @@ def quotient_maps_by_inversion(sub):
     transposed = [[basis[i][j] for i in range(n)] for j in range(n)]
     inv = inverse_by_elimination(transposed, p) if n else []
     proj = Matrix.from_rows(p, inv[rank:]) if free else Matrix.zero(p, 0, n)
-    lift = Matrix.from_columns(p, [tuple(int(i == j) for i in range(n)) for j in free], n)
+    lift = from_columns(p, [tuple(int(i == j) for i in range(n)) for j in free], n)
     return proj, lift
 
 
@@ -281,8 +282,8 @@ def test_null_space_oracle(p):
     """null_space is the column_space_basis of the kernel vectors stacked as columns."""
     rng = random.Random(503 + p)
     for m in oracle_shapes(rng, p):
-        vecs = kernel_basis(m).entries()
-        cols = Matrix.from_columns(p, vecs, m.ncols) if vecs else Matrix.zero(p, m.ncols, 0)
+        vecs = entries(kernel_basis(m))
+        cols = from_columns(p, vecs, m.ncols) if vecs else Matrix.zero(p, m.ncols, 0)
         got = null_space(m)
         assert got == column_space_basis(cols)
         assert m.mul(got).is_zero()
@@ -469,6 +470,98 @@ def gf2_matrices(draw, rows, cols):
         out.append(rng.choice(out) if extra == "repeat" and out else 0)
     rng.shuffle(out)
     return Matrix(2, len(out), nc, tuple(out))
+
+
+def rref_gauss_jordan(m):
+    """Oracle: odd-p Gauss-Jordan that scans every remaining row at every
+    column, scales the pivot row and clears the column in every other row."""
+    p = m.p
+    rows = [list(r) for r in m.rows]
+    pivots = []
+    r = 0
+    for c in range(m.ncols):
+        pivot = -1
+        for i in range(r, m.nrows):
+            if rows[i][c]:
+                pivot = i
+                break
+        if pivot < 0:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = inv_mod(rows[r][c], p)
+        rows[r] = [(x * inv) % p for x in rows[r]]
+        for i in range(m.nrows):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == m.nrows:
+            break
+    return tuple(tuple(r) for r in rows), pivots
+
+
+@st.composite
+def odd_matrices(draw, rows, cols):
+    """Random GF(p) matrices, p in {3, 5, 257}, of a given density, with zero
+    rows, repeated rows and multiples of rows mixed in."""
+    p = draw(st.sampled_from([3, 5, 257]))
+    nr, nc = draw(rows), draw(cols)
+    density = draw(st.floats(0.02, 0.9))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    out = [tuple(rng.randrange(1, p) if rng.random() < density else 0 for _ in range(nc)) for _ in range(nr)]
+    for extra in draw(st.lists(st.sampled_from(["zero", "repeat", "multiple"]), max_size=4)):
+        if extra == "zero" or not out:
+            out.append((0,) * nc)
+        else:
+            c = 1 if extra == "repeat" else rng.randrange(2, p)
+            out.append(tuple(c * x % p for x in rng.choice(out)))
+    rng.shuffle(out)
+    return Matrix(p, len(out), nc, tuple(out))
+
+
+def check_against_gauss_jordan(m):
+    red, pivots = rref(m)
+    assert (red.nrows, red.ncols) == (m.nrows, m.ncols)
+    assert (red.rows, pivots) == rref_gauss_jordan(m)
+    assert m.rank() == len(pivots)
+
+
+@settings(max_examples=300, deadline=None)
+@given(odd_matrices(st.integers(0, 25), st.integers(0, 25)))
+def test_odd_rref_matches_gauss_jordan(m):
+    check_against_gauss_jordan(m)
+
+
+@settings(max_examples=30, deadline=None)
+@given(odd_matrices(st.integers(0, 20), st.just(200)))
+def test_odd_rref_matches_gauss_jordan_wide(m):
+    check_against_gauss_jordan(m)
+
+
+@pytest.mark.parametrize("p", [3, 257])
+def test_odd_add_scale_combine_match_entrywise(p):
+    rng = random.Random(619 + p)
+    for nr, nc in [(0, 0), (0, 3), (3, 0), (1, 1), (2, 5), (4, 3)]:
+        a, b = ([[rng.randrange(p) for _ in range(nc)] for _ in range(nr)] for _ in range(2))
+        ma, mb = (Matrix.from_rows(p, x) if nr else Matrix.zero(p, 0, nc) for x in (a, b))
+        assert [list(r) for r in entries(ma.add(mb))] == [[(x + y) % p for x, y in zip(r, s)] for r, s in zip(a, b)]
+        for c in (0, 1, 2, p - 1, p + 1, -1, rng.randrange(p)):
+            assert [list(r) for r in entries(ma.scale(c))] == [[c * x % p for x in r] for r in a]
+        assert ma.scale(1) is ma
+        terms = [(ma, mb), (mb, ma), (ma, ma)]
+        plain = [(a, b), (b, a), (a, a)]
+        for coeffs in itertools.product((0, 1, p - 1, 2), repeat=3):
+            got = combine(coeffs, terms)
+            if not any(coeffs):
+                assert got is None
+                continue
+            for t in range(2):
+                want = [
+                    [sum(c * plain[k][t][i][j] for k, c in enumerate(coeffs)) % p for j in range(nc)]
+                    for i in range(nr)
+                ]
+                assert [list(r) for r in entries(got[t])] == want
 
 
 def check_against_column_scan(m):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import beilinson2_spec, conjugate, kron2_spec, solve_vec
+from conftest import beilinson2_spec, conjugate, entries, from_columns, kron2_spec, solve_vec
 from syzex.algebra import AlgebraSpec, build_algebra
 from syzex.corpus import load_corpus
 from syzex.errors import AlgebraMismatch, BudgetExceeded
@@ -481,7 +481,7 @@ def hom_basis_by_entries(m, n):
                 rows.append(row)
     system = Matrix.from_rows(p, rows) if rows else Matrix.zero(p, 0, total)
     basis = []
-    for vec in kernel_basis(system).entries():
+    for vec in entries(kernel_basis(system)):
         mats = []
         for v in range(q.n_vertices):
             block = [[vec[unknown(v, i, j)] for j in range(m.dim[v])] for i in range(n.dim[v])]
@@ -526,7 +526,7 @@ def random_hom_modules(rng, p):
     return groups
 
 
-@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("p", [2, 3, 5, 257])
 def test_hom_space_matches_per_entry_oracle(p):
     rng = random.Random(601 + p)
     for mods in random_hom_modules(rng, p):
@@ -568,12 +568,12 @@ def test_hom_space_contains_identity(kron2, fivevertex):
             hb = hom_space(m, m)
             flat_basis = []
             for h in hb.basis:
-                flat_basis.append([x for mat in h.mats for row in mat.entries() for x in row])
+                flat_basis.append([x for mat in h.mats for row in entries(mat) for x in row])
             ident = [
                 x
                 for d in m.dim
-                for row in Matrix.identity(algebra.p, d).entries()
+                for row in entries(Matrix.identity(algebra.p, d))
                 for x in row
             ]
-            system = Matrix.from_columns(algebra.p, flat_basis, len(ident))
+            system = from_columns(algebra.p, flat_basis, len(ident))
             assert solve_vec(system, ident) is not None
