@@ -6,14 +6,16 @@ closure of seed modules under summands, syzygies, cosyzygies and extension
 middle terms, bounded by total dimension.  Each window consumer reads its
 bounds from the Universe it is given (its UniverseParams), and the probes of
 one Universe share one window at d + 1.  The bullet of two member sets
-enumerates extension classes between bounded direct sums: one orbit plan per
-(sub, quot) pair yields, per representative, a grid of coefficient tuples,
-one per (sub slot, quot slot), in the Ext^1 basis of that slot pair.  The
-window keeps no Ext^1 state: ext1_space memoizes each space on the algebra,
-so the windows at d and d + 1 share every solve, and the middle term takes,
-per slot, the memoized Ext1Space.corners of that tuple, the corner blocks
-of that linear combination of basis classes; its indecomposable summands
-are collected.
+enumerates extension classes between bounded direct sums up to the copy
+automorphisms of both sums: one orbit plan per (sub, quot) pair reduces one
+side's copies to full-rank RREF representatives, merges these under the
+other side's copy groups, and yields, per orbit, a grid of coefficient
+tuples, one per (sub slot, quot slot), in the Ext^1 basis of that slot
+pair.  The window keeps no Ext^1 state: ext1_space memoizes each space on
+the algebra, so the windows at d and d + 1 share every solve, and the
+middle term takes, per slot, the memoized Ext1Space.corners of that tuple,
+the corner blocks of that linear combination of basis classes; its
+indecomposable summands are collected.
 Only summands of total dimension within the bound are interned (iso-tested
 against the registry); a larger summand stays an unregistered class, which
 the closure records as clipped without comparing it to any other; the
@@ -28,6 +30,7 @@ the syzygy categories with full provenance.
 from __future__ import annotations
 
 import copy
+import functools
 import heapq
 import itertools
 from dataclasses import dataclass, field, replace
@@ -36,6 +39,7 @@ from fractions import Fraction
 from .corpus import vertex_module
 from .errors import BudgetExceeded, ContradictoryFacts, SpecError
 from .homology import cosyzygy, ext1_space, extension_middle, gldim_bounded, syzygy_summands
+from .linalg import Matrix, is_prime, rref
 from .rep import Representation, decompose, hom_space, is_iso
 
 HEURISTIC_INFINITE_THRESHOLD = 20
@@ -317,27 +321,121 @@ def _orbit_plan(p, sub_ms, quot_ms, dims):
     operations inside one block of identical sub copies and column
     operations inside one block of identical quotient copies change the
     middle term by an isomorphism, and a block of deficient rank splits off
-    a copy already covered by a smaller multiset.  It therefore suffices to
-    enumerate, on the cheaper side, full-rank RREF coefficient matrices per
-    block.  Returns (mode, blocks, count): mode "rows"/"cols", blocks as
-    _plan_side gives them, count the representative total, which is 0 when
-    there is none (in particular when Ext^1 between the sums is 0).
+    a copy already covered by a smaller multiset.  The plan enumerates, on
+    the cheaper side (the line side), full-rank RREF coefficient matrices
+    per block, which quotients out that side's copy groups; the other
+    side's copy groups still act on these representatives, and
+    _coefficient_grids keeps one per orbit.  Returns (mode, blocks, count,
+    copies): mode "rows"/"cols", blocks as _plan_side gives them, count the
+    one-sided representative total, which is 0 when there is none (in
+    particular when Ext^1 between the sums is 0), and copies the other
+    side's multiplicities.
     """
     rows, rows_count = _plan_side(p, sub_ms, quot_ms, dims)
     cols, cols_count = _plan_side(p, quot_ms, sub_ms, list(zip(*dims)))
     if rows_count <= cols_count:
-        return "rows", rows, rows_count
-    return "cols", cols, cols_count
+        return "rows", rows, rows_count, tuple([k for _, k in quot_ms])
+    return "cols", cols, cols_count, tuple([j for _, j in sub_ms])
 
 
-def _coefficient_grids(p, mode, blocks):
-    """Yield, per representative of the plan (one full-rank RREF per block),
-    a grid of coefficient tuples: row i, column j holds the Ext^1
-    coordinates for sub slot i, quot slot j."""
+@functools.cache
+def _unit_generator(p):
+    """A generator of GF(p)^*, or None for p above 2^16, where the search is
+    skipped: a generator left out only merges fewer grids."""
+    if p > 1 << 16:
+        return None
+    primes = [q for q in range(2, p) if (p - 1) % q == 0 and is_prime(q)]
+    return next(g for g in range(2, p) if all(pow(g, (p - 1) // q, p) != 1 for q in primes))
+
+
+def _copy_moves(p, blocks, copies, pools):
+    """Generators of the other side's copy groups, each as one permutation
+    per block of that block's pool of RREFs; [] when the groups act
+    trivially on the plan.
+
+    GL_k(F_p) on the k copies of one class is generated by the transvection
+    adding copy 0 to copy 1, the cyclic shift of the copies and, for p > 2,
+    diag(omega, 1, ...) with omega generating GF(p)^*.  A generator g maps
+    each line of a block by g (x) I_w on its class's chunks (w the chunk
+    width), and the moved lines are reduced back to RREF, so the line
+    side's copy groups stay quotiented out.
+    """
+    if copies == (1,):  # one copy of one class, as in every closure pair
+        return []
+    starts = itertools.accumulate(copies, initial=0)
+    # copies of a class with no Ext^1 to the line side never move a grid
+    acting = [(s, k) for s, k in zip(starts, copies) if any(chunks[s] for _, _, chunks in blocks)]
+    single = all(k == 1 for _, k in acting)
+    if single and (p == 2 or len(acting) < 2):
+        return []
+    omega = _unit_generator(p) if p > 2 else None
+    gens = []  # (first slot, k, entry (a, b) of g, which acts on row vectors)
+    for s, k in acting:
+        if k > 1:
+            gens.append((s, k, lambda a, b: int(a == b) + int((a, b) == (0, 1))))
+            gens.append((s, k, lambda a, b, k=k: int(b == (a + 1) % k)))
+        # omega times the identity moves nothing, so with single copies the
+        # last class's scaling follows from the others'
+        if omega and not (single and s == acting[-1][0]):
+            gens.append((s, k, lambda a, b: omega if a == b == 0 else int(a == b)))
+    if not gens:
+        return []
+    packed = [[Matrix.from_rows(p, rr).rows for rr in pool] for pool in pools]
+    index = [{rows: i for i, rows in enumerate(pool)} for pool in packed]
+    moves = []
+    for s, k, g in gens:
+        move = []
+        for (mult, space, chunks), pool, at in zip(blocks, packed, index):
+            w, off = chunks[s], sum(chunks[:s])
+            if w == 0:
+                move.append(range(len(pool)))
+                continue
+            full = [[int(a == b) for b in range(space)] for a in range(space)]
+            for a, b, t in itertools.product(range(k), range(k), range(w)):
+                full[off + a * w + t][off + b * w + t] = g(a, b)
+            full = Matrix.from_rows(p, full)
+            move.append(tuple(at[rref(Matrix(p, mult, space, rows).mul(full))[0].rows] for rows in pool))
+        moves.append(move)
+    return moves
+
+
+def _orbit_leaders(combos, moves):
+    """The first combo of each orbit under the moves, in plan order.
+
+    A leader's orbit is explored when the plan meets it; every later member
+    waits in the seen-set until the plan reaches it, and is dropped then.
+    """
+    seen = set()
+    for combo in combos:
+        if combo in seen:
+            seen.remove(combo)
+            continue
+        yield combo
+        seen.add(combo)
+        frontier = [combo]
+        while frontier:
+            at = frontier.pop()
+            for move in moves:
+                to = tuple([perm[i] for perm, i in zip(move, at)])
+                if to not in seen:
+                    seen.add(to)
+                    frontier.append(to)
+        seen.remove(combo)
+
+
+def _coefficient_grids(p, mode, blocks, copies):
+    """Yield, per orbit of the plan's representatives (one full-rank RREF
+    per block) under the other side's copy groups, the first
+    representative's grid of coefficient tuples: row i, column j holds the
+    Ext^1 coordinates for sub slot i, quot slot j."""
     pools = [list(_rref_rows(p, mult, space)) for mult, space, _ in blocks]
     cuts = [list(itertools.pairwise(itertools.accumulate(chunks, initial=0))) for _, _, chunks in blocks]
-    for combo in itertools.product(*pools):
-        lines = tuple(tuple(line[a:b] for a, b in cut) for rref, cut in zip(combo, cuts) for line in rref)
+    combos = itertools.product(*[range(len(pool)) for pool in pools])
+    moves = _copy_moves(p, blocks, copies, pools)
+    if moves:
+        combos = _orbit_leaders(combos, moves)
+    for combo in combos:
+        lines = tuple(tuple(line[a:b] for a, b in cut) for pool, i, cut in zip(pools, combo, cuts) for line in pool[i])
         yield lines if mode == "rows" else tuple(zip(*lines))
 
 
@@ -345,7 +443,7 @@ def _pair_middles(uni: Universe, sub_ms, quot_ms):
     """All indecomposable summands of middles for one (sub, quot) multiset pair."""
     spaces = [[ext1_space(x.rep, y.rep) for x, _ in quot_ms] for y, _ in sub_ms]
     p = uni.algebra.p
-    mode, blocks, count = _orbit_plan(p, sub_ms, quot_ms, [[s.dimension for s in row] for row in spaces])
+    mode, blocks, count, copies = _orbit_plan(p, sub_ms, quot_ms, [[s.dimension for s in row] for row in spaces])
     if count == 0:
         return []
     budget = uni.params.ext_budget
@@ -358,7 +456,7 @@ def _pair_middles(uni: Universe, sub_ms, quot_ms):
     ys = [sub_ms[i][0].rep for i in yi]
     xs = [quot_ms[i][0].rep for i in xi]
     out = {}
-    for grid in _coefficient_grids(p, mode, blocks):
+    for grid in _coefficient_grids(p, mode, blocks, copies):
         corners = [[spaces[a][b].corners(c) for b, c in zip(xi, row)] for a, row in zip(yi, grid)]
         middle = extension_middle(ys, xs, corners)
         for cls, mult in uni._middle_summands(middle):
@@ -371,8 +469,10 @@ def bullet(uni: Universe, left, right) -> frozenset:
 
     Sequences run 0 -> L -> E -> R -> 0 with the sub L a bounded sum from
     `left` and the quotient R a bounded sum from `right`; the zero class
-    keeps left | right inside the result.  The sums' bounds are the
-    universe's mult_bound and parts_cap.
+    keeps left | right inside the result.  Both sums have at most the
+    universe's parts_cap distinct classes; a sub sum takes each class at
+    most mult_bound times, a quotient sum at most max(dim_bound, mult_bound)
+    times.
     """
     params = uni.params
     mb, parts_cap = params.mult_bound, params.parts_cap

@@ -356,9 +356,57 @@ def test_syzygy_category_lists_each_oversized_class_once():
     assert sorted(c.dim for c in cat.oversized) == [(2, 1, 1, 0), (2, 1, 2, 0)]
 
 
-def test_orbit_reduction_matches_full_enumeration(kron_universe, five_universe):
+def _middle_kinds(monkeypatch, uni, sub_ms, quot_ms):
+    """(kinds the plan builds, kinds of every extension class whose cocycle
+    matrix has full rank on each copy block of both sides, kinds of every
+    class); a kind is a middle's multiset of summand classes."""
+    import itertools
+
+    from syzex import extdim
+    from syzex.extdim import ClassRegistry
+    from syzex.homology import ext1_space, extension_middle
+    from syzex.linalg import Matrix
+
+    p = uni.algebra.p
+    above = ClassRegistry()  # summands above the window are unregistered
+
+    def kind(middle):
+        return frozenset(
+            (id(c) if c.total_dim <= uni.dim_bound else id(above.intern(c.rep)[0]), mult)
+            for c, mult in uni._middle_summands(middle)
+        )
+
+    def full_rank(lines, blocks):
+        start = 0
+        for _, k in blocks:
+            if Matrix.from_rows(p, [sum(line, ()) for line in lines[start:start + k]]).rank() < k:
+                return False
+            start += k
+        return True
+
+    built = []
+    monkeypatch.setattr(extdim, "extension_middle", lambda *a: built.append(extension_middle(*a)) or built[-1])
+    extdim._pair_middles(uni, sub_ms, quot_ms)
+    ys = [c.rep for c, j in sub_ms for _ in range(j)]
+    xs = [c.rep for c, k in quot_ms for _ in range(k)]
+    spaces = [[ext1_space(x, y) for x in xs] for y in ys]
+    cells = [list(itertools.product(range(p), repeat=s.dimension)) for row in spaces for s in row]
+    full, every = set(), set()
+    for pick in itertools.product(*cells):
+        grid = [pick[a * len(xs):(a + 1) * len(xs)] for a in range(len(ys))]
+        corners = [[s.corners(c) for s, c in zip(row, line)] for row, line in zip(spaces, grid)]
+        got = kind(extension_middle(ys, xs, corners))
+        every.add(got)
+        if full_rank(grid, sub_ms) and full_rank(list(zip(*grid)), quot_ms):
+            full.add(got)
+    return {kind(m) for m in built}, full, every
+
+
+def test_orbit_reduction_matches_full_enumeration(kron_universe, five_universe, monkeypatch):
     """The per-block RREF representatives must reach exactly the summand
-    classes that enumerating every extension class reaches."""
+    classes that enumerating every extension class reaches, and, on sides
+    with two classes or copies on both sides, a middle isomorphic to each
+    full-rank class's middle."""
     import itertools
 
     from syzex.extdim import ClassRegistry, _pair_middles
@@ -415,6 +463,19 @@ def test_orbit_reduction_matches_full_enumeration(kron_universe, five_universe):
                     assert reduced <= full
                     checked += 1
     assert checked >= 20
+
+    from syzex.corpus import corpus_algebra
+
+    kron3 = generate_universe(corpus_algebra("kron2", 3), UniverseParams(4))
+    pairs = []
+    for uni, other in ((kron_universe, (2, 2)), (kron3, (1, 1))):
+        s0, s1 = uni.member_named("S0"), uni.member_named("S1")
+        x2 = next(c for c in uni.sorted_members() if c.dim == other)
+        pairs.append((uni, ((s1, 2),), ((s0, 1), (x2, 1))))
+    pairs.append((kron3, ((s1, 2),), ((s0, 2),)))
+    for uni, sub_ms, quot_ms in pairs:
+        built, full, every = _middle_kinds(monkeypatch, uni, sub_ms, quot_ms)
+        assert full <= built <= every
 
 
 def test_closure_interns_only_window_summands():
@@ -582,3 +643,73 @@ def test_window_order_unchanged_under_byte_per_entry_keys(monkeypatch, entry):
     packed = members()
     monkeypatch.setattr(Matrix, "key", lambda m: bytes(x for i in range(m.nrows) for x in m.row(i)))
     assert members() == packed
+
+
+@pytest.mark.parametrize(
+    "entry, p, d, mult_bound, left, right, n",
+    [
+        ("kron2", 2, 6, 3, "S1", "S0", None),
+        ("kron2", 3, 4, 3, "S1", "S0", None),
+        ("kron2", 2, 5, 2, "S0,S1", None, 3),
+    ],
+)
+def test_two_sided_plan_matches_one_sided_plan(monkeypatch, entry, p, d, mult_bound, left, right, n):
+    """Building a middle for every one-sided representative, as the plan
+    once did, gives the same bullet or layer: the same members, and every
+    class interned in the same order with the same representative."""
+    from syzex import extdim
+    from syzex.corpus import corpus_algebra
+
+    algebra = corpus_algebra(entry, p)
+    real_middle = extdim.extension_middle
+
+    def run():
+        built = []
+        monkeypatch.setattr(extdim, "extension_middle", lambda *a: built.append(1) or real_middle(*a))
+        uni = generate_universe(algebra, UniverseParams(d, mult_bound=mult_bound))
+        built.clear()
+        gens = [uni.member_named(name) for name in left.split(",")]
+        got = layer(uni, gens, n) if n else bullet(uni, gens, [uni.member_named(right)])
+        interned = {id(c): c for c in uni.registry.by_key.values()}.values()
+        return [c.key for c in sorted(got, key=lambda c: c.sort_key())], [c.key for c in interned], len(built)
+
+    members, interned, built = run()
+    monkeypatch.setattr(extdim, "_orbit_leaders", lambda combos, moves: combos)
+    ref_members, ref_interned, ref_built = run()
+    assert members == ref_members
+    assert interned == ref_interned
+    assert built < ref_built
+
+
+def test_two_sided_plan_builds_one_middle_per_orbit(kron2, monkeypatch):
+    """S1^3 by S0^3 over GF(2): the 1,395 one-sided representatives (3-dim
+    subspaces of Ext^1(S0^3, S1) = k^6) fall into 32 orbits of GL_3 on the
+    quotient copies, one middle each; the budget still counts the one-sided
+    representatives, and refuses them before any middle is built."""
+    from syzex import extdim
+    from syzex.errors import BudgetExceeded
+    from syzex.extdim import Universe
+
+    built = []
+    real = extdim.extension_middle
+    monkeypatch.setattr(extdim, "extension_middle", lambda *a: built.append(1) or real(*a))
+    for budget, middles in ((1395, 32), (1394, 0)):
+        uni = Universe(kron2, UniverseParams(6, ext_budget=budget))
+        pair = (((uni.member_named("S1"), 3),), ((uni.member_named("S0"), 3),))
+        built.clear()
+        if middles:
+            extdim._pair_middles(uni, *pair)
+        else:
+            message = "^1395 extension-class representatives for one pair exceed budget 1394$"
+            with pytest.raises(BudgetExceeded, match=message):
+                extdim._pair_middles(uni, *pair)
+        assert len(built) == middles
+
+
+def test_unit_generator_generates_the_unit_group():
+    from syzex.extdim import _unit_generator
+
+    for p in (3, 5, 7, 13, 257):
+        g = _unit_generator(p)
+        assert len({pow(g, e, p) for e in range(p - 1)}) == p - 1
+    assert _unit_generator(2305843009213693951) is None
