@@ -254,7 +254,9 @@ def generate_universe(algebra, params: UniverseParams) -> Universe:
             add(f, "cosyzygy", source=str(cls.dim))
         partners = processed + [cls]
         for other in partners:
-            for sub, quot in ((cls, other), (other, cls)):
+            # a class paired with itself is one pair, visited once
+            pairs = ((cls, cls),) if other is cls else ((cls, other), (other, cls))
+            for sub, quot in pairs:
                 if not ext1_space(quot.rep, sub.rep).dimension:
                     continue
                 for j in range(1, params.mult_bound + 1):

@@ -277,21 +277,22 @@ def ext1_space(x: Representation, y: Representation) -> Ext1Space:
     p = algebra.p
     pres = projective_cover(x)
     omega = pres.kernel
-    basis = hom_space(omega, y).basis
-    if basis:
+    cocycles = hom_space(omega, y)
+    basis = ()
+    if cocycles.rows:
         size = sum(a * b for a, b in zip(omega.dim, y.dim))
 
-        def columns(homs):
-            rows = tuple(linalg.flat(p, h.mats) for h in homs)
+        def columns(rows):
+            rows = tuple(rows)
             return Matrix(p, len(rows), size, rows).transpose()
 
         # coordinates in the Hom(OX, Y) basis of every hom that extends to P
-        extended = (pres.inclusion.then(h) for h in hom_space(pres.cover, y).basis)
-        image = linalg.solve_matrix(columns(basis), columns(extended))
+        extended = (linalg.flat(p, pres.inclusion.then(h).mats) for h in hom_space(pres.cover, y).basis)
+        image = linalg.solve_matrix(columns(cocycles.rows), columns(extended))
         if image is None:
             raise AssertionError("restricted hom outside Hom(OX, Y)")
         pivot = set(linalg.rref(image.transpose())[1])
-        basis = tuple(h for j, h in enumerate(basis) if j not in pivot)
+        basis = tuple(cocycles.hom(row) for j, row in enumerate(cocycles.rows) if j not in pivot)
     got = cache[ck] = Ext1Space(x, y, pres, basis)
     return got
 

@@ -15,13 +15,15 @@ pass, _echelon: rank counts its pivots, rref back-substitutes over them.
 
 The Hom coordinate layout is decided here: flat lays a tuple of matrices
 out as one row, row-major and concatenated, and unflat cuts a block back
-out.  Matrix.key packs flat's row, one bit per entry over GF(2); keys of
-equal shape compare as one-byte-per-entry keys would.
+out; block_diagonal sets the square blocks of such a row down the diagonal
+of one matrix, as the split search and the iso test read End(M) and
+Hom(M, N).  Matrix.key packs flat's row, one bit per entry over GF(2); keys
+of equal shape compare as one-byte-per-entry keys would.
 
-Every block matrix is assembled one row at a time by _stripe, which places
-equal-height blocks side by side at their column offsets: hstack,
+Every other block matrix is assembled one row at a time by _stripe, which
+places equal-height blocks side by side at their column offsets: hstack,
 rep.direct_sum and homology.extension_middle all build their rows with it,
-so block assembly branches on the row layout in this one place.
+so side-by-side assembly branches on the row layout in this one place.
 """
 
 from __future__ import annotations
@@ -286,6 +288,24 @@ def unflat(p: int, row, off: int, nrows: int, ncols: int) -> Matrix:
         row >>= off
         return Matrix(2, nrows, ncols, tuple([(row >> (i * ncols)) & mask for i in range(nrows)]))
     return Matrix(p, nrows, ncols, tuple([row[off + i * ncols:off + (i + 1) * ncols] for i in range(nrows)]))
+
+
+def block_diagonal(p: int, row, offsets, dims) -> Matrix:
+    """The square blocks of a flat row, dims[v] x dims[v] starting at entry
+    offsets[v], as one block-diagonal matrix, the blocks in order."""
+    n = sum(dims)
+    rows = []
+    at = 0
+    for off, d in zip(offsets, dims):
+        if p == 2:
+            mask = (1 << d) - 1
+            block = row >> off
+            rows += [(block >> i * d & mask) << at for i in range(d)]
+        else:
+            pad, end = (0,) * at, (0,) * (n - at - d)
+            rows += [pad + row[off + i * d:off + (i + 1) * d] + end for i in range(d)]
+        at += d
+    return Matrix(p, n, n, tuple(rows))
 
 
 def hstack(mats: list) -> Matrix:

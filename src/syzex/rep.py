@@ -4,11 +4,16 @@ A representation stores one matrix per arrow, of shape
 dim[target] x dim[source]; a path acts by composing its arrow matrices in
 traversal order.  Hom spaces come from the intertwining linear system, its
 unknowns laid out as linalg.flat, which decides the Hom coordinate layout.
-Decomposition peels direct summands with Fitting's lemma, and is exact for
-every p: an endomorphism splits M exactly when its action on top(M) is
-neither nilpotent nor invertible, so testing each line of End(M)'s image
-on top(M) either finds a split or proves M indecomposable.  Isomorphism
-is decided exactly: an indecomposable M has a local endomorphism ring, so
+A HomBasis keeps the system's kernel rows in that layout and is memoized
+on the algebra; per-vertex Hom objects are cut from a row only where a
+caller composes them (Ext^1 cocycles, the tilting check, the split
+search's top images), and are not kept.  Decomposition peels direct
+summands with Fitting's lemma, and is exact for every p: an endomorphism
+splits M exactly when its action on top(M) is neither nilpotent nor
+invertible, so testing each line of End(M)'s image on top(M) either finds
+a split or proves M indecomposable.  Each endomorphism is tried as one
+block-diagonal matrix on M, read straight from its row.  Isomorphism is
+decided exactly: an indecomposable M has a local endomorphism ring, so
 M ~ N exactly when some basis element of Hom(M, N) is invertible; sums are
 compared by their Krull-Schmidt factors.
 """
@@ -92,24 +97,40 @@ class Hom:
         """self followed by other."""
         return Hom(self.source, other.target, tuple(g.mul(f) for f, g in zip(self.mats, other.mats)))
 
-    def is_invertible(self) -> bool:
-        return all(
-            m.nrows == m.ncols and m.rank() == m.nrows for m in self.mats
-        )
-
-    def is_zero(self) -> bool:
-        return all(m.is_zero() for m in self.mats)
-
 
 @dataclass
 class HomBasis:
+    """A basis of Hom(source, target) as the kernel rows of hom_space's
+    system, in linalg.flat's layout: one int per element over GF(2), one
+    tuple over odd p, the block of vertex v starting at offsets[v].  Hom
+    objects are cut from the rows only when .basis or hom() is read, and
+    the basis keeps none of them."""
+
     source: Representation
     target: Representation
-    basis: tuple
+    rows: tuple
+    offsets: tuple
 
     @property
     def dimension(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
+
+    def hom(self, row) -> Hom:
+        """One row cut into its per-vertex blocks."""
+        p = self.source.algebra.p
+        return Hom(self.source, self.target, tuple(
+            linalg.unflat(p, row, at, b, a) for at, a, b in zip(self.offsets, self.source.dim, self.target.dim)
+        ))
+
+    @property
+    def basis(self) -> tuple:
+        """Every row as a Hom, cut anew on each read."""
+        return tuple(map(self.hom, self.rows))
+
+    def diagonal(self, row) -> Matrix:
+        """A row as one block-diagonal matrix of size dim source, the blocks
+        f_v in vertex order; source and target have one dimension vector."""
+        return linalg.block_diagonal(self.source.algebra.p, row, self.offsets, self.source.dim)
 
 
 @dataclass
@@ -233,31 +254,18 @@ def hom_space(m: Representation, n: Representation) -> HomBasis:
         masks = []
         for ai in range(len(q.arrows)):
             u, w = q.arrow_source(ai), q.arrow_target(ai)
-            Ma, Na = m.action[ai], n.action[ai]
-            dmu, dmw, dnu, dnw = m.dim[u], m.dim[w], n.dim[u], n.dim[w]
-            # column bitmask of Ma per source index j
-            ma_cols = [0] * dmu
-            for k in range(dmw):
-                rk = Ma.rows[k]
-                while rk:
-                    low = rk & -rk
-                    ma_cols[low.bit_length() - 1] |= 1 << k
-                    rk ^= low
-            for i in range(dnw):
+            ma_cols = m.action[ai].transpose().rows
+            dmu, dmw = m.dim[u], m.dim[w]
+            for i, na_row in enumerate(n.action[ai].rows):
                 base_w = off[w] + i * dmw
-                na_row = Na.rows[i] if dnw else 0
+                # N_a's row i with bit l moved to bit l * dmu, f_u[l][j]'s offset less j
+                spread = 0
+                while na_row:
+                    low = na_row & -na_row
+                    spread |= 1 << (low.bit_length() - 1) * dmu
+                    na_row ^= low
                 for j in range(dmu):
-                    row = 0
-                    cm = ma_cols[j]
-                    while cm:
-                        low = cm & -cm
-                        row ^= 1 << (base_w + low.bit_length() - 1)
-                        cm ^= low
-                    rl = na_row
-                    while rl:
-                        low = rl & -rl
-                        row ^= 1 << (off[u] + (low.bit_length() - 1) * dmu + j)
-                        rl ^= low
+                    row = (ma_cols[j] << base_w) ^ (spread << (off[u] + j))
                     if row:
                         masks.append(row)
         kernel = linalg.kernel_basis(Matrix(2, len(masks), total, tuple(masks)))
@@ -278,12 +286,8 @@ def hom_space(m: Representation, n: Representation) -> HomBasis:
                     if any(row):
                         rows.append(tuple(row))
         kernel = linalg.kernel_basis(Matrix(p, len(rows), total, tuple(rows)))
-    # the unknowns are linalg.flat's layout of (f_v), so unflat cuts each f_v out
-    basis = tuple(
-        Hom(m, n, tuple(linalg.unflat(p, vec, off[v], n.dim[v], m.dim[v]) for v in range(q.n_vertices)))
-        for vec in kernel.rows
-    )
-    result = HomBasis(m, n, basis)
+    # the unknowns are linalg.flat's layout of (f_v): the kernel rows are the basis
+    result = HomBasis(m, n, kernel.rows, tuple(off))
     cache[ck] = result
     return result
 
@@ -308,7 +312,7 @@ def is_iso(m: Representation, n: Representation) -> bool:
     hb = hom_space(m, n)
     if hb.dimension == 0:
         return False
-    if any(h.is_invertible() for h in hb.basis):
+    if any(hb.diagonal(row).rank() == m.total_dim for row in hb.rows):
         return True
     mine = _indec_factors(m)
     if len(mine) == 1:
@@ -391,30 +395,59 @@ def quotient_rep(m: Representation, spans) -> tuple:
     return rep, Hom(m, rep, tuple(projs))
 
 
-def _split_with(m: Representation, e: Hom):
-    """Fitting split along the stable power of e; None if it gives no splitting.
+def _split_with(m: Representation, e: Matrix):
+    """Fitting split along the stable power of e, a block-diagonal
+    endomorphism of M = (+) M_v; None if it gives no splitting.
 
-    Squaring until the ranks stop falling reaches a power past
-    stabilization; a power of zero or full total rank stays so, and gives
-    no splitting.
+    Squaring until the rank stops falling reaches a power past
+    stabilization: no vertex rank rises under squaring, so the total rank
+    stops falling exactly when every vertex rank does.  A power of zero or
+    full rank stays so, and gives no splitting.  A block-diagonal matrix
+    row-reduces block by block, so its image and kernel bases, cut per
+    vertex, are the canonical bases of the blocks' images and kernels.
     """
     f = e
-    ranks = [mt.rank() for mt in f.mats]
-    while 0 < sum(ranks) < m.total_dim:
-        f2 = f.then(f)
-        ranks2 = [mt.rank() for mt in f2.mats]
-        if ranks2 == ranks:
+    rank = f.rank()
+    while 0 < rank < m.total_dim:
+        f2 = f.mul(f)
+        rank2 = f2.rank()
+        if rank2 == rank:
             break
-        f, ranks = f2, ranks2
+        f, rank = f2, rank2
     else:
         return None
-    im_rep, _ = sub_rep(m, [linalg.column_space_basis(mt) for mt in f.mats])
-    ker_rep, _ = sub_rep(m, [linalg.null_space(mt) for mt in f.mats])
+    im_rep, _ = sub_rep(m, _vertex_blocks(m, linalg.column_space_basis(f)))
+    ker_rep, _ = sub_rep(m, _vertex_blocks(m, linalg.null_space(f)))
     return im_rep, ker_rep
 
 
+def _vertex_blocks(m: Representation, basis: Matrix) -> list:
+    """Per vertex v, the columns of basis that lie in M_v, cut to M_v's
+    coordinates; every column lies in one M_v, in vertex order."""
+    p = basis.p
+    vectors = basis.transpose().rows
+    blocks = []
+    start = k = 0
+    for d in m.dim:
+        end = start + d
+        # the vectors left that have an entry before end are those in M_v
+        j = k
+        if p == 2:
+            while j < len(vectors) and vectors[j] & ((1 << end) - 1):
+                j += 1
+            rows = [v >> start for v in vectors[k:j]]
+        else:
+            while j < len(vectors) and any(vectors[j][:end]):
+                j += 1
+            rows = [v[start:end] for v in vectors[k:j]]
+        blocks.append(Matrix(p, j - k, d, tuple(rows)).transpose())
+        start, k = end, j
+    return blocks
+
+
 def _split_candidates(m: Representation, end: HomBasis):
-    """Endomorphisms of m that include a splitting one whenever m decomposes.
+    """Endomorphisms of m, as block-diagonal matrices, that include a
+    splitting one whenever m decomposes.
 
     pi sends f in End(M) to its action on top(M).  Its kernel is nilpotent
     (f(M) in rad M gives f^L = 0), so by Fitting's lemma and Nakayama e
@@ -426,7 +459,10 @@ def _split_candidates(m: Representation, end: HomBasis):
     and only a splitting one is lifted.  Raises BudgetExceeded when there
     are more than SPLIT_ENUM_BUDGET such lines.
     """
-    yield from end.basis
+    diagonals = []
+    for row in end.rows:
+        diagonals.append(end.diagonal(row))
+        yield diagonals[-1]
     p = m.algebra.p
     tops = top_maps(m)
     images = [tuple(pr.mul(f).mul(lf) for (pr, lf), f in zip(tops, h.mats)) for h in end.basis]
@@ -445,7 +481,7 @@ def _split_candidates(m: Representation, end: HomBasis):
         rest = independent[lead:]
         for tail in itertools.product(range(p), repeat=len(rest) - 1):
             if any(tail) and _splits_top(linalg.combine((1,) + tail, [images[i] for i in rest])):
-                yield Hom(m, m, linalg.combine((1,) + tail, [end.basis[i].mats for i in rest]))
+                yield linalg.combine((1,) + tail, [(diagonals[i],) for i in rest])[0]
 
 
 def _splits_top(ts) -> bool:

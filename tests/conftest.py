@@ -31,6 +31,16 @@ def solve_vec(m, b):
     return None if x is None else col(x, 0)
 
 
+def invertible(h):
+    """Whether a Hom is invertible at every vertex."""
+    return all(m.nrows == m.ncols and m.rank() == m.nrows for m in h.mats)
+
+
+def vanishes(h):
+    """Whether a Hom is zero at every vertex."""
+    return all(m.is_zero() for m in h.mats)
+
+
 def conjugate(rep, rng):
     """rep transported along random invertible per-vertex base changes."""
     p = rep.algebra.p

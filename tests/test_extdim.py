@@ -4,6 +4,7 @@ import pytest
 
 from conftest import conjugate
 from syzex.algebra import AlgebraSpec, build_algebra
+from syzex.corpus import load_corpus
 from syzex.errors import ContradictoryFacts, SpecError
 from syzex.extdim import (
     UniverseParams,
@@ -713,3 +714,42 @@ def test_unit_generator_generates_the_unit_group():
         g = _unit_generator(p)
         assert len({pow(g, e, p) for e in range(p - 1)}) == p - 1
     assert _unit_generator(2305843009213693951) is None
+
+
+def test_closure_visits_each_pair_once(monkeypatch):
+    """Within one window each (sub, quot, j) reaches _pair_middles at most
+    once; a class paired with itself is one pair, not two."""
+    from collections import Counter
+
+    from syzex import extdim
+
+    seen = Counter()
+    real = extdim._pair_middles
+
+    def counted(uni, sub_ms, quot_ms):
+        ((sub, j),), ((quot, _),) = sub_ms, quot_ms
+        seen[id(sub), id(quot), j] += 1
+        return real(uni, sub_ms, quot_ms)
+
+    monkeypatch.setattr(extdim, "_pair_middles", counted)
+    algebra = build_algebra(load_corpus("nodeA").spec)
+    generate_universe(algebra, UniverseParams(6))
+    assert seen and max(seen.values()) == 1
+    assert any(sub == quot for sub, quot, _ in seen)
+
+
+def test_hom_cache_keeps_no_hom_objects():
+    """After a whole ed run, every cached Hom basis holds its flat rows and
+    no Hom cut from them."""
+    from syzex.rep import Hom, HomBasis
+
+    def holds_hom(x):
+        return isinstance(x, Hom) or isinstance(x, (tuple, list)) and any(map(holds_hom, x))
+
+    algebra = build_algebra(load_corpus("nodeA").spec)
+    ed_report(algebra, [0, 1, 2], UniverseParams(6), algebra_id="nodeA")
+    cached = list(algebra._hom_cache.values())
+    assert len(cached) > 1000
+    for hb in cached:
+        assert isinstance(hb, HomBasis)
+        assert not any(holds_hom(x) for x in vars(hb).values())

@@ -11,6 +11,7 @@ from syzex.linalg import (
     Matrix,
     _kernel_rows,
     _unpack,
+    block_diagonal,
     column_space_basis,
     combine,
     flat,
@@ -384,6 +385,33 @@ def test_flat_unflat_and_key(p):
     for m in mats:
         row, n = flat(p, (m,)), m.nrows * m.ncols
         assert m.key() == packed_entries(p, [(row >> k) & 1 for k in range(n)] if p == 2 else row)
+
+
+@pytest.mark.parametrize("p", [2, 3, 257])
+def test_block_diagonal_sets_flat_blocks_down_the_diagonal(p):
+    """Entry (i, j) of block v lands at (at_v + i, at_v + j), at_v being the
+    sum of the earlier sizes, and every entry off the blocks is 0; sizes 0
+    included."""
+    rng = random.Random(619 + p)
+    for _ in range(40):
+        dims = [rng.randint(0, 3) for _ in range(rng.randint(1, 4))]
+        blocks = [
+            Matrix.from_rows(p, [[rng.randrange(p) for _ in range(d)] for _ in range(d)]) if d
+            else Matrix.zero(p, 0, 0)
+            for d in dims
+        ]
+        offsets = list(itertools.accumulate((d * d for d in dims), initial=0))[:-1]
+        got = block_diagonal(p, flat(p, blocks), offsets, dims)
+        n = sum(dims)
+        want = [[0] * n for _ in range(n)]
+        at = 0
+        for b, d in zip(blocks, dims):
+            for i in range(d):
+                for j in range(d):
+                    want[at + i][at + j] = b.entry(i, j)
+            at += d
+        assert (got.nrows, got.ncols) == (n, n)
+        assert [list(r) for r in entries(got)] == want
 
 
 def mul_entrywise(a, b):

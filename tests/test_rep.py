@@ -3,12 +3,12 @@ import random
 
 import pytest
 
-from conftest import beilinson2_spec, conjugate, entries, from_columns, kron2_spec, solve_vec
+from conftest import beilinson2_spec, conjugate, entries, from_columns, invertible, kron2_spec, solve_vec, vanishes
 from syzex.algebra import AlgebraSpec, build_algebra
 from syzex.corpus import load_corpus
 from syzex.errors import AlgebraMismatch, BudgetExceeded
 from syzex.homology import projective_cover, syzygy
-from syzex.linalg import Matrix, combine, kernel_basis
+from syzex.linalg import Matrix, column_space_basis, combine, flat, kernel_basis, null_space, unflat
 from syzex.rep import (
     Hom,
     HomBasis,
@@ -23,6 +23,7 @@ from syzex.rep import (
     module_doc,
     parse_module_doc,
     simple_rep,
+    sub_rep,
     validate,
     zero_rep,
 )
@@ -89,7 +90,7 @@ def test_hom_identity_present(kron2):
     for v in range(2):
         m = kron2.projective(v)
         hb = hom_space(m, m)
-        assert any(h.is_invertible() for h in hb.basis) or hb.dimension >= 1
+        assert any(invertible(h) for h in hb.basis) or hb.dimension >= 1
 
 
 def test_hom_simples_zero(kron2):
@@ -180,7 +181,7 @@ def test_is_iso_decomposable_without_invertible_basis_element(kron2):
     n = kron_rep(kron2, 2, 2, [[1, 0], [0, 1]], [[1, 0], [0, 0]])
     f_basis = hom_space(m, n).basis
     g_basis = hom_space(n, m).basis
-    assert not any(f.then(g).is_invertible() for f in f_basis for g in g_basis)
+    assert not any(invertible(f.then(g)) for f in f_basis for g in g_basis)
     assert is_iso(m, n) is True
     assert is_iso(n, m) is True
     zero = kron_rep(kron2, 2, 2, [[1, 0], [0, 1]], None)
@@ -214,15 +215,16 @@ def test_decompose_nonsplit_middle_local(kron2):
     assert dec.factors[0][0].dim == (1, 1)
     end = hom_space(m, m)
     for h in end.basis:
-        if not h.is_invertible():
+        if not invertible(h):
             power = h
             for _ in range(m.total_dim):
                 power = power.then(h)
-            assert power.is_zero()
+            assert vanishes(power)
 
 
 def counted_splits(monkeypatch):
-    """Record every endomorphism decompose tries to split along."""
+    """Record every endomorphism, a block-diagonal matrix, that decompose
+    tries to split along."""
     from syzex import rep as rep_mod
 
     calls = []
@@ -254,7 +256,7 @@ def test_decompose_tries_each_endomorphism_once(monkeypatch, k):
     dec = decompose(m)
     assert [(f.dim, mult) for f, mult in dec.factors] == [((k,), 1)]
     assert len(calls) == (k if k > 1 else 0)
-    tried = {tuple(mt.rows for mt in e.mats) for e in calls}
+    tried = {e.rows for e in calls}
     assert len(tried) == len(calls)
 
 
@@ -266,12 +268,12 @@ def splits_by_scan(m):
         if mats is None:
             continue
         h = Hom(m, m, mats)
-        if h.is_invertible():
+        if invertible(h):
             continue
         power = h
         for _ in range(m.total_dim):
             power = power.then(h)
-        if not power.is_zero():
+        if not vanishes(power):
             return True
     return False
 
@@ -335,15 +337,83 @@ def test_split_search_splits_when_no_basis_element_does(p):
     if p == 2:
         m = direct_sum([kron.simple(0), kron.simple(0)])
         units = ([[1, 0], [0, 1]], [[1, 1], [0, 1]], [[1, 0], [1, 1]], [[1, 1], [1, 0]])
-        basis = [Hom(m, m, (Matrix.from_rows(2, u), Matrix.zero(2, 0, 0))) for u in units]
+        blocks = [(Matrix.from_rows(2, u), Matrix.zero(2, 0, 0)) for u in units]
+        basis = [Matrix.from_rows(2, u) for u in units]
     else:
         m = direct_sum([kron.simple(0), kron.simple(1)])
-        basis = [Hom(m, m, (Matrix.from_rows(3, [[1]]), Matrix.from_rows(3, [[c]]))) for c in (1, 2)]
-    tried = list(_split_candidates(m, HomBasis(m, m, tuple(basis))))
+        blocks = [(Matrix.from_rows(3, [[1]]), Matrix.from_rows(3, [[c]])) for c in (1, 2)]
+        basis = [Matrix.from_rows(3, [[1, 0], [0, c]]) for c in (1, 2)]
+    end = HomBasis(m, m, tuple(flat(p, b) for b in blocks), (0, m.dim[0] ** 2))
+    tried = list(_split_candidates(m, end))
     assert tried[:len(basis)] == basis
     assert all(_split_with(m, h) is None for h in basis)
     lifts = tried[len(basis):]
     assert lifts and all(_split_with(m, h) is not None for h in lifts)
+
+
+def split_per_vertex(m, e):
+    """Reference Fitting split of m along an endomorphism e given per vertex:
+    square until no vertex rank falls, then sub_rep on each vertex's image
+    and kernel bases; None if the power is zero or invertible."""
+    f = e
+    ranks = [mt.rank() for mt in f.mats]
+    while 0 < sum(ranks) < m.total_dim:
+        f2 = f.then(f)
+        ranks2 = [mt.rank() for mt in f2.mats]
+        if ranks2 == ranks:
+            break
+        f, ranks = f2, ranks2
+    else:
+        return None
+    im_rep, _ = sub_rep(m, [column_space_basis(mt) for mt in f.mats])
+    ker_rep, _ = sub_rep(m, [null_space(mt) for mt in f.mats])
+    return im_rep, ker_rep
+
+
+def assert_splits_match_per_vertex(m):
+    """_split_with on every End(m) basis element, as one block-diagonal
+    matrix, gives the reference split's parts, key for key; returns the
+    number of basis elements that split m."""
+    end = hom_space(m, m)
+    splits = 0
+    for row in end.rows:
+        got = _split_with(m, end.diagonal(row))
+        want = split_per_vertex(m, end.hom(row))
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert [r.key() for r in got] == [r.key() for r in want]
+            assert [r.dim for r in got] == [r.dim for r in want]
+            splits += 1
+    return splits
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 257])
+def test_block_diagonal_split_matches_per_vertex_split(p):
+    rng = random.Random(907 + p)
+    splits = 0
+    for mods in random_hom_modules(rng, p):
+        for m in mods + [direct_sum([a, b]) for a, b in zip(mods, mods[1:])]:
+            splits += assert_splits_match_per_vertex(m)
+    assert splits >= 100
+
+
+def test_block_diagonal_split_matches_per_vertex_split_on_nodea_middles(monkeypatch):
+    """Every middle term of the nodeA closure at d = 6."""
+    from syzex import extdim
+
+    algebra = build_algebra(load_corpus("nodeA").spec)
+    middles = {}
+    real = extdim.extension_middle
+
+    def recorded(ys, xs, corners):
+        mid = real(ys, xs, corners)
+        middles.setdefault(mid.key(), mid)
+        return mid
+
+    monkeypatch.setattr(extdim, "extension_middle", recorded)
+    extdim.generate_universe(algebra, extdim.UniverseParams(6))
+    assert len(middles) >= 400
+    assert sum(assert_splits_match_per_vertex(m) for m in middles.values()) >= 400
 
 
 def test_decompose_proves_local_over_gf257(monkeypatch):
@@ -532,8 +602,12 @@ def test_hom_space_matches_per_entry_oracle(p):
     for mods in random_hom_modules(rng, p):
         for m in mods:
             for n in mods:
-                got = [h.mats for h in hom_space(m, n).basis]
+                hb = hom_space(m, n)
+                got = [h.mats for h in hb.basis]
                 assert got == hom_basis_by_entries(m, n)
+                assert got == [
+                    tuple(unflat(p, row, at, b, a) for at, a, b in zip(hb.offsets, m.dim, n.dim)) for row in hb.rows
+                ]
 
 
 def test_module_doc_roundtrip(kron2):
