@@ -16,16 +16,17 @@ Omega^n(M).
 
 Ext^1(X, Y) is realized on a minimal presentation 0 -> OX -> P -> X -> 0 as
 Hom(OX, Y) modulo homs that extend to P, both read as vectors in the Hom
-coordinate layout that linalg.flat decides.  ext1_space memoizes each
-space on the algebra by the keys of X and Y, as hom_space memoizes Hom.  An
-Ext1Space keeps its basis cocycles theta and, computed on first read, their
-corner blocks theta_{t(a)} d_a; Ext1Space.corners maps a coefficient tuple
-to the corner blocks of that class, memoized per tuple, the only route from
-Ext^1 coordinates to a middle term.  extension_middle, the one middle-term
-builder, places the blocks in the matrices [[Y_a, C_a], [0, X_a]], each row
-built by linalg's block-row assembler.  The pushout of P <- OX -> Y
-survives only as the independent reference the tests compare these middles
-against.
+coordinate layout that linalg.flat decides; the homs that extend are the
+flat rows of Hom(P, Y) times the inclusion, one linalg.flat_mul product per
+vertex.  ext1_space memoizes each space on the algebra by the keys of X and
+Y, as hom_space memoizes Hom.  An Ext1Space keeps its basis cocycles theta
+and, computed on first read, their corner blocks theta_{t(a)} d_a;
+Ext1Space.corners maps a coefficient tuple to the corner blocks of that
+class, memoized per tuple, the only route from Ext^1 coordinates to a middle
+term.  extension_middle, the one middle-term builder, places the blocks in
+the matrices [[Y_a, C_a], [0, X_a]], each row built by linalg's block-row
+assembler.  The pushout of P <- OX -> Y survives only as the independent
+reference the tests compare these middles against.
 """
 
 from __future__ import annotations
@@ -287,7 +288,8 @@ def ext1_space(x: Representation, y: Representation) -> Ext1Space:
             return Matrix(p, len(rows), size, rows).transpose()
 
         # coordinates in the Hom(OX, Y) basis of every hom that extends to P
-        extended = (linalg.flat(p, pres.inclusion.then(h).mats) for h in hom_space(pres.cover, y).basis)
+        extensible = hom_space(pres.cover, y)
+        extended = linalg.flat_mul(p, extensible.rows, extensible.offsets, y.dim, pres.inclusion.mats)
         image = linalg.solve_matrix(columns(cocycles.rows), columns(extended))
         if image is None:
             raise AssertionError("restricted hom outside Hom(OX, Y)")

@@ -15,7 +15,9 @@ pass, _echelon: rank counts its pivots, rref back-substitutes over them.
 
 The Hom coordinate layout is decided here: flat lays a tuple of matrices
 out as one row, row-major and concatenated, and unflat cuts a block back
-out; block_diagonal sets the square blocks of such a row down the diagonal
+out; flat_mul multiplies every block of many such rows on the right, one
+product per block position, as Ext^1 restricts Hom(P, Y) to OX;
+block_diagonal sets the square blocks of such a row down the diagonal
 of one matrix, as the split search and the iso test read End(M) and
 Hom(M, N).  Matrix.key packs flat's row, one bit per entry over GF(2); keys
 of equal shape compare as one-byte-per-entry keys would.
@@ -120,6 +122,13 @@ class Matrix:
         if self.p == 2:
             return _unpack(self.rows[i], self.ncols)
         return self.rows[i]
+
+    def tolist(self) -> list:
+        """The rows as lists of ints, as a module file writes them; over GF(2)
+        each list is built once from its row's bit mask."""
+        if self.p == 2:
+            return [list(_bits(r, self.ncols)) for r in self.rows]
+        return [list(r) for r in self.rows]
 
     def key(self) -> bytes:
         """flat's row as bytes: over GF(2) one bit per entry, most significant
@@ -254,9 +263,14 @@ def _pack(values) -> int:
     return m
 
 
-def _unpack(mask: int, n: int) -> tuple:
+def _bits(mask: int, n: int) -> bytes:
+    """Entry j of an n-entry GF(2) row as byte j, 0 or 1."""
     # bit n is a sentinel that keeps the leading zeros
-    return tuple(bin(mask | 1 << n)[:2:-1].encode().translate(_BIT_DIGITS))
+    return bin(mask | 1 << n)[:2:-1].encode().translate(_BIT_DIGITS)
+
+
+def _unpack(mask: int, n: int) -> tuple:
+    return tuple(_bits(mask, n))
 
 
 _BIT_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
@@ -306,6 +320,20 @@ def block_diagonal(p: int, row, offsets, dims) -> Matrix:
             rows += [pad + row[off + i * d:off + (i + 1) * d] + end for i in range(d)]
         at += d
     return Matrix(p, n, n, tuple(rows))
+
+
+def flat_mul(p: int, rows, offsets, heights, mats) -> list:
+    """Each flat row with its blocks multiplied on the right: flat of
+    (B_v mats[v])_v, B_v being the heights[v] x mats[v].nrows block at
+    offsets[v].  Per block, every row's B_v is stacked into one matrix and
+    multiplied by mats[v] once."""
+    out = [[] for _ in rows]
+    for off, h, m in zip(offsets, heights, mats):
+        stacked = [x for r in rows for x in unflat(p, r, off, h, m.nrows).rows]
+        prod = Matrix(p, len(stacked), m.nrows, tuple(stacked)).mul(m).rows
+        for j, blocks in enumerate(out):
+            blocks.append(Matrix(p, h, m.ncols, prod[j * h:(j + 1) * h]))
+    return [flat(p, blocks) for blocks in out]
 
 
 def hstack(mats: list) -> Matrix:

@@ -585,7 +585,7 @@ def module_doc(rep: Representation, algebra_name: str) -> dict:
         "algebra": algebra_name,
         "dim": {q.vertices[v]: rep.dim[v] for v in range(q.n_vertices) if rep.dim[v]},
         "action": {
-            q.arrows[ai].name: [list(rep.action[ai].row(i)) for i in range(rep.action[ai].nrows)]
+            q.arrows[ai].name: rep.action[ai].tolist()
             for ai in range(len(q.arrows))
             if not rep.action[ai].is_zero()
         },

@@ -9,6 +9,11 @@ byte-identical output.
 The text rendering writes each value with str(), which already spells an
 empty dict or list as {} or [].  A list holding no dict or list, such as a
 matrix row, is written as one join, which keeps MB-sized module files cheap.
+A list of plain ints (no bools) whose entries are all 0..9, which is every
+row of a module over GF(p) for p <= 7, gets its digits in one C pass:
+bytes(row) translated to ASCII and checked with isdigit().  Any other list,
+a row over GF(11) or GF(257) with a two-digit entry among them, falls back
+to one str() per entry; both give the same text.
 """
 
 from __future__ import annotations
@@ -34,6 +39,20 @@ def render_json(report: dict) -> str:
     return json.dumps(report, indent=2, sort_keys=True, default=str) + "\n"
 
 
+# byte k < 10 to the ASCII digit k, every other byte to a non-digit
+_DIGIT_OF = bytes(range(48, 58)).ljust(256, b"x")
+
+
+def _digits(row):
+    """The str() of each entry of a list of ints: one translate of the row's
+    bytes when every entry is 0..9, else one str() per entry."""
+    try:
+        text = bytes(row).translate(_DIGIT_OF)
+    except ValueError:  # an entry outside 0..255
+        return map(str, row)
+    return text.decode() if text.isdigit() else map(str, row)
+
+
 def _flat(value, indent=0):
     pad = "  " * indent
     lines = []
@@ -46,11 +65,12 @@ def _flat(value, indent=0):
             else:
                 lines.append("%s%s: %s" % (pad, k, v))
     elif isinstance(value, list):
-        if not any(issubclass(t, (dict, list)) for t in set(map(type, value))):
+        types = set(map(type, value))
+        if not any(issubclass(t, (dict, list)) for t in types):
             # a list of scalars (a matrix row) is one chunk, not one string per entry
             if value:
                 item = pad + "- "
-                lines.append(item + ("\n" + item).join(map(str, value)))
+                lines.append(item + ("\n" + item).join(_digits(value) if types == {int} else map(str, value)))
             return lines
         for v in value:
             if isinstance(v, (dict, list)) and v:
@@ -74,4 +94,5 @@ def render_text(report: dict) -> str:
     if report.get("timings"):
         lines.append("timings:")
         lines.extend(_flat(report["timings"], 1))
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final newline, without a second copy of the text
+    return "\n".join(lines)

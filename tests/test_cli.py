@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -10,9 +11,12 @@ import jsonschema
 import pytest
 from hypothesis import example, given, settings
 
+from syzex.algebra import build_algebra
 from syzex.cli import run
 from syzex.errors import AlgebraMismatch
+from syzex.rep import module_doc
 from syzex.reports import _flat, new_report, render_text
+from conftest import beilinson2_spec, conjugate
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "src" / "syzex" / "data" / "report.schema.json").read_text()
@@ -530,17 +534,42 @@ def test_render_text_matches_per_line_layout():
     assert text == render_text(report) == render_text_per_line(report)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 11, 257])
+def test_render_text_matches_per_line_layout_on_syzygies(p, tmp_path):
+    # a beilinson2 injective in a random basis has syzygy entries up to p - 1,
+    # so over GF(11) and GF(257) some rows have two- or three-digit entries
+    algebra = build_algebra(beilinson2_spec(p))
+    module = tmp_path / "i2.json"
+    module.write_text(json.dumps(module_doc(conjugate(algebra.injective(2), random.Random(5)), "beilinson2")))
+    entries = set()
+    for argv in (["xiA", "S2", "--n", "8"], ["beilinson2", str(module), "--n", "1"]):
+        code, report, text = run(["--field", str(p), "mod", "syzygy"] + argv)
+        assert code == 0
+        assert text == render_text_per_line(report)
+        entries |= {x for rows in report["results"]["module_file"]["action"].values() for r in rows for x in r}
+    assert (max(entries) >= 10) == (p > 7)
+
+
 REPORT_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 300) | st.text("ab- :", max_size=3) | st.just([]) | st.just({}),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text("xyz", min_size=1, max_size=2), inner, max_size=3),
     max_leaves=12,
 )
 
+# rows of plain ints, half of them all digits (the one-pass rendering), half
+# with entries at the edges of that path: -1, 10, 255, 256 and True
+BOUNDARY = (-1, 10, 255, 256, True)
+INT_ROWS = st.lists(st.integers(0, 9), min_size=1, max_size=12) | st.lists(
+    st.integers(0, 9) | st.sampled_from(BOUNDARY), min_size=1, max_size=12
+)
+
 
 @settings(max_examples=200, deadline=None)
-@given(REPORT_VALUES, st.integers(0, 2))
+@given(REPORT_VALUES | INT_ROWS | st.lists(INT_ROWS, max_size=3), st.integers(0, 2))
+@example([0, 9, 1], 1)
+@example([[0, 1], [9, 10], [255, 256], [-1, 2], [True, 0]], 0)
 def test_flat_matches_per_scalar_renderer(value, indent):
-    # lists mixing ints, bools, strings, None, empty and nested containers
+    # lists mixing ints, bools, strings, None, empty and nested containers, and int rows
     assert "\n".join(_flat(value, indent)) == "\n".join(flat_per_line(value, indent))
 
 

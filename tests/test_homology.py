@@ -18,8 +18,8 @@ from syzex.homology import (
     syzygy,
     tilting_check,
 )
-from syzex.rep import Representation, decompose, direct_sum, is_iso, simple_rep, zero_rep
-from conftest import beilinson2_spec, col, entries, fivevertex_spec, from_columns
+from syzex.rep import Representation, decompose, direct_sum, hom_space, is_iso, simple_rep, zero_rep
+from conftest import beilinson2_spec, col, conjugate, entries, fivevertex_spec, from_columns, kron2_spec
 from property_suites import block_diag, class_coords, class_middle, entry_grid, pushout_middle
 from syzex import linalg
 from syzex.algebra import AlgebraSpec, build_algebra
@@ -393,6 +393,62 @@ def test_cover_epi_matches_path_action_on_random_modules(p):
         )
         m = Representation(algebra, dim, action, check=True)
         assert projective_cover(m).epi.mats == epi_by_path_action(m)
+
+
+def extended_by_composition(x, y):
+    """Reference restriction of Hom(P, Y) to OX: each basis row cut into a
+    Hom, composed with the inclusion and flattened again."""
+    pres = projective_cover(x)
+    return [linalg.flat(x.algebra.p, pres.inclusion.then(h).mats) for h in hom_space(pres.cover, y).basis]
+
+
+def ext1_basis_by_composition(x, y):
+    """Reference Ext^1 basis: the cocycles outside the span of the
+    restricted Hom(P, Y), that span computed by extended_by_composition."""
+    p = x.algebra.p
+    omega = projective_cover(x).kernel
+    cocycles = hom_space(omega, y)
+    if not cocycles.rows:
+        return ()
+    size = sum(a * b for a, b in zip(omega.dim, y.dim))
+
+    def columns(rows):
+        return Matrix(p, len(rows), size, tuple(rows)).transpose()
+
+    image = linalg.solve_matrix(columns(cocycles.rows), columns(extended_by_composition(x, y)))
+    pivot = set(linalg.rref(image.transpose())[1])
+    return tuple(cocycles.hom(row) for j, row in enumerate(cocycles.rows) if j not in pivot)
+
+
+def ext_oracle_modules(rng, p):
+    """Random kron2 modules, and sums of simples, projectives, injectives and
+    syzygies over beilinson2 and nodeA, the nodeA ones in random bases."""
+    kron = build_algebra(kron2_spec(p))
+    groups = [[
+        Representation(kron, dim, tuple(_random_matrix(rng, p, dim[1], dim[0]) for _ in range(2)), check=True)
+        for dim in ((rng.randint(0, 3), rng.randint(0, 3)) for _ in range(6))
+    ]]
+    for algebra in (build_algebra(beilinson2_spec(p)), build_algebra(load_corpus("nodeA", p).spec)):
+        pool = [f(v) for v in range(algebra.n_vertices) for f in (algebra.simple, algebra.projective, algebra.injective)]
+        pool += [syzygy(algebra.injective(v)) for v in range(algebra.n_vertices)]
+        groups.append([conjugate(direct_sum(rng.sample(pool, rng.randint(1, 2))), rng) for _ in range(6)])
+    return groups
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_ext1_basis_matches_compose_and_flatten(p):
+    rng = random.Random(60 + p)
+    nonzero = 0
+    for mods in ext_oracle_modules(rng, p):
+        for x, y in itertools.product(mods, repeat=2):
+            pres = projective_cover(x)
+            extensible = hom_space(pres.cover, y)
+            restricted = linalg.flat_mul(p, extensible.rows, extensible.offsets, y.dim, pres.inclusion.mats)
+            assert restricted == extended_by_composition(x, y)
+            got = [h.mats for h in ext1_space(x, y).basis]
+            assert got == [h.mats for h in ext1_basis_by_composition(x, y)]
+            nonzero += bool(got)
+    assert nonzero >= 10
 
 
 def middle_grid(ys, xs, corners, ai):
