@@ -6,6 +6,9 @@ faults (a failed consistency check or any other unexpected exception,
 AlgebraMismatch, ValueError and KeyError included; the report still renders,
 with the error under results).
 Reports are deterministic for fixed flags; timings appear only on request.
+Every command that names an algebra gets it, and its corpus entry, from
+run(), which resolves and builds it once (_resolve_algebra) before calling
+the command.
 """
 
 from __future__ import annotations
@@ -57,9 +60,14 @@ def _read_json(path: Path, what: str):
         raise SpecError("%s %s is not a readable JSON file: %s" % (what, path, exc)) from None
 
 
+def _names(text: str) -> list:
+    """The nonempty items of a comma list, stripped."""
+    return [x.strip() for x in text.split(",") if x.strip()]
+
+
 def _int_list(text: str, flag: str) -> list:
     try:
-        return [int(x) for x in text.split(",") if x.strip()]
+        return [int(x) for x in _names(text)]
     except ValueError:
         raise SpecError("%s takes a comma list of integers, got %r" % (flag, text)) from None
 
@@ -96,19 +104,22 @@ def _facts(path: str, algebra_id: str) -> list:
     return facts
 
 
-def _resolve_spec(ref: str, field_p):
-    """Corpus id or AlgebraSpec file path -> (entry-or-None, spec)."""
-    base = ref.partition(":")[0]
-    if base in corpus_mod.corpus_ids():
-        entry = corpus_mod.load_corpus(ref, field_p)
-        return entry, entry.spec
+def _resolve_algebra(args) -> tuple:
+    """(corpus entry or None, algebra) of the command's spec, a corpus id or
+    an AlgebraSpec file path; (None, None) for a command without one."""
+    if not hasattr(args, "spec"):
+        return None, None
+    ref = args.spec
+    if ref.partition(":")[0] in corpus_mod.corpus_ids():
+        entry = corpus_mod.load_corpus(ref, args.field)
+        return entry, build_algebra(entry.spec)
     path = Path(ref)
     if not path.exists():
         raise SpecError("not a corpus id or readable file: %r" % ref)
     spec = parse_algebra_spec(path.read_text())
-    if field_p:
-        spec.field_p = field_p
-    return None, spec
+    if args.field:
+        spec.field_p = args.field
+    return None, build_algebra(spec)
 
 
 def _resolve_module(ref: str, entry, algebra):
@@ -144,7 +155,7 @@ def _universe_params(args) -> UniverseParams:
 
 def _vertex_modules(algebra, names: str) -> list:
     """The S<v>/P<v>/I<v> modules of a comma list, built before the window."""
-    return [corpus_mod.vertex_module(algebra, x.strip()) for x in names.split(",") if x.strip()]
+    return [corpus_mod.vertex_module(algebra, x) for x in _names(names)]
 
 
 def _member_set(uni, modules) -> frozenset:
@@ -155,9 +166,8 @@ def _dims(classes):
     return [c.rep.dim_map() for c in sorted(classes, key=lambda c: c.sort_key())]
 
 
-def cmd_algebra(args, report):
-    entry, spec = _resolve_spec(args.spec, args.field)
-    algebra = build_algebra(spec)
+def cmd_algebra(args, report, entry, algebra):
+    spec = algebra.spec
     report["results"] = {
         "vertices": list(spec.vertices),
         "arrows": [{"name": a["name"], "from": a["from"], "to": a["to"]} for a in spec.arrows],
@@ -179,15 +189,12 @@ def cmd_algebra(args, report):
     return 0
 
 
-def cmd_mod(args, report):
-    entry, spec = _resolve_spec(args.spec, args.field)
-    algebra = build_algebra(spec)
+def cmd_mod(args, report, entry, algebra):
     m = _resolve_module(args.module, entry, algebra)
+    violations = m.validate()
     if args.action == "validate":
-        violations = m.validate()
         report["results"] = {"module": args.module, "ok": not violations, "violations": violations}
         return 2 if violations else 0
-    violations = m.validate()
     if violations:
         report["results"] = {"module": args.module, "violations": violations}
         return 2
@@ -210,9 +217,7 @@ def cmd_mod(args, report):
     return 0
 
 
-def cmd_ext(args, report):
-    entry, spec = _resolve_spec(args.spec, args.field)
-    algebra = build_algebra(spec)
+def cmd_ext(args, report, entry, algebra):
     x = _valid_module(args.x, entry, algebra)
     y = _valid_module(args.y, entry, algebra)
     space = ext1_space(x, y)
@@ -242,9 +247,7 @@ def cmd_ext(args, report):
     return 0
 
 
-def cmd_bullet(args, report):
-    entry, spec = _resolve_spec(args.spec, args.field)
-    algebra = build_algebra(spec)
+def cmd_bullet(args, report, entry, algebra):
     left_mods, right_mods = _vertex_modules(algebra, args.left), _vertex_modules(algebra, args.right)
     uni = generate_universe(algebra, _universe_params(args))
     left = _member_set(uni, left_mods)
@@ -260,8 +263,8 @@ def cmd_bullet(args, report):
     if uni.is_clipped:
         report["warnings"].append("universe clipped at dim bound %d" % args.dim_bound)
     report["results"] = {
-        "left": sorted(x.strip() for x in args.left.split(",") if x.strip()),
-        "right": sorted(x.strip() for x in args.right.split(",") if x.strip()),
+        "left": sorted(_names(args.left)),
+        "right": sorted(_names(args.right)),
         "dim_bound": args.dim_bound,
         "mult_bound": args.mult_bound,
         "member_count": len(got),
@@ -270,9 +273,7 @@ def cmd_bullet(args, report):
     return 0
 
 
-def cmd_layer(args, report):
-    entry, spec = _resolve_spec(args.spec, args.field)
-    algebra = build_algebra(spec)
+def cmd_layer(args, report, entry, algebra):
     if args.n < 0:  # refused before the window is built
         raise SpecError("layer index must be nonnegative")
     gen_mods = _vertex_modules(algebra, args.gen)
@@ -283,7 +284,7 @@ def cmd_layer(args, report):
     if uni.is_clipped:
         report["warnings"].append("universe clipped at dim bound %d" % args.dim_bound)
     results = {
-        "generators": sorted(x.strip() for x in args.gen.split(",") if x.strip()),
+        "generators": sorted(_names(args.gen)),
         "n": args.n,
         "dim_bound": args.dim_bound,
         "mult_bound": args.mult_bound,
@@ -294,7 +295,7 @@ def cmd_layer(args, report):
         target = _member_set(uni, target_mods)
         missing = bounded_containment(uni, target, gens, args.n)
         results["contains"] = {
-            "query": sorted(x.strip() for x in args.contains.split(",")),
+            "query": sorted(_names(args.contains)),
             "holds": missing is None,
             "first_missing": missing.rep.dim_map() if missing is not None else None,
         }
@@ -302,9 +303,7 @@ def cmd_layer(args, report):
     return 0
 
 
-def cmd_syzcat(args, report):
-    entry, spec = _resolve_spec(args.spec, args.field)
-    algebra = build_algebra(spec)
+def cmd_syzcat(args, report, entry, algebra):
     if args.n < 0:  # refused before the window is built
         raise SpecError("syzygy index must be nonnegative")
     cat = syzygy_category(generate_universe(algebra, _universe_params(args)), args.n)
@@ -320,9 +319,7 @@ def cmd_syzcat(args, report):
     return 0
 
 
-def cmd_ed(args, report):
-    entry, spec = _resolve_spec(args.spec, args.field)
-    algebra = build_algebra(spec)
+def cmd_ed(args, report, entry, algebra):
     indices = _int_list(args.i, "--i")
     facts = _facts(args.facts, args.spec) if args.facts else []
     probes = _int_list(args.syzygy_probe, "--syzygy-probe") if args.syzygy_probe else ()
@@ -340,9 +337,9 @@ def cmd_ed(args, report):
     return 0
 
 
-def cmd_tilting(args, report):
-    entry, spec = _resolve_spec(args.spec, args.field)
-    algebra = build_algebra(spec)
+def cmd_tilting(args, report, entry, algebra):
+    if args.bound is not None and args.bound < 0:
+        raise SpecError("tilting bound must be nonnegative, got %d" % args.bound)
     t = _valid_module(args.module, entry, algebra)
     verdict = tilting_check(t, args.bound)
     report["results"] = {
@@ -355,9 +352,7 @@ def cmd_tilting(args, report):
     return 0
 
 
-def cmd_reptype(args, report):
-    entry, spec = _resolve_spec(args.spec, args.field)
-    algebra = build_algebra(spec)
+def cmd_reptype(args, report, entry, algebra):
     cert = rep_type_certificate(algebra, _universe_params(args))
     report["results"] = {
         "dim_bound": args.dim_bound,
@@ -372,7 +367,7 @@ def cmd_reptype(args, report):
     return 0
 
 
-def cmd_corpus(args, report):
+def cmd_corpus(args, report, entry, algebra):
     if args.action == "list":
         report["results"] = {
             "entries": [
@@ -496,7 +491,8 @@ def run(argv) -> tuple:
             raise SpecError("SYZEX_BUDGET must be an integer, got %r" % os.environ.get("SYZEX_BUDGET"))
         if args.budget < 1 or args.member_cap < 1:
             raise SpecError("budget and member cap must be at least 1, got %d and %d" % (args.budget, args.member_cap))
-        code = args.func(args, report)
+        # no local keeps the algebra and its caches alive while the report renders
+        code = args.func(args, report, *_resolve_algebra(args))
     except BudgetExceeded as exc:
         report["results"] = {"error": str(exc), "kind": "budget"}
         code = 1

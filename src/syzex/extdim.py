@@ -224,11 +224,9 @@ def generate_universe(algebra, params: UniverseParams) -> Universe:
     seq = itertools.count()
 
     def add(rep, rule, source=""):
-        if rep.total_dim == 0:
-            return None
         if rep.total_dim > params.dim_bound:
             uni.clip(rule, rep.dim_map(), source)
-            return None
+            return
         cls, new = uni.registry.intern(rep)
         if new or cls not in uni.member_set:
             if len(uni.members) >= params.member_cap:
@@ -236,13 +234,11 @@ def generate_universe(algebra, params: UniverseParams) -> Universe:
             uni.members.append(cls)
             uni.member_set.add(cls)
             heapq.heappush(heap, (cls.sort_key(), next(seq), cls))
-        return cls
 
     for v in range(algebra.n_vertices):
         for rep in (algebra.simple(v), algebra.projective(v), algebra.injective(v)):
-            if rep.total_dim:
-                for f, _ in decompose(rep).factors:
-                    add(f, "seed")
+            for f, _ in decompose(rep).factors:
+                add(f, "seed")
 
     mid_cap = 2 * params.dim_bound  # max middle-term dimension during closure
     processed = []

@@ -103,16 +103,7 @@ def projective_cover(m: Representation) -> ProjectivePresentation:
     for v, (pr, lf) in enumerate(top_maps(m)):
         slots.extend([v] * pr.nrows)
         gens.append(lf.transpose())
-    if not slots:
-        zero = zero_rep(algebra)
-        pres = ProjectivePresentation(
-            m, zero, (), Hom(zero, m, tuple(Matrix.zero(p, d, 0) for d in m.dim)),
-            zero, Hom(zero, zero, tuple(Matrix.zero(p, 0, 0) for _ in m.dim)),
-        )
-        algebra._cover_cache[m.key()] = pres
-        return pres
-
-    cover = direct_sum([algebra.projective(v) for v in slots])
+    cover = direct_sum([algebra.projective(v) for v in slots]) if slots else zero_rep(algebra)
 
     # epi columns: slot basis path q (v -> w) maps to q applied to the generator
     epi_cols = [[] for _ in range(q.n_vertices)]
@@ -215,16 +206,14 @@ def cartan_determinant(algebra) -> int:
     return det * prev
 
 
-def gldim_bounded(algebra, bound: int = None):
+def gldim_bounded(algebra):
     # a finite global dimension forces det C = +-1 (Eilenberg, Comment. Math.
     # Helv. 28, 1954): any other determinant is infinite without a walk
     if abs(cartan_determinant(algebra)) != 1:
         return None
-    if bound is None:
-        bound = 2 * max(algebra.dim, 1)
     worst = 0
     for v in range(algebra.n_vertices):
-        pd = pd_bounded(algebra.simple(v), bound)
+        pd = pd_bounded(algebra.simple(v), 2 * max(algebra.dim, 1))
         if pd is None:
             return None
         worst = max(worst, pd)

@@ -33,15 +33,11 @@ SPLIT_ENUM_BUDGET = 256
 class Representation:
     __slots__ = ("algebra", "dim", "action", "_key")
 
-    def __init__(self, algebra, dim, action, check=False):
+    def __init__(self, algebra, dim, action):
         self.algebra = algebra
         self.dim = tuple(dim)
         self.action = tuple(action)
         self._key = None
-        if check:
-            bad = validate(algebra, self.dim, self.action)
-            if bad:
-                raise ValueError("invalid representation: %s" % "; ".join(bad))
 
     @property
     def total_dim(self) -> int:
@@ -80,11 +76,34 @@ class Representation:
             m = self.action[k].mul(m)
         return m
 
-    def is_zero(self) -> bool:
-        return self.total_dim == 0
-
     def validate(self) -> list:
-        return validate(self.algebra, self.dim, self.action)
+        """All shape and relation violations of this representation."""
+        algebra, dim, action = self.algebra, self.dim, self.action
+        q = algebra.quiver
+        bad = []
+        if len(dim) != q.n_vertices:
+            return ["dimension vector has %d entries, expected %d" % (len(dim), q.n_vertices)]
+        if len(action) != len(q.arrows):
+            return ["action has %d matrices, expected %d" % (len(action), len(q.arrows))]
+        for i, a in enumerate(q.arrows):
+            m = action[i]
+            want = (dim[q.arrow_target(i)], dim[q.arrow_source(i)])
+            if (m.nrows, m.ncols) != want:
+                bad.append("arrow %r matrix is %dx%d, expected %dx%d" % (a.name, m.nrows, m.ncols, *want))
+            if m.p != algebra.p:
+                bad.append("arrow %r matrix over GF(%d), expected GF(%d)" % (a.name, m.p, algebra.p))
+        if bad:
+            return bad
+        for ridx, rel in enumerate(algebra.relations):
+            acc = Matrix.zero(algebra.p, dim[rel.target], dim[rel.source])
+            for coeff, path in rel.terms:
+                acc = acc.add(self.path_action(rel.source, path).scale(coeff))
+            if not acc.is_zero():
+                pretty = " + ".join(
+                    "%d*%s" % (c, ".".join(q.arrows[k].name for k in path)) for c, path in rel.terms
+                )
+                bad.append("relation %d (%s) does not vanish" % (ridx, pretty))
+        return bad
 
 
 @dataclass
@@ -136,40 +155,6 @@ class HomBasis:
 @dataclass
 class Decomposition:
     factors: list  # [(Representation, multiplicity)]
-
-    @property
-    def total_dim(self):
-        return sum(r.total_dim * m for r, m in self.factors)
-
-
-def validate(algebra, dim, action) -> list:
-    """All shape and relation violations for a candidate representation."""
-    q = algebra.quiver
-    bad = []
-    if len(dim) != q.n_vertices:
-        return ["dimension vector has %d entries, expected %d" % (len(dim), q.n_vertices)]
-    if len(action) != len(q.arrows):
-        return ["action has %d matrices, expected %d" % (len(action), len(q.arrows))]
-    for i, a in enumerate(q.arrows):
-        m = action[i]
-        want = (dim[q.arrow_target(i)], dim[q.arrow_source(i)])
-        if (m.nrows, m.ncols) != want:
-            bad.append("arrow %r matrix is %dx%d, expected %dx%d" % (a.name, m.nrows, m.ncols, *want))
-        if m.p != algebra.p:
-            bad.append("arrow %r matrix over GF(%d), expected GF(%d)" % (a.name, m.p, algebra.p))
-    if bad:
-        return bad
-    for ridx, rel in enumerate(algebra.relations):
-        acc = Matrix.zero(algebra.p, dim[rel.target], dim[rel.source])
-        probe = Representation(algebra, dim, action)
-        for coeff, path in rel.terms:
-            acc = acc.add(probe.path_action(rel.source, path).scale(coeff))
-        if not acc.is_zero():
-            pretty = " + ".join(
-                "%d*%s" % (c, ".".join(q.arrows[k].name for k in path)) for c, path in rel.terms
-            )
-            bad.append("relation %d (%s) does not vanish" % (ridx, pretty))
-    return bad
 
 
 def zero_rep(algebra) -> Representation:
@@ -423,25 +408,27 @@ def _split_with(m: Representation, e: Matrix):
 
 def _vertex_blocks(m: Representation, basis: Matrix) -> list:
     """Per vertex v, the columns of basis that lie in M_v, cut to M_v's
-    coordinates; every column lies in one M_v, in vertex order."""
+    coordinates: every column lies in one M_v, in vertex order, so they run
+    from the first column no earlier vertex took to the last with an entry
+    in M_v's rows."""
     p = basis.p
-    vectors = basis.transpose().rows
     blocks = []
     start = k = 0
     for d in m.dim:
-        end = start + d
-        # the vectors left that have an entry before end are those in M_v
-        j = k
+        rows = basis.rows[start:start + d]
         if p == 2:
-            while j < len(vectors) and vectors[j] & ((1 << end) - 1):
-                j += 1
-            rows = [v >> start for v in vectors[k:j]]
+            j = max([k, *map(int.bit_length, rows)])
+            rows = tuple([r >> k for r in rows])
         else:
-            while j < len(vectors) and any(vectors[j][:end]):
-                j += 1
-            rows = [v[start:end] for v in vectors[k:j]]
-        blocks.append(Matrix(p, j - k, d, tuple(rows)).transpose())
-        start, k = end, j
+            j = k
+            for r in rows:
+                i = len(r)
+                while i > j and not r[i - 1]:
+                    i -= 1
+                j = i
+            rows = tuple([r[k:j] for r in rows])
+        blocks.append(Matrix(p, d, j - k, rows))
+        start, k = start + d, j
     return blocks
 
 

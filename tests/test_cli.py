@@ -249,6 +249,12 @@ def test_layer_cli_contains():
     )
     assert code == 0
     assert report["results"]["contains"]["holds"]
+    # an empty item is skipped, in the echo as in the query
+    code, report, _ = run_json(
+        ["layer", "kron2", "--gen", "S0,S1", "--n", "2", "--dim-bound", "3", "--contains", "S0,,P0"]
+    )
+    assert code == 0
+    assert report["results"]["contains"]["query"] == ["P0", "S0"]
 
 
 def test_syzcat_cli():
@@ -261,6 +267,9 @@ def test_tilting_cli():
     code, report, _ = run_json(["tilting", "fivevertex", "T"])
     assert code == 0
     assert report["results"]["is_tilting"] and report["results"]["pd"] == 1
+    code, report, _ = run_json(["tilting", "fivevertex", "T", "--bound", "0"])  # 0 is a bound, not bad input
+    assert code == 0
+    assert report["results"]["failures"] == ["pd exceeds bound 0"]
 
 
 def test_reptype_cli():
@@ -322,6 +331,7 @@ BAD_FILES = {
     ["ext", "kron2", "S0", "S1", "--budget", "0"],
     ["syzcat", "kron2", "--n", "0", "--member-cap", "0"],
     ["--member-cap", "-1", "algebra", "info", "kron2"],
+    ["tilting", "fivevertex", "T", "--bound", "-1"],
 ])
 def test_bad_input_exits_2(tmp_path, argv):
     for name, text in BAD_FILES.items():

@@ -35,9 +35,19 @@ def test_cover_of_projective_is_iso(kron2, fivevertex):
             assert pres.cover.dim == algebra.projective(v).dim
 
 
-def test_cover_of_zero(kron2):
-    pres = projective_cover(zero_rep(kron2))
-    assert pres.cover.total_dim == 0 and pres.kernel.total_dim == 0
+def test_cover_of_zero():
+    for name, p in itertools.product(("kron2", "nodeA", "xiB"), (2, 3)):
+        algebra = build_algebra(load_corpus(name, p).spec)
+        zero = zero_rep(algebra)
+        pres = projective_cover(zero)
+        assert pres.cover.total_dim == 0 and pres.kernel.total_dim == 0
+        assert pres.slots == () and pres.summands == ()
+        shapes = [(0, 0)] * algebra.n_vertices
+        assert [(f.nrows, f.ncols) for f in pres.epi.mats] == shapes
+        assert [(f.nrows, f.ncols) for f in pres.inclusion.mats] == shapes
+        s0 = algebra.simple(0)
+        assert ext1_space(zero, s0).dimension == 0
+        assert ext1_space(s0, zero).dimension == 0
 
 
 def test_cover_s0_kron(kron2):
@@ -391,7 +401,8 @@ def test_cover_epi_matches_path_action_on_random_modules(p):
             if dim[i] and dim[i + 1] else Matrix.zero(p, dim[i + 1], dim[i])
             for i in range(3)
         )
-        m = Representation(algebra, dim, action, check=True)
+        m = Representation(algebra, dim, action)
+        assert m.validate() == []
         assert projective_cover(m).epi.mats == epi_by_path_action(m)
 
 
@@ -425,9 +436,10 @@ def ext_oracle_modules(rng, p):
     syzygies over beilinson2 and nodeA, the nodeA ones in random bases."""
     kron = build_algebra(kron2_spec(p))
     groups = [[
-        Representation(kron, dim, tuple(_random_matrix(rng, p, dim[1], dim[0]) for _ in range(2)), check=True)
+        Representation(kron, dim, tuple(_random_matrix(rng, p, dim[1], dim[0]) for _ in range(2)))
         for dim in ((rng.randint(0, 3), rng.randint(0, 3)) for _ in range(6))
     ]]
+    assert all(m.validate() == [] for m in groups[0])
     for algebra in (build_algebra(beilinson2_spec(p)), build_algebra(load_corpus("nodeA", p).spec)):
         pool = [f(v) for v in range(algebra.n_vertices) for f in (algebra.simple, algebra.projective, algebra.injective)]
         pool += [syzygy(algebra.injective(v)) for v in range(algebra.n_vertices)]

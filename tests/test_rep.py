@@ -16,6 +16,7 @@ from syzex.rep import (
     _indec_factors,
     _split_candidates,
     _split_with,
+    _vertex_blocks,
     decompose,
     direct_sum,
     hom_space,
@@ -24,7 +25,6 @@ from syzex.rep import (
     parse_module_doc,
     simple_rep,
     sub_rep,
-    validate,
     zero_rep,
 )
 
@@ -292,7 +292,9 @@ def random_small_modules(rng, algebra, n):
                 else Matrix.zero(p, r, c)
                 for r, c in shapes
             )
-            mods.append(Representation(algebra, dim, action, check=True))
+            m = Representation(algebra, dim, action)
+            assert m.validate() == []
+            mods.append(m)
     return mods
 
 
@@ -416,6 +418,54 @@ def test_block_diagonal_split_matches_per_vertex_split_on_nodea_middles(monkeypa
     assert sum(assert_splits_match_per_vertex(m) for m in middles.values()) >= 400
 
 
+def vertex_blocks_by_transpose(m, basis):
+    """Reference cut: the basis columns as rows, taken per vertex while they
+    have an entry before M_v ends, cut to M_v's coordinates and transposed
+    back."""
+    p = basis.p
+    vectors = entries(basis.transpose())
+    blocks = []
+    start = k = 0
+    for d in m.dim:
+        end = start + d
+        j = k
+        while j < len(vectors) and any(vectors[j][:end]):
+            j += 1
+        rows = [v[start:end] for v in vectors[k:j]]
+        blocks.append(Matrix.from_rows(p, rows).transpose() if rows else Matrix.zero(p, d, 0))
+        start, k = end, j
+    return blocks
+
+
+@pytest.mark.parametrize("p", [2, 3, 257])
+def test_vertex_blocks_match_transpose_cut(p):
+    """The in-place cut of image and kernel bases of End(M) elements, of the
+    zero map and of the identity, against the transpose-based reference."""
+    rng = random.Random(733 + p)
+    seen = set()
+    for mods in random_hom_modules(rng, p):
+        for m in mods + [direct_sum([a, b]) for a, b in zip(mods, mods[1:])]:
+            n = m.total_dim
+            end = hom_space(m, m)
+            maps = [end.diagonal(row) for row in end.rows] + [Matrix.zero(p, n, n), Matrix.identity(p, n)]
+            for e in maps:
+                for kind, basis in (("image", column_space_basis(e)), ("kernel", null_space(e))):
+                    got = _vertex_blocks(m, basis)
+                    want = vertex_blocks_by_transpose(m, basis)
+                    assert [(b.nrows, b.ncols, entries(b)) for b in got] == [
+                        (b.nrows, b.ncols, entries(b)) for b in want
+                    ]
+                    if 0 in m.dim:
+                        seen.add("zero-dimensional vertex")
+                    if any(d and not b.ncols for d, b in zip(m.dim, got)):
+                        seen.add("vertex with no basis vectors")
+                    if n and kind == "image" and not basis.ncols:
+                        seen.add("zero image")
+                    if n and kind == "kernel" and basis.ncols == n:
+                        seen.add("kernel all of M")
+    assert len(seen) == 4
+
+
 def test_decompose_proves_local_over_gf257(monkeypatch):
     """End(k[x]/x^3) has 257^3 elements but a simple top: its three basis
     elements are the whole search."""
@@ -465,7 +515,9 @@ def kron_jordan(p):
     """Kronecker module (3, 3) with x0 = I and x1 = J_3, local with End = k[J]/J^3."""
     kron = build_algebra(kron2_spec(p))
     jordan = Matrix.from_rows(p, [[0, 1, 0], [0, 0, 1], [0, 0, 0]])
-    return Representation(kron, (3, 3), (Matrix.identity(p, 3), jordan), check=True)
+    m = Representation(kron, (3, 3), (Matrix.identity(p, 3), jordan))
+    assert m.validate() == []
+    return m
 
 
 def test_decompose_over_split_budget_raises():
@@ -582,7 +634,9 @@ def random_hom_modules(rng, p):
                 else Matrix.zero(p, dim[q.arrow_target(ai)], dim[q.arrow_source(ai)])
                 for ai in range(len(q.arrows))
             )
-            mods.append(Representation(algebra, dim, action, check=True))
+            m = Representation(algebra, dim, action)
+            assert m.validate() == []
+            mods.append(m)
         groups.append(mods)
     node = build_algebra(load_corpus("nodeA", p).spec)
     for algebra in (build_algebra(beilinson2_spec(p)), node):
