@@ -9,6 +9,7 @@ length falls out as the first degree whose slice reduces to zero.
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 from . import linalg
@@ -19,7 +20,7 @@ from .errors import (
     SpecError,
 )
 
-DEFAULT_LENGTH_CAP = 30
+LENGTH_CAP = 30
 PATH_BUDGET = 200_000
 
 
@@ -137,13 +138,17 @@ class PathAlgebra:
         self.nil_degree = nil_degree
         self.dim = len(basis)
         self._opposite = None
-        self._proj_cache = {}
-        self._inj_cache = {}
-        self._hom_cache = {}
-        self._ext_cache = {}
-        self._cover_cache = {}
-        self._decomp_cache = {}
-        self._simple_cache = {}
+        self._memo = defaultdict(dict)  # table name -> {key: value}
+
+    def memo(self, table: str, key, build, *args):
+        """build(*args), which is never None, computed once per key of a
+        table and kept for the algebra's lifetime; every per-algebra cache
+        is a table here."""
+        cache = self._memo[table]
+        got = cache.get(key)
+        if got is None:
+            got = cache[key] = build(*args)
+        return got
 
     # -- basic queries -------------------------------------------------
 
@@ -200,23 +205,17 @@ class PathAlgebra:
     def projective(self, v: int):
         from .rep import projective_rep
 
-        if v not in self._proj_cache:
-            self._proj_cache[v] = projective_rep(self, v)
-        return self._proj_cache[v]
+        return self.memo("projective", v, projective_rep, self, v)
 
     def injective(self, v: int):
         from .homology import duality
 
-        if v not in self._inj_cache:
-            self._inj_cache[v] = duality(self.opposite().projective(v))
-        return self._inj_cache[v]
+        return self.memo("injective", v, duality, self.opposite().projective(v))
 
     def simple(self, v: int):
         from .rep import simple_rep
 
-        if v not in self._simple_cache:
-            self._simple_cache[v] = simple_rep(self, v)
-        return self._simple_cache[v]
+        return self.memo("simple", v, simple_rep, self, v)
 
     def regular_module(self):
         from .rep import direct_sum
@@ -261,7 +260,7 @@ def _relation_signature(quiver: Quiver, terms) -> Relation:
     return Relation(tuple(cooked), sig[0], sig[1], sig[2])
 
 
-def build_algebra(spec: AlgebraSpec, length_cap: int = DEFAULT_LENGTH_CAP) -> PathAlgebra:
+def build_algebra(spec: AlgebraSpec) -> PathAlgebra:
     p = spec.field_p
     if not isinstance(p, int) or not linalg.is_prime(p):
         raise SpecError("field must be a prime integer, got %r" % (p,))
@@ -302,9 +301,9 @@ def build_algebra(spec: AlgebraSpec, length_cap: int = DEFAULT_LENGTH_CAP) -> Pa
     length = 0
     while nil_degree is None:
         length += 1
-        if length > length_cap:
+        if length > LENGTH_CAP:
             raise NotFiniteDimensional(
-                "no vanishing radical power up to length cap %d" % length_cap
+                "no vanishing radical power up to length cap %d" % LENGTH_CAP
             )
         level = {}
         count = 0

@@ -36,7 +36,6 @@ import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .corpus import vertex_module
 from .errors import BudgetExceeded, ContradictoryFacts, SpecError
 from .homology import cosyzygy, ext1_space, extension_middle, gldim_bounded, syzygy_summands
 from .linalg import Matrix, is_prime, rref
@@ -132,8 +131,7 @@ class Universe:
         self.members = []
         self.member_set = set()
         self.clipped = {}  # (rule, dim items) -> first record of that clip
-        self._bullet_cache = {}
-        self._layer_cache = {}
+        self._bullets = {}  # (left, right, mult bound, parts cap) -> bullet
         self._grown = None
 
     @property
@@ -151,10 +149,6 @@ class Universe:
 
     def sorted_members(self):
         return sorted(self.members, key=lambda c: c.sort_key())
-
-    def member_named(self, name: str) -> IndecClass:
-        """Resolve S<v>, P<v>, I<v> against the members (interning if absent)."""
-        return self.registry.intern(vertex_module(self.algebra, name))[0]
 
     def grown(self) -> "Universe":
         """The window at dim bound d + 1, built once and shared by every probe."""
@@ -253,9 +247,9 @@ def generate_universe(algebra, params: UniverseParams) -> Universe:
             # a class paired with itself is one pair, visited once
             pairs = ((cls, cls),) if other is cls else ((cls, other), (other, cls))
             for sub, quot in pairs:
-                if not ext1_space(quot.rep, sub.rep).dimension:
-                    continue
-                for j in range(1, params.mult_bound + 1):
+                # a new middle by sub^j needs j independent classes in
+                # Ext^1(quot, sub), so j stops at its dimension
+                for j in range(1, min(params.mult_bound, ext1_space(quot.rep, sub.rep).dimension) + 1):
                     if sub.total_dim * j + quot.total_dim > mid_cap:
                         # truncated extension window is honest clipping
                         where = {"sub": str(sub.dim), "quot": str(quot.dim)}
@@ -476,8 +470,8 @@ def bullet(uni: Universe, left, right) -> frozenset:
     mb, parts_cap = params.mult_bound, params.parts_cap
     left = frozenset(left)
     right = frozenset(right)
-    cache_key = (left, right, mb, parts_cap)
-    got = uni._bullet_cache.get(cache_key)
+    key = (left, right, mb, parts_cap)
+    got = uni._bullets.get(key)
     if got is not None:
         return got
     result = set(left | right)
@@ -496,7 +490,7 @@ def bullet(uni: Universe, left, right) -> frozenset:
                     break
                 result.update(cls for cls, _ in _pair_middles(uni, sub_ms, quot_ms))
     out = frozenset(result)
-    uni._bullet_cache[cache_key] = out
+    uni._bullets[key] = out
     return out
 
 
@@ -507,16 +501,9 @@ def layer(uni: Universe, gens, n: int) -> frozenset:
         raise SpecError("layer index must be nonnegative")
     if n == 0 or not gens:
         return frozenset()
-    key = (gens, n, uni.params.mult_bound, uni.params.parts_cap)
-    got = uni._layer_cache.get(key)
-    if got is not None:
-        return got
     if n == 1:
-        out = gens
-    else:
-        out = bullet(uni, gens, layer(uni, gens, n - 1))
-    uni._layer_cache[key] = out
-    return out
+        return gens
+    return bullet(uni, gens, layer(uni, gens, n - 1))
 
 
 def bounded_containment(uni: Universe, members, gens, n: int):
@@ -689,7 +676,7 @@ def rep_type_certificate(algebra, params: UniverseParams, universe: Universe = N
         if len(bucket) >= HEURISTIC_INFINITE_THRESHOLD:
             return RepTypeCertificate(
                 "infinite", "heuristic_count", False,
-                witness="%d pairwise non-isomorphic indecomposables share dim %s" % (len(bucket), (dim,)),
+                witness="%d pairwise non-isomorphic indecomposables share dim %s" % (len(bucket), dim),
             )
     return RepTypeCertificate("unknown", "none", False)
 

@@ -91,10 +91,12 @@ class ProjectivePresentation:
 
 
 def projective_cover(m: Representation) -> ProjectivePresentation:
+    """The minimal presentation of m, memoized on the algebra by m's key."""
+    return m.algebra.memo("cover", m.key(), _projective_cover, m)
+
+
+def _projective_cover(m: Representation) -> ProjectivePresentation:
     algebra = m.algebra
-    cached = algebra._cover_cache.get(m.key())
-    if cached is not None:
-        return cached
     q = algebra.quiver
     p = algebra.p
 
@@ -136,9 +138,7 @@ def projective_cover(m: Representation) -> ProjectivePresentation:
         if any(any(incl.mats[w].row(j)) for j in coords):
             raise AssertionError("cover kernel escapes the radical")
 
-    pres = ProjectivePresentation(m, cover, tuple(slots), epi, kernel, incl)
-    algebra._cover_cache[m.key()] = pres
-    return pres
+    return ProjectivePresentation(m, cover, tuple(slots), epi, kernel, incl)
 
 
 def _path_image(transposed: list, images: dict, arrows: tuple) -> Matrix:
@@ -206,6 +206,11 @@ def cartan_determinant(algebra) -> int:
     return det * prev
 
 
+def _pd_walk_bound(algebra) -> int:
+    """The default number of syzygy steps a pd walk takes before it gives up."""
+    return 2 * max(algebra.dim, 1)
+
+
 def gldim_bounded(algebra):
     # a finite global dimension forces det C = +-1 (Eilenberg, Comment. Math.
     # Helv. 28, 1954): any other determinant is infinite without a walk
@@ -213,7 +218,7 @@ def gldim_bounded(algebra):
         return None
     worst = 0
     for v in range(algebra.n_vertices):
-        pd = pd_bounded(algebra.simple(v), 2 * max(algebra.dim, 1))
+        pd = pd_bounded(algebra.simple(v), _pd_walk_bound(algebra))
         if pd is None:
             return None
         worst = max(worst, pd)
@@ -258,13 +263,11 @@ def ext1_space(x: Representation, y: Representation) -> Ext1Space:
     """Ext^1(x, y), memoized on the algebra by the modules' keys."""
     if x.algebra is not y.algebra:
         raise AlgebraMismatch("ext over different algebras")
-    algebra = x.algebra
-    cache = algebra._ext_cache
-    ck = (x.key(), y.key())
-    got = cache.get(ck)
-    if got is not None:
-        return got
-    p = algebra.p
+    return x.algebra.memo("ext", (x.key(), y.key()), _ext1_space, x, y)
+
+
+def _ext1_space(x: Representation, y: Representation) -> Ext1Space:
+    p = x.algebra.p
     pres = projective_cover(x)
     omega = pres.kernel
     cocycles = hom_space(omega, y)
@@ -284,8 +287,7 @@ def ext1_space(x: Representation, y: Representation) -> Ext1Space:
             raise AssertionError("restricted hom outside Hom(OX, Y)")
         pivot = set(linalg.rref(image.transpose())[1])
         basis = tuple(cocycles.hom(row) for j, row in enumerate(cocycles.rows) if j not in pivot)
-    got = cache[ck] = Ext1Space(x, y, pres, basis)
-    return got
+    return Ext1Space(x, y, pres, basis)
 
 
 def extension_middle(ys, xs, corners) -> Representation:
@@ -337,7 +339,7 @@ def tilting_check(t: Representation, bound: int = None) -> TiltingVerdict:
     """Conditions: finite pd, no self-extensions, add(T)-coresolution of A."""
     algebra = t.algebra
     if bound is None:
-        bound = 2 * max(algebra.dim, 1)
+        bound = _pd_walk_bound(algebra)
     failures = []
     pd = pd_bounded(t, bound)
     if pd is None:

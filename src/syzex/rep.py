@@ -112,10 +112,6 @@ class Hom:
     target: Representation
     mats: tuple  # one Matrix per vertex
 
-    def then(self, other: "Hom") -> "Hom":
-        """self followed by other."""
-        return Hom(self.source, other.target, tuple(g.mul(f) for f, g in zip(self.mats, other.mats)))
-
 
 @dataclass
 class HomBasis:
@@ -216,15 +212,15 @@ def direct_sum(reps) -> Representation:
 
 
 def hom_space(m: Representation, n: Representation) -> HomBasis:
-    """Basis of Hom_A(m, n): solutions of f_w M_a = N_a f_u per arrow a:u->w."""
+    """Basis of Hom_A(m, n), memoized on the algebra by the modules' keys."""
     if m.algebra is not n.algebra:
         raise AlgebraMismatch("hom between modules over different algebras")
+    return m.algebra.memo("hom", (m.key(), n.key()), _hom_space, m, n)
+
+
+def _hom_space(m: Representation, n: Representation) -> HomBasis:
+    """Solutions of f_w M_a = N_a f_u per arrow a: u -> w."""
     algebra = m.algebra
-    cache = algebra._hom_cache
-    ck = (m.key(), n.key())
-    got = cache.get(ck)
-    if got is not None:
-        return got
     q = algebra.quiver
     p = algebra.p
     off = []
@@ -272,9 +268,7 @@ def hom_space(m: Representation, n: Representation) -> HomBasis:
                         rows.append(tuple(row))
         kernel = linalg.kernel_basis(Matrix(p, len(rows), total, tuple(rows)))
     # the unknowns are linalg.flat's layout of (f_v): the kernel rows are the basis
-    result = HomBasis(m, n, kernel.rows, tuple(off))
-    cache[ck] = result
-    return result
+    return HomBasis(m, n, kernel.rows, tuple(off))
 
 
 def is_iso(m: Representation, n: Representation) -> bool:
@@ -302,7 +296,7 @@ def is_iso(m: Representation, n: Representation) -> bool:
     mine = _indec_factors(m)
     if len(mine) == 1:
         return False
-    theirs = _indec_factors(n)
+    theirs = list(_indec_factors(n))
     if len(theirs) != len(mine):
         return False
     for f in mine:
@@ -486,25 +480,23 @@ def _splits_top(ts) -> bool:
     return False
 
 
-def _indec_factors(m: Representation) -> list:
-    """All indecomposable factors of m (with repeats), by Fitting peeling."""
+def _indec_factors(m: Representation) -> tuple:
+    """All indecomposable factors of m (with repeats), memoized on the algebra."""
+    return m.algebra.memo("factors", m.key(), _peel, m)
+
+
+def _peel(m: Representation) -> tuple:
+    """The indecomposable factors of m by Fitting peeling."""
     if m.total_dim == 0:
-        return []
-    algebra = m.algebra
-    cached = algebra._decomp_cache.get(m.key())
-    if cached is not None:
-        return list(cached)
+        return ()
     end = hom_space(m, m)
-    result = [m]  # dim End(M) = 1 means End(M) = k: M is indecomposable
-    if end.dimension > 1:
+    if end.dimension > 1:  # dim End(M) = 1 means End(M) = k: M is indecomposable
         for cand in _split_candidates(m, end):
             split = _split_with(m, cand)
             if split is not None:
                 a, b = split
-                result = _indec_factors(a) + _indec_factors(b)
-                break
-    algebra._decomp_cache[m.key()] = tuple(result)
-    return result
+                return _indec_factors(a) + _indec_factors(b)
+    return (m,)
 
 
 def decompose(m: Representation) -> Decomposition:

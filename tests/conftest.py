@@ -1,8 +1,9 @@
 import pytest
 
 from syzex.algebra import AlgebraSpec, build_algebra
+from syzex.corpus import vertex_module
 from syzex.linalg import Matrix, solve_matrix
-from syzex.rep import Representation
+from syzex.rep import Hom, Representation
 
 
 def from_columns(p, cols, nrows):
@@ -39,6 +40,16 @@ def invertible(h):
 def vanishes(h):
     """Whether a Hom is zero at every vertex."""
     return all(m.is_zero() for m in h.mats)
+
+
+def then(f, g):
+    """The Hom f followed by g."""
+    return Hom(f.source, g.target, tuple(b.mul(a) for a, b in zip(f.mats, g.mats)))
+
+
+def member_named(uni, name):
+    """The class of S<v>, P<v> or I<v> in a universe's registry, interned if absent."""
+    return uni.registry.intern(vertex_module(uni.algebra, name))[0]
 
 
 def conjugate(rep, rng):

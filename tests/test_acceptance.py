@@ -7,6 +7,7 @@ import time
 from contextlib import contextmanager
 
 import property_suites as ps
+from conftest import member_named
 from syzex.cli import run
 from syzex.corpus import corpus_algebra, load_corpus
 from syzex.extdim import (
@@ -53,8 +54,8 @@ def test_criterion_2_kron_bullet_orders():
     with criterion(2, "kron2 bullet orders at d=6", 30):
         algebra = corpus_algebra("kron2")
         uni = generate_universe(algebra, UniverseParams(6))
-        s0 = uni.member_named("S0")
-        s1 = uni.member_named("S1")
+        s0 = member_named(uni, "S0")
+        s1 = member_named(uni, "S1")
         full = bullet(uni.with_bullet_bounds(3), frozenset([s1]), frozenset([s0]))
         for cls in uni.members:
             assert cls in full, "window member %s missing from the full order" % (cls.dim,)

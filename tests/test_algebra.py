@@ -179,7 +179,7 @@ def test_non_composable_path_rejected():
 def test_loop_without_relations_not_finite():
     spec = AlgebraSpec(2, ["1"], [{"name": "x", "from": "1", "to": "1"}], [])
     with pytest.raises(NotFiniteDimensional):
-        build_algebra(spec, length_cap=12)
+        build_algebra(spec)
 
 
 def test_spec_roundtrip(kron2):

@@ -279,6 +279,42 @@ def test_reptype_cli():
     assert report["results"]["tits"] == "Euclidean"
 
 
+def test_mult_bound_past_ext_dimension_adds_no_clip():
+    """Ext^1 between fivevertex's indecomposables has dimension at most 2,
+    so mult bound 3 expands nothing that 2 does not, and clips nothing."""
+    bounds = ["--dim-bound", "6", "--mult-bound", "3"]
+    code, report, _ = run_json(["reptype", "fivevertex"] + bounds)
+    assert code == 0
+    res = report["results"]
+    assert (res["verdict"], res["method"], res["certified"], res["member_count"]) == ("finite", "enumeration", True, 14)
+    code, report, _ = run_json(["ed", "fivevertex", "--i", "0"] + bounds)
+    assert code == 0
+    iv = report["results"]["intervals"][0]
+    assert (iv["lower"], iv["upper"], iv["exact"]) == (0, 0, True)
+    assert "R1" in iv["upper_provenance"]
+    code, report, _ = run_json(["syzcat", "fivevertex", "--n", "0"] + bounds)
+    assert code == 0
+    assert report["warnings"] == []
+
+
+def test_reptype_heuristic_count_cli():
+    """Over GF(5) the d = 2 window of beilinson2 holds 31 classes of one
+    dimension vector: an uncertified verdict, and only a note at ed i = 0."""
+    witness = "31 pairwise non-isomorphic indecomposables share dim (0, 1, 1)"
+    code, report, _ = run_json(["--field", "5", "reptype", "beilinson2", "--dim-bound", "2"])
+    assert code == 0
+    res = report["results"]
+    assert (res["verdict"], res["method"], res["certified"], res["witness"]) == (
+        "infinite", "heuristic_count", False, witness,
+    )
+    code, report, _ = run_json(["--field", "5", "ed", "beilinson2", "--i", "0", "--dim-bound", "2"])
+    assert code == 0
+    iv = report["results"]["intervals"][0]
+    assert (iv["lower"], iv["upper"], iv["exact"]) == (0, 2, False)
+    note = "heuristic only (not certified, not propagated): %s suggests ed >= 1 at i=0" % witness
+    assert iv["notes"] == [note]
+
+
 BAD_FILES = {
     "bad.json": "[1, 2",
     "unknown_vertex.json": json.dumps({"dim": {"7": 1}, "action": {}}),

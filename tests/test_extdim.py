@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import conjugate
+from conftest import conjugate, member_named
 from syzex.algebra import AlgebraSpec, build_algebra
 from syzex.corpus import load_corpus
 from syzex.errors import ContradictoryFacts, SpecError
@@ -77,29 +77,29 @@ def test_universe_members_indecomposable_and_valid(five_universe):
 
 
 def test_bullet_kron_projective_then_injective_order(kron_universe, kron2):
-    s0 = kron_universe.member_named("S0")
-    s1 = kron_universe.member_named("S1")
+    s0 = member_named(kron_universe, "S0")
+    s1 = member_named(kron_universe, "S1")
     got = bullet(kron_universe, frozenset([s0]), frozenset([s1]))
     assert got == frozenset([s0, s1])
 
 
 def test_bullet_kron_covers_window(kron_universe):
-    s0 = kron_universe.member_named("S0")
-    s1 = kron_universe.member_named("S1")
+    s0 = member_named(kron_universe, "S0")
+    s1 = member_named(kron_universe, "S1")
     got = bullet(kron_universe.with_bullet_bounds(3), frozenset([s1]), frozenset([s0]))
     for cls in kron_universe.members:
         assert cls in got
 
 
 def test_bullet_empty_side(kron_universe):
-    s0 = kron_universe.member_named("S0")
+    s0 = member_named(kron_universe, "S0")
     assert bullet(kron_universe, frozenset([s0]), frozenset()) == frozenset([s0])
     assert bullet(kron_universe, frozenset(), frozenset([s0])) == frozenset([s0])
 
 
 def test_layer_examples(kron_universe):
-    s0 = kron_universe.member_named("S0")
-    s1 = kron_universe.member_named("S1")
+    s0 = member_named(kron_universe, "S0")
+    s1 = member_named(kron_universe, "S1")
     both = frozenset([s0, s1])
     assert layer(kron_universe, both, 1) == both
     assert layer(kron_universe, frozenset(), 3) == frozenset()
@@ -109,8 +109,8 @@ def test_layer_examples(kron_universe):
 
 
 def test_bounded_containment(kron_universe):
-    s0 = kron_universe.member_named("S0")
-    s1 = kron_universe.member_named("S1")
+    s0 = member_named(kron_universe, "S0")
+    s1 = member_named(kron_universe, "S1")
     both = frozenset([s0, s1])
     assert bounded_containment(kron_universe, both, both, 1) is None
     missing = bounded_containment(
@@ -470,7 +470,7 @@ def test_orbit_reduction_matches_full_enumeration(kron_universe, five_universe, 
     kron3 = generate_universe(corpus_algebra("kron2", 3), UniverseParams(4))
     pairs = []
     for uni, other in ((kron_universe, (2, 2)), (kron3, (1, 1))):
-        s0, s1 = uni.member_named("S0"), uni.member_named("S1")
+        s0, s1 = member_named(uni, "S0"), member_named(uni, "S1")
         x2 = next(c for c in uni.sorted_members() if c.dim == other)
         pairs.append((uni, ((s1, 2),), ((s0, 1), (x2, 1))))
     pairs.append((kron3, ((s1, 2),), ((s0, 2),)))
@@ -528,7 +528,7 @@ def test_corner_is_linear_in_coefficients(algebra_id, p):
     algebra = corpus_algebra(algebra_id, field_p=p)
     q = algebra.quiver
     uni = Universe(algebra, UniverseParams(4))
-    s0, s1 = uni.member_named("S0"), uni.member_named("S1")
+    s0, s1 = member_named(uni, "S0"), member_named(uni, "S1")
     checked = 0
     for quot, sub in ((s0, s1), (s1, s0)):
         space = ext1_space(quot.rep, sub.rep)
@@ -553,7 +553,7 @@ def test_pair_middles_plans_once(kron_universe, monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(extdim, "_orbit_plan", counted)
-    s0, s1 = kron_universe.member_named("S0"), kron_universe.member_named("S1")
+    s0, s1 = member_named(kron_universe, "S0"), member_named(kron_universe, "S1")
     # Ext^1(S0, S1) = k^2 realizes P0; Ext^1(S1, S0) = 0 has no representative
     middles = extdim._pair_middles(kron_universe, ((s1, 2),), ((s0, 1),))
     assert [c.dim for c, _ in middles] == [(1, 2)] and len(calls) == 1
@@ -669,8 +669,8 @@ def test_two_sided_plan_matches_one_sided_plan(monkeypatch, entry, p, d, mult_bo
         monkeypatch.setattr(extdim, "extension_middle", lambda *a: built.append(1) or real_middle(*a))
         uni = generate_universe(algebra, UniverseParams(d, mult_bound=mult_bound))
         built.clear()
-        gens = [uni.member_named(name) for name in left.split(",")]
-        got = layer(uni, gens, n) if n else bullet(uni, gens, [uni.member_named(right)])
+        gens = [member_named(uni, name) for name in left.split(",")]
+        got = layer(uni, gens, n) if n else bullet(uni, gens, [member_named(uni, right)])
         interned = {id(c): c for c in uni.registry.by_key.values()}.values()
         return [c.key for c in sorted(got, key=lambda c: c.sort_key())], [c.key for c in interned], len(built)
 
@@ -696,7 +696,7 @@ def test_two_sided_plan_builds_one_middle_per_orbit(kron2, monkeypatch):
     monkeypatch.setattr(extdim, "extension_middle", lambda *a: built.append(1) or real(*a))
     for budget, middles in ((1395, 32), (1394, 0)):
         uni = Universe(kron2, UniverseParams(6, ext_budget=budget))
-        pair = (((uni.member_named("S1"), 3),), ((uni.member_named("S0"), 3),))
+        pair = (((member_named(uni, "S1"), 3),), ((member_named(uni, "S0"), 3),))
         built.clear()
         if middles:
             extdim._pair_middles(uni, *pair)
@@ -748,7 +748,7 @@ def test_hom_cache_keeps_no_hom_objects():
 
     algebra = build_algebra(load_corpus("nodeA").spec)
     ed_report(algebra, [0, 1, 2], UniverseParams(6), algebra_id="nodeA")
-    cached = list(algebra._hom_cache.values())
+    cached = list(algebra._memo["hom"].values())
     assert len(cached) > 1000
     for hb in cached:
         assert isinstance(hb, HomBasis)

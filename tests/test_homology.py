@@ -19,7 +19,7 @@ from syzex.homology import (
     tilting_check,
 )
 from syzex.rep import Representation, decompose, direct_sum, hom_space, is_iso, simple_rep, zero_rep
-from conftest import beilinson2_spec, col, conjugate, entries, fivevertex_spec, from_columns, kron2_spec
+from conftest import beilinson2_spec, col, conjugate, entries, fivevertex_spec, from_columns, kron2_spec, then
 from property_suites import block_diag, class_coords, class_middle, entry_grid, pushout_middle
 from syzex import linalg
 from syzex.algebra import AlgebraSpec, build_algebra
@@ -410,7 +410,7 @@ def extended_by_composition(x, y):
     """Reference restriction of Hom(P, Y) to OX: each basis row cut into a
     Hom, composed with the inclusion and flattened again."""
     pres = projective_cover(x)
-    return [linalg.flat(x.algebra.p, pres.inclusion.then(h).mats) for h in hom_space(pres.cover, y).basis]
+    return [linalg.flat(x.algebra.p, then(pres.inclusion, h).mats) for h in hom_space(pres.cover, y).basis]
 
 
 def ext1_basis_by_composition(x, y):

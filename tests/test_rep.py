@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import beilinson2_spec, conjugate, entries, from_columns, invertible, kron2_spec, solve_vec, vanishes
+from conftest import beilinson2_spec, conjugate, entries, from_columns, invertible, kron2_spec, solve_vec, then, vanishes
 from syzex.algebra import AlgebraSpec, build_algebra
 from syzex.corpus import load_corpus
 from syzex.errors import AlgebraMismatch, BudgetExceeded
@@ -181,7 +181,7 @@ def test_is_iso_decomposable_without_invertible_basis_element(kron2):
     n = kron_rep(kron2, 2, 2, [[1, 0], [0, 1]], [[1, 0], [0, 0]])
     f_basis = hom_space(m, n).basis
     g_basis = hom_space(n, m).basis
-    assert not any(invertible(f.then(g)) for f in f_basis for g in g_basis)
+    assert not any(invertible(then(f, g)) for f in f_basis for g in g_basis)
     assert is_iso(m, n) is True
     assert is_iso(n, m) is True
     zero = kron_rep(kron2, 2, 2, [[1, 0], [0, 1]], None)
@@ -218,7 +218,7 @@ def test_decompose_nonsplit_middle_local(kron2):
         if not invertible(h):
             power = h
             for _ in range(m.total_dim):
-                power = power.then(h)
+                power = then(power, h)
             assert vanishes(power)
 
 
@@ -272,7 +272,7 @@ def splits_by_scan(m):
             continue
         power = h
         for _ in range(m.total_dim):
-            power = power.then(h)
+            power = then(power, h)
         if not vanishes(power):
             return True
     return False
@@ -360,7 +360,7 @@ def split_per_vertex(m, e):
     f = e
     ranks = [mt.rank() for mt in f.mats]
     while 0 < sum(ranks) < m.total_dim:
-        f2 = f.then(f)
+        f2 = then(f, f)
         ranks2 = [mt.rank() for mt in f2.mats]
         if ranks2 == ranks:
             break
