@@ -9,6 +9,10 @@ Reports are deterministic for fixed flags; timings appear only on request.
 Every command that names an algebra gets it, and its corpus entry, from
 run(), which resolves and builds it once (_resolve_algebra) before calling
 the command.
+run() builds only the parsers argv names: the top parser reads the global
+flags and the command word, then the command's own parser (for algebra, mod
+and corpus, the group's and then the action's) reads the words after it.
+A per-call CLI pays for its parsers on every call, so no other is built.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from .extdim import (
     tits_classification,
 )
 from .homology import cosyzygy, ext1_space, extension_middle, syzygy, tilting_check
+from .linalg import is_prime
 from .rep import decompose, module_doc, parse_module_doc
 from .reports import new_report, render_json, render_text
 
@@ -117,7 +122,7 @@ def _resolve_algebra(args) -> tuple:
     if not path.exists():
         raise SpecError("not a corpus id or readable file: %r" % ref)
     spec = parse_algebra_spec(path.read_text())
-    if args.field:
+    if args.field is not None:
         spec.field_p = args.field
     return None, build_algebra(spec)
 
@@ -388,7 +393,7 @@ def cmd_corpus(args, report, entry, algebra):
 
 def _add_global_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
     # placed on the top parser with real defaults, and on every leaf with
-    # suppressed defaults so the flags work before or after the subcommand
+    # suppressed defaults so the flags work before or after the command word
     d = (lambda v: argparse.SUPPRESS) if suppress else (lambda v: v)
     parser.add_argument("--field", type=int, default=d(None), help="override the prime field")
     parser.add_argument("--format", choices=("text", "json"), default=d("text"))
@@ -398,91 +403,116 @@ def _add_global_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
     parser.add_argument("--timings", action="store_true", default=d(False), help="include wall-clock timings")
 
 
+# the command words with their one-line help, and the actions of the group commands
+_COMMANDS = {
+    "algebra": "inspect an algebra",
+    "mod": "module operations",
+    "ext": "Ext^1 dimension and classes",
+    "bullet": "bullet of two add-categories",
+    "layer": "[T]_n layers",
+    "syzcat": "syzygy category through the window",
+    "ed": "extension-dimension intervals",
+    "tilting": "tilting-module check",
+    "reptype": "representation-type certificate",
+    "corpus": "packaged example algebras",
+}
+_ACTIONS = {
+    "algebra": ("info",),
+    "mod": ("validate", "decompose", "syzygy", "cosyzygy"),
+    "corpus": ("list", "show"),
+}
+_WINDOWED = ("bullet", "layer", "syzcat", "ed", "reptype")  # the commands that build a Universe
+
+
+def _word_parser(parser: argparse.ArgumentParser, dest: str, choices) -> argparse.ArgumentParser:
+    """`parser` reading one word of `choices` into `dest` and keeping the
+    words after it, unparsed, under `rest` for the parser that word names."""
+    parser.add_argument(dest, choices=choices)
+    parser.add_argument("rest", nargs=argparse.REMAINDER, metavar="...", help="its arguments; add --help to list them")
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="syzex", description="exact path-algebra workbench")
+    """The top parser: the global flags and the command word."""
+    top = argparse.ArgumentParser(
+        prog="syzex",
+        description="exact path-algebra workbench",
+        epilog="commands:\n" + "".join("  %-9s %s\n" % item for item in _COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
     _add_global_flags(top, suppress=False)
-    common = argparse.ArgumentParser(add_help=False)  # the parent of every leaf
-    _add_global_flags(common, suppress=True)
-    sub = top.add_subparsers(dest="cmd", required=True)
-    # the window bounds of every command that builds a Universe
-    window = argparse.ArgumentParser(add_help=False, parents=[common])
-    window.add_argument("--dim-bound", type=int, default=6)
-    window.add_argument("--mult-bound", type=int, default=2)
+    return _word_parser(top, "cmd", _COMMANDS)
 
-    p = sub.add_parser("algebra", help="inspect an algebra")
-    psub = p.add_subparsers(dest="action", required=True)
-    info = psub.add_parser("info", parents=[common])
-    info.add_argument("spec")
-    info.set_defaults(func=cmd_algebra)
 
-    p = sub.add_parser("mod", help="module operations")
-    psub = p.add_subparsers(dest="action", required=True)
-    for action in ("validate", "decompose", "syzygy", "cosyzygy"):
-        q = psub.add_parser(action, parents=[common])
-        q.add_argument("spec")
-        q.add_argument("module")
+def _command_parser(prog: str, cmd: str, action) -> argparse.ArgumentParser:
+    """The parser of one command, or of one action of a group command."""
+    p = argparse.ArgumentParser(prog=prog)
+    _add_global_flags(p, suppress=True)
+    if cmd in _WINDOWED:
+        p.add_argument("--dim-bound", type=int, default=6)
+        p.add_argument("--mult-bound", type=int, default=2)
+    if cmd == "corpus":
+        if action == "show":
+            p.add_argument("id")
+        p.set_defaults(func=cmd_corpus)
+        return p
+    p.add_argument("spec")
+    if cmd == "algebra":
+        p.set_defaults(func=cmd_algebra)
+    elif cmd == "mod":
+        p.add_argument("module")
         if action in ("syzygy", "cosyzygy"):
-            q.add_argument("--n", type=int, default=1)
-        q.set_defaults(func=cmd_mod)
+            p.add_argument("--n", type=int, default=1)
+        p.set_defaults(func=cmd_mod)
+    elif cmd == "ext":
+        p.add_argument("x")
+        p.add_argument("y")
+        p.add_argument("--enumerate", action="store_true")
+        p.set_defaults(func=cmd_ext)
+    elif cmd == "bullet":
+        p.add_argument("--left", required=True, help="comma list of member names (sub side)")
+        p.add_argument("--right", required=True, help="comma list of member names (quotient side)")
+        p.add_argument("--sweep", action="store_true", help="recheck at mult bound + 1 and warn on growth")
+        p.set_defaults(func=cmd_bullet)
+    elif cmd == "layer":
+        p.add_argument("--gen", required=True)
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--contains", default=None, help="member names to test for layer membership")
+        p.set_defaults(func=cmd_layer)
+    elif cmd == "syzcat":
+        p.add_argument("--n", type=int, required=True)
+        p.set_defaults(func=cmd_syzcat)
+    elif cmd == "ed":
+        p.add_argument("--i", required=True, help="comma list of syzygy indices")
+        p.add_argument("--facts", default=None, help="external facts JSON file")
+        p.add_argument("--syzygy-probe", default=None, help="indices for finiteness probes")
+        p.set_defaults(func=cmd_ed)
+    elif cmd == "tilting":
+        p.add_argument("module")
+        p.add_argument("--bound", type=int, default=None)
+        p.set_defaults(func=cmd_tilting)
+    else:
+        p.set_defaults(func=cmd_reptype)
+    return p
 
-    p = sub.add_parser("ext", help="Ext^1 dimension and classes", parents=[common])
-    p.add_argument("spec")
-    p.add_argument("x")
-    p.add_argument("y")
-    p.add_argument("--enumerate", action="store_true")
-    p.set_defaults(func=cmd_ext)
 
-    p = sub.add_parser("bullet", help="bullet of two add-categories", parents=[window])
-    p.add_argument("spec")
-    p.add_argument("--left", required=True, help="comma list of member names (sub side)")
-    p.add_argument("--right", required=True, help="comma list of member names (quotient side)")
-    p.add_argument("--sweep", action="store_true", help="recheck at mult bound + 1 and warn on growth")
-    p.set_defaults(func=cmd_bullet)
-
-    p = sub.add_parser("layer", help="[T]_n layers", parents=[window])
-    p.add_argument("spec")
-    p.add_argument("--gen", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--contains", default=None, help="member names to test for layer membership")
-    p.set_defaults(func=cmd_layer)
-
-    p = sub.add_parser("syzcat", help="syzygy category through the window", parents=[window])
-    p.add_argument("spec")
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=cmd_syzcat)
-
-    p = sub.add_parser("ed", help="extension-dimension intervals", parents=[window])
-    p.add_argument("spec")
-    p.add_argument("--i", required=True, help="comma list of syzygy indices")
-    p.add_argument("--facts", default=None, help="external facts JSON file")
-    p.add_argument("--syzygy-probe", default=None, help="indices for finiteness probes")
-    p.set_defaults(func=cmd_ed)
-
-    p = sub.add_parser("tilting", help="tilting-module check", parents=[common])
-    p.add_argument("spec")
-    p.add_argument("module")
-    p.add_argument("--bound", type=int, default=None)
-    p.set_defaults(func=cmd_tilting)
-
-    p = sub.add_parser("reptype", help="representation-type certificate", parents=[window])
-    p.add_argument("spec")
-    p.set_defaults(func=cmd_reptype)
-
-    p = sub.add_parser("corpus", help="packaged example algebras")
-    psub = p.add_subparsers(dest="action", required=True)
-    lst = psub.add_parser("list", parents=[common])
-    lst.set_defaults(func=cmd_corpus)
-    show = psub.add_parser("show", parents=[common])
-    show.add_argument("id")
-    show.set_defaults(func=cmd_corpus)
-
-    return top
+def _parse(argv) -> argparse.Namespace:
+    """argv parsed by the top parser, then by the parser of the command it
+    names (for a group command, the group's and then the action's), each
+    reading the words the one before left under `rest`."""
+    args = build_parser().parse_args(argv)
+    prog, action = "syzex " + args.cmd, None
+    if args.cmd in _ACTIONS:
+        group = _word_parser(argparse.ArgumentParser(prog=prog), "action", _ACTIONS[args.cmd])
+        group.parse_args(vars(args).pop("rest"), namespace=args)
+        action = args.action
+        prog += " " + action
+    return _command_parser(prog, args.cmd, action).parse_args(vars(args).pop("rest"), namespace=args)
 
 
 def run(argv) -> tuple:
     """(exit code, report dict, rendered text)."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(argv)
     inputs = {k: v for k, v in vars(args).items() if k != "func" and v is not None}
     report = new_report(["syzex"] + list(argv), inputs)
     start = time.perf_counter()
@@ -491,6 +521,8 @@ def run(argv) -> tuple:
             raise SpecError("SYZEX_BUDGET must be an integer, got %r" % os.environ.get("SYZEX_BUDGET"))
         if args.budget < 1 or args.member_cap < 1:
             raise SpecError("budget and member cap must be at least 1, got %d and %d" % (args.budget, args.member_cap))
+        if args.field is not None and not is_prime(args.field):
+            raise SpecError("field must be a prime integer, got %r" % args.field)
         # no local keeps the algebra and its caches alive while the report renders
         code = args.func(args, report, *_resolve_algebra(args))
     except BudgetExceeded as exc:

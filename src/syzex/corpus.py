@@ -311,7 +311,7 @@ def load_corpus(entry_id: str, field_p: int = None) -> CorpusEntry:
         n = int(param) if param else None
     except ValueError:
         raise UnknownCorpusId("corpus id %r: the size after ':' must be an integer" % entry_id) from None
-    entry = _BUILDERS[base](n, field_p if field_p else 2)
+    entry = _BUILDERS[base](n, field_p if field_p is not None else 2)
     entry.entry_id = entry_id
     return entry
 

@@ -10,10 +10,11 @@ The text rendering writes each value with str(), which already spells an
 empty dict or list as {} or [].  A list holding no dict or list, such as a
 matrix row, is written as one join, which keeps MB-sized module files cheap.
 A list of plain ints (no bools) whose entries are all 0..9, which is every
-row of a module over GF(p) for p <= 7, gets its digits in one C pass:
-bytes(row) translated to ASCII and checked with isdigit().  Any other list,
-a row over GF(11) or GF(257) with a two-digit entry among them, falls back
-to one str() per entry; both give the same text.
+row of a module over GF(p) for p <= 7, makes no string per entry: its digits,
+bytes(row) translated to ASCII, go into a template of its lines by one
+extended-slice assignment.  Any other list, a row over GF(11) or GF(257) with
+a two-digit entry among them, falls back to one str() per entry; both give
+the same text.
 """
 
 from __future__ import annotations
@@ -43,14 +44,19 @@ def render_json(report: dict) -> str:
 _DIGIT_OF = bytes(range(48, 58)).ljust(256, b"x")
 
 
-def _digits(row):
-    """The str() of each entry of a list of ints: one translate of the row's
-    bytes when every entry is 0..9, else one str() per entry."""
+def _digit_lines(row, item):
+    """The lines item + str(x) for x in a row of plain ints 0..9, joined by
+    newlines; None for any other row."""
     try:
-        text = bytes(row).translate(_DIGIT_OF)
-    except ValueError:  # an entry outside 0..255
-        return map(str, row)
-    return text.decode() if text.isdigit() else map(str, row)
+        digits = bytes(row).translate(_DIGIT_OF)
+    except (TypeError, ValueError):  # an entry that is not an int, or one outside 0..255
+        return None
+    if not digits.isdigit() or list(map(type, row)).count(int) != len(row):
+        return None
+    text = bytearray((item + "0\n").encode()) * len(row)
+    text[len(item)::len(item) + 2] = digits
+    del text[-1]
+    return text.decode()
 
 
 def _flat(value, indent=0):
@@ -65,12 +71,15 @@ def _flat(value, indent=0):
             else:
                 lines.append("%s%s: %s" % (pad, k, v))
     elif isinstance(value, list):
-        types = set(map(type, value))
-        if not any(issubclass(t, (dict, list)) for t in types):
-            # a list of scalars (a matrix row) is one chunk, not one string per entry
+        # a list of scalars (a matrix row) is one chunk, not one string per entry
+        item = pad + "- "
+        text = _digit_lines(value, item)
+        if text is not None:
+            lines.append(text)
+            return lines
+        if not any(issubclass(t, (dict, list)) for t in set(map(type, value))):
             if value:
-                item = pad + "- "
-                lines.append(item + ("\n" + item).join(_digits(value) if types == {int} else map(str, value)))
+                lines.append(item + ("\n" + item).join(map(str, value)))
             return lines
         for v in value:
             if isinstance(v, (dict, list)) and v:

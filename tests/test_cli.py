@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import random
@@ -16,7 +17,7 @@ from syzex.cli import run
 from syzex.errors import AlgebraMismatch
 from syzex.rep import module_doc
 from syzex.reports import _flat, new_report, render_text
-from conftest import beilinson2_spec, conjugate
+from conftest import beilinson2_spec, conjugate, kron2_spec
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "src" / "syzex" / "data" / "report.schema.json").read_text()
@@ -498,9 +499,14 @@ def test_bad_spec_exit_2():
     ["--field", "4", "algebra", "info", "kron2"],
     ["--field", "4", "ext", "kron2", "S0", "S1", "--enumerate"],
     ["--field", str(2 ** 89 - 1), "algebra", "info", "kron2"],
+    ["--field", "0", "algebra", "info", "kron2"],
+    ["--field", "0", "algebra", "info", "@kron2.json"],
+    ["--field", "4", "corpus", "show", "kron2"],
 ])
-def test_non_prime_field_exit_2(argv):
-    code, report, _ = run_json(argv)
+def test_non_prime_field_exit_2(tmp_path, argv):
+    # --field is checked where it enters: 0 is not GF(2), nor the spec file's field
+    (tmp_path / "kron2.json").write_text(kron2_spec(3).to_json())
+    code, report, _ = run_json([str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv])
     assert code == 2
     assert report["results"]["kind"] == "validation"
     assert "prime" in report["results"]["error"]
@@ -614,6 +620,9 @@ INT_ROWS = st.lists(st.integers(0, 9), min_size=1, max_size=12) | st.lists(
 @given(REPORT_VALUES | INT_ROWS | st.lists(INT_ROWS, max_size=3), st.integers(0, 2))
 @example([0, 9, 1], 1)
 @example([[0, 1], [9, 10], [255, 256], [-1, 2], [True, 0]], 0)
+@example([True, False, True], 2)
+@example([[3, 12, 0], [], [0, 1]], 1)
+@example([], 0)
 def test_flat_matches_per_scalar_renderer(value, indent):
     # lists mixing ints, bools, strings, None, empty and nested containers, and int rows
     assert "\n".join(_flat(value, indent)) == "\n".join(flat_per_line(value, indent))
@@ -638,6 +647,90 @@ def test_timings_flag():
     code, report, _ = run(["--timings", "algebra", "info", "kron2"])
     assert code == 0
     assert report["timings"] is not None and "wall_seconds" in report["timings"]
+
+
+# Every command and group action, with the inputs each reported at a commit
+# whose parser was one argparse tree: (argv after the global flags, the
+# inputs beyond the global flags, the inputs digest).
+PARSED_INPUTS = (
+    ("algebra info kron2", {"action": "info", "cmd": "algebra", "spec": "kron2"}, "1c7c0572384cdb39"),
+    ("mod validate kron2 S0", {"action": "validate", "cmd": "mod", "module": "S0", "spec": "kron2"}, "ff94c62788cb2c53"),
+    ("mod decompose kron2 P0", {"action": "decompose", "cmd": "mod", "module": "P0", "spec": "kron2"}, "c610ec599a0d0523"),
+    ("mod syzygy kron2 S0 --n 2", {"action": "syzygy", "cmd": "mod", "module": "S0", "n": 2, "spec": "kron2"}, "b9442b6fde637a1c"),
+    ("mod cosyzygy kron2 S1", {"action": "cosyzygy", "cmd": "mod", "module": "S1", "n": 1, "spec": "kron2"}, "4bcde2788bcc9965"),
+    ("ext kron2 S0 S1 --enumerate", {"cmd": "ext", "enumerate": True, "spec": "kron2", "x": "S0", "y": "S1"}, "ad59ab653467b52b"),
+    (
+        "bullet kron2 --left S1 --right S0 --dim-bound 2",
+        {"cmd": "bullet", "dim_bound": 2, "left": "S1", "mult_bound": 2, "right": "S0", "spec": "kron2", "sweep": False},
+        "165610e18aeed212",
+    ),
+    (
+        "layer kron2 --gen S0,S1 --n 1 --dim-bound 2",
+        {"cmd": "layer", "dim_bound": 2, "gen": "S0,S1", "mult_bound": 2, "n": 1, "spec": "kron2"},
+        "a1404b270779bcce",
+    ),
+    ("syzcat kron2 --n 0 --dim-bound 2", {"cmd": "syzcat", "dim_bound": 2, "mult_bound": 2, "n": 0, "spec": "kron2"}, "19a7316892f39c82"),
+    ("ed kron2 --i 0 --dim-bound 2", {"cmd": "ed", "dim_bound": 2, "i": "0", "mult_bound": 2, "spec": "kron2"}, "8fefa4dfe9a9558a"),
+    ("tilting kron2 P0", {"cmd": "tilting", "module": "P0", "spec": "kron2"}, "9b88c08ea57462c9"),
+    ("reptype kron2 --dim-bound 2", {"cmd": "reptype", "dim_bound": 2, "mult_bound": 2, "spec": "kron2"}, "327527a2a168c05f"),
+    ("corpus list", {"action": "list", "cmd": "corpus"}, "3eeee11939f44e70"),
+    ("corpus show kron2", {"action": "show", "cmd": "corpus", "id": "kron2"}, "f501a90782ce4f00"),
+)
+
+
+@pytest.mark.parametrize("words,values,digest", PARSED_INPUTS)
+def test_global_flags_parse_the_same_anywhere(monkeypatch, words, values, digest):
+    # before the command, after it, as --flag=value and abbreviated
+    monkeypatch.delenv("SYZEX_BUDGET", raising=False)
+    leaf = words.split()
+    expected = {
+        "digest": digest, "budget": 2 ** 20, "field": 3, "format": "text",
+        "member_cap": 77, "seed": 0, "timings": False, **values,
+    }
+    for argv in (
+        ["--field", "3", "--member-cap", "77"] + leaf,
+        leaf + ["--field", "3", "--member-cap", "77"],
+        ["--field=3"] + leaf + ["--member-cap=77"],
+        ["--fi", "3"] + leaf + ["--mem", "77"],
+    ):
+        code, report, _ = run(argv)
+        assert code == 0, argv
+        assert report["inputs"] == expected, argv
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["mod", "--help"], ["ed", "--help"], ["mod", "syzygy", "-h"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    if argv == ["--help"]:
+        for cmd in ("algebra", "mod", "ext", "bullet", "layer", "syzcat", "ed", "tilting", "reptype", "corpus"):
+            assert "\n  %s " % cmd in out
+    elif argv[0] == "ed":
+        assert "--dim-bound" in out and "--syzygy-probe" in out
+
+
+@pytest.mark.parametrize("argv", [[], ["frob"], ["mod"], ["mod", "frob", "kron2", "S0"], ["ext", "kron2", "S0"]])
+def test_missing_or_unknown_command_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv,most", [(["ext", "kron2", "S0", "S1"], 2), (["mod", "syzygy", "xiB", "S2p"], 3)])
+def test_run_builds_only_the_parsers_argv_names(monkeypatch, argv, most):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    code, _, _ = run(argv)
+    assert code == 0
+    assert len(built) <= most, built
 
 
 def test_ed_with_syzygy_probe_cli():
