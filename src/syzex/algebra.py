@@ -49,12 +49,15 @@ class Quiver:
         self.arrows_by_source = [[] for _ in self.vertices]
         for i, a in enumerate(self.arrows):
             self.arrows_by_source[self.vindex[a.source]].append(i)
+        # vertex indices of each arrow's ends, by arrow index
+        self.sources = tuple(self.vindex[a.source] for a in self.arrows)
+        self.targets = tuple(self.vindex[a.target] for a in self.arrows)
 
     def arrow_source(self, i):
-        return self.vindex[self.arrows[i].source]
+        return self.sources[i]
 
     def arrow_target(self, i):
-        return self.vindex[self.arrows[i].target]
+        return self.targets[i]
 
 
 @dataclass(frozen=True)
@@ -116,7 +119,8 @@ def parse_algebra_spec(text: str) -> AlgebraSpec:
             raise SpecError("bad relation %r" % (rel,))
         terms = []
         for t in rel:
-            if not isinstance(t, dict) or not isinstance(t.get("coeff"), int) or not isinstance(t.get("path"), list):
+            # a bool is an int to Python, but not a coefficient
+            if not isinstance(t, dict) or type(t.get("coeff")) is not int or not isinstance(t.get("path"), list):
                 raise SpecError("bad relation term %r" % (t,))
             terms.append({"coeff": t["coeff"], "path": [str(x) for x in t["path"]]})
         relations.append(terms)
@@ -223,30 +227,26 @@ class PathAlgebra:
         return direct_sum([self.projective(v) for v in range(self.n_vertices)])
 
 
-def _relation_signature(quiver: Quiver, terms) -> Relation:
-    """Validate one relation: composable, parallel, homogeneous paths."""
+def _relation(quiver: Quiver, p: int, terms) -> Relation | None:
+    """Validate one relation (composable, parallel, homogeneous paths) and
+    write it over GF(p): terms on one path merged, their coefficients summed
+    mod p, zero terms dropped.  None when no term is left."""
     if not terms:
         raise SpecError("empty relation: a relation needs at least one path")
-    cooked = []
+    merged = {}
     sig = None
+    sources, targets = quiver.sources, quiver.targets
     for t in terms:
         path = t["path"]
         if not path:
             raise NonHomogeneousRelation("empty path in relation")
-        idxs = []
-        for name in path:
-            if name not in quiver.aindex:
-                raise SpecError("unknown arrow %r in relation" % name)
-            idxs.append(quiver.aindex[name])
-        src = quiver.arrow_source(idxs[0])
-        cur = quiver.arrow_target(idxs[0])
-        for k in idxs[1:]:
-            if quiver.arrow_source(k) != cur:
-                raise SpecError(
-                    "path %r is not composable source-to-target" % (list(path),)
-                )
-            cur = quiver.arrow_target(k)
-        this_sig = (src, cur, len(idxs))
+        idxs = tuple(map(quiver.aindex.get, path))
+        if None in idxs:
+            raise SpecError("unknown arrow %r in relation" % path[idxs.index(None)])
+        for a, b in zip(idxs, idxs[1:]):
+            if targets[a] != sources[b]:
+                raise SpecError("path %r is not composable source-to-target" % (list(path),))
+        this_sig = (sources[idxs[0]], targets[idxs[-1]], len(idxs))
         if sig is None:
             sig = this_sig
         else:
@@ -254,13 +254,44 @@ def _relation_signature(quiver: Quiver, terms) -> Relation:
                 raise NonParallelRelation("relation mixes non-parallel paths")
             if sig[2] != this_sig[2]:
                 raise NonHomogeneousRelation("relation mixes path lengths")
-        cooked.append((t["coeff"], tuple(idxs)))
+        merged[idxs] = (merged.get(idxs, 0) + t["coeff"]) % p
     if sig[2] < 2:
         raise NonHomogeneousRelation("relation paths must have length >= 2")
-    return Relation(tuple(cooked), sig[0], sig[1], sig[2])
+    kept = tuple((c, path) for path, c in merged.items() if c)
+    return Relation(kept, *sig) if kept else None
+
+
+def _placements(ending, starting, length, r):
+    """(s, t, u, w) for each path u r w of this length, from s to t."""
+    for a in range(length - r.length + 1):
+        rights = starting[length - r.length - a].get(r.target, ())
+        for s, u in ending[a].get(r.source, ()):
+            for t, w in rights:
+                yield s, t, u, w
+
+
+def _expansion(p: int, row, k: int, residue: dict) -> dict:
+    """The path at pivot column k in the residue basis: minus its reduced
+    row's entries, which are 0 at every other pivot column, keyed in column
+    order by residue[column], the residue path's basis index."""
+    if p == 2:
+        out = {}
+        row ^= 1 << k
+        while row:
+            low = row & -row
+            out[residue[low.bit_length() - 1]] = 1
+            row ^= low
+        return out
+    return {residue[j]: p - row[j] for j in range(k + 1, len(row)) if row[j]}
 
 
 def build_algebra(spec: AlgebraSpec) -> PathAlgebra:
+    """kQ/I degree by degree.  The paths u r w of one length from s to t, r
+    a relation, span the ideal's slice there.  A one-term r puts its u r w
+    in the ideal: each such path is a pivot column whose reduced row is the
+    unit row, and every other reduced row is 0 there.  So only the other
+    rows are reduced, on the remaining columns, and the two kinds of pivot
+    merge in column order into the RREF of the whole slice."""
     p = spec.field_p
     if not isinstance(p, int) or not linalg.is_prime(p):
         raise SpecError("field must be a prime integer, got %r" % (p,))
@@ -268,106 +299,97 @@ def build_algebra(spec: AlgebraSpec) -> PathAlgebra:
         spec.vertices,
         [Arrow(a["name"], a["from"], a["to"]) for a in spec.arrows],
     )
-    relations = []
-    for rel in spec.relations:
-        sig = _relation_signature(quiver, rel)
-        terms = tuple((c % p, path) for c, path in sig.terms if c % p)
-        if terms:
-            relations.append(Relation(terms, sig.source, sig.target, sig.length))
+    relations = tuple(r for r in (_relation(quiver, p, rel) for rel in spec.relations) if r)
 
-    rel_by_deg = {}
-    for r in relations:
-        rel_by_deg.setdefault(r.length, []).append(r)
-
-    # paths_at[l][(s, t)] -> ordered list of arrow tuples
-    paths_at = [dict() for _ in range(1)]
-    for v in range(quiver.n_vertices):
-        paths_at[0].setdefault((v, v), []).append(())
-
-    basis = []
-    reduce_maps = {}
-
-    def add_residue(s, arrows, t):
-        idx = len(basis)
-        basis.append((s, arrows, t))
-        return idx
-
-    for v in range(quiver.n_vertices):
-        idx = add_residue(v, (), v)
-        reduce_maps[(v, ())] = {idx: 1}
-
-    nil_degree = None
+    vertices = range(quiver.n_vertices)
+    # level[(s, t)] -> ordered list of arrow tuples of the current length;
+    # ending[l][t] and starting[l][s] -> (s, path) and (t, path) of length l
+    level = {(v, v): [()] for v in vertices}
+    ending = [{v: [(v, ())] for v in vertices}]
+    starting = [{v: [(v, ())] for v in vertices}]
+    # basis entries: (source_idx, arrow_idx_tuple, target_idx), residue paths only
+    basis = [(v, (), v) for v in vertices]
+    reduce_maps = {(v, ()): {v: 1} for v in vertices}
     total_paths = quiver.n_vertices
     length = 0
-    while nil_degree is None:
+    while True:
         length += 1
         if length > LENGTH_CAP:
             raise NotFiniteDimensional(
                 "no vanishing radical power up to length cap %d" % LENGTH_CAP
             )
-        level = {}
+        prev, level = level, {}
         count = 0
-        for (s, t), plist in paths_at[length - 1].items():
+        for (s, t), plist in prev.items():
             for arrows in plist:
                 for k in quiver.arrows_by_source[t]:
-                    ext = arrows + (k,)
-                    level.setdefault((s, quiver.arrow_target(k)), []).append(ext)
+                    level.setdefault((s, quiver.targets[k]), []).append(arrows + (k,))
                     count += 1
         total_paths += count
         if total_paths > PATH_BUDGET:
             raise NotFiniteDimensional("path enumeration exceeded budget; ideal looks non-admissible")
-        paths_at.append(level)
         if count == 0:
-            nil_degree = length
             break
+        ends, starts = {}, {}
+        for (s, t), plist in level.items():
+            ends.setdefault(t, []).extend([(s, q) for q in plist])
+            starts.setdefault(s, []).extend([(t, q) for q in plist])
+        ending.append(ends)
+        starting.append(starts)
+
+        # per slice: the paths a one-term relation puts in the ideal, and
+        # the (coeff, path) terms of every other row
+        zeros, others = defaultdict(set), defaultdict(list)
+        for r in relations:
+            if r.length > length:
+                continue
+            if len(r.terms) == 1:
+                mid = r.terms[0][1]
+                for s, t, u, w in _placements(ending, starting, length, r):
+                    zeros[s, t].add(u + mid + w)
+            else:
+                for s, t, u, w in _placements(ending, starting, length, r):
+                    others[s, t].append([(c, u + mid + w) for c, mid in r.terms])
 
         residues_this_level = 0
         for (s, t), plist in sorted(level.items()):
-            col_index = {arrows: i for i, arrows in enumerate(plist)}
+            zero = zeros.get((s, t), ())
+            kept = [arrows for arrows in plist if arrows not in zero]
+            col = {arrows: k for k, arrows in enumerate(kept)}
+            n = len(kept)
             rows = []
-            for deg, rels in rel_by_deg.items():
-                if deg > length:
+            for terms in others.get((s, t), ()):
+                # a relation's paths are distinct, so no two hits share a column
+                hits = [(k, c) for c, q in terms if (k := col.get(q)) is not None]
+                if not hits:
                     continue
-                for r in rels:
-                    for a in range(length - deg + 1):
-                        b = length - deg - a
-                        lefts = paths_at[a].get((s, r.source), [])
-                        rights = paths_at[b].get((r.target, t), [])
-                        for u in lefts:
-                            for w in rights:
-                                row = [0] * len(plist)
-                                for coeff, mid in r.terms:
-                                    row[col_index[u + mid + w]] = (
-                                        row[col_index[u + mid + w]] + coeff
-                                    ) % p
-                                if any(row):
-                                    rows.append(row)
+                if p == 2:
+                    rows.append(sum(1 << k for k, _ in hits))
+                else:
+                    row = [0] * n
+                    for k, c in hits:
+                        row[k] = c
+                    rows.append(tuple(row))
+            pivot_rows = {}
             if rows:
-                mat = linalg.Matrix.from_rows(p, rows)
-                red, pivots = linalg.rref(mat)
-            else:
-                red, pivots = None, []
-            pivot_set = set(pivots)
-            local_res = {}
-            for j, arrows in enumerate(plist):
-                if j not in pivot_set:
-                    idx = add_residue(s, arrows, t)
-                    local_res[j] = idx
-                    residues_this_level += 1
-            for ri, pj in enumerate(pivots):
-                expansion = {}
-                for j in range(len(plist)):
-                    if j in pivot_set:
-                        continue
-                    c = red.entry(ri, j)
-                    if c:
-                        expansion[local_res[j]] = (-c) % p
-                reduce_maps[(s, plist[pj])] = expansion
-            for j, arrows in enumerate(plist):
-                if j not in pivot_set:
-                    reduce_maps[(s, arrows)] = {local_res[j]: 1}
+                red, pivots = linalg.rref(linalg.Matrix(p, len(rows), n, tuple(rows)))
+                pivot_rows = dict(zip(pivots, red.rows))
+            residue = {}
+            for k, arrows in enumerate(kept):
+                if k not in pivot_rows:
+                    residue[k] = len(basis)
+                    basis.append((s, arrows, t))
+            # pivots in column order, then residues, as the whole slice's RREF gives them
+            for arrows in plist:
+                k = col.get(arrows)
+                if k is None:
+                    reduce_maps[(s, arrows)] = {}
+                elif k in pivot_rows:
+                    reduce_maps[(s, arrows)] = _expansion(p, pivot_rows[k], k, residue)
+            for k, idx in residue.items():
+                reduce_maps[(s, kept[k])] = {idx: 1}
+            residues_this_level += len(residue)
         if residues_this_level == 0:
-            nil_degree = length
             break
 
-    return PathAlgebra(spec, quiver, p, tuple(relations), tuple(basis), reduce_maps, nil_degree)
+    return PathAlgebra(spec, quiver, p, relations, tuple(basis), reduce_maps, length)

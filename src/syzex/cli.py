@@ -18,9 +18,11 @@ A per-call CLI pays for its parsers on every call, so no other is built.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
+import shutil
 import sys
 import time
 from pathlib import Path
@@ -424,6 +426,25 @@ _ACTIONS = {
 _WINDOWED = ("bullet", "layer", "syzcat", "ed", "reptype")  # the commands that build a Universe
 
 
+@functools.cache
+def _help_width() -> int:
+    """The help width argparse's formatter would take, read once per process."""
+    return shutil.get_terminal_size().columns - 2
+
+
+class _Formatter(argparse.HelpFormatter):
+    """argparse's help formatter with the width read once per process:
+    argparse builds a formatter on every add_argument, and each one would
+    ask the terminal for its size."""
+
+    def __init__(self, prog, indent_increment=2, max_help_position=24, width=None):
+        super().__init__(prog, indent_increment, max_help_position, _help_width() if width is None else width)
+
+
+class _RawDescriptionFormatter(_Formatter, argparse.RawDescriptionHelpFormatter):
+    """_Formatter that keeps the description and epilog as written."""
+
+
 def _word_parser(parser: argparse.ArgumentParser, dest: str, choices) -> argparse.ArgumentParser:
     """`parser` reading one word of `choices` into `dest` and keeping the
     words after it, unparsed, under `rest` for the parser that word names."""
@@ -438,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="syzex",
         description="exact path-algebra workbench",
         epilog="commands:\n" + "".join("  %-9s %s\n" % item for item in _COMMANDS.items()),
-        formatter_class=argparse.RawDescriptionHelpFormatter,
+        formatter_class=_RawDescriptionFormatter,
     )
     _add_global_flags(top, suppress=False)
     return _word_parser(top, "cmd", _COMMANDS)
@@ -446,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _command_parser(prog: str, cmd: str, action) -> argparse.ArgumentParser:
     """The parser of one command, or of one action of a group command."""
-    p = argparse.ArgumentParser(prog=prog)
+    p = argparse.ArgumentParser(prog=prog, formatter_class=_Formatter)
     _add_global_flags(p, suppress=True)
     if cmd in _WINDOWED:
         p.add_argument("--dim-bound", type=int, default=6)
@@ -503,7 +524,7 @@ def _parse(argv) -> argparse.Namespace:
     args = build_parser().parse_args(argv)
     prog, action = "syzex " + args.cmd, None
     if args.cmd in _ACTIONS:
-        group = _word_parser(argparse.ArgumentParser(prog=prog), "action", _ACTIONS[args.cmd])
+        group = _word_parser(argparse.ArgumentParser(prog=prog, formatter_class=_Formatter), "action", _ACTIONS[args.cmd])
         group.parse_args(vars(args).pop("rest"), namespace=args)
         action = args.action
         prog += " " + action

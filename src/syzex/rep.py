@@ -180,14 +180,24 @@ def projective_rep(algebra, v: int) -> Representation:
             pos[idx] = len(slots[t])
             slots[t].append((idx, arrows))
     dim = tuple(len(sl) for sl in slots)
+    p = algebra.p
     action = []
     for ai in range(len(q.arrows)):
         u, w = q.arrow_source(ai), q.arrow_target(ai)
-        rows = [[0] * dim[u] for _ in range(dim[w])]
-        for col, (_, arrows) in enumerate(slots[u]):
-            for gidx, coeff in algebra.reduce_path(v, arrows + (ai,)).items():
-                rows[pos[gidx]][col] = coeff
-        action.append(Matrix.from_rows(algebra.p, rows) if dim[w] and dim[u] else Matrix.zero(algebra.p, dim[w], dim[u]))
+        # column col is the reduced path slots[u][col] . ai, written straight
+        # into the packed rows: bit col over GF(2), entry col otherwise
+        if p == 2:
+            rows = [0] * dim[w]
+            for col, (_, arrows) in enumerate(slots[u]):
+                for gidx in algebra.reduce_path(v, arrows + (ai,)):
+                    rows[pos[gidx]] |= 1 << col
+        else:
+            rows = [[0] * dim[u] for _ in range(dim[w])]
+            for col, (_, arrows) in enumerate(slots[u]):
+                for gidx, coeff in algebra.reduce_path(v, arrows + (ai,)).items():
+                    rows[pos[gidx]][col] = coeff
+            rows = map(tuple, rows)
+        action.append(Matrix(p, dim[w], dim[u], tuple(rows)))
     return Representation(algebra, dim, tuple(action))
 
 

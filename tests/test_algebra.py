@@ -1,14 +1,19 @@
 import itertools
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given, settings
 
+import build_oracle
 from syzex.algebra import AlgebraSpec, build_algebra, parse_algebra_spec
+from syzex.corpus import corpus_ids, load_corpus
 from syzex.errors import (
     NonHomogeneousRelation,
     NonParallelRelation,
     NotFiniteDimensional,
     SpecError,
 )
+from syzex.extdim import tits_classification
 from syzex.linalg import Matrix
 
 
@@ -186,3 +191,167 @@ def test_spec_roundtrip(kron2):
     text = kron2.spec.to_json()
     again = parse_algebra_spec(text)
     assert again.to_json() == text
+
+
+# -- the build against the entry-by-entry oracle ---------------------------
+
+ORACLE_PRIMES = (2, 3, 5, 257, 2305843009213693951)
+
+
+def opposite_spec(spec):
+    return AlgebraSpec(
+        spec.field_p,
+        list(spec.vertices),
+        [{"name": a["name"], "from": a["to"], "to": a["from"]} for a in spec.arrows],
+        [[{"coeff": t["coeff"], "path": list(reversed(t["path"]))} for t in rel] for rel in spec.relations],
+    )
+
+
+def assert_same_build(got, want):
+    """Equal basis, nil degree and reduce maps, keys and expansions in the
+    same insertion order."""
+    assert got.basis == want.basis
+    assert got.nil_degree == want.nil_degree
+    assert list(got.reduce_maps) == list(want.reduce_maps)
+    for key, expansion in want.reduce_maps.items():
+        assert list(got.reduce_maps[key].items()) == list(expansion.items()), key
+
+
+@pytest.mark.parametrize("p", ORACLE_PRIMES)
+@pytest.mark.parametrize("cid", corpus_ids())
+def test_build_matches_oracle_on_corpus(cid, p):
+    spec = load_corpus(cid, p).spec
+    for s in (spec, opposite_spec(spec)):
+        got, want = build_algebra(s), build_oracle.build_algebra(s)
+        assert_same_build(got, want)
+        # no corpus relation repeats a path, so merging terms changes none
+        assert got.relations == want.relations
+
+
+@pytest.mark.parametrize("p", ORACLE_PRIMES)
+@pytest.mark.parametrize("cid", corpus_ids())
+def test_projectives_match_oracle(cid, p):
+    algebra = build_algebra(load_corpus(cid, p).spec)
+    for a in (algebra, algebra.opposite()):
+        for v in range(a.n_vertices):
+            assert a.projective(v).action == build_oracle.projective_matrices(a, v)
+
+
+def _paths(arrows, max_len):
+    """Every composable path of length 1..max_len as a tuple of arrow indices."""
+    out = [(k,) for k in range(len(arrows))]
+    frontier = out
+    for _ in range(max_len - 1):
+        frontier = [q + (k,) for q in frontier for k, (s, _) in enumerate(arrows) if s == arrows[q[-1]][1]]
+        out = out + frontier
+    return out
+
+
+@st.composite
+def small_specs(draw):
+    """Small quivers whose arrows go up in vertex order, with at most one
+    loop at a vertex, so that each length has few paths; each loop's square
+    is a relation, but now and then it is left out and the build runs to
+    its length cap.  Relations of 1-3 terms on parallel paths of one
+    length, paths repeated at times and coefficients often multiples of p;
+    and now and then a relation mixing any paths, which both builds refuse.
+    (Two loops at one vertex would give 2^l paths of length l: all are
+    enumerated, so such builds take seconds and gigabytes.)"""
+    p = draw(st.sampled_from((2, 3, 5)))
+    n = draw(st.integers(1, 3))
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    arrows = draw(st.lists(st.sampled_from(pairs), max_size=4).filter(
+        lambda a: all(a.count((v, v)) <= 1 for v in range(n))))
+    names = ["a%d" % k for k in range(len(arrows))]
+    paths = _paths(arrows, 3)
+    coeffs = st.integers(-2 * p, 2 * p) | st.sampled_from((0, p, -p, 2 * p, 1))
+    relations = [
+        [{"coeff": 1, "path": [names[k], names[k]]}]
+        for k, (s, t) in enumerate(arrows) if s == t and draw(st.integers(0, 4))
+    ]
+    classes = {}
+    for q in paths:
+        if len(q) >= 2:
+            classes.setdefault((arrows[q[0]][0], arrows[q[-1]][1], len(q)), []).append(q)
+    for _ in range(draw(st.integers(0, 4))):
+        if classes and draw(st.integers(0, 9)):
+            group = classes[draw(st.sampled_from(sorted(classes)))]
+        elif paths:
+            group = paths
+        else:
+            break
+        terms = draw(st.lists(st.sampled_from(group), min_size=1, max_size=3))
+        relations.append([{"coeff": draw(coeffs), "path": [names[k] for k in q]} for q in terms])
+    relations = draw(st.permutations(relations))
+    return AlgebraSpec(
+        p,
+        ["v%d" % v for v in range(n)],
+        [{"name": name, "from": "v%d" % s, "to": "v%d" % t} for name, (s, t) in zip(names, arrows)],
+        relations,
+    )
+
+
+def build_outcome(build, spec):
+    """The algebra, or the type and message of the error the build raised."""
+    try:
+        return build(spec)
+    except (SpecError, NotFiniteDimensional) as exc:
+        return type(exc), str(exc)
+
+
+# ab = -2 cb over GF(5): a reduce map, and so P(1)'s matrix for b, holds a 3
+ODD_COEFFICIENT = AlgebraSpec(
+    5,
+    ["1", "2", "3"],
+    [{"name": "a", "from": "1", "to": "2"}, {"name": "c", "from": "1", "to": "2"}, {"name": "b", "from": "2", "to": "3"}],
+    [[{"coeff": 1, "path": ["a", "b"]}, {"coeff": 2, "path": ["c", "b"]}]],
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_specs())
+@example(ODD_COEFFICIENT)
+def test_build_matches_oracle_on_random_quivers(spec):
+    got = build_outcome(build_algebra, spec)
+    want = build_outcome(build_oracle.build_algebra, spec)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert_same_build(got, want)
+    for a in (got, got.opposite()):
+        for v in range(a.n_vertices):
+            assert a.projective(v).action == build_oracle.projective_matrices(a, v)
+    # each kept relation has distinct paths and nonzero coefficients
+    for r in got.relations:
+        assert r.terms and all(0 < c < spec.field_p for c, _ in r.terms)
+        assert len({q for _, q in r.terms}) == len(r.terms)
+
+
+# -- relations whose terms cancel ------------------------------------------
+
+def line_spec(p, relation, extra_arrows=()):
+    """1 -a-> 2 -b-> 3 with one relation, and extra arrows if any."""
+    arrows = [{"name": "a", "from": "1", "to": "2"}, {"name": "b", "from": "2", "to": "3"}]
+    return AlgebraSpec(p, ["1", "2", "3"], arrows + list(extra_arrows), [relation])
+
+
+@pytest.mark.parametrize("p,relation", [
+    (3, [{"coeff": 1, "path": ["a", "b"]}, {"coeff": -1, "path": ["a", "b"]}]),
+    (2, [{"coeff": 1, "path": ["a", "b"]}, {"coeff": 1, "path": ["a", "b"]}]),
+    (5, [{"coeff": 5, "path": ["a", "b"]}]),
+])
+def test_cancelling_relation_is_dropped(p, relation):
+    a3 = build_algebra(line_spec(p, relation))
+    assert a3.relations == () and a3.is_hereditary()
+    assert a3.dim == 6
+    assert tits_classification(a3) == "Dynkin"
+    # the triangle 1 -> 2 -> 3, 1 -> 3 is the Euclidean quiver of type A~2
+    triangle = build_algebra(line_spec(p, relation, [{"name": "c", "from": "1", "to": "3"}]))
+    assert triangle.is_hereditary()
+    assert tits_classification(triangle) == "Euclidean"
+
+
+def test_terms_on_one_path_merge():
+    algebra = build_algebra(line_spec(3, [{"coeff": 1, "path": ["a", "b"]}, {"coeff": 1, "path": ["a", "b"]}]))
+    assert [r.terms for r in algebra.relations] == [((2, (0, 1)),)]
+    assert algebra.dim == 5 and not algebra.is_hereditary()

@@ -12,6 +12,7 @@ import jsonschema
 import pytest
 from hypothesis import example, given, settings
 
+from syzex import cli
 from syzex.algebra import build_algebra
 from syzex.cli import run
 from syzex.errors import AlgebraMismatch
@@ -767,3 +768,61 @@ def test_ed_xi_probe_returns(entry):
     )
     assert proc.returncode == 0, proc.stderr
     assert "syzygy-finiteness probe at i=2 not certified" in proc.stdout
+
+
+A3_DOC = {
+    "field": 3,
+    "vertices": ["1", "2", "3"],
+    "arrows": [{"name": "a", "from": "1", "to": "2"}, {"name": "b", "from": "2", "to": "3"}],
+}
+
+
+@pytest.mark.parametrize("coeff,code", [(True, 2), (False, 2), (1, 0)])
+def test_bool_coefficient_refused(coeff, code):
+    doc = dict(A3_DOC, relations=[[{"coeff": coeff, "path": ["a", "b"]}]])
+    got, report = run_file_argv(doc, ["algebra", "info", "FILE"])
+    assert got == code, report["results"]
+    if code == 2:
+        assert report["results"]["kind"] == "validation"
+        assert "bad relation term" in report["results"]["error"]
+
+
+@pytest.fixture
+def fresh_help_width():
+    """The once-per-process help width cleared before and after the test,
+    so no width read under a test's COLUMNS outlives it."""
+    cli._help_width.cache_clear()
+    yield
+    cli._help_width.cache_clear()
+
+
+HELP_PARSERS = (
+    lambda: cli.build_parser(),
+    lambda: cli._command_parser("syzex ed", "ed", None),
+    lambda: cli._command_parser("syzex mod syzygy", "mod", "syzygy"),
+    lambda: cli._command_parser("syzex corpus show", "corpus", "show"),
+)
+
+
+@pytest.mark.parametrize("columns", ["40", "80", "200"])
+@pytest.mark.parametrize("make", HELP_PARSERS)
+def test_help_text_as_argparse_formats_it(monkeypatch, fresh_help_width, columns, make):
+    # the same text as argparse's own formatters give at this width
+    monkeypatch.setenv("COLUMNS", columns)
+    parser = make()
+    text = parser.format_help()
+    parser.formatter_class = (
+        argparse.RawDescriptionHelpFormatter
+        if issubclass(parser.formatter_class, argparse.RawDescriptionHelpFormatter)
+        else argparse.HelpFormatter
+    )
+    assert text == parser.format_help()
+
+
+def test_help_width_read_once(monkeypatch, fresh_help_width):
+    monkeypatch.setenv("COLUMNS", "50")
+    narrow = cli.build_parser().format_help()
+    monkeypatch.setenv("COLUMNS", "150")
+    assert cli.build_parser().format_help() == narrow
+    cli._help_width.cache_clear()
+    assert cli.build_parser().format_help() != narrow
