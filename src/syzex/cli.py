@@ -43,7 +43,7 @@ from .extdim import (
 )
 from .homology import cosyzygy, ext1_space, extension_middle, syzygy, tilting_check
 from .linalg import is_prime
-from .rep import decompose, module_doc, parse_module_doc
+from .rep import decompose, module_doc, parse_module_doc, sort_key
 from .reports import new_report, render_json, render_text
 
 
@@ -59,11 +59,19 @@ def _default_budget():
         return None
 
 
+def _read_text(path: Path, what: str) -> str:
+    """The text of a user-supplied file; SpecError when it cannot be read as UTF-8."""
+    try:
+        return path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SpecError("%s %s is not a readable text file: %s" % (what, path, exc)) from None
+
+
 def _read_json(path: Path, what: str):
     """The JSON document in a user-supplied file; SpecError when it cannot be read or parsed."""
     try:
-        return json.loads(path.read_text())
-    except (OSError, ValueError) as exc:
+        return json.loads(_read_text(path, what))
+    except ValueError as exc:
         raise SpecError("%s %s is not a readable JSON file: %s" % (what, path, exc)) from None
 
 
@@ -123,7 +131,7 @@ def _resolve_algebra(args) -> tuple:
     path = Path(ref)
     if not path.exists():
         raise SpecError("not a corpus id or readable file: %r" % ref)
-    spec = parse_algebra_spec(path.read_text())
+    spec = parse_algebra_spec(_read_text(path, "algebra file"))
     if args.field is not None:
         spec.field_p = args.field
     return None, build_algebra(spec)
@@ -170,7 +178,7 @@ def _member_set(uni, modules) -> frozenset:
 
 
 def _dims(classes):
-    return [c.rep.dim_map() for c in sorted(classes, key=lambda c: c.sort_key())]
+    return [c.dim_map() for c in sorted(classes, key=sort_key)]
 
 
 def cmd_algebra(args, report, entry, algebra):
@@ -304,7 +312,7 @@ def cmd_layer(args, report, entry, algebra):
         results["contains"] = {
             "query": sorted(_names(args.contains)),
             "holds": missing is None,
-            "first_missing": missing.rep.dim_map() if missing is not None else None,
+            "first_missing": missing.dim_map() if missing is not None else None,
         }
     report["results"] = results
     return 0

@@ -15,14 +15,17 @@ pair.  The window keeps no Ext^1 state: ext1_space memoizes each space on
 the algebra, so the windows at d and d + 1 share every solve, and the
 middle term takes, per slot, the memoized Ext1Space.corners of that tuple,
 the corner blocks of that linear combination of basis classes; its
-indecomposable summands are collected.
-Only summands of total dimension within the bound are interned (iso-tested
-against the registry); a larger summand stays an unregistered class, which
-the closure records as clipped without comparing it to any other; the
+Krull-Schmidt factors are collected.
+An isomorphism class is its interned module: the registry maps each
+indecomposable within the bound to the first form of its class that it
+met, and the window, its bullets and layers hold those modules; two of
+them are equal exactly when they are one object.  A factor above the bound is kept as it is, unregistered, and
+the closure records it as clipped without comparing it to any other; the
 bullet pairs only sums whose dimensions add up to at most the bound, so it
-never meets one.  Syzygies are taken one interned indecomposable at a time
-through homology.syzygy_summands, memoized on the cached presentation,
-never by decomposing a whole Omega^n(M).
+never meets one.  Every closure rule reads Krull-Schmidt factors, repeats
+kept, and never groups them by isomorphism: syzygies are taken one
+interned indecomposable at a time through homology.syzygy_summands,
+memoized on the algebra, never by decomposing a whole Omega^n(M).
 The interval engine propagates certified lower and upper bounds for ed of
 the syzygy categories with full provenance.
 """
@@ -39,7 +42,7 @@ from fractions import Fraction
 from .errors import BudgetExceeded, ContradictoryFacts, SpecError
 from .homology import cosyzygy, ext1_space, extension_middle, gldim_bounded, syzygy_summands
 from .linalg import Matrix, is_prime, rref
-from .rep import Representation, decompose, hom_space, is_iso
+from .rep import Representation, hom_space, indec_factors, is_iso, sort_key
 
 HEURISTIC_INFINITE_THRESHOLD = 20
 
@@ -63,34 +66,6 @@ class UniverseParams:
             )
 
 
-class IndecClass:
-    """Isomorphism class; identity is object identity for interned classes.
-
-    A middle summand above the window bound is a class the registry never
-    sees: only its rep and dims are read, before it is clipped.
-    """
-
-    __slots__ = ("rep", "key")
-
-    def __init__(self, rep):
-        self.rep = rep
-        self.key = rep.key()
-
-    @property
-    def dim(self):
-        return self.rep.dim
-
-    @property
-    def total_dim(self):
-        return self.rep.total_dim
-
-    def sort_key(self):
-        return (self.total_dim, self.dim, self.key)
-
-    def __repr__(self):
-        return "Indec(dim=%s)" % (self.dim,)
-
-
 def _fingerprint(rep: Representation) -> tuple:
     ranks = tuple(m.rank() for m in rep.action)
     return (rep.dim, ranks, hom_space(rep, rep).dimension)
@@ -102,25 +77,23 @@ class ClassRegistry:
         self.by_key = {}
 
     def intern(self, rep: Representation):
-        """(class, is_new).
+        """(canonical module of rep's class, is_new).
 
-        The representative is the first form found; generation is
-        deterministic, so representatives and their sort order are stable.
+        The canonical module is the first form of the class interned;
+        generation is deterministic, so canonical modules and their sort
+        order are stable.
         """
         key = rep.key()
         got = self.by_key.get(key)
         if got is not None:
             return got, False
-        fp = _fingerprint(rep)
-        bucket = self.by_fp.setdefault(fp, [])
-        for cls in bucket:
-            if is_iso(rep, cls.rep):
-                self.by_key[key] = cls
-                return cls, False
-        cls = IndecClass(rep)
-        bucket.append(cls)
-        self.by_key[key] = cls
-        return cls, True
+        bucket = self.by_fp.setdefault(_fingerprint(rep), [])
+        canon = next((c for c in bucket if is_iso(rep, c)), None)
+        if canon is None:
+            bucket.append(rep)
+            canon = rep
+        self.by_key[key] = canon
+        return canon, canon is rep
 
 
 class Universe:
@@ -148,7 +121,7 @@ class Universe:
         return not self.clipped and all(c.total_dim < self.dim_bound for c in self.members)
 
     def sorted_members(self):
-        return sorted(self.members, key=lambda c: c.sort_key())
+        return sorted(self.members, key=sort_key)
 
     def grown(self) -> "Universe":
         """The window at dim bound d + 1, built once and shared by every probe."""
@@ -165,28 +138,18 @@ class Universe:
         view.params = replace(self.params, mult_bound=mult_bound, parts_cap=parts_cap)
         return view
 
-    def _middle_summands(self, rep: Representation):
-        """Indecomposable summands of a middle term; only those inside the
-        window are interned, the rest are unregistered classes to be clipped."""
-        d = self.params.dim_bound
-        return tuple(
-            (self.registry.intern(f)[0] if f.total_dim <= d else IndecClass(f), mult)
-            for f, mult in decompose(rep).factors
-        )
-
     def clip(self, rule: str, dim: dict, source: str):
         """Record what a rule left outside the window, once per (rule, dim)."""
         self.clipped.setdefault((rule, tuple(dim.items())), {"rule": rule, "dim": dim, "source": source})
 
-    def _omega_step(self, classes) -> dict:
-        """Interned summands of the syzygies of classes, keyed by id in first-found order."""
-        step = [self.registry.intern(f)[0] for cls in classes for f, _ in syzygy_summands(cls.rep)]
-        return {id(c): c for c in step}
+    def _omega_step(self, classes) -> list:
+        """Interned summands of the syzygies of classes, each once, in first-found order."""
+        return list(dict.fromkeys(self.registry.intern(f)[0] for cls in classes for f in syzygy_summands(cls)))
 
 
 def _multisets(classes, max_parts, max_mult, max_dim):
     """All multisets from sorted classes: ((cls, mult), ...) with bounds."""
-    classes = sorted(classes, key=lambda c: c.sort_key())
+    classes = sorted(classes, key=sort_key)
     out = []
 
     def rec(start, picked, dim_left, parts_left):
@@ -227,20 +190,20 @@ def generate_universe(algebra, params: UniverseParams) -> Universe:
                 raise BudgetExceeded("universe member cap %d reached" % params.member_cap)
             uni.members.append(cls)
             uni.member_set.add(cls)
-            heapq.heappush(heap, (cls.sort_key(), next(seq), cls))
+            heapq.heappush(heap, (sort_key(cls), next(seq), cls))
 
     for v in range(algebra.n_vertices):
         for rep in (algebra.simple(v), algebra.projective(v), algebra.injective(v)):
-            for f, _ in decompose(rep).factors:
+            for f in indec_factors(rep):
                 add(f, "seed")
 
     mid_cap = 2 * params.dim_bound  # max middle-term dimension during closure
     processed = []
     while heap:
         _, _, cls = heapq.heappop(heap)
-        for f, _ in syzygy_summands(cls.rep):
+        for f in syzygy_summands(cls):
             add(f, "syzygy", source=str(cls.dim))
-        for f, _ in decompose(cosyzygy(cls.rep, 1)).factors:
+        for f in indec_factors(cosyzygy(cls, 1)):
             add(f, "cosyzygy", source=str(cls.dim))
         partners = processed + [cls]
         for other in partners:
@@ -249,14 +212,14 @@ def generate_universe(algebra, params: UniverseParams) -> Universe:
             for sub, quot in pairs:
                 # a new middle by sub^j needs j independent classes in
                 # Ext^1(quot, sub), so j stops at its dimension
-                for j in range(1, min(params.mult_bound, ext1_space(quot.rep, sub.rep).dimension) + 1):
+                for j in range(1, min(params.mult_bound, ext1_space(quot, sub).dimension) + 1):
                     if sub.total_dim * j + quot.total_dim > mid_cap:
                         # truncated extension window is honest clipping
                         where = {"sub": str(sub.dim), "quot": str(quot.dim)}
                         uni.clip("ext-window", where, "middle above cap %d not expanded" % mid_cap)
                         break
-                    for summand_cls, _ in _pair_middles(uni, ((sub, j),), ((quot, 1),)):
-                        add(summand_cls.rep, "ext", source="%s by %s^%d" % (quot.dim, sub.dim, j))
+                    for summand in _pair_middles(uni, ((sub, j),), ((quot, 1),)):
+                        add(summand, "ext", source="%s by %s^%d" % (quot.dim, sub.dim, j))
         processed.append(cls)
     return uni
 
@@ -431,9 +394,11 @@ def _coefficient_grids(p, mode, blocks, copies):
         yield lines if mode == "rows" else tuple(zip(*lines))
 
 
-def _pair_middles(uni: Universe, sub_ms, quot_ms):
-    """All indecomposable summands of middles for one (sub, quot) multiset pair."""
-    spaces = [[ext1_space(x.rep, y.rep) for x, _ in quot_ms] for y, _ in sub_ms]
+def _pair_middles(uni: Universe, sub_ms, quot_ms) -> list:
+    """The classes of the indecomposable summands of the middles for one
+    (sub, quot) multiset pair, each once: a summand within the window bound
+    as its interned module, a larger one as the factor itself, unregistered."""
+    spaces = [[ext1_space(x, y) for x, _ in quot_ms] for y, _ in sub_ms]
     p = uni.algebra.p
     mode, blocks, count, copies = _orbit_plan(p, sub_ms, quot_ms, [[s.dimension for s in row] for row in spaces])
     if count == 0:
@@ -445,15 +410,15 @@ def _pair_middles(uni: Universe, sub_ms, quot_ms):
         )
     yi = [i for i, (_, j) in enumerate(sub_ms) for _ in range(j)]  # the class of each sub slot
     xi = [i for i, (_, k) in enumerate(quot_ms) for _ in range(k)]
-    ys = [sub_ms[i][0].rep for i in yi]
-    xs = [quot_ms[i][0].rep for i in xi]
+    ys = [sub_ms[i][0] for i in yi]
+    xs = [quot_ms[i][0] for i in xi]
+    d = uni.params.dim_bound
     out = {}
     for grid in _coefficient_grids(p, mode, blocks, copies):
         corners = [[spaces[a][b].corners(c) for b, c in zip(xi, row)] for a, row in zip(yi, grid)]
-        middle = extension_middle(ys, xs, corners)
-        for cls, mult in uni._middle_summands(middle):
-            out.setdefault(id(cls), (cls, mult))
-    return list(out.values())
+        for f in indec_factors(extension_middle(ys, xs, corners)):
+            out[uni.registry.intern(f)[0] if f.total_dim <= d else f] = None
+    return list(out)
 
 
 def bullet(uni: Universe, left, right) -> frozenset:
@@ -488,28 +453,35 @@ def bullet(uni: Universe, left, right) -> frozenset:
             for quot_ms, quot_dim in zip(quot_sums, quot_dims):
                 if sub_dim + quot_dim > d:
                     break
-                result.update(cls for cls, _ in _pair_middles(uni, sub_ms, quot_ms))
+                result.update(_pair_middles(uni, sub_ms, quot_ms))
     out = frozenset(result)
     uni._bullets[key] = out
     return out
 
 
 def layer(uni: Universe, gens, n: int) -> frozenset:
-    """[T]_n inside the universe window: layer 1 is add(T), then bullet with T."""
+    """[T]_n inside the universe window: layer 1 is add(T), layer k + 1 the
+    bullet of T with layer k.  That bullet depends only on layer k, so from
+    the first k whose layer equals the one before, every layer is the same,
+    and the walk stops there."""
     gens = frozenset(gens)
     if n < 0:
         raise SpecError("layer index must be nonnegative")
     if n == 0 or not gens:
         return frozenset()
-    if n == 1:
-        return gens
-    return bullet(uni, gens, layer(uni, gens, n - 1))
+    got = gens
+    for _ in range(n - 1):
+        nxt = bullet(uni, gens, got)
+        if nxt == got:
+            break
+        got = nxt
+    return got
 
 
 def bounded_containment(uni: Universe, members, gens, n: int):
     """None if members lie in layer n of gens; else the first missing class."""
     lay = layer(uni, gens, n)
-    for cls in sorted(members, key=lambda c: c.sort_key()):
+    for cls in sorted(members, key=sort_key):
         if cls not in lay:
             return cls
     return None
@@ -518,7 +490,7 @@ def bounded_containment(uni: Universe, members, gens, n: int):
 @dataclass
 class SyzygyCategory:
     n: int
-    members: tuple  # IndecClass, sorted
+    members: tuple  # interned modules, in sort_key order
     universe: Universe
     oversized: tuple = ()  # syzygy summands beyond the window bound
 
@@ -531,15 +503,12 @@ def syzygy_category(universe: Universe, n: int) -> SyzygyCategory:
     if n == 0:
         return SyzygyCategory(0, tuple(universe.sorted_members()), universe)
     # Omega is additive, so one walk of the whole layer reaches each class once
-    found = {id(c): c for c in universe.sorted_members()}
+    found = universe.sorted_members()
     for _ in range(n):
-        found = universe._omega_step(found.values())
-    oversized = tuple(c for c in found.values() if c.total_dim > universe.dim_bound)
-    for v in range(algebra.n_vertices):
-        c, _ = universe.registry.intern(algebra.projective(v))
-        found[id(c)] = c
-    members = tuple(sorted(found.values(), key=lambda c: c.sort_key()))
-    return SyzygyCategory(n, members, universe, oversized)
+        found = universe._omega_step(found)
+    oversized = tuple(c for c in found if c.total_dim > universe.dim_bound)
+    found = set(found).union(universe.registry.intern(algebra.projective(v))[0] for v in range(algebra.n_vertices))
+    return SyzygyCategory(n, tuple(sorted(found, key=sort_key)), universe, oversized)
 
 
 @dataclass
@@ -555,7 +524,7 @@ class SyzygyFinitenessProbe:
 def _omega_closure(universe: Universe, base_members):
     """Close a member list under syzygies and summands; (members, clipped)."""
     work = list(base_members)
-    seen = {id(c): c for c in work}
+    seen = set(work)
     clipped = False
     idx = 0
     while idx < len(work):
@@ -563,13 +532,13 @@ def _omega_closure(universe: Universe, base_members):
         idx += 1
         if cls.total_dim >= universe.dim_bound:
             clipped = True
-        for c in universe._omega_step([cls]).values():
-            if id(c) not in seen:
-                seen[id(c)] = c
+        for c in universe._omega_step([cls]):
+            if c not in seen:
+                seen.add(c)
                 work.append(c)
                 if len(work) > universe.params.member_cap:
                     raise BudgetExceeded("syzygy closure exceeded member cap")
-    return sorted(seen.values(), key=lambda c: c.sort_key()), clipped
+    return sorted(seen, key=sort_key), clipped
 
 
 def syzygy_finiteness_probe(universe: Universe, n: int) -> SyzygyFinitenessProbe:
@@ -595,7 +564,7 @@ def syzygy_finiteness_probe(universe: Universe, n: int) -> SyzygyFinitenessProbe
     bigger = syzygy_category(universe.grown(), n)
     closed2, clipped2 = _omega_closure(bigger.universe, bigger.members)
     stable = len(closed) == len(closed2) and all(
-        any(is_iso(a.rep, b.rep) for b in closed2) for a in closed
+        any(is_iso(a, b) for b in closed2) for a in closed
     )
     if stable and not clipped2:
         return SyzygyFinitenessProbe(

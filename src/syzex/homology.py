@@ -7,12 +7,12 @@ image of q's prefix times the transpose of q's last arrow, so a path costs
 one sparse product for all of them.  The syzygy is
 the kernel of that epi, its canonical basis per vertex read off one row
 reduction (linalg.null_space), which sub_rep restricts without another.
-The presentation of M is cached per M, and keeps two values it computes on
-first read: summands, the indecomposable factors of Omega(M), and d_arrows,
-the arrow-level defects of a section of P -> M.  Syzygies are taken one
-indecomposable at a time (minimal syzygies are additive): syzygy_summands
-reads the presentation's summands, and pd_bounded never decomposes a whole
-Omega^n(M).
+The presentation of M is cached per M, and keeps one value it computes on
+first read, d_arrows, the arrow-level defects of a section of P -> M; it
+keeps no summands.  Syzygies are taken one indecomposable at a time
+(minimal syzygies are additive): syzygy_summands reads the memoized
+Krull-Schmidt factors of Omega(M), repeats kept, and pd_bounded never
+decomposes a whole Omega^n(M).
 
 Ext^1(X, Y) is realized on a minimal presentation 0 -> OX -> P -> X -> 0 as
 Hom(OX, Y) modulo homs that extend to P, both read as vectors in the Hom
@@ -44,6 +44,7 @@ from .rep import (
     decompose,
     direct_sum,
     hom_space,
+    indec_factors,
     is_iso,
     quotient_rep,
     sub_rep,
@@ -60,11 +61,6 @@ class ProjectivePresentation:
     epi: Hom
     kernel: Representation  # the syzygy
     inclusion: Hom  # kernel -> cover
-
-    @cached_property
-    def summands(self) -> tuple:
-        """(indecomposable, multiplicity) factors of the syzygy."""
-        return tuple(decompose(self.kernel).factors)
 
     @cached_property
     def d_arrows(self) -> tuple:
@@ -174,16 +170,16 @@ def cosyzygy(m: Representation, n: int = 1) -> Representation:
 
 
 def syzygy_summands(m: Representation) -> tuple:
-    """(indecomposable, multiplicity) factors of Omega(m); () when m is projective."""
-    return projective_cover(m).summands
+    """The memoized indecomposable factors of Omega(m), with repeats; () when m is projective."""
+    return indec_factors(projective_cover(m).kernel)
 
 
 def pd_bounded(m: Representation, bound: int):
     """Least n <= bound with syzygy(m, n) projective, else None; the layer
-    holds the distinct summands of syzygy(m, n)."""
-    layer = {m.key(): m}
+    holds the distinct factors of syzygy(m, n)."""
+    layer = [m]
     for n in range(bound + 1):
-        layer = {f.key(): f for rep in layer.values() for f, _ in syzygy_summands(rep)}
+        layer = list(dict.fromkeys(f for rep in layer for f in syzygy_summands(rep)))
         if not layer:
             return n
     return None
@@ -326,13 +322,8 @@ class TiltingVerdict:
 
 
 def in_add(m: Representation, t_factors) -> bool:
-    """Every indecomposable factor of m is iso to a factor of T."""
-    if m.total_dim == 0:
-        return True
-    for f, _ in decompose(m).factors:
-        if not any(is_iso(f, g) for g, _ in t_factors):
-            return False
-    return True
+    """Every indecomposable factor of m is iso to one of t_factors."""
+    return all(any(is_iso(f, g) for g in t_factors) for f in indec_factors(m))
 
 
 def tilting_check(t: Representation, bound: int = None) -> TiltingVerdict:
@@ -348,7 +339,7 @@ def tilting_check(t: Representation, bound: int = None) -> TiltingVerdict:
         dim_ext = ext1_space(syzygy(t, i - 1), t).dimension
         if dim_ext:
             failures.append("Ext^%d(T,T) has dimension %d" % (i, dim_ext))
-    t_factors = decompose(t).factors
+    t_factors = [f for f, _ in decompose(t).factors]
     cores = []
     current = algebra.regular_module()
     step = 0
@@ -362,7 +353,7 @@ def tilting_check(t: Representation, bound: int = None) -> TiltingVerdict:
         # canonical left add(T)-approximation into distinct indecomposable summands
         pieces = []
         stacks = [[] for _ in range(algebra.n_vertices)]
-        for ti, _ in t_factors:
+        for ti in t_factors:
             hb = hom_space(current, ti)
             for h in hb.basis:
                 pieces.append(ti)

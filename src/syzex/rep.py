@@ -15,7 +15,11 @@ a split or proves M indecomposable.  Each endomorphism is tried as one
 block-diagonal matrix on M, read straight from its row.  Isomorphism is
 decided exactly: an indecomposable M has a local endomorphism ring, so
 M ~ N exactly when some basis element of Hom(M, N) is invertible; sums are
-compared by their Krull-Schmidt factors.
+compared by their Krull-Schmidt factors.  indec_factors is the one
+factor route, memoized on the algebra, repeats kept; decompose groups the
+factors by isomorphism, only for the reports that print a multiplicity and
+for the distinct summands of a tilting module.  sort_key is the one order
+on modules.
 """
 
 from __future__ import annotations
@@ -303,10 +307,10 @@ def is_iso(m: Representation, n: Representation) -> bool:
         return False
     if any(hb.diagonal(row).rank() == m.total_dim for row in hb.rows):
         return True
-    mine = _indec_factors(m)
+    mine = indec_factors(m)
     if len(mine) == 1:
         return False
-    theirs = list(_indec_factors(n))
+    theirs = list(indec_factors(n))
     if len(theirs) != len(mine):
         return False
     for f in mine:
@@ -490,7 +494,12 @@ def _splits_top(ts) -> bool:
     return False
 
 
-def _indec_factors(m: Representation) -> tuple:
+def sort_key(m: Representation) -> tuple:
+    """The canonical order on modules: total dimension, dimension vector, key."""
+    return (m.total_dim, m.dim, m.key())
+
+
+def indec_factors(m: Representation) -> tuple:
     """All indecomposable factors of m (with repeats), memoized on the algebra."""
     return m.algebra.memo("factors", m.key(), _peel, m)
 
@@ -505,21 +514,22 @@ def _peel(m: Representation) -> tuple:
             split = _split_with(m, cand)
             if split is not None:
                 a, b = split
-                return _indec_factors(a) + _indec_factors(b)
+                return indec_factors(a) + indec_factors(b)
     return (m,)
 
 
 def decompose(m: Representation) -> Decomposition:
-    """Indecomposable factors with multiplicities, canonically ordered."""
+    """Indecomposable factors grouped by isomorphism, with multiplicities, in
+    sort_key order; the group's module is its first factor."""
     groups = []
-    for f in _indec_factors(m):
+    for f in indec_factors(m):
         for g in groups:
             if is_iso(f, g[0]):
                 g[1] += 1
                 break
         else:
             groups.append([f, 1])
-    groups.sort(key=lambda g: (g[0].total_dim, g[0].dim, g[0].key()))
+    groups.sort(key=lambda g: sort_key(g[0]))
     return Decomposition([(g[0], g[1]) for g in groups])
 
 

@@ -33,7 +33,7 @@ from syzex.homology import (
     syzygy,
 )
 from syzex.linalg import Matrix
-from syzex.rep import Representation, decompose, direct_sum, is_iso
+from syzex.rep import Representation, decompose, direct_sum, is_iso, sort_key
 
 
 def class_coords(space) -> list:
@@ -192,8 +192,7 @@ def suite_resolution_membership(bench):
     ran = 0
     for cid, uni in bench.universes:
         d = uni.dim_bound
-        for cls in uni.sorted_members():
-            x = cls.rep
+        for x in uni.sorted_members():
             pd = pd_bounded(x, 2)
             if pd is None:
                 continue
@@ -228,8 +227,8 @@ def suite_resolution_membership(bench):
                         chain = members
                     else:
                         chain = bullet(uni.with_bullet_bounds(mb + extra, max(pc, 3)), members, chain)
-                assert chain is not None and cls in chain, (
-                    "resolution membership failed for %s dim %s" % (cid, cls.dim)
+                assert chain is not None and x in chain, (
+                    "resolution membership failed for %s dim %s" % (cid, x.dim)
                 )
                 ran += 1
     return ran
@@ -251,7 +250,7 @@ def suite_syzygy_of_layer(bench):
                 break
             if sub_cls.total_dim + quot_cls.total_dim > d:
                 continue
-            space = ext1_space(quot_cls.rep, sub_cls.rep)
+            space = ext1_space(quot_cls, sub_cls)
             if space.dimension == 0 or uni.algebra.p ** space.dimension > 64:
                 continue
             for coords in class_coords(space):
@@ -260,8 +259,8 @@ def suite_syzygy_of_layer(bench):
                     om_mid = syzygy(middle, m)
                     if om_mid.total_dim == 0:
                         continue
-                    om_sub = syzygy(sub_cls.rep, m)
-                    om_quot = syzygy(quot_cls.rep, m)
+                    om_sub = syzygy(sub_cls, m)
+                    om_quot = syzygy(quot_cls, m)
                     left, left_mult = _summand_classes(uni, om_sub)
                     right, right_mult = _summand_classes(uni, om_quot)
                     for v in range(uni.algebra.n_vertices):
@@ -295,8 +294,8 @@ def suite_bullet_inequality(bench, n=125):
         td = bench.subset(rng, uni)
         k = rng.choice((0, 1))
         d_layer = layer(uni, td, k + 1)
-        c = frozenset(rng.sample(sorted(tc, key=lambda x: x.sort_key()), rng.randint(1, len(tc))))
-        d_set = frozenset(rng.sample(sorted(d_layer, key=lambda x: x.sort_key()), min(2, len(d_layer))))
+        c = frozenset(rng.sample(sorted(tc, key=sort_key), rng.randint(1, len(tc))))
+        d_set = frozenset(rng.sample(sorted(d_layer, key=sort_key), min(2, len(d_layer))))
         got = bullet(uni, c, d_set)
         target = layer(uni, tc | td, k + 2)
         assert got <= target
@@ -330,13 +329,13 @@ def suite_syzcat_nesting(bench):
             smaller = cats[i + 1]
             allowed = set()
             for c in bigger.members:
-                om = syzygy(c.rep, 1)
+                om = syzygy(c, 1)
                 allowed |= _summand_classes(uni, om)[0]
             for v in range(algebra.n_vertices):
                 pv, _ = uni.registry.intern(algebra.projective(v))
                 allowed.add(pv)
             for c in smaller.members:
-                assert projective_cover(c.rep).kernel.total_dim == 0 or c in allowed
+                assert projective_cover(c).kernel.total_dim == 0 or c in allowed
                 ran += 1
     return ran
 
@@ -355,10 +354,10 @@ def suite_duality_layer(bench, n=125):
         t = bench.subset(rng, uni, 1, 2)
         d = uni.dim_bound
         lay = layer(uni.with_bullet_bounds(d, 2), t, 2)
-        dual_t = frozenset(opp_uni.registry.intern(duality(c.rep))[0] for c in t)
+        dual_t = frozenset(opp_uni.registry.intern(duality(c))[0] for c in t)
         dual_lay = layer(opp_uni.with_bullet_bounds(d, 2), dual_t, 2)
         for c in lay:
-            dc, _ = opp_uni.registry.intern(duality(c.rep))
+            dc, _ = opp_uni.registry.intern(duality(c))
             assert dc in dual_lay, "duality image escaped the dual layer"
             ran += 1
     return ran
@@ -371,7 +370,7 @@ def suite_krull_schmidt(bench, n=125):
         _, uni = bench.pick(rng)
         members = uni.sorted_members()
         picks = [rng.choice(members) for _ in range(rng.randint(2, 3))]
-        total = direct_sum([c.rep for c in picks])
+        total = direct_sum(picks)
         dec = decompose(total)
         assert sum(f.total_dim * m for f, m in dec.factors) == total.total_dim
         expected = {}
@@ -393,8 +392,8 @@ def suite_ext_cardinality(bench, n=125):
         rng = random.Random(20_000 + seed)
         _, uni = bench.pick(rng)
         members = uni.sorted_members()
-        x = rng.choice(members).rep
-        y = rng.choice(members).rep
+        x = rng.choice(members)
+        y = rng.choice(members)
         space = ext1_space(x, y)
         dim = space.dimension
         p = uni.algebra.p
@@ -414,8 +413,8 @@ def suite_middle_additivity(bench, n=125):
         rng = random.Random(21_000 + seed)
         _, uni = bench.pick(rng)
         members = uni.sorted_members()
-        x = rng.choice(members).rep
-        y = rng.choice(members).rep
+        x = rng.choice(members)
+        y = rng.choice(members)
         space = ext1_space(x, y)
         p = uni.algebra.p
         if space.dimension == 0 or p ** space.dimension > 32:

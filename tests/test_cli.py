@@ -259,6 +259,14 @@ def test_layer_cli_contains():
     assert report["results"]["contains"]["query"] == ["P0", "S0"]
 
 
+def test_layer_cli_index_past_the_fixed_point():
+    argv = ["layer", "kron2", "--gen", "S0,S1", "--dim-bound", "2", "--n"]
+    code, report, _ = run_json(argv + ["2000"])
+    assert code == 0
+    assert report["results"]["members"] == run_json(argv + ["2"])[1]["results"]["members"]
+    assert report["results"]["member_count"] == 5
+
+
 def test_syzcat_cli():
     code, report, _ = run_json(["syzcat", "euclideanB", "--n", "1", "--dim-bound", "5"])
     assert code == 0
@@ -494,6 +502,17 @@ def test_bad_spec_exit_2():
     code, report, _ = run_json(["algebra", "info", "no-such-thing"])
     assert code == 2
     assert report["results"]["kind"] == "validation"
+
+
+def test_unreadable_algebra_path_exits_2(tmp_path):
+    """A directory or a spec file that is not UTF-8 is bad input, as an
+    unreadable module or facts file is."""
+    (tmp_path / "latin1.json").write_bytes(kron2_spec().to_json().replace("x0", "x\xe9").encode("latin-1"))
+    for ref in (tmp_path, tmp_path / "latin1.json"):
+        code, report, _ = run_json(["algebra", "info", str(ref)])
+        assert code == 2
+        assert report["results"]["kind"] == "validation"
+        assert "algebra file" in report["results"]["error"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -19,7 +19,7 @@ from syzex.extdim import (
     tits_classification,
 )
 from syzex.homology import projective_cover
-from syzex.rep import Representation, hom_space, is_iso
+from syzex.rep import Representation, decompose, hom_space, is_iso, sort_key
 
 
 FIVEVERTEX_AR_COUNT = 14  # vertices of the AR quiver of this algebra, counted by hand before coding
@@ -68,11 +68,9 @@ def test_universe_kron_clips(kron_universe):
 
 
 def test_universe_members_indecomposable_and_valid(five_universe):
-    from syzex.rep import decompose
-
     for cls in five_universe.members:
-        assert cls.rep.validate() == []
-        dec = decompose(cls.rep)
+        assert cls.validate() == []
+        dec = decompose(cls)
         assert len(dec.factors) == 1 and dec.factors[0][1] == 1
 
 
@@ -108,6 +106,23 @@ def test_layer_examples(kron_universe):
         assert cls in full
 
 
+def test_layer_stops_at_its_fixed_point(kron2, monkeypatch):
+    """Layer k + 1 depends only on layer k, so once two consecutive layers
+    agree every later one equals them: n = 2000 takes the bullets of the
+    fixed point, and no recursion."""
+    from syzex import extdim
+
+    uni = generate_universe(kron2, UniverseParams(2))
+    gens = frozenset([member_named(uni, "S0"), member_named(uni, "S1")])
+    fixed = layer(uni, gens, 3)
+    assert fixed == layer(uni, gens, 2) != layer(uni, gens, 1)
+    calls = []
+    real = extdim.bullet
+    monkeypatch.setattr(extdim, "bullet", lambda *a: calls.append(1) or real(*a))
+    assert layer(uni, gens, 2000) == fixed
+    assert len(calls) == 2
+
+
 def test_bounded_containment(kron_universe):
     s0 = member_named(kron_universe, "S0")
     s1 = member_named(kron_universe, "S1")
@@ -125,7 +140,7 @@ def test_syzygy_category_gldim_one():
     projectives = {tuple(b.projective(v).dim) for v in range(b.n_vertices)}
     assert {c.dim for c in cat.members} == projectives
     for c in cat.members:
-        assert projective_cover(c.rep).kernel.total_dim == 0
+        assert projective_cover(c).kernel.total_dim == 0
 
 
 def test_syzygy_category_zero_is_window(kron_universe, kron2):
@@ -136,7 +151,7 @@ def test_syzygy_category_zero_is_window(kron_universe, kron2):
 def test_syzygy_category_beilinson_second(beilinson2):
     cat = syzygy_category(generate_universe(beilinson2, UniverseParams(2)), 2)
     for c in cat.members:
-        assert projective_cover(c.rep).kernel.total_dim == 0
+        assert projective_cover(c).kernel.total_dim == 0
 
 
 def test_tits_classification_examples(kron2, beilinson2):
@@ -328,7 +343,6 @@ def test_syzygy_category_walk_matches_whole_module_decomposition(entry, p, d):
     Omega^n of a member reaches, with the same oversized classes, each once."""
     from syzex.corpus import corpus_algebra
     from syzex.homology import syzygy
-    from syzex.rep import decompose
 
     algebra = corpus_algebra(entry, p)
     uni = generate_universe(algebra, UniverseParams(d))
@@ -337,7 +351,7 @@ def test_syzygy_category_walk_matches_whole_module_decomposition(entry, p, d):
         found = {id(uni.registry.intern(algebra.projective(v))[0]) for v in range(algebra.n_vertices)}
         oversized = set()
         for cls in uni.sorted_members():
-            for f, _ in decompose(syzygy(cls.rep, n)).factors:
+            for f, _ in decompose(syzygy(cls, n)).factors:
                 c = uni.registry.intern(f)[0]
                 found.add(id(c))
                 if c.total_dim > d:
@@ -373,8 +387,8 @@ def _middle_kinds(monkeypatch, uni, sub_ms, quot_ms):
 
     def kind(middle):
         return frozenset(
-            (id(c) if c.total_dim <= uni.dim_bound else id(above.intern(c.rep)[0]), mult)
-            for c, mult in uni._middle_summands(middle)
+            (id((uni.registry if f.total_dim <= uni.dim_bound else above).intern(f)[0]), mult)
+            for f, mult in decompose(middle).factors
         )
 
     def full_rank(lines, blocks):
@@ -388,8 +402,8 @@ def _middle_kinds(monkeypatch, uni, sub_ms, quot_ms):
     built = []
     monkeypatch.setattr(extdim, "extension_middle", lambda *a: built.append(extension_middle(*a)) or built[-1])
     extdim._pair_middles(uni, sub_ms, quot_ms)
-    ys = [c.rep for c, j in sub_ms for _ in range(j)]
-    xs = [c.rep for c, k in quot_ms for _ in range(k)]
+    ys = [c for c, j in sub_ms for _ in range(j)]
+    xs = [c for c, k in quot_ms for _ in range(k)]
     spaces = [[ext1_space(x, y) for x in xs] for y in ys]
     cells = [list(itertools.product(range(p), repeat=s.dimension)) for row in spaces for s in row]
     full, every = set(), set()
@@ -419,13 +433,13 @@ def test_orbit_reduction_matches_full_enumeration(kron_universe, five_universe, 
         # summands above the window are unregistered; identify them up to iso here
         above = ClassRegistry()
 
-        def canon(cls):
-            return id(cls) if cls.total_dim <= uni.dim_bound else id(above.intern(cls.rep)[0])
+        def canon(f):
+            return id((uni.registry if f.total_dim <= uni.dim_bound else above).intern(f)[0])
 
         members = uni.sorted_members()
         for sub in members[:6]:
             for quot in members[:6]:
-                space = ext1_space(quot.rep, sub.rep)
+                space = ext1_space(quot, sub)
                 dim, basis = space.dimension, space.basis_corners
                 corner_of = {}
                 for coeffs in itertools.product(range(p), repeat=dim):
@@ -443,10 +457,10 @@ def test_orbit_reduction_matches_full_enumeration(kron_universe, five_universe, 
                     full = set()
                     for flat in itertools.product(corner_of, repeat=j * k):
                         corners = [[corner_of[flat[yi * k + xi]] for xi in range(k)] for yi in range(j)]
-                        middle = extension_middle([sub.rep] * j, [quot.rep] * k, corners)
-                        for cls, _ in uni._middle_summands(middle):
-                            full.add(canon(cls))
-                    reduced = {canon(cls) for cls, _ in _pair_middles(uni, sub_ms, quot_ms)}
+                        middle = extension_middle([sub] * j, [quot] * k, corners)
+                        for f, _ in decompose(middle).factors:
+                            full.add(canon(f))
+                    reduced = {canon(cls) for cls in _pair_middles(uni, sub_ms, quot_ms)}
                     # the full run also contains split pieces from degenerate
                     # classes; those are exactly the sides and smaller pairs
                     smaller = set()
@@ -458,7 +472,7 @@ def test_orbit_reduction_matches_full_enumeration(kron_universe, five_universe, 
                                 smaller |= {id(sub), id(quot)}
                                 continue
                             smaller |= {
-                                canon(cls) for cls, _ in _pair_middles(uni, ((sub, jj),), ((quot, kk),))
+                                canon(cls) for cls in _pair_middles(uni, ((sub, jj),), ((quot, kk),))
                             }
                     assert full <= reduced | smaller | {id(sub), id(quot)}
                     assert reduced <= full
@@ -495,21 +509,71 @@ def test_closure_interns_only_window_summands():
 def test_window_only_intern_matches_intern_everything(monkeypatch, entry, p, d):
     """Interning every middle summand, as the closure once did, yields the
     same members in the same order with the same representatives."""
+    from syzex import extdim
     from syzex.corpus import corpus_algebra
-    from syzex.extdim import Universe
-    from syzex.rep import decompose
 
     algebra = corpus_algebra(entry, p)
     uni = generate_universe(algebra, UniverseParams(d))
+    real = extdim._pair_middles
 
-    def intern_everything(self, rep):
-        return tuple((self.registry.intern(f)[0], mult) for f, mult in decompose(rep).factors)
+    def intern_everything(uni, sub_ms, quot_ms):
+        return [uni.registry.intern(f)[0] for f in real(uni, sub_ms, quot_ms)]
 
-    monkeypatch.setattr(Universe, "_middle_summands", intern_everything)
+    monkeypatch.setattr(extdim, "_pair_middles", intern_everything)
     ref = generate_universe(algebra, UniverseParams(d))
-    assert [c.key for c in uni.members] == [c.key for c in ref.members]
+    assert [c.key() for c in uni.members] == [c.key() for c in ref.members]
     assert uni.is_clipped == ref.is_clipped
     assert uni.clipped == ref.clipped
+
+
+def _grouped_factors(m):
+    """The reference route: one module per isomorphism class of m's factors,
+    the first factor of each group, in decompose's order."""
+    return tuple(f for f, _ in decompose(m).factors)
+
+
+@pytest.mark.parametrize(
+    "entry, p, d",
+    [
+        ("kron2", 2, 5), ("kron2", 3, 3), ("nodeA", 2, 6), ("nodeA", 3, 5), ("beilinson2", 2, 1),
+        ("beilinson2", 3, 1), ("fivevertex", 2, 8), ("fivevertex", 3, 8), ("euclideanB", 3, 4),
+    ],
+)
+def test_factor_route_matches_grouped_route(monkeypatch, entry, p, d):
+    """Windows fed Krull-Schmidt factors, repeats kept, hold the members
+    that windows fed grouped decompositions hold: the same canonical modules
+    in the same order, and so does the Omega^1 category of the grown window."""
+    from syzex import extdim
+    from syzex.corpus import corpus_algebra
+    from syzex.homology import projective_cover
+
+    def windows():
+        uni = generate_universe(corpus_algebra(entry, p), UniverseParams(d))
+        grown = syzygy_category(uni.grown(), 1)
+        return [[c.key() for c in cs] for cs in (uni.members, uni.sorted_members(), grown.members, grown.oversized)]
+
+    got = windows()
+    monkeypatch.setattr(extdim, "indec_factors", _grouped_factors)
+    monkeypatch.setattr(extdim, "syzygy_summands", lambda m: _grouped_factors(projective_cover(m).kernel))
+    assert got == windows()
+
+
+@pytest.mark.parametrize("entry, p, d", [("kron2", 2, 5), ("kron2", 3, 4), ("nodeA", 2, 6), ("euclideanB", 3, 4)])
+def test_syzygy_summands_count_decompose_multiplicities(entry, p, d):
+    """syzygy_summands, counted by class, gives decompose's multiplicities of
+    the whole syzygy, on every member and on the direct sum of two."""
+    from collections import Counter
+
+    from syzex.corpus import corpus_algebra
+    from syzex.extdim import ClassRegistry
+    from syzex.homology import syzygy, syzygy_summands
+    from syzex.rep import direct_sum
+
+    members = generate_universe(corpus_algebra(entry, p), UniverseParams(d)).sorted_members()
+    registry = ClassRegistry()
+    for m in members + [direct_sum(members[-2:])]:
+        counted = Counter(registry.intern(f)[0] for f in syzygy_summands(m))
+        assert counted == {registry.intern(f)[0]: mult for f, mult in decompose(syzygy(m)).factors}
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -531,7 +595,7 @@ def test_corner_is_linear_in_coefficients(algebra_id, p):
     s0, s1 = member_named(uni, "S0"), member_named(uni, "S1")
     checked = 0
     for quot, sub in ((s0, s1), (s1, s0)):
-        space = ext1_space(quot.rep, sub.rep)
+        space = ext1_space(quot, sub)
         d_arrows = space.presentation.d_arrows
         for coeffs in itertools.product(range(p), repeat=space.dimension):
             theta = cocycle(space, coeffs)
@@ -556,7 +620,7 @@ def test_pair_middles_plans_once(kron_universe, monkeypatch):
     s0, s1 = member_named(kron_universe, "S0"), member_named(kron_universe, "S1")
     # Ext^1(S0, S1) = k^2 realizes P0; Ext^1(S1, S0) = 0 has no representative
     middles = extdim._pair_middles(kron_universe, ((s1, 2),), ((s0, 1),))
-    assert [c.dim for c, _ in middles] == [(1, 2)] and len(calls) == 1
+    assert [c.dim for c in middles] == [(1, 2)] and len(calls) == 1
     assert extdim._pair_middles(kron_universe, ((s0, 1),), ((s1, 1),)) == []
     assert len(calls) == 2
 
@@ -581,14 +645,14 @@ def test_is_iso_matches_exhaustive_hom_scan(kron_universe, five_universe):
         members = uni.sorted_members()
         for a in members:
             for b in members:
-                if a.dim != b.dim or hom_space(a.rep, b.rep).dimension > 12:
+                if a.dim != b.dim or hom_space(a, b).dimension > 12:
                     continue
-                assert is_iso(a.rep, b.rep) is _invertible_combination_exists(a.rep, b.rep)
+                assert is_iso(a, b) is _invertible_combination_exists(a, b)
                 compared += 1
-            twin = conjugate(a.rep, rng)
+            twin = conjugate(a, rng)
             assert twin.validate() == []
-            assert is_iso(a.rep, twin) is True
-            assert is_iso(twin, a.rep) is True
+            assert is_iso(a, twin) is True
+            assert is_iso(twin, a) is True
     assert compared >= 60
 
 
@@ -639,7 +703,7 @@ def test_window_order_unchanged_under_byte_per_entry_keys(monkeypatch, entry):
 
     def members():
         uni = generate_universe(corpus_algebra(entry), UniverseParams(6))
-        return [(c.rep.dim, c.rep.action) for c in uni.sorted_members()]
+        return [(c.dim, c.action) for c in uni.sorted_members()]
 
     packed = members()
     monkeypatch.setattr(Matrix, "key", lambda m: bytes(x for i in range(m.nrows) for x in m.row(i)))
@@ -672,7 +736,7 @@ def test_two_sided_plan_matches_one_sided_plan(monkeypatch, entry, p, d, mult_bo
         gens = [member_named(uni, name) for name in left.split(",")]
         got = layer(uni, gens, n) if n else bullet(uni, gens, [member_named(uni, right)])
         interned = {id(c): c for c in uni.registry.by_key.values()}.values()
-        return [c.key for c in sorted(got, key=lambda c: c.sort_key())], [c.key for c in interned], len(built)
+        return [c.key() for c in sorted(got, key=sort_key)], [c.key() for c in interned], len(built)
 
     members, interned, built = run()
     monkeypatch.setattr(extdim, "_orbit_leaders", lambda combos, moves: combos)

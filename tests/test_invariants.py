@@ -100,7 +100,7 @@ def test_iso_equivalence_on_sample(kron2):
     from syzex.extdim import UniverseParams, generate_universe
 
     uni = generate_universe(kron2, UniverseParams(4))
-    sample = [c.rep for c in uni.sorted_members()]
+    sample = uni.sorted_members()
     for a in sample:
         assert is_iso(a, a) is True
     for a in sample:

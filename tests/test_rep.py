@@ -13,7 +13,7 @@ from syzex.rep import (
     Hom,
     HomBasis,
     Representation,
-    _indec_factors,
+    indec_factors,
     _split_candidates,
     _split_with,
     _vertex_blocks,
@@ -319,7 +319,7 @@ def test_decompose_matches_exhaustive_end_scan(p):
     for m in mods:
         if p ** hom_space(m, m).dimension > 3 ** 7:
             continue
-        factors = _indec_factors(m)
+        factors = indec_factors(m)
         split = splits_by_scan(m)
         assert (len(factors) > 1) == split
         assert sum(f.total_dim for f in factors) == m.total_dim
