@@ -12,10 +12,15 @@ side's copies to full-rank RREF representatives, merges these under the
 other side's copy groups, and yields, per orbit, a grid of coefficient
 tuples, one per (sub slot, quot slot), in the Ext^1 basis of that slot
 pair.  The window keeps no Ext^1 state: ext1_space memoizes each space on
-the algebra, so the windows at d and d + 1 share every solve, and the
-middle term takes, per slot, the memoized Ext1Space.corners of that tuple,
-the corner blocks of that linear combination of basis classes; its
-Krull-Schmidt factors are collected.
+the algebra, and the middle term takes, per slot, the memoized
+Ext1Space.corners of that tuple, the corner blocks of that linear
+combination of basis classes.  The Krull-Schmidt factors of a pair's
+middles are memoized on the algebra too, by the two multisets' module keys
+and multiplicities, each factor once in the order first met, and every
+window interns them in that order; the plan and its budget check still run
+on every call.  So the windows at d and d + 1 share every solve and every
+pair's factors, and the window at d + 1 interns what it shares as a window
+built alone would.
 An isomorphism class is its interned module: the registry maps each
 indecomposable within the bound to the first form of its class that it
 met, and the window, its bullets and layers hold those modules; two of
@@ -397,10 +402,15 @@ def _coefficient_grids(p, mode, blocks, copies):
 def _pair_middles(uni: Universe, sub_ms, quot_ms) -> list:
     """The classes of the indecomposable summands of the middles for one
     (sub, quot) multiset pair, each once: a summand within the window bound
-    as its interned module, a larger one as the factor itself, unregistered."""
+    as its interned module, a larger one as the factor itself, unregistered.
+
+    The plan and its budget check run on every call; the factors are built
+    once per pair of multisets and memoized on the algebra, and each call
+    interns them, in the order first met, into its own window."""
     spaces = [[ext1_space(x, y) for x, _ in quot_ms] for y, _ in sub_ms]
     p = uni.algebra.p
-    mode, blocks, count, copies = _orbit_plan(p, sub_ms, quot_ms, [[s.dimension for s in row] for row in spaces])
+    plan = _orbit_plan(p, sub_ms, quot_ms, [[s.dimension for s in row] for row in spaces])
+    count = plan[2]
     if count == 0:
         return []
     budget = uni.params.ext_budget
@@ -408,17 +418,26 @@ def _pair_middles(uni: Universe, sub_ms, quot_ms) -> list:
         raise BudgetExceeded(
             "%d extension-class representatives for one pair exceed budget %d" % (count, budget)
         )
+    key = (tuple([(c.key(), j) for c, j in sub_ms]), tuple([(c.key(), k) for c, k in quot_ms]))
+    factors = uni.algebra.memo("middles", key, _middle_factors, p, plan, spaces, sub_ms, quot_ms)
+    d = uni.params.dim_bound
+    return list(dict.fromkeys([uni.registry.intern(f)[0] if f.total_dim <= d else f for f in factors]))
+
+
+def _middle_factors(p, plan, spaces, sub_ms, quot_ms) -> tuple:
+    """The Krull-Schmidt factors of the middle of every orbit of the plan,
+    each key once, in the order first met."""
+    mode, blocks, _, copies = plan
     yi = [i for i, (_, j) in enumerate(sub_ms) for _ in range(j)]  # the class of each sub slot
     xi = [i for i, (_, k) in enumerate(quot_ms) for _ in range(k)]
     ys = [sub_ms[i][0] for i in yi]
     xs = [quot_ms[i][0] for i in xi]
-    d = uni.params.dim_bound
     out = {}
     for grid in _coefficient_grids(p, mode, blocks, copies):
         corners = [[spaces[a][b].corners(c) for b, c in zip(xi, row)] for a, row in zip(yi, grid)]
         for f in indec_factors(extension_middle(ys, xs, corners)):
-            out[uni.registry.intern(f)[0] if f.total_dim <= d else f] = None
-    return list(out)
+            out.setdefault(f.key(), f)
+    return tuple(out.values())
 
 
 def bullet(uni: Universe, left, right) -> frozenset:

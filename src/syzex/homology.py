@@ -5,14 +5,17 @@ The epi column of the basis path q of P(v) is q applied to g.  The images
 of all generators at v are the rows of one matrix per path, the memoized
 image of q's prefix times the transpose of q's last arrow, so a path costs
 one sparse product for all of them.  The syzygy is
-the kernel of that epi, its canonical basis per vertex read off one row
-reduction (linalg.null_space), which sub_rep restricts without another.
-The presentation of M is cached per M, and keeps one value it computes on
-first read, d_arrows, the arrow-level defects of a section of P -> M; it
-keeps no summands.  Syzygies are taken one indecomposable at a time
-(minimal syzygies are additive): syzygy_summands reads the memoized
-Krull-Schmidt factors of Omega(M), repeats kept, and pd_bounded never
-decomposes a whole Omega^n(M).
+the kernel of that epi, its reduced basis per vertex and the pivots of
+that basis read off one row reduction (linalg.null_rows), from which
+sub_rep reads the arrow matrices without another.
+The presentation of M is cached per M, and keeps two values it computes
+on first read, both read only by Ext^1: the inclusion of the syzygy, its
+basis reduced again from the epi and set as columns, so the covers of a
+long syzygy chain keep no basis, and d_arrows, the arrow-level defects of
+a section of P -> M; it keeps no summands.  Syzygies are taken one
+indecomposable at a time (minimal syzygies are additive): syzygy_summands
+reads the memoized Krull-Schmidt factors of Omega(M), repeats kept, and
+pd_bounded never decomposes a whole Omega^n(M).
 
 Ext^1(X, Y) is realized on a minimal presentation 0 -> OX -> P -> X -> 0 as
 Hom(OX, Y) modulo homs that extend to P, both read as vectors in the Hom
@@ -34,6 +37,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 
 from . import linalg
 from .errors import AlgebraMismatch, SpecError
@@ -60,7 +64,14 @@ class ProjectivePresentation:
     slots: tuple  # vertex index per projective summand P(v)
     epi: Hom
     kernel: Representation  # the syzygy
-    inclusion: Hom  # kernel -> cover
+
+    @cached_property
+    def inclusion(self) -> Hom:
+        """kernel -> cover, the kernel's reduced basis per vertex as columns.
+        Only Ext^1 reads it, for window members, so it is reduced again from
+        the epi on first read rather than kept by every cover of a syzygy
+        chain."""
+        return Hom(self.kernel, self.cover, tuple(linalg.null_rows(e)[0].transpose() for e in self.epi.mats))
 
     @cached_property
     def d_arrows(self) -> tuple:
@@ -124,17 +135,25 @@ def _projective_cover(m: Representation) -> ProjectivePresentation:
     )
     epi = Hom(cover, m, epi_mats)
 
-    kbases = [linalg.null_space(mat) for mat in epi_mats]
-    if any(b.ncols != cover.dim[w] - m.dim[w] for w, b in enumerate(kbases)):
+    spans = [linalg.null_rows(mat) for mat in epi_mats]
+    if any(rows.nrows != cover.dim[w] - m.dim[w] for w, (rows, _) in enumerate(spans)):
         raise AssertionError("projective cover is not surjective")
-    kernel, incl = sub_rep(cover, kbases)
+    kernel = sub_rep(cover, spans)
 
     # minimality: kernel must avoid the trivial-path coordinates of the cover
-    for w, coords in enumerate(trivial):
-        if any(any(incl.mats[w].row(j)) for j in coords):
+    for (rows, _), coords in zip(spans, trivial):
+        if not coords:
+            continue
+        if p == 2:
+            mask = sum(1 << j for j in coords)
+            escapes = any(r & mask for r in rows.rows)
+        else:
+            pick = itemgetter(*coords, coords[0])  # a tuple even for one coordinate
+            escapes = any(map(any, map(pick, rows.rows)))
+        if escapes:
             raise AssertionError("cover kernel escapes the radical")
 
-    return ProjectivePresentation(m, cover, tuple(slots), epi, kernel, incl)
+    return ProjectivePresentation(m, cover, tuple(slots), epi, kernel)
 
 
 def _path_image(transposed: list, images: dict, arrows: tuple) -> Matrix:

@@ -5,13 +5,17 @@ nonzero entry in column order) so every derived basis is canonical.
 For p == 2 rows are stored as bit masks (python ints); for other primes
 rows are tuples of residues. All public operations accept either layout.
 rref returns the pivot columns with the reduced matrix.  kernel_basis is a
-Matrix in the system's row layout, one kernel vector per row; null_space is
-the canonical kernel basis as columns, like column_space_basis for images.
+Matrix in the system's row layout, one kernel vector per row; null_rows is
+the reduced echelon basis of the kernel with the pivot column of each row,
+as rref of a transpose gives the image's.
 
 Matrices met on the syzygy path are large and sparse, so the kernel rows,
 odd-p products and GF(2) elimination do work in proportion to the nonzero
 entries of each row, not to its length.  Both row layouts share one forward
-pass, _echelon: rank counts its pivots, rref back-substitutes over them.
+pass, _echelon: rank counts its pivots, rref back-substitutes over them,
+and GF(2) kernel_basis back-solves the kernel straight off it, one mask per
+column over the kernel vectors, without rref's back-substitution; over odd
+p the kernel is read off rref.
 
 The Hom coordinate layout is decided here: flat lays a tuple of matrices
 out as one row, row-major and concatenated, and unflat cuts a block back
@@ -454,38 +458,60 @@ def rref(m: Matrix) -> tuple:
 
 def kernel_basis(m: Matrix) -> Matrix:
     """Canonical basis of {v : m v = 0}, one vector per row in m's row layout."""
-    return _kernel_rows(*rref(m), m.ncols)
+    return _kernel(m)[0]
 
 
-def _kernel_rows(red: Matrix, pivots: list, ncols: int) -> Matrix:
-    """The kernel of a reduced matrix with these pivot columns, as rows.
+def _kernel(m: Matrix) -> tuple:
+    """kernel_basis(m) with its free columns f_1 < ... < f_q.
 
-    Row k is 1 at the k-th free column f, 0 at the other free columns, and
-    minus the reduced entry in column f at each pivot column.
+    Row k is 1 at f_k, 0 at the other free columns, and the unique solution
+    at the pivot columns.  Over GF(2) that solution is read off _echelon's
+    forward pass by one bit-sliced back-solve: per column j a mask of the
+    rows k with entry j set, found for the pivot columns last to first, a
+    pivot's mask the XOR of the masks at the other set bits of its row, all
+    of which lie to its right.  Over odd p row k holds minus rref's reduced
+    entry in column f_k at each pivot column.
     """
-    pivot_set = set(pivots)
-    free = [f for f in range(ncols) if f not in pivot_set]
-    p = red.p
-    rows = []
-    if p == 2:
-        # scatter each reduced row's free bits into per-column pivot masks
-        at_free = [0] * ncols
-        for r, pc in enumerate(pivots):
-            bit = 1 << pc
-            m = red.rows[r] ^ bit
-            while m:
-                low = m & -m
-                at_free[low.bit_length() - 1] |= bit
-                m ^= low
-        rows = [at_free[f] | 1 << f for f in free]
-    else:
+    n, p = m.ncols, m.p
+    if p != 2:
+        red, pivots = rref(m)
+        pivot_set = set(pivots)
+        free = [f for f in range(n) if f not in pivot_set]
+        rows = []
         for f in free:
-            v = [0] * ncols
+            v = [0] * n
             v[f] = 1
             for r, pc in enumerate(pivots):
                 v[pc] = -red.rows[r][f] % p
             rows.append(tuple(v))
-    return Matrix(p, len(rows), ncols, tuple(rows))
+        return Matrix(p, len(rows), n, tuple(rows)), free
+    piv = _echelon(2, m.rows)
+    leads = sorted(piv)
+    at = [0] * n
+    rows, free = [], []
+    rest = ((1 << n) - 1) ^ sum(leads)
+    while rest:
+        low = rest & -rest
+        at[low.bit_length() - 1] = 1 << len(rows)
+        rows.append(low)
+        free.append(low.bit_length() - 1)
+        rest ^= low
+    if not rows:  # full column rank
+        return Matrix(2, 0, n, ()), free
+    for low in reversed(leads):
+        r = piv[low] ^ low
+        acc = 0
+        while r:
+            b = r & -r
+            acc ^= at[b.bit_length() - 1]
+            r ^= b
+        at[low.bit_length() - 1] = acc
+        # the pivot's entry goes into every row its mask names
+        while acc:
+            b = acc & -acc
+            rows[b.bit_length() - 1] |= low
+            acc ^= b
+    return Matrix(2, len(rows), n, tuple(rows)), free
 
 
 def _reverse_cols(m: Matrix) -> Matrix:
@@ -500,16 +526,19 @@ def _reverse_cols(m: Matrix) -> Matrix:
     return Matrix(m.p, m.nrows, n, rows)
 
 
-def null_space(m: Matrix) -> Matrix:
-    """Canonical basis of {v : m v = 0} as matrix columns, from one reduction.
+def null_rows(m: Matrix) -> tuple:
+    """The reduced echelon basis of {v : m v = 0}, one vector per row, with
+    the pivot column of each row, from one reduction.
 
     A kernel_basis row ends in its 1 at a free column, with 0 at the other
     free columns.  On the column-reversed matrix that 1 is the row's first
     nonzero entry once reversed back, so the rows, read in reverse order,
-    are the reduced echelon basis that column_space_basis would give.
+    are the reduced echelon basis, each pivot at a reversed free column.
     """
-    ker = _reverse_cols(kernel_basis(_reverse_cols(m)))
-    return Matrix(m.p, ker.nrows, m.ncols, ker.rows[::-1]).transpose()
+    n = m.ncols
+    ker, free = _kernel(_reverse_cols(m))
+    rows = _reverse_cols(ker).rows[::-1]
+    return Matrix(m.p, len(rows), n, rows), [n - 1 - f for f in reversed(free)]
 
 
 def solve_matrix(A: Matrix, B: Matrix) -> Matrix | None:
@@ -535,26 +564,17 @@ def solve_matrix(A: Matrix, B: Matrix) -> Matrix | None:
     return Matrix(A.p, n, B.ncols, tuple(rows))
 
 
-def column_space_basis(m: Matrix) -> Matrix:
-    """Canonical basis of the column space, returned as matrix columns."""
-    red, pivots = rref(m.transpose())
-    return Matrix(m.p, len(pivots), m.nrows, red.rows[:len(pivots)]).transpose()
-
-
 def quotient_maps(sub: Matrix) -> tuple:
     """Projection/lift pair for k^n -> k^n / colspace(sub).
 
     Returns (proj, lift) with proj of shape q x n, lift of shape n x q,
     proj . lift = I and ker(proj) = colspace(sub).  The quotient is
-    coordinatized by the non-pivot coordinates f_1 < ... < f_q of
-    rref(sub^T): lift column i is e_{f_i}, and proj is the canonical kernel
-    basis of sub^T (row i is e_{f_i} minus red[r][f_i] e_{pivot r} summed
-    over the reduced rows r), the only projection with that kernel and that
-    lift.
+    coordinatized by the free columns f_1 < ... < f_q of sub^T: lift column
+    i is e_{f_i}, and proj is the canonical kernel basis of sub^T (row i is
+    1 at f_i and 0 at the other free columns), the only projection with
+    that kernel and that lift.
     """
     n = sub.nrows
-    red, pivots = rref(sub.transpose())
-    proj = _kernel_rows(red, pivots, n)
-    pivot_set = set(pivots)
-    units = tuple(1 << f if sub.p == 2 else tuple(int(j == f) for j in range(n)) for f in range(n) if f not in pivot_set)
+    proj, free = _kernel(sub.transpose())
+    units = tuple(1 << f if sub.p == 2 else tuple(int(j == f) for j in range(n)) for f in free)
     return proj, Matrix(sub.p, len(units), n, units).transpose()

@@ -12,7 +12,12 @@ summands with Fitting's lemma, and is exact for every p: an endomorphism
 splits M exactly when its action on top(M) is neither nilpotent nor
 invertible, so testing each line of End(M)'s image on top(M) either finds
 a split or proves M indecomposable.  Each endomorphism is tried as one
-block-diagonal matrix on M, read straight from its row.  Isomorphism is
+block-diagonal matrix on M, read straight from its row, and a split's two
+pieces are read straight off the reduced vectors of its stable power's
+image and kernel: sub_rep takes a subspace as reduced rows with their
+pivots, per vertex, and reads each arrow's images at the pivots, so no
+pivot is searched for, and over GF(2) no basis is set as columns.
+Isomorphism is
 decided exactly: an indecomposable M has a local endomorphism ring, so
 M ~ N exactly when some basis element of Hom(M, N) is invertible; sums are
 compared by their Krull-Schmidt factors.  indec_factors is the one
@@ -321,38 +326,64 @@ def is_iso(m: Representation, n: Representation) -> bool:
     return True
 
 
-def sub_rep(m: Representation, bases) -> tuple:
-    """Subrepresentation on canonical per-vertex bases (must be invariant).
+def sub_rep(m: Representation, spans) -> Representation:
+    """The subrepresentation on invariant spans, given per vertex v as
+    (rows, pivots): a reduced echelon basis of a subspace of M_v, one vector
+    per row, and the pivot column of each row.
 
-    Each basis is the reduced echelon form of its span as columns, as
-    linalg.column_space_basis and linalg.null_space give it.  Returns (rep,
-    inclusion hom) with the bases as the inclusion.
+    A vector of the span has its coordinates at the pivots: the arrow
+    a: u -> w maps basis vector r of u to an image whose entries at w's
+    pivots are column r of the restricted action, and the span is
+    invariant exactly when that combination of w's basis vectors is the
+    image.  Over GF(2) the images are XORs of M_a's columns, and only their
+    set bits at pivots are visited.  Over odd p the bases are set as
+    columns, which M_a multiplies row by row: a cover's arrow rows mostly
+    hold one nonzero entry, so most image rows are basis rows reused, and
+    the restricted action shares them.
     """
     algebra = m.algebra
     q = algebra.quiver
     p = algebra.p
-    # basis column r is 1 at its pivot row and 0 at the other pivot rows, so
-    # a vector of the span has its coordinates at the pivot rows; column r's
-    # pivot is the first row past column r-1's with a nonzero entry in column r
-    pivots = []
-    for b in bases:
-        rows = []
-        for i in range(b.nrows):
-            if len(rows) < b.ncols and b.entry(i, len(rows)):
-                rows.append(i)
-        pivots.append(rows)
-    dim = tuple(b.ncols for b in bases)
     action = []
+    bases = [rows.transpose() for rows, _ in spans] if p != 2 else None
     for ai in range(len(q.arrows)):
         u, w = q.arrow_source(ai), q.arrow_target(ai)
-        image = m.action[ai].mul(bases[u])
-        sol = Matrix(p, dim[w], dim[u], tuple(image.rows[i] for i in pivots[w]))
-        if bases[w].mul(sol) != image:
-            raise AssertionError("spans are not arrow-invariant")
-        action.append(sol)
-    rep = Representation(algebra, dim, tuple(action))
-    incl = Hom(rep, m, tuple(bases))
-    return rep, incl
+        (rows_u, _), (rows_w, pivots_w) = spans[u], spans[w]
+        if p != 2:
+            images = m.action[ai].mul(bases[u])
+            sol = Matrix(p, rows_w.nrows, rows_u.nrows, tuple([images.rows[c] for c in pivots_w]))
+            if bases[w].mul(sol) != images:
+                raise AssertionError("spans are not arrow-invariant")
+            action.append(sol)
+            continue
+        ma, basis_w = m.action[ai].rows, rows_w.rows
+        sol = [0] * len(basis_w)
+        if rows_u.nrows and any(ma):  # a zero arrow maps every span into every span
+            cols = [0] * m.dim[u]
+            for i, row in enumerate(ma):
+                while row:
+                    low = row & -row
+                    cols[low.bit_length() - 1] |= 1 << i
+                    row ^= low
+            at = {1 << c: i for i, c in enumerate(pivots_w)}
+            pivot_mask = sum(at)
+            for r, b in enumerate(rows_u.rows):
+                image = 0
+                while b:
+                    low = b & -b
+                    image ^= cols[low.bit_length() - 1]
+                    b ^= low
+                comb, hits = 0, image & pivot_mask
+                while hits:
+                    low = hits & -hits
+                    i = at[low]
+                    sol[i] |= 1 << r
+                    comb ^= basis_w[i]
+                    hits ^= low
+                if comb != image:
+                    raise AssertionError("spans are not arrow-invariant")
+        action.append(Matrix(p, len(sol), rows_u.nrows, tuple(sol)))
+    return Representation(algebra, tuple(rows.nrows for rows, _ in spans), tuple(action))
 
 
 def top_maps(m: Representation) -> list:
@@ -396,8 +427,10 @@ def _split_with(m: Representation, e: Matrix):
     stabilization: no vertex rank rises under squaring, so the total rank
     stops falling exactly when every vertex rank does.  A power of zero or
     full rank stays so, and gives no splitting.  A block-diagonal matrix
-    row-reduces block by block, so its image and kernel bases, cut per
-    vertex, are the canonical bases of the blocks' images and kernels.
+    row-reduces block by block, so each reduced vector of its image (rref
+    of its transpose) and of its kernel (null_rows) lies in one M_v, and
+    those at v are the canonical basis of that block's image or kernel:
+    both pieces are read straight off them by sub_rep.
     """
     f = e
     rank = f.rank()
@@ -409,35 +442,26 @@ def _split_with(m: Representation, e: Matrix):
         f, rank = f2, rank2
     else:
         return None
-    im_rep, _ = sub_rep(m, _vertex_blocks(m, linalg.column_space_basis(f)))
-    ker_rep, _ = sub_rep(m, _vertex_blocks(m, linalg.null_space(f)))
-    return im_rep, ker_rep
+    image, kernel = linalg.rref(f.transpose()), linalg.null_rows(f)
+    return sub_rep(m, _vertex_spans(m, *image)), sub_rep(m, _vertex_spans(m, *kernel))
 
 
-def _vertex_blocks(m: Representation, basis: Matrix) -> list:
-    """Per vertex v, the columns of basis that lie in M_v, cut to M_v's
-    coordinates: every column lies in one M_v, in vertex order, so they run
-    from the first column no earlier vertex took to the last with an entry
-    in M_v's rows."""
-    p = basis.p
-    blocks = []
-    start = k = 0
+def _vertex_spans(m: Representation, basis: Matrix, pivots) -> list:
+    """sub_rep's per-vertex spans from the first len(pivots) rows of basis,
+    reduced vectors of M that each lie in one M_v: a vector goes to the
+    vertex of its pivot, cut to M_v's coordinates."""
+    p = m.algebra.p
+    rows = basis.rows
+    spans = []
+    k = start = 0
     for d in m.dim:
-        rows = basis.rows[start:start + d]
-        if p == 2:
-            j = max([k, *map(int.bit_length, rows)])
-            rows = tuple([r >> k for r in rows])
-        else:
-            j = k
-            for r in rows:
-                i = len(r)
-                while i > j and not r[i - 1]:
-                    i -= 1
-                j = i
-            rows = tuple([r[k:j] for r in rows])
-        blocks.append(Matrix(p, d, j - k, rows))
-        start, k = start + d, j
-    return blocks
+        j = k
+        while j < len(pivots) and pivots[j] < start + d:
+            j += 1
+        cut = tuple([r >> start for r in rows[k:j]]) if p == 2 else tuple([r[start:start + d] for r in rows[k:j]])
+        spans.append((Matrix(p, j - k, d, cut), [c - start for c in pivots[k:j]]))
+        k, start = j, start + d
+    return spans
 
 
 def _split_candidates(m: Representation, end: HomBasis):

@@ -85,13 +85,13 @@ def test_internal_fault_exits_3(monkeypatch, fault):
 def test_sub_rep_invariance_fault_exits_3(monkeypatch):
     # hand sub_rep a span that is not arrow-invariant: all of P0 at vertex 0
     # but one line at vertex 1, which misses x1 applied to the generator
-    from conftest import from_columns
     from syzex import homology, rep
     from syzex.linalg import Matrix
 
-    def skewed(m, bases):
+    def skewed(m, spans):
         p = m.algebra.p
-        return rep.sub_rep(m, [Matrix.identity(p, m.dim[0]), from_columns(p, [(1, 0)], m.dim[1])])
+        d = m.dim[0]
+        return rep.sub_rep(m, [(Matrix.identity(p, d), list(range(d))), (Matrix.from_rows(p, [[1, 0]]), [0])])
 
     monkeypatch.setattr(homology, "sub_rep", skewed)
     code, report, _ = run_json(["mod", "syzygy", "kron2", "S0"])

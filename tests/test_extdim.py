@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import conjugate, member_named
+from conftest import conjugate, kron2_spec, member_named
 from syzex.algebra import AlgebraSpec, build_algebra
 from syzex.corpus import load_corpus
 from syzex.errors import ContradictoryFacts, SpecError
@@ -327,6 +327,56 @@ def test_grown_window_shares_every_ext1_solve(monkeypatch):
     monkeypatch.setattr(extdim, "ext1_space", recorded)
     ed_report(corpus_algebra("nodeA"), [0, 1, 2], UniverseParams(6), syzygy_probes=(1,))
     assert len(solved) == len(asked) == 2025
+
+
+@pytest.mark.parametrize(
+    "entry, p, d, mult_bound",
+    [("nodeA", 2, 6, 2), ("nodeA", 3, 5, 2), ("kron2", 2, 5, 3), ("beilinson2", 3, 1, 2)],
+)
+def test_grown_window_replays_a_fresh_window(monkeypatch, entry, p, d, mult_bound):
+    """The window at d + 1 that grown() builds after the one at d, from the
+    middle factors the algebra memoized, is the window at d + 1 built alone
+    on a fresh algebra: the same members in the same order, the same clips
+    and the same saturation.  Over both windows each middle, by its sub and
+    quotient modules and its key, is built once."""
+    from dataclasses import replace
+
+    from syzex import extdim
+    from syzex.corpus import corpus_algebra
+
+    built = []
+    real = extdim.extension_middle
+
+    def recorded(ys, xs, corners):
+        mid = real(ys, xs, corners)
+        built.append((tuple(y.key() for y in ys), tuple(x.key() for x in xs), mid.key()))
+        return mid
+
+    monkeypatch.setattr(extdim, "extension_middle", recorded)
+    params = UniverseParams(d, mult_bound=mult_bound)
+    uni = generate_universe(corpus_algebra(entry, p), params)
+    first = len(built)
+    grown = uni.grown()
+    assert len(built) == len(set(built))
+    replayed = len(built) - first
+    built.clear()
+    fresh = generate_universe(corpus_algebra(entry, p), replace(params, dim_bound=d + 1))
+    assert replayed < len(built)
+    assert [c.key() for c in grown.members] == [c.key() for c in fresh.members]
+    assert grown.clipped == fresh.clipped
+    assert grown.is_saturated == fresh.is_saturated
+
+
+def test_memoized_middles_keep_the_budget_check():
+    """A window with a lower ext_budget on an algebra that has memoized the
+    middles of a pair still refuses that pair."""
+    from syzex.corpus import corpus_algebra
+    from syzex.errors import BudgetExceeded
+
+    algebra = corpus_algebra("kron2")
+    generate_universe(algebra, UniverseParams(5))
+    with pytest.raises(BudgetExceeded, match="^3 extension-class representatives for one pair exceed budget 2$"):
+        generate_universe(algebra, UniverseParams(5, ext_budget=2))
 
 
 def test_window_bounds_below_one_are_refused(kron_universe):
@@ -725,13 +775,13 @@ def test_two_sided_plan_matches_one_sided_plan(monkeypatch, entry, p, d, mult_bo
     from syzex import extdim
     from syzex.corpus import corpus_algebra
 
-    algebra = corpus_algebra(entry, p)
     real_middle = extdim.extension_middle
 
     def run():
+        # a fresh algebra each run: the middles' factors are memoized on it
         built = []
         monkeypatch.setattr(extdim, "extension_middle", lambda *a: built.append(1) or real_middle(*a))
-        uni = generate_universe(algebra, UniverseParams(d, mult_bound=mult_bound))
+        uni = generate_universe(corpus_algebra(entry, p), UniverseParams(d, mult_bound=mult_bound))
         built.clear()
         gens = [member_named(uni, name) for name in left.split(",")]
         got = layer(uni, gens, n) if n else bullet(uni, gens, [member_named(uni, right)])
@@ -746,7 +796,7 @@ def test_two_sided_plan_matches_one_sided_plan(monkeypatch, entry, p, d, mult_bo
     assert built < ref_built
 
 
-def test_two_sided_plan_builds_one_middle_per_orbit(kron2, monkeypatch):
+def test_two_sided_plan_builds_one_middle_per_orbit(monkeypatch):
     """S1^3 by S0^3 over GF(2): the 1,395 one-sided representatives (3-dim
     subspaces of Ext^1(S0^3, S1) = k^6) fall into 32 orbits of GL_3 on the
     quotient copies, one middle each; the budget still counts the one-sided
@@ -759,7 +809,8 @@ def test_two_sided_plan_builds_one_middle_per_orbit(kron2, monkeypatch):
     real = extdim.extension_middle
     monkeypatch.setattr(extdim, "extension_middle", lambda *a: built.append(1) or real(*a))
     for budget, middles in ((1395, 32), (1394, 0)):
-        uni = Universe(kron2, UniverseParams(6, ext_budget=budget))
+        # a fresh algebra per budget: the middles' factors are memoized on it
+        uni = Universe(build_algebra(kron2_spec()), UniverseParams(6, ext_budget=budget))
         pair = (((member_named(uni, "S1"), 3),), ((member_named(uni, "S0"), 3),))
         built.clear()
         if middles:

@@ -359,20 +359,21 @@ def test_cover_epi_matches_path_action_on_deep_syzygies(p):
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_projective_cover_reduces_each_vertex_twice(p, monkeypatch):
-    """One rref per vertex for the top (quotient_maps), one for the syzygy (null_space)."""
+    """One forward pass per vertex for the top (quotient_maps), one for the
+    syzygy (null_rows), in both row layouts; sub_rep reduces nothing."""
     entry = load_corpus("xiB", p)
     algebra = build_algebra(entry.spec)
     m = syzygy(named_module(entry, algebra, "S2p"), 2)
     for v in range(algebra.n_vertices):
         algebra.projective(v)
     calls = []
-    rref = linalg.rref
+    echelon = linalg._echelon
 
-    def counting(mat):
-        calls.append(mat)
-        return rref(mat)
+    def counting(field, rows):
+        calls.append(rows)
+        return echelon(field, rows)
 
-    monkeypatch.setattr(linalg, "rref", counting)
+    monkeypatch.setattr(linalg, "_echelon", counting)
     pres = projective_cover(m)
     assert pres.kernel.total_dim
     assert len(calls) == 2 * algebra.n_vertices

@@ -3,23 +3,23 @@ import random
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
+import split_oracle
 from conftest import entries, from_columns, mat_vec, solve_vec
+from split_oracle import _kernel_rows, column_space_basis
 from syzex.errors import SpecError
 from syzex.linalg import (
     Matrix,
-    _kernel_rows,
     _unpack,
     block_diagonal,
-    column_space_basis,
     combine,
     flat,
     hstack,
     inv_mod,
     is_prime,
     kernel_basis,
-    null_space,
+    null_rows,
     quotient_maps,
     rref,
     solve_matrix,
@@ -280,13 +280,16 @@ def test_column_space_basis_oracle(p):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 257])
 def test_null_space_oracle(p):
-    """null_space is the column_space_basis of the kernel vectors stacked as columns."""
+    """null_rows, as columns, is the column_space_basis of the kernel vectors
+    stacked as columns, and its pivots are rref's on its rows."""
     rng = random.Random(503 + p)
     for m in oracle_shapes(rng, p):
         vecs = entries(kernel_basis(m))
         cols = from_columns(p, vecs, m.ncols) if vecs else Matrix.zero(p, m.ncols, 0)
-        got = null_space(m)
+        rows, pivots = null_rows(m)
+        got = rows.transpose()
         assert got == column_space_basis(cols)
+        assert pivots == rref(rows)[1]
         assert m.mul(got).is_zero()
 
 
@@ -609,6 +612,42 @@ def test_gf2_rref_matches_column_scan(m):
 @given(gf2_matrices(st.integers(0, 30), st.just(800)))
 def test_gf2_rref_matches_column_scan_wide(m):
     check_against_column_scan(m)
+
+
+def check_kernel_against_rref_route(m):
+    """kernel_basis and null_rows against the kernel read off rref's
+    back-substitution, and null_rows' pivots against its rows' own."""
+    ker = kernel_basis(m)
+    assert (ker.nrows, ker.ncols) == (m.ncols - m.rank(), m.ncols)
+    assert ker == split_oracle.kernel_basis(m)
+    rows, pivots = null_rows(m)
+    assert rows.transpose() == split_oracle.null_space(m)
+    assert pivots == rref(rows)[1]
+
+
+WIDE_FULL_RANK = Matrix(2, 3, 70, (1 | 1 << 69, 2 | 1 << 40, 4 | 1 << 65))
+
+
+@settings(max_examples=300, deadline=None)
+@given(gf2_matrices(st.integers(0, 30), st.integers(0, 100)))
+@example(Matrix.zero(2, 0, 0))
+@example(Matrix.zero(2, 0, 9))
+@example(Matrix.zero(2, 7, 0))
+@example(Matrix.zero(2, 5, 80))
+@example(Matrix.identity(2, 70))
+@example(WIDE_FULL_RANK)
+@example(WIDE_FULL_RANK.transpose())
+def test_gf2_kernel_matches_rref_route(m):
+    """The bit-sliced back-solve over _echelon's forward pass gives the
+    kernel rows that rref and its scatter gave: on empty, zero and
+    full-rank matrices, and on rows wider than 64 columns."""
+    check_kernel_against_rref_route(m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(odd_matrices(st.integers(0, 12), st.integers(0, 12)))
+def test_odd_kernel_matches_rref_route(m):
+    check_kernel_against_rref_route(m)
 
 
 def test_unpack_matches_shift_loop():

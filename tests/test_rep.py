@@ -4,11 +4,13 @@ import random
 import pytest
 
 from conftest import beilinson2_spec, conjugate, entries, from_columns, invertible, kron2_spec, solve_vec, then, vanishes
+from split_oracle import _vertex_blocks, column_space_basis, fitting_pieces, null_space, sub_rep
+from syzex import rep as rep_module
 from syzex.algebra import AlgebraSpec, build_algebra
 from syzex.corpus import load_corpus
 from syzex.errors import AlgebraMismatch, BudgetExceeded
 from syzex.homology import projective_cover, syzygy
-from syzex.linalg import Matrix, column_space_basis, combine, flat, kernel_basis, null_space, unflat
+from syzex.linalg import Matrix, combine, flat, kernel_basis, null_rows, rref, unflat
 from syzex.rep import (
     Hom,
     HomBasis,
@@ -16,7 +18,7 @@ from syzex.rep import (
     indec_factors,
     _split_candidates,
     _split_with,
-    _vertex_blocks,
+    _vertex_spans,
     decompose,
     direct_sum,
     hom_space,
@@ -24,7 +26,6 @@ from syzex.rep import (
     module_doc,
     parse_module_doc,
     simple_rep,
-    sub_rep,
     zero_rep,
 )
 
@@ -372,10 +373,22 @@ def split_per_vertex(m, e):
     return im_rep, ker_rep
 
 
+def stable_power(m, e):
+    """e squared until its rank stops falling, or None at rank 0 or full rank."""
+    f, rank = e, e.rank()
+    while 0 < rank < m.total_dim:
+        f2 = f.mul(f)
+        if f2.rank() == rank:
+            return f
+        f, rank = f2, f2.rank()
+    return None
+
+
 def assert_splits_match_per_vertex(m):
     """_split_with on every End(m) basis element, as one block-diagonal
-    matrix, gives the reference split's parts, key for key; returns the
-    number of basis elements that split m."""
+    matrix, gives the reference split's parts, key for key, and the parts
+    that sub_rep built over _vertex_blocks of the stable power's column
+    bases; returns the number of basis elements that split m."""
     end = hom_space(m, m)
     splits = 0
     for row in end.rows:
@@ -385,6 +398,7 @@ def assert_splits_match_per_vertex(m):
         if got is not None:
             assert [r.key() for r in got] == [r.key() for r in want]
             assert [r.dim for r in got] == [r.dim for r in want]
+            assert got == fitting_pieces(m, stable_power(m, end.diagonal(row)))
             splits += 1
     return splits
 
@@ -400,22 +414,34 @@ def test_block_diagonal_split_matches_per_vertex_split(p):
 
 
 def test_block_diagonal_split_matches_per_vertex_split_on_nodea_middles(monkeypatch):
-    """Every middle term of the nodeA closure at d = 6."""
+    """Every middle term of the nodeA closure at d = 6 over GF(2) and at
+    d = 5 over GF(3)."""
     from syzex import extdim
 
-    algebra = build_algebra(load_corpus("nodeA").spec)
-    middles = {}
     real = extdim.extension_middle
+    for p, d, least in ((2, 6, 400), (3, 5, 200)):
+        algebra = build_algebra(load_corpus("nodeA", p).spec)
+        middles = {}
 
-    def recorded(ys, xs, corners):
-        mid = real(ys, xs, corners)
-        middles.setdefault(mid.key(), mid)
-        return mid
+        def recorded(ys, xs, corners):
+            mid = real(ys, xs, corners)
+            middles.setdefault(mid.key(), mid)
+            return mid
 
-    monkeypatch.setattr(extdim, "extension_middle", recorded)
-    extdim.generate_universe(algebra, extdim.UniverseParams(6))
-    assert len(middles) >= 400
-    assert sum(assert_splits_match_per_vertex(m) for m in middles.values()) >= 400
+        monkeypatch.setattr(extdim, "extension_middle", recorded)
+        extdim.generate_universe(algebra, extdim.UniverseParams(d))
+        assert len(middles) >= least
+        assert sum(assert_splits_match_per_vertex(m) for m in middles.values()) >= least
+
+
+@pytest.mark.parametrize("p", [2, 3, 257])
+def test_sub_rep_refuses_a_span_that_is_not_invariant(p):
+    """All of P0 over kron2 at vertex 0 and one line at vertex 1: x1 takes
+    the generator off that line.  The whole of P0 gives P0 back."""
+    m = build_algebra(kron2_spec(p)).projective(0)
+    with pytest.raises(AssertionError, match="^spans are not arrow-invariant$"):
+        rep_module.sub_rep(m, [(Matrix.identity(p, 1), [0]), (Matrix.from_rows(p, [[1, 0]]), [0])])
+    assert rep_module.sub_rep(m, [(Matrix.identity(p, d), list(range(d))) for d in m.dim]) == m
 
 
 def vertex_blocks_by_transpose(m, basis):
@@ -440,7 +466,9 @@ def vertex_blocks_by_transpose(m, basis):
 @pytest.mark.parametrize("p", [2, 3, 257])
 def test_vertex_blocks_match_transpose_cut(p):
     """The in-place cut of image and kernel bases of End(M) elements, of the
-    zero map and of the identity, against the transpose-based reference."""
+    zero map and of the identity, against the transpose-based reference, and
+    the per-vertex spans _split_with reads off the reduced vectors against
+    the same reference."""
     rng = random.Random(733 + p)
     seen = set()
     for mods in random_hom_modules(rng, p):
@@ -449,12 +477,16 @@ def test_vertex_blocks_match_transpose_cut(p):
             end = hom_space(m, m)
             maps = [end.diagonal(row) for row in end.rows] + [Matrix.zero(p, n, n), Matrix.identity(p, n)]
             for e in maps:
+                spans = {"image": _vertex_spans(m, *rref(e.transpose())), "kernel": _vertex_spans(m, *null_rows(e))}
                 for kind, basis in (("image", column_space_basis(e)), ("kernel", null_space(e))):
                     got = _vertex_blocks(m, basis)
                     want = vertex_blocks_by_transpose(m, basis)
                     assert [(b.nrows, b.ncols, entries(b)) for b in got] == [
                         (b.nrows, b.ncols, entries(b)) for b in want
                     ]
+                    # the spans sub_rep reads are the same blocks as rows
+                    assert [entries(rows.transpose()) for rows, _ in spans[kind]] == [entries(b) for b in want]
+                    assert [pivots for _, pivots in spans[kind]] == [rref(rows)[1] for rows, _ in spans[kind]]
                     if 0 in m.dim:
                         seen.add("zero-dimensional vertex")
                     if any(d and not b.ncols for d, b in zip(m.dim, got)):
