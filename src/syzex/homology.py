@@ -4,32 +4,35 @@ A projective cover takes one summand P(v) per top generator g of M at v.
 The epi column of the basis path q of P(v) is q applied to g.  The images
 of all generators at v are the rows of one matrix per path, the memoized
 image of q's prefix times the transpose of q's last arrow, so a path costs
-one sparse product for all of them.  The syzygy is
-the kernel of that epi, its reduced basis per vertex and the pivots of
-that basis read off one row reduction (linalg.null_rows), from which
-sub_rep reads the arrow matrices without another.
-The presentation of M is cached per M, and keeps two values it computes
-on first read, both read only by Ext^1: the inclusion of the syzygy, its
-basis reduced again from the epi and set as columns, so the covers of a
-long syzygy chain keep no basis, and d_arrows, the arrow-level defects of
-a section of P -> M; it keeps no summands.  Syzygies are taken one
-indecomposable at a time (minimal syzygies are additive): syzygy_summands
-reads the memoized Krull-Schmidt factors of Omega(M), repeats kept, and
-pd_bounded never decomposes a whole Omega^n(M).
+one sparse product for all of them.  The syzygy is the kernel of that
+epi, its reduced basis per vertex and the pivots of that basis read off
+one row reduction (linalg.null_rows), from which sub_rep reads the arrow
+matrices without another.  The presentation of M is cached per M, and
+keeps two values it computes on first read, both read only by Ext^1: the
+inclusion of the syzygy, its basis reduced again from the epi and set as
+columns, its pivots beside it, so the covers of a long syzygy chain keep
+no basis, and d_arrows, the arrow-level defects of a section of P -> M,
+read at those pivots by linalg.coordinates; it keeps no summands.
+Syzygies are taken one indecomposable at a time (minimal syzygies are
+additive): syzygy_summands reads the memoized Krull-Schmidt factors of
+Omega(M), repeats kept, and pd_bounded never decomposes a whole Omega^n(M).
 
 Ext^1(X, Y) is realized on a minimal presentation 0 -> OX -> P -> X -> 0 as
 Hom(OX, Y) modulo homs that extend to P, both read as vectors in the Hom
 coordinate layout that linalg.flat decides; the homs that extend are the
 flat rows of Hom(P, Y) times the inclusion, one linalg.flat_mul product per
-vertex.  ext1_space memoizes each space on the algebra by the keys of X and
-Y, as hom_space memoizes Hom.  An Ext1Space keeps its basis cocycles theta
-and, computed on first read, their corner blocks theta_{t(a)} d_a;
-Ext1Space.corners maps a coefficient tuple to the corner blocks of that
-class, memoized per tuple, the only route from Ext^1 coordinates to a middle
-term.  extension_middle, the one middle-term builder, places the blocks in
-the matrices [[Y_a, C_a], [0, X_a]], each row built by linalg's block-row
-assembler.  The pushout of P <- OX -> Y survives only as the independent
-reference the tests compare these middles against.
+vertex.  Their coordinates are their entries at the cocycle basis's free
+columns (linalg.coordinates); the cocycles off the pivots of those
+coordinates are the Ext^1 basis.  ext1_space memoizes each space on the
+algebra by the keys of X and Y, as hom_space memoizes Hom.  An Ext1Space
+keeps its basis cocycles theta and, computed on first read, their corner
+blocks theta_{t(a)} d_a; Ext1Space.corners maps a coefficient tuple to the
+corner blocks of that class, memoized per tuple, the only route from Ext^1
+coordinates to a middle term.  extension_middle, the one middle-term
+builder, places the blocks in the matrices [[Y_a, C_a], [0, X_a]], each
+row built by linalg's block-row assembler.  The pushout of P <- OX -> Y
+survives only as the independent reference the tests compare these
+middles against.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import itemgetter
 
 from . import linalg
 from .errors import AlgebraMismatch, SpecError
@@ -70,19 +72,20 @@ class ProjectivePresentation:
         """kernel -> cover, the kernel's reduced basis per vertex as columns.
         Only Ext^1 reads it, for window members, so it is reduced again from
         the epi on first read rather than kept by every cover of a syzygy
-        chain."""
-        return Hom(self.kernel, self.cover, tuple(linalg.null_rows(e)[0].transpose() for e in self.epi.mats))
+        chain.  pivots holds the pivot row of each column, per vertex."""
+        spans = [linalg.null_rows(e) for e in self.epi.mats]
+        self.pivots = tuple(pivots for _, pivots in spans)
+        return Hom(self.kernel, self.cover, tuple(rows.transpose() for rows, _ in spans))
 
     @cached_property
     def d_arrows(self) -> tuple:
         """Per arrow a: u -> w, the defect d_a: X_u -> OmegaX_w of a section s
         of the epi, inclusion_w d_a = P_a s_u - s_w X_a."""
-        x = self.module
+        x, inclusion = self.module, self.inclusion
         q = x.algebra.quiver
-        p = x.algebra.p
         sections = []
         for v in range(q.n_vertices):
-            s = linalg.solve_matrix(self.epi.mats[v], Matrix.identity(p, x.dim[v]))
+            s = linalg.solve_matrix(self.epi.mats[v], Matrix.identity(x.algebra.p, x.dim[v]))
             if s is None:
                 raise AssertionError("cover epi admits no section")
             sections.append(s)
@@ -90,7 +93,7 @@ class ProjectivePresentation:
         for ai in range(len(q.arrows)):
             u, w = q.arrow_source(ai), q.arrow_target(ai)
             delta = self.cover.action[ai].mul(sections[u]).sub(sections[w].mul(x.action[ai]))
-            d = linalg.solve_matrix(self.inclusion.mats[w], delta)
+            d = linalg.coordinates(inclusion.mats[w], self.pivots[w], delta)
             if d is None:
                 raise AssertionError("section defect not in the kernel")
             d_arrows.append(d)
@@ -142,16 +145,10 @@ def _projective_cover(m: Representation) -> ProjectivePresentation:
 
     # minimality: kernel must avoid the trivial-path coordinates of the cover
     for (rows, _), coords in zip(spans, trivial):
-        if not coords:
-            continue
-        if p == 2:
-            mask = sum(1 << j for j in coords)
-            escapes = any(r & mask for r in rows.rows)
-        else:
-            pick = itemgetter(*coords, coords[0])  # a tuple even for one coordinate
-            escapes = any(map(any, map(pick, rows.rows)))
-        if escapes:
-            raise AssertionError("cover kernel escapes the radical")
+        if coords:
+            cols = rows.transpose().rows
+            if not Matrix(p, len(coords), rows.nrows, tuple([cols[c] for c in coords])).is_zero():
+                raise AssertionError("cover kernel escapes the radical")
 
     return ProjectivePresentation(m, cover, tuple(slots), epi, kernel)
 
@@ -291,13 +288,12 @@ def _ext1_space(x: Representation, y: Representation) -> Ext1Space:
         size = sum(a * b for a, b in zip(omega.dim, y.dim))
 
         def columns(rows):
-            rows = tuple(rows)
-            return Matrix(p, len(rows), size, rows).transpose()
+            return Matrix(p, len(rows), size, tuple(rows)).transpose()
 
         # coordinates in the Hom(OX, Y) basis of every hom that extends to P
         extensible = hom_space(pres.cover, y)
         extended = linalg.flat_mul(p, extensible.rows, extensible.offsets, y.dim, pres.inclusion.mats)
-        image = linalg.solve_matrix(columns(cocycles.rows), columns(extended))
+        image = linalg.coordinates(columns(cocycles.rows), cocycles.free, columns(extended))
         if image is None:
             raise AssertionError("restricted hom outside Hom(OX, Y)")
         pivot = set(linalg.rref(image.transpose())[1])

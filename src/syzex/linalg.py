@@ -4,10 +4,15 @@ Matrices are immutable. Row reduction uses deterministic pivoting (first
 nonzero entry in column order) so every derived basis is canonical.
 For p == 2 rows are stored as bit masks (python ints); for other primes
 rows are tuples of residues. All public operations accept either layout.
-rref returns the pivot columns with the reduced matrix.  kernel_basis is a
-Matrix in the system's row layout, one kernel vector per row; null_rows is
-the reduced echelon basis of the kernel with the pivot column of each row,
-as rref of a transpose gives the image's.
+rref returns the pivot columns with the reduced matrix.  kernel_basis, the
+one kernel entry point, returns a basis in the system's row layout, one
+vector per row, with the free column of each; null_rows is the reduced
+echelon basis of the kernel with the pivot column of each row, as rref of
+a transpose gives the image's.  A coordinate is the entry at a pivot:
+coordinates reads a vector's coefficients in a basis whose vectors are
+each 1 at their own pivot and 0 at the others' (a kernel row's free column
+is such a pivot), and one product checks them; solve_matrix, a reduction
+of [A | B], is left for bases with no known pivots.
 
 Matrices met on the syzygy path are large and sparse, so the kernel rows,
 odd-p products and GF(2) elimination do work in proportion to the nonzero
@@ -152,7 +157,7 @@ class Matrix:
     def is_zero(self) -> bool:
         if self.p == 2:
             return all(r == 0 for r in self.rows)
-        return all(all(x == 0 for x in r) for r in self.rows)
+        return not any(map(any, self.rows))
 
     def __eq__(self, other):
         return (
@@ -456,21 +461,18 @@ def rref(m: Matrix) -> tuple:
     return Matrix(p, m.nrows, m.ncols, tuple(rows)), leads
 
 
-def kernel_basis(m: Matrix) -> Matrix:
-    """Canonical basis of {v : m v = 0}, one vector per row in m's row layout."""
-    return _kernel(m)[0]
-
-
-def _kernel(m: Matrix) -> tuple:
-    """kernel_basis(m) with its free columns f_1 < ... < f_q.
+def kernel_basis(m: Matrix) -> tuple:
+    """Canonical basis of {v : m v = 0}, one vector per row in m's row
+    layout, with its free columns f_1 < ... < f_q.
 
     Row k is 1 at f_k, 0 at the other free columns, and the unique solution
-    at the pivot columns.  Over GF(2) that solution is read off _echelon's
-    forward pass by one bit-sliced back-solve: per column j a mask of the
-    rows k with entry j set, found for the pivot columns last to first, a
-    pivot's mask the XOR of the masks at the other set bits of its row, all
-    of which lie to its right.  Over odd p row k holds minus rref's reduced
-    entry in column f_k at each pivot column.
+    at the pivot columns, so its last nonzero entry is at f_k.  Over GF(2)
+    that solution is read off _echelon's forward pass by one bit-sliced
+    back-solve: per column j a mask of the rows k with entry j set, found
+    for the pivot columns last to first, a pivot's mask the XOR of the masks
+    at the other set bits of its row, all of which lie to its right.  Over
+    odd p row k holds minus rref's reduced entry in column f_k at each pivot
+    column.
     """
     n, p = m.ncols, m.p
     if p != 2:
@@ -536,7 +538,7 @@ def null_rows(m: Matrix) -> tuple:
     are the reduced echelon basis, each pivot at a reversed free column.
     """
     n = m.ncols
-    ker, free = _kernel(_reverse_cols(m))
+    ker, free = kernel_basis(_reverse_cols(m))
     rows = _reverse_cols(ker).rows[::-1]
     return Matrix(m.p, len(rows), n, rows), [n - 1 - f for f in reversed(free)]
 
@@ -545,7 +547,7 @@ def solve_matrix(A: Matrix, B: Matrix) -> Matrix | None:
     """X with A X = B (free variables zero), or None if inconsistent.
 
     Row r of the reduced augmented matrix [A | B] carries the value of the
-    r-th pivot variable in its B block, so X is read off without unpacking.
+    r-th pivot variable in its B block, cut out by unflat.
     """
     if A.nrows != B.nrows:
         raise ValueError("shape mismatch")
@@ -553,15 +555,19 @@ def solve_matrix(A: Matrix, B: Matrix) -> Matrix | None:
     n = A.ncols
     if pivots and pivots[-1] >= n:
         return None
-    if A.p == 2:
-        rows = [0] * n
-        for r, pc in enumerate(pivots):
-            rows[pc] = red.rows[r] >> n
-    else:
-        rows = [(0,) * B.ncols] * n
-        for r, pc in enumerate(pivots):
-            rows[pc] = red.rows[r][n:]
+    rows = list(Matrix.zero(A.p, n, B.ncols).rows)
+    for r, pc in enumerate(pivots):
+        rows[pc] = unflat(A.p, red.rows[r], n, 1, B.ncols).rows[0]
     return Matrix(A.p, n, B.ncols, tuple(rows))
+
+
+def coordinates(basis: Matrix, pivots, vectors: Matrix) -> Matrix | None:
+    """X with basis X = vectors, or None if a column of vectors is outside
+    the span of basis's columns, column k of basis being 1 at row pivots[k]
+    and 0 at the other pivot rows: X is vectors' rows at the pivots, and one
+    product checks that it recombines to vectors."""
+    x = Matrix(vectors.p, len(pivots), vectors.ncols, tuple([vectors.rows[c] for c in pivots]))
+    return x if basis.mul(x) == vectors else None
 
 
 def quotient_maps(sub: Matrix) -> tuple:
@@ -575,6 +581,6 @@ def quotient_maps(sub: Matrix) -> tuple:
     that kernel and that lift.
     """
     n = sub.nrows
-    proj, free = _kernel(sub.transpose())
+    proj, free = kernel_basis(sub.transpose())
     units = tuple(1 << f if sub.p == 2 else tuple(int(j == f) for j in range(n)) for f in free)
     return proj, Matrix(sub.p, len(units), n, units).transpose()

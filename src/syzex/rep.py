@@ -4,27 +4,29 @@ A representation stores one matrix per arrow, of shape
 dim[target] x dim[source]; a path acts by composing its arrow matrices in
 traversal order.  Hom spaces come from the intertwining linear system, its
 unknowns laid out as linalg.flat, which decides the Hom coordinate layout.
-A HomBasis keeps the system's kernel rows in that layout and is memoized
-on the algebra; per-vertex Hom objects are cut from a row only where a
-caller composes them (Ext^1 cocycles, the tilting check, the split
-search's top images), and are not kept.  Decomposition peels direct
-summands with Fitting's lemma, and is exact for every p: an endomorphism
-splits M exactly when its action on top(M) is neither nilpotent nor
-invertible, so testing each line of End(M)'s image on top(M) either finds
-a split or proves M indecomposable.  Each endomorphism is tried as one
-block-diagonal matrix on M, read straight from its row, and a split's two
-pieces are read straight off the reduced vectors of its stable power's
-image and kernel: sub_rep takes a subspace as reduced rows with their
-pivots, per vertex, and reads each arrow's images at the pivots, so no
-pivot is searched for, and over GF(2) no basis is set as columns.
-Isomorphism is
-decided exactly: an indecomposable M has a local endomorphism ring, so
-M ~ N exactly when some basis element of Hom(M, N) is invertible; sums are
-compared by their Krull-Schmidt factors.  indec_factors is the one
-factor route, memoized on the algebra, repeats kept; decompose groups the
-factors by isomorphism, only for the reports that print a multiplicity and
-for the distinct summands of a tilting module.  sort_key is the one order
-on modules.
+A HomBasis keeps the system's kernel rows in that layout with each row's
+free column (linalg.kernel_basis), and is memoized on the algebra;
+per-vertex Hom objects are cut from a row only where a caller composes
+them (Ext^1 cocycles, the tilting check, the split search's top images),
+and are not kept.  Decomposition peels direct summands with Fitting's
+lemma, and is exact for every p: an endomorphism splits M exactly when its
+action on top(M) is neither nilpotent nor invertible, so testing each line
+of End(M)'s image on top(M) either finds a split or proves M
+indecomposable.  Each endomorphism is tried as one block-diagonal matrix
+on M, read straight from its row, and a split's two pieces are read
+straight off the reduced vectors of its stable power's image and kernel:
+sub_rep takes a subspace as reduced rows with their pivots, per vertex,
+and reads each arrow's images at the pivots, through linalg.coordinates
+over odd p.  Over GF(2) it keeps a bit route that sets no basis as columns
+and visits only each image's set bits at the pivots, faster than the
+generic pick and product on a closure's subspaces.  Isomorphism is decided
+exactly: an indecomposable M has a local endomorphism ring, so M ~ N
+exactly when some basis element of Hom(M, N) is invertible; sums are
+compared by their Krull-Schmidt factors.  indec_factors is the one factor
+route, memoized on the algebra, repeats kept; decompose groups the factors
+by isomorphism, only for the reports that print a multiplicity and for the
+distinct summands of a tilting module.  sort_key is the one order on
+modules.
 """
 
 from __future__ import annotations
@@ -126,14 +128,15 @@ class Hom:
 class HomBasis:
     """A basis of Hom(source, target) as the kernel rows of hom_space's
     system, in linalg.flat's layout: one int per element over GF(2), one
-    tuple over odd p, the block of vertex v starting at offsets[v].  Hom
-    objects are cut from the rows only when .basis or hom() is read, and
-    the basis keeps none of them."""
+    tuple over odd p, the block of vertex v starting at offsets[v].  Row k
+    is 1 at free[k] and 0 at the other free columns.  Hom objects are cut
+    from the rows only when .basis or hom() is read, and not kept."""
 
     source: Representation
     target: Representation
     rows: tuple
     offsets: tuple
+    free: tuple
 
     @property
     def dimension(self) -> int:
@@ -268,7 +271,7 @@ def _hom_space(m: Representation, n: Representation) -> HomBasis:
                     row = (ma_cols[j] << base_w) ^ (spread << (off[u] + j))
                     if row:
                         masks.append(row)
-        kernel = linalg.kernel_basis(Matrix(2, len(masks), total, tuple(masks)))
+        kernel, free = linalg.kernel_basis(Matrix(2, len(masks), total, tuple(masks)))
     else:
         rows = []
         for ai in range(len(q.arrows)):
@@ -285,9 +288,9 @@ def _hom_space(m: Representation, n: Representation) -> HomBasis:
                         row[at + j] = (row[at + j] + c) % p
                     if any(row):
                         rows.append(tuple(row))
-        kernel = linalg.kernel_basis(Matrix(p, len(rows), total, tuple(rows)))
+        kernel, free = linalg.kernel_basis(Matrix(p, len(rows), total, tuple(rows)))
     # the unknowns are linalg.flat's layout of (f_v): the kernel rows are the basis
-    return HomBasis(m, n, kernel.rows, tuple(off))
+    return HomBasis(m, n, kernel.rows, tuple(off), tuple(free))
 
 
 def is_iso(m: Representation, n: Representation) -> bool:
@@ -336,10 +339,10 @@ def sub_rep(m: Representation, spans) -> Representation:
     pivots are column r of the restricted action, and the span is
     invariant exactly when that combination of w's basis vectors is the
     image.  Over GF(2) the images are XORs of M_a's columns, and only their
-    set bits at pivots are visited.  Over odd p the bases are set as
-    columns, which M_a multiplies row by row: a cover's arrow rows mostly
-    hold one nonzero entry, so most image rows are basis rows reused, and
-    the restricted action shares them.
+    set bits at pivots are visited.  Over odd p linalg.coordinates reads
+    the images, M_a times the bases set as columns: a cover's arrow rows
+    mostly hold one nonzero entry, so most image rows are basis rows
+    reused, and the restricted action shares them.
     """
     algebra = m.algebra
     q = algebra.quiver
@@ -350,21 +353,15 @@ def sub_rep(m: Representation, spans) -> Representation:
         u, w = q.arrow_source(ai), q.arrow_target(ai)
         (rows_u, _), (rows_w, pivots_w) = spans[u], spans[w]
         if p != 2:
-            images = m.action[ai].mul(bases[u])
-            sol = Matrix(p, rows_w.nrows, rows_u.nrows, tuple([images.rows[c] for c in pivots_w]))
-            if bases[w].mul(sol) != images:
+            sol = linalg.coordinates(bases[w], pivots_w, m.action[ai].mul(bases[u]))
+            if sol is None:
                 raise AssertionError("spans are not arrow-invariant")
             action.append(sol)
             continue
-        ma, basis_w = m.action[ai].rows, rows_w.rows
+        basis_w = rows_w.rows
         sol = [0] * len(basis_w)
-        if rows_u.nrows and any(ma):  # a zero arrow maps every span into every span
-            cols = [0] * m.dim[u]
-            for i, row in enumerate(ma):
-                while row:
-                    low = row & -row
-                    cols[low.bit_length() - 1] |= 1 << i
-                    row ^= low
+        if rows_u.nrows and any(m.action[ai].rows):  # a zero arrow maps every span into every span
+            cols = m.action[ai].transpose().rows
             at = {1 << c: i for i, c in enumerate(pivots_w)}
             pivot_mask = sum(at)
             for r, b in enumerate(rows_u.rows):

@@ -99,6 +99,49 @@ def test_sub_rep_invariance_fault_exits_3(monkeypatch):
     assert report["results"] == {"error": "AssertionError: spans are not arrow-invariant", "kind": "internal"}
 
 
+@pytest.mark.parametrize("field", ["2", "3"])
+def test_section_defect_fault_exits_3(monkeypatch, field):
+    # zero the cover's section at vertex 0 alone: the epi then maps the
+    # defect of an arrow a out of vertex 0 to -X_a, which is nonzero for I1
+    from syzex import linalg
+
+    solve = linalg.solve_matrix
+    calls = []
+
+    def skewed(a, b):
+        calls.append(a)
+        s = solve(a, b)
+        return s.scale(0) if len(calls) == 1 else s
+
+    argv = ["--field", field, "ext", "kron2", "I1", "S1", "--enumerate"]
+    assert run_json(argv)[0] == 0
+    monkeypatch.setattr(linalg, "solve_matrix", skewed)
+    code, report, _ = run_json(argv)
+    assert calls
+    assert code == 3
+    assert report["results"] == {"error": "AssertionError: section defect not in the kernel", "kind": "internal"}
+
+
+@pytest.mark.parametrize("field", ["2", "3"])
+def test_coboundary_fault_exits_3(monkeypatch, field):
+    # add 1 at the first flat entry of every restricted hom of Hom(P, P0):
+    # on beilinson2 that puts it outside Hom(OS0, P0)
+    from syzex import linalg
+
+    restrict = linalg.flat_mul
+
+    def pushed(p, rows, offsets, heights, mats):
+        out = restrict(p, rows, offsets, heights, mats)
+        return [r ^ 1 if p == 2 else ((r[0] + 1) % p,) + r[1:] for r in out]
+
+    argv = ["--field", field, "ext", "beilinson2", "S0", "P0"]
+    assert run_json(argv)[0] == 0
+    monkeypatch.setattr(linalg, "flat_mul", pushed)
+    code, report, _ = run_json(argv)
+    assert code == 3
+    assert report["results"] == {"error": "AssertionError: restricted hom outside Hom(OX, Y)", "kind": "internal"}
+
+
 def test_mod_syzygy_s0():
     code, report, _ = run_json(["mod", "syzygy", "--n", "1", "kron2", "S0"])
     assert code == 0

@@ -14,6 +14,7 @@ from syzex.linalg import (
     _unpack,
     block_diagonal,
     combine,
+    coordinates,
     flat,
     hstack,
     inv_mod,
@@ -77,19 +78,21 @@ def test_rref_all_ones_gf2():
 
 
 def test_kernel_identity_empty():
-    assert kernel_basis(Matrix.identity(2, 3)) == Matrix.zero(2, 0, 3)
+    assert kernel_basis(Matrix.identity(2, 3)) == (Matrix.zero(2, 0, 3), [])
 
 
 def test_kernel_zero_matrix_standard_basis():
-    ker = kernel_basis(Matrix.zero(2, 2, 3))
+    ker, free = kernel_basis(Matrix.zero(2, 2, 3))
     assert sorted(entries(ker)) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
+    assert free == [0, 1, 2]
 
 
 def test_kernel_one_one_gf2_oracle():
     m = Matrix.from_rows(2, [[1, 1]])
     expected = [v for v in brute_kernel(m) if any(v)]
     assert expected == [(1, 1)]
-    assert entries(kernel_basis(m)) == ((1, 1),)
+    ker, free = kernel_basis(m)
+    assert entries(ker) == ((1, 1),) and free == [1]
 
 
 def test_solve_identity():
@@ -126,8 +129,9 @@ def test_rank_transpose_and_kernel_dim(p):
         nr, nc = rng.randint(1, 5), rng.randint(1, 5)
         m = Matrix.from_rows(p, [[rng.randrange(p) for _ in range(nc)] for _ in range(nr)])
         assert m.rank() == m.transpose().rank()
-        assert kernel_basis(m).nrows + m.rank() == nc
-        for v in entries(kernel_basis(m)):
+        ker, _ = kernel_basis(m)
+        assert ker.nrows + m.rank() == nc
+        for v in entries(ker):
             assert all(x == 0 for x in mat_vec(m, v))
 
 
@@ -242,7 +246,7 @@ def test_quotient_maps_oracle(p):
         assert proj.mul(lift) == Matrix.identity(p, q)
         assert proj.mul(sub).is_zero()
         assert (proj, lift) == quotient_maps_by_inversion(sub)
-        assert proj == kernel_basis(sub.transpose())
+        assert proj == kernel_basis(sub.transpose())[0]
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -284,7 +288,7 @@ def test_null_space_oracle(p):
     stacked as columns, and its pivots are rref's on its rows."""
     rng = random.Random(503 + p)
     for m in oracle_shapes(rng, p):
-        vecs = entries(kernel_basis(m))
+        vecs = entries(kernel_basis(m)[0])
         cols = from_columns(p, vecs, m.ncols) if vecs else Matrix.zero(p, m.ncols, 0)
         rows, pivots = null_rows(m)
         got = rows.transpose()
@@ -617,9 +621,10 @@ def test_gf2_rref_matches_column_scan_wide(m):
 def check_kernel_against_rref_route(m):
     """kernel_basis and null_rows against the kernel read off rref's
     back-substitution, and null_rows' pivots against its rows' own."""
-    ker = kernel_basis(m)
+    ker, free = kernel_basis(m)
     assert (ker.nrows, ker.ncols) == (m.ncols - m.rank(), m.ncols)
     assert ker == split_oracle.kernel_basis(m)
+    assert free == [j for j in range(m.ncols) if j not in rref(m)[1]]
     rows, pivots = null_rows(m)
     assert rows.transpose() == split_oracle.null_space(m)
     assert pivots == rref(rows)[1]
@@ -655,3 +660,97 @@ def test_unpack_matches_shift_loop():
     for n in range(1001):
         for mask in (0, (1 << n) - 1, rng.getrandbits(n)):
             assert _unpack(mask, n) == tuple((mask >> j) & 1 for j in range(n))
+
+
+def check_free_columns(m):
+    """Each kernel_basis row is 1 at its own free column, 0 at every other
+    free column, and has its last nonzero entry there."""
+    ker, free = kernel_basis(m)
+    assert len(free) == ker.nrows
+    for k, f in enumerate(free):
+        row = ker.row(k)
+        assert [row[g] for g in free] == [int(g == f) for g in free]
+        assert max(j for j, x in enumerate(row) if x) == f
+
+
+@settings(max_examples=200, deadline=None)
+@given(gf2_matrices(st.integers(0, 30), st.integers(0, 100)))
+@example(Matrix.zero(2, 3, 70))
+@example(WIDE_FULL_RANK)
+def test_gf2_kernel_rows_are_unit_at_their_free_columns(m):
+    check_free_columns(m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(odd_matrices(st.integers(0, 12), st.integers(0, 80)))
+def test_odd_kernel_rows_are_unit_at_their_free_columns(m):
+    check_free_columns(m)
+
+
+@st.composite
+def coordinate_cases(draw):
+    """(basis, pivots, vectors, inside): a reduced basis from rref, null_rows
+    or kernel_basis of a random matrix over GF(2), GF(3) or GF(257), set as
+    columns with its pivots, and vectors as columns, random combinations of
+    the basis; with inside False, one of them has a unit added at a row that
+    is no pivot, which puts it off the span."""
+    p = draw(st.sampled_from([2, 3, 257]))
+    nr, nc = draw(st.integers(0, 10)), draw(st.integers(0, 90))
+    density = draw(st.floats(0.02, 0.9))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    data = [[rng.randrange(1, p) if rng.random() < density else 0 for _ in range(nc)] for _ in range(nr)]
+    m = Matrix.from_rows(p, data) if nr else Matrix.zero(p, 0, nc)
+    route = draw(st.sampled_from(["rref", "null_rows", "kernel_basis"]))
+    if route == "rref":
+        red, pivots = rref(m)
+        rows = red.rows[:len(pivots)]
+    else:
+        basis, pivots = (null_rows if route == "null_rows" else kernel_basis)(m)
+        rows = basis.rows
+    basis = Matrix(p, len(rows), nc, tuple(rows)).transpose()
+    count = draw(st.integers(0, 5))
+    coeffs = [tuple(rng.randrange(p) for _ in pivots) for _ in range(count)]
+    vectors = [mat_vec(basis, c) for c in coeffs]
+    off_span = [j for j in range(nc) if j not in pivots]
+    inside = not (off_span and vectors and draw(st.booleans()))
+    if not inside:
+        k, j = rng.randrange(len(vectors)), rng.choice(off_span)
+        vectors[k] = tuple((x + (i == j)) % p for i, x in enumerate(vectors[k]))
+    return basis, pivots, from_columns(p, vectors, nc), inside
+
+
+@settings(max_examples=300, deadline=None)
+@given(coordinate_cases())
+def test_coordinates_match_solve_matrix(case):
+    """coordinates reads what solve_matrix solves for, None off the span."""
+    basis, pivots, vectors, inside = case
+    got = coordinates(basis, pivots, vectors)
+    assert got == solve_matrix(basis, vectors)
+    assert (got is not None) == inside
+    if inside:
+        assert (got.nrows, got.ncols) == (len(pivots), vectors.ncols)
+
+
+@pytest.mark.parametrize("p", [2, 3, 257])
+def test_coordinates_edge_cases(p):
+    """No pivots, no vectors, more than 64 rows, and vectors off the span,
+    against solve_matrix."""
+    n = 70
+    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    no_basis = Matrix.zero(p, n, 0)
+    for vectors, want in (
+        (Matrix.zero(p, n, 3), Matrix.zero(p, 0, 3)),
+        (from_columns(p, [units[0]], n), None),
+        (Matrix.zero(p, n, 0), Matrix.zero(p, 0, 0)),
+    ):
+        assert coordinates(no_basis, [], vectors) == want == solve_matrix(no_basis, vectors)
+    # the kernel of the all-ones row: the vectors whose entries sum to 0
+    rows, pivots = null_rows(Matrix.from_rows(p, [[1] * n]))
+    basis = rows.transpose()
+    assert coordinates(basis, pivots, Matrix.zero(p, n, 0)) == Matrix.zero(p, n - 1, 0)
+    inside = tuple((a - b) % p for a, b in zip(units[0], units[n - 1]))
+    for vectors in ([inside], [units[5]], [inside, units[n - 1]], [inside, units[0], inside]):
+        cols = from_columns(p, vectors, n)
+        got = coordinates(basis, pivots, cols)
+        assert got == solve_matrix(basis, cols)
+        assert (got is None) == (vectors != [inside])

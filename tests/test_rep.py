@@ -10,7 +10,7 @@ from syzex.algebra import AlgebraSpec, build_algebra
 from syzex.corpus import load_corpus
 from syzex.errors import AlgebraMismatch, BudgetExceeded
 from syzex.homology import projective_cover, syzygy
-from syzex.linalg import Matrix, combine, flat, kernel_basis, null_rows, rref, unflat
+from syzex.linalg import Matrix, combine, coordinates, flat, kernel_basis, null_rows, rref, unflat
 from syzex.rep import (
     Hom,
     HomBasis,
@@ -346,7 +346,8 @@ def test_split_search_splits_when_no_basis_element_does(p):
         m = direct_sum([kron.simple(0), kron.simple(1)])
         blocks = [(Matrix.from_rows(3, [[1]]), Matrix.from_rows(3, [[c]])) for c in (1, 2)]
         basis = [Matrix.from_rows(3, [[1, 0], [0, c]]) for c in (1, 2)]
-    end = HomBasis(m, m, tuple(flat(p, b) for b in blocks), (0, m.dim[0] ** 2))
+    # every unknown of these End systems is free; the split search reads no free column
+    end = HomBasis(m, m, tuple(flat(p, b) for b in blocks), (0, m.dim[0] ** 2), tuple(range(len(blocks))))
     tried = list(_split_candidates(m, end))
     assert tried[:len(basis)] == basis
     assert all(_split_with(m, h) is None for h in basis)
@@ -635,7 +636,7 @@ def hom_basis_by_entries(m, n):
                 rows.append(row)
     system = Matrix.from_rows(p, rows) if rows else Matrix.zero(p, 0, total)
     basis = []
-    for vec in entries(kernel_basis(system)):
+    for vec in entries(kernel_basis(system)[0]):
         mats = []
         for v in range(q.n_vertices):
             block = [[vec[unknown(v, i, j)] for j in range(m.dim[v])] for i in range(n.dim[v])]
@@ -737,3 +738,29 @@ def test_hom_space_contains_identity(kron2, fivevertex):
             ]
             system = from_columns(algebra.p, flat_basis, len(ident))
             assert solve_vec(system, ident) is not None
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_hom_basis_coordinates_are_entries_at_free_columns(p):
+    """Each HomBasis row is 1 at its free column and 0 at the others, so
+    linalg.coordinates reads the coefficients of a combination of the rows
+    back at the free columns, and finds a hom off the span by its check."""
+    rng = random.Random(29 + p)
+    algebra = build_algebra(beilinson2_spec(p))
+    mods = [f(v) for v in range(algebra.n_vertices) for f in (algebra.simple, algebra.projective, algebra.injective)]
+    seen = 0
+    for m, n in itertools.product(mods, repeat=2):
+        pair = direct_sum([m, n])
+        hb = hom_space(pair, direct_sum([n, rng.choice(mods)]))
+        size = sum(a * b for a, b in zip(hb.source.dim, hb.target.dim))
+        basis = Matrix(p, len(hb.rows), size, hb.rows).transpose()
+        assert len(hb.free) == hb.dimension
+        assert Matrix(p, len(hb.free), hb.dimension, tuple(basis.rows[f] for f in hb.free)) == Matrix.identity(p, hb.dimension)
+        coeffs = Matrix.from_rows(p, [[rng.randrange(p) for _ in range(3)] for _ in hb.rows]) if hb.rows else Matrix.zero(p, 0, 3)
+        assert coordinates(basis, hb.free, basis.mul(coeffs)) == coeffs
+        if hb.dimension < size:
+            seen += 1
+            off = next(j for j in range(size) if j not in hb.free)
+            unit = Matrix.from_rows(p, [[int(i == off)] for i in range(size)])
+            assert coordinates(basis, hb.free, unit) is None
+    assert seen
