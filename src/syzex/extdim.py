@@ -46,7 +46,8 @@ from fractions import Fraction
 
 from .errors import BudgetExceeded, ContradictoryFacts, SpecError
 from .homology import cosyzygy, ext1_space, extension_middle, gldim_bounded, syzygy_summands
-from .linalg import Matrix, is_prime, rref
+from . import linalg
+from .linalg import Matrix, is_prime
 from .rep import Representation, hom_space, indec_factors, is_iso, sort_key
 
 HEURISTIC_INFINITE_THRESHOLD = 20
@@ -317,7 +318,8 @@ def _copy_moves(p, blocks, copies, pools):
     adding copy 0 to copy 1, the cyclic shift of the copies and, for p > 2,
     diag(omega, 1, ...) with omega generating GF(p)^*.  A generator g maps
     each line of a block by g (x) I_w on its class's chunks (w the chunk
-    width), and the moved lines are reduced back to RREF, so the line
+    width), acting on the line's packed row (_moved_lines), and the moved
+    lines are reduced back to RREF by linalg's reduction, so the line
     side's copy groups stay quotiented out.
     """
     if copies == (1,):  # one copy of one class, as in every closure pair
@@ -329,34 +331,56 @@ def _copy_moves(p, blocks, copies, pools):
     if single and (p == 2 or len(acting) < 2):
         return []
     omega = _unit_generator(p) if p > 2 else None
-    gens = []  # (first slot, k, entry (a, b) of g, which acts on row vectors)
+    gens = []  # (first slot, k, the generator's kind)
     for s, k in acting:
         if k > 1:
-            gens.append((s, k, lambda a, b: int(a == b) + int((a, b) == (0, 1))))
-            gens.append((s, k, lambda a, b, k=k: int(b == (a + 1) % k)))
+            gens += [(s, k, "add"), (s, k, "shift")]
         # omega times the identity moves nothing, so with single copies the
         # last class's scaling follows from the others'
         if omega and not (single and s == acting[-1][0]):
-            gens.append((s, k, lambda a, b: omega if a == b == 0 else int(a == b)))
+            gens.append((s, k, "scale"))
     if not gens:
         return []
-    packed = [[Matrix.from_rows(p, rr).rows for rr in pool] for pool in pools]
+    # over odd p a coefficient row is already a Matrix row
+    packed = [[tuple(map(linalg._pack, rr)) for rr in pool] for pool in pools] if p == 2 else pools
     index = [{rows: i for i, rows in enumerate(pool)} for pool in packed]
     moves = []
-    for s, k, g in gens:
+    for s, k, kind in gens:
         move = []
-        for (mult, space, chunks), pool, at in zip(blocks, packed, index):
+        for (_, _, chunks), pool, at in zip(blocks, packed, index):
             w, off = chunks[s], sum(chunks[:s])
             if w == 0:
                 move.append(range(len(pool)))
                 continue
-            full = [[int(a == b) for b in range(space)] for a in range(space)]
-            for a, b, t in itertools.product(range(k), range(k), range(w)):
-                full[off + a * w + t][off + b * w + t] = g(a, b)
-            full = Matrix.from_rows(p, full)
-            move.append(tuple(at[rref(Matrix(p, mult, space, rows).mul(full))[0].rows] for rows in pool))
+            moved = _moved_lines(p, kind, pool, off, w, k, omega)
+            move.append(tuple([at[tuple(linalg._reduced(p, rows)[0])] for rows in moved]))
         moves.append(move)
     return moves
+
+
+def _moved_lines(p, kind, pool, off, w, k, omega) -> list:
+    """The packed rows of each pool entry times g (x) I_w, g acting on the k
+    chunks of width w that start at entry off: "add" adds chunk 0 to chunk
+    1, "shift" moves each chunk one place on and the last to the first,
+    "scale" multiplies chunk 0 by omega."""
+    mid, end = off + w, off + k * w
+    if p == 2:
+        if kind == "add":
+            low = (1 << w) - 1
+            return [[r ^ (r >> off & low) << mid for r in rows] for rows in pool]
+        span = (1 << k * w) - 1
+
+        def shift(r):
+            c = r >> off & span
+            return r ^ (c ^ (c << w | c >> (k - 1) * w) & span) << off
+
+        return [list(map(shift, rows)) for rows in pool]
+    if kind == "add":
+        return [[r[:mid] + tuple([(x + y) % p for x, y in zip(r[mid:mid + w], r[off:mid])]) + r[mid + w:] for r in rows]
+                for rows in pool]
+    if kind == "shift":
+        return [[r[:off] + r[end - w:end] + r[off:end - w] + r[end:] for r in rows] for rows in pool]
+    return [[r[:off] + tuple([omega * x % p for x in r[off:mid]]) + r[mid:] for r in rows] for rows in pool]
 
 
 def _orbit_leaders(combos, moves):

@@ -17,10 +17,23 @@ of [A | B], is left for bases with no known pivots.
 Matrices met on the syzygy path are large and sparse, so the kernel rows,
 odd-p products and GF(2) elimination do work in proportion to the nonzero
 entries of each row, not to its length.  Both row layouts share one forward
-pass, _echelon: rank counts its pivots, rref back-substitutes over them,
+pass, _echelon: rank counts its pivots, rref back-substitutes over them
+(_reduced, which the copy moves of the extension plan also reduce with),
 and GF(2) kernel_basis back-solves the kernel straight off it, one mask per
 column over the kernel vectors, without rref's back-substitution; over odd
 p the kernel is read off rref.
+
+Over GF(3) the Hom solve alone runs on bit-sliced rows (Boothby and
+Bradshaw, arXiv:0901.1413): a row is a (ones, twos) pair of masks, bit j of
+ones set where entry j is 1 and of twos where it is 2.  _add3 adds two
+pairs in seven boolean operations, and negation swaps the masks.
+rep._hom_space builds its equations straight into pairs, and _kernel3
+returns kernel_basis's tuple rows and free columns from them: _echelon3's
+forward pass, back-substitution, and each kernel row read off at its free
+column and unpacked once.  The pair layout lives only in that solve, in
+this module and rep: no Matrix carries pairs, p >= 5 keeps tuple rows, and
+every other GF(3) kernel, rank and rref keeps the tuple route, where
+slicing tuple rows on entry did not pay on these small systems.
 
 The Hom coordinate layout is decided here: flat lays a tuple of matrices
 out as one row, row-major and concatenated, and unflat cuts a block back
@@ -284,6 +297,22 @@ def _unpack(mask: int, n: int) -> tuple:
 
 _BIT_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 _BIT_REVERSED = bytes(int(format(b, "08b")[::-1], 2) for b in range(256))
+_ONES3 = bytes.maketrans(b"\x00\x01\x02", b"010")
+_TWOS3 = bytes.maketrans(b"\x00\x01\x02", b"001")
+
+
+def _pack3(row) -> tuple:
+    """A GF(3) tuple row as its (ones, twos) pair: bit j of ones is set where
+    entry j is 1, bit j of twos where it is 2."""
+    digits = b"0" + bytes(row)[::-1]
+    return int(digits.translate(_ONES3), 2), int(digits.translate(_TWOS3), 2)
+
+
+def _unpack3(ones: int, twos: int, n: int) -> tuple:
+    """The n-entry GF(3) tuple row of a (ones, twos) pair."""
+    # entry j of each plane as byte j, summed with no carry between bytes
+    both = int.from_bytes(_bits(ones, n), "little") + 2 * int.from_bytes(_bits(twos, n), "little")
+    return tuple(both.to_bytes(n, "little"))
 
 
 def flat(p: int, mats):
@@ -334,15 +363,31 @@ def block_diagonal(p: int, row, offsets, dims) -> Matrix:
 def flat_mul(p: int, rows, offsets, heights, mats) -> list:
     """Each flat row with its blocks multiplied on the right: flat of
     (B_v mats[v])_v, B_v being the heights[v] x mats[v].nrows block at
-    offsets[v].  Per block, every row's B_v is stacked into one matrix and
-    multiplied by mats[v] once."""
+    offsets[v].  Per block, every row's B_v is cut straight into one
+    stacked matrix, by shifts and masks over GF(2) and by slices over odd p,
+    multiplied by mats[v] once, and its product rows are joined back onto
+    the flat rows in order."""
+    if p == 2:
+        out = [0] * len(rows)
+        at = 0
+        for off, h, m in zip(offsets, heights, mats):
+            w, mask = m.nrows, (1 << m.nrows) - 1
+            stacked = [r >> off + i * w & mask for r in rows for i in range(h)]
+            prod = iter(Matrix(2, len(stacked), w, tuple(stacked)).mul(m).rows)
+            for j in range(len(rows)):
+                for i in range(h):
+                    out[j] |= next(prod) << at + i * m.ncols
+            at += h * m.ncols
+        return out
     out = [[] for _ in rows]
     for off, h, m in zip(offsets, heights, mats):
-        stacked = [x for r in rows for x in unflat(p, r, off, h, m.nrows).rows]
-        prod = Matrix(p, len(stacked), m.nrows, tuple(stacked)).mul(m).rows
-        for j, blocks in enumerate(out):
-            blocks.append(Matrix(p, h, m.ncols, prod[j * h:(j + 1) * h]))
-    return [flat(p, blocks) for blocks in out]
+        w = m.nrows
+        stacked = [r[off + i * w:off + (i + 1) * w] for r in rows for i in range(h)]
+        prod = iter(Matrix(p, len(stacked), w, tuple(stacked)).mul(m).rows)
+        for row in out:
+            for _ in range(h):
+                row += next(prod)
+    return [tuple(row) for row in out]
 
 
 def hstack(mats: list) -> Matrix:
@@ -432,10 +477,22 @@ def rref(m: Matrix) -> tuple:
     """Reduced row echelon form with its pivot columns, one per nonzero row.
 
     Pivots are the first nonzero entry in column order, giving a unique
-    canonical form: _echelon's rows back-substituted from the last pivot.
+    canonical form: _reduced's rows, then zero rows.
     """
-    p = m.p
-    piv = _echelon(p, m.rows)
+    rows, leads = _reduced(m.p, m.rows)
+    if m.p == 2:
+        zero, pivots = 0, [low.bit_length() - 1 for low in leads]
+    else:
+        zero, pivots = (0,) * m.ncols, leads
+    return Matrix(m.p, m.nrows, m.ncols, tuple(rows + [zero] * (m.nrows - len(rows)))), pivots
+
+
+def _reduced(p: int, rows) -> tuple:
+    """The nonzero rows of the reduced row echelon form of rows, in pivot
+    order, with _echelon's leads (each pivot's bit over GF(2), its column
+    otherwise): _echelon's rows back-substituted from the last pivot.
+    Equal row spaces give equal rows."""
+    piv = _echelon(p, rows)
     leads = sorted(piv)
     if p == 2:
         done = 0
@@ -448,8 +505,7 @@ def rref(m: Matrix) -> tuple:
                 later ^= b
             piv[low] = r
             done |= low
-        rows = [piv[low] for low in leads] + [0] * (m.nrows - len(leads))
-        return Matrix(2, m.nrows, m.ncols, tuple(rows)), [low.bit_length() - 1 for low in leads]
+        return [piv[low] for low in leads], leads
     for k in reversed(range(len(leads))):
         r = piv[leads[k]]
         for d in leads[k + 1:]:
@@ -457,8 +513,7 @@ def rref(m: Matrix) -> tuple:
             if f:
                 r = tuple([(x - f * y) % p for x, y in zip(r, piv[d])])
         piv[leads[k]] = r
-    rows = [piv[c] for c in leads] + [(0,) * m.ncols] * (m.nrows - len(leads))
-    return Matrix(p, m.nrows, m.ncols, tuple(rows)), leads
+    return [piv[c] for c in leads], leads
 
 
 def kernel_basis(m: Matrix) -> tuple:
@@ -514,6 +569,80 @@ def kernel_basis(m: Matrix) -> tuple:
             rows[b.bit_length() - 1] |= low
             acc ^= b
     return Matrix(2, len(rows), n, tuple(rows)), free
+
+
+def _add3(a1: int, a2: int, b1: int, b2: int) -> tuple:
+    """The (ones, twos) pair of a + b over GF(3), for a = (a1, a2) and
+    b = (b1, b2); a - b is a + (b2, b1)."""
+    x = (a1 | b2) ^ (a2 | b1)
+    return (a2 | b2) ^ x, (a1 | b1) ^ x
+
+
+def _echelon3(pairs) -> dict:
+    """_echelon over GF(3) on (ones, twos) pairs: lead -> pivot pair, its
+    lead entry 1.  A row whose lead is 2 is negated (its masks swapped)
+    before it is stored or reduced, so a reduction always subtracts; the
+    subtraction is _add3 of the swapped pivot, written out."""
+    piv = {}
+    for o, t in pairs:
+        while o | t:
+            low = (o | t) & -(o | t)
+            if t & low:
+                o, t = t, o
+            q = piv.get(low)
+            if q is None:
+                piv[low] = (o, t)
+                break
+            qo, qt = q
+            x = (o | qo) ^ (t | qt)
+            o, t = (t | qo) ^ x, (o | qt) ^ x
+    return piv
+
+
+def _kernel3(pairs, n: int) -> tuple:
+    """kernel_basis's result, its rows tuples, for a GF(3) system of n
+    columns given as (ones, twos) pairs, one per equation.
+
+    _echelon3's rows are back-substituted from the last pivot, as rref's
+    are.  Minus the reduced entries at a free column f are row f's entries
+    at the pivots, so each reduced row's set bits off its pivot are read
+    once into per-free-column masks, and each kernel row is unpacked once.
+    """
+    piv = _echelon3(pairs)
+    leads = sorted(piv)
+    done = 0
+    for low in reversed(leads):
+        o, t = piv[low]
+        later = (o | t) & done
+        while later:
+            b = later & -later
+            qo, qt = piv[b]
+            if o & b:  # entry 1: subtract the pivot row
+                x = (o | qo) ^ (t | qt)
+                o, t = (t | qo) ^ x, (o | qt) ^ x
+            else:  # entry 2: add it
+                x = (o | qt) ^ (t | qo)
+                o, t = (t | qt) ^ x, (o | qo) ^ x
+            later ^= b
+        piv[low] = (o, t)
+        done |= low
+    ones, twos = {}, {}
+    for low in leads:
+        o, t = piv[low]
+        # a reduced 1 at f puts -1 = 2 at this pivot in row f, a 2 puts 1
+        for plane, into in ((o ^ low, twos), (t, ones)):
+            while plane:
+                f = plane & -plane
+                into[f] = into.get(f, 0) | low
+                plane ^= f
+    rows, free = [], []
+    rest = ((1 << n) - 1) ^ done
+    while rest:
+        f = rest & -rest
+        rows.append(_unpack3(ones.get(f, 0) | f, twos.get(f, 0), n))
+        free.append(f.bit_length() - 1)
+        rest ^= f
+    return Matrix(3, len(rows), n, tuple(rows)), free
 
 
 def _reverse_cols(m: Matrix) -> Matrix:

@@ -5,10 +5,12 @@ dim[target] x dim[source]; a path acts by composing its arrow matrices in
 traversal order.  Hom spaces come from the intertwining linear system, its
 unknowns laid out as linalg.flat, which decides the Hom coordinate layout.
 A HomBasis keeps the system's kernel rows in that layout with each row's
-free column (linalg.kernel_basis), and is memoized on the algebra;
-per-vertex Hom objects are cut from a row only where a caller composes
-them (Ext^1 cocycles, the tilting check, the split search's top images),
-and are not kept.  Decomposition peels direct summands with Fitting's
+free column (linalg.kernel_basis), and is memoized on the algebra.  Over
+GF(3) the system is built and solved on linalg's bit-sliced (ones, twos)
+pairs, which never leave _hom_space: its rows are tuples, as over any odd
+p.  Per-vertex Hom objects are cut from a row only where a caller
+composes them (Ext^1 cocycles, the tilting check, the split search's top
+images), and are not kept.  Decomposition peels direct summands with Fitting's
 lemma, and is exact for every p: an endomorphism splits M exactly when its
 action on top(M) is neither nilpotent nor invertible, so testing each line
 of End(M)'s image on top(M) either finds a split or proves M
@@ -241,7 +243,15 @@ def hom_space(m: Representation, n: Representation) -> HomBasis:
 
 
 def _hom_space(m: Representation, n: Representation) -> HomBasis:
-    """Solutions of f_w M_a = N_a f_u per arrow a: u -> w."""
+    """Solutions of f_w M_a = N_a f_u per arrow a: u -> w.
+
+    Equation (i, j) of arrow a is column j of M_a at row i of f_w, minus
+    N_a's row i spread over column j of f_u.  Over GF(2) it is one bit mask,
+    from M_a's transpose.  Over GF(3) it is a (ones, twos) pair of masks
+    built from M_a's nonzero entries row by row, with no transpose, and
+    solved by linalg._kernel3; on a loop both halves can hold one unknown,
+    so they are added mod 3 (linalg._add3).  Over larger p it is a tuple.
+    Every route gives kernel_basis's rows and free columns."""
     algebra = m.algebra
     q = algebra.quiver
     p = algebra.p
@@ -272,6 +282,36 @@ def _hom_space(m: Representation, n: Representation) -> HomBasis:
                     if row:
                         masks.append(row)
         kernel, free = linalg.kernel_basis(Matrix(2, len(masks), total, tuple(masks)))
+    elif p == 3:
+        # each row as a (ones, twos) pair of masks, solved by linalg._kernel3
+        pairs = []
+        for ai in range(len(q.arrows)):
+            u, w = q.arrow_source(ai), q.arrow_target(ai)
+            dmu, dmw = m.dim[u], m.dim[w]
+            # column j of M_a as two masks, read off M_a's nonzero entries by row
+            col1, col2 = [0] * dmu, [0] * dmu
+            for k, ma_row in enumerate(m.action[ai].rows):
+                for j, c in enumerate(ma_row):
+                    if c == 1:
+                        col1[j] |= 1 << k
+                    elif c:
+                        col2[j] |= 1 << k
+            for i, na_row in enumerate(n.action[ai].rows):
+                base_w = off[w] + i * dmw
+                # -N_a's row i spread as over GF(2), -1 = 2 and -2 = 1 swapping the masks
+                neg1 = neg2 = 0
+                for l, c in enumerate(na_row):
+                    if c == 1:
+                        neg2 |= 1 << l * dmu
+                    elif c:
+                        neg1 |= 1 << l * dmu
+                at = off[u]
+                for j in range(dmu):
+                    # on a loop both halves can hold one unknown: add them mod 3
+                    o, t = linalg._add3(col1[j] << base_w, col2[j] << base_w, neg1 << at + j, neg2 << at + j)
+                    if o | t:
+                        pairs.append((o, t))
+        kernel, free = linalg._kernel3(pairs, total)
     else:
         rows = []
         for ai in range(len(q.arrows)):

@@ -822,6 +822,94 @@ def test_two_sided_plan_builds_one_middle_per_orbit(monkeypatch):
         assert len(built) == middles
 
 
+def copy_moves_by_products(p, blocks, copies, pools):
+    """_copy_moves the matrix way: each generator's g (x) I_w set out as a
+    full matrix from its entries, every pool entry multiplied by it and
+    row-reduced by rref."""
+    import itertools
+
+    from syzex.extdim import _unit_generator
+    from syzex.linalg import Matrix, rref
+
+    if copies == (1,):
+        return []
+    starts = itertools.accumulate(copies, initial=0)
+    acting = [(s, k) for s, k in zip(starts, copies) if any(chunks[s] for _, _, chunks in blocks)]
+    single = all(k == 1 for _, k in acting)
+    if single and (p == 2 or len(acting) < 2):
+        return []
+    omega = _unit_generator(p) if p > 2 else None
+    gens = []
+    for s, k in acting:
+        if k > 1:
+            gens.append((s, k, lambda a, b: int(a == b) + int((a, b) == (0, 1))))
+            gens.append((s, k, lambda a, b, k=k: int(b == (a + 1) % k)))
+        if omega and not (single and s == acting[-1][0]):
+            gens.append((s, k, lambda a, b: omega if a == b == 0 else int(a == b)))
+    if not gens:
+        return []
+    packed = [[Matrix.from_rows(p, rr).rows for rr in pool] for pool in pools]
+    index = [{rows: i for i, rows in enumerate(pool)} for pool in packed]
+    moves = []
+    for s, k, g in gens:
+        move = []
+        for (mult, space, chunks), pool, at in zip(blocks, packed, index):
+            w, off = chunks[s], sum(chunks[:s])
+            if w == 0:
+                move.append(range(len(pool)))
+                continue
+            full = [[int(a == b) for b in range(space)] for a in range(space)]
+            for a, b, t in itertools.product(range(k), range(k), range(w)):
+                full[off + a * w + t][off + b * w + t] = g(a, b)
+            full = Matrix.from_rows(p, full)
+            move.append(tuple(at[rref(Matrix(p, mult, space, rows).mul(full))[0].rows] for rows in pool))
+        moves.append(move)
+    return moves
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_copy_moves_match_products_on_kron2_pools(p):
+    """The copy generators acting on packed rows, reduced by linalg's
+    reduction, permute each kron2 pool exactly as the full matrices of
+    g (x) I_w, their products and rref do: copies of one class (the
+    transvection and the shift), two single classes (the scaling over
+    GF(3)), a class with no Ext^1 to the line side, and both plan modes."""
+    from syzex.extdim import _copy_moves, _orbit_plan, _rref_rows
+    from syzex.homology import ext1_space
+
+    uni = generate_universe(build_algebra(kron2_spec(p)), UniverseParams(3))
+    s0, s1 = member_named(uni, "S0"), member_named(uni, "S1")
+    m11 = [m for m in uni.sorted_members() if m.dim == (1, 1)]
+    m12, m21 = (next(m for m in uni.sorted_members() if m.dim == d) for d in ((1, 2), (2, 1)))
+    # a band module with no Ext^1 from another one: its chunk is 0 in that block
+    a, b = next((a, b) for a in m11 for b in m11 if not ext1_space(b, a).dimension)
+    pairs = [
+        (((s1, 2),), ((s0, 3),)),
+        (((s1, 3),), ((s0, 2),)),
+        (((s1, 1),), ((s0, 1), (a, 1))),
+        (((s1, 2),), ((s0, 2), (a, 1))),
+        (((s1, 1), (a, 1)), ((s0, 2),)),
+        (((s1, 1), (m12, 1)), ((s0, 1), (a, 1))),
+        (((s1, 2),), ((s0, 1), (m21, 1))),
+        (((a, 2), (s1, 1)), ((s0, 2), (b, 1))),
+    ]
+    seen = set()
+    for sub_ms, quot_ms in pairs:
+        dims = [[ext1_space(x, y).dimension for x, _ in quot_ms] for y, _ in sub_ms]
+        mode, blocks, count, copies = _orbit_plan(p, sub_ms, quot_ms, dims)
+        assert 0 < count <= 1300
+        pools = [list(_rref_rows(p, mult, space)) for mult, space, _ in blocks]
+        got = _copy_moves(p, blocks, copies, pools)
+        assert [[tuple(perm) for perm in move] for move in got] == [
+            [tuple(perm) for perm in move] for move in copy_moves_by_products(p, blocks, copies, pools)
+        ]
+        seen.add((mode, len(got)))
+        seen.update("idle block" for move in got for perm in move if isinstance(perm, range))
+    # the transvection and the shift move both plan modes; over GF(3) the
+    # scaling moves two single classes, and one class's generator leaves a block idle
+    assert {("rows", 2), ("cols", 2)} <= seen if p == 2 else {("rows", 3), ("cols", 1), "idle block"} <= seen
+
+
 def test_unit_generator_generates_the_unit_group():
     from syzex.extdim import _unit_generator
 

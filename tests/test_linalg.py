@@ -11,7 +11,10 @@ from split_oracle import _kernel_rows, column_space_basis
 from syzex.errors import SpecError
 from syzex.linalg import (
     Matrix,
+    _kernel3,
+    _pack3,
     _unpack,
+    _unpack3,
     block_diagonal,
     combine,
     coordinates,
@@ -537,10 +540,10 @@ def rref_gauss_jordan(m):
 
 
 @st.composite
-def odd_matrices(draw, rows, cols):
-    """Random GF(p) matrices, p in {3, 5, 257}, of a given density, with zero
+def odd_matrices(draw, rows, cols, primes=(3, 5, 257)):
+    """Random GF(p) matrices, p in primes, of a given density, with zero
     rows, repeated rows and multiples of rows mixed in."""
-    p = draw(st.sampled_from([3, 5, 257]))
+    p = draw(st.sampled_from(primes))
     nr, nc = draw(rows), draw(cols)
     density = draw(st.floats(0.02, 0.9))
     rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
@@ -660,6 +663,42 @@ def test_unpack_matches_shift_loop():
     for n in range(1001):
         for mask in (0, (1 << n) - 1, rng.getrandbits(n)):
             assert _unpack(mask, n) == tuple((mask >> j) & 1 for j in range(n))
+
+
+def test_gf3_pack_unpack_round_trip():
+    """A (ones, twos) pair has bit j of ones set where entry j is 1 and of
+    twos where it is 2, and unpacks back to the row."""
+    rng = random.Random(627)
+    for n in (0, 1, 63, 64, 65, 200):
+        for row in ((0,) * n, (1,) * n, (2,) * n, tuple(rng.randrange(3) for _ in range(n))):
+            ones, twos = _pack3(row)
+            assert ones == sum(1 << j for j, x in enumerate(row) if x == 1)
+            assert twos == sum(1 << j for j, x in enumerate(row) if x == 2)
+            assert _unpack3(ones, twos, n) == row
+
+
+GF3_WIDE_FULL_RANK = Matrix(3, 3, 140, (
+    (1,) + (0,) * 138 + (2,),
+    (0, 1) + (0,) * 67 + (2,) + (0,) * 70,
+    (0, 0, 2) + (0,) * 62 + (1,) * 75,
+))
+
+
+@settings(max_examples=200, deadline=None)
+@given(odd_matrices(st.integers(0, 20), st.integers(0, 150), primes=(3,)))
+@example(Matrix.zero(3, 0, 0))
+@example(Matrix.zero(3, 0, 9))
+@example(Matrix.zero(3, 7, 0))
+@example(Matrix.zero(3, 5, 80))
+@example(Matrix.identity(3, 70))
+@example(Matrix.identity(3, 130).scale(2))
+@example(GF3_WIDE_FULL_RANK)
+@example(GF3_WIDE_FULL_RANK.transpose())
+def test_gf3_pair_kernel_matches_tuple_route(m):
+    """The GF(3) solve on (ones, twos) pairs gives kernel_basis's tuple rows
+    and free columns: on empty, zero and full-rank systems, on rows wider
+    than 64 and 128 columns, and on rows mixing 1s and 2s."""
+    assert _kernel3([_pack3(r) for r in m.rows], m.ncols) == kernel_basis(m)
 
 
 def check_free_columns(m):

@@ -610,11 +610,11 @@ def test_projective_tops_are_simple(kron2, beilinson2, fivevertex):
             assert top_dim(algebra.projective(v)) == expected
 
 
-def hom_basis_by_entries(m, n):
-    """Hom(m, n) basis the per-entry way: one equation per arrow entry, kernel
-    vectors as tuples, each block repacked entry by entry with from_rows."""
+def hom_equations_by_entries(m, n):
+    """The Hom(m, n) system the per-entry way, one equation per arrow entry
+    in the order (arrow, i, j), with its number of unknowns."""
     algebra = m.algebra
-    q, p = algebra.quiver, algebra.p
+    q = algebra.quiver
     off, total = [], 0
     for v in range(q.n_vertices):
         off.append(total)
@@ -634,6 +634,20 @@ def hom_basis_by_entries(m, n):
                 for l in range(n.dim[u]):
                     row[unknown(u, l, j)] -= n.action[ai].entry(i, l)
                 rows.append(row)
+    return rows, total
+
+
+def hom_basis_by_entries(m, n):
+    """Hom(m, n) basis the per-entry way: kernel vectors of
+    hom_equations_by_entries as tuples, each block repacked entry by entry
+    with from_rows."""
+    q, p = m.algebra.quiver, m.algebra.p
+    off = list(itertools.accumulate((a * b for a, b in zip(m.dim, n.dim)), initial=0))
+
+    def unknown(v, i, j):
+        return off[v] + i * m.dim[v] + j
+
+    rows, total = hom_equations_by_entries(m, n)
     system = Matrix.from_rows(p, rows) if rows else Matrix.zero(p, 0, total)
     basis = []
     for vec in entries(kernel_basis(system)[0]):
@@ -683,10 +697,23 @@ def random_hom_modules(rng, p):
     return groups
 
 
+def loop_sum_modules():
+    """Two dual-numbers modules over GF(3) whose loop x has diagonals (1, 2)
+    and (2, 1).  Equation (i, j) of Hom(M, N) meets f[i][j] from both sides,
+    with M_x[j][j] - N_x[i][i]: 1 - 2 = 2, 2 - 2 = 0 and 2 - 1 = 1, each
+    part nonzero, so the two entries must be added mod 3."""
+    dual = build_algebra(load_corpus("dualnumbers", 3).spec)
+    mods = [Representation(dual, (2,), (Matrix.from_rows(3, rows),)) for rows in ([[1, 1], [2, 2]], [[2, 1], [2, 1]])]
+    assert all(m.validate() == [] for m in mods)
+    m, n = (x.action[0] for x in mods)
+    assert {(m.entry(j, j) - n.entry(i, i)) % 3 for i in range(2) for j in range(2)} == {0, 1, 2}
+    return mods
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 257])
 def test_hom_space_matches_per_entry_oracle(p):
     rng = random.Random(601 + p)
-    for mods in random_hom_modules(rng, p):
+    for mods in random_hom_modules(rng, p) + ([loop_sum_modules()] if p == 3 else []):
         for m in mods:
             for n in mods:
                 hb = hom_space(m, n)
@@ -695,6 +722,32 @@ def test_hom_space_matches_per_entry_oracle(p):
                 assert got == [
                     tuple(unflat(p, row, at, b, a) for at, a, b in zip(hb.offsets, m.dim, n.dim)) for row in hb.rows
                 ]
+
+
+def test_gf3_hom_pairs_are_the_per_entry_equations(monkeypatch):
+    """Over GF(3) every (ones, twos) pair _hom_space hands to the solve has
+    disjoint masks and unpacks to the per-entry equation, reduced mod 3, the
+    zero equations left out: loops whose two entries on one unknown sum to
+    0, 1 and 2 included."""
+    from syzex import linalg
+
+    solve = linalg._kernel3
+    seen = []
+
+    def checked(pairs, n):
+        seen.append([linalg._unpack3(o, t, n) for o, t in pairs])
+        assert all(not o & t for o, t in pairs)
+        return solve(pairs, n)
+
+    monkeypatch.setattr(linalg, "_kernel3", checked)
+    rng = random.Random(604)
+    for mods in random_hom_modules(rng, 3) + [loop_sum_modules()]:
+        for m in mods:
+            for n in mods:
+                seen.clear()
+                rep_module._hom_space(m, n)
+                rows, _ = hom_equations_by_entries(m, n)
+                assert seen == [[tuple(x % 3 for x in row) for row in rows if any(x % 3 for x in row)]]
 
 
 def test_module_doc_roundtrip(kron2):
