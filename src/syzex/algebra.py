@@ -52,6 +52,7 @@ class Quiver:
         # vertex indices of each arrow's ends, by arrow index
         self.sources = tuple(self.vindex[a.source] for a in self.arrows)
         self.targets = tuple(self.vindex[a.target] for a in self.arrows)
+        self.ends = tuple(zip(self.sources, self.targets))
 
     def arrow_source(self, i):
         return self.sources[i]
@@ -270,21 +271,6 @@ def _placements(ending, starting, length, r):
                 yield s, t, u, w
 
 
-def _expansion(p: int, row, k: int, residue: dict) -> dict:
-    """The path at pivot column k in the residue basis: minus its reduced
-    row's entries, which are 0 at every other pivot column, keyed in column
-    order by residue[column], the residue path's basis index."""
-    if p == 2:
-        out = {}
-        row ^= 1 << k
-        while row:
-            low = row & -row
-            out[residue[low.bit_length() - 1]] = 1
-            row ^= low
-        return out
-    return {residue[j]: p - row[j] for j in range(k + 1, len(row)) if row[j]}
-
-
 def build_algebra(spec: AlgebraSpec) -> PathAlgebra:
     """kQ/I degree by degree.  The paths u r w of one length from s to t, r
     a relation, span the ideal's slice there.  A one-term r puts its u r w
@@ -357,35 +343,33 @@ def build_algebra(spec: AlgebraSpec) -> PathAlgebra:
             kept = [arrows for arrows in plist if arrows not in zero]
             col = {arrows: k for k, arrows in enumerate(kept)}
             n = len(kept)
-            rows = []
+            entries = []
+            nrows = 0
             for terms in others.get((s, t), ()):
                 # a relation's paths are distinct, so no two hits share a column
-                hits = [(k, c) for c, q in terms if (k := col.get(q)) is not None]
-                if not hits:
-                    continue
-                if p == 2:
-                    rows.append(sum(1 << k for k, _ in hits))
-                else:
-                    row = [0] * n
-                    for k, c in hits:
-                        row[k] = c
-                    rows.append(tuple(row))
+                hits = [(nrows, k, c) for c, q in terms if (k := col.get(q)) is not None]
+                if hits:
+                    entries += hits
+                    nrows += 1
             pivot_rows = {}
-            if rows:
-                red, pivots = linalg.rref(linalg.Matrix(p, len(rows), n, tuple(rows)))
+            if nrows:
+                red, pivots = linalg.rref(linalg.Matrix.from_entries(p, nrows, n, entries))
                 pivot_rows = dict(zip(pivots, red.rows))
             residue = {}
             for k, arrows in enumerate(kept):
                 if k not in pivot_rows:
                     residue[k] = len(basis)
                     basis.append((s, arrows, t))
-            # pivots in column order, then residues, as the whole slice's RREF gives them
+            # pivots in column order, then residues, as the whole slice's RREF
+            # gives them; the path at pivot k is minus its reduced row's
+            # entries off k, which are 0 at every other pivot, in column order
             for arrows in plist:
                 k = col.get(arrows)
                 if k is None:
                     reduce_maps[(s, arrows)] = {}
                 elif k in pivot_rows:
-                    reduce_maps[(s, arrows)] = _expansion(p, pivot_rows[k], k, residue)
+                    row = linalg.nonzeros(p, pivot_rows[k])
+                    reduce_maps[(s, arrows)] = {residue[j]: p - c for j, c in row if j != k}
             for k, idx in residue.items():
                 reduce_maps[(s, kept[k])] = {idx: 1}
             residues_this_level += len(residue)

@@ -241,27 +241,6 @@ def _gaussian_count(p: int, n: int, k: int) -> int:
     return num // den
 
 
-def _rref_rows(p: int, nrows: int, ncols: int):
-    """All full-rank reduced row echelon forms, as tuples of coefficient rows."""
-    if nrows > ncols:
-        return
-    for pivots in itertools.combinations(range(ncols), nrows):
-        pivot_set = set(pivots)
-        slots = [
-            (i, c)
-            for i in range(nrows)
-            for c in range(pivots[i] + 1, ncols)
-            if c not in pivot_set
-        ]
-        for vals in itertools.product(range(p), repeat=len(slots)):
-            rows = [[0] * ncols for _ in range(nrows)]
-            for i in range(nrows):
-                rows[i][pivots[i]] = 1
-            for (i, c), v in zip(slots, vals):
-                rows[i][c] = v
-            yield tuple(tuple(r) for r in rows)
-
-
 def _plan_side(p, line_ms, other_ms, dims):
     """One side of the orbit plan: line block i holds line_ms[i]'s mult lines,
     each cut into chunks dims[i][j], repeated other_ms[j]'s mult times.
@@ -303,7 +282,7 @@ def _orbit_plan(p, sub_ms, quot_ms, dims):
 def _unit_generator(p):
     """A generator of GF(p)^*, or None for p above 2^16, where the search is
     skipped: a generator left out only merges fewer grids."""
-    if p > 1 << 16:
+    if p > 2 ** 16:
         return None
     primes = [q for q in range(2, p) if (p - 1) % q == 0 and is_prime(q)]
     return next(g for g in range(2, p) if all(pow(g, (p - 1) // q, p) != 1 for q in primes))
@@ -318,9 +297,9 @@ def _copy_moves(p, blocks, copies, pools):
     adding copy 0 to copy 1, the cyclic shift of the copies and, for p > 2,
     diag(omega, 1, ...) with omega generating GF(p)^*.  A generator g maps
     each line of a block by g (x) I_w on its class's chunks (w the chunk
-    width), acting on the line's packed row (_moved_lines), and the moved
-    lines are reduced back to RREF by linalg's reduction, so the line
-    side's copy groups stay quotiented out.
+    width), and the moved lines are reduced back to RREF
+    (linalg.moved_rrefs), so the line side's copy groups stay quotiented
+    out.
     """
     if copies == (1,):  # one copy of one class, as in every closure pair
         return []
@@ -341,46 +320,18 @@ def _copy_moves(p, blocks, copies, pools):
             gens.append((s, k, "scale"))
     if not gens:
         return []
-    # over odd p a coefficient row is already a Matrix row
-    packed = [[tuple(map(linalg._pack, rr)) for rr in pool] for pool in pools] if p == 2 else pools
-    index = [{rows: i for i, rows in enumerate(pool)} for pool in packed]
+    index = [{rows: i for i, rows in enumerate(pool)} for pool in pools]
     moves = []
     for s, k, kind in gens:
         move = []
-        for (_, _, chunks), pool, at in zip(blocks, packed, index):
+        for (_, _, chunks), pool, at in zip(blocks, pools, index):
             w, off = chunks[s], sum(chunks[:s])
             if w == 0:
                 move.append(range(len(pool)))
                 continue
-            moved = _moved_lines(p, kind, pool, off, w, k, omega)
-            move.append(tuple([at[tuple(linalg._reduced(p, rows)[0])] for rows in moved]))
+            move.append(tuple([at[rows] for rows in linalg.moved_rrefs(p, kind, pool, off, w, k, omega)]))
         moves.append(move)
     return moves
-
-
-def _moved_lines(p, kind, pool, off, w, k, omega) -> list:
-    """The packed rows of each pool entry times g (x) I_w, g acting on the k
-    chunks of width w that start at entry off: "add" adds chunk 0 to chunk
-    1, "shift" moves each chunk one place on and the last to the first,
-    "scale" multiplies chunk 0 by omega."""
-    mid, end = off + w, off + k * w
-    if p == 2:
-        if kind == "add":
-            low = (1 << w) - 1
-            return [[r ^ (r >> off & low) << mid for r in rows] for rows in pool]
-        span = (1 << k * w) - 1
-
-        def shift(r):
-            c = r >> off & span
-            return r ^ (c ^ (c << w | c >> (k - 1) * w) & span) << off
-
-        return [list(map(shift, rows)) for rows in pool]
-    if kind == "add":
-        return [[r[:mid] + tuple([(x + y) % p for x, y in zip(r[mid:mid + w], r[off:mid])]) + r[mid + w:] for r in rows]
-                for rows in pool]
-    if kind == "shift":
-        return [[r[:off] + r[end - w:end] + r[off:end - w] + r[end:] for r in rows] for rows in pool]
-    return [[r[:off] + tuple([omega * x % p for x in r[off:mid]]) + r[mid:] for r in rows] for rows in pool]
 
 
 def _orbit_leaders(combos, moves):
@@ -411,15 +362,20 @@ def _coefficient_grids(p, mode, blocks, copies):
     """Yield, per orbit of the plan's representatives (one full-rank RREF
     per block) under the other side's copy groups, the first
     representative's grid of coefficient tuples: row i, column j holds the
-    Ext^1 coordinates for sub slot i, quot slot j."""
-    pools = [list(_rref_rows(p, mult, space)) for mult, space, _ in blocks]
+    Ext^1 coordinates for sub slot i, quot slot j.  Only the leaders'
+    lines are cut into tuples."""
+    pools = [linalg.rref_pool(p, mult, space) for mult, space, _ in blocks]
     cuts = [list(itertools.pairwise(itertools.accumulate(chunks, initial=0))) for _, _, chunks in blocks]
     combos = itertools.product(*[range(len(pool)) for pool in pools])
     moves = _copy_moves(p, blocks, copies, pools)
     if moves:
         combos = _orbit_leaders(combos, moves)
     for combo in combos:
-        lines = tuple(tuple(line[a:b] for a, b in cut) for pool, i, cut in zip(pools, combo, cuts) for line in pool[i])
+        lines = tuple(
+            tuple(line[a:b] for a, b in cut)
+            for pool, i, cut, (mult, space, _) in zip(pools, combo, cuts, blocks)
+            for line in map(Matrix(p, mult, space, pool[i]).row, range(mult))
+        )
         yield lines if mode == "rows" else tuple(zip(*lines))
 
 

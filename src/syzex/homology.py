@@ -63,7 +63,6 @@ from .rep import (
 class ProjectivePresentation:
     module: Representation
     cover: Representation
-    slots: tuple  # vertex index per projective summand P(v)
     epi: Hom
     kernel: Representation  # the syzygy
 
@@ -150,7 +149,7 @@ def _projective_cover(m: Representation) -> ProjectivePresentation:
             if not Matrix(p, len(coords), rows.nrows, tuple([cols[c] for c in coords])).is_zero():
                 raise AssertionError("cover kernel escapes the radical")
 
-    return ProjectivePresentation(m, cover, tuple(slots), epi, kernel)
+    return ProjectivePresentation(m, cover, epi, kernel)
 
 
 def _path_image(transposed: list, images: dict, arrows: tuple) -> Matrix:
@@ -321,9 +320,9 @@ def extension_middle(ys, xs, corners) -> Representation:
         xoffs = offs[len(ys):]
         rows = []
         for y, yoff, blocks in zip(ys, offs, corners):
-            rows += linalg._stripe(p, dims[s], [(y.action[ai], yoff)] + [(b[ai], off) for b, off in zip(blocks, xoffs)])
+            rows += linalg.stripe(p, dims[s], [(y.action[ai], yoff)] + [(b[ai], off) for b, off in zip(blocks, xoffs)])
         for x, xoff in zip(xs, xoffs):
-            rows += linalg._stripe(p, dims[s], [(x.action[ai], xoff)])
+            rows += linalg.stripe(p, dims[s], [(x.action[ai], xoff)])
         action.append(Matrix(p, dims[q.arrow_target(ai)], dims[s], tuple(rows)))
     return Representation(algebra, dims, tuple(action))
 

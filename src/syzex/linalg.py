@@ -1,14 +1,28 @@
-"""Exact dense linear algebra over prime fields GF(p).
+"""Exact dense linear algebra over prime fields GF(p), and the one module
+that knows how a matrix row is stored.
 
-Matrices are immutable. Row reduction uses deterministic pivoting (first
-nonzero entry in column order) so every derived basis is canonical.
-For p == 2 rows are stored as bit masks (python ints); for other primes
-rows are tuples of residues. All public operations accept either layout.
-rref returns the pivot columns with the reduced matrix.  kernel_basis, the
-one kernel entry point, returns a basis in the system's row layout, one
-vector per row, with the free column of each; null_rows is the reduced
-echelon basis of the kernel with the pivot column of each row, as rref of
-a transpose gives the image's.  A coordinate is the entry at a pivot:
+Row layouts.  Over GF(2) a row is a bit mask, a python int whose bit j is
+entry j; over odd p it is a tuple of residues.  Over GF(3) the Hom solve
+alone also uses bit-sliced rows (Boothby and Bradshaw, arXiv:0901.1413): a
+(ones, twos) pair of masks, bit j of ones set where entry j is 1 and of
+twos where it is 2, added by _add3 in seven boolean operations and negated
+by swapping the masks.  No Matrix carries pairs, and every other GF(3)
+kernel, rank and rref stays on tuples, where slicing tuple rows on entry
+did not pay on small systems.  Other modules build and read rows only
+through this module, whose functions keep the route measured fastest for
+each layout: Matrix.from_entries writes sparse entries and nonzeros reads
+them, stripe sets blocks side by side, hom_solve builds and solves Hom
+systems, sub_action restricts arrow matrices to invariant subspaces whose
+bases block_spans cuts out, and rref_pool enumerates full-rank RREFs that
+moved_rrefs moves by copy automorphisms and reduces back.
+
+Matrices are immutable.  Row reduction uses deterministic pivoting (first
+nonzero entry in column order), so every derived basis is canonical.  rref
+returns the pivot columns with the reduced matrix.  kernel_basis, the one
+kernel entry point, returns a basis in the system's row layout, one vector
+per row, with the free column of each; null_rows is the reduced echelon
+basis of the kernel with the pivot column of each row, as rref of a
+transpose gives the image's.  A coordinate is the entry at a pivot:
 coordinates reads a vector's coefficients in a basis whose vectors are
 each 1 at their own pivot and 0 at the others' (a kernel row's free column
 is such a pivot), and one product checks them; solve_matrix, a reduction
@@ -16,41 +30,25 @@ of [A | B], is left for bases with no known pivots.
 
 Matrices met on the syzygy path are large and sparse, so the kernel rows,
 odd-p products and GF(2) elimination do work in proportion to the nonzero
-entries of each row, not to its length.  Both row layouts share one forward
-pass, _echelon: rank counts its pivots, rref back-substitutes over them
-(_reduced, which the copy moves of the extension plan also reduce with),
-and GF(2) kernel_basis back-solves the kernel straight off it, one mask per
-column over the kernel vectors, without rref's back-substitution; over odd
-p the kernel is read off rref.
+entries of each row, not to its length.  Both Matrix layouts share one
+forward pass, _echelon: rank counts its pivots, rref back-substitutes over
+them (_reduced), and GF(2) kernel_basis back-solves the kernel straight off
+it, one mask per column over the kernel vectors; over odd p the kernel is
+read off rref.
 
-Over GF(3) the Hom solve alone runs on bit-sliced rows (Boothby and
-Bradshaw, arXiv:0901.1413): a row is a (ones, twos) pair of masks, bit j of
-ones set where entry j is 1 and of twos where it is 2.  _add3 adds two
-pairs in seven boolean operations, and negation swaps the masks.
-rep._hom_space builds its equations straight into pairs, and _kernel3
-returns kernel_basis's tuple rows and free columns from them: _echelon3's
-forward pass, back-substitution, and each kernel row read off at its free
-column and unpacked once.  The pair layout lives only in that solve, in
-this module and rep: no Matrix carries pairs, p >= 5 keeps tuple rows, and
-every other GF(3) kernel, rank and rref keeps the tuple route, where
-slicing tuple rows on entry did not pay on these small systems.
-
-The Hom coordinate layout is decided here: flat lays a tuple of matrices
-out as one row, row-major and concatenated, and unflat cuts a block back
-out; flat_mul multiplies every block of many such rows on the right, one
-product per block position, as Ext^1 restricts Hom(P, Y) to OX;
-block_diagonal sets the square blocks of such a row down the diagonal
+The Hom coordinate layout is decided here too: flat lays a tuple of
+matrices out as one row, row-major and concatenated, and unflat cuts a
+block back out; flat_mul multiplies every block of many such rows on the
+right, one product per block position, as Ext^1 restricts Hom(P, Y) to
+OX; block_diagonal sets the square blocks of such a row down the diagonal
 of one matrix, as the split search and the iso test read End(M) and
 Hom(M, N).  Matrix.key packs flat's row, one bit per entry over GF(2); keys
 of equal shape compare as one-byte-per-entry keys would.
-
-Every other block matrix is assembled one row at a time by _stripe, which
-places equal-height blocks side by side at their column offsets: hstack,
-rep.direct_sum and homology.extension_middle all build their rows with it,
-so side-by-side assembly branches on the row layout in this one place.
 """
 
 from __future__ import annotations
+
+import itertools
 
 from .errors import SpecError
 
@@ -122,6 +120,22 @@ class Matrix:
         return Matrix(p, nrows, ncols, rows)
 
     @staticmethod
+    def from_entries(p: int, nrows: int, ncols: int, entries) -> "Matrix":
+        """The matrix with entry c mod p at each (i, j, c) of entries, which
+        name distinct positions, and 0 elsewhere: each entry is written
+        straight into its row, as a bit over GF(2), as a list slot over odd p."""
+        if p == 2:
+            rows = [0] * nrows
+            for i, j, c in entries:
+                if c & 1:
+                    rows[i] |= 1 << j
+            return Matrix(2, nrows, ncols, tuple(rows))
+        rows = [[0] * ncols for _ in range(nrows)]
+        for i, j, c in entries:
+            rows[i][j] = c % p
+        return Matrix(p, nrows, ncols, tuple(map(tuple, rows)))
+
+    @staticmethod
     def zero(p: int, nrows: int, ncols: int) -> "Matrix":
         if p == 2:
             return Matrix(p, nrows, ncols, (0,) * nrows)
@@ -129,9 +143,7 @@ class Matrix:
 
     @staticmethod
     def identity(p: int, n: int) -> "Matrix":
-        if p == 2:
-            return Matrix(p, n, n, tuple(1 << i for i in range(n)))
-        return Matrix(p, n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        return Matrix.from_entries(p, n, n, [(i, i, 1) for i in range(n)])
 
     # -- access ------------------------------------------------------
 
@@ -315,6 +327,18 @@ def _unpack3(ones: int, twos: int, n: int) -> tuple:
     return tuple(both.to_bytes(n, "little"))
 
 
+def nonzeros(p: int, row) -> list:
+    """(column, entry) for each nonzero entry of a row, in column order."""
+    if p == 2:
+        out = []
+        while row:
+            low = row & -row
+            out.append((low.bit_length() - 1, 1))
+            row ^= low
+        return out
+    return [(j, c) for j, c in enumerate(row) if c]
+
+
 def flat(p: int, mats):
     """The entries of mats, each row-major, concatenated into one row: over
     GF(2) a bit mask, entry (i, j) of a block at offset off being bit
@@ -400,10 +424,10 @@ def hstack(mats: list) -> Matrix:
     for m in mats:
         pieces.append((m, ncols))
         ncols += m.ncols
-    return Matrix(p, nrows, ncols, tuple(_stripe(p, ncols, pieces)))
+    return Matrix(p, nrows, ncols, tuple(stripe(p, ncols, pieces)))
 
 
-def _stripe(p: int, ncols: int, pieces) -> list:
+def stripe(p: int, ncols: int, pieces) -> list:
     """The one block-row assembler: rows of equal-height blocks placed side by
     side, pieces being (matrix, column offset) in increasing offset order,
     zeros elsewhere.  A row is one shifted OR of bit masks over GF(2), one
@@ -582,9 +606,12 @@ def _echelon3(pairs) -> dict:
     """_echelon over GF(3) on (ones, twos) pairs: lead -> pivot pair, its
     lead entry 1.  A row whose lead is 2 is negated (its masks swapped)
     before it is stored or reduced, so a reduction always subtracts; the
-    subtraction is _add3 of the swapped pivot, written out."""
+    subtraction is _add3 of the swapped pivot, written out.  ValueError on a
+    pair with a bit set in both masks, whose lead no reduction would clear."""
     piv = {}
     for o, t in pairs:
+        if o & t:
+            raise ValueError("GF(3) row pair has entries that are both 1 and 2: %#x" % (o & t))
         while o | t:
             low = (o | t) & -(o | t)
             if t & low:
@@ -645,6 +672,84 @@ def _kernel3(pairs, n: int) -> tuple:
     return Matrix(3, len(rows), n, tuple(rows)), free
 
 
+def hom_solve(p: int, ends, m_dim, m_mats, n_dim, n_mats) -> tuple:
+    """The maps f = (f_v) with f_w M_a = N_a f_u for every arrow a, ends[a]
+    being (u, w) and M_a, N_a the matrices m_mats[a], n_mats[a]: (rows,
+    offsets, free), kernel_basis's rows and free columns of the system in
+    flat's layout of (f_v), f_v's block starting at offsets[v].
+
+    Equation (i, j) of arrow a is column j of M_a at row i of f_w, minus
+    N_a's row i spread over column j of f_u; where a loop meets one unknown
+    from both sides, the two entries are summed.  Over GF(2) an equation is
+    one bit mask, from M_a's transpose.  Over GF(3) it is a (ones, twos)
+    pair built from M_a's nonzero entries row by row, with no transpose,
+    and _kernel3 solves the pairs.  Over larger p it is a tuple."""
+    off = list(itertools.accumulate((a * b for a, b in zip(m_dim, n_dim)), initial=0))
+    total = off.pop()
+    if p == 2:
+        masks = []
+        for (u, w), ma, na in zip(ends, m_mats, n_mats):
+            ma_cols = ma.transpose().rows
+            dmu, dmw = m_dim[u], m_dim[w]
+            for i, na_row in enumerate(na.rows):
+                base_w = off[w] + i * dmw
+                # N_a's row i with bit l moved to bit l * dmu, f_u[l][j]'s offset less j
+                spread = 0
+                while na_row:
+                    low = na_row & -na_row
+                    spread |= 1 << (low.bit_length() - 1) * dmu
+                    na_row ^= low
+                for j in range(dmu):
+                    row = (ma_cols[j] << base_w) ^ (spread << (off[u] + j))
+                    if row:
+                        masks.append(row)
+        kernel, free = kernel_basis(Matrix(2, len(masks), total, tuple(masks)))
+    elif p == 3:
+        pairs = []
+        for (u, w), ma, na in zip(ends, m_mats, n_mats):
+            dmu, dmw = m_dim[u], m_dim[w]
+            # column j of M_a as two masks, read off M_a's nonzero entries by row
+            col1, col2 = [0] * dmu, [0] * dmu
+            for k, ma_row in enumerate(ma.rows):
+                for j, c in enumerate(ma_row):
+                    if c == 1:
+                        col1[j] |= 1 << k
+                    elif c:
+                        col2[j] |= 1 << k
+            for i, na_row in enumerate(na.rows):
+                base_w = off[w] + i * dmw
+                # -N_a's row i spread as over GF(2), -1 = 2 and -2 = 1 swapping the masks
+                neg1 = neg2 = 0
+                for l, c in enumerate(na_row):
+                    if c == 1:
+                        neg2 |= 1 << l * dmu
+                    elif c:
+                        neg1 |= 1 << l * dmu
+                at = off[u]
+                for j in range(dmu):
+                    o, t = _add3(col1[j] << base_w, col2[j] << base_w, neg1 << at + j, neg2 << at + j)
+                    if o | t:
+                        pairs.append((o, t))
+        kernel, free = _kernel3(pairs, total)
+    else:
+        rows = []
+        for (u, w), ma, na in zip(ends, m_mats, n_mats):
+            ma_cols = ma.transpose().rows
+            dmu, dmw = m_dim[u], m_dim[w]
+            for i, na_row in enumerate(na.rows):
+                base_w = off[w] + i * dmw
+                negs = [(off[u] + l * dmu, p - c) for l, c in enumerate(na_row) if c]
+                for j in range(dmu):
+                    row = [0] * total
+                    row[base_w:base_w + dmw] = ma_cols[j]
+                    for at, c in negs:
+                        row[at + j] = (row[at + j] + c) % p
+                    if any(row):
+                        rows.append(tuple(row))
+        kernel, free = kernel_basis(Matrix(p, len(rows), total, tuple(rows)))
+    return kernel.rows, tuple(off), tuple(free)
+
+
 def _reverse_cols(m: Matrix) -> Matrix:
     n = m.ncols
     if m.p == 2:
@@ -699,6 +804,72 @@ def coordinates(basis: Matrix, pivots, vectors: Matrix) -> Matrix | None:
     return x if basis.mul(x) == vectors else None
 
 
+def sub_action(p: int, ends, mats, spans) -> list | None:
+    """Each matrix mats[a]: V_u -> V_w, ends[a] being (u, w), restricted to
+    subspaces given per vertex v as (rows, pivots), a reduced echelon basis
+    of a subspace of V_v, one vector per row, with the pivot of each row:
+    the X with mats[a] B_u = B_w X, B_v the basis as columns, read at the
+    pivots of w; None if some mats[a] B_u leaves the span of B_w.
+
+    Over GF(2) each image is an XOR of mats[a]'s columns, and only its set
+    bits at w's pivots are visited.  Over odd p coordinates reads the
+    images, mats[a] times the bases set as columns: a cover's arrow rows
+    mostly hold one nonzero entry, so most image rows are basis rows
+    reused, and the restriction shares them."""
+    out = []
+    if p != 2:
+        bases = [rows.transpose() for rows, _ in spans]
+        for (u, w), mat in zip(ends, mats):
+            x = coordinates(bases[w], spans[w][1], mat.mul(bases[u]))
+            if x is None:
+                return None
+            out.append(x)
+        return out
+    for (u, w), mat in zip(ends, mats):
+        (rows_u, _), (rows_w, pivots_w) = spans[u], spans[w]
+        basis_w = rows_w.rows
+        x = [0] * len(basis_w)
+        if rows_u.nrows and any(mat.rows):  # a zero matrix maps every span into every span
+            cols = mat.transpose().rows
+            at = {1 << c: i for i, c in enumerate(pivots_w)}
+            pivot_mask = sum(at)
+            for r, b in enumerate(rows_u.rows):
+                image = 0
+                while b:
+                    low = b & -b
+                    image ^= cols[low.bit_length() - 1]
+                    b ^= low
+                comb, hits = 0, image & pivot_mask
+                while hits:
+                    low = hits & -hits
+                    i = at[low]
+                    x[i] |= 1 << r
+                    comb ^= basis_w[i]
+                    hits ^= low
+                if comb != image:
+                    return None
+        out.append(Matrix(2, len(x), rows_u.nrows, tuple(x)))
+    return out
+
+
+def block_spans(basis: Matrix, pivots, widths) -> list:
+    """sub_action's spans, per column block of the given widths in order,
+    from the first len(pivots) rows of basis, reduced vectors that each lie
+    in one block: a vector goes to the block of its pivot, cut to that
+    block's columns."""
+    p, rows = basis.p, basis.rows
+    spans = []
+    k = start = 0
+    for d in widths:
+        j = k
+        while j < len(pivots) and pivots[j] < start + d:
+            j += 1
+        cut = tuple([r >> start for r in rows[k:j]]) if p == 2 else tuple([r[start:start + d] for r in rows[k:j]])
+        spans.append((Matrix(p, j - k, d, cut), [c - start for c in pivots[k:j]]))
+        k, start = j, start + d
+    return spans
+
+
 def quotient_maps(sub: Matrix) -> tuple:
     """Projection/lift pair for k^n -> k^n / colspace(sub).
 
@@ -709,7 +880,53 @@ def quotient_maps(sub: Matrix) -> tuple:
     1 at f_i and 0 at the other free columns), the only projection with
     that kernel and that lift.
     """
-    n = sub.nrows
     proj, free = kernel_basis(sub.transpose())
-    units = tuple(1 << f if sub.p == 2 else tuple(int(j == f) for j in range(n)) for f in free)
-    return proj, Matrix(sub.p, len(units), n, units).transpose()
+    return proj, Matrix.from_entries(sub.p, sub.nrows, len(free), [(f, i, 1) for i, f in enumerate(free)])
+
+
+def rref_pool(p: int, nrows: int, ncols: int) -> list:
+    """Every full-rank nrows x ncols reduced row echelon form, as a tuple of
+    rows: the pivot columns in itertools.combinations order, then the
+    entries right of each pivot and off the other pivots, row by row, in
+    itertools.product order.  Each row's choices are built once per pivot
+    set, and an RREF is a product of them."""
+    pool = []
+    if nrows > ncols:
+        return pool
+    for pivots in itertools.combinations(range(ncols), nrows):
+        choices = []
+        for c in pivots:
+            slots = [f for f in range(c + 1, ncols) if f not in pivots]
+            vals = list(itertools.product(range(p), repeat=len(slots)))
+            entries = [(t, f, v) for t, vs in enumerate(vals) for f, v in zip([c] + slots, (1,) + vs)]
+            choices.append(Matrix.from_entries(p, len(vals), ncols, entries).rows)
+        pool += itertools.product(*choices)
+    return pool
+
+
+def moved_rrefs(p: int, kind: str, pool, off: int, w: int, k: int, omega: int) -> list:
+    """The rows of each pool entry times g (x) I_w, reduced back to RREF, as
+    a tuple: g acts on the k chunks of width w that start at column off,
+    "add" adding chunk 0 to chunk 1, "shift" moving each chunk one place on
+    and the last to the first, "scale" multiplying chunk 0 by omega."""
+    mid, end = off + w, off + k * w
+    if p == 2:
+        if kind == "add":
+            low = (1 << w) - 1
+            moved = [[r ^ (r >> off & low) << mid for r in rows] for rows in pool]
+        else:
+            span = (1 << k * w) - 1
+
+            def shift(r):
+                c = r >> off & span
+                return r ^ (c ^ (c << w | c >> (k - 1) * w) & span) << off
+
+            moved = [list(map(shift, rows)) for rows in pool]
+    elif kind == "add":
+        moved = [[r[:mid] + tuple([(x + y) % p for x, y in zip(r[mid:mid + w], r[off:mid])]) + r[mid + w:] for r in rows]
+                 for rows in pool]
+    elif kind == "shift":
+        moved = [[r[:off] + r[end - w:end] + r[off:end - w] + r[end:] for r in rows] for rows in pool]
+    else:
+        moved = [[r[:off] + tuple([omega * x % p for x in r[off:mid]]) + r[mid:] for r in rows] for rows in pool]
+    return [tuple(_reduced(p, rows)[0]) for rows in moved]

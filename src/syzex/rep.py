@@ -2,15 +2,13 @@
 
 A representation stores one matrix per arrow, of shape
 dim[target] x dim[source]; a path acts by composing its arrow matrices in
-traversal order.  Hom spaces come from the intertwining linear system, its
-unknowns laid out as linalg.flat, which decides the Hom coordinate layout.
-A HomBasis keeps the system's kernel rows in that layout with each row's
-free column (linalg.kernel_basis), and is memoized on the algebra.  Over
-GF(3) the system is built and solved on linalg's bit-sliced (ones, twos)
-pairs, which never leave _hom_space: its rows are tuples, as over any odd
-p.  Per-vertex Hom objects are cut from a row only where a caller
-composes them (Ext^1 cocycles, the tilting check, the split search's top
-images), and are not kept.  Decomposition peels direct summands with Fitting's
+traversal order.  Hom spaces come from the intertwining linear system
+(linalg.hom_solve), its unknowns laid out as linalg.flat, which decides
+the Hom coordinate layout.  A HomBasis keeps the system's kernel rows in
+that layout with each row's free column, and is memoized on the algebra.
+Per-vertex Hom objects are cut from a row only where a caller composes
+them (Ext^1 cocycles, the tilting check, the split search's top images),
+and are not kept.  Decomposition peels direct summands with Fitting's
 lemma, and is exact for every p: an endomorphism splits M exactly when its
 action on top(M) is neither nilpotent nor invertible, so testing each line
 of End(M)'s image on top(M) either finds a split or proves M
@@ -18,10 +16,7 @@ indecomposable.  Each endomorphism is tried as one block-diagonal matrix
 on M, read straight from its row, and a split's two pieces are read
 straight off the reduced vectors of its stable power's image and kernel:
 sub_rep takes a subspace as reduced rows with their pivots, per vertex,
-and reads each arrow's images at the pivots, through linalg.coordinates
-over odd p.  Over GF(2) it keeps a bit route that sets no basis as columns
-and visits only each image's set bits at the pivots, faster than the
-generic pick and product on a closure's subspaces.  Isomorphism is decided
+and reads each arrow's images at the pivots.  Isomorphism is decided
 exactly: an indecomposable M has a local endomorphism ring, so M ~ N
 exactly when some basis element of Hom(M, N) is invertible; sums are
 compared by their Krull-Schmidt factors.  indec_factors is the one factor
@@ -129,10 +124,10 @@ class Hom:
 @dataclass
 class HomBasis:
     """A basis of Hom(source, target) as the kernel rows of hom_space's
-    system, in linalg.flat's layout: one int per element over GF(2), one
-    tuple over odd p, the block of vertex v starting at offsets[v].  Row k
-    is 1 at free[k] and 0 at the other free columns.  Hom objects are cut
-    from the rows only when .basis or hom() is read, and not kept."""
+    system, in linalg.flat's layout, the block of vertex v starting at
+    offsets[v].  Row k is 1 at free[k] and 0 at the other free columns.
+    Hom objects are cut from the rows only when .basis or hom() is read,
+    and not kept."""
 
     source: Representation
     target: Representation
@@ -194,24 +189,16 @@ def projective_rep(algebra, v: int) -> Representation:
             pos[idx] = len(slots[t])
             slots[t].append((idx, arrows))
     dim = tuple(len(sl) for sl in slots)
-    p = algebra.p
     action = []
     for ai in range(len(q.arrows)):
         u, w = q.arrow_source(ai), q.arrow_target(ai)
-        # column col is the reduced path slots[u][col] . ai, written straight
-        # into the packed rows: bit col over GF(2), entry col otherwise
-        if p == 2:
-            rows = [0] * dim[w]
-            for col, (_, arrows) in enumerate(slots[u]):
-                for gidx in algebra.reduce_path(v, arrows + (ai,)):
-                    rows[pos[gidx]] |= 1 << col
-        else:
-            rows = [[0] * dim[u] for _ in range(dim[w])]
-            for col, (_, arrows) in enumerate(slots[u]):
-                for gidx, coeff in algebra.reduce_path(v, arrows + (ai,)).items():
-                    rows[pos[gidx]][col] = coeff
-            rows = map(tuple, rows)
-        action.append(Matrix(p, dim[w], dim[u], tuple(rows)))
+        # column col is the reduced path slots[u][col] . ai
+        entries = [
+            (pos[gidx], col, c)
+            for col, (_, arrows) in enumerate(slots[u])
+            for gidx, c in algebra.reduce_path(v, arrows + (ai,)).items()
+        ]
+        action.append(Matrix.from_entries(algebra.p, dim[w], dim[u], entries))
     return Representation(algebra, dim, tuple(action))
 
 
@@ -230,7 +217,7 @@ def direct_sum(reps) -> Representation:
         s = q.arrow_source(ai)
         rows = []
         for r, off in zip(reps, itertools.accumulate((r.dim[s] for r in reps), initial=0)):
-            rows += linalg._stripe(p, dim[s], [(r.action[ai], off)])
+            rows += linalg.stripe(p, dim[s], [(r.action[ai], off)])
         action.append(Matrix(p, dim[q.arrow_target(ai)], dim[s], tuple(rows)))
     return Representation(algebra, dim, tuple(action))
 
@@ -243,94 +230,9 @@ def hom_space(m: Representation, n: Representation) -> HomBasis:
 
 
 def _hom_space(m: Representation, n: Representation) -> HomBasis:
-    """Solutions of f_w M_a = N_a f_u per arrow a: u -> w.
-
-    Equation (i, j) of arrow a is column j of M_a at row i of f_w, minus
-    N_a's row i spread over column j of f_u.  Over GF(2) it is one bit mask,
-    from M_a's transpose.  Over GF(3) it is a (ones, twos) pair of masks
-    built from M_a's nonzero entries row by row, with no transpose, and
-    solved by linalg._kernel3; on a loop both halves can hold one unknown,
-    so they are added mod 3 (linalg._add3).  Over larger p it is a tuple.
-    Every route gives kernel_basis's rows and free columns."""
-    algebra = m.algebra
-    q = algebra.quiver
-    p = algebra.p
-    off = []
-    total = 0
-    for v in range(q.n_vertices):
-        off.append(total)
-        total += m.dim[v] * n.dim[v]
-
-    # row (a: u -> w, i, j) of f_w M_a - N_a f_u: column j of M_a at f_w's row
-    # i, -N_a[i][l] at f_u[l][j], summed where a loop meets one unknown twice
-    if p == 2:
-        masks = []
-        for ai in range(len(q.arrows)):
-            u, w = q.arrow_source(ai), q.arrow_target(ai)
-            ma_cols = m.action[ai].transpose().rows
-            dmu, dmw = m.dim[u], m.dim[w]
-            for i, na_row in enumerate(n.action[ai].rows):
-                base_w = off[w] + i * dmw
-                # N_a's row i with bit l moved to bit l * dmu, f_u[l][j]'s offset less j
-                spread = 0
-                while na_row:
-                    low = na_row & -na_row
-                    spread |= 1 << (low.bit_length() - 1) * dmu
-                    na_row ^= low
-                for j in range(dmu):
-                    row = (ma_cols[j] << base_w) ^ (spread << (off[u] + j))
-                    if row:
-                        masks.append(row)
-        kernel, free = linalg.kernel_basis(Matrix(2, len(masks), total, tuple(masks)))
-    elif p == 3:
-        # each row as a (ones, twos) pair of masks, solved by linalg._kernel3
-        pairs = []
-        for ai in range(len(q.arrows)):
-            u, w = q.arrow_source(ai), q.arrow_target(ai)
-            dmu, dmw = m.dim[u], m.dim[w]
-            # column j of M_a as two masks, read off M_a's nonzero entries by row
-            col1, col2 = [0] * dmu, [0] * dmu
-            for k, ma_row in enumerate(m.action[ai].rows):
-                for j, c in enumerate(ma_row):
-                    if c == 1:
-                        col1[j] |= 1 << k
-                    elif c:
-                        col2[j] |= 1 << k
-            for i, na_row in enumerate(n.action[ai].rows):
-                base_w = off[w] + i * dmw
-                # -N_a's row i spread as over GF(2), -1 = 2 and -2 = 1 swapping the masks
-                neg1 = neg2 = 0
-                for l, c in enumerate(na_row):
-                    if c == 1:
-                        neg2 |= 1 << l * dmu
-                    elif c:
-                        neg1 |= 1 << l * dmu
-                at = off[u]
-                for j in range(dmu):
-                    # on a loop both halves can hold one unknown: add them mod 3
-                    o, t = linalg._add3(col1[j] << base_w, col2[j] << base_w, neg1 << at + j, neg2 << at + j)
-                    if o | t:
-                        pairs.append((o, t))
-        kernel, free = linalg._kernel3(pairs, total)
-    else:
-        rows = []
-        for ai in range(len(q.arrows)):
-            u, w = q.arrow_source(ai), q.arrow_target(ai)
-            ma_cols = m.action[ai].transpose().rows
-            dmu, dmw = m.dim[u], m.dim[w]
-            for i, na_row in enumerate(n.action[ai].rows):
-                base_w = off[w] + i * dmw
-                negs = [(off[u] + l * dmu, p - c) for l, c in enumerate(na_row) if c]
-                for j in range(dmu):
-                    row = [0] * total
-                    row[base_w:base_w + dmw] = ma_cols[j]
-                    for at, c in negs:
-                        row[at + j] = (row[at + j] + c) % p
-                    if any(row):
-                        rows.append(tuple(row))
-        kernel, free = linalg.kernel_basis(Matrix(p, len(rows), total, tuple(rows)))
-    # the unknowns are linalg.flat's layout of (f_v): the kernel rows are the basis
-    return HomBasis(m, n, kernel.rows, tuple(off), tuple(free))
+    """Solutions of f_w M_a = N_a f_u per arrow a: u -> w, by linalg.hom_solve."""
+    ends = m.algebra.quiver.ends
+    return HomBasis(m, n, *linalg.hom_solve(m.algebra.p, ends, m.dim, m.action, n.dim, n.action))
 
 
 def is_iso(m: Representation, n: Representation) -> bool:
@@ -372,55 +274,13 @@ def is_iso(m: Representation, n: Representation) -> bool:
 def sub_rep(m: Representation, spans) -> Representation:
     """The subrepresentation on invariant spans, given per vertex v as
     (rows, pivots): a reduced echelon basis of a subspace of M_v, one vector
-    per row, and the pivot column of each row.
-
-    A vector of the span has its coordinates at the pivots: the arrow
-    a: u -> w maps basis vector r of u to an image whose entries at w's
-    pivots are column r of the restricted action, and the span is
-    invariant exactly when that combination of w's basis vectors is the
-    image.  Over GF(2) the images are XORs of M_a's columns, and only their
-    set bits at pivots are visited.  Over odd p linalg.coordinates reads
-    the images, M_a times the bases set as columns: a cover's arrow rows
-    mostly hold one nonzero entry, so most image rows are basis rows
-    reused, and the restricted action shares them.
-    """
-    algebra = m.algebra
-    q = algebra.quiver
-    p = algebra.p
-    action = []
-    bases = [rows.transpose() for rows, _ in spans] if p != 2 else None
-    for ai in range(len(q.arrows)):
-        u, w = q.arrow_source(ai), q.arrow_target(ai)
-        (rows_u, _), (rows_w, pivots_w) = spans[u], spans[w]
-        if p != 2:
-            sol = linalg.coordinates(bases[w], pivots_w, m.action[ai].mul(bases[u]))
-            if sol is None:
-                raise AssertionError("spans are not arrow-invariant")
-            action.append(sol)
-            continue
-        basis_w = rows_w.rows
-        sol = [0] * len(basis_w)
-        if rows_u.nrows and any(m.action[ai].rows):  # a zero arrow maps every span into every span
-            cols = m.action[ai].transpose().rows
-            at = {1 << c: i for i, c in enumerate(pivots_w)}
-            pivot_mask = sum(at)
-            for r, b in enumerate(rows_u.rows):
-                image = 0
-                while b:
-                    low = b & -b
-                    image ^= cols[low.bit_length() - 1]
-                    b ^= low
-                comb, hits = 0, image & pivot_mask
-                while hits:
-                    low = hits & -hits
-                    i = at[low]
-                    sol[i] |= 1 << r
-                    comb ^= basis_w[i]
-                    hits ^= low
-                if comb != image:
-                    raise AssertionError("spans are not arrow-invariant")
-        action.append(Matrix(p, len(sol), rows_u.nrows, tuple(sol)))
-    return Representation(algebra, tuple(rows.nrows for rows, _ in spans), tuple(action))
+    per row, and the pivot column of each row.  A vector of the span has its
+    coordinates at the pivots, so each arrow's restricted action is read
+    there (linalg.sub_action)."""
+    action = linalg.sub_action(m.algebra.p, m.algebra.quiver.ends, m.action, spans)
+    if action is None:
+        raise AssertionError("spans are not arrow-invariant")
+    return Representation(m.algebra, tuple(rows.nrows for rows, _ in spans), tuple(action))
 
 
 def top_maps(m: Representation) -> list:
@@ -480,25 +340,7 @@ def _split_with(m: Representation, e: Matrix):
     else:
         return None
     image, kernel = linalg.rref(f.transpose()), linalg.null_rows(f)
-    return sub_rep(m, _vertex_spans(m, *image)), sub_rep(m, _vertex_spans(m, *kernel))
-
-
-def _vertex_spans(m: Representation, basis: Matrix, pivots) -> list:
-    """sub_rep's per-vertex spans from the first len(pivots) rows of basis,
-    reduced vectors of M that each lie in one M_v: a vector goes to the
-    vertex of its pivot, cut to M_v's coordinates."""
-    p = m.algebra.p
-    rows = basis.rows
-    spans = []
-    k = start = 0
-    for d in m.dim:
-        j = k
-        while j < len(pivots) and pivots[j] < start + d:
-            j += 1
-        cut = tuple([r >> start for r in rows[k:j]]) if p == 2 else tuple([r[start:start + d] for r in rows[k:j]])
-        spans.append((Matrix(p, j - k, d, cut), [c - start for c in pivots[k:j]]))
-        k, start = j, start + d
-    return spans
+    return sub_rep(m, linalg.block_spans(*image, m.dim)), sub_rep(m, linalg.block_spans(*kernel, m.dim))
 
 
 def _split_candidates(m: Representation, end: HomBasis):

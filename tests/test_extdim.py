@@ -822,6 +822,21 @@ def test_two_sided_plan_builds_one_middle_per_orbit(monkeypatch):
         assert len(built) == middles
 
 
+def rref_rows_by_slots(p, nrows, ncols):
+    """Every full-rank RREF as tuples of coefficient rows, one product over
+    all the free slots of each pivot set: the enumeration order the row-layout
+    pools must keep."""
+    import itertools
+
+    for pivots in itertools.combinations(range(ncols), nrows):
+        slots = [(i, c) for i in range(nrows) for c in range(pivots[i] + 1, ncols) if c not in pivots]
+        for vals in itertools.product(range(p), repeat=len(slots)):
+            rows = [[int(c == pivots[i]) for c in range(ncols)] for i in range(nrows)]
+            for (i, c), v in zip(slots, vals):
+                rows[i][c] = v
+            yield tuple(tuple(r) for r in rows)
+
+
 def copy_moves_by_products(p, blocks, copies, pools):
     """_copy_moves the matrix way: each generator's g (x) I_w set out as a
     full matrix from its entries, every pool entry multiplied by it and
@@ -848,12 +863,11 @@ def copy_moves_by_products(p, blocks, copies, pools):
             gens.append((s, k, lambda a, b: omega if a == b == 0 else int(a == b)))
     if not gens:
         return []
-    packed = [[Matrix.from_rows(p, rr).rows for rr in pool] for pool in pools]
-    index = [{rows: i for i, rows in enumerate(pool)} for pool in packed]
+    index = [{rows: i for i, rows in enumerate(pool)} for pool in pools]
     moves = []
     for s, k, g in gens:
         move = []
-        for (mult, space, chunks), pool, at in zip(blocks, packed, index):
+        for (mult, space, chunks), pool, at in zip(blocks, pools, index):
             w, off = chunks[s], sum(chunks[:s])
             if w == 0:
                 move.append(range(len(pool)))
@@ -867,14 +881,11 @@ def copy_moves_by_products(p, blocks, copies, pools):
     return moves
 
 
-@pytest.mark.parametrize("p", [2, 3])
-def test_copy_moves_match_products_on_kron2_pools(p):
-    """The copy generators acting on packed rows, reduced by linalg's
-    reduction, permute each kron2 pool exactly as the full matrices of
-    g (x) I_w, their products and rref do: copies of one class (the
-    transvection and the shift), two single classes (the scaling over
-    GF(3)), a class with no Ext^1 to the line side, and both plan modes."""
-    from syzex.extdim import _copy_moves, _orbit_plan, _rref_rows
+def kron2_plans(p):
+    """The orbit plans of kron2 multiset pairs over GF(p): copies of one
+    class, two single classes, a class with no Ext^1 to the line side, and
+    both plan modes."""
+    from syzex.extdim import _orbit_plan
     from syzex.homology import ext1_space
 
     uni = generate_universe(build_algebra(kron2_spec(p)), UniverseParams(3))
@@ -893,12 +904,38 @@ def test_copy_moves_match_products_on_kron2_pools(p):
         (((s1, 2),), ((s0, 1), (m21, 1))),
         (((a, 2), (s1, 1)), ((s0, 2), (b, 1))),
     ]
-    seen = set()
     for sub_ms, quot_ms in pairs:
         dims = [[ext1_space(x, y).dimension for x, _ in quot_ms] for y, _ in sub_ms]
-        mode, blocks, count, copies = _orbit_plan(p, sub_ms, quot_ms, dims)
+        yield _orbit_plan(p, sub_ms, quot_ms, dims)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_rref_pools_list_every_rref_in_slot_order(p):
+    """linalg.rref_pool, built per row in the row layout, lists the RREFs of
+    each kron2 pool in the order of one product over all free slots."""
+    from syzex.linalg import Matrix, rref_pool
+
+    sizes = {(mult, space) for _, blocks, _, _ in kron2_plans(p) for mult, space, _ in blocks}
+    assert any(mult > 1 for mult, _ in sizes)
+    for mult, space in sorted(sizes) + [(0, 3), (3, 2)]:
+        want = [Matrix.from_rows(p, rows).rows for rows in rref_rows_by_slots(p, mult, space)]
+        assert rref_pool(p, mult, space) == want
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_copy_moves_match_products_on_kron2_pools(p):
+    """The copy generators acting on the pools' rows, reduced by linalg's
+    reduction, permute each kron2 pool exactly as the full matrices of
+    g (x) I_w, their products and rref do: copies of one class (the
+    transvection and the shift), two single classes (the scaling over
+    GF(3)), a class with no Ext^1 to the line side, and both plan modes."""
+    from syzex.extdim import _copy_moves
+    from syzex.linalg import rref_pool
+
+    seen = set()
+    for mode, blocks, count, copies in kron2_plans(p):
         assert 0 < count <= 1300
-        pools = [list(_rref_rows(p, mult, space)) for mult, space, _ in blocks]
+        pools = [rref_pool(p, mult, space) for mult, space, _ in blocks]
         got = _copy_moves(p, blocks, copies, pools)
         assert [[tuple(perm) for perm in move] for move in got] == [
             [tuple(perm) for perm in move] for move in copy_moves_by_products(p, blocks, copies, pools)

@@ -23,6 +23,7 @@ from syzex.linalg import (
     inv_mod,
     is_prime,
     kernel_basis,
+    nonzeros,
     null_rows,
     quotient_maps,
     rref,
@@ -699,6 +700,39 @@ def test_gf3_pair_kernel_matches_tuple_route(m):
     and free columns: on empty, zero and full-rank systems, on rows wider
     than 64 and 128 columns, and on rows mixing 1s and 2s."""
     assert _kernel3([_pack3(r) for r in m.rows], m.ncols) == kernel_basis(m)
+
+
+def test_gf3_pair_solve_refuses_overlapping_masks():
+    """A pair with a bit set in both masks is no GF(3) row: the solve raises
+    at once instead of reducing its lead forever."""
+    for pairs, n in (([(0b1, 0b1)], 1), ([(0b10, 0b01), (0b110, 0b100)], 3), ([(0b1, 0b0), (0b11, 0b10)], 2)):
+        with pytest.raises(ValueError, match="both 1 and 2"):
+            _kernel3(pairs, n)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 257])
+def test_from_entries_matches_from_rows(p):
+    """The sparse constructor writes the same rows as from_rows of the dense
+    rows: no rows, no columns, empty rows, entries to reduce mod p, and
+    rows wider than 64 columns; nonzeros reads each row back."""
+    rng = random.Random(641 + p)
+    shapes = [(0, 0), (0, 5), (4, 0), (3, 3), (1, 70), (6, 130)]
+    for nrows, ncols in shapes:
+        for density in (0.0, 0.1, 0.6):
+            dense = [[0] * ncols for _ in range(nrows)]
+            triples = []
+            for i, j in itertools.product(range(nrows), range(ncols)):
+                if rng.random() < density:
+                    c = rng.randrange(1, 3 * p) - p  # negatives, multiples of p and residues
+                    dense[i][j] = c
+                    triples.append((i, j, c))
+            rng.shuffle(triples)
+            want = Matrix.from_rows(p, dense) if nrows else Matrix.zero(p, 0, ncols)
+            got = Matrix.from_entries(p, nrows, ncols, triples)
+            assert got == want
+            assert [nonzeros(p, r) for r in got.rows] == [
+                [(j, x) for j, x in enumerate(want.row(i)) if x] for i in range(nrows)
+            ]
 
 
 def check_free_columns(m):

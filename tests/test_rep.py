@@ -10,7 +10,7 @@ from syzex.algebra import AlgebraSpec, build_algebra
 from syzex.corpus import load_corpus
 from syzex.errors import AlgebraMismatch, BudgetExceeded
 from syzex.homology import projective_cover, syzygy
-from syzex.linalg import Matrix, combine, coordinates, flat, kernel_basis, null_rows, rref, unflat
+from syzex.linalg import Matrix, block_spans, combine, coordinates, flat, kernel_basis, null_rows, rref, unflat
 from syzex.rep import (
     Hom,
     HomBasis,
@@ -18,7 +18,6 @@ from syzex.rep import (
     indec_factors,
     _split_candidates,
     _split_with,
-    _vertex_spans,
     decompose,
     direct_sum,
     hom_space,
@@ -26,6 +25,7 @@ from syzex.rep import (
     module_doc,
     parse_module_doc,
     simple_rep,
+    top_maps,
     zero_rep,
 )
 
@@ -478,7 +478,7 @@ def test_vertex_blocks_match_transpose_cut(p):
             end = hom_space(m, m)
             maps = [end.diagonal(row) for row in end.rows] + [Matrix.zero(p, n, n), Matrix.identity(p, n)]
             for e in maps:
-                spans = {"image": _vertex_spans(m, *rref(e.transpose())), "kernel": _vertex_spans(m, *null_rows(e))}
+                spans = {"image": block_spans(*rref(e.transpose()), m.dim), "kernel": block_spans(*null_rows(e), m.dim)}
                 for kind, basis in (("image", column_space_basis(e)), ("kernel", null_space(e))):
                     got = _vertex_blocks(m, basis)
                     want = vertex_blocks_by_transpose(m, basis)
@@ -579,9 +579,8 @@ def test_decompose_preserves_dimension(kron2, fivevertex):
 
 
 def top_dim(m):
-    """Dimension vector of the top of m: one projective cover slot per top generator."""
-    slots = projective_cover(m).slots
-    return tuple(slots.count(v) for v in range(m.algebra.n_vertices))
+    """Dimension vector of the top of m: M_v / rad M_v per vertex, as top_maps projects it."""
+    return tuple(pr.nrows for pr, _ in top_maps(m))
 
 
 def test_top_and_radical_semisimple(semisimple3):
