@@ -8,38 +8,35 @@ one sparse product for all of them.  The syzygy is the kernel of that
 epi, its reduced basis per vertex and the pivots of that basis read off
 one row reduction (linalg.null_rows), from which sub_rep reads the arrow
 matrices without another.  The presentation of M is cached per M, and
-keeps two values it computes on first read, both read only by Ext^1: the
-inclusion of the syzygy, its basis reduced again from the epi and set as
-columns, its pivots beside it, so the covers of a long syzygy chain keep
-no basis, and d_arrows, the arrow-level defects of a section of P -> M,
-read at those pivots by linalg.coordinates; it keeps no summands.
-Syzygies are taken one indecomposable at a time (minimal syzygies are
-additive): syzygy_summands reads the memoized Krull-Schmidt factors of
-Omega(M), repeats kept, and pd_bounded never decomposes a whole Omega^n(M).
+keeps no summands.  Syzygies are taken one indecomposable at a time
+(minimal syzygies are additive): syzygy_summands reads the memoized
+Krull-Schmidt factors of Omega(M), repeats kept, and pd_bounded never
+decomposes a whole Omega^n(M).
 
-Ext^1(X, Y) is realized on a minimal presentation 0 -> OX -> P -> X -> 0 as
-Hom(OX, Y) modulo homs that extend to P, both read as vectors in the Hom
-coordinate layout that linalg.flat decides; the homs that extend are the
-flat rows of Hom(P, Y) times the inclusion, one linalg.flat_mul product per
-vertex.  Their coordinates are their entries at the cocycle basis's free
-columns (linalg.coordinates); the cocycles off the pivots of those
-coordinates are the Ext^1 basis.  ext1_space memoizes each space on the
-algebra by the keys of X and Y, as hom_space memoizes Hom.  An Ext1Space
-keeps its basis cocycles theta and, computed on first read, their corner
-blocks theta_{t(a)} d_a; Ext1Space.corners maps a coefficient tuple to the
-corner blocks of that class, memoized per tuple, the only route from Ext^1
-coordinates to a middle term.  extension_middle, the one middle-term
+Ext^1(X, Y) is read off extensions, with no cover (Assem, Simson and
+Skowronski, Elements of the Representation Theory of Associative Algebras
+1, 2006): arrow a acts on Y (+) X by [[Y_a, C_a], [0, X_a]], a module
+exactly when every relation acts by 0, which is linear in the corners C_a,
+and two corners give equivalent extensions exactly when they differ by an
+inner derivation Y_a f_u - f_w X_a.  So Ext^1 is Z / B: Z the kernel of
+one sparse system in the C_a, laid out flat arrow by arrow, B spanned by
+the inner derivations of the unit maps f_v.  B's coordinates in Z are its
+entries at Z's free columns (linalg.coordinates), and the rows of Z off
+their pivots, cut per arrow, are the corner tuples of the Ext^1 basis.
+ext1_space memoizes each space on the algebra by the keys of X and Y, as
+hom_space memoizes Hom; Ext1Space.corners maps a coefficient tuple to the
+corner blocks of that class, memoized per tuple, the only route from
+Ext^1 coordinates to a middle term.  extension_middle, the one middle-term
 builder, places the blocks in the matrices [[Y_a, C_a], [0, X_a]], each
-row built by linalg's block-row assembler.  The pushout of P <- OX -> Y
-survives only as the independent reference the tests compare these
-middles against.
+row built by linalg's block-row assembler.  Ext^1 through a projective
+cover, and the pushout of P <- OX -> Y, survive only as the independent
+references the tests compare these spaces and middles against.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from . import linalg
 from .errors import AlgebraMismatch, SpecError
@@ -65,38 +62,6 @@ class ProjectivePresentation:
     cover: Representation
     epi: Hom
     kernel: Representation  # the syzygy
-
-    @cached_property
-    def inclusion(self) -> Hom:
-        """kernel -> cover, the kernel's reduced basis per vertex as columns.
-        Only Ext^1 reads it, for window members, so it is reduced again from
-        the epi on first read rather than kept by every cover of a syzygy
-        chain.  pivots holds the pivot row of each column, per vertex."""
-        spans = [linalg.null_rows(e) for e in self.epi.mats]
-        self.pivots = tuple(pivots for _, pivots in spans)
-        return Hom(self.kernel, self.cover, tuple(rows.transpose() for rows, _ in spans))
-
-    @cached_property
-    def d_arrows(self) -> tuple:
-        """Per arrow a: u -> w, the defect d_a: X_u -> OmegaX_w of a section s
-        of the epi, inclusion_w d_a = P_a s_u - s_w X_a."""
-        x, inclusion = self.module, self.inclusion
-        q = x.algebra.quiver
-        sections = []
-        for v in range(q.n_vertices):
-            s = linalg.solve_matrix(self.epi.mats[v], Matrix.identity(x.algebra.p, x.dim[v]))
-            if s is None:
-                raise AssertionError("cover epi admits no section")
-            sections.append(s)
-        d_arrows = []
-        for ai in range(len(q.arrows)):
-            u, w = q.arrow_source(ai), q.arrow_target(ai)
-            delta = self.cover.action[ai].mul(sections[u]).sub(sections[w].mul(x.action[ai]))
-            d = linalg.coordinates(inclusion.mats[w], self.pivots[w], delta)
-            if d is None:
-                raise AssertionError("section defect not in the kernel")
-            d_arrows.append(d)
-        return tuple(d_arrows)
 
 
 def projective_cover(m: Representation) -> ProjectivePresentation:
@@ -240,32 +205,21 @@ def gldim_bounded(algebra):
 class Ext1Space:
     X: Representation
     Y: Representation
-    presentation: ProjectivePresentation
-    basis: tuple  # cocycle Hom(OX, Y) per basis element
+    basis: tuple  # per basis class, its corner block C_a per arrow a
     _corners: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def dimension(self) -> int:
         return len(self.basis)
 
-    @cached_property
-    def basis_corners(self) -> tuple:
-        """Per basis cocycle theta, the arrow-level corner blocks theta_{t(a)} d_a."""
-        q = self.X.algebra.quiver
-        return tuple(
-            tuple(theta.mats[q.arrow_target(ai)].mul(d) for ai, d in enumerate(self.presentation.d_arrows))
-            for theta in self.basis
-        )
-
     def corners(self, coeffs) -> tuple:
         """Corner blocks of the class sum_t coeffs[t] * (basis class t), zero
         blocks when every coefficient is 0; memoized per tuple."""
         got = self._corners.get(coeffs)
         if got is None:
-            q = self.X.algebra.quiver
-            got = self._corners[coeffs] = linalg.combine(coeffs, self.basis_corners) or tuple(
-                Matrix.zero(self.X.algebra.p, self.Y.dim[q.arrow_target(ai)], self.X.dim[q.arrow_source(ai)])
-                for ai in range(len(q.arrows))
+            p = self.X.algebra.p
+            got = self._corners[coeffs] = linalg.combine(coeffs, self.basis) or tuple(
+                Matrix.zero(p, self.Y.dim[w], self.X.dim[u]) for u, w in self.X.algebra.quiver.ends
             )
         return got
 
@@ -278,26 +232,80 @@ def ext1_space(x: Representation, y: Representation) -> Ext1Space:
 
 
 def _ext1_space(x: Representation, y: Representation) -> Ext1Space:
-    p = x.algebra.p
-    pres = projective_cover(x)
-    omega = pres.kernel
-    cocycles = hom_space(omega, y)
-    basis = ()
-    if cocycles.rows:
-        size = sum(a * b for a, b in zip(omega.dim, y.dim))
+    p, ends = x.algebra.p, x.algebra.quiver.ends
+    # the unknowns: C_a, a y_w x x_u block for a: u -> w, flat arrow by arrow
+    off = list(itertools.accumulate((y.dim[w] * x.dim[u] for u, w in ends), initial=0))
+    size = off.pop()
+    cocycles, free = linalg.kernel_basis(_relation_system(x, y, off, size))
+    if not cocycles.nrows:
+        return Ext1Space(x, y, ())
+    image = linalg.coordinates(cocycles.transpose(), free, _inner_derivations(x, y, off, size).transpose())
+    if image is None:
+        raise AssertionError("inner derivation outside the corner cocycles")
+    pivot = set(linalg.rref(image.transpose())[1])
+    basis = tuple(
+        tuple(linalg.unflat(p, row, at, y.dim[w], x.dim[u]) for at, (u, w) in zip(off, ends))
+        for j, row in enumerate(cocycles.rows) if j not in pivot
+    )
+    return Ext1Space(x, y, basis)
 
-        def columns(rows):
-            return Matrix(p, len(rows), size, tuple(rows)).transpose()
 
-        # coordinates in the Hom(OX, Y) basis of every hom that extends to P
-        extensible = hom_space(pres.cover, y)
-        extended = linalg.flat_mul(p, extensible.rows, extensible.offsets, y.dim, pres.inclusion.mats)
-        image = linalg.coordinates(columns(cocycles.rows), cocycles.free, columns(extended))
-        if image is None:
-            raise AssertionError("restricted hom outside Hom(OX, Y)")
-        pivot = set(linalg.rref(image.transpose())[1])
-        basis = tuple(cocycles.hom(row) for j, row in enumerate(cocycles.rows) if j not in pivot)
-    return Ext1Space(x, y, pres, basis)
+def _relation_system(x: Representation, y: Representation, off, size) -> Matrix:
+    """The linear conditions on the corners C for every relation to act by 0
+    on [[Y, C], [0, X]], one equation per entry (r, s) of each relation: a
+    term c a_1...a_m puts c Y_{a_m...a_{i+1}}[r, k] X_{a_{i-1}...a_1}[l, s]
+    at the unknown C_{a_i}[k, l], for each i.  The products grow one arrow
+    at a time, None standing for an identity."""
+    p, ends = x.algebra.p, x.algebra.quiver.ends
+    eqs = {}
+    n = 0
+    for rel in x.algebra.relations:
+        width, height = x.dim[rel.source], y.dim[rel.target]
+        if not width * height:
+            continue
+        for coeff, path in rel.terms:
+            m = len(path)
+            before, after = [None], [None]  # X_{a_{i-1}...a_1}, Y_{a_m...a_{i+1}}
+            for i in range(1, m):
+                a, b = x.action[path[i - 1]], y.action[path[m - i]]
+                before.append(a if before[-1] is None else a.mul(before[-1]))
+                after.append(b if after[-1] is None else after[-1].mul(b))
+            for a, xs, ys in zip(path, before, reversed(after)):
+                xu = x.dim[ends[a][0]]
+                left = [[(r, 1)] for r in range(height)] if ys is None else [linalg.nonzeros(p, r) for r in ys.rows]
+                right = [[(l, 1)] for l in range(width)] if xs is None else [linalg.nonzeros(p, r) for r in xs.rows]
+                for r, row in enumerate(left):
+                    for k, c in row:
+                        at, c = off[a] + k * xu, coeff * c
+                        for l, col in enumerate(right):
+                            for s, d in col:
+                                key = (n + r * width + s, at + l)
+                                eqs[key] = eqs.get(key, 0) + c * d
+        n += width * height
+    return Matrix.from_entries(p, n, size, [(i, j, c) for (i, j), c in eqs.items()])
+
+
+def _inner_derivations(x: Representation, y: Representation, off, size) -> Matrix:
+    """The corners Y_a f_u - f_w X_a of the maps f = (f_v: X_v -> Y_v), one
+    row per unit map f_v = E_kl."""
+    p, ends = x.algebra.p, x.algebra.quiver.ends
+    gen = list(itertools.accumulate((a * b for a, b in zip(y.dim, x.dim)), initial=0))
+    out = {}
+    for a, (u, w) in enumerate(ends):
+        xu, xw = x.dim[u], x.dim[w]
+        # E_kl at u puts Y_a[r, k] at C_a[r, l]
+        for r, row in enumerate(y.action[a].rows):
+            for k, c in linalg.nonzeros(p, row):
+                for l in range(xu):
+                    key = (gen[u] + k * xu + l, off[a] + r * xu + l)
+                    out[key] = out.get(key, 0) + c
+        # E_kl at w puts -X_a[l, j] at C_a[k, j]
+        for l, row in enumerate(x.action[a].rows):
+            for j, c in linalg.nonzeros(p, row):
+                for k in range(y.dim[w]):
+                    key = (gen[w] + k * xw + l, off[a] + k * xu + j)
+                    out[key] = out.get(key, 0) - c
+    return Matrix.from_entries(p, gen[-1], size, [(i, j, c) for (i, j), c in out.items()])
 
 
 def extension_middle(ys, xs, corners) -> Representation:

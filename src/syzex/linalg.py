@@ -25,8 +25,7 @@ basis of the kernel with the pivot column of each row, as rref of a
 transpose gives the image's.  A coordinate is the entry at a pivot:
 coordinates reads a vector's coefficients in a basis whose vectors are
 each 1 at their own pivot and 0 at the others' (a kernel row's free column
-is such a pivot), and one product checks them; solve_matrix, a reduction
-of [A | B], is left for bases with no known pivots.
+is such a pivot), and one product checks them; no general solver is kept.
 
 Matrices met on the syzygy path are large and sparse, so the kernel rows,
 odd-p products and GF(2) elimination do work in proportion to the nonzero
@@ -38,12 +37,11 @@ read off rref.
 
 The Hom coordinate layout is decided here too: flat lays a tuple of
 matrices out as one row, row-major and concatenated, and unflat cuts a
-block back out; flat_mul multiplies every block of many such rows on the
-right, one product per block position, as Ext^1 restricts Hom(P, Y) to
-OX; block_diagonal sets the square blocks of such a row down the diagonal
-of one matrix, as the split search and the iso test read End(M) and
-Hom(M, N).  Matrix.key packs flat's row, one bit per entry over GF(2); keys
-of equal shape compare as one-byte-per-entry keys would.
+block back out, as Ext^1 cuts its corners; block_diagonal sets the square
+blocks of such a row down the diagonal of one matrix, as the split search
+and the iso test read End(M) and Hom(M, N).  Matrix.key packs flat's
+row, one bit per entry over GF(2); keys of equal shape compare as
+one-byte-per-entry keys would.
 """
 
 from __future__ import annotations
@@ -211,16 +209,6 @@ class Matrix:
             tuple([tuple([(a + b) % p for a, b in zip(r, s)]) for r, s in zip(self.rows, other.rows)]),
         )
 
-    def sub(self, other: "Matrix") -> "Matrix":
-        if self.p == 2:
-            return self.add(other)
-        p = self.p
-        self._shape_check(other)
-        return Matrix(
-            p, self.nrows, self.ncols,
-            tuple(tuple((a - b) % p for a, b in zip(r, s)) for r, s in zip(self.rows, other.rows)),
-        )
-
     def scale(self, c: int) -> "Matrix":
         p = self.p
         c %= p
@@ -309,15 +297,6 @@ def _unpack(mask: int, n: int) -> tuple:
 
 _BIT_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 _BIT_REVERSED = bytes(int(format(b, "08b")[::-1], 2) for b in range(256))
-_ONES3 = bytes.maketrans(b"\x00\x01\x02", b"010")
-_TWOS3 = bytes.maketrans(b"\x00\x01\x02", b"001")
-
-
-def _pack3(row) -> tuple:
-    """A GF(3) tuple row as its (ones, twos) pair: bit j of ones is set where
-    entry j is 1, bit j of twos where it is 2."""
-    digits = b"0" + bytes(row)[::-1]
-    return int(digits.translate(_ONES3), 2), int(digits.translate(_TWOS3), 2)
 
 
 def _unpack3(ones: int, twos: int, n: int) -> tuple:
@@ -382,36 +361,6 @@ def block_diagonal(p: int, row, offsets, dims) -> Matrix:
             rows += [pad + row[off + i * d:off + (i + 1) * d] + end for i in range(d)]
         at += d
     return Matrix(p, n, n, tuple(rows))
-
-
-def flat_mul(p: int, rows, offsets, heights, mats) -> list:
-    """Each flat row with its blocks multiplied on the right: flat of
-    (B_v mats[v])_v, B_v being the heights[v] x mats[v].nrows block at
-    offsets[v].  Per block, every row's B_v is cut straight into one
-    stacked matrix, by shifts and masks over GF(2) and by slices over odd p,
-    multiplied by mats[v] once, and its product rows are joined back onto
-    the flat rows in order."""
-    if p == 2:
-        out = [0] * len(rows)
-        at = 0
-        for off, h, m in zip(offsets, heights, mats):
-            w, mask = m.nrows, (1 << m.nrows) - 1
-            stacked = [r >> off + i * w & mask for r in rows for i in range(h)]
-            prod = iter(Matrix(2, len(stacked), w, tuple(stacked)).mul(m).rows)
-            for j in range(len(rows)):
-                for i in range(h):
-                    out[j] |= next(prod) << at + i * m.ncols
-            at += h * m.ncols
-        return out
-    out = [[] for _ in rows]
-    for off, h, m in zip(offsets, heights, mats):
-        w = m.nrows
-        stacked = [r[off + i * w:off + (i + 1) * w] for r in rows for i in range(h)]
-        prod = iter(Matrix(p, len(stacked), w, tuple(stacked)).mul(m).rows)
-        for row in out:
-            for _ in range(h):
-                row += next(prod)
-    return [tuple(row) for row in out]
 
 
 def hstack(mats: list) -> Matrix:
@@ -775,24 +724,6 @@ def null_rows(m: Matrix) -> tuple:
     ker, free = kernel_basis(_reverse_cols(m))
     rows = _reverse_cols(ker).rows[::-1]
     return Matrix(m.p, len(rows), n, rows), [n - 1 - f for f in reversed(free)]
-
-
-def solve_matrix(A: Matrix, B: Matrix) -> Matrix | None:
-    """X with A X = B (free variables zero), or None if inconsistent.
-
-    Row r of the reduced augmented matrix [A | B] carries the value of the
-    r-th pivot variable in its B block, cut out by unflat.
-    """
-    if A.nrows != B.nrows:
-        raise ValueError("shape mismatch")
-    red, pivots = rref(hstack([A, B]))
-    n = A.ncols
-    if pivots and pivots[-1] >= n:
-        return None
-    rows = list(Matrix.zero(A.p, n, B.ncols).rows)
-    for r, pc in enumerate(pivots):
-        rows[pc] = unflat(A.p, red.rows[r], n, 1, B.ncols).rows[0]
-    return Matrix(A.p, n, B.ncols, tuple(rows))
 
 
 def coordinates(basis: Matrix, pivots, vectors: Matrix) -> Matrix | None:

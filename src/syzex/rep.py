@@ -7,7 +7,7 @@ traversal order.  Hom spaces come from the intertwining linear system
 the Hom coordinate layout.  A HomBasis keeps the system's kernel rows in
 that layout with each row's free column, and is memoized on the algebra.
 Per-vertex Hom objects are cut from a row only where a caller composes
-them (Ext^1 cocycles, the tilting check, the split search's top images),
+them (the tilting check, the split search's top images),
 and are not kept.  Decomposition peels direct summands with Fitting's
 lemma, and is exact for every p: an endomorphism splits M exactly when its
 action on top(M) is neither nilpotent nor invertible, so testing each line

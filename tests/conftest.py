@@ -2,7 +2,7 @@ import pytest
 
 from syzex.algebra import AlgebraSpec, build_algebra
 from syzex.corpus import vertex_module
-from syzex.linalg import Matrix, solve_matrix
+from syzex.linalg import Matrix, hstack, rref, unflat
 from syzex.rep import Hom, Representation
 
 
@@ -24,6 +24,24 @@ def entries(m):
 def mat_vec(m, v):
     """m v over GF(p), entry by entry."""
     return tuple(sum(m.entry(i, j) * v[j] for j in range(m.ncols)) % m.p for i in range(m.nrows))
+
+
+def solve_matrix(A, B):
+    """X with A X = B (free variables zero), or None if inconsistent.
+
+    Row r of the reduced augmented matrix [A | B] carries the value of the
+    r-th pivot variable in its B block, cut out by unflat.
+    """
+    if A.nrows != B.nrows:
+        raise ValueError("shape mismatch")
+    red, pivots = rref(hstack([A, B]))
+    n = A.ncols
+    if pivots and pivots[-1] >= n:
+        return None
+    rows = list(Matrix.zero(A.p, n, B.ncols).rows)
+    for r, pc in enumerate(pivots):
+        rows[pc] = unflat(A.p, red.rows[r], n, 1, B.ncols).rows[0]
+    return Matrix(A.p, n, B.ncols, tuple(rows))
 
 
 def solve_vec(m, b):

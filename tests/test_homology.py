@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -19,9 +20,11 @@ from syzex.homology import (
     syzygy_summands,
     tilting_check,
 )
-from syzex.rep import Representation, decompose, direct_sum, hom_space, is_iso, simple_rep, zero_rep
-from conftest import beilinson2_spec, col, conjugate, entries, fivevertex_spec, from_columns, kron2_spec, then
-from property_suites import block_diag, class_coords, class_middle, entry_grid, pushout_middle
+from syzex.extdim import ClassRegistry, UniverseParams, generate_universe
+from syzex.rep import Representation, decompose, direct_sum, indec_factors, is_iso, simple_rep, zero_rep
+from conftest import beilinson2_spec, col, conjugate, entries, fivevertex_spec, from_columns, kron2_spec
+from ext_oracle import cover_ext1
+from property_suites import block_diag, class_coords, class_middle, entry_grid
 from syzex import linalg
 from syzex.algebra import AlgebraSpec, build_algebra
 from syzex.corpus import load_corpus, named_module
@@ -45,7 +48,6 @@ def test_cover_of_zero():
         assert syzygy_summands(zero) == ()
         shapes = [(0, 0)] * algebra.n_vertices
         assert [(f.nrows, f.ncols) for f in pres.epi.mats] == shapes
-        assert [(f.nrows, f.ncols) for f in pres.inclusion.mats] == shapes
         s0 = algebra.simple(0)
         assert ext1_space(zero, s0).dimension == 0
         assert ext1_space(s0, zero).dimension == 0
@@ -252,17 +254,19 @@ def test_middle_dim_additivity(kron2):
 
 
 def test_block_route_matches_pushout(kron2, fivevertex):
+    """On the cover route, the corners theta_{t(a)} d_a of each class build,
+    through extension_middle, the class's pushout middle."""
     cases = [
         (kron2.simple(0), kron2.simple(1)),
         (kron2.injective(1), kron2.simple(1)),
         (fivevertex.simple(3), fivevertex.projective(4)),
     ]
     for x, y in cases:
-        space = ext1_space(x, y)
-        assert x.algebra.p ** space.dimension <= 64
-        for coords in class_coords(space):
-            via_pushout = pushout_middle(space, coords)
-            via_blocks = class_middle(space, coords)
+        oracle = cover_ext1(x, y)
+        assert x.algebra.p ** oracle.dimension <= 64
+        for coords in oracle.classes():
+            via_pushout = oracle.pushout_middle(coords)
+            via_blocks = extension_middle((y,), (x,), ((oracle.corners(coords),),))
             assert via_blocks.validate() == []
             assert is_iso(via_pushout, via_blocks) is True
 
@@ -408,31 +412,6 @@ def test_cover_epi_matches_path_action_on_random_modules(p):
         assert projective_cover(m).epi.mats == epi_by_path_action(m)
 
 
-def extended_by_composition(x, y):
-    """Reference restriction of Hom(P, Y) to OX: each basis row cut into a
-    Hom, composed with the inclusion and flattened again."""
-    pres = projective_cover(x)
-    return [linalg.flat(x.algebra.p, then(pres.inclusion, h).mats) for h in hom_space(pres.cover, y).basis]
-
-
-def ext1_basis_by_composition(x, y):
-    """Reference Ext^1 basis: the cocycles outside the span of the
-    restricted Hom(P, Y), that span computed by extended_by_composition."""
-    p = x.algebra.p
-    omega = projective_cover(x).kernel
-    cocycles = hom_space(omega, y)
-    if not cocycles.rows:
-        return ()
-    size = sum(a * b for a, b in zip(omega.dim, y.dim))
-
-    def columns(rows):
-        return Matrix(p, len(rows), size, tuple(rows)).transpose()
-
-    image = linalg.solve_matrix(columns(cocycles.rows), columns(extended_by_composition(x, y)))
-    pivot = set(linalg.rref(image.transpose())[1])
-    return tuple(cocycles.hom(row) for j, row in enumerate(cocycles.rows) if j not in pivot)
-
-
 def ext_oracle_modules(rng, p):
     """Random kron2 modules, and sums of simples, projectives, injectives and
     syzygies over beilinson2 and nodeA, the nodeA ones in random bases."""
@@ -449,20 +428,85 @@ def ext_oracle_modules(rng, p):
     return groups
 
 
-@pytest.mark.parametrize("p", [2, 3])
-def test_ext1_basis_matches_compose_and_flatten(p):
+@pytest.mark.parametrize("p", [2, 3, 5, 257])
+def test_ext1_dimension_matches_cover_oracle(p):
+    """Ext^1 from extension corners has the cover route's dimension, and the
+    middle of every basis class is a module.  Over p >= 5 the pairs with a
+    module of dimension above 20 are left out: either route takes seconds
+    to minutes on them there."""
     rng = random.Random(60 + p)
     nonzero = 0
     for mods in ext_oracle_modules(rng, p):
         for x, y in itertools.product(mods, repeat=2):
-            pres = projective_cover(x)
-            extensible = hom_space(pres.cover, y)
-            restricted = linalg.flat_mul(p, extensible.rows, extensible.offsets, y.dim, pres.inclusion.mats)
-            assert restricted == extended_by_composition(x, y)
-            got = [h.mats for h in ext1_space(x, y).basis]
-            assert got == [h.mats for h in ext1_basis_by_composition(x, y)]
-            nonzero += bool(got)
+            if p >= 5 and max(x.total_dim, y.total_dim) > 20:
+                continue
+            space = ext1_space(x, y)
+            assert space.dimension == cover_ext1(x, y).dimension
+            for t in range(space.dimension):
+                unit = tuple(int(i == t) for i in range(space.dimension))
+                assert class_middle(space, unit).validate() == []
+            nonzero += bool(space.dimension)
     assert nonzero >= 10
+
+
+def window_pairs(entry, p, d):
+    algebra = build_algebra(load_corpus(entry, p).spec)
+    members = generate_universe(algebra, UniverseParams(d)).sorted_members()
+    return list(itertools.product(members, repeat=2))
+
+
+@pytest.mark.parametrize("entry, p, d", [("nodeA", 2, 6), ("nodeA", 3, 5), ("beilinson2", 3, 2), ("kron2", 3, 4)])
+def test_ext1_dimension_matches_cover_oracle_on_windows(entry, p, d):
+    """On every pair of window members, Ext^1 has the cover route's dimension."""
+    pairs = window_pairs(entry, p, d)
+    nonzero = 0
+    for x, y in pairs:
+        dim = ext1_space(x, y).dimension
+        assert dim == cover_ext1(x, y).dimension
+        nonzero += bool(dim)
+    assert nonzero >= 10
+
+
+def middle_kind(registry, middle):
+    """A middle's isomorphism class: the sorted classes of its Krull-Schmidt
+    factors in one registry."""
+    return tuple(sorted(id(registry.intern(f)[0]) for f in indec_factors(middle)))
+
+
+@pytest.mark.parametrize("entry, p, d", [("kron2", 3, 4), ("nodeA", 2, 5), ("nodeA", 3, 4), ("beilinson2", 2, 2)])
+def test_middles_match_cover_pushouts_as_multisets(entry, p, d):
+    """Over all classes of a space with at most 81 of them, the middles
+    through the corner basis are the cover route's pushout middles, counted
+    with multiplicity up to isomorphism: the two bases differ, the classes
+    do not."""
+    registry = ClassRegistry()
+    checked = 0
+    for x, y in window_pairs(entry, p, d):
+        space = ext1_space(x, y)
+        if not space.dimension or p ** space.dimension > 81:
+            continue
+        oracle = cover_ext1(x, y)
+        ours = Counter(middle_kind(registry, class_middle(space, c)) for c in class_coords(space))
+        theirs = Counter(middle_kind(registry, oracle.pushout_middle(c)) for c in oracle.classes())
+        assert ours == theirs
+        checked += 1
+    assert checked >= 10
+
+
+def test_ext1_builds_no_cover(monkeypatch):
+    """Ext^1 takes no projective cover and solves no Hom system, and still
+    has the cover route's dimension."""
+    def refused(*args):
+        raise AssertionError("Ext^1 reached the cover route")
+
+    algebra = build_algebra(beilinson2_spec(3))
+    mods = [f(v) for v in range(algebra.n_vertices) for f in (algebra.simple, algebra.projective, algebra.injective)]
+    pairs = list(itertools.product(mods, repeat=2))
+    want = [cover_ext1(x, y).dimension for x, y in pairs]
+    monkeypatch.setattr(homology, "projective_cover", refused)
+    monkeypatch.setattr(homology, "hom_space", refused)
+    assert [ext1_space(x, y).dimension for x, y in pairs] == want
+    assert max(want) > 1
 
 
 def middle_grid(ys, xs, corners, ai):

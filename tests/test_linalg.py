@@ -6,13 +6,12 @@ import pytest
 from hypothesis import example, given, settings
 
 import split_oracle
-from conftest import entries, from_columns, mat_vec, solve_vec
+from conftest import entries, from_columns, mat_vec, solve_matrix, solve_vec
 from split_oracle import _kernel_rows, column_space_basis
 from syzex.errors import SpecError
 from syzex.linalg import (
     Matrix,
     _kernel3,
-    _pack3,
     _unpack,
     _unpack3,
     block_diagonal,
@@ -27,10 +26,20 @@ from syzex.linalg import (
     null_rows,
     quotient_maps,
     rref,
-    solve_matrix,
     unflat,
     vstack,
 )
+
+
+_ONES3 = bytes.maketrans(b"\x00\x01\x02", b"010")
+_TWOS3 = bytes.maketrans(b"\x00\x01\x02", b"001")
+
+
+def pack3(row) -> tuple:
+    """A GF(3) tuple row as its (ones, twos) pair: bit j of ones is set where
+    entry j is 1, bit j of twos where it is 2."""
+    digits = b"0" + bytes(row)[::-1]
+    return int(digits.translate(_ONES3), 2), int(digits.translate(_TWOS3), 2)
 
 
 def brute_kernel(m):
@@ -672,7 +681,7 @@ def test_gf3_pack_unpack_round_trip():
     rng = random.Random(627)
     for n in (0, 1, 63, 64, 65, 200):
         for row in ((0,) * n, (1,) * n, (2,) * n, tuple(rng.randrange(3) for _ in range(n))):
-            ones, twos = _pack3(row)
+            ones, twos = pack3(row)
             assert ones == sum(1 << j for j, x in enumerate(row) if x == 1)
             assert twos == sum(1 << j for j, x in enumerate(row) if x == 2)
             assert _unpack3(ones, twos, n) == row
@@ -699,7 +708,7 @@ def test_gf3_pair_kernel_matches_tuple_route(m):
     """The GF(3) solve on (ones, twos) pairs gives kernel_basis's tuple rows
     and free columns: on empty, zero and full-rank systems, on rows wider
     than 64 and 128 columns, and on rows mixing 1s and 2s."""
-    assert _kernel3([_pack3(r) for r in m.rows], m.ncols) == kernel_basis(m)
+    assert _kernel3([pack3(r) for r in m.rows], m.ncols) == kernel_basis(m)
 
 
 def test_gf3_pair_solve_refuses_overlapping_masks():

@@ -56,7 +56,7 @@ def brute_hom_dim(m, n):
         ok = True
         for ai in range(len(q.arrows)):
             u, w = q.arrow_source(ai), q.arrow_target(ai)
-            if not mats[w].mul(m.action[ai]).sub(n.action[ai].mul(mats[u])).is_zero():
+            if mats[w].mul(m.action[ai]) != n.action[ai].mul(mats[u]):
                 ok = False
                 break
         if ok:
