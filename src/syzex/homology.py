@@ -20,7 +20,9 @@ exactly when every relation acts by 0, which is linear in the corners C_a,
 and two corners give equivalent extensions exactly when they differ by an
 inner derivation Y_a f_u - f_w X_a.  So Ext^1 is Z / B: Z the kernel of
 one sparse system in the C_a, laid out flat arrow by arrow, B spanned by
-the inner derivations of the unit maps f_v.  B's coordinates in Z are its
+the inner derivations of the unit maps f_v.  The C_a are the defects of
+the vertexwise section of the middle onto X, and each basis row of Z is
+checked against the system once.  B's coordinates in Z are its
 entries at Z's free columns (linalg.coordinates), and the rows of Z off
 their pivots, cut per arrow, are the corner tuples of the Ext^1 basis.
 ext1_space memoizes each space on the algebra by the keys of X and Y, as
@@ -236,9 +238,14 @@ def _ext1_space(x: Representation, y: Representation) -> Ext1Space:
     # the unknowns: C_a, a y_w x x_u block for a: u -> w, flat arrow by arrow
     off = list(itertools.accumulate((y.dim[w] * x.dim[u] for u, w in ends), initial=0))
     size = off.pop()
-    cocycles, free = linalg.kernel_basis(_relation_system(x, y, off, size))
+    system = _relation_system(x, y, off, size)
+    cocycles, free = linalg.kernel_basis(system)
     if not cocycles.nrows:
         return Ext1Space(x, y, ())
+    # C_a is the defect E_a s - s X_a of the vertexwise section s = [0; I]
+    # of the middle E onto X; E is a module exactly when it solves the system
+    if not system.mul(cocycles.transpose()).is_zero():
+        raise AssertionError("section defect not in the kernel")
     image = linalg.coordinates(cocycles.transpose(), free, _inner_derivations(x, y, off, size).transpose())
     if image is None:
         raise AssertionError("inner derivation outside the corner cocycles")

@@ -100,6 +100,34 @@ def test_sub_rep_invariance_fault_exits_3(monkeypatch):
 
 
 @pytest.mark.parametrize("field", ["2", "3"])
+def test_section_defect_fault_exits_3(monkeypatch, field):
+    # add the unit vector at a column the relation system reads to every
+    # corner cocycle of (S0, P0) on beilinson2: the section defects then
+    # no longer satisfy the relations
+    from syzex import linalg
+    from syzex.linalg import Matrix
+
+    kernel = linalg.kernel_basis
+    calls = []
+
+    def skewed(m):
+        b, free = kernel(m)
+        if calls or not (m.nrows and b.nrows):
+            return b, free
+        calls.append(m)
+        j = next(j for j, col in enumerate(m.transpose().rows) if any(linalg.nonzeros(m.p, col)))
+        return b.add(Matrix.from_entries(b.p, b.nrows, b.ncols, [(i, j, 1) for i in range(b.nrows)])), free
+
+    argv = ["--field", field, "ext", "beilinson2", "S0", "P0"]
+    assert run_json(argv)[0] == 0
+    monkeypatch.setattr(linalg, "kernel_basis", skewed)
+    code, report, _ = run_json(argv)
+    assert calls
+    assert code == 3
+    assert report["results"] == {"error": "AssertionError: section defect not in the kernel", "kind": "internal"}
+
+
+@pytest.mark.parametrize("field", ["2", "3"])
 def test_coboundary_fault_exits_3(monkeypatch, field):
     # add 1 at the first corner entry of every coboundary (inner
     # derivation): on beilinson2 that puts them outside the corner cocycles
