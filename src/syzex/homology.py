@@ -244,12 +244,13 @@ def _ext1_space(x: Representation, y: Representation) -> Ext1Space:
         return Ext1Space(x, y, ())
     # C_a is the defect E_a s - s X_a of the vertexwise section s = [0; I]
     # of the middle E onto X; E is a module exactly when it solves the system
-    if not system.mul(cocycles.transpose()).is_zero():
+    columns = cocycles.transpose()
+    if not system.mul(columns).is_zero():
         raise AssertionError("section defect not in the kernel")
-    image = linalg.coordinates(cocycles.transpose(), free, _inner_derivations(x, y, off, size).transpose())
+    image = linalg.coordinates(columns, free, _inner_derivations(x, y, off, size).transpose())
     if image is None:
         raise AssertionError("inner derivation outside the corner cocycles")
-    pivot = set(linalg.rref(image.transpose())[1])
+    pivot = set(linalg.pivots(image.transpose()))
     basis = tuple(
         tuple(linalg.unflat(p, row, at, y.dim[w], x.dim[u]) for at, (u, w) in zip(off, ends))
         for j, row in enumerate(cocycles.rows) if j not in pivot

@@ -2,50 +2,55 @@
 that knows how a matrix row is stored.
 
 Row layouts.  Over GF(2) a row is a bit mask, a python int whose bit j is
-entry j; over odd p it is a tuple of residues.  Over GF(3) the Hom solve
-alone also uses bit-sliced rows (Boothby and Bradshaw, arXiv:0901.1413): a
-(ones, twos) pair of masks, bit j of ones set where entry j is 1 and of
-twos where it is 2, added by _add3 in seven boolean operations and negated
-by swapping the masks.  No Matrix carries pairs, and every other GF(3)
-kernel, rank and rref stays on tuples, where slicing tuple rows on entry
-did not pay on small systems.  Other modules build and read rows only
-through this module, whose functions keep the route measured fastest for
-each layout: Matrix.from_entries writes sparse entries and nonzeros reads
-them, stripe sets blocks side by side, hom_solve builds and solves Hom
-systems, sub_action restricts arrow matrices to invariant subspaces whose
-bases block_spans cuts out, and rref_pool enumerates full-rank RREFs that
+entry j.  Over GF(3) it is bit-sliced (Boothby and Bradshaw,
+arXiv:0901.1413): a (ones, twos) pair of masks, bit j of ones set where
+entry j is 1 and of twos where it is 2, never both, and no bit at or beyond
+the row's length.  Pairs are added by _add3 in seven boolean operations and
+negated by swapping the masks; whatever only moves entries (transpose, flat
+and unflat, block_diagonal, stripe, block_spans, the copy moves' shifts)
+moves both masks as the GF(2) code moves one, inline, which measured faster
+than splitting a matrix into two GF(2) planes.  Over larger p a row is a
+tuple of residues.  Other modules build and read rows only through this
+module, whose functions keep the route measured fastest for each layout:
+Matrix.from_entries writes sparse entries and nonzeros reads them, stripe
+sets blocks side by side, hom_solve builds and solves Hom systems,
+sub_action restricts arrow matrices to invariant subspaces whose bases
+block_spans cuts out, and rref_pool enumerates full-rank RREFs that
 moved_rrefs moves by copy automorphisms and reduces back.
 
 Matrices are immutable.  Row reduction uses deterministic pivoting (first
 nonzero entry in column order), so every derived basis is canonical.  rref
-returns the pivot columns with the reduced matrix.  kernel_basis, the one
-kernel entry point, returns a basis in the system's row layout, one vector
-per row, with the free column of each; null_rows is the reduced echelon
-basis of the kernel with the pivot column of each row, as rref of a
-transpose gives the image's.  A coordinate is the entry at a pivot:
-coordinates reads a vector's coefficients in a basis whose vectors are
-each 1 at their own pivot and 0 at the others' (a kernel row's free column
-is such a pivot), and one product checks them; no general solver is kept.
+returns the pivot columns with the reduced matrix, and pivots the columns
+alone.  kernel_basis, the one kernel entry point, returns a basis in the
+system's row layout, one vector per row, with the free column of each;
+null_rows is the reduced echelon basis of the kernel with the pivot column
+of each row, as rref of a transpose gives the image's.  A coordinate is
+the entry at a pivot: coordinates reads a vector's coefficients in a basis
+whose vectors are each 1 at their own pivot and 0 at the others' (a kernel
+row's free column is such a pivot), and one product checks them; no
+general solver is kept.
 
 Matrices met on the syzygy path are large and sparse, so the kernel rows,
-odd-p products and GF(2) elimination do work in proportion to the nonzero
-entries of each row, not to its length.  Both Matrix layouts share one
-forward pass, _echelon: rank counts its pivots, rref back-substitutes over
-them (_reduced), and GF(2) kernel_basis back-solves the kernel straight off
-it, one mask per column over the kernel vectors; over odd p the kernel is
-read off rref.
+products and mask elimination do work in proportion to the nonzero entries
+of each row, not to its length.  Every layout shares one forward pass,
+_echelon (_echelon3 on pairs): rank counts its pivots, pivots reads them,
+rref back-substitutes over them (_reduced), and kernel_basis reads the
+kernel off them: over GF(2) by a back-solve, one mask per column over the
+kernel vectors, over GF(3) off _reduced's rows, one mask pair per free
+column (_kernel3), over larger p off rref.
 
 The Hom coordinate layout is decided here too: flat lays a tuple of
 matrices out as one row, row-major and concatenated, and unflat cuts a
 block back out, as Ext^1 cuts its corners; block_diagonal sets the square
 blocks of such a row down the diagonal of one matrix, as the split search
-and the iso test read End(M) and Hom(M, N).  Matrix.key packs flat's
-row, one bit per entry over GF(2); keys of equal shape compare as
-one-byte-per-entry keys would.
+and the iso test read End(M) and Hom(M, N).  Matrix.key packs flat's row,
+one bit per entry over GF(2), one byte per entry otherwise; keys of equal
+shape compare as one-byte-per-entry keys would.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from .errors import SpecError
@@ -95,7 +100,8 @@ class Matrix:
     __slots__ = ("p", "nrows", "ncols", "rows")
 
     def __init__(self, p, nrows, ncols, rows):
-        # rows: tuple of int bit masks when p == 2, else tuple of tuples
+        # rows: tuple of int bit masks when p == 2, of (ones, twos) mask pairs
+        # when p == 3, else of tuples
         self.p = p
         self.nrows = nrows
         self.ncols = ncols
@@ -113,6 +119,8 @@ class Matrix:
                 raise ValueError("ragged rows")
         if p == 2:
             rows = tuple(_pack(r) for r in data)
+        elif p == 3:
+            rows = tuple((_pack([x % 3 == 1 for x in r]), _pack([x % 3 == 2 for x in r])) for r in data)
         else:
             rows = tuple(tuple(x % p for x in r) for r in data)
         return Matrix(p, nrows, ncols, rows)
@@ -121,13 +129,21 @@ class Matrix:
     def from_entries(p: int, nrows: int, ncols: int, entries) -> "Matrix":
         """The matrix with entry c mod p at each (i, j, c) of entries, which
         name distinct positions, and 0 elsewhere: each entry is written
-        straight into its row, as a bit over GF(2), as a list slot over odd p."""
+        straight into its row, as a bit over GF(2) and GF(3), the latter in
+        the plane of its value, as a list slot over larger p."""
         if p == 2:
             rows = [0] * nrows
             for i, j, c in entries:
                 if c & 1:
                     rows[i] |= 1 << j
             return Matrix(2, nrows, ncols, tuple(rows))
+        if p == 3:
+            planes = ([0] * nrows, [0] * nrows)
+            for i, j, c in entries:
+                c %= 3
+                if c:
+                    planes[c - 1][i] |= 1 << j
+            return Matrix(3, nrows, ncols, tuple(zip(*planes)))
         rows = [[0] * ncols for _ in range(nrows)]
         for i, j, c in entries:
             rows[i][j] = c % p
@@ -135,9 +151,7 @@ class Matrix:
 
     @staticmethod
     def zero(p: int, nrows: int, ncols: int) -> "Matrix":
-        if p == 2:
-            return Matrix(p, nrows, ncols, (0,) * nrows)
-        return Matrix(p, nrows, ncols, ((0,) * ncols,) * nrows)
+        return Matrix(p, nrows, ncols, (0 if p == 2 else (0, 0) if p == 3 else (0,) * ncols,) * nrows)
 
     @staticmethod
     def identity(p: int, n: int) -> "Matrix":
@@ -148,18 +162,25 @@ class Matrix:
     def entry(self, i: int, j: int) -> int:
         if self.p == 2:
             return (self.rows[i] >> j) & 1
+        if self.p == 3:
+            ones, twos = self.rows[i]
+            return (ones >> j & 1) | (twos >> j & 1) << 1
         return self.rows[i][j]
 
     def row(self, i: int) -> tuple:
         if self.p == 2:
             return _unpack(self.rows[i], self.ncols)
+        if self.p == 3:
+            return _unpack3(*self.rows[i], self.ncols)
         return self.rows[i]
 
     def tolist(self) -> list:
         """The rows as lists of ints, as a module file writes them; over GF(2)
-        each list is built once from its row's bit mask."""
+        and GF(3) each list is built once from its row's masks."""
         if self.p == 2:
             return [list(_bits(r, self.ncols)) for r in self.rows]
+        if self.p == 3:
+            return [list(_trits(o, t, self.ncols)) for o, t in self.rows]
         return [list(r) for r in self.rows]
 
     def key(self) -> bytes:
@@ -172,6 +193,8 @@ class Matrix:
             row = flat(2, (self,))
             return row.to_bytes((self.nrows * self.ncols + 7) // 8, "little").translate(_BIT_REVERSED)
         # flat's row-major order, written row by row
+        if self.p == 3:
+            return b"".join([_trits(o, t, self.ncols) for o, t in self.rows])
         if self.p <= 256:
             return b"".join(map(bytes, self.rows))
         width = ((self.p - 1).bit_length() + 7) // 8
@@ -180,6 +203,7 @@ class Matrix:
     def is_zero(self) -> bool:
         if self.p == 2:
             return all(r == 0 for r in self.rows)
+        # a pair is (0, 0) exactly when its row is zero
         return not any(map(any, self.rows))
 
     def __eq__(self, other):
@@ -201,19 +225,25 @@ class Matrix:
 
     def add(self, other: "Matrix") -> "Matrix":
         self._shape_check(other)
-        if self.p == 2:
-            return Matrix(2, self.nrows, self.ncols, tuple(a ^ b for a, b in zip(self.rows, other.rows)))
         p = self.p
-        return Matrix(
-            p, self.nrows, self.ncols,
-            tuple([tuple([(a + b) % p for a, b in zip(r, s)]) for r, s in zip(self.rows, other.rows)]),
-        )
+        if p == 2:
+            rows = tuple(a ^ b for a, b in zip(self.rows, other.rows))
+        elif p == 3:
+            rows = tuple([_add3(a1, a2, b1, b2) for (a1, a2), (b1, b2) in zip(self.rows, other.rows)])
+        else:
+            rows = tuple([tuple([(a + b) % p for a, b in zip(r, s)]) for r, s in zip(self.rows, other.rows)])
+        return Matrix(p, self.nrows, self.ncols, rows)
 
     def scale(self, c: int) -> "Matrix":
+        """c times self; over GF(3), 2 = -1 swaps each row's masks."""
         p = self.p
         c %= p
-        if c == 1 or p == 2:
-            return self if c else Matrix.zero(2, self.nrows, self.ncols)
+        if c == 1:
+            return self
+        if c == 0:
+            return Matrix.zero(p, self.nrows, self.ncols)
+        if p == 3:
+            return Matrix(3, self.nrows, self.ncols, tuple([(t, o) for o, t in self.rows]))
         return Matrix(p, self.nrows, self.ncols, tuple([tuple([c * a % p for a in r]) for r in self.rows]))
 
     def mul(self, other: "Matrix") -> "Matrix":
@@ -232,6 +262,27 @@ class Matrix:
                     m ^= low
                 out.append(acc)
             return Matrix(2, self.nrows, other.ncols, tuple(out))
+        if self.p == 3:
+            # other's row k added at each 1 in column k, subtracted at each 2
+            orows = other.rows
+            out = []
+            for o, t in self.rows:
+                m = o | t
+                if not m:
+                    out.append((0, 0))
+                    continue
+                low = m & -m
+                a1, a2 = orows[low.bit_length() - 1]
+                if t & low:
+                    a1, a2 = a2, a1
+                m ^= low
+                while m:
+                    low = m & -m
+                    b1, b2 = orows[low.bit_length() - 1]
+                    a1, a2 = _add3(a1, a2, b2, b1) if t & low else _add3(a1, a2, b1, b2)
+                    m ^= low
+                out.append((a1, a2))
+            return Matrix(3, self.nrows, other.ncols, tuple(out))
         p = self.p
         ocols = other.ncols
         orows = other.rows
@@ -266,6 +317,8 @@ class Matrix:
                     rows[low.bit_length() - 1] |= bit
                     m ^= low
             return Matrix(2, self.ncols, self.nrows, tuple(rows))
+        if self.p == 3:
+            return Matrix(3, self.ncols, self.nrows, tuple(zip(*_columns3(self.rows, self.ncols))))
         rows = tuple(zip(*self.rows)) if self.rows else ((),) * self.ncols
         return Matrix(self.p, self.ncols, self.nrows, rows)
 
@@ -275,6 +328,22 @@ class Matrix:
 
     def rank(self) -> int:
         return len(_echelon(self.p, self.rows))
+
+
+def _columns3(rows, n: int) -> tuple:
+    """The ones masks and the twos masks of the n columns of GF(3) rows."""
+    ones, twos = [0] * n, [0] * n
+    for i, (o, t) in enumerate(rows):
+        bit = 1 << i
+        while o:
+            low = o & -o
+            ones[low.bit_length() - 1] |= bit
+            o ^= low
+        while t:
+            low = t & -t
+            twos[low.bit_length() - 1] |= bit
+            t ^= low
+    return ones, twos
 
 
 def _pack(values) -> int:
@@ -299,11 +368,18 @@ _BIT_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 _BIT_REVERSED = bytes(int(format(b, "08b")[::-1], 2) for b in range(256))
 
 
-def _unpack3(ones: int, twos: int, n: int) -> tuple:
-    """The n-entry GF(3) tuple row of a (ones, twos) pair."""
+@functools.lru_cache(maxsize=1024)
+def _trits(ones: int, twos: int, n: int) -> bytes:
+    """Entry j of an n-entry GF(3) row, given as its (ones, twos) pair, as
+    byte j; memoized, as module keys read the same few short rows over and
+    over."""
     # entry j of each plane as byte j, summed with no carry between bytes
     both = int.from_bytes(_bits(ones, n), "little") + 2 * int.from_bytes(_bits(twos, n), "little")
-    return tuple(both.to_bytes(n, "little"))
+    return both.to_bytes(n, "little")
+
+
+def _unpack3(ones: int, twos: int, n: int) -> tuple:
+    return tuple(_trits(ones, twos, n))
 
 
 def nonzeros(p: int, row) -> list:
@@ -315,13 +391,29 @@ def nonzeros(p: int, row) -> list:
             out.append((low.bit_length() - 1, 1))
             row ^= low
         return out
+    if p == 3:
+        ones, row, out = row[0], row[0] | row[1], []
+        while row:
+            low = row & -row
+            out.append((low.bit_length() - 1, 1 if ones & low else 2))
+            row ^= low
+        return out
     return [(j, c) for j, c in enumerate(row) if c]
 
 
 def flat(p: int, mats):
     """The entries of mats, each row-major, concatenated into one row: over
     GF(2) a bit mask, entry (i, j) of a block at offset off being bit
-    off + i * ncols + j, over odd p a tuple."""
+    off + i * ncols + j, over GF(3) a pair of such masks, over larger p a
+    tuple."""
+    if p == 3:
+        ones = twos = off = 0
+        for m in mats:
+            for o, t in m.rows:
+                ones |= o << off
+                twos |= t << off
+                off += m.ncols
+        return ones, twos
     if p == 2:
         out = off = 0
         for m in mats:
@@ -338,6 +430,10 @@ def flat(p: int, mats):
 
 def unflat(p: int, row, off: int, nrows: int, ncols: int) -> Matrix:
     """The nrows x ncols block of a flat row that starts at entry off."""
+    if p == 3:
+        mask = (1 << ncols) - 1
+        ones, twos = row[0] >> off, row[1] >> off
+        return Matrix(3, nrows, ncols, tuple([(ones >> i * ncols & mask, twos >> i * ncols & mask) for i in range(nrows)]))
     if p == 2:
         mask = (1 << ncols) - 1
         row >>= off
@@ -356,6 +452,10 @@ def block_diagonal(p: int, row, offsets, dims) -> Matrix:
             mask = (1 << d) - 1
             block = row >> off
             rows += [(block >> i * d & mask) << at for i in range(d)]
+        elif p == 3:
+            mask = (1 << d) - 1
+            ones, twos = row[0] >> off, row[1] >> off
+            rows += [((ones >> i * d & mask) << at, (twos >> i * d & mask) << at) for i in range(d)]
         else:
             pad, end = (0,) * at, (0,) * (n - at - d)
             rows += [pad + row[off + i * d:off + (i + 1) * d] + end for i in range(d)]
@@ -380,7 +480,7 @@ def stripe(p: int, ncols: int, pieces) -> list:
     """The one block-row assembler: rows of equal-height blocks placed side by
     side, pieces being (matrix, column offset) in increasing offset order,
     zeros elsewhere.  A row is one shifted OR of bit masks over GF(2), one
-    zero-padded tuple concatenation over odd p."""
+    per mask over GF(3), one zero-padded tuple concatenation over larger p."""
     rows = range(pieces[0][0].nrows)
     out = []
     if p == 2:
@@ -389,6 +489,15 @@ def stripe(p: int, ncols: int, pieces) -> list:
             for m, off in pieces:
                 row |= m.rows[r] << off
             out.append(row)
+        return out
+    if p == 3:
+        for r in rows:
+            ones = twos = 0
+            for m, off in pieces:
+                o, t = m.rows[r]
+                ones |= o << off
+                twos |= t << off
+            out.append((ones, twos))
         return out
     for r in rows:
         row = ()
@@ -415,15 +524,18 @@ def combine(coeffs, terms) -> tuple | None:
     acc = None
     for c, mats in zip(coeffs, terms):
         if c:
-            scaled = tuple(m.scale(c) for m in mats)
-            acc = scaled if acc is None else tuple(a.add(b) for a, b in zip(acc, scaled))
+            scaled = tuple([m.scale(c) for m in mats])
+            acc = scaled if acc is None else tuple([a.add(b) for a, b in zip(acc, scaled)])
     return acc
 
 
 def _echelon(p: int, rows) -> dict:
     """Forward pass: lead -> pivot row, each row reduced by the pivot at its
     lead until the lead is new or the row is 0.  The lead is the lowest set
-    bit over GF(2), else the first nonzero column, scaled to 1."""
+    bit over GF(2) and GF(3) (_echelon3), else the first nonzero column,
+    scaled to 1."""
+    if p == 3:
+        return _echelon3(rows)
     piv = {}
     if p == 2:
         for r in rows:
@@ -453,20 +565,42 @@ def rref(m: Matrix) -> tuple:
     canonical form: _reduced's rows, then zero rows.
     """
     rows, leads = _reduced(m.p, m.rows)
-    if m.p == 2:
-        zero, pivots = 0, [low.bit_length() - 1 for low in leads]
-    else:
-        zero, pivots = (0,) * m.ncols, leads
-    return Matrix(m.p, m.nrows, m.ncols, tuple(rows + [zero] * (m.nrows - len(rows)))), pivots
+    zeros = Matrix.zero(m.p, m.nrows - len(rows), m.ncols).rows
+    return Matrix(m.p, m.nrows, m.ncols, tuple(rows) + zeros), _lead_columns(m.p, leads)
+
+
+def pivots(m: Matrix) -> list:
+    """rref's pivot columns, read off _echelon's forward pass with no
+    back-substitution."""
+    return _lead_columns(m.p, sorted(_echelon(m.p, m.rows)))
+
+
+def _lead_columns(p: int, leads) -> list:
+    """The columns of _echelon's sorted leads."""
+    return leads if p > 3 else [low.bit_length() - 1 for low in leads]
 
 
 def _reduced(p: int, rows) -> tuple:
     """The nonzero rows of the reduced row echelon form of rows, in pivot
-    order, with _echelon's leads (each pivot's bit over GF(2), its column
-    otherwise): _echelon's rows back-substituted from the last pivot.
+    order, with _echelon's leads (each pivot's bit over GF(2) and GF(3), its
+    column otherwise): _echelon's rows back-substituted from the last pivot.
     Equal row spaces give equal rows."""
     piv = _echelon(p, rows)
     leads = sorted(piv)
+    if p == 3:
+        done = 0
+        for low in reversed(leads):
+            o, t = piv[low]
+            later = (o | t) & done
+            while later:
+                b = later & -later
+                qo, qt = piv[b]
+                # entry 1: subtract the pivot row; entry 2: add it
+                o, t = _add3(o, t, qt, qo) if o & b else _add3(o, t, qo, qt)
+                later ^= b
+            piv[low] = (o, t)
+            done |= low
+        return [piv[low] for low in leads], leads
     if p == 2:
         done = 0
         for low in reversed(leads):
@@ -500,9 +634,11 @@ def kernel_basis(m: Matrix) -> tuple:
     for the pivot columns last to first, a pivot's mask the XOR of the masks
     at the other set bits of its row, all of which lie to its right.  Over
     odd p row k holds minus rref's reduced entry in column f_k at each pivot
-    column.
+    column, over GF(3) read off _reduced's pairs (_kernel3).
     """
     n, p = m.ncols, m.p
+    if p == 3:
+        return _kernel3(m.rows, n)
     if p != 2:
         red, pivots = rref(m)
         pivot_set = set(pivots)
@@ -561,8 +697,9 @@ def _echelon3(pairs) -> dict:
     for o, t in pairs:
         if o & t:
             raise ValueError("GF(3) row pair has entries that are both 1 and 2: %#x" % (o & t))
-        while o | t:
-            low = (o | t) & -(o | t)
+        m = o | t
+        while m:
+            low = m & -m
             if t & low:
                 o, t = t, o
             q = piv.get(low)
@@ -572,53 +709,39 @@ def _echelon3(pairs) -> dict:
             qo, qt = q
             x = (o | qo) ^ (t | qt)
             o, t = (t | qo) ^ x, (o | qt) ^ x
+            m = o | t
     return piv
 
 
 def _kernel3(pairs, n: int) -> tuple:
-    """kernel_basis's result, its rows tuples, for a GF(3) system of n
-    columns given as (ones, twos) pairs, one per equation.
+    """kernel_basis of a GF(3) system of n columns given as (ones, twos)
+    pairs, one per equation.
 
-    _echelon3's rows are back-substituted from the last pivot, as rref's
-    are.  Minus the reduced entries at a free column f are row f's entries
-    at the pivots, so each reduced row's set bits off its pivot are read
-    once into per-free-column masks, and each kernel row is unpacked once.
+    Minus _reduced's entries at a free column f are row f's entries at the
+    pivots, so each reduced row's set bits off its pivot are read once into
+    per-free-column masks.
     """
-    piv = _echelon3(pairs)
-    leads = sorted(piv)
-    done = 0
-    for low in reversed(leads):
-        o, t = piv[low]
-        later = (o | t) & done
-        while later:
-            b = later & -later
-            qo, qt = piv[b]
-            if o & b:  # entry 1: subtract the pivot row
-                x = (o | qo) ^ (t | qt)
-                o, t = (t | qo) ^ x, (o | qt) ^ x
-            else:  # entry 2: add it
-                x = (o | qt) ^ (t | qo)
-                o, t = (t | qt) ^ x, (o | qo) ^ x
-            later ^= b
-        piv[low] = (o, t)
-        done |= low
+    rows, leads = _reduced(3, pairs)
     ones, twos = {}, {}
-    for low in leads:
-        o, t = piv[low]
+    for low, (o, t) in zip(leads, rows):
         # a reduced 1 at f puts -1 = 2 at this pivot in row f, a 2 puts 1
-        for plane, into in ((o ^ low, twos), (t, ones)):
-            while plane:
-                f = plane & -plane
-                into[f] = into.get(f, 0) | low
-                plane ^= f
-    rows, free = [], []
-    rest = ((1 << n) - 1) ^ done
+        o ^= low
+        while o:
+            f = o & -o
+            twos[f] = twos.get(f, 0) | low
+            o ^= f
+        while t:
+            f = t & -t
+            ones[f] = ones.get(f, 0) | low
+            t ^= f
+    kernel, free = [], []
+    rest = ((1 << n) - 1) ^ sum(leads)
     while rest:
         f = rest & -rest
-        rows.append(_unpack3(ones.get(f, 0) | f, twos.get(f, 0), n))
+        kernel.append((ones.get(f, 0) | f, twos.get(f, 0)))
         free.append(f.bit_length() - 1)
         rest ^= f
-    return Matrix(3, len(rows), n, tuple(rows)), free
+    return Matrix(3, len(kernel), n, tuple(kernel)), free
 
 
 def hom_solve(p: int, ends, m_dim, m_mats, n_dim, n_mats) -> tuple:
@@ -631,62 +754,36 @@ def hom_solve(p: int, ends, m_dim, m_mats, n_dim, n_mats) -> tuple:
     N_a's row i spread over column j of f_u; where a loop meets one unknown
     from both sides, the two entries are summed.  Over GF(2) an equation is
     one bit mask, from M_a's transpose.  Over GF(3) it is a (ones, twos)
-    pair built from M_a's nonzero entries row by row, with no transpose,
-    and _kernel3 solves the pairs.  Over larger p it is a tuple."""
+    pair, from the masks of M_a's columns and -N_a's row spread from its set
+    bits, summed by _add3.  Over larger p it is a tuple."""
     off = list(itertools.accumulate((a * b for a, b in zip(m_dim, n_dim)), initial=0))
     total = off.pop()
-    if p == 2:
-        masks = []
-        for (u, w), ma, na in zip(ends, m_mats, n_mats):
+    rows = []
+    for (u, w), ma, na in zip(ends, m_mats, n_mats):
+        dmu, dmw = m_dim[u], m_dim[w]
+        if p == 3:
+            ones, twos = _columns3(ma.rows, dmu)
+        else:
             ma_cols = ma.transpose().rows
-            dmu, dmw = m_dim[u], m_dim[w]
-            for i, na_row in enumerate(na.rows):
-                base_w = off[w] + i * dmw
+        for i, na_row in enumerate(na.rows):
+            base_w = off[w] + i * dmw
+            if p == 2:
                 # N_a's row i with bit l moved to bit l * dmu, f_u[l][j]'s offset less j
-                spread = 0
-                while na_row:
-                    low = na_row & -na_row
-                    spread |= 1 << (low.bit_length() - 1) * dmu
-                    na_row ^= low
+                spread = _spread(na_row, dmu)
                 for j in range(dmu):
                     row = (ma_cols[j] << base_w) ^ (spread << (off[u] + j))
                     if row:
-                        masks.append(row)
-        kernel, free = kernel_basis(Matrix(2, len(masks), total, tuple(masks)))
-    elif p == 3:
-        pairs = []
-        for (u, w), ma, na in zip(ends, m_mats, n_mats):
-            dmu, dmw = m_dim[u], m_dim[w]
-            # column j of M_a as two masks, read off M_a's nonzero entries by row
-            col1, col2 = [0] * dmu, [0] * dmu
-            for k, ma_row in enumerate(ma.rows):
-                for j, c in enumerate(ma_row):
-                    if c == 1:
-                        col1[j] |= 1 << k
-                    elif c:
-                        col2[j] |= 1 << k
-            for i, na_row in enumerate(na.rows):
-                base_w = off[w] + i * dmw
+                        rows.append(row)
+            elif p == 3:
                 # -N_a's row i spread as over GF(2), -1 = 2 and -2 = 1 swapping the masks
-                neg1 = neg2 = 0
-                for l, c in enumerate(na_row):
-                    if c == 1:
-                        neg2 |= 1 << l * dmu
-                    elif c:
-                        neg1 |= 1 << l * dmu
-                at = off[u]
+                neg1, neg2 = _spread(na_row[1], dmu), _spread(na_row[0], dmu)
                 for j in range(dmu):
-                    o, t = _add3(col1[j] << base_w, col2[j] << base_w, neg1 << at + j, neg2 << at + j)
+                    a1, a2, b1, b2 = ones[j] << base_w, twos[j] << base_w, neg1 << off[u] + j, neg2 << off[u] + j
+                    # the two sides meet at one unknown only on a loop
+                    o, t = _add3(a1, a2, b1, b2) if u == w else (a1 | b1, a2 | b2)
                     if o | t:
-                        pairs.append((o, t))
-        kernel, free = _kernel3(pairs, total)
-    else:
-        rows = []
-        for (u, w), ma, na in zip(ends, m_mats, n_mats):
-            ma_cols = ma.transpose().rows
-            dmu, dmw = m_dim[u], m_dim[w]
-            for i, na_row in enumerate(na.rows):
-                base_w = off[w] + i * dmw
+                        rows.append((o, t))
+            else:
                 negs = [(off[u] + l * dmu, p - c) for l, c in enumerate(na_row) if c]
                 for j in range(dmu):
                     row = [0] * total
@@ -695,17 +792,31 @@ def hom_solve(p: int, ends, m_dim, m_mats, n_dim, n_mats) -> tuple:
                         row[at + j] = (row[at + j] + c) % p
                     if any(row):
                         rows.append(tuple(row))
-        kernel, free = kernel_basis(Matrix(p, len(rows), total, tuple(rows)))
+    kernel, free = kernel_basis(Matrix(p, len(rows), total, tuple(rows)))
     return kernel.rows, tuple(off), tuple(free)
+
+
+def _spread(mask: int, step: int) -> int:
+    """mask with bit l moved to bit l * step."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= 1 << (low.bit_length() - 1) * step
+        mask ^= low
+    return out
 
 
 def _reverse_cols(m: Matrix) -> Matrix:
     n = m.ncols
-    if m.p == 2:
+    if m.p <= 3:
         # reverse the bits of each byte and the byte order, then drop the padding
         nb = (n + 7) // 8
         pad = 8 * nb - n
-        rows = tuple(int.from_bytes(r.to_bytes(nb, "little").translate(_BIT_REVERSED), "big") >> pad for r in m.rows)
+
+        def reverse(r):
+            return int.from_bytes(r.to_bytes(nb, "little").translate(_BIT_REVERSED), "big") >> pad
+
+        rows = tuple(map(reverse, m.rows)) if m.p == 2 else tuple([(reverse(o), reverse(t)) for o, t in m.rows])
     else:
         rows = tuple(r[::-1] for r in m.rows)
     return Matrix(m.p, m.nrows, n, rows)
@@ -743,11 +854,39 @@ def sub_action(p: int, ends, mats, spans) -> list | None:
     pivots of w; None if some mats[a] B_u leaves the span of B_w.
 
     Over GF(2) each image is an XOR of mats[a]'s columns, and only its set
-    bits at w's pivots are visited.  Over odd p coordinates reads the
+    bits at w's pivots are visited; over GF(3) the images are one product,
+    read at w's pivots likewise.  Over larger p coordinates reads the
     images, mats[a] times the bases set as columns: a cover's arrow rows
     mostly hold one nonzero entry, so most image rows are basis rows
     reused, and the restriction shares them."""
     out = []
+    if p == 3:
+        for (u, w), mat in zip(ends, mats):
+            (rows_u, _), (rows_w, pivots_w) = spans[u], spans[w]
+            basis_w = rows_w.rows
+            x1, x2 = [0] * len(basis_w), [0] * len(basis_w)
+            at = {1 << c: i for i, c in enumerate(pivots_w)}
+            pivot_mask = sum(at)
+            # row r: the image of u's basis vector r, read at w's pivots
+            images = rows_u.mul(mat.transpose()).rows if rows_u.nrows and any(map(any, mat.rows)) else ()
+            for r, (i1, i2) in enumerate(images):
+                s1 = s2 = 0
+                hits = (i1 | i2) & pivot_mask
+                while hits:
+                    low = hits & -hits
+                    i = at[low]
+                    c1, c2 = basis_w[i]
+                    if i1 & low:
+                        x1[i] |= 1 << r
+                    else:
+                        x2[i] |= 1 << r
+                        c1, c2 = c2, c1
+                    s1, s2 = _add3(s1, s2, c1, c2)
+                    hits ^= low
+                if s1 != i1 or s2 != i2:
+                    return None
+            out.append(Matrix(3, len(basis_w), rows_u.nrows, tuple(zip(x1, x2))))
+        return out
     if p != 2:
         bases = [rows.transpose() for rows, _ in spans]
         for (u, w), mat in zip(ends, mats):
@@ -795,7 +934,12 @@ def block_spans(basis: Matrix, pivots, widths) -> list:
         j = k
         while j < len(pivots) and pivots[j] < start + d:
             j += 1
-        cut = tuple([r >> start for r in rows[k:j]]) if p == 2 else tuple([r[start:start + d] for r in rows[k:j]])
+        if p == 2:
+            cut = tuple([r >> start for r in rows[k:j]])
+        elif p == 3:
+            cut = tuple([(o >> start, t >> start) for o, t in rows[k:j]])
+        else:
+            cut = tuple([r[start:start + d] for r in rows[k:j]])
         spans.append((Matrix(p, j - k, d, cut), [c - start for c in pivots[k:j]]))
         k, start = j, start + d
     return spans
@@ -839,20 +983,31 @@ def moved_rrefs(p: int, kind: str, pool, off: int, w: int, k: int, omega: int) -
     """The rows of each pool entry times g (x) I_w, reduced back to RREF, as
     a tuple: g acts on the k chunks of width w that start at column off,
     "add" adding chunk 0 to chunk 1, "shift" moving each chunk one place on
-    and the last to the first, "scale" multiplying chunk 0 by omega."""
+    and the last to the first, "scale" multiplying chunk 0 by omega (over
+    GF(3), omega = 2 = -1 swaps chunk 0's planes)."""
     mid, end = off + w, off + k * w
+    chunk, span = (1 << w) - 1, (1 << k * w) - 1
+
+    def shift(r):
+        c = r >> off & span
+        return r ^ (c ^ (c << w | c >> (k - 1) * w) & span) << off
+
+    def negate(o, t):
+        d = (o ^ t) >> off & chunk
+        return o ^ d << off, t ^ d << off
+
     if p == 2:
         if kind == "add":
-            low = (1 << w) - 1
-            moved = [[r ^ (r >> off & low) << mid for r in rows] for rows in pool]
+            moved = [[r ^ (r >> off & chunk) << mid for r in rows] for rows in pool]
         else:
-            span = (1 << k * w) - 1
-
-            def shift(r):
-                c = r >> off & span
-                return r ^ (c ^ (c << w | c >> (k - 1) * w) & span) << off
-
             moved = [list(map(shift, rows)) for rows in pool]
+    elif p == 3:
+        if kind == "add":
+            moved = [[_add3(o, t, (o >> off & chunk) << mid, (t >> off & chunk) << mid) for o, t in rows] for rows in pool]
+        elif kind == "shift":
+            moved = [[(shift(o), shift(t)) for o, t in rows] for rows in pool]
+        else:
+            moved = [[negate(o, t) for o, t in rows] for rows in pool]
     elif kind == "add":
         moved = [[r[:mid] + tuple([(x + y) % p for x, y in zip(r[mid:mid + w], r[off:mid])]) + r[mid + w:] for r in rows]
                  for rows in pool]

@@ -366,7 +366,7 @@ def _split_candidates(m: Representation, end: HomBasis):
     images = [tuple(pr.mul(f).mul(lf) for (pr, lf), f in zip(tops, h.mats)) for h in end.basis]
     size = sum(t.nrows * t.ncols for t in images[0])
     vectors = Matrix(p, len(images), size, tuple(linalg.flat(p, ts) for ts in images))
-    _, independent = linalg.rref(vectors.transpose())
+    independent = linalg.pivots(vectors.transpose())
     r = len(independent)
     count = (p ** r - 1) // (p - 1) - r
     if count > SPLIT_ENUM_BUDGET:

@@ -2,7 +2,7 @@ import pytest
 
 from syzex.algebra import AlgebraSpec, build_algebra
 from syzex.corpus import vertex_module
-from syzex.linalg import Matrix, hstack, rref, unflat
+from syzex.linalg import Matrix, hstack, rref
 from syzex.rep import Hom, Representation
 
 
@@ -30,7 +30,7 @@ def solve_matrix(A, B):
     """X with A X = B (free variables zero), or None if inconsistent.
 
     Row r of the reduced augmented matrix [A | B] carries the value of the
-    r-th pivot variable in its B block, cut out by unflat.
+    r-th pivot variable in its B block, read entry by entry.
     """
     if A.nrows != B.nrows:
         raise ValueError("shape mismatch")
@@ -38,10 +38,8 @@ def solve_matrix(A, B):
     n = A.ncols
     if pivots and pivots[-1] >= n:
         return None
-    rows = list(Matrix.zero(A.p, n, B.ncols).rows)
-    for r, pc in enumerate(pivots):
-        rows[pc] = unflat(A.p, red.rows[r], n, 1, B.ncols).rows[0]
-    return Matrix(A.p, n, B.ncols, tuple(rows))
+    values = [(pc, j, red.entry(r, n + j)) for r, pc in enumerate(pivots) for j in range(B.ncols)]
+    return Matrix.from_entries(A.p, n, B.ncols, values)
 
 
 def solve_vec(m, b):

@@ -18,7 +18,6 @@ def _kernel_rows(red: Matrix, pivots: list, ncols: int) -> Matrix:
     pivot_set = set(pivots)
     free = [f for f in range(ncols) if f not in pivot_set]
     p = red.p
-    rows = []
     if p == 2:
         # scatter each reduced row's free bits into per-column pivot masks
         at_free = [0] * ncols
@@ -29,15 +28,15 @@ def _kernel_rows(red: Matrix, pivots: list, ncols: int) -> Matrix:
                 low = m & -m
                 at_free[low.bit_length() - 1] |= bit
                 m ^= low
-        rows = [at_free[f] | 1 << f for f in free]
-    else:
-        for f in free:
-            v = [0] * ncols
-            v[f] = 1
-            for r, pc in enumerate(pivots):
-                v[pc] = -red.rows[r][f] % p
-            rows.append(tuple(v))
-    return Matrix(p, len(rows), ncols, tuple(rows))
+        return Matrix(p, len(free), ncols, tuple([at_free[f] | 1 << f for f in free]))
+    rows = []
+    for f in free:
+        v = [0] * ncols
+        v[f] = 1
+        for r, pc in enumerate(pivots):
+            v[pc] = -red.entry(r, f) % p
+        rows.append(v)
+    return Matrix.from_rows(p, rows) if rows else Matrix.zero(p, 0, ncols)
 
 
 def kernel_basis(m: Matrix) -> Matrix:
@@ -95,19 +94,19 @@ def _vertex_blocks(m: Representation, basis: Matrix) -> list:
     blocks = []
     start = k = 0
     for d in m.dim:
-        rows = basis.rows[start:start + d]
         if p == 2:
+            rows = basis.rows[start:start + d]
             j = max([k, *map(int.bit_length, rows)])
-            rows = tuple([r >> k for r in rows])
+            blocks.append(Matrix(p, d, j - k, tuple([r >> k for r in rows])))
         else:
+            rows = [basis.row(i) for i in range(start, start + d)]
             j = k
             for r in rows:
                 i = len(r)
                 while i > j and not r[i - 1]:
                     i -= 1
                 j = i
-            rows = tuple([r[k:j] for r in rows])
-        blocks.append(Matrix(p, d, j - k, rows))
+            blocks.append(Matrix.from_rows(p, [r[k:j] for r in rows]) if d else Matrix.zero(p, 0, j - k))
         start, k = start + d, j
     return blocks
 

@@ -392,19 +392,37 @@ def test_flat_unflat_and_key(p):
     out, and Matrix.key packs flat's row, on shapes 0x0, 0xk and kx0 too."""
     rng = random.Random(617 + p)
     mats = oracle_shapes(rng, p)
-    assert flat(p, ()) == (0 if p == 2 else ())
+    assert flat(p, ()) == {2: 0, 3: (0, 0)}.get(p, ())
     for _ in range(40):
         blocks = tuple(rng.choice(mats) for _ in range(rng.randint(1, 4)))
         row = flat(p, blocks)
         entries = [m.entry(i, j) for m in blocks for i in range(m.nrows) for j in range(m.ncols)]
-        assert row == (sum(x << k for k, x in enumerate(entries)) if p == 2 else tuple(entries))
+        assert row == flat_row(p, entries)
         off = 0
         for m in blocks:
             assert unflat(p, row, off, m.nrows, m.ncols) == m
             off += m.nrows * m.ncols
     for m in mats:
         row, n = flat(p, (m,)), m.nrows * m.ncols
-        assert m.key() == packed_entries(p, [(row >> k) & 1 for k in range(n)] if p == 2 else row)
+        assert m.key() == packed_entries(p, flat_entries(p, row, n))
+
+
+def flat_row(p, entries):
+    """Oracle: flat's row of these entries, built entry by entry."""
+    if p == 2:
+        return sum(x << k for k, x in enumerate(entries))
+    if p == 3:
+        return pack3(entries)
+    return tuple(entries)
+
+
+def flat_entries(p, row, n):
+    """The n entries of a flat row, in order."""
+    if p == 2:
+        return [(row >> k) & 1 for k in range(n)]
+    if p == 3:
+        return list(_unpack3(*row, n))
+    return row
 
 
 @pytest.mark.parametrize("p", [2, 3, 257])
@@ -524,7 +542,7 @@ def rref_gauss_jordan(m):
     """Oracle: odd-p Gauss-Jordan that scans every remaining row at every
     column, scales the pivot row and clears the column in every other row."""
     p = m.p
-    rows = [list(r) for r in m.rows]
+    rows = [list(m.row(i)) for i in range(m.nrows)]
     pivots = []
     r = 0
     for c in range(m.ncols):
@@ -565,13 +583,13 @@ def odd_matrices(draw, rows, cols, primes=(3, 5, 257)):
             c = 1 if extra == "repeat" else rng.randrange(2, p)
             out.append(tuple(c * x % p for x in rng.choice(out)))
     rng.shuffle(out)
-    return Matrix(p, len(out), nc, tuple(out))
+    return Matrix.from_rows(p, out) if out else Matrix.zero(p, 0, nc)
 
 
 def check_against_gauss_jordan(m):
     red, pivots = rref(m)
     assert (red.nrows, red.ncols) == (m.nrows, m.ncols)
-    assert (red.rows, pivots) == rref_gauss_jordan(m)
+    assert (entries(red), pivots) == rref_gauss_jordan(m)
     assert m.rank() == len(pivots)
 
 
@@ -687,11 +705,27 @@ def test_gf3_pack_unpack_round_trip():
             assert _unpack3(ones, twos, n) == row
 
 
-GF3_WIDE_FULL_RANK = Matrix(3, 3, 140, (
+GF3_WIDE_FULL_RANK = Matrix.from_rows(3, [
     (1,) + (0,) * 138 + (2,),
     (0, 1) + (0,) * 67 + (2,) + (0,) * 70,
     (0, 0, 2) + (0,) * 62 + (1,) * 75,
-))
+])
+
+
+def kernel_by_entries(m):
+    """Oracle: the canonical kernel rows and free columns read off
+    rref_gauss_jordan entry by entry, row k 1 at the k-th free column f and
+    minus the reduced entry in column f at each pivot column."""
+    red, pivots = rref_gauss_jordan(m)
+    free = [f for f in range(m.ncols) if f not in pivots]
+    rows = []
+    for f in free:
+        v = [0] * m.ncols
+        v[f] = 1
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r][f] % m.p
+        rows.append(tuple(v))
+    return tuple(rows), free
 
 
 @settings(max_examples=200, deadline=None)
@@ -704,11 +738,14 @@ GF3_WIDE_FULL_RANK = Matrix(3, 3, 140, (
 @example(Matrix.identity(3, 130).scale(2))
 @example(GF3_WIDE_FULL_RANK)
 @example(GF3_WIDE_FULL_RANK.transpose())
-def test_gf3_pair_kernel_matches_tuple_route(m):
-    """The GF(3) solve on (ones, twos) pairs gives kernel_basis's tuple rows
-    and free columns: on empty, zero and full-rank systems, on rows wider
-    than 64 and 128 columns, and on rows mixing 1s and 2s."""
-    assert _kernel3([pack3(r) for r in m.rows], m.ncols) == kernel_basis(m)
+def test_gf3_pair_kernel_matches_entrywise_oracle(m):
+    """The GF(3) solve on (ones, twos) pairs gives the kernel rows and free
+    columns that Gauss-Jordan elimination entry by entry gives: on empty,
+    zero and full-rank systems, on rows wider than 64 and 128 columns, and
+    on rows mixing 1s and 2s."""
+    ker, free = kernel_basis(m)
+    assert (ker.nrows, ker.ncols) == (len(free), m.ncols)
+    assert (entries(ker), free) == kernel_by_entries(m)
 
 
 def test_gf3_pair_solve_refuses_overlapping_masks():
