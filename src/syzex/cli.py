@@ -308,7 +308,7 @@ def cmd_layer(args, report, entry, algebra):
     }
     if args.contains:
         target = _member_set(uni, target_mods)
-        missing = bounded_containment(uni, target, gens, args.n)
+        missing = bounded_containment(got, target)
         results["contains"] = {
             "query": sorted(_names(args.contains)),
             "holds": missing is None,

@@ -285,17 +285,18 @@ def _dualnumbers(p=2):
 
 
 _BUILDERS = {
-    "kron2": lambda n, p: _kron2(p),
-    "beilinson2": lambda n, p: _beilinson(2, p),
-    "fivevertex": lambda n, p: _fivevertex(p),
-    "euclideanB": lambda n, p: _euclideanB(p),
-    "nodeA": lambda n, p: _nodeA(n if n else 6, p),
-    "nodeB": lambda n, p: _nodeB(n if n else 6, p),
-    "bm23": lambda n, p: _bm23(p),
-    "xiA": lambda n, p: _xiA(n if n else 2, p),
-    "xiB": lambda n, p: _xiB(n if n else 2, p),
-    "dualnumbers": lambda n, p: _dualnumbers(p),
+    "kron2": _kron2,
+    "beilinson2": lambda p: _beilinson(2, p),
+    "fivevertex": _fivevertex,
+    "euclideanB": _euclideanB,
+    "nodeA": _nodeA,
+    "nodeB": _nodeB,
+    "bm23": _bm23,
+    "xiA": _xiA,
+    "xiB": _xiB,
+    "dualnumbers": _dualnumbers,
 }
+_SIZED = ("nodeA", "nodeB", "xiA", "xiB")  # the ids whose builder takes a size n
 
 
 def corpus_ids() -> list:
@@ -303,15 +304,22 @@ def corpus_ids() -> list:
 
 
 def load_corpus(entry_id: str, field_p: int = None) -> CorpusEntry:
-    """Packaged spec by id; `nodeA:8` style suffixes set the size parameter."""
-    base, _, param = entry_id.partition(":")
+    """Packaged spec by id; `nodeA:8` style suffixes set the size parameter
+    of the sized ids, and the builder's own bound refuses a size below it."""
+    base, colon, param = entry_id.partition(":")
     if base not in _BUILDERS:
         raise UnknownCorpusId("unknown corpus id %r (known: %s)" % (entry_id, ", ".join(corpus_ids())))
-    try:
-        n = int(param) if param else None
-    except ValueError:
-        raise UnknownCorpusId("corpus id %r: the size after ':' must be an integer" % entry_id) from None
-    entry = _BUILDERS[base](n, field_p if field_p is not None else 2)
+    p = field_p if field_p is not None else 2
+    if not colon:
+        entry = _BUILDERS[base](p=p)
+    elif base not in _SIZED:
+        raise UnknownCorpusId("corpus id %r: %s takes no size (sized: %s)" % (entry_id, base, ", ".join(_SIZED)))
+    else:
+        try:
+            n = int(param)
+        except ValueError:
+            raise UnknownCorpusId("corpus id %r: the size after ':' must be an integer" % entry_id) from None
+        entry = _BUILDERS[base](n, p=p)
     entry.entry_id = entry_id
     return entry
 

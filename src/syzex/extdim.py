@@ -110,7 +110,6 @@ class Universe:
         self.members = []
         self.member_set = set()
         self.clipped = {}  # (rule, dim items) -> first record of that clip
-        self._bullets = {}  # (left, right, mult bound, parts cap) -> bullet
         self._grown = None
 
     @property
@@ -136,8 +135,10 @@ class Universe:
         return self._grown
 
     def with_bullet_bounds(self, mult_bound: int, parts_cap: int = None) -> "Universe":
-        """This window, sharing its classes and caches, with the bullet's
-        multiplicity bound and parts cap replaced; the closure is not redone."""
+        """This window, sharing its members, registry and grown window, with
+        the bullet's multiplicity bound and parts cap replaced; the closure
+        is not redone.  Bullets are not memoized: each call enumerates its
+        pairs anew, reading the extension middles memoized on the algebra."""
         view = copy.copy(self)
         if parts_cap is None:
             parts_cap = self.params.parts_cap
@@ -434,10 +435,6 @@ def bullet(uni: Universe, left, right) -> frozenset:
     mb, parts_cap = params.mult_bound, params.parts_cap
     left = frozenset(left)
     right = frozenset(right)
-    key = (left, right, mb, parts_cap)
-    got = uni._bullets.get(key)
-    if got is not None:
-        return got
     result = set(left | right)
     if left and right:
         d = params.dim_bound
@@ -453,9 +450,7 @@ def bullet(uni: Universe, left, right) -> frozenset:
                 if sub_dim + quot_dim > d:
                     break
                 result.update(_pair_middles(uni, sub_ms, quot_ms))
-    out = frozenset(result)
-    uni._bullets[key] = out
-    return out
+    return frozenset(result)
 
 
 def layer(uni: Universe, gens, n: int) -> frozenset:
@@ -477,9 +472,8 @@ def layer(uni: Universe, gens, n: int) -> frozenset:
     return got
 
 
-def bounded_containment(uni: Universe, members, gens, n: int):
-    """None if members lie in layer n of gens; else the first missing class."""
-    lay = layer(uni, gens, n)
+def bounded_containment(lay, members):
+    """None if members lie in the layer lay; else the first missing class."""
     for cls in sorted(members, key=sort_key):
         if cls not in lay:
             return cls
@@ -521,23 +515,25 @@ class SyzygyFinitenessProbe:
 
 
 def _omega_closure(universe: Universe, base_members):
-    """Close a member list under syzygies and summands; (members, clipped)."""
+    """Close a member list under syzygies and summands; (members, clipped).
+    The walk stops at its first member of total dimension at least the
+    bound, with the members found so far: a clipped closure certifies
+    nothing, whatever lies past it."""
     work = list(base_members)
     seen = set(work)
-    clipped = False
     idx = 0
     while idx < len(work):
         cls = work[idx]
         idx += 1
         if cls.total_dim >= universe.dim_bound:
-            clipped = True
+            return sorted(seen, key=sort_key), True
         for c in universe._omega_step([cls]):
             if c not in seen:
                 seen.add(c)
                 work.append(c)
                 if len(work) > universe.params.member_cap:
                     raise BudgetExceeded("syzygy closure exceeded member cap")
-    return sorted(seen, key=sort_key), clipped
+    return sorted(seen, key=sort_key), False
 
 
 def syzygy_finiteness_probe(universe: Universe, n: int) -> SyzygyFinitenessProbe:
@@ -562,10 +558,10 @@ def syzygy_finiteness_probe(universe: Universe, n: int) -> SyzygyFinitenessProbe
         )
     bigger = syzygy_category(universe.grown(), n)
     closed2, clipped2 = _omega_closure(bigger.universe, bigger.members)
-    stable = len(closed) == len(closed2) and all(
+    stable = not clipped2 and len(closed) == len(closed2) and all(
         any(is_iso(a, b) for b in closed2) for a in closed
     )
-    if stable and not clipped2:
+    if stable:
         return SyzygyFinitenessProbe(
             n, dim_bound, True, "window-stable", tuple(closed),
             "syzygy closure identical at dim bounds %d and %d" % (dim_bound, dim_bound + 1),

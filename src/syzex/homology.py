@@ -15,15 +15,18 @@ decomposes a whole Omega^n(M).
 
 Ext^1(X, Y) is read off extensions, with no cover (Assem, Simson and
 Skowronski, Elements of the Representation Theory of Associative Algebras
-1, 2006): arrow a acts on Y (+) X by [[Y_a, C_a], [0, X_a]], a module
-exactly when every relation acts by 0, which is linear in the corners C_a,
-and two corners give equivalent extensions exactly when they differ by an
-inner derivation Y_a f_u - f_w X_a.  So Ext^1 is Z / B: Z the kernel of
-one sparse system in the C_a, laid out flat arrow by arrow, B spanned by
-the inner derivations of the unit maps f_v.  The C_a are the defects of
-the vertexwise section of the middle onto X, and each basis row of Z is
-checked against the system once.  B's coordinates in Z are its
-entries at Z's free columns (linalg.coordinates), and the rows of Z off
+1, 2006; Ringel, Representations of K-species and bimodules, 1976):
+arrow a acts on Y (+) X by [[Y_a, C_a], [0, X_a]], a module exactly when
+every relation acts by 0, which is linear in the corners C_a, and two
+corners give equivalent extensions exactly when they differ by an inner
+derivation f_w X_a - Y_a f_u.  So Hom and Ext^1 are the cohomology of one
+complex (+)_v Hom(X_v, Y_v) -> (+)_a Hom(X_u, Y_w) -> (+)_r ..., both
+laid out flat: Hom is ker delta0 and Ext^1 is ker delta1 / im delta0,
+delta0 the inner derivations, built only by linalg.derivations, and
+delta1 the relation system, built here.  The C_a are the defects of the
+vertexwise section of the middle onto X, and each basis row of ker delta1
+is checked against delta1 once.  delta0's columns have their coordinates
+at the free columns of ker delta1 (linalg.coordinates), and its rows off
 their pivots, cut per arrow, are the corner tuples of the Ext^1 basis.
 ext1_space memoizes each space on the algebra by the keys of X and Y, as
 hom_space memoizes Hom; Ext1Space.corners maps a coefficient tuple to the
@@ -247,7 +250,8 @@ def _ext1_space(x: Representation, y: Representation) -> Ext1Space:
     columns = cocycles.transpose()
     if not system.mul(columns).is_zero():
         raise AssertionError("section defect not in the kernel")
-    image = linalg.coordinates(columns, free, _inner_derivations(x, y, off, size).transpose())
+    delta0, _ = linalg.derivations(p, ends, x.dim, x.action, y.dim, y.action)
+    image = linalg.coordinates(columns, free, delta0)
     if image is None:
         raise AssertionError("inner derivation outside the corner cocycles")
     pivot = set(linalg.pivots(image.transpose()))
@@ -259,11 +263,11 @@ def _ext1_space(x: Representation, y: Representation) -> Ext1Space:
 
 
 def _relation_system(x: Representation, y: Representation, off, size) -> Matrix:
-    """The linear conditions on the corners C for every relation to act by 0
-    on [[Y, C], [0, X]], one equation per entry (r, s) of each relation: a
-    term c a_1...a_m puts c Y_{a_m...a_{i+1}}[r, k] X_{a_{i-1}...a_1}[l, s]
-    at the unknown C_{a_i}[k, l], for each i.  The products grow one arrow
-    at a time, None standing for an identity."""
+    """delta1: the linear conditions on the corners C for every relation to
+    act by 0 on [[Y, C], [0, X]], one equation per entry (r, s) of each
+    relation: a term c a_1...a_m puts c Y_{a_m...a_{i+1}}[r, k]
+    X_{a_{i-1}...a_1}[l, s] at the unknown C_{a_i}[k, l], for each i.  The
+    products grow one arrow at a time, None standing for an identity."""
     p, ends = x.algebra.p, x.algebra.quiver.ends
     eqs = {}
     n = 0
@@ -291,29 +295,6 @@ def _relation_system(x: Representation, y: Representation, off, size) -> Matrix:
                                 eqs[key] = eqs.get(key, 0) + c * d
         n += width * height
     return Matrix.from_entries(p, n, size, [(i, j, c) for (i, j), c in eqs.items()])
-
-
-def _inner_derivations(x: Representation, y: Representation, off, size) -> Matrix:
-    """The corners Y_a f_u - f_w X_a of the maps f = (f_v: X_v -> Y_v), one
-    row per unit map f_v = E_kl."""
-    p, ends = x.algebra.p, x.algebra.quiver.ends
-    gen = list(itertools.accumulate((a * b for a, b in zip(y.dim, x.dim)), initial=0))
-    out = {}
-    for a, (u, w) in enumerate(ends):
-        xu, xw = x.dim[u], x.dim[w]
-        # E_kl at u puts Y_a[r, k] at C_a[r, l]
-        for r, row in enumerate(y.action[a].rows):
-            for k, c in linalg.nonzeros(p, row):
-                for l in range(xu):
-                    key = (gen[u] + k * xu + l, off[a] + r * xu + l)
-                    out[key] = out.get(key, 0) + c
-        # E_kl at w puts -X_a[l, j] at C_a[k, j]
-        for l, row in enumerate(x.action[a].rows):
-            for j, c in linalg.nonzeros(p, row):
-                for k in range(y.dim[w]):
-                    key = (gen[w] + k * xw + l, off[a] + k * xu + j)
-                    out[key] = out.get(key, 0) - c
-    return Matrix.from_entries(p, gen[-1], size, [(i, j, c) for (i, j), c in out.items()])
 
 
 def extension_middle(ys, xs, corners) -> Representation:

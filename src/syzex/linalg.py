@@ -13,10 +13,11 @@ than splitting a matrix into two GF(2) planes.  Over larger p a row is a
 tuple of residues.  Other modules build and read rows only through this
 module, whose functions keep the route measured fastest for each layout:
 Matrix.from_entries writes sparse entries and nonzeros reads them, stripe
-sets blocks side by side, hom_solve builds and solves Hom systems,
-sub_action restricts arrow matrices to invariant subspaces whose bases
-block_spans cuts out, and rref_pool enumerates full-rank RREFs that
-moved_rrefs moves by copy automorphisms and reduces back.
+sets blocks side by side, derivations builds delta0, whose kernel is Hom
+and whose image is Ext^1's coboundaries, sub_action restricts arrow
+matrices to invariant subspaces whose bases block_spans cuts out, and
+rref_pool enumerates full-rank RREFs that moved_rrefs moves by copy
+automorphisms and reduces back.
 
 Matrices are immutable.  Row reduction uses deterministic pivoting (first
 nonzero entry in column order), so every derived basis is canonical.  rref
@@ -744,56 +745,52 @@ def _kernel3(pairs, n: int) -> tuple:
     return Matrix(3, len(kernel), n, tuple(kernel)), free
 
 
-def hom_solve(p: int, ends, m_dim, m_mats, n_dim, n_mats) -> tuple:
-    """The maps f = (f_v) with f_w M_a = N_a f_u for every arrow a, ends[a]
-    being (u, w) and M_a, N_a the matrices m_mats[a], n_mats[a]: (rows,
-    offsets, free), kernel_basis's rows and free columns of the system in
-    flat's layout of (f_v), f_v's block starting at offsets[v].
+def derivations(p: int, ends, x_dim, x_mats, y_dim, y_mats) -> tuple:
+    """delta0, the map f |-> (f_w X_a - Y_a f_u)_a on the maps
+    f = (f_v: X_v -> Y_v), ends[a] being (u, w) and X_a, Y_a the matrices
+    x_mats[a], y_mats[a]: (matrix, offsets), its columns in flat's layout
+    of (f_v), f_v's block starting at offsets[v], and one row per entry
+    (i, j) of each f_w X_a - Y_a f_u, zero rows kept, so the rows are laid
+    out as flat lays out Ext^1's corners.  Hom(X, Y) is its kernel, and its
+    columns span Ext^1's coboundaries.
 
-    Equation (i, j) of arrow a is column j of M_a at row i of f_w, minus
-    N_a's row i spread over column j of f_u; where a loop meets one unknown
-    from both sides, the two entries are summed.  Over GF(2) an equation is
-    one bit mask, from M_a's transpose.  Over GF(3) it is a (ones, twos)
-    pair, from the masks of M_a's columns and -N_a's row spread from its set
-    bits, summed by _add3.  Over larger p it is a tuple."""
-    off = list(itertools.accumulate((a * b for a, b in zip(m_dim, n_dim)), initial=0))
+    Row (a, i, j) is column j of X_a at row i of f_w, minus Y_a's row i
+    spread over column j of f_u; where a loop meets one unknown from both
+    sides, the two entries are summed.  Over GF(2) a row is one bit mask,
+    from X_a's transpose.  Over GF(3) it is a (ones, twos) pair, from the
+    masks of X_a's columns and -Y_a's row spread from its set bits, summed
+    by _add3.  Over larger p it is a tuple."""
+    off = list(itertools.accumulate((a * b for a, b in zip(x_dim, y_dim)), initial=0))
     total = off.pop()
     rows = []
-    for (u, w), ma, na in zip(ends, m_mats, n_mats):
-        dmu, dmw = m_dim[u], m_dim[w]
+    for (u, w), xa, ya in zip(ends, x_mats, y_mats):
+        dxu, dxw = x_dim[u], x_dim[w]
         if p == 3:
-            ones, twos = _columns3(ma.rows, dmu)
+            ones, twos = _columns3(xa.rows, dxu)
         else:
-            ma_cols = ma.transpose().rows
-        for i, na_row in enumerate(na.rows):
-            base_w = off[w] + i * dmw
+            xa_cols = xa.transpose().rows
+        for i, ya_row in enumerate(ya.rows):
+            base_w = off[w] + i * dxw
             if p == 2:
-                # N_a's row i with bit l moved to bit l * dmu, f_u[l][j]'s offset less j
-                spread = _spread(na_row, dmu)
-                for j in range(dmu):
-                    row = (ma_cols[j] << base_w) ^ (spread << (off[u] + j))
-                    if row:
-                        rows.append(row)
+                # Y_a's row i with bit l moved to bit l * dxu, f_u[l][j]'s offset less j
+                spread = _spread(ya_row, dxu)
+                rows += [(xa_cols[j] << base_w) ^ (spread << (off[u] + j)) for j in range(dxu)]
             elif p == 3:
-                # -N_a's row i spread as over GF(2), -1 = 2 and -2 = 1 swapping the masks
-                neg1, neg2 = _spread(na_row[1], dmu), _spread(na_row[0], dmu)
-                for j in range(dmu):
+                # -Y_a's row i spread as over GF(2), -1 = 2 and -2 = 1 swapping the masks
+                neg1, neg2 = _spread(ya_row[1], dxu), _spread(ya_row[0], dxu)
+                for j in range(dxu):
                     a1, a2, b1, b2 = ones[j] << base_w, twos[j] << base_w, neg1 << off[u] + j, neg2 << off[u] + j
                     # the two sides meet at one unknown only on a loop
-                    o, t = _add3(a1, a2, b1, b2) if u == w else (a1 | b1, a2 | b2)
-                    if o | t:
-                        rows.append((o, t))
+                    rows.append(_add3(a1, a2, b1, b2) if u == w else (a1 | b1, a2 | b2))
             else:
-                negs = [(off[u] + l * dmu, p - c) for l, c in enumerate(na_row) if c]
-                for j in range(dmu):
+                negs = [(off[u] + l * dxu, p - c) for l, c in enumerate(ya_row) if c]
+                for j in range(dxu):
                     row = [0] * total
-                    row[base_w:base_w + dmw] = ma_cols[j]
+                    row[base_w:base_w + dxw] = xa_cols[j]
                     for at, c in negs:
                         row[at + j] = (row[at + j] + c) % p
-                    if any(row):
-                        rows.append(tuple(row))
-    kernel, free = kernel_basis(Matrix(p, len(rows), total, tuple(rows)))
-    return kernel.rows, tuple(off), tuple(free)
+                    rows.append(tuple(row))
+    return Matrix(p, len(rows), total, tuple(rows)), tuple(off)
 
 
 def _spread(mask: int, step: int) -> int:

@@ -2,9 +2,10 @@
 
 A representation stores one matrix per arrow, of shape
 dim[target] x dim[source]; a path acts by composing its arrow matrices in
-traversal order.  Hom spaces come from the intertwining linear system
-(linalg.hom_solve), its unknowns laid out as linalg.flat, which decides
-the Hom coordinate layout.  A HomBasis keeps the system's kernel rows in
+traversal order.  Hom(M, N) is the kernel of linalg.derivations, the
+map f |-> (f_w M_a - N_a f_u)_a on vertexwise maps, whose image is also
+Ext^1's coboundaries; its unknowns are laid out as linalg.flat, which
+decides the Hom coordinate layout.  A HomBasis keeps the kernel rows in
 that layout with each row's free column, and is memoized on the algebra.
 Per-vertex Hom objects are cut from a row only where a caller composes
 them (the tilting check, the split search's top images),
@@ -123,11 +124,11 @@ class Hom:
 
 @dataclass
 class HomBasis:
-    """A basis of Hom(source, target) as the kernel rows of hom_space's
-    system, in linalg.flat's layout, the block of vertex v starting at
-    offsets[v].  Row k is 1 at free[k] and 0 at the other free columns.
-    Hom objects are cut from the rows only when .basis or hom() is read,
-    and not kept."""
+    """A basis of Hom(source, target) as the kernel rows of
+    linalg.derivations, in linalg.flat's layout, the block of vertex v
+    starting at offsets[v].  Row k is 1 at free[k] and 0 at the other free
+    columns.  Hom objects are cut from the rows only when .basis or hom()
+    is read, and not kept."""
 
     source: Representation
     target: Representation
@@ -230,9 +231,11 @@ def hom_space(m: Representation, n: Representation) -> HomBasis:
 
 
 def _hom_space(m: Representation, n: Representation) -> HomBasis:
-    """Solutions of f_w M_a = N_a f_u per arrow a: u -> w, by linalg.hom_solve."""
-    ends = m.algebra.quiver.ends
-    return HomBasis(m, n, *linalg.hom_solve(m.algebra.p, ends, m.dim, m.action, n.dim, n.action))
+    """Solutions of f_w M_a = N_a f_u per arrow a: u -> w, the kernel of
+    linalg.derivations."""
+    system, offsets = linalg.derivations(m.algebra.p, m.algebra.quiver.ends, m.dim, m.action, n.dim, n.action)
+    kernel, free = linalg.kernel_basis(system)
+    return HomBasis(m, n, kernel.rows, offsets, tuple(free))
 
 
 def is_iso(m: Representation, n: Representation) -> bool:

@@ -129,23 +129,24 @@ def test_section_defect_fault_exits_3(monkeypatch, field):
 
 @pytest.mark.parametrize("field", ["2", "3"])
 def test_coboundary_fault_exits_3(monkeypatch, field):
-    # add 1 at the first corner entry of every coboundary (inner
-    # derivation): on beilinson2 that puts them outside the corner cocycles
-    # of (S0, P0)
-    from syzex import homology
+    # add 1 at the first corner entry of every coboundary (a column of
+    # linalg.derivations, the inner derivation of a unit map): on beilinson2
+    # that puts them outside the corner cocycles of (S0, P0); ext solves no
+    # Hom, so only the coboundaries are skewed
+    from syzex import linalg
     from syzex.linalg import Matrix
 
-    inner = homology._inner_derivations
+    derivations = linalg.derivations
     calls = []
 
-    def skewed(x, y, off, size):
+    def skewed(*args):
         calls.append(1)
-        b = inner(x, y, off, size)
-        return b.add(Matrix.from_entries(b.p, b.nrows, size, [(i, 0, 1) for i in range(b.nrows)]))
+        d, offsets = derivations(*args)
+        return d.add(Matrix.from_entries(d.p, d.nrows, d.ncols, [(0, j, 1) for j in range(d.ncols)])), offsets
 
     argv = ["--field", field, "ext", "beilinson2", "S0", "P0"]
     assert run_json(argv)[0] == 0
-    monkeypatch.setattr(homology, "_inner_derivations", skewed)
+    monkeypatch.setattr(linalg, "derivations", skewed)
     code, report, _ = run_json(argv)
     assert calls
     assert code == 3
@@ -423,6 +424,14 @@ BAD_FILES = {
     ["syzcat", "kron2", "--n", "-1"],
     ["mod", "syzygy", "kron2", "S0", "--n", "-1"],
     ["algebra", "info", "nodeA:six"],
+    ["algebra", "info", "nodeA:0"],
+    ["algebra", "info", "nodeB:5"],
+    ["algebra", "info", "xiA:0"],
+    ["algebra", "info", "xiB:1"],
+    ["algebra", "info", "nodeA:"],
+    ["algebra", "info", "kron2:7"],
+    ["algebra", "info", "beilinson2:2"],
+    ["algebra", "info", "dualnumbers:0"],
     ["reptype", "nodeA", "--dim-bound", "8", "--mult-bound", "0"],
     ["ed", "nodeA", "--i", "0", "--mult-bound", "-1"],
     ["bullet", "kron2", "--left", "S0", "--right", "S1", "--mult-bound", "0"],

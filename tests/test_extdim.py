@@ -1,9 +1,10 @@
 import random
+from pathlib import Path
 
 import pytest
 
 from conftest import conjugate, kron2_spec, member_named
-from syzex.algebra import AlgebraSpec, build_algebra
+from syzex.algebra import AlgebraSpec, build_algebra, parse_algebra_spec
 from syzex.corpus import load_corpus
 from syzex.errors import ContradictoryFacts, SpecError
 from syzex.extdim import (
@@ -127,10 +128,8 @@ def test_bounded_containment(kron_universe):
     s0 = member_named(kron_universe, "S0")
     s1 = member_named(kron_universe, "S1")
     both = frozenset([s0, s1])
-    assert bounded_containment(kron_universe, both, both, 1) is None
-    missing = bounded_containment(
-        kron_universe, frozenset(kron_universe.members), frozenset([s0]), 2
-    )
+    assert bounded_containment(layer(kron_universe, both, 1), both) is None
+    missing = bounded_containment(layer(kron_universe, frozenset([s0]), 2), frozenset(kron_universe.members))
     assert missing is s1
 
 
@@ -250,6 +249,37 @@ def test_probe_gldim_one_certified():
     b = euclidean_b_algebra()
     probe = syzygy_finiteness_probe(generate_universe(b, UniverseParams(6)), 1)
     assert probe.certified
+
+
+EXTERIOR2 = Path(__file__).with_name("exterior2.json")
+
+
+def test_probe_walk_stops_at_its_first_clipped_member(monkeypatch):
+    """On the exterior algebra k<x, y>/(x^2, y^2, xy + yx) over GF(3) the
+    probe's Omega-closure meets the window bound, and stops there: no
+    member at or above the bound is ever stepped.  The walk past it did not
+    finish in 40 s and grew to hundreds of MB."""
+    from syzex import extdim
+
+    algebra = build_algebra(parse_algebra_spec(EXTERIOR2.read_text()))
+    assert algebra.p == 3
+    universe = generate_universe(algebra, UniverseParams(5))
+    real = extdim.Universe._omega_step
+    calls = []
+
+    def counted(self, classes):
+        calls.append([c.total_dim for c in classes])
+        if len(calls) > 1:  # the first call is syzygy_category's walk of the window
+            assert len(classes) == 1 and classes[0].total_dim < self.dim_bound, "walked past a clipped member"
+        return real(self, classes)
+
+    monkeypatch.setattr(extdim.Universe, "_omega_step", counted)
+    probe = syzygy_finiteness_probe(universe, 1)
+    assert not probe.certified
+    assert probe.details == "syzygy closure touches the window bound"
+    # one walk of the window, then one step per member before the first clipped one
+    closed_members = [c for c in probe.members if c.total_dim < 5]
+    assert 1 < len(calls) <= 1 + len(closed_members)
 
 
 @pytest.fixture

@@ -10,7 +10,7 @@ from syzex.algebra import AlgebraSpec, build_algebra
 from syzex.corpus import load_corpus
 from syzex.errors import AlgebraMismatch, BudgetExceeded
 from syzex.homology import projective_cover, syzygy
-from syzex.linalg import Matrix, block_spans, combine, coordinates, flat, kernel_basis, null_rows, rref, unflat
+from syzex.linalg import Matrix, block_spans, combine, coordinates, derivations, flat, kernel_basis, null_rows, rref, unflat
 from syzex.rep import (
     Hom,
     HomBasis,
@@ -725,9 +725,9 @@ def test_hom_space_matches_per_entry_oracle(p):
 
 def test_gf3_hom_pairs_are_the_per_entry_equations(monkeypatch):
     """Over GF(3) every (ones, twos) pair _hom_space hands to the solve has
-    disjoint masks and unpacks to the per-entry equation, reduced mod 3, the
-    zero equations left out: loops whose two entries on one unknown sum to
-    0, 1 and 2 included."""
+    disjoint masks and unpacks to the per-entry equation, reduced mod 3, one
+    per corner entry, the zero equations kept: loops whose two entries on
+    one unknown sum to 0, 1 and 2 included."""
     from syzex import linalg
 
     solve = linalg._kernel3
@@ -746,7 +746,51 @@ def test_gf3_hom_pairs_are_the_per_entry_equations(monkeypatch):
                 seen.clear()
                 rep_module._hom_space(m, n)
                 rows, _ = hom_equations_by_entries(m, n)
-                assert seen == [[tuple(x % 3 for x in row) for row in rows if any(x % 3 for x in row)]]
+                assert seen == [[tuple(x % 3 for x in row) for row in rows]]
+
+
+def inner_derivations_by_entries(x, y):
+    """The corners Y_a f_u - f_w X_a of the maps f = (f_v: X_v -> Y_v), one
+    row per unit map f_v = E_kl, the corners laid out flat arrow by arrow,
+    written entry by entry."""
+    p, ends = x.algebra.p, x.algebra.quiver.ends
+    gen = list(itertools.accumulate((a * b for a, b in zip(y.dim, x.dim)), initial=0))
+    off = list(itertools.accumulate((y.dim[w] * x.dim[u] for u, w in ends), initial=0))
+    out = {}
+    for a, (u, w) in enumerate(ends):
+        xu, xw = x.dim[u], x.dim[w]
+        # E_kl at u puts Y_a[r, k] at C_a[r, l]
+        for r in range(y.dim[w]):
+            for k in range(y.dim[u]):
+                for l in range(xu):
+                    key = (gen[u] + k * xu + l, off[a] + r * xu + l)
+                    out[key] = out.get(key, 0) + y.action[a].entry(r, k)
+        # E_kl at w puts -X_a[l, j] at C_a[k, j]
+        for l in range(xw):
+            for j in range(xu):
+                for k in range(y.dim[w]):
+                    key = (gen[w] + k * xw + l, off[a] + k * xu + j)
+                    out[key] = out.get(key, 0) - x.action[a].entry(l, j)
+    return Matrix.from_entries(p, gen[-1], off[-1], [(i, j, c) for (i, j), c in out.items()]), tuple(gen[:-1])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 257])
+def test_derivations_are_minus_the_inner_derivations_transposed(p):
+    """linalg.derivations, the one builder of delta0, is minus the transpose
+    of the entrywise inner derivations, one row per corner entry, zero rows
+    included, with the same unit-map offsets: nodeA's loop gamma in random
+    bases, and over GF(3) the loops whose two entries on one unknown sum
+    to 0, 1 and 2."""
+    rng = random.Random(607 + p)
+    for mods in random_hom_modules(rng, p) + ([loop_sum_modules()] if p == 3 else []):
+        for x in mods:
+            for y in mods:
+                ends = x.algebra.quiver.ends
+                got, offsets = derivations(p, ends, x.dim, x.action, y.dim, y.action)
+                ref, gen = inner_derivations_by_entries(x, y)
+                assert got == ref.transpose().scale(-1)
+                assert offsets == gen
+                assert got.nrows == sum(y.dim[w] * x.dim[u] for u, w in ends)
 
 
 def test_module_doc_roundtrip(kron2):
