@@ -6,12 +6,12 @@ of all generators at v are the rows of one matrix per path, the memoized
 image of q's prefix times the transpose of q's last arrow, so a path costs
 one sparse product for all of them.  The syzygy is the kernel of that
 epi, its reduced basis per vertex and the pivots of that basis read off
-one row reduction (linalg.null_rows), from which sub_rep reads the arrow
-matrices without another.  The presentation of M is cached per M, and
-keeps no summands.  Syzygies are taken one indecomposable at a time
-(minimal syzygies are additive): syzygy_summands reads the memoized
-Krull-Schmidt factors of Omega(M), repeats kept, and pd_bounded never
-decomposes a whole Omega^n(M).
+two row reductions (linalg.null_rows: the kernel, then its rref), from
+which sub_rep reads the arrow matrices without a third.  The
+presentation of M is cached per M, and keeps no summands.  Syzygies are
+taken one indecomposable at a time (minimal syzygies are additive):
+syzygy_summands reads the memoized Krull-Schmidt factors of Omega(M),
+repeats kept, and pd_bounded never decomposes a whole Omega^n(M).
 
 Ext^1(X, Y) is read off extensions, with no cover (Assem, Simson and
 Skowronski, Elements of the Representation Theory of Associative Algebras

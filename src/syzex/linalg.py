@@ -14,18 +14,20 @@ tuple of residues.  Other modules build and read rows only through this
 module, whose functions keep the route measured fastest for each layout:
 Matrix.from_entries writes sparse entries and nonzeros reads them, stripe
 sets blocks side by side, derivations builds delta0, whose kernel is Hom
-and whose image is Ext^1's coboundaries, sub_action restricts arrow
-matrices to invariant subspaces whose bases block_spans cuts out, and
-rref_pool enumerates full-rank RREFs that moved_rrefs moves by copy
-automorphisms and reduces back.
+and whose image is Ext^1's coboundaries, block_spans cuts the bases of
+invariant subspaces out per vertex, and rref_pool enumerates full-rank
+RREFs that moved_rrefs moves by copy automorphisms and reduces back.
+sub_action, which restricts arrow matrices to such subspaces, has no
+layout of its own: it reads each arrow's images by coordinates, one
+route for every p.
 
 Matrices are immutable.  Row reduction uses deterministic pivoting (first
 nonzero entry in column order), so every derived basis is canonical.  rref
 returns the pivot columns with the reduced matrix, and pivots the columns
 alone.  kernel_basis, the one kernel entry point, returns a basis in the
 system's row layout, one vector per row, with the free column of each;
-null_rows is the reduced echelon basis of the kernel with the pivot column
-of each row, as rref of a transpose gives the image's.  A coordinate is
+null_rows, the reduced echelon basis of the kernel with the pivot column
+of each row, is rref of those rows, a second reduction.  A coordinate is
 the entry at a pivot: coordinates reads a vector's coefficients in a basis
 whose vectors are each 1 at their own pivot and 0 at the others' (a kernel
 row's free column is such a pivot), and one product checks them; no
@@ -112,19 +114,13 @@ class Matrix:
 
     @staticmethod
     def from_rows(p: int, data) -> "Matrix":
+        """The matrix with these rows of ints, each entry taken mod p, written
+        by from_entries; ValueError on ragged rows."""
         data = [list(r) for r in data]
-        nrows = len(data)
         ncols = len(data[0]) if data else 0
-        for r in data:
-            if len(r) != ncols:
-                raise ValueError("ragged rows")
-        if p == 2:
-            rows = tuple(_pack(r) for r in data)
-        elif p == 3:
-            rows = tuple((_pack([x % 3 == 1 for x in r]), _pack([x % 3 == 2 for x in r])) for r in data)
-        else:
-            rows = tuple(tuple(x % p for x in r) for r in data)
-        return Matrix(p, nrows, ncols, rows)
+        if any(len(r) != ncols for r in data):
+            raise ValueError("ragged rows")
+        return Matrix.from_entries(p, len(data), ncols, [(i, j, c) for i, r in enumerate(data) for j, c in enumerate(r)])
 
     @staticmethod
     def from_entries(p: int, nrows: int, ncols: int, entries) -> "Matrix":
@@ -345,14 +341,6 @@ def _columns3(rows, n: int) -> tuple:
             twos[low.bit_length() - 1] |= bit
             t ^= low
     return ones, twos
-
-
-def _pack(values) -> int:
-    m = 0
-    for j, x in enumerate(values):
-        if x % 2:
-            m |= 1 << j
-    return m
 
 
 def _bits(mask: int, n: int) -> bytes:
@@ -803,35 +791,11 @@ def _spread(mask: int, step: int) -> int:
     return out
 
 
-def _reverse_cols(m: Matrix) -> Matrix:
-    n = m.ncols
-    if m.p <= 3:
-        # reverse the bits of each byte and the byte order, then drop the padding
-        nb = (n + 7) // 8
-        pad = 8 * nb - n
-
-        def reverse(r):
-            return int.from_bytes(r.to_bytes(nb, "little").translate(_BIT_REVERSED), "big") >> pad
-
-        rows = tuple(map(reverse, m.rows)) if m.p == 2 else tuple([(reverse(o), reverse(t)) for o, t in m.rows])
-    else:
-        rows = tuple(r[::-1] for r in m.rows)
-    return Matrix(m.p, m.nrows, n, rows)
-
-
 def null_rows(m: Matrix) -> tuple:
     """The reduced echelon basis of {v : m v = 0}, one vector per row, with
-    the pivot column of each row, from one reduction.
-
-    A kernel_basis row ends in its 1 at a free column, with 0 at the other
-    free columns.  On the column-reversed matrix that 1 is the row's first
-    nonzero entry once reversed back, so the rows, read in reverse order,
-    are the reduced echelon basis, each pivot at a reversed free column.
-    """
-    n = m.ncols
-    ker, free = kernel_basis(_reverse_cols(m))
-    rows = _reverse_cols(ker).rows[::-1]
-    return Matrix(m.p, len(rows), n, rows), [n - 1 - f for f in reversed(free)]
+    the pivot column of each row: rref of kernel_basis, whose rows are
+    independent, so no zero row is added, and a row space has one RREF."""
+    return rref(kernel_basis(m)[0])
 
 
 def coordinates(basis: Matrix, pivots, vectors: Matrix) -> Matrix | None:
@@ -847,75 +811,16 @@ def sub_action(p: int, ends, mats, spans) -> list | None:
     """Each matrix mats[a]: V_u -> V_w, ends[a] being (u, w), restricted to
     subspaces given per vertex v as (rows, pivots), a reduced echelon basis
     of a subspace of V_v, one vector per row, with the pivot of each row:
-    the X with mats[a] B_u = B_w X, B_v the basis as columns, read at the
-    pivots of w; None if some mats[a] B_u leaves the span of B_w.
-
-    Over GF(2) each image is an XOR of mats[a]'s columns, and only its set
-    bits at w's pivots are visited; over GF(3) the images are one product,
-    read at w's pivots likewise.  Over larger p coordinates reads the
-    images, mats[a] times the bases set as columns: a cover's arrow rows
-    mostly hold one nonzero entry, so most image rows are basis rows
-    reused, and the restriction shares them."""
+    the X with mats[a] B_u = B_w X, B_v the basis as columns, read by
+    coordinates at the pivots of w; None as soon as some mats[a] B_u leaves
+    the span of B_w.  Each span is transposed once, whatever the field p."""
+    bases = [rows.transpose() for rows, _ in spans]
     out = []
-    if p == 3:
-        for (u, w), mat in zip(ends, mats):
-            (rows_u, _), (rows_w, pivots_w) = spans[u], spans[w]
-            basis_w = rows_w.rows
-            x1, x2 = [0] * len(basis_w), [0] * len(basis_w)
-            at = {1 << c: i for i, c in enumerate(pivots_w)}
-            pivot_mask = sum(at)
-            # row r: the image of u's basis vector r, read at w's pivots
-            images = rows_u.mul(mat.transpose()).rows if rows_u.nrows and any(map(any, mat.rows)) else ()
-            for r, (i1, i2) in enumerate(images):
-                s1 = s2 = 0
-                hits = (i1 | i2) & pivot_mask
-                while hits:
-                    low = hits & -hits
-                    i = at[low]
-                    c1, c2 = basis_w[i]
-                    if i1 & low:
-                        x1[i] |= 1 << r
-                    else:
-                        x2[i] |= 1 << r
-                        c1, c2 = c2, c1
-                    s1, s2 = _add3(s1, s2, c1, c2)
-                    hits ^= low
-                if s1 != i1 or s2 != i2:
-                    return None
-            out.append(Matrix(3, len(basis_w), rows_u.nrows, tuple(zip(x1, x2))))
-        return out
-    if p != 2:
-        bases = [rows.transpose() for rows, _ in spans]
-        for (u, w), mat in zip(ends, mats):
-            x = coordinates(bases[w], spans[w][1], mat.mul(bases[u]))
-            if x is None:
-                return None
-            out.append(x)
-        return out
     for (u, w), mat in zip(ends, mats):
-        (rows_u, _), (rows_w, pivots_w) = spans[u], spans[w]
-        basis_w = rows_w.rows
-        x = [0] * len(basis_w)
-        if rows_u.nrows and any(mat.rows):  # a zero matrix maps every span into every span
-            cols = mat.transpose().rows
-            at = {1 << c: i for i, c in enumerate(pivots_w)}
-            pivot_mask = sum(at)
-            for r, b in enumerate(rows_u.rows):
-                image = 0
-                while b:
-                    low = b & -b
-                    image ^= cols[low.bit_length() - 1]
-                    b ^= low
-                comb, hits = 0, image & pivot_mask
-                while hits:
-                    low = hits & -hits
-                    i = at[low]
-                    x[i] |= 1 << r
-                    comb ^= basis_w[i]
-                    hits ^= low
-                if comb != image:
-                    return None
-        out.append(Matrix(2, len(x), rows_u.nrows, tuple(x)))
+        x = coordinates(bases[w], spans[w][1], mat.mul(bases[u]))
+        if x is None:
+            return None
+        out.append(x)
     return out
 
 

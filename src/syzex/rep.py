@@ -279,7 +279,8 @@ def sub_rep(m: Representation, spans) -> Representation:
     (rows, pivots): a reduced echelon basis of a subspace of M_v, one vector
     per row, and the pivot column of each row.  A vector of the span has its
     coordinates at the pivots, so each arrow's restricted action is read
-    there (linalg.sub_action)."""
+    there and checked by one product, with no row reduction, in every
+    field (linalg.sub_action)."""
     action = linalg.sub_action(m.algebra.p, m.algebra.quiver.ends, m.action, spans)
     if action is None:
         raise AssertionError("spans are not arrow-invariant")
@@ -328,9 +329,9 @@ def _split_with(m: Representation, e: Matrix):
     stops falling exactly when every vertex rank does.  A power of zero or
     full rank stays so, and gives no splitting.  A block-diagonal matrix
     row-reduces block by block, so each reduced vector of its image (rref
-    of its transpose) and of its kernel (null_rows) lies in one M_v, and
-    those at v are the canonical basis of that block's image or kernel:
-    both pieces are read straight off them by sub_rep.
+    of its transpose) and of its kernel (null_rows, rref of kernel_basis)
+    lies in one M_v, and those at v are the canonical basis of that block's
+    image or kernel: both pieces are read straight off them by sub_rep.
     """
     f = e
     rank = f.rank()

@@ -5,7 +5,7 @@ kernel through rref's back-substitution and a scatter of the reduced rows
 cut per vertex by _vertex_blocks, and sub_rep finding each basis column's
 pivot row entry by entry."""
 
-from syzex.linalg import Matrix, _reverse_cols, rref
+from syzex.linalg import Matrix, rref
 from syzex.rep import Hom, Representation
 
 
@@ -41,6 +41,13 @@ def _kernel_rows(red: Matrix, pivots: list, ncols: int) -> Matrix:
 
 def kernel_basis(m: Matrix) -> Matrix:
     return _kernel_rows(*rref(m), m.ncols)
+
+
+def _reverse_cols(m: Matrix) -> Matrix:
+    """m with its columns in reverse order, read and written entry by entry."""
+    n = m.ncols
+    rows = [[m.entry(i, n - 1 - j) for j in range(n)] for i in range(m.nrows)]
+    return Matrix.from_rows(m.p, rows) if rows else Matrix.zero(m.p, 0, n)
 
 
 def null_space(m: Matrix) -> Matrix:

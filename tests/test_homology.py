@@ -21,7 +21,7 @@ from syzex.homology import (
     tilting_check,
 )
 from syzex.extdim import ClassRegistry, UniverseParams, generate_universe
-from syzex.rep import Representation, decompose, direct_sum, indec_factors, is_iso, simple_rep, zero_rep
+from syzex.rep import Representation, decompose, direct_sum, indec_factors, is_iso, simple_rep, sub_rep, zero_rep
 from conftest import beilinson2_spec, col, conjugate, entries, fivevertex_spec, from_columns, kron2_spec
 from ext_oracle import cover_ext1
 from property_suites import block_diag, class_coords, class_middle, entry_grid
@@ -362,9 +362,10 @@ def test_cover_epi_matches_path_action_on_deep_syzygies(p):
 
 
 @pytest.mark.parametrize("p", [2, 3])
-def test_projective_cover_reduces_each_vertex_twice(p, monkeypatch):
-    """One forward pass per vertex for the top (quotient_maps), one for the
-    syzygy (null_rows), in both row layouts; sub_rep reduces nothing."""
+def test_projective_cover_reduces_each_vertex_three_times(p, monkeypatch):
+    """One forward pass per vertex for the top (quotient_maps) and two for
+    the syzygy (null_rows: the kernel, then its rref), in both row layouts;
+    sub_rep reduces nothing."""
     entry = load_corpus("xiB", p)
     algebra = build_algebra(entry.spec)
     m = syzygy(named_module(entry, algebra, "S2p"), 2)
@@ -380,7 +381,11 @@ def test_projective_cover_reduces_each_vertex_twice(p, monkeypatch):
     monkeypatch.setattr(linalg, "_echelon", counting)
     pres = projective_cover(m)
     assert pres.kernel.total_dim
-    assert len(calls) == 2 * algebra.n_vertices
+    assert len(calls) == 3 * algebra.n_vertices
+    spans = [linalg.null_rows(mat) for mat in pres.epi.mats]
+    calls.clear()
+    assert sub_rep(pres.cover, spans) == pres.kernel
+    assert not calls
 
 
 def test_cover_epi_matches_path_action_on_simples(kron2, beilinson2):

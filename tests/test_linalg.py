@@ -310,6 +310,25 @@ def test_null_space_oracle(p):
         assert m.mul(got).is_zero()
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 257])
+def test_null_rows_edge_shapes(p):
+    """null_rows on 0 x n matrices (the whole space: the unit rows), n x 0
+    ones (no vector) and full column rank ones (no vector), across 64 and
+    128 columns."""
+    rng = random.Random(911 + p)
+    for n in (0, 1, 9, 70, 130):
+        assert null_rows(Matrix.zero(p, 0, n)) == (Matrix.identity(p, n), list(range(n)))
+        assert null_rows(Matrix.zero(p, n, 0)) == (Matrix.zero(p, 0, 0), [])
+        # unit upper triangular with -1 on the diagonal at random, then random rows
+        square = [[(rng.choice((1, p - 1)) if i == j else rng.randrange(p) if j > i else 0) for j in range(n)]
+                  for i in range(n)]
+        tall = square + [[rng.randrange(p) for _ in range(n)] for _ in range(3)]
+        for rows in (square, tall, square[::-1]):
+            m = Matrix.from_rows(p, rows) if rows else Matrix.zero(p, 0, n)
+            assert m.rank() == n
+            assert null_rows(m) == (Matrix.zero(p, 0, n), [])
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_transpose_and_apply_match_entries(p):
     rng = random.Random(401 + p)

@@ -8,6 +8,7 @@ import itertools
 import random
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import example, given, settings
 
 from syzex.linalg import (
@@ -32,8 +33,8 @@ from syzex.linalg import (
 P = 3
 
 
-def mat(rows, ncols):
-    return Matrix.from_rows(P, rows) if rows else Matrix.zero(P, 0, ncols)
+def mat(rows, ncols, p=P):
+    return Matrix.from_rows(p, rows) if rows else Matrix.zero(p, 0, ncols)
 
 
 def grid(m):
@@ -49,9 +50,9 @@ def well_formed(m):
     )
 
 
-def gauss_jordan(rows, ncols):
-    """Oracle: the nonzero rows of the reduced row echelon form and the pivot
-    columns, scanning every remaining row at every column."""
+def gauss_jordan(rows, ncols, p=P):
+    """Oracle: the nonzero rows of the reduced row echelon form over GF(p)
+    and the pivot columns, scanning every remaining row at every column."""
     rows = [list(r) for r in rows]
     pivots = []
     r = 0
@@ -60,12 +61,12 @@ def gauss_jordan(rows, ncols):
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][c]  # 1 and 2 are their own inverses mod 3
-        rows[r] = [x * inv % P for x in rows[r]]
+        inv = pow(rows[r][c], p - 2, p)
+        rows[r] = [x * inv % p for x in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][c]:
                 f = rows[i][c]
-                rows[i] = [(x - f * y) % P for x, y in zip(rows[i], rows[r])]
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
     return rows[:r], pivots
@@ -87,8 +88,8 @@ def kernel_by_entries(rows, ncols):
     return out, free
 
 
-def mul_by_entries(a, b, ncols):
-    return [[sum(x * b[k][j] for k, x in enumerate(r)) % P for j in range(ncols)] for r in a]
+def mul_by_entries(a, b, ncols, p=P):
+    return [[sum(x * b[k][j] for k, x in enumerate(r)) % p for j in range(ncols)] for r in a]
 
 
 @st.composite
@@ -345,34 +346,38 @@ def test_no_result_has_an_overlapping_or_stray_bit(case, seed):
     assert not ones & twos and not (ones | twos) >> 2 * m.nrows * nc
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 257])
 @settings(max_examples=100, deadline=None)
 @given(st.lists(gf3_grids(nrows=st.integers(0, 5), ncols=st.integers(0, 70)), min_size=2, max_size=2),
        st.sets(st.sampled_from([(0, 1), (1, 1), (1, 0), (0, 0)]), min_size=1), st.booleans(), st.integers(0, 2 ** 32 - 1))
-def test_sub_action_matches_entries(cases, ends, leave, seed):
+def test_sub_action_matches_entries(p, cases, ends, leave, seed):
     """Arrow matrices restricted to reduced spans B_v: mats[a] = B_w Z, plus
-    1 or 2 at one entry, which may take an image off B_w's span; the
-    restriction is each
-    image's entries at w's pivots, and None once an image leaves the span."""
+    a nonzero entry at one place, which may take an image off B_w's span;
+    the restriction is each image's entries at w's pivots, and None once an
+    image leaves the span.  One route serves every field, so the same grids
+    run over GF(2), GF(5) and GF(257) too, their 1s and 2s read as 1 and -1."""
     rng = random.Random(seed)
     ends = sorted(ends)
     spans, bases = [], []
     for rows, nc in cases:
-        red, piv = gauss_jordan(rows, nc)
-        spans.append((mat(red, nc), piv))
+        red, piv = gauss_jordan([[(0, 1, p - 1)[x] for x in r] for r in rows], nc, p)
+        spans.append((mat(red, nc, p), piv))
         bases.append([[r[i] for r in red] for i in range(nc)])  # the reduced rows as columns
     mats, want = [], []
     for u, w in ends:
         (du, ku), (dw, kw) = (len(bases[u]), len(spans[u][1])), (len(bases[w]), len(spans[w][1]))
-        image = mul_by_entries(bases[w], [[rng.randrange(P) for _ in range(du)] for _ in range(kw)], du)
+        image = mul_by_entries(bases[w], [[rng.randrange(p) for _ in range(du)] for _ in range(kw)], du, p)
         if leave and dw and du:
-            image[rng.randrange(dw)][rng.randrange(du)] += rng.choice((1, 2))
-        mats.append(mat(image, du))
-        moved = mul_by_entries(image, bases[u], ku)
-        inside = len(gauss_jordan([b + m for b, m in zip(bases[w], moved)], kw + ku)[1]) == kw
+            image[rng.randrange(dw)][rng.randrange(du)] += rng.randrange(1, p)
+        mats.append(mat(image, du, p))
+        moved = mul_by_entries(image, bases[u], ku, p)
+        inside = len(gauss_jordan([b + m for b, m in zip(bases[w], moved)], kw + ku, p)[1]) == kw
         want.append([moved[c] for c in spans[w][1]] if inside else None)
-    got = sub_action(P, ends, mats, spans)
+    got = sub_action(p, ends, mats, spans)
     if None in want:
         assert got is None
     else:
         assert [grid(x) for x in got] == want
-        assert all(well_formed(x) for x in got)
+        # each row is stored as from_rows stores it: no stray bit or residue
+        assert all(x == mat(grid(x), x.ncols, p) for x in got)
+        assert p != 3 or all(well_formed(x) for x in got)
