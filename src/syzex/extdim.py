@@ -294,13 +294,14 @@ def _copy_moves(p, blocks, copies, pools):
     per block of that block's pool of RREFs; [] when the groups act
     trivially on the plan.
 
-    GL_k(F_p) on the k copies of one class is generated by the transvection
-    adding copy 0 to copy 1, the cyclic shift of the copies and, for p > 2,
-    diag(omega, 1, ...) with omega generating GF(p)^*.  A generator g maps
-    each line of a block by g (x) I_w on its class's chunks (w the chunk
-    width), and the moved lines are reduced back to RREF
-    (linalg.moved_rrefs), so the line side's copy groups stay quotiented
-    out.
+    GL_k(F_p) on the k copies of one class is generated by three k x k
+    matrices: the transvection I + E_01, which adds copy 0 to copy 1, the
+    cyclic shift, which moves copy a to copy a + 1 and the last to the
+    first, and, for p > 2, diag(omega, 1, ..., 1) with omega generating
+    GF(p)^*.  A generator g acts on each block as g (x) I_w on its class's
+    chunks (w the chunk width) and as the identity elsewhere, and the moved
+    lines are reduced back to RREF (linalg.moved_rrefs), so the line side's
+    copy groups stay quotiented out.
     """
     if copies == (1,):  # one copy of one class, as in every closure pair
         return []
@@ -311,26 +312,30 @@ def _copy_moves(p, blocks, copies, pools):
     if single and (p == 2 or len(acting) < 2):
         return []
     omega = _unit_generator(p) if p > 2 else None
-    gens = []  # (first slot, k, the generator's kind)
+    gens = []  # (first slot, k, the generator's entries (a, b, g_ab))
     for s, k in acting:
+        eye = [(a, a, 1) for a in range(k)]
         if k > 1:
-            gens += [(s, k, "add"), (s, k, "shift")]
+            gens += [(s, k, eye + [(0, 1, 1)]), (s, k, [(a, (a + 1) % k, 1) for a in range(k)])]
         # omega times the identity moves nothing, so with single copies the
         # last class's scaling follows from the others'
         if omega and not (single and s == acting[-1][0]):
-            gens.append((s, k, "scale"))
+            gens.append((s, k, [(0, 0, omega)] + eye[1:]))
     if not gens:
         return []
     index = [{rows: i for i, rows in enumerate(pool)} for pool in pools]
     moves = []
-    for s, k, kind in gens:
+    for s, k, g in gens:
         move = []
-        for (_, _, chunks), pool, at in zip(blocks, pools, index):
+        for (_, space, chunks), pool, at in zip(blocks, pools, index):
             w, off = chunks[s], sum(chunks[:s])
             if w == 0:
                 move.append(range(len(pool)))
                 continue
-            move.append(tuple([at[rows] for rows in linalg.moved_rrefs(p, kind, pool, off, w, k, omega)]))
+            entries = [(j, j, 1) for j in itertools.chain(range(off), range(off + k * w, space))]
+            entries += [(off + a * w + t, off + b * w + t, c) for a, b, c in g for t in range(w)]
+            moved = linalg.moved_rrefs(pool, Matrix.from_entries(p, space, space, entries))
+            move.append(tuple([at[rows] for rows in moved]))
         moves.append(move)
     return moves
 

@@ -7,19 +7,20 @@ arXiv:0901.1413): a (ones, twos) pair of masks, bit j of ones set where
 entry j is 1 and of twos where it is 2, never both, and no bit at or beyond
 the row's length.  Pairs are added by _add3 in seven boolean operations and
 negated by swapping the masks; whatever only moves entries (transpose, flat
-and unflat, block_diagonal, stripe, block_spans, the copy moves' shifts)
-moves both masks as the GF(2) code moves one, inline, which measured faster
-than splitting a matrix into two GF(2) planes.  Over larger p a row is a
-tuple of residues.  Other modules build and read rows only through this
-module, whose functions keep the route measured fastest for each layout:
+and unflat, block_diagonal, stripe, block_spans) moves both masks as the
+GF(2) code moves one, inline, which measured faster than splitting a matrix
+into two GF(2) planes.  Over larger p a row is a tuple of residues.
+Other modules build and read rows only through this module, whose
+functions keep the route measured fastest for each layout:
 Matrix.from_entries writes sparse entries and nonzeros reads them, stripe
 sets blocks side by side, derivations builds delta0, whose kernel is Hom
 and whose image is Ext^1's coboundaries, block_spans cuts the bases of
 invariant subspaces out per vertex, and rref_pool enumerates full-rank
-RREFs that moved_rrefs moves by copy automorphisms and reduces back.
-sub_action, which restricts arrow matrices to such subspaces, has no
-layout of its own: it reads each arrow's images by coordinates, one
-route for every p.
+RREFs.  moved_rrefs, which multiplies such RREFs by a matrix and reduces
+them back, and sub_action, which restricts arrow matrices to invariant
+subspaces, have no layout of their own: one runs mul and the reduction,
+the other reads each arrow's images by coordinates, one route for every
+p.
 
 Matrices are immutable.  Row reduction uses deterministic pivoting (first
 nonzero entry in column order), so every derived basis is canonical.  rref
@@ -315,7 +316,18 @@ class Matrix:
                     m ^= low
             return Matrix(2, self.ncols, self.nrows, tuple(rows))
         if self.p == 3:
-            return Matrix(3, self.ncols, self.nrows, tuple(zip(*_columns3(self.rows, self.ncols))))
+            ones, twos = [0] * self.ncols, [0] * self.ncols
+            for i, (o, t) in enumerate(self.rows):
+                bit = 1 << i
+                while o:
+                    low = o & -o
+                    ones[low.bit_length() - 1] |= bit
+                    o ^= low
+                while t:
+                    low = t & -t
+                    twos[low.bit_length() - 1] |= bit
+                    t ^= low
+            return Matrix(3, self.ncols, self.nrows, tuple(zip(ones, twos)))
         rows = tuple(zip(*self.rows)) if self.rows else ((),) * self.ncols
         return Matrix(self.p, self.ncols, self.nrows, rows)
 
@@ -325,22 +337,6 @@ class Matrix:
 
     def rank(self) -> int:
         return len(_echelon(self.p, self.rows))
-
-
-def _columns3(rows, n: int) -> tuple:
-    """The ones masks and the twos masks of the n columns of GF(3) rows."""
-    ones, twos = [0] * n, [0] * n
-    for i, (o, t) in enumerate(rows):
-        bit = 1 << i
-        while o:
-            low = o & -o
-            ones[low.bit_length() - 1] |= bit
-            o ^= low
-        while t:
-            low = t & -t
-            twos[low.bit_length() - 1] |= bit
-            t ^= low
-    return ones, twos
 
 
 def _bits(mask: int, n: int) -> bytes:
@@ -744,19 +740,16 @@ def derivations(p: int, ends, x_dim, x_mats, y_dim, y_mats) -> tuple:
 
     Row (a, i, j) is column j of X_a at row i of f_w, minus Y_a's row i
     spread over column j of f_u; where a loop meets one unknown from both
-    sides, the two entries are summed.  Over GF(2) a row is one bit mask,
-    from X_a's transpose.  Over GF(3) it is a (ones, twos) pair, from the
-    masks of X_a's columns and -Y_a's row spread from its set bits, summed
-    by _add3.  Over larger p it is a tuple."""
+    sides, the two entries are summed.  X_a's columns are its transpose's
+    rows at every p.  Over GF(2) a row is one bit mask.  Over GF(3) it is a
+    (ones, twos) pair, X_a's column pair and -Y_a's row spread from its set
+    bits, summed by _add3.  Over larger p it is a tuple."""
     off = list(itertools.accumulate((a * b for a, b in zip(x_dim, y_dim)), initial=0))
     total = off.pop()
     rows = []
     for (u, w), xa, ya in zip(ends, x_mats, y_mats):
         dxu, dxw = x_dim[u], x_dim[w]
-        if p == 3:
-            ones, twos = _columns3(xa.rows, dxu)
-        else:
-            xa_cols = xa.transpose().rows
+        xa_cols = xa.transpose().rows
         for i, ya_row in enumerate(ya.rows):
             base_w = off[w] + i * dxw
             if p == 2:
@@ -766,8 +759,8 @@ def derivations(p: int, ends, x_dim, x_mats, y_dim, y_mats) -> tuple:
             elif p == 3:
                 # -Y_a's row i spread as over GF(2), -1 = 2 and -2 = 1 swapping the masks
                 neg1, neg2 = _spread(ya_row[1], dxu), _spread(ya_row[0], dxu)
-                for j in range(dxu):
-                    a1, a2, b1, b2 = ones[j] << base_w, twos[j] << base_w, neg1 << off[u] + j, neg2 << off[u] + j
+                for j, (o, t) in enumerate(xa_cols):
+                    a1, a2, b1, b2 = o << base_w, t << base_w, neg1 << off[u] + j, neg2 << off[u] + j
                     # the two sides meet at one unknown only on a loop
                     rows.append(_add3(a1, a2, b1, b2) if u == w else (a1 | b1, a2 | b2))
             else:
@@ -881,40 +874,8 @@ def rref_pool(p: int, nrows: int, ncols: int) -> list:
     return pool
 
 
-def moved_rrefs(p: int, kind: str, pool, off: int, w: int, k: int, omega: int) -> list:
-    """The rows of each pool entry times g (x) I_w, reduced back to RREF, as
-    a tuple: g acts on the k chunks of width w that start at column off,
-    "add" adding chunk 0 to chunk 1, "shift" moving each chunk one place on
-    and the last to the first, "scale" multiplying chunk 0 by omega (over
-    GF(3), omega = 2 = -1 swaps chunk 0's planes)."""
-    mid, end = off + w, off + k * w
-    chunk, span = (1 << w) - 1, (1 << k * w) - 1
-
-    def shift(r):
-        c = r >> off & span
-        return r ^ (c ^ (c << w | c >> (k - 1) * w) & span) << off
-
-    def negate(o, t):
-        d = (o ^ t) >> off & chunk
-        return o ^ d << off, t ^ d << off
-
-    if p == 2:
-        if kind == "add":
-            moved = [[r ^ (r >> off & chunk) << mid for r in rows] for rows in pool]
-        else:
-            moved = [list(map(shift, rows)) for rows in pool]
-    elif p == 3:
-        if kind == "add":
-            moved = [[_add3(o, t, (o >> off & chunk) << mid, (t >> off & chunk) << mid) for o, t in rows] for rows in pool]
-        elif kind == "shift":
-            moved = [[(shift(o), shift(t)) for o, t in rows] for rows in pool]
-        else:
-            moved = [[negate(o, t) for o, t in rows] for rows in pool]
-    elif kind == "add":
-        moved = [[r[:mid] + tuple([(x + y) % p for x, y in zip(r[mid:mid + w], r[off:mid])]) + r[mid + w:] for r in rows]
-                 for rows in pool]
-    elif kind == "shift":
-        moved = [[r[:off] + r[end - w:end] + r[off:end - w] + r[end:] for r in rows] for rows in pool]
-    else:
-        moved = [[r[:off] + tuple([omega * x % p for x in r[off:mid]]) + r[mid:] for r in rows] for rows in pool]
-    return [tuple(_reduced(p, rows)[0]) for rows in moved]
+def moved_rrefs(pool, g: Matrix) -> list:
+    """The rows of each pool entry, a tuple of rows of g's width, times g,
+    reduced back to RREF, as a tuple."""
+    p, n = g.p, g.nrows
+    return [tuple(_reduced(p, Matrix(p, len(rows), n, rows).mul(g).rows)[0]) for rows in pool]

@@ -796,6 +796,7 @@ def test_window_order_unchanged_under_byte_per_entry_keys(monkeypatch, entry):
     [
         ("kron2", 2, 6, 3, "S1", "S0", None),
         ("kron2", 3, 4, 3, "S1", "S0", None),
+        ("kron2", 5, 4, 3, "S1", "S0", None),
         ("kron2", 2, 5, 2, "S0,S1", None, 3),
     ],
 )
@@ -953,19 +954,24 @@ def test_rref_pools_list_every_rref_in_slot_order(p):
         assert rref_pool(p, mult, space) == want
 
 
-@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("p", [2, 3, 5])
 def test_copy_moves_match_products_on_kron2_pools(p):
-    """The copy generators acting on the pools' rows, reduced by linalg's
-    reduction, permute each kron2 pool exactly as the full matrices of
-    g (x) I_w, their products and rref do: copies of one class (the
-    transvection and the shift), two single classes (the scaling over
-    GF(3)), a class with no Ext^1 to the line side, and both plan modes."""
+    """The generators _copy_moves sets out as sparse g (x) I_w permute each
+    kron2 pool exactly as full matrices written from each generator's
+    formula, their products and rref do: copies of one class (the
+    transvection and the shift), two single classes (the scaling over odd
+    p, omega = -1 over GF(3) and of order 4 over GF(5)), a class with no
+    Ext^1 to the line side, and both plan modes.  Over GF(5) only the plans
+    of at most 1,300 representatives run."""
     from syzex.extdim import _copy_moves
     from syzex.linalg import rref_pool
 
     seen = set()
     for mode, blocks, count, copies in kron2_plans(p):
-        assert 0 < count <= 1300
+        assert count > 0
+        if count > 1300:
+            assert p == 5
+            continue
         pools = [rref_pool(p, mult, space) for mult, space, _ in blocks]
         got = _copy_moves(p, blocks, copies, pools)
         assert [[tuple(perm) for perm in move] for move in got] == [
@@ -973,9 +979,14 @@ def test_copy_moves_match_products_on_kron2_pools(p):
         ]
         seen.add((mode, len(got)))
         seen.update("idle block" for move in got for perm in move if isinstance(perm, range))
-    # the transvection and the shift move both plan modes; over GF(3) the
+    # the transvection and the shift move both plan modes; over odd p the
     # scaling moves two single classes, and one class's generator leaves a block idle
-    assert {("rows", 2), ("cols", 2)} <= seen if p == 2 else {("rows", 3), ("cols", 1), "idle block"} <= seen
+    want = {
+        2: {("rows", 2), ("cols", 2)},
+        3: {("rows", 3), ("cols", 1), "idle block"},
+        5: {("rows", 3), ("cols", 3), ("cols", 1), ("rows", 4), "idle block"},
+    }
+    assert want[p] <= seen
 
 
 def test_unit_generator_generates_the_unit_group():

@@ -289,31 +289,52 @@ def test_stripe_matches_entries(nrows, layout, seed):
     assert grid(got) == want
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 2), st.integers(0, 1), st.integers(1, 2), st.integers(0, 1),
-       st.sampled_from(["add", "shift", "scale"]), st.integers(0, 2 ** 32 - 1))
-def test_moved_rrefs_match_entries(mult, off, w, tail, kind, seed):
-    """Each full-rank RREF's rows times g (x) I_w on two chunks of width w at
-    column off, reduced back: chunk 0 added to chunk 1, the chunks swapped,
-    or chunk 0 times 2."""
-    k = 2
-    ncols = off + k * w + tail
-    pool = rref_pool(P, mult, ncols)
-    pool = random.Random(seed).sample(pool, min(len(pool), 40))
-    got = moved_rrefs(P, kind, pool, off, w, k, 2)
+def sampled_pool(p, mult, ncols, rng, n=10):
+    """n full-rank mult x ncols RREFs as rows: drawn from rref_pool where it
+    is small, else the reduced forms of random full-rank matrices."""
+    if p ** (mult * (ncols - mult)) <= 4096:
+        pool = rref_pool(p, mult, ncols)
+        return rng.sample(pool, min(len(pool), n))
+    out = []
+    while len(out) < n:
+        red, piv = gauss_jordan([[rng.randrange(p) for _ in range(ncols)] for _ in range(mult)], ncols, p)
+        if len(piv) == mult:
+            out.append(mat(red, ncols, p).rows)
+    return out
+
+
+def random_invertible(p, n, rng, adds):
+    """A random permutation matrix with random nonzero entries, after adds
+    random row additions: invertible, and as sparse as the copy generators
+    or dense."""
+    perm = rng.sample(range(n), n)
+    g = [[rng.randrange(1, p) if j == perm[i] else 0 for j in range(n)] for i in range(n)]
+    for _ in range(adds if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.randrange(1, p)
+        g[i] = [(x + c * y) % p for x, y in zip(g[i], g[j])]
+    return g
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 257])
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 3), st.integers(0, 70), st.integers(0, 140), st.integers(0, 2 ** 32 - 1))
+def test_moved_rrefs_match_entries(p, mult, extra, adds, seed):
+    """Pool entries times a random invertible g, reduced back: each result is
+    the entry-wise product reduced by gauss_jordan, stored as from_rows
+    stores it, over every row layout and rows past 64 columns."""
+    rng = random.Random(seed)
+    ncols = mult + extra
+    pool = sampled_pool(p, mult, ncols, rng)
+    g = random_invertible(p, ncols, rng, adds)
+    got = moved_rrefs(pool, mat(g, ncols, p))
+    assert len(got) == len(pool)
     for rows, moved in zip(pool, got):
-        entries = grid(Matrix(P, mult, ncols, rows))
-        for r in entries:
-            a, b = r[off:off + w], r[off + w:off + 2 * w]
-            if kind == "add":
-                r[off + w:off + 2 * w] = [(x + y) % P for x, y in zip(a, b)]
-            elif kind == "shift":
-                r[off:off + 2 * w] = b + a
-            else:
-                r[off:off + w] = [2 * x % P for x in a]
-        m = Matrix(P, mult, ncols, moved)
-        assert well_formed(m)
-        assert grid(m) == gauss_jordan(entries, ncols)[0]
+        want = gauss_jordan(mul_by_entries(grid(Matrix(p, mult, ncols, rows)), g, ncols, p), ncols, p)[0]
+        m = Matrix(p, len(moved), ncols, moved)
+        assert grid(m) == want
+        assert m == mat(want, ncols, p)
+        assert p != 3 or well_formed(m)
 
 
 @settings(max_examples=100, deadline=None)
