@@ -5,51 +5,53 @@ Row layouts.  Over GF(2) a row is a bit mask, a python int whose bit j is
 entry j.  Over GF(3) it is bit-sliced (Boothby and Bradshaw,
 arXiv:0901.1413): a (ones, twos) pair of masks, bit j of ones set where
 entry j is 1 and of twos where it is 2, never both, and no bit at or beyond
-the row's length.  Pairs are added by _add3 in seven boolean operations and
-negated by swapping the masks; whatever only moves entries (transpose, flat
-and unflat, block_diagonal, stripe, block_spans) moves both masks as the
-GF(2) code moves one, inline, which measured faster than splitting a matrix
-into two GF(2) planes.  Over larger p a row is a tuple of residues.
-Other modules build and read rows only through this module, whose
-functions keep the route measured fastest for each layout:
-Matrix.from_entries writes sparse entries and nonzeros reads them, stripe
-sets blocks side by side, derivations builds delta0, whose kernel is Hom
-and whose image is Ext^1's coboundaries, block_spans cuts the bases of
-invariant subspaces out per vertex, and rref_pool enumerates full-rank
-RREFs.  moved_rrefs, which multiplies such RREFs by a matrix and reduces
-them back, and sub_action, which restricts arrow matrices to invariant
-subspaces, have no layout of their own: one runs mul and the reduction,
-the other reads each arrow's images by coordinates, one route for every
-p.
+the row's length; pairs are added by _add3 in seven boolean operations and
+negated by swapping the masks.  Over larger p a row is one int of lanes,
+entry j, below p, in bits jL to jL + L - 1 for L = _width(p), whole bytes
+of at least 4 bits(p) + 4 bits.  A row operation leaves a few products
+below p^2 in a lane, which carries into no other, and one product, shift
+and mask give every lane's exact Barrett quotient by p at once (_barrett:
+the simultaneous reduction of Dumas, Fousse and Salvy, J. Symb. Comp. 46,
+2011), so it is a handful of big-int operations whatever the row's length.
+Whatever only moves entries (transpose, flat and unflat, block_diagonal,
+stripe, block_spans) shifts lanes by L where GF(2) shifts bits by 1, and
+moves both masks of a GF(3) pair as GF(2) moves one; a row's bytes give
+its entries for row, tolist and key.  Other modules build and read rows
+only through this module: Matrix.from_entries writes sparse entries and
+nonzeros reads them, stripe sets blocks side by side, derivations builds
+delta0, whose kernel is Hom and whose image is Ext^1's coboundaries,
+block_spans cuts the bases of invariant subspaces out per vertex, and
+rref_pool enumerates full-rank RREFs.  moved_rrefs and sub_action have no
+layout of their own: one runs mul and the reduction, the other reads each
+arrow's images by coordinates.
 
 Matrices are immutable.  Row reduction uses deterministic pivoting (first
 nonzero entry in column order), so every derived basis is canonical.  rref
 returns the pivot columns with the reduced matrix, and pivots the columns
 alone.  kernel_basis, the one kernel entry point, returns a basis in the
 system's row layout, one vector per row, with the free column of each;
-null_rows, the reduced echelon basis of the kernel with the pivot column
-of each row, is rref of those rows, a second reduction.  A coordinate is
-the entry at a pivot: coordinates reads a vector's coefficients in a basis
-whose vectors are each 1 at their own pivot and 0 at the others' (a kernel
-row's free column is such a pivot), and one product checks them; no
-general solver is kept.
+null_rows, the reduced echelon basis of the kernel, is rref of those rows.
+A coordinate is the entry at a pivot: coordinates reads a vector's
+coefficients in a basis whose vectors are each 1 at their own pivot and 0
+at the others' (a kernel row's free column is such a pivot), and one
+product checks them; no general solver is kept.
 
-Matrices met on the syzygy path are large and sparse, so the kernel rows,
-products and mask elimination do work in proportion to the nonzero entries
-of each row, not to its length.  Every layout shares one forward pass,
-_echelon (_echelon3 on pairs): rank counts its pivots, pivots reads them,
-rref back-substitutes over them (_reduced), and kernel_basis reads the
-kernel off them: over GF(2) by a back-solve, one mask per column over the
-kernel vectors, over GF(3) off _reduced's rows, one mask pair per free
-column (_kernel3), over larger p off rref.
+Rows are walked by their set bits or nonzero lanes, so products, kernels
+and elimination do work in proportion to the nonzero entries of each row,
+not to its length.  Every layout shares one forward pass, _echelon
+(_echelon3 on pairs): rank counts its pivots, pivots reads them, rref
+back-substitutes over them (_reduced), and kernel_basis reads the kernel
+off them by a back-solve, one mask or lane row per column over the kernel
+vectors, or over GF(3) off _reduced's pairs (_kernel3).
 
 The Hom coordinate layout is decided here too: flat lays a tuple of
 matrices out as one row, row-major and concatenated, and unflat cuts a
 block back out, as Ext^1 cuts its corners; block_diagonal sets the square
 blocks of such a row down the diagonal of one matrix, as the split search
 and the iso test read End(M) and Hom(M, N).  Matrix.key packs flat's row,
-one bit per entry over GF(2), one byte per entry otherwise; keys of equal
-shape compare as one-byte-per-entry keys would.
+one bit per entry over GF(2), one byte per entry for other p <= 256 and
+fixed-width big-endian above, so keys of equal shape compare as their
+entry sequences do.
 """
 
 from __future__ import annotations
@@ -91,21 +93,14 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def inv_mod(a: int, p: int) -> int:
-    a %= p
-    if a == 0:
-        raise ZeroDivisionError("0 has no inverse in GF(%d)" % p)
-    return pow(a, p - 2, p)
-
-
 class Matrix:
     """Dense matrix over GF(p); entries are plain ints in [0, p)."""
 
     __slots__ = ("p", "nrows", "ncols", "rows")
 
     def __init__(self, p, nrows, ncols, rows):
-        # rows: tuple of int bit masks when p == 2, of (ones, twos) mask pairs
-        # when p == 3, else of tuples
+        # rows: tuple of ints, one bit per entry when p == 2 and one lane of
+        # _width(p) bits when p >= 5, or of (ones, twos) mask pairs when p == 3
         self.p = p
         self.nrows = nrows
         self.ncols = ncols
@@ -128,13 +123,7 @@ class Matrix:
         """The matrix with entry c mod p at each (i, j, c) of entries, which
         name distinct positions, and 0 elsewhere: each entry is written
         straight into its row, as a bit over GF(2) and GF(3), the latter in
-        the plane of its value, as a list slot over larger p."""
-        if p == 2:
-            rows = [0] * nrows
-            for i, j, c in entries:
-                if c & 1:
-                    rows[i] |= 1 << j
-            return Matrix(2, nrows, ncols, tuple(rows))
+        the plane of its value, as a lane over larger p."""
         if p == 3:
             planes = ([0] * nrows, [0] * nrows)
             for i, j, c in entries:
@@ -142,14 +131,17 @@ class Matrix:
                 if c:
                     planes[c - 1][i] |= 1 << j
             return Matrix(3, nrows, ncols, tuple(zip(*planes)))
-        rows = [[0] * ncols for _ in range(nrows)]
+        s = _width(p)
+        rows = [0] * nrows
         for i, j, c in entries:
-            rows[i][j] = c % p
-        return Matrix(p, nrows, ncols, tuple(map(tuple, rows)))
+            c %= p
+            if c:
+                rows[i] |= c << j * s
+        return Matrix(p, nrows, ncols, tuple(rows))
 
     @staticmethod
     def zero(p: int, nrows: int, ncols: int) -> "Matrix":
-        return Matrix(p, nrows, ncols, (0 if p == 2 else (0, 0) if p == 3 else (0,) * ncols,) * nrows)
+        return Matrix(p, nrows, ncols, ((0, 0) if p == 3 else 0,) * nrows)
 
     @staticmethod
     def identity(p: int, n: int) -> "Matrix":
@@ -158,28 +150,18 @@ class Matrix:
     # -- access ------------------------------------------------------
 
     def entry(self, i: int, j: int) -> int:
-        if self.p == 2:
-            return (self.rows[i] >> j) & 1
         if self.p == 3:
             ones, twos = self.rows[i]
             return (ones >> j & 1) | (twos >> j & 1) << 1
-        return self.rows[i][j]
+        s = _width(self.p)
+        return self.rows[i] >> j * s & (1 << s) - 1
 
     def row(self, i: int) -> tuple:
-        if self.p == 2:
-            return _unpack(self.rows[i], self.ncols)
-        if self.p == 3:
-            return _unpack3(*self.rows[i], self.ncols)
-        return self.rows[i]
+        return tuple(_entries(self.p, self.rows[i], self.ncols))
 
     def tolist(self) -> list:
-        """The rows as lists of ints, as a module file writes them; over GF(2)
-        and GF(3) each list is built once from its row's masks."""
-        if self.p == 2:
-            return [list(_bits(r, self.ncols)) for r in self.rows]
-        if self.p == 3:
-            return [list(_trits(o, t, self.ncols)) for o, t in self.rows]
-        return [list(r) for r in self.rows]
+        """The rows as lists of ints, as a module file writes them."""
+        return [list(_entries(self.p, r, self.ncols)) for r in self.rows]
 
     def key(self) -> bytes:
         """flat's row as bytes: over GF(2) one bit per entry, most significant
@@ -191,18 +173,19 @@ class Matrix:
             row = flat(2, (self,))
             return row.to_bytes((self.nrows * self.ncols + 7) // 8, "little").translate(_BIT_REVERSED)
         # flat's row-major order, written row by row
-        if self.p == 3:
-            return b"".join([_trits(o, t, self.ncols) for o, t in self.rows])
-        if self.p <= 256:
-            return b"".join(map(bytes, self.rows))
-        width = ((self.p - 1).bit_length() + 7) // 8
-        return b"".join([x.to_bytes(width, "big") for r in self.rows for x in r])
+        p, n = self.p, self.ncols
+        if p == 3:
+            return b"".join([_trits(o, t, n) for o, t in self.rows])
+        if p <= 256:
+            return b"".join([_entries(p, r, n) for r in self.rows])
+        width = (p.bit_length() + 7) // 8
+        return b"".join([x.to_bytes(width, "big") for r in self.rows for x in _entries(p, r, n)])
 
     def is_zero(self) -> bool:
-        if self.p == 2:
-            return all(r == 0 for r in self.rows)
-        # a pair is (0, 0) exactly when its row is zero
-        return not any(map(any, self.rows))
+        if self.p == 3:
+            # a pair is (0, 0) exactly when its row is zero
+            return not any(map(any, self.rows))
+        return not any(self.rows)
 
     def __eq__(self, other):
         return (
@@ -229,7 +212,8 @@ class Matrix:
         elif p == 3:
             rows = tuple([_add3(a1, a2, b1, b2) for (a1, a2), (b1, b2) in zip(self.rows, other.rows)])
         else:
-            rows = tuple([tuple([(a + b) % p for a, b in zip(r, s)]) for r, s in zip(self.rows, other.rows)])
+            _, _, k, m, quotient, _ = _barrett(p, self.ncols)
+            rows = tuple([x - (x * m >> k & quotient) * p for x in map(int.__add__, self.rows, other.rows)])
         return Matrix(p, self.nrows, self.ncols, rows)
 
     def scale(self, c: int) -> "Matrix":
@@ -242,7 +226,9 @@ class Matrix:
             return Matrix.zero(p, self.nrows, self.ncols)
         if p == 3:
             return Matrix(3, self.nrows, self.ncols, tuple([(t, o) for o, t in self.rows]))
-        return Matrix(p, self.nrows, self.ncols, tuple([tuple([c * a % p for a in r]) for r in self.rows]))
+        _, _, k, m, quotient, _ = _barrett(p, self.ncols)
+        cm = c * m
+        return Matrix(p, self.nrows, self.ncols, tuple([c * r - (r * cm >> k & quotient) * p for r in self.rows]))
 
     def mul(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
@@ -281,29 +267,25 @@ class Matrix:
                     m ^= low
                 out.append((a1, a2))
             return Matrix(3, self.nrows, other.ncols, tuple(out))
-        p = self.p
-        ocols = other.ncols
-        orows = other.rows
-        zero = (0,) * ocols
+        # other's row j times each nonzero lane j, reduced once per batch of
+        # terms; a zero row or a single entry 1 needs no reduction
+        p, orows = self.p, other.rows
+        s, full, k, m, quotient, batch = _barrett(p, other.ncols)
         out = []
         for r in self.rows:
-            # rows are sparse: a zero row or a single entry needs no sum
-            nonzero = len(r) - r.count(0)
-            if not nonzero:
-                out.append(zero)
-            elif nonzero == 1:
-                a = next(filter(None, r))
-                orow = orows[r.index(a)]
-                out.append(orow if a == 1 else tuple([a * x % p for x in orow]))
-            else:
-                row = [0] * ocols
-                for k, a in enumerate(r):
-                    if a:
-                        orow = orows[k]
-                        for j in range(ocols):
-                            row[j] += a * orow[j]
-                out.append(tuple([x % p for x in row]))
-        return Matrix(p, self.nrows, ocols, tuple(out))
+            acc = t = 0
+            while r:
+                j = (r & -r).bit_length() // s
+                a = r >> j * s & full
+                r ^= a << j * s
+                acc += a * orows[j]
+                t += 1
+                if not t % batch:
+                    acc -= (acc * m >> k & quotient) * p
+            if t % batch and (t > 1 or a != 1):
+                acc -= (acc * m >> k & quotient) * p
+            out.append(acc)
+        return Matrix(p, self.nrows, other.ncols, tuple(out))
 
     def transpose(self) -> "Matrix":
         if self.p == 2:
@@ -328,8 +310,15 @@ class Matrix:
                     twos[low.bit_length() - 1] |= bit
                     t ^= low
             return Matrix(3, self.ncols, self.nrows, tuple(zip(ones, twos)))
-        rows = tuple(zip(*self.rows)) if self.rows else ((),) * self.ncols
-        return Matrix(self.p, self.ncols, self.nrows, rows)
+        s = _width(self.p)
+        full, rows = (1 << s) - 1, [0] * self.ncols
+        for i, r in enumerate(self.rows):
+            while r:
+                j = ((r & -r).bit_length() - 1) // s
+                c = r >> j * s & full
+                r ^= c << j * s
+                rows[j] |= c << i * s
+        return Matrix(self.p, self.ncols, self.nrows, tuple(rows))
 
     def _shape_check(self, other: "Matrix") -> None:
         if self.nrows != other.nrows or self.ncols != other.ncols or self.p != other.p:
@@ -339,14 +328,44 @@ class Matrix:
         return len(_echelon(self.p, self.rows))
 
 
-def _bits(mask: int, n: int) -> bytes:
-    """Entry j of an n-entry GF(2) row as byte j, 0 or 1."""
-    # bit n is a sentinel that keeps the leading zeros
-    return bin(mask | 1 << n)[:2:-1].encode().translate(_BIT_DIGITS)
+@functools.lru_cache(maxsize=64)
+def _width(p: int) -> int:
+    """Bits per entry of a GF(p) row: 1 over GF(2) and in each GF(3) mask,
+    else a lane of 4 bits(p) + 1 bits rounded up to whole bytes, which is
+    at least 4 bits(p) + 4."""
+    return 1 if p < 5 else (p.bit_length() // 2 + 1) * 8
 
 
-def _unpack(mask: int, n: int) -> tuple:
-    return tuple(_bits(mask, n))
+@functools.lru_cache(maxsize=1024)
+def _barrett(p: int, n: int) -> tuple:
+    """(L, lane mask, k, m, quotient mask, batch) for n-lane GF(p) rows, so
+    that x - (x m >> k & quotient mask) p reduces every lane of x, each below
+    2^N, N = (L - 1) // 2 >= 2 bits(p) + 1, at once: with k = N + bits(p)
+    and m = ceil(2^k / p), x m < 2^(2N + 1) fits in its lane and
+    floor(x m / 2^k) = floor(x / p), the error being below 1 / p, and the
+    mask drops the next lane's fraction above that quotient.  The batch is
+    how many terms below (p - 1)^2 a lane below p takes before 2^N."""
+    L, b = _width(p), p.bit_length()
+    N = (L - 1) // 2
+    k = N + b
+    ones = ((1 << n * L) - 1) // ((1 << L) - 1)
+    return L, (1 << L) - 1, k, -(-(1 << k) // p), ones * ((1 << L - k) - 1), ((1 << N) - p) // (p - 1) ** 2
+
+
+def _entries(p: int, row, n: int):
+    """Entry j of an n-entry row as item j: a bytes for p <= 256, else a
+    list of ints."""
+    if p == 2:
+        # bit n is a sentinel that keeps the leading zeros
+        return bin(row | 1 << n)[:2:-1].encode().translate(_BIT_DIGITS)
+    if p == 3:
+        return _trits(*row, n)
+    # a lane's low byte first, so for p <= 256 every lane's first byte is its entry
+    w = _width(p) // 8
+    data = row.to_bytes(n * w, "little")
+    if p <= 256:
+        return data[::w]
+    return [int.from_bytes(data[i:i + w], "little") for i in range(0, len(data), w)]
 
 
 _BIT_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
@@ -359,38 +378,37 @@ def _trits(ones: int, twos: int, n: int) -> bytes:
     byte j; memoized, as module keys read the same few short rows over and
     over."""
     # entry j of each plane as byte j, summed with no carry between bytes
-    both = int.from_bytes(_bits(ones, n), "little") + 2 * int.from_bytes(_bits(twos, n), "little")
+    both = int.from_bytes(_entries(2, ones, n), "little") + 2 * int.from_bytes(_entries(2, twos, n), "little")
     return both.to_bytes(n, "little")
 
 
-def _unpack3(ones: int, twos: int, n: int) -> tuple:
-    return tuple(_trits(ones, twos, n))
-
-
 def nonzeros(p: int, row) -> list:
-    """(column, entry) for each nonzero entry of a row, in column order."""
-    if p == 2:
-        out = []
-        while row:
-            low = row & -row
-            out.append((low.bit_length() - 1, 1))
-            row ^= low
-        return out
+    """(column, entry) for each nonzero entry of a row, in column order: the
+    lowest set bit names the next nonzero bit or lane, over GF(3) of either
+    mask."""
+    out = []
     if p == 3:
-        ones, row, out = row[0], row[0] | row[1], []
+        ones, row = row[0], row[0] | row[1]
         while row:
             low = row & -row
             out.append((low.bit_length() - 1, 1 if ones & low else 2))
             row ^= low
         return out
-    return [(j, c) for j, c in enumerate(row) if c]
+    s = _width(p)
+    full = (1 << s) - 1
+    while row:
+        j = ((row & -row).bit_length() - 1) // s
+        c = row >> j * s & full
+        out.append((j, c))
+        row ^= c << j * s
+    return out
 
 
 def flat(p: int, mats):
-    """The entries of mats, each row-major, concatenated into one row: over
-    GF(2) a bit mask, entry (i, j) of a block at offset off being bit
-    off + i * ncols + j, over GF(3) a pair of such masks, over larger p a
-    tuple."""
+    """The entries of mats, each row-major, concatenated into one row: entry
+    (i, j) of a block at offset off is entry off + i * ncols + j of the row,
+    its bit over GF(2), its bit in each mask of the pair over GF(3), its
+    lane over larger p."""
     if p == 3:
         ones = twos = off = 0
         for m in mats:
@@ -399,18 +417,14 @@ def flat(p: int, mats):
                 twos |= t << off
                 off += m.ncols
         return ones, twos
-    if p == 2:
-        out = off = 0
-        for m in mats:
-            for r in m.rows:
-                out |= r << off
-                off += m.ncols
-        return out
-    out = []
+    s = _width(p)
+    out = off = 0
     for m in mats:
+        step = m.ncols * s
         for r in m.rows:
-            out += r
-    return tuple(out)
+            out |= r << off
+            off += step
+    return out
 
 
 def unflat(p: int, row, off: int, nrows: int, ncols: int) -> Matrix:
@@ -419,31 +433,28 @@ def unflat(p: int, row, off: int, nrows: int, ncols: int) -> Matrix:
         mask = (1 << ncols) - 1
         ones, twos = row[0] >> off, row[1] >> off
         return Matrix(3, nrows, ncols, tuple([(ones >> i * ncols & mask, twos >> i * ncols & mask) for i in range(nrows)]))
-    if p == 2:
-        mask = (1 << ncols) - 1
-        row >>= off
-        return Matrix(2, nrows, ncols, tuple([(row >> (i * ncols)) & mask for i in range(nrows)]))
-    return Matrix(p, nrows, ncols, tuple([row[off + i * ncols:off + (i + 1) * ncols] for i in range(nrows)]))
+    s = _width(p)
+    step = ncols * s
+    mask = (1 << step) - 1
+    row >>= off * s
+    return Matrix(p, nrows, ncols, tuple([row >> i * step & mask for i in range(nrows)]))
 
 
 def block_diagonal(p: int, row, offsets, dims) -> Matrix:
     """The square blocks of a flat row, dims[v] x dims[v] starting at entry
     offsets[v], as one block-diagonal matrix, the blocks in order."""
     n = sum(dims)
+    s = _width(p)
     rows = []
     at = 0
     for off, d in zip(offsets, dims):
-        if p == 2:
-            mask = (1 << d) - 1
-            block = row >> off
-            rows += [(block >> i * d & mask) << at for i in range(d)]
-        elif p == 3:
-            mask = (1 << d) - 1
+        mask = (1 << d * s) - 1
+        if p == 3:
             ones, twos = row[0] >> off, row[1] >> off
             rows += [((ones >> i * d & mask) << at, (twos >> i * d & mask) << at) for i in range(d)]
         else:
-            pad, end = (0,) * at, (0,) * (n - at - d)
-            rows += [pad + row[off + i * d:off + (i + 1) * d] + end for i in range(d)]
+            block = row >> off * s
+            rows += [(block >> i * d * s & mask) << at * s for i in range(d)]
         at += d
     return Matrix(p, n, n, tuple(rows))
 
@@ -464,17 +475,10 @@ def hstack(mats: list) -> Matrix:
 def stripe(p: int, ncols: int, pieces) -> list:
     """The one block-row assembler: rows of equal-height blocks placed side by
     side, pieces being (matrix, column offset) in increasing offset order,
-    zeros elsewhere.  A row is one shifted OR of bit masks over GF(2), one
-    per mask over GF(3), one zero-padded tuple concatenation over larger p."""
+    zeros elsewhere.  A row is one shifted OR of its blocks' rows, of each
+    mask over GF(3)."""
     rows = range(pieces[0][0].nrows)
     out = []
-    if p == 2:
-        for r in rows:
-            row = 0
-            for m, off in pieces:
-                row |= m.rows[r] << off
-            out.append(row)
-        return out
     if p == 3:
         for r in rows:
             ones = twos = 0
@@ -484,11 +488,12 @@ def stripe(p: int, ncols: int, pieces) -> list:
                 twos |= t << off
             out.append((ones, twos))
         return out
+    s = _width(p)
     for r in rows:
-        row = ()
+        row = 0
         for m, off in pieces:
-            row += (0,) * (off - len(row)) + m.rows[r]
-        out.append(row + (0,) * (ncols - len(row)))
+            row |= m.rows[r] << off * s
+        out.append(row)
     return out
 
 
@@ -505,20 +510,39 @@ def vstack(mats: list) -> Matrix:
 
 def combine(coeffs, terms) -> tuple | None:
     """sum_t coeffs[t] * terms[t] for terms that are equal-shape tuples of
-    matrices; None when every coefficient is 0."""
-    acc = None
-    for c, mats in zip(coeffs, terms):
-        if c:
-            scaled = tuple([m.scale(c) for m in mats])
-            acc = scaled if acc is None else tuple([a.add(b) for a, b in zip(acc, scaled)])
-    return acc
+    matrices; None when every coefficient is 0.  Over p >= 5 each term is
+    one flat row, and their sum is reduced once per _barrett's batch."""
+    p = terms[0][0].p if terms and terms[0] else 2
+    if p < 5:
+        acc = None
+        for c, mats in zip(coeffs, terms):
+            if c:
+                scaled = tuple([m.scale(c) for m in mats])
+                acc = scaled if acc is None else tuple([a.add(b) for a, b in zip(acc, scaled)])
+        return acc
+    picked = [(c % p, flat(p, mats)) for c, mats in zip(coeffs, terms) if c]
+    if not picked:
+        return None
+    _, _, k, m, quotient, batch = _barrett(p, sum([f.nrows * f.ncols for f in terms[0]]))
+    row = off = 0
+    for at in range(0, len(picked), batch):
+        row += sum([c * r for c, r in picked[at:at + batch]])
+        row -= (row * m >> k & quotient) * p
+    out = []
+    for f in terms[0]:
+        out.append(unflat(p, row, off, f.nrows, f.ncols))
+        off += f.nrows * f.ncols
+    return tuple(out)
 
 
 def _echelon(p: int, rows) -> dict:
     """Forward pass: lead -> pivot row, each row reduced by the pivot at its
     lead until the lead is new or the row is 0.  The lead is the lowest set
-    bit over GF(2) and GF(3) (_echelon3), else the first nonzero column,
-    scaled to 1."""
+    bit over GF(2) and GF(3) (_echelon3), else the column of the lowest
+    nonzero lane, whose entry a pivot keeps: a row with entry a there
+    becomes b r + (p - a) q for the pivot q with lead b, each lane below
+    2 p^2, and one Barrett step reduces every lane up to the widest row's
+    last.  _reduced scales each lane pivot's lead to 1."""
     if p == 3:
         return _echelon3(rows)
     piv = {}
@@ -532,14 +556,20 @@ def _echelon(p: int, rows) -> dict:
                     break
                 r ^= q
         return piv
+    if not rows:
+        return piv
+    # masks up to the last lane any row uses; a lane's lowest set bit is
+    # below its top bit, so // s names its lane
+    s, full, k, m, quotient, _ = _barrett(p, max(rows).bit_length() // _width(p) + 1)
     for r in rows:
-        a = next(filter(None, r), 0)
-        while a and r.index(a) in piv:
-            r = tuple([(x - a * y) % p for x, y in zip(r, piv[r.index(a)])])
-            a = next(filter(None, r), 0)
-        if a:
-            inv = inv_mod(a, p)
-            piv[r.index(a)] = r if inv == 1 else tuple([x * inv % p for x in r])
+        while r:
+            j = (r & -r).bit_length() // s
+            q = piv.get(j)
+            if q is None:
+                piv[j] = r
+                break
+            r = (q >> j * s & full) * r + (p - (r >> j * s & full)) * q
+            r -= (r * m >> k & quotient) * p
     return piv
 
 
@@ -598,13 +628,28 @@ def _reduced(p: int, rows) -> tuple:
             piv[low] = r
             done |= low
         return [piv[low] for low in leads], leads
-    for k in reversed(range(len(leads))):
-        r = piv[leads[k]]
-        for d in leads[k + 1:]:
-            f = r[d]
-            if f:
-                r = tuple([(x - f * y) % p for x, y in zip(r, piv[d])])
-        piv[leads[k]] = r
+    # the later pivot rows are 0 at each other's leads, so a row's entries
+    # there are read at once and its multiples of them summed in batches
+    s, full, k, m, quotient, batch = _barrett(p, max(piv.values(), default=0).bit_length() // _width(p) + 1)
+    done = 0
+    for c in reversed(leads):
+        r = piv[c]
+        a = r >> c * s & full
+        if a != 1:
+            r *= pow(a, -1, p)
+            r -= (r * m >> k & quotient) * p
+        later = r & done
+        t = 0
+        while later:
+            d = (later & -later).bit_length() // s
+            f = later >> d * s & full
+            later ^= f << d * s
+            r += (p - f) * piv[d]
+            t += 1
+            if not t % batch or not later:
+                r -= (r * m >> k & quotient) * p
+        piv[c] = r
+        done |= full << c * s
     return [piv[c] for c in leads], leads
 
 
@@ -613,30 +658,43 @@ def kernel_basis(m: Matrix) -> tuple:
     layout, with its free columns f_1 < ... < f_q.
 
     Row k is 1 at f_k, 0 at the other free columns, and the unique solution
-    at the pivot columns, so its last nonzero entry is at f_k.  Over GF(2)
-    that solution is read off _echelon's forward pass by one bit-sliced
-    back-solve: per column j a mask of the rows k with entry j set, found
-    for the pivot columns last to first, a pivot's mask the XOR of the masks
-    at the other set bits of its row, all of which lie to its right.  Over
-    odd p row k holds minus rref's reduced entry in column f_k at each pivot
-    column, over GF(3) read off _reduced's pairs (_kernel3).
+    at the pivot columns, so its last nonzero entry is at f_k.  Except over
+    GF(3) that solution is read off _echelon's forward pass by one
+    back-solve: per column j one row whose bit or lane k is entry j of row
+    k, found for the pivot columns last to first, a pivot's row the sum of
+    the rows at the other entries of its pivot row, all to its right, each
+    times minus that entry, over the pivot's lead; the kernel rows are those
+    rows' transpose.  Over GF(3) row k holds minus _reduced's entry in
+    column f_k at each pivot, each reduced pair read once into
+    per-free-column pairs (_kernel3).
     """
     n, p = m.ncols, m.p
     if p == 3:
         return _kernel3(m.rows, n)
+    piv = _echelon(p, m.rows)
     if p != 2:
-        red, pivots = rref(m)
-        pivot_set = set(pivots)
-        free = [f for f in range(n) if f not in pivot_set]
-        rows = []
-        for f in free:
-            v = [0] * n
-            v[f] = 1
-            for r, pc in enumerate(pivots):
-                v[pc] = -red.rows[r][f] % p
-            rows.append(tuple(v))
-        return Matrix(p, len(rows), n, tuple(rows)), free
-    piv = _echelon(2, m.rows)
+        free = [f for f in range(n) if f not in piv]
+        s, full, k, mu, quotient, batch = _barrett(p, len(free))
+        at = {f: 1 << i * s for i, f in enumerate(free)}
+        for c in sorted(piv, reverse=True):
+            r = piv[c]
+            b = r >> c * s & full
+            r ^= b << c * s
+            acc = t = 0
+            while r:
+                j = (r & -r).bit_length() // s
+                e = r >> j * s & full
+                r ^= e << j * s
+                if j in at:
+                    acc += (p - e) * at[j]
+                    t += 1
+                    if not t % batch:
+                        acc -= (acc * mu >> k & quotient) * p
+            if acc:
+                acc -= (acc * mu >> k & quotient) * p
+                acc *= pow(b, -1, p)
+                at[c] = acc - (acc * mu >> k & quotient) * p
+        return Matrix(p, n, len(free), tuple([at.get(j, 0) for j in range(n)])).transpose(), free
     leads = sorted(piv)
     at = [0] * n
     rows, free = [], []
@@ -741,9 +799,9 @@ def derivations(p: int, ends, x_dim, x_mats, y_dim, y_mats) -> tuple:
     Row (a, i, j) is column j of X_a at row i of f_w, minus Y_a's row i
     spread over column j of f_u; where a loop meets one unknown from both
     sides, the two entries are summed.  X_a's columns are its transpose's
-    rows at every p.  Over GF(2) a row is one bit mask.  Over GF(3) it is a
-    (ones, twos) pair, X_a's column pair and -Y_a's row spread from its set
-    bits, summed by _add3.  Over larger p it is a tuple."""
+    rows at every p, and -Y_a's row is spread from its set bits or nonzero
+    lanes; the sum is an XOR over GF(2), _add3 over GF(3) and a lane sum,
+    reduced, over larger p."""
     off = list(itertools.accumulate((a * b for a, b in zip(x_dim, y_dim)), initial=0))
     total = off.pop()
     rows = []
@@ -764,13 +822,11 @@ def derivations(p: int, ends, x_dim, x_mats, y_dim, y_mats) -> tuple:
                     # the two sides meet at one unknown only on a loop
                     rows.append(_add3(a1, a2, b1, b2) if u == w else (a1 | b1, a2 | b2))
             else:
-                negs = [(off[u] + l * dxu, p - c) for l, c in enumerate(ya_row) if c]
-                for j in range(dxu):
-                    row = [0] * total
-                    row[base_w:base_w + dxw] = xa_cols[j]
-                    for at, c in negs:
-                        row[at + j] = (row[at + j] + c) % p
-                    rows.append(tuple(row))
+                s, _, k, m, quotient, _ = _barrett(p, total)
+                spread = sum([p - c << (off[u] + l * dxu) * s for l, c in nonzeros(p, ya_row)])
+                summed = [(x << base_w * s) + (spread << j * s) for j, x in enumerate(xa_cols)]
+                # the two sides meet at one unknown only on a loop
+                rows += [r - (r * m >> k & quotient) * p for r in summed] if u == w else summed
     return Matrix(p, len(rows), total, tuple(rows)), tuple(off)
 
 
@@ -829,12 +885,10 @@ def block_spans(basis: Matrix, pivots, widths) -> list:
         j = k
         while j < len(pivots) and pivots[j] < start + d:
             j += 1
-        if p == 2:
-            cut = tuple([r >> start for r in rows[k:j]])
-        elif p == 3:
+        if p == 3:
             cut = tuple([(o >> start, t >> start) for o, t in rows[k:j]])
         else:
-            cut = tuple([r[start:start + d] for r in rows[k:j]])
+            cut = tuple([r >> start * _width(p) for r in rows[k:j]])
         spans.append((Matrix(p, j - k, d, cut), [c - start for c in pivots[k:j]]))
         k, start = j, start + d
     return spans

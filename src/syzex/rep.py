@@ -29,6 +29,7 @@ modules.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -358,6 +359,7 @@ def _split_candidates(m: Representation, end: HomBasis):
     pi(End M) cover every split: the combinations, with first nonzero
     coefficient 1, of the basis elements whose top images are independent,
     minus the single elements already tried.  Each is tested on the top,
+    the top images of all the lines with one lead found by one product,
     and only a splitting one is lifted.  Raises BudgetExceeded when there
     are more than SPLIT_ENUM_BUDGET such lines.
     """
@@ -379,11 +381,23 @@ def _split_candidates(m: Representation, end: HomBasis):
             " more than %d"
             % (m.total_dim, count, p, SPLIT_ENUM_BUDGET)
         )
+    shapes = [(t.nrows, t.ncols) for t in images[0]]
+    offsets = list(itertools.accumulate((a * b for a, b in shapes), initial=0))
     for lead in range(r):
         rest = independent[lead:]
-        for tail in itertools.product(range(p), repeat=len(rest) - 1):
-            if any(tail) and _splits_top(linalg.combine((1,) + tail, [images[i] for i in rest])):
-                yield linalg.combine((1,) + tail, [(diagonals[i],) for i in rest])[0]
+        lines, coeffs = _lines(p, len(rest))
+        sums = coeffs.mul(Matrix(p, len(rest), size, tuple([vectors.rows[i] for i in rest])))
+        for line, row in zip(lines, sums.rows):
+            if _splits_top([linalg.unflat(p, row, at, a, b) for at, (a, b) in zip(offsets, shapes)]):
+                yield linalg.combine(line, [(diagonals[i],) for i in rest])[0]
+
+
+@functools.lru_cache(maxsize=64)
+def _lines(p: int, n: int) -> tuple:
+    """The coefficients (1, t), t nonzero, in itertools.product order, of the
+    lines through n independent top images, and the matrix of them as rows."""
+    lines = [(1,) + t for t in itertools.product(range(p), repeat=n - 1) if any(t)]
+    return lines, Matrix.from_rows(p, lines) if lines else Matrix.zero(p, 0, n)
 
 
 def _splits_top(ts) -> bool:

@@ -734,7 +734,7 @@ def test_gf3_hom_pairs_are_the_per_entry_equations(monkeypatch):
     seen = []
 
     def checked(pairs, n):
-        seen.append([linalg._unpack3(o, t, n) for o, t in pairs])
+        seen.append([tuple(linalg._entries(3, pair, n)) for pair in pairs])
         assert all(not o & t for o, t in pairs)
         return solve(pairs, n)
 
