@@ -8,11 +8,12 @@ with the error under results).
 Reports are deterministic for fixed flags; timings appear only on request.
 Every command that names an algebra gets it, and its corpus entry, from
 run(), which resolves and builds it once (_resolve_algebra) before calling
-the command.
-run() builds only the parsers argv names: the top parser reads the global
-flags and the command word, then the command's own parser (for algebra, mod
-and corpus, the group's and then the action's) reads the words after it.
-A per-call CLI pays for its parsers on every call, so no other is built.
+the command.  _COMMANDS is the command surface: each command's help line,
+handler and arguments, and each group command's actions.  run() builds from
+it only the parsers argv names: the top parser reads the global flags and
+the command word, then the command's own parser (for algebra, mod and
+corpus, the group's and then the action's) reads the words after it; a
+per-call CLI pays for its parsers on every call, so no other is built.
 """
 
 from __future__ import annotations
@@ -401,6 +402,47 @@ def cmd_corpus(args, report, entry, algebra):
     return 0
 
 
+def _arg(*flags, **options) -> tuple:
+    """One argument of a command, as the (flags, options) add_argument takes."""
+    return flags, options
+
+
+_SPEC, _MOD_N = _arg("spec"), (_arg("--n", type=int, default=1),)
+_WINDOW = (_arg("--dim-bound", type=int, default=6), _arg("--mult-bound", type=int, default=2), _SPEC)
+
+# The command surface: each command word's one-line help, handler and arguments, as
+# (flags, options) pairs in the order they are added (_WINDOW's first where a Universe
+# is built), and for a group command the arguments each action adds, by action word.
+_COMMANDS = {
+    "algebra": ("inspect an algebra", cmd_algebra, (_SPEC,), {"info": ()}),
+    "mod": ("module operations", cmd_mod, (_SPEC, _arg("module")),
+            {"validate": (), "decompose": (), "syzygy": _MOD_N, "cosyzygy": _MOD_N}),
+    "ext": ("Ext^1 dimension and classes", cmd_ext,
+            (_SPEC, _arg("x"), _arg("y"), _arg("--enumerate", action="store_true")), None),
+    "bullet": ("bullet of two add-categories", cmd_bullet, (
+        *_WINDOW,
+        _arg("--left", required=True, help="comma list of member names (sub side)"),
+        _arg("--right", required=True, help="comma list of member names (quotient side)"),
+        _arg("--sweep", action="store_true", help="recheck at mult bound + 1 and warn on growth"),
+    ), None),
+    "layer": ("[T]_n layers", cmd_layer, (
+        *_WINDOW, _arg("--gen", required=True), _arg("--n", type=int, required=True),
+        _arg("--contains", help="member names to test for layer membership"),
+    ), None),
+    "syzcat": ("syzygy category through the window", cmd_syzcat,
+               (*_WINDOW, _arg("--n", type=int, required=True)), None),
+    "ed": ("extension-dimension intervals", cmd_ed, (
+        *_WINDOW,
+        _arg("--i", required=True, help="comma list of syzygy indices"),
+        _arg("--facts", help="external facts JSON file"),
+        _arg("--syzygy-probe", help="indices for finiteness probes"),
+    ), None),
+    "tilting": ("tilting-module check", cmd_tilting, (_SPEC, _arg("module"), _arg("--bound", type=int)), None),
+    "reptype": ("representation-type certificate", cmd_reptype, _WINDOW, None),
+    "corpus": ("packaged example algebras", cmd_corpus, (), {"list": (), "show": (_arg("id"),)}),
+}
+
+
 def _add_global_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
     # placed on the top parser with real defaults, and on every leaf with
     # suppressed defaults so the flags work before or after the command word
@@ -411,27 +453,6 @@ def _add_global_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
     parser.add_argument("--budget", type=int, default=d(_default_budget()), help="enumeration budget")
     parser.add_argument("--member-cap", type=int, default=d(5000))
     parser.add_argument("--timings", action="store_true", default=d(False), help="include wall-clock timings")
-
-
-# the command words with their one-line help, and the actions of the group commands
-_COMMANDS = {
-    "algebra": "inspect an algebra",
-    "mod": "module operations",
-    "ext": "Ext^1 dimension and classes",
-    "bullet": "bullet of two add-categories",
-    "layer": "[T]_n layers",
-    "syzcat": "syzygy category through the window",
-    "ed": "extension-dimension intervals",
-    "tilting": "tilting-module check",
-    "reptype": "representation-type certificate",
-    "corpus": "packaged example algebras",
-}
-_ACTIONS = {
-    "algebra": ("info",),
-    "mod": ("validate", "decompose", "syzygy", "cosyzygy"),
-    "corpus": ("list", "show"),
-}
-_WINDOWED = ("bullet", "layer", "syzcat", "ed", "reptype")  # the commands that build a Universe
 
 
 @functools.cache
@@ -466,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="syzex",
         description="exact path-algebra workbench",
-        epilog="commands:\n" + "".join("  %-9s %s\n" % item for item in _COMMANDS.items()),
+        epilog="commands:\n" + "".join("  %-9s %s\n" % (cmd, entry[0]) for cmd, entry in _COMMANDS.items()),
         formatter_class=_RawDescriptionFormatter,
     )
     _add_global_flags(top, suppress=False)
@@ -474,54 +495,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _command_parser(prog: str, cmd: str, action) -> argparse.ArgumentParser:
-    """The parser of one command, or of one action of a group command."""
+    """The parser of one command, or of one action of a group command, as _COMMANDS gives it."""
+    _, func, arguments, actions = _COMMANDS[cmd]
     p = argparse.ArgumentParser(prog=prog, formatter_class=_Formatter)
     _add_global_flags(p, suppress=True)
-    if cmd in _WINDOWED:
-        p.add_argument("--dim-bound", type=int, default=6)
-        p.add_argument("--mult-bound", type=int, default=2)
-    if cmd == "corpus":
-        if action == "show":
-            p.add_argument("id")
-        p.set_defaults(func=cmd_corpus)
-        return p
-    p.add_argument("spec")
-    if cmd == "algebra":
-        p.set_defaults(func=cmd_algebra)
-    elif cmd == "mod":
-        p.add_argument("module")
-        if action in ("syzygy", "cosyzygy"):
-            p.add_argument("--n", type=int, default=1)
-        p.set_defaults(func=cmd_mod)
-    elif cmd == "ext":
-        p.add_argument("x")
-        p.add_argument("y")
-        p.add_argument("--enumerate", action="store_true")
-        p.set_defaults(func=cmd_ext)
-    elif cmd == "bullet":
-        p.add_argument("--left", required=True, help="comma list of member names (sub side)")
-        p.add_argument("--right", required=True, help="comma list of member names (quotient side)")
-        p.add_argument("--sweep", action="store_true", help="recheck at mult bound + 1 and warn on growth")
-        p.set_defaults(func=cmd_bullet)
-    elif cmd == "layer":
-        p.add_argument("--gen", required=True)
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--contains", default=None, help="member names to test for layer membership")
-        p.set_defaults(func=cmd_layer)
-    elif cmd == "syzcat":
-        p.add_argument("--n", type=int, required=True)
-        p.set_defaults(func=cmd_syzcat)
-    elif cmd == "ed":
-        p.add_argument("--i", required=True, help="comma list of syzygy indices")
-        p.add_argument("--facts", default=None, help="external facts JSON file")
-        p.add_argument("--syzygy-probe", default=None, help="indices for finiteness probes")
-        p.set_defaults(func=cmd_ed)
-    elif cmd == "tilting":
-        p.add_argument("module")
-        p.add_argument("--bound", type=int, default=None)
-        p.set_defaults(func=cmd_tilting)
-    else:
-        p.set_defaults(func=cmd_reptype)
+    for flags, options in arguments + (actions[action] if actions else ()):
+        p.add_argument(*flags, **options)
+    p.set_defaults(func=func)
     return p
 
 
@@ -530,13 +510,12 @@ def _parse(argv) -> argparse.Namespace:
     names (for a group command, the group's and then the action's), each
     reading the words the one before left under `rest`."""
     args = build_parser().parse_args(argv)
-    prog, action = "syzex " + args.cmd, None
-    if args.cmd in _ACTIONS:
-        group = _word_parser(argparse.ArgumentParser(prog=prog, formatter_class=_Formatter), "action", _ACTIONS[args.cmd])
+    prog, actions = "syzex " + args.cmd, _COMMANDS[args.cmd][3]
+    if actions:
+        group = _word_parser(argparse.ArgumentParser(prog=prog, formatter_class=_Formatter), "action", actions)
         group.parse_args(vars(args).pop("rest"), namespace=args)
-        action = args.action
-        prog += " " + action
-    return _command_parser(prog, args.cmd, action).parse_args(vars(args).pop("rest"), namespace=args)
+        prog += " " + args.action
+    return _command_parser(prog, args.cmd, vars(args).get("action")).parse_args(vars(args).pop("rest"), namespace=args)
 
 
 def run(argv) -> tuple:

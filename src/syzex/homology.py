@@ -31,9 +31,9 @@ their pivots, cut per arrow, are the corner tuples of the Ext^1 basis.
 ext1_space memoizes each space on the algebra by the keys of X and Y, as
 hom_space memoizes Hom; Ext1Space.corners maps a coefficient tuple to the
 corner blocks of that class, memoized per tuple, the only route from
-Ext^1 coordinates to a middle term.  extension_middle, the one middle-term
-builder, places the blocks in the matrices [[Y_a, C_a], [0, X_a]], each
-row built by linalg's block-row assembler.  Ext^1 through a projective
+Ext^1 coordinates to a middle term.  rep.extension_middle, re-exported
+here, places the blocks in the matrices [[Y_a, C_a], [0, X_a]], each row
+built by linalg's block-row assembler.  Ext^1 through a projective
 cover, and the pushout of P <- OX -> Y, survive only as the independent
 references the tests compare these spaces and middles against.
 """
@@ -51,6 +51,7 @@ from .rep import (
     Representation,
     decompose,
     direct_sum,
+    extension_middle,
     hom_space,
     indec_factors,
     is_iso,
@@ -295,33 +296,6 @@ def _relation_system(x: Representation, y: Representation, off, size) -> Matrix:
                                 eqs[key] = eqs.get(key, 0) + c * d
         n += width * height
     return Matrix.from_entries(p, n, size, [(i, j, c) for (i, j), c in eqs.items()])
-
-
-def extension_middle(ys, xs, corners) -> Representation:
-    """Middle term of an extension of (+)xs by (+)ys, as block matrices.
-
-    Arrow a acts by [[(+)Y_a, C_a], [0, (+)X_a]], Y coordinates first at
-    every vertex; the (i, j) block of the corner C_a is corners[i][j][a],
-    the Ext1Space.corners of a class in Ext^1(xs[j], ys[i]).  Both lists
-    are nonempty.  Each block row is built by linalg's row assembler.
-    """
-    algebra = ys[0].algebra
-    p = algebra.p
-    q = algebra.quiver
-    mods = list(ys) + list(xs)
-    dims = tuple(sum(m.dim[v] for m in mods) for v in range(q.n_vertices))
-    action = []
-    for ai in range(len(q.arrows)):
-        s = q.arrow_source(ai)
-        offs = list(itertools.accumulate((m.dim[s] for m in mods), initial=0))
-        xoffs = offs[len(ys):]
-        rows = []
-        for y, yoff, blocks in zip(ys, offs, corners):
-            rows += linalg.stripe(p, dims[s], [(y.action[ai], yoff)] + [(b[ai], off) for b, off in zip(blocks, xoffs)])
-        for x, xoff in zip(xs, xoffs):
-            rows += linalg.stripe(p, dims[s], [(x.action[ai], xoff)])
-        action.append(Matrix(p, dims[q.arrow_target(ai)], dims[s], tuple(rows)))
-    return Representation(algebra, dims, tuple(action))
 
 
 @dataclass

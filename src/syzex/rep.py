@@ -24,7 +24,9 @@ compared by their Krull-Schmidt factors.  indec_factors is the one factor
 route, memoized on the algebra, repeats kept; decompose groups the factors
 by isomorphism, only for the reports that print a multiplicity and for the
 distinct summands of a tilting module.  sort_key is the one order on
-modules.
+modules.  extension_middle is the one block-module builder: a middle term
+[[Y_a, C_a], [0, X_a]] of Ext^1 corners, and direct_sum, the extension with
+no quotient part.
 """
 
 from __future__ import annotations
@@ -208,20 +210,35 @@ def direct_sum(reps) -> Representation:
     reps = list(reps)
     if not reps:
         raise ValueError("empty direct sum needs an algebra; use zero_rep")
-    algebra = reps[0].algebra
-    if any(r.algebra is not algebra for r in reps):
+    if any(r.algebra is not reps[0].algebra for r in reps):
         raise AlgebraMismatch("direct sum over mixed algebras")
-    q = algebra.quiver
+    return extension_middle(reps, (), [()] * len(reps))
+
+
+def extension_middle(ys, xs, corners) -> Representation:
+    """Middle term of an extension of (+)xs by (+)ys, as block matrices.
+
+    Arrow a acts by [[(+)Y_a, C_a], [0, (+)X_a]], Y coordinates first at
+    every vertex; the (i, j) block of the corner C_a is corners[i][j][a],
+    the Ext1Space.corners of a class in Ext^1(xs[j], ys[i]).  ys is
+    nonempty; xs may be empty, which makes the middle the direct sum (+)ys.
+    Each block row, Y's and X's alike, is built by linalg's row assembler.
+    """
+    algebra = ys[0].algebra
     p = algebra.p
-    dim = tuple(sum(r.dim[v] for r in reps) for v in range(q.n_vertices))
+    q = algebra.quiver
+    mods = list(ys) + list(xs)
+    dims = tuple(sum(m.dim[v] for m in mods) for v in range(q.n_vertices))
     action = []
     for ai in range(len(q.arrows)):
         s = q.arrow_source(ai)
+        offs = list(itertools.accumulate((m.dim[s] for m in mods), initial=0))
+        xoffs = offs[len(ys):]
         rows = []
-        for r, off in zip(reps, itertools.accumulate((r.dim[s] for r in reps), initial=0)):
-            rows += linalg.stripe(p, dim[s], [(r.action[ai], off)])
-        action.append(Matrix(p, dim[q.arrow_target(ai)], dim[s], tuple(rows)))
-    return Representation(algebra, dim, tuple(action))
+        for m, off, blocks in zip(mods, offs, list(corners) + [()] * len(xs)):
+            rows += linalg.stripe(p, dims[s], [(m.action[ai], off)] + [(b[ai], at) for b, at in zip(blocks, xoffs)])
+        action.append(Matrix(p, dims[q.arrow_target(ai)], dims[s], tuple(rows)))
+    return Representation(algebra, dims, tuple(action))
 
 
 def hom_space(m: Representation, n: Representation) -> HomBasis:

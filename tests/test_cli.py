@@ -760,6 +760,17 @@ PARSED_INPUTS = (
 )
 
 
+def test_command_table_and_parsed_inputs_cover_each_other():
+    # each command and group action of cli._COMMANDS has one PARSED_INPUTS row,
+    # so a new one cannot skip the digest test below, and each row names one
+    table = {(cmd, action) for cmd, (_, _, _, actions) in cli._COMMANDS.items() for action in actions or (None,)}
+    rows = [(values["cmd"], values.get("action")) for _, values, _ in PARSED_INPUTS]
+    assert len(set(rows)) == len(rows) and set(rows) == table
+    for (words, _, _), (cmd, action) in zip(PARSED_INPUTS, rows):
+        first, second = words.split()[:2]
+        assert first == cmd and action in (None, second), words
+
+
 @pytest.mark.parametrize("words,values,digest", PARSED_INPUTS)
 def test_global_flags_parse_the_same_anywhere(monkeypatch, words, values, digest):
     # before the command, after it, as --flag=value and abbreviated
